@@ -180,8 +180,9 @@ const FLOOR_FAULT_OVERHEAD: f64 = 0.99;
 /// proven tapes, so the verifier is off the hot path by construction).
 const FLOOR_VERIFY_OVERHEAD: f64 = 0.99;
 /// The native host backend skips the simulator's event accounting
-/// entirely, so the steady-state forward must never be slower on it than
-/// on the sim (the metric is the worse of the 1D and 2D ratios).
+/// entirely, so a forward must never be slower on it than on the sim (the
+/// metric is the worse of the 1D and 2D ratios; replay is off on both
+/// sides, so every sim launch is metered).
 const FLOOR_SPEEDUP_BACKEND_NATIVE: f64 = 1.0;
 
 fn main() {
@@ -503,16 +504,21 @@ fn main() {
     set_verify_override(None);
 
     // ---------------------------------------------- backend comparison ----
-    // The same steady-state TurboBest forwards on the two execution
-    // backends behind the `Backend` trait. "sim" is the default simulated
-    // device (full event accounting, modeled memory system); "native" is
-    // the eager host executor — each kernel's functional body runs
-    // immediately, no deferred window, no event modeling. Outputs are held
-    // to the functional contract (float tolerance, not bitwise): both
+    // The same TurboBest forwards on the two execution backends behind the
+    // `Backend` trait. "sim" is the default simulated device (full event
+    // accounting, modeled memory system); "native" is the eager host
+    // executor — each kernel's functional body runs immediately, no
+    // deferred window, no event modeling. Both sessions run with replay
+    // off: a warm sim replay attaches its recorded event counts instead of
+    // re-metering, which would leave nothing for the ratio to measure.
+    // With every launch re-metered, the floor pins the native backend
+    // never being slower than the accounting it skips. Outputs are held to
+    // the functional contract (float tolerance, not bitwise): both
     // backends run the same kernel bodies, but the native path skips the
-    // simulator's launch machinery. The floor pins the native backend
-    // never being slower than the simulator it bypasses.
+    // simulator's launch machinery.
+    turbo_sess.set_replay_enabled(false);
     let mut native_sess = Session::with_backend(NativeBackend::a100());
+    native_sess.set_replay_enabled(false);
     let (y1_native, _) = model1.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x1);
     let (y2_native, _) = model2.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x2);
     let err1n = rel_l2_error(y1_native.data(), y1_turbo.data());

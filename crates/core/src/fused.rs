@@ -36,6 +36,16 @@ use tfno_num::{C32, C32_BYTES};
 /// chosen to equal the CGEMM `k_tb`.
 pub const FUSED_FFT_BS: usize = 8;
 
+/// The fused kernels' M-tile is the innermost retained-mode count, and it
+/// must fill whole warp tiles of this many rows.
+pub const FUSED_MODES_MULTIPLE: usize = 32;
+
+/// Whether the fused kernels can be built for `s` (see
+/// [`FUSED_MODES_MULTIPLE`]); shapes that fail it run unfused.
+pub fn fused_supported(s: &tfno_culib::SpectralShape) -> bool {
+    s.modes[s.rank - 1].is_multiple_of(FUSED_MODES_MULTIPLE)
+}
+
 /// log2 of the per-thread FFT size for a given signal length (Table 1's
 /// `n_1 = 8` / `n_2 = 16` scaling), for the engine's register grouping.
 fn reg_bits_for(n: usize) -> usize {
@@ -286,7 +296,7 @@ impl<G: FusedGeometry> FusedKernel<G> {
         assert!(fuse_fft || fuse_ifft, "use BatchedCgemmKernel when nothing is fused");
         let modes = geom.modes();
         assert!(
-            modes.is_multiple_of(32),
+            modes.is_multiple_of(FUSED_MODES_MULTIPLE),
             "fused kernels need the retained mode count ({modes}) to be a multiple of the warp M-tile"
         );
         let tile = TileConfig::for_fused(modes, n_tb);

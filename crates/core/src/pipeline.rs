@@ -66,6 +66,14 @@ impl Variant {
         Variant::FullyFused,
     ];
 
+    /// The variants built around a [`FusedKernel`] (B, C and D).
+    pub fn is_fused(self) -> bool {
+        matches!(
+            self,
+            Variant::FusedFftGemm | Variant::FusedGemmIfft | Variant::FullyFused
+        )
+    }
+
     /// The paper's label for figure legends.
     pub fn label(&self) -> &'static str {
         match self {
@@ -441,7 +449,7 @@ impl ExecCtx<'_> {
                 let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
                 match self.dev.try_launch(&*kernel, mode) {
                     Ok(rec) => {
-                        tape.steps.push(ReplayStep { kernel, mode });
+                        tape.steps.push(ReplayStep { kernel, mode, stats: rec.stats });
                         Ok(rec)
                     }
                     Err(e) => {
@@ -469,7 +477,7 @@ impl ExecCtx<'_> {
                 let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
                 match self.dev.try_launch_deferred(&*kernel, mode) {
                     Ok(pending) => {
-                        tape.steps.push(ReplayStep { kernel, mode });
+                        tape.steps.push(ReplayStep { kernel, mode, stats: *pending.stats() });
                         Ok(pending)
                     }
                     Err(e) => {

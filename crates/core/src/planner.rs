@@ -20,6 +20,7 @@
 //! caught panic — the documented aliasing/conflict panics unwind through
 //! planner state — never wedges a shared planner for unrelated callers.
 
+use crate::fused::fused_supported;
 use crate::pipeline::{ExecCtx, LayerBufs, TurboOptions, Variant};
 use crate::pool::BufferPool;
 use std::collections::hash_map::DefaultHasher;
@@ -301,12 +302,17 @@ pub(crate) fn hash_device_config(cfg: &DeviceConfig, h: &mut DefaultHasher) {
 /// earlier candidate, matching the sequential pre-PR scan. The analytical
 /// launch memo is disabled on the scratch devices so "cold" stays true —
 /// every counted launch really simulates its representative blocks.
+/// Fused candidates the shape cannot build ([`fused_supported`]) are not
+/// simulated and never win, so such shapes plan onto `FftOpt`.
 pub(crate) fn evaluate_shape(
     cfg: &DeviceConfig,
     s: &SpectralShape,
     opts: &TurboOptions,
 ) -> (Variant, u64) {
     select(evaluate_candidates(|v| {
+        if v.is_fused() && !fused_supported(s) {
+            return (f64::INFINITY, 0);
+        }
         let mut dev = SimBackend::new(cfg.clone());
         dev.analytical_memo = false;
         let mut pool = BufferPool::new();

@@ -254,11 +254,29 @@ impl LayerSpec {
         self.shape.to_problem_2d()
     }
 
-    /// Assert the shape invariants (power-of-two lengths, mode bounds) so
-    /// shape panics surface on the submitting thread, not inside a
-    /// dispatch.
+    /// Assert the shape invariants (power-of-two lengths, mode bounds, and
+    /// a fused variant's tile constraint) so shape panics surface on the
+    /// submitting thread, not inside a dispatch.
     fn assert_valid_shape(&self) {
         self.shape.validate();
+        if let Err(msg) = self.check_fusable() {
+            panic!("{msg}");
+        }
+    }
+
+    /// An explicitly fused variant needs a shape the fused kernels can be
+    /// built for (`TurboBest` never picks one it cannot build).
+    fn check_fusable(&self) -> Result<(), String> {
+        if !self.variant.is_fused() || crate::fused::fused_supported(&self.shape) {
+            return Ok(());
+        }
+        Err(format!(
+            "{:?} needs the innermost retained modes ({}) to be a multiple of {}; \
+             use FftOpt or TurboBest for this shape",
+            self.variant,
+            self.shape.modes[self.shape.rank - 1],
+            crate::fused::FUSED_MODES_MULTIPLE
+        ))
     }
 
     /// Leading (batch) dimension.
@@ -1708,13 +1726,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Typed twin of [`LayerSpec::assert_valid_shape`]: the legacy assertion
-/// panics with pinned messages; this catches them and re-surfaces the text
-/// as [`TfnoError::Validation`].
+/// Typed twin of [`LayerSpec::assert_valid_shape`]: the legacy shape
+/// assertion panics with pinned messages; this catches them and
+/// re-surfaces the text as [`TfnoError::Validation`].
 fn try_shape(spec: &LayerSpec) -> Result<(), TfnoError> {
-    let s = *spec;
-    std::panic::catch_unwind(move || s.assert_valid_shape())
-        .map_err(|p| TfnoError::Validation(panic_message(&*p)))
+    let shape = spec.shape;
+    std::panic::catch_unwind(move || shape.validate())
+        .map_err(|p| TfnoError::Validation(panic_message(&*p)))?;
+    spec.check_fusable().map_err(TfnoError::Validation)
 }
 
 /// The resilient single-layer engine shared by `try_run` and the
@@ -1781,12 +1800,7 @@ fn run_single_resilient(
                 Err(e) => return Err(e),
             }
         }
-        let concrete = ctx.resolve(&spec);
-        let fused = matches!(
-            concrete,
-            Variant::FusedFftGemm | Variant::FusedGemmIfft | Variant::FullyFused
-        );
-        if fused && !degraded {
+        if ctx.resolve(&spec).is_fused() && !degraded {
             degraded = true;
             lock_unpoisoned(recovery).degraded += 1;
             spec = spec.variant(Variant::FftOpt);
@@ -1848,21 +1862,12 @@ fn run_queue_resilient(
                 Err(e) => return Err(e),
             }
         }
-        let any_fused = reqs.iter().any(|r| {
-            matches!(
-                ctx.resolve(&r.spec),
-                Variant::FusedFftGemm | Variant::FusedGemmIfft | Variant::FullyFused
-            )
-        });
+        let any_fused = reqs.iter().any(|r| ctx.resolve(&r.spec).is_fused());
         if any_fused && !degraded {
             degraded = true;
             lock_unpoisoned(recovery).degraded += 1;
             for r in &mut reqs {
-                let fused = matches!(
-                    ctx.resolve(&r.spec),
-                    Variant::FusedFftGemm | Variant::FusedGemmIfft | Variant::FullyFused
-                );
-                if fused {
+                if ctx.resolve(&r.spec).is_fused() {
                     r.spec = r.spec.variant(Variant::FftOpt);
                 }
             }

@@ -21,6 +21,25 @@
 //! buffer across workers. The pre-PR executor is kept behind
 //! [`GpuDevice::legacy_executor`] for A/B benchmarking.
 //!
+//! ## Metering
+//!
+//! A metered [`BlockCtx`] charges every warp access as it moves data:
+//! 32-byte sectors per global access, bank-conflict phases per shared
+//! access. That per-access math is most of the executor's host time, and
+//! it is a pure function of the kernel's structure: kernels branch on
+//! [`BlockCtx::legacy_mode`], never on metering or on the data they move.
+//! Two paths therefore run blocks unmetered, moving exactly the same data
+//! and counting only the structural events (blocks, warps, flops,
+//! barriers):
+//!
+//! * [`GpuDevice::try_replay_launch`] re-issues a launch whose counts a
+//!   previous metered run recorded and attaches those counts, so its
+//!   [`LaunchRecord`] is identical to the recording's. With
+//!   [`GpuDevice::validate_writes`] on (the debug-build default) it runs
+//!   metered instead and panics on any mismatch.
+//! * [`run_functional_eager`], the host backend's data path, reports the
+//!   structural counts only.
+//!
 //! ## Analytical launches
 //!
 //! Analytical mode executes one representative block per equivalence class
@@ -202,9 +221,8 @@ pub struct BlockCtx<'a> {
     /// implementations (legacy-executor baseline).
     legacy_accounting: bool,
     /// When false, global and shared accesses move data but skip all
-    /// traffic accounting (sector math, bank-conflict cycles). The eager
-    /// host backend runs kernels this way — functionally exact, none of
-    /// the simulator's per-access cost model.
+    /// traffic accounting (sector math, bank-conflict cycles) — see the
+    /// module docs on metering.
     metered: bool,
 }
 
@@ -580,12 +598,23 @@ impl GpuDevice {
             "deferred functional launches require the journaled executor \
              (legacy_executor = false)"
         );
+        self.issue(kernel, mode, true)
+    }
+
+    /// Roll the fault plan, then run the launch's blocks (functional
+    /// blocks `metered` or not) into an uncompleted [`PendingLaunch`].
+    fn issue(
+        &self,
+        kernel: &dyn Kernel,
+        mode: ExecMode,
+        metered: bool,
+    ) -> Result<PendingLaunch, LaunchError> {
         let dims = kernel.dims();
         assert!(dims.grid_blocks > 0, "empty grid for kernel {}", kernel.name());
         self.check_launch_fault(kernel, mode)?;
         let (stats, journals, workers) = match mode {
             ExecMode::Analytical => (self.run_analytical(kernel, dims), Vec::new(), 1),
-            ExecMode::Functional => self.run_blocks(kernel, dims),
+            ExecMode::Functional => self.run_blocks(kernel, dims, metered),
         };
         Ok(PendingLaunch {
             name: kernel.name(),
@@ -659,6 +688,44 @@ impl GpuDevice {
         rec
     }
 
+    /// Re-issue a recorded functional launch whose event counts are already
+    /// known (a warm replay of a launch sequence). Blocks run unmetered —
+    /// data moves exactly as in [`GpuDevice::try_launch`], but no sector or
+    /// bank-conflict accounting happens — and the returned record carries
+    /// `recorded` (and the modeled time derived from it). The fault plan is
+    /// consulted exactly as a normal launch consults it.
+    ///
+    /// Sound because a kernel's access pattern is a function of its
+    /// structure, never of the data it moves. With
+    /// [`validate_writes`](GpuDevice::validate_writes) on (the debug-build
+    /// default) the blocks run metered instead, and the launch panics if
+    /// its counts differ from `recorded` — the property is checked, not
+    /// assumed. Analytical launches and the legacy executor take the
+    /// ordinary [`GpuDevice::try_launch`] path.
+    pub fn try_replay_launch(
+        &mut self,
+        kernel: &dyn Kernel,
+        mode: ExecMode,
+        recorded: &KernelStats,
+    ) -> Result<LaunchRecord, LaunchError> {
+        if self.legacy_executor || mode != ExecMode::Functional {
+            return self.try_launch(kernel, mode);
+        }
+        let metered = self.validate_writes;
+        let mut pending = self.issue(kernel, mode, metered)?;
+        if metered {
+            assert_eq!(
+                pending.stats,
+                *recorded,
+                "replayed kernel '{}' counted different events than its recording: \
+                 its access pattern depends on the data it moves",
+                kernel.name()
+            );
+        }
+        pending.stats = *recorded;
+        Ok(self.complete(pending))
+    }
+
     /// Analytical launch: run one representative block per class (writes
     /// discarded) and scale the counts — unless a memoized launch of the
     /// same signature already did.
@@ -670,18 +737,21 @@ impl GpuDevice {
     /// Work-stealing block execution (see the module docs): run every
     /// block and return the summed stats plus the unapplied per-worker
     /// write journals. Shared by the synchronous launch path (which
-    /// applies the journals immediately) and the deferred path (which
-    /// hands them to the caller inside a [`PendingLaunch`]).
+    /// applies the journals immediately), the deferred path (which hands
+    /// them to the caller inside a [`PendingLaunch`]) and the replay path
+    /// (which runs `metered = false` and attaches recorded counts).
     fn run_blocks(
         &self,
         kernel: &dyn Kernel,
         dims: LaunchDims,
+        metered: bool,
     ) -> (KernelStats, Vec<WriteJournal>, usize) {
         let n_blocks = dims.grid_blocks;
         let workers = self.effective_workers(n_blocks);
+        let new_ctx = if metered { BlockCtx::new } else { BlockCtx::new_unmetered };
 
         let (total, journals) = if workers <= 1 {
-            let mut ctx = BlockCtx::new(dims, &self.memory);
+            let mut ctx = new_ctx(dims, &self.memory);
             for b in 0..n_blocks {
                 ctx.begin_block(b);
                 kernel.run_block(b, &mut ctx);
@@ -695,7 +765,7 @@ impl GpuDevice {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mut ctx = BlockCtx::new(dims, gmem);
+                            let mut ctx = new_ctx(dims, gmem);
                             loop {
                                 let b = cursor.fetch_add(1, Ordering::Relaxed);
                                 if b >= n_blocks {
@@ -1411,6 +1481,119 @@ mod tests {
                 "eager execution must skip traffic accounting"
             );
         }
+    }
+
+    /// A replayed launch moves the same data, and its record carries the
+    /// recorded counts (and the modeled time they imply) rather than
+    /// recomputing them.
+    #[test]
+    fn replay_launch_attaches_recorded_counts() {
+        let (mut dev, src, dst) = setup(16);
+        let k = ScaleKernel { src, dst, blocks: 16 };
+        let cold = dev.launch(&k, ExecMode::Functional);
+        let want = dev.download(dst);
+        for validate in [false, true] {
+            dev.validate_writes = validate;
+            dev.upload(dst, &[C32::ZERO; 16 * 32]);
+            let warm = dev
+                .try_replay_launch(&k, ExecMode::Functional, &cold.stats)
+                .expect("replay");
+            assert_eq!(dev.download(dst), want, "validate_writes={validate}");
+            assert_eq!((warm.name.as_str(), warm.dims_grid), (cold.name.as_str(), cold.dims_grid));
+            assert_eq!(warm.stats, cold.stats);
+            assert_eq!(warm.time_us.to_bits(), cold.time_us.to_bits());
+        }
+        assert_eq!(dev.launches().len(), 3);
+
+        // Unmetered, the counts are taken on trust: the record is exactly
+        // what the caller says was recorded.
+        dev.validate_writes = false;
+        let claimed = KernelStats { global_load_sectors: 1, ..cold.stats };
+        let rec = dev.try_replay_launch(&k, ExecMode::Functional, &claimed).expect("replay");
+        assert_eq!(rec.stats, claimed);
+        assert_eq!(rec.time_us.to_bits(), dev.cost_model().kernel_time_us(&k.dims(), &claimed).to_bits());
+    }
+
+    /// A kernel whose addresses depend on the data it reads: each block
+    /// loads a control word and gathers contiguously when it is positive,
+    /// with stride 8 otherwise. Replaying recorded counts for it would be
+    /// wrong, which is what the metered cross-check exists to catch.
+    struct DataDependentKernel {
+        ctrl: BufferId,
+        src: BufferId,
+        dst: BufferId,
+        blocks: usize,
+    }
+
+    impl Kernel for DataDependentKernel {
+        fn name(&self) -> String {
+            "data_dependent".into()
+        }
+        fn dims(&self) -> LaunchDims {
+            LaunchDims::new(self.blocks, 32)
+        }
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
+            let ctrl = ctx.global_read(self.ctrl, &WarpIdx::contiguous(0))[0];
+            let stride = if ctrl.re > 0.0 { 1 } else { 8 };
+            let gather = WarpIdx::from_fn(|l| Some(block_id * 256 + l * stride));
+            let vals = ctx.global_read(self.src, &gather);
+            ctx.global_write(self.dst, &WarpIdx::contiguous(block_id * 32), &vals);
+        }
+    }
+
+    fn data_dependent_setup(blocks: usize) -> (GpuDevice, DataDependentKernel) {
+        let mut dev = GpuDevice::a100();
+        let ctrl = dev.alloc("ctrl", 32);
+        let src = dev.alloc("src", blocks * 256);
+        let dst = dev.alloc("dst", blocks * 32);
+        dev.upload(ctrl, &[C32::ONE; 32]);
+        (dev, DataDependentKernel { ctrl, src, dst, blocks })
+    }
+
+    #[test]
+    #[should_panic(expected = "access pattern depends on the data")]
+    fn replay_cross_check_fires_on_data_dependent_access() {
+        let (mut dev, k) = data_dependent_setup(4);
+        let cold = dev.launch(&k, ExecMode::Functional);
+        dev.upload(k.ctrl, &[-C32::ONE; 32]);
+        dev.validate_writes = true;
+        let _ = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats);
+    }
+
+    /// The same replay with the cross-check off goes through and reports
+    /// the (now stale) recorded counts, while a fresh launch counts more
+    /// sectors: the difference the cross-check guards against is real.
+    #[test]
+    fn unchecked_replay_of_data_dependent_access_reports_the_recording() {
+        let (mut dev, k) = data_dependent_setup(4);
+        let cold = dev.launch(&k, ExecMode::Functional);
+        dev.upload(k.ctrl, &[-C32::ONE; 32]);
+        dev.validate_writes = false;
+        let warm = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).expect("replay");
+        let fresh = dev.launch(&k, ExecMode::Functional);
+        assert_eq!(warm.stats, cold.stats);
+        assert!(fresh.stats.global_load_sectors > cold.stats.global_load_sectors);
+    }
+
+    /// A replayed launch rolls the fault plan exactly once, like a launch,
+    /// and a faulted replay is clean.
+    #[test]
+    fn replay_launch_consults_the_fault_plan_like_a_launch() {
+        let (mut dev, src, dst) = setup(4);
+        let k = ScaleKernel { src, dst, blocks: 4 };
+        let cold = dev.launch(&k, ExecMode::Functional);
+        dev.upload(dst, &[C32::ZERO; 4 * 32]);
+        dev.clear_launches();
+        dev.set_fault_plan(Some(
+            FaultPlan::seeded(5).at_launch(0, FaultKind::TransientLaunch),
+        ));
+        let err = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).unwrap_err();
+        assert!(matches!(err, LaunchError::Transient { launch_index: 0, .. }));
+        assert!(dev.launches().is_empty());
+        assert_eq!(dev.download(dst)[3], C32::ZERO);
+        dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).expect("retry succeeds");
+        assert_eq!(dev.download(dst)[3], C32::real(6.0));
+        assert_eq!(dev.fault_stats().launches_checked, 2);
     }
 
     /// The shared analytical helper is bit-identical to the device path.

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use tfno_gpu_sim::BufferId;
+use tfno_gpu_sim::{BufferId, LaunchRecord};
 use tfno_num::C32;
 use turbofno::{AnyBackend, LayerSpec, Request, Session, SimBackend, Variant};
 
@@ -339,4 +339,98 @@ fn replay_is_bitwise_equal_across_worker_counts() {
     let default = warm_out(None);
     assert_eq!(single, multi, "workers=1 replay != workers=4 replay");
     assert_eq!(single, default, "workers=1 replay != default-workers replay");
+}
+
+/// Field-for-field equality of two launch sequences (`time_us` by bits).
+fn assert_same_records(cold: &[LaunchRecord], warm: &[LaunchRecord], what: &str) {
+    assert_eq!(cold.len(), warm.len(), "{what}: launch count");
+    for (i, (c, w)) in cold.iter().zip(warm).enumerate() {
+        assert_eq!(c.name, w.name, "{what}: launch {i} name");
+        assert_eq!(c.dims_grid, w.dims_grid, "{what}: launch {i} grid");
+        assert_eq!(c.stats, w.stats, "{what}: launch {i} ({}) stats", c.name);
+        assert_eq!(
+            c.time_us.to_bits(),
+            w.time_us.to_bits(),
+            "{what}: launch {i} ({}) time_us",
+            c.name
+        );
+    }
+}
+
+/// A sim session with the metered replay cross-check on or off.
+fn sim_session(validate_writes: bool) -> Session<SimBackend> {
+    let mut dev = SimBackend::a100();
+    dev.validate_writes = validate_writes;
+    Session::new(dev)
+}
+
+/// Record-equality pin: for every concrete variant plus `TurboBest` at
+/// ranks 1-3, the warm call's launch records equal the cold call's, with
+/// the replay cross-check both off (counts attached unmetered) and on
+/// (blocks re-metered and compared against the recording).
+#[test]
+fn warm_replay_records_equal_cold_records() {
+    let shapes = [
+        LayerSpec::d1(2, 8, 8, 128).modes(32),
+        LayerSpec::d2(1, 6, 8, 32, 64).modes_xy(8, 32),
+        LayerSpec::d3(1, 6, 4, 8, 16, 32).modes_xyz(4, 8, 32),
+    ];
+    let mut variants = Variant::CONCRETE.to_vec();
+    variants.push(Variant::TurboBest);
+    for validate in [false, true] {
+        for base in shapes {
+            for &v in &variants {
+                let spec = base.variant(v);
+                let what = format!("{v:?} rank {} validate_writes={validate}", spec.shape().rank);
+                let mut sess = sim_session(validate);
+                let x = sess.alloc("x", spec.input_len());
+                let w = sess.alloc("w", spec.weight_len());
+                let y = sess.alloc("y", spec.output_len());
+                sess.upload(x, &rand_vec(spec.input_len(), 0.6));
+                sess.upload(w, &rand_vec(spec.weight_len(), 0.2));
+                let cold = sess.run(&spec, x, w, y);
+                let cold_out = sess.download(y);
+                sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
+                let hits = sess.replay_stats().hits;
+                let warm = sess.run(&spec, x, w, y);
+                if v != Variant::Pytorch {
+                    assert_eq!(sess.replay_stats().hits, hits + 1, "{what}: replay hit");
+                }
+                assert_eq!(sess.download(y), cold_out, "{what}: output");
+                assert_same_records(&cold.launches, &warm.launches, &what);
+                // The device history holds the same records the run returned.
+                let history = sess.device().launches();
+                assert_same_records(&warm.launches, &history[history.len() - warm.kernel_count()..], &what);
+            }
+        }
+    }
+}
+
+/// The same pin over a serving queue: a mixed-weight stack (gather,
+/// stacked pipeline, deferred scatter) followed by a second shape group.
+#[test]
+fn warm_replay_records_equal_cold_records_stacked_queue() {
+    let a = LayerSpec::d1(1, 6, 6, 64).modes(32).variant(Variant::FullyFused);
+    let b = LayerSpec::d2(1, 4, 4, 16, 32).modes_xy(4, 32);
+    for validate in [false, true] {
+        let mut sess = sim_session(validate);
+        let mut reqs = Vec::new();
+        for (i, spec) in [a, a, a, b].into_iter().enumerate() {
+            let x = sess.alloc("x", spec.input_len());
+            let w = sess.alloc("w", spec.weight_len());
+            let y = sess.alloc("y", spec.output_len());
+            sess.upload(x, &rand_vec(spec.input_len(), i as f32));
+            sess.upload(w, &rand_vec(spec.weight_len(), 7.0 + i as f32));
+            reqs.push(Request { spec, x, w, y });
+        }
+        let cold = sess.run_many(&reqs);
+        let hits = sess.replay_stats().hits;
+        let warm = sess.run_many(&reqs);
+        assert_eq!(sess.replay_stats().hits, hits + 1, "validate_writes={validate}: replay hit");
+        assert!(cold[0].launches.iter().any(|l| l.name == "serve.scatter"));
+        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
+            let what = format!("request {i} validate_writes={validate}");
+            assert_same_records(&c.launches, &w.launches, &what);
+        }
+    }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno::{
-    Backend, BufferPool, FnoProblem1d, LayerSpec, Request, Session, Variant,
+    Backend, BufferPool, FnoProblem1d, LayerSpec, Request, Session, TfnoError, Variant,
 };
 use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice};
 
@@ -497,4 +497,64 @@ fn standalone_pool_round_trip() {
     let b = pool.acquire(&mut dev, 256);
     assert_eq!(a, b, "size-class match must recycle the same buffer");
     assert_eq!(pool.stats().hits, 1);
+}
+
+/// One shape per rank whose innermost retained modes (16) do not fill a
+/// 32-row warp tile, so no fused kernel can be built for it.
+fn unfusable_specs() -> [LayerSpec; 3] {
+    [
+        LayerSpec::d1(1, 8, 8, 64).modes(16),
+        LayerSpec::d2(1, 4, 4, 8, 32).modes_xy(4, 16),
+        LayerSpec::d3(1, 4, 4, 4, 8, 32).modes_xyz(2, 4, 16),
+    ]
+}
+
+/// Regression: `TurboBest` on such a shape used to panic inside the
+/// planner's fused probes. It now plans onto `FftOpt` through every entry
+/// point, bitwise-equal to asking for `FftOpt` outright.
+#[test]
+fn turbo_best_plans_unfusable_shapes_onto_fft_opt() {
+    for spec in unfusable_specs() {
+        let want = solo_output(&spec.variant(Variant::FftOpt), 0.4, 0.9);
+        let mut sess = Session::a100();
+        let (x, w, y) = operands(&mut sess, &spec, 0.4);
+        sess.try_run(&spec, x, w, y).expect("TurboBest must run");
+        assert_eq!(sess.download(y), want, "{:?}: try_run", spec.shape());
+
+        sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
+        let h = sess.try_submit(&spec, x, w, y).expect("TurboBest must submit");
+        sess.try_wait(h).expect("TurboBest must finish");
+        assert_eq!(sess.download(y), want, "{:?}: try_submit", spec.shape());
+
+        let (x2, w2, y2) = operands(&mut sess, &spec, 0.4);
+        let reqs = [Request { spec, x, w, y }, Request { spec, x: x2, w: w2, y: y2 }];
+        sess.try_run_many(&reqs).expect("TurboBest queue must run");
+        assert_eq!(sess.download(y2), want, "{:?}: try_run_many", spec.shape());
+    }
+}
+
+/// An explicit fused variant on an unfusable shape is a typed validation
+/// error from every `try_*` entry point, and nothing runs.
+#[test]
+fn explicit_fused_variant_on_unfusable_shape_is_a_validation_error() {
+    for base in unfusable_specs() {
+        for v in Variant::CONCRETE.into_iter().filter(|v| v.is_fused()) {
+            let spec = base.variant(v);
+            let mut sess = Session::a100();
+            let (x, w, y) = operands(&mut sess, &spec, 0.2);
+            let is_validation = |r: Result<(), TfnoError>| match r {
+                Err(TfnoError::Validation(msg)) => msg.contains("multiple of 32"),
+                _ => false,
+            };
+            let shape = spec.shape();
+            assert!(is_validation(sess.try_run(&spec, x, w, y).map(drop)), "{v:?} {shape:?}: try_run");
+            assert!(
+                is_validation(sess.try_submit(&spec, x, w, y).map(drop)),
+                "{v:?} {shape:?}: try_submit"
+            );
+            let reqs = [Request { spec, x, w, y }];
+            assert!(is_validation(sess.try_run_many(&reqs).map(drop)), "{v:?} {shape:?}: try_run_many");
+            assert!(sess.device().launches().is_empty(), "{v:?} {shape:?}: nothing may launch");
+        }
+    }
 }
