@@ -3,8 +3,7 @@
 //! Every failure the engine can produce funnels into [`TfnoError`]:
 //!
 //! * **`Validation`** — the request was malformed (shape/length/aliasing);
-//!   never retryable, the legacy API's documented panics carry the same
-//!   message.
+//!   never retryable.
 //! * **`Transient`** — a launch or allocation failed cleanly (injected by a
 //!   [`FaultPlan`](crate::backend::FaultPlan) or, on real hardware, a
 //!   recoverable driver hiccup). Nothing was written, so the operation can
@@ -21,6 +20,9 @@
 //!   holds the device (see `Session::try_download` and friends).
 //! * **`Poisoned`** — the dispatch channel died; the session cannot recover
 //!   the device state that was on the dispatch thread.
+//!
+//! Every panicking `Session` entry point is its `try_*` twin plus
+//! `panic!("{e}")`, so its panic message is this error's `Display` text.
 
 use std::fmt;
 use std::time::Duration;

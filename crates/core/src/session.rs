@@ -32,6 +32,13 @@
 //! the same pooled scratch, and — when they also share a weight buffer —
 //! coalesce into a single stacked-batch launch sequence.
 //!
+//! There is one request path. A single [`Session::run`] is a queue of one
+//! through the same admission check and the same engine as `run_many`
+//! (a lone request runs unstacked, so its launch sequence is unchanged);
+//! the only difference is the aliasing rule: a queue is a parallel batch,
+//! so no request's `y` may be any request's operand, while a single call
+//! may update in place (`y == x`).
+//!
 //! ## Warm-path replay
 //!
 //! Every functional `run`/`run_many` (and their submitted halves) goes
@@ -68,7 +75,7 @@
 //! serializes), while `&self` inspection methods ([`Session::download`],
 //! [`Session::device`], [`Session::pool_stats`]) panic rather than observe
 //! half-complete state (their `try_*` twins return
-//! [`TfnoError::InFlight`] instead). Submits themselves validate against a
+//! [`TfnoError::InFlight`] instead). Submits themselves are admitted against a
 //! shadow length ledger so a deep pipeline never drains just to check
 //! shapes. Buffers leased before a `submit` stay leased until after the
 //! `wait` — the lease ledger travels with the pool, so in-flight layers
@@ -80,8 +87,11 @@
 //! [`Session::try_run_many`], [`Session::try_submit`],
 //! [`Session::try_submit_many`], [`Session::try_wait`] /
 //! [`Session::try_wait_many`] — returning `Result<_, `[`TfnoError`]`>`.
-//! The legacy panicking surface is a thin wrapper over the same engine, so
-//! the success path is bitwise-identical.
+//! Each panicking entry point *is* its twin plus `panic!("{e}")`, so the
+//! success path is the same code and the panic message is the
+//! [`TfnoError`] text. Validation is typed at its source
+//! ([`SpectralShape::try_validate`]); nothing on a validation path
+//! catches a panic.
 //!
 //! Transient device faults (see [`FaultPlan`]) are retried
 //! under the session's [`RetryPolicy`]; a fused variant that keeps
@@ -92,9 +102,10 @@
 //!
 //! The dispatch thread *self-heals*: a dispatched job that panics is
 //! caught there, scratch leases the unwind leaked are released, and only
-//! that job's handle reports the failure — panics park per-handle
-//! ([`Session::wait`] re-raises the payload, [`Session::try_wait`] returns
-//! [`TfnoError::Fatal`]) and later submits proceed unaffected. A handle
+//! that job's handle reports the failure — the payload parks per-handle
+//! and re-raises at that handle's wait ([`Session::wait`] and
+//! [`Session::try_wait`] alike: a panic is a bug, not a recoverable
+//! error), and later submits proceed unaffected. A handle
 //! dropped without `wait` is *abandoned*: its work still completes, its
 //! result is discarded at the next synchronizing call (a parked panic is
 //! re-raised there). [`Session::recovery_stats`] counts all of it.
@@ -254,29 +265,22 @@ impl LayerSpec {
         self.shape.to_problem_2d()
     }
 
-    /// Assert the shape invariants (power-of-two lengths, mode bounds, and
-    /// a fused variant's tile constraint) so shape panics surface on the
-    /// submitting thread, not inside a dispatch.
-    fn assert_valid_shape(&self) {
-        self.shape.validate();
-        if let Err(msg) = self.check_fusable() {
-            panic!("{msg}");
-        }
-    }
-
-    /// An explicitly fused variant needs a shape the fused kernels can be
-    /// built for (`TurboBest` never picks one it cannot build).
-    fn check_fusable(&self) -> Result<(), String> {
+    /// The buffer-free half of admission: an executable shape (power-of-two
+    /// lengths, mode bounds) and, for an explicitly fused variant, one the
+    /// fused kernels can be built for (`TurboBest` never picks one it
+    /// cannot build).
+    fn check_shape(&self) -> Result<(), TfnoError> {
+        self.shape.try_validate().map_err(TfnoError::Validation)?;
         if !self.variant.is_fused() || crate::fused::fused_supported(&self.shape) {
             return Ok(());
         }
-        Err(format!(
+        Err(TfnoError::Validation(format!(
             "{:?} needs the innermost retained modes ({}) to be a multiple of {}; \
              use FftOpt or TurboBest for this shape",
             self.variant,
             self.shape.modes[self.shape.rank - 1],
             crate::fused::FUSED_MODES_MULTIPLE
-        ))
+        )))
     }
 
     /// Leading (batch) dimension.
@@ -368,8 +372,8 @@ type DispatchWork =
 /// redeemed (or the handle is abandoned and a synchronize discards it).
 enum Outcome {
     Done(Vec<PipelineRun>),
-    /// The resilient engine exhausted retries/degradation (or validation
-    /// raced a buffer change); only this job's handle reports it.
+    /// The resilient engine exhausted retries/degradation, or the plan
+    /// verifier rejected a launch; only this job's handle reports it.
     Failed(TfnoError),
     /// The work panicked; the dispatch thread healed (leaked leases
     /// released) and the payload waits here for the handle's wait.
@@ -533,7 +537,7 @@ pub struct Session<B: Backend = SimBackend> {
     /// and the dispatch loop's healing path.
     recovery: Arc<Mutex<RecoveryStats>>,
     stats: DispatchStats,
-    /// Shadow operand-length ledger: lets `submit` validate shapes while
+    /// Shadow operand-length ledger: lets `submit` check operand lengths while
     /// the authoritative memory ledger is away on the dispatch thread.
     buf_meta: HashMap<BufferId, usize>,
     /// Gates recording and replaying (the artifact cache itself is kept);
@@ -640,9 +644,8 @@ impl<B: Backend> Session<B> {
     /// use [`Session::try_set_fault_plan`] for the typed twin. Clearing
     /// with `None` succeeds on every backend.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        if let Err(e) = self.try_set_fault_plan(plan) {
-            panic!("{e}");
-        }
+        self.try_set_fault_plan(plan)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::set_fault_plan`]: a backend that does not
@@ -650,12 +653,7 @@ impl<B: Backend> Session<B> {
     /// instead of panicking (asking for an unadvertised capability is a
     /// request error — check [`Backend::caps`] first).
     pub fn try_set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<(), TfnoError> {
-        self.synchronize();
-        self.dev
-            .as_mut()
-            // INVARIANT: synchronize() just reclaimed the device from the
-            // dispatch thread; it stays resident until the next submit.
-            .expect("device resident after synchronize")
+        self.device_mut()
             .try_set_fault_plan(plan)
             .map_err(TfnoError::from)
     }
@@ -670,8 +668,9 @@ impl<B: Backend> Session<B> {
         self.dev_ref().fault_stats()
     }
 
-    /// Bounded retry budget applied by `try_run`/`try_run_many`/`try_submit`
-    /// (and their legacy wrappers) to transient device faults.
+    /// Bounded retry budget applied by every executing entry point
+    /// (`try_run`, `try_submit`, their queue forms and panicking wrappers)
+    /// to transient device faults.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
     }
@@ -902,57 +901,46 @@ impl<B: Backend> Session<B> {
         }
     }
 
-    /// Operand-length check against the resident memory ledger, or the
-    /// shadow ledger while the device is on the dispatch thread — so a
-    /// deep pipeline of submits never drains just to check shapes. A
-    /// buffer the shadow ledger has not seen (created directly via
+    /// The one admission check, run on the caller's thread by every entry
+    /// point before anything launches or dispatches, so a bad request fails
+    /// at its call site: operand lengths, shape and fusability for every
+    /// request, plus — for a `run_many`/`submit_many` queue (`parallel`) —
+    /// the aliasing rules. A single `run`/`submit` is never reordered
+    /// against other work, so it may update in place (`y == x`).
+    ///
+    /// Lengths come from the resident memory ledger, or from the shadow
+    /// ledger while the device is on the dispatch thread — so a deep
+    /// pipeline of submits never drains just to check shapes. A buffer the
+    /// shadow ledger has not seen (created directly via
     /// [`Session::device_mut`]) falls back to a synchronize plus the
     /// authoritative ledger.
-    fn try_validate(
-        &mut self,
-        spec: &LayerSpec,
-        x: BufferId,
-        w: BufferId,
-        y: BufferId,
-    ) -> Result<(), TfnoError> {
-        if self.dev.is_none() && [x, w, y].iter().any(|id| !self.buf_meta.contains_key(id)) {
+    fn try_admit(&mut self, reqs: &[Request], parallel: bool) -> Result<(), TfnoError> {
+        let unseen = |r: &Request| {
+            [r.x, r.w, r.y]
+                .iter()
+                .any(|id| !self.buf_meta.contains_key(id))
+        };
+        if self.dev.is_none() && reqs.iter().any(unseen) {
             self.synchronize();
         }
         let len = |id: BufferId| match &self.dev {
             Some(dev) => dev.memory().len(id),
             None => self.buf_meta[&id],
         };
-        for (got, want, msg) in [
-            (len(x), spec.input_len(), "x length != spec input_len"),
-            (len(w), spec.weight_len(), "w length != spec weight_len"),
-            (len(y), spec.output_len(), "y length != spec output_len"),
-        ] {
-            if got != want {
-                return Err(TfnoError::Validation(format!("{msg} ({got} != {want})")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Legacy panicking admission check; the panic message is the
-    /// validation error's (pinned by the API tests).
-    fn validate(&mut self, spec: &LayerSpec, x: BufferId, w: BufferId, y: BufferId) {
-        if let Err(e) = self.try_validate(spec, x, w, y) {
-            let TfnoError::Validation(msg) = e else {
-                unreachable!("try_validate only raises Validation")
-            };
-            panic!("{msg}");
-        }
-    }
-
-    /// The full `run_many` admission contract: operand lengths plus the
-    /// aliasing rules. Runs on the caller's thread for both the
-    /// synchronous and the submitted path, so failures always surface at
-    /// the call site.
-    fn try_validate_queue(&mut self, reqs: &[Request]) -> Result<(), TfnoError> {
         for r in reqs {
-            self.try_validate(&r.spec, r.x, r.w, r.y)?;
-            try_shape(&r.spec)?;
+            for (got, want, msg) in [
+                (len(r.x), r.spec.input_len(), "x length != spec input_len"),
+                (len(r.w), r.spec.weight_len(), "w length != spec weight_len"),
+                (len(r.y), r.spec.output_len(), "y length != spec output_len"),
+            ] {
+                if got != want {
+                    return Err(TfnoError::Validation(format!("{msg} ({got} != {want})")));
+                }
+            }
+            r.spec.check_shape()?;
+        }
+        if !parallel {
+            return Ok(());
         }
         // The aliasing rules are one `PlanVerifier` code path shared by the
         // sync, async and replayed entry points; only the message text —
@@ -980,15 +968,45 @@ impl<B: Backend> Session<B> {
         }
     }
 
-    /// Legacy panicking queue admission check (same messages).
-    fn validate_queue(&mut self, reqs: &[Request]) {
-        for r in reqs {
-            self.validate(&r.spec, r.x, r.w, r.y);
-            r.spec.assert_valid_shape();
-        }
-        if let Err(TfnoError::Validation(msg)) = self.try_validate_queue(reqs) {
-            panic!("{msg}");
-        }
+    /// The resilient engine over `reqs`, bound to this session's replay
+    /// cache, recovery counters and retry policy: the one body the
+    /// synchronous entry points run in place and the submitting ones ship
+    /// to the dispatch thread.
+    fn engine(
+        &self,
+        reqs: &[Request],
+    ) -> impl FnOnce(&mut ExecCtx<'_>) -> Result<Vec<PipelineRun>, TfnoError> + Send + 'static {
+        let enable =
+            self.replay_enabled && reqs.iter().all(|r| r.spec.exec == ExecMode::Functional);
+        let cache = Arc::clone(&self.replay);
+        let recovery = Arc::clone(&self.recovery);
+        let policy = self.retry;
+        let reqs = reqs.to_vec();
+        move |ctx| run_queue_resilient(ctx, &cache, &recovery, policy, reqs, enable)
+    }
+
+    /// The synchronous request path: admit, then run the engine on the
+    /// resident state.
+    fn try_run_requests(
+        &mut self,
+        reqs: &[Request],
+        parallel: bool,
+    ) -> Result<Vec<PipelineRun>, TfnoError> {
+        self.synchronize();
+        self.try_admit(reqs, parallel)?;
+        let engine = self.engine(reqs);
+        engine(&mut self.ctx())
+    }
+
+    /// The submitting request path: admit here, run on the dispatch thread.
+    fn try_submit_requests(
+        &mut self,
+        reqs: &[Request],
+        parallel: bool,
+    ) -> Result<LaunchHandle, TfnoError> {
+        self.try_admit(reqs, parallel)?;
+        let engine = self.engine(reqs);
+        Ok(self.dispatch(Box::new(engine)))
     }
 
     /// Execute one layer spec. `TurboBest` consults the session planner
@@ -996,23 +1014,23 @@ impl<B: Backend> Session<B> {
     /// same-key calls replay the recorded launch sequence (see the module
     /// docs), bitwise equal to a cold run.
     ///
+    /// A single call is a queue of one through the [`Session::run_many`]
+    /// engine, which runs a lone request unstacked. Unlike `run_many`, it
+    /// may update in place: `y == x` is allowed.
+    ///
     /// # Panics
-    /// On validation failures (with the documented messages), and if the
-    /// resilient engine exhausts its retry/degradation budget under an
-    /// installed fault plan — use [`Session::try_run`] for typed recovery.
+    /// With the [`TfnoError`] text wherever [`Session::try_run`] returns
+    /// `Err`: validation failures (with the documented messages), and
+    /// faults that outlast the retry/degradation budget of an installed
+    /// fault plan.
     pub fn run(&mut self, spec: &LayerSpec, x: BufferId, w: BufferId, y: BufferId) -> PipelineRun {
-        self.synchronize();
-        self.validate(spec, x, w, y);
-        match self.run_resilient(spec, x, w, y) {
-            Ok(run) => run,
-            Err(e) => panic!("layer execution failed: {e}; use Session::try_run for typed recovery"),
-        }
+        self.try_run(spec, x, w, y)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::run`]: validation errors, and transient
     /// faults that survived the session's [`RetryPolicy`] and the
     /// degradation ladder, come back as [`TfnoError`] instead of panics.
-    /// The success path is bitwise-identical to [`Session::run`].
     pub fn try_run(
         &mut self,
         spec: &LayerSpec,
@@ -1020,33 +1038,9 @@ impl<B: Backend> Session<B> {
         w: BufferId,
         y: BufferId,
     ) -> Result<PipelineRun, TfnoError> {
-        self.synchronize();
-        self.try_validate(spec, x, w, y)?;
-        try_shape(spec)?;
-        self.run_resilient(spec, x, w, y)
-    }
-
-    /// Shared resilient body of `run`/`try_run` (operands already
-    /// validated).
-    fn run_resilient(
-        &mut self,
-        spec: &LayerSpec,
-        x: BufferId,
-        w: BufferId,
-        y: BufferId,
-    ) -> Result<PipelineRun, TfnoError> {
-        let enable = self.replay_enabled && spec.exec == ExecMode::Functional;
-        let cache = Arc::clone(&self.replay);
-        let recovery = Arc::clone(&self.recovery);
-        let policy = self.retry;
-        let spec = *spec;
-        let mut ctx = self.ctx();
-        let mut runs = run_single_resilient(
-            &mut ctx, &cache, &recovery, policy, &spec, x, w, y, enable,
-        )?;
-        // Invariant: the engine produces exactly one PipelineRun per
-        // single-layer call (n_out = 1), on both cold and replayed paths.
-        Ok(runs.pop().expect("one run per single-layer call"))
+        let mut runs = self.try_run_requests(&[Request { spec: *spec, x, w, y }], false)?;
+        // INVARIANT: the engine returns one PipelineRun per request.
+        Ok(runs.pop().expect("one run per request"))
     }
 
     /// Execute a queue of layer requests, coalescing where possible.
@@ -1062,9 +1056,9 @@ impl<B: Backend> Session<B> {
     ///   stacked sub-batch ([`WeightStacking`]). Per-sample results are
     ///   bitwise-identical to sequential [`Session::run`] calls because
     ///   every kernel treats batch entries independently.
-    /// * Everything else (virtual buffers, analytical mode) runs
-    ///   back-to-back through the shared scratch pool, so N same-shape
-    ///   requests allocate scratch once and reuse it N−1 times.
+    /// * Everything else (virtual buffers, analytical mode, a group of one)
+    ///   runs back-to-back through the shared scratch pool, so N
+    ///   same-shape requests allocate scratch once and reuse it N−1 times.
     ///
     /// Returns one [`PipelineRun`] per request, in order. A coalesced
     /// group reports its launches (a device-side gather, the pipeline
@@ -1074,54 +1068,39 @@ impl<B: Backend> Session<B> {
     /// The queue is a *parallel batch*: no request's output buffer may be
     /// one of its own or another request's operands (coalescing and shape
     /// grouping reorder execution, so chained or in-place layers must go
-    /// through sequential [`Session::run`] calls). Violations panic.
+    /// through sequential [`Session::run`] calls).
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever [`Session::try_run_many`]
+    /// returns `Err` (aliasing violations included).
     pub fn run_many(&mut self, reqs: &[Request]) -> Vec<PipelineRun> {
-        self.synchronize();
-        self.validate_queue(reqs);
-        match self.run_many_resilient(reqs) {
-            Ok(runs) => runs,
-            Err(e) => panic!(
-                "serving queue execution failed: {e}; use Session::try_run_many for typed recovery"
-            ),
-        }
+        self.try_run_many(reqs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::run_many`] (same coalescing, same
     /// aliasing contract, typed errors instead of panics).
     pub fn try_run_many(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, TfnoError> {
-        self.synchronize();
-        self.try_validate_queue(reqs)?;
-        self.run_many_resilient(reqs)
-    }
-
-    /// Shared resilient body of `run_many`/`try_run_many` (queue already
-    /// validated).
-    fn run_many_resilient(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, TfnoError> {
-        let enable =
-            self.replay_enabled && reqs.iter().all(|r| r.spec.exec == ExecMode::Functional);
-        let cache = Arc::clone(&self.replay);
-        let recovery = Arc::clone(&self.recovery);
-        let policy = self.retry;
-        let reqs = reqs.to_vec();
-        let mut ctx = self.ctx();
-        run_queue_resilient(&mut ctx, &cache, &recovery, policy, reqs, enable)
+        self.try_run_requests(reqs, true)
     }
 
     /// Issue [`Session::run`] asynchronously: the launch sequence executes
     /// on the session's dispatch thread while this call returns
     /// immediately. Redeem the handle with [`Session::wait`] for the
     /// [`PipelineRun`]; the output buffer holds its result from that point
-    /// on, bitwise equal to the synchronous call. Operand/shape validation
-    /// still happens here, synchronously.
+    /// on, bitwise equal to the synchronous call. Admission (lengths,
+    /// shape; in-place `y == x` allowed) still happens here, synchronously.
     ///
     /// Up to [`Session::pipeline_depth`] submits ride the in-order queue
     /// concurrently; past that, this call waits for the oldest job before
     /// enqueueing. Interleaving host work *between* submits and their
     /// waits is the profitable pattern.
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever [`Session::try_submit`]
+    /// returns `Err`.
     pub fn submit(&mut self, spec: &LayerSpec, x: BufferId, w: BufferId, y: BufferId) -> LaunchHandle {
-        self.validate(spec, x, w, y);
-        spec.assert_valid_shape();
-        self.submit_validated(spec, x, w, y)
+        self.try_submit(spec, x, w, y)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::submit`]: validation failures come back as
@@ -1135,54 +1114,23 @@ impl<B: Backend> Session<B> {
         w: BufferId,
         y: BufferId,
     ) -> Result<LaunchHandle, TfnoError> {
-        self.try_validate(spec, x, w, y)?;
-        try_shape(spec)?;
-        Ok(self.submit_validated(spec, x, w, y))
-    }
-
-    /// Shared dispatching body of `submit`/`try_submit` (operands already
-    /// validated).
-    fn submit_validated(
-        &mut self,
-        spec: &LayerSpec,
-        x: BufferId,
-        w: BufferId,
-        y: BufferId,
-    ) -> LaunchHandle {
-        let enable = self.replay_enabled && spec.exec == ExecMode::Functional;
-        let cache = Arc::clone(&self.replay);
-        let recovery = Arc::clone(&self.recovery);
-        let policy = self.retry;
-        let spec = *spec;
-        self.dispatch(Box::new(move |ctx| {
-            run_single_resilient(ctx, &cache, &recovery, policy, &spec, x, w, y, enable)
-        }))
+        self.try_submit_requests(&[Request { spec: *spec, x, w, y }], false)
     }
 
     /// Issue [`Session::run_many`] asynchronously (same coalescing, same
-    /// aliasing contract — validated here, synchronously; same warm-path
+    /// aliasing contract — admitted here, synchronously; same warm-path
     /// replay). Redeem with [`Session::wait_many`].
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever [`Session::try_submit_many`]
+    /// returns `Err`.
     pub fn submit_many(&mut self, reqs: &[Request]) -> LaunchHandle {
-        self.validate_queue(reqs);
-        self.submit_many_validated(reqs)
+        self.try_submit_many(reqs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::submit_many`].
     pub fn try_submit_many(&mut self, reqs: &[Request]) -> Result<LaunchHandle, TfnoError> {
-        self.try_validate_queue(reqs)?;
-        Ok(self.submit_many_validated(reqs))
-    }
-
-    fn submit_many_validated(&mut self, reqs: &[Request]) -> LaunchHandle {
-        let enable =
-            self.replay_enabled && reqs.iter().all(|r| r.spec.exec == ExecMode::Functional);
-        let cache = Arc::clone(&self.replay);
-        let recovery = Arc::clone(&self.recovery);
-        let policy = self.retry;
-        let reqs = reqs.to_vec();
-        self.dispatch(Box::new(move |ctx| {
-            run_queue_resilient(ctx, &cache, &recovery, policy, reqs, enable)
-        }))
+        self.try_submit_requests(reqs, true)
     }
 
     /// Enqueue `work` on the persistent dispatch thread, moving the device
@@ -1219,16 +1167,12 @@ impl<B: Backend> Session<B> {
     /// and return its [`PipelineRun`].
     ///
     /// # Panics
-    /// If the handle came from another session or from [`Session::submit_many`]
-    /// with more than one request (use [`Session::wait_many`]).
+    /// With the [`TfnoError`] text wherever [`Session::try_wait`] returns
+    /// `Err`; a panic from the dispatched work re-raises here. Also panics
+    /// if the handle came from another session or from a multi-request
+    /// [`Session::submit_many`] (use [`Session::wait_many`]).
     pub fn wait(&mut self, handle: LaunchHandle) -> PipelineRun {
-        let mut runs = self.wait_many(handle);
-        assert_eq!(
-            runs.len(),
-            1,
-            "wait() on a multi-request submit_many handle; use wait_many()"
-        );
-        runs.pop().expect("one run")
+        self.try_wait(handle).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Redeem a [`Session::submit_many`] handle: one [`PipelineRun`] per
@@ -1236,16 +1180,10 @@ impl<B: Backend> Session<B> {
     /// have returned them.
     ///
     /// # Panics
-    /// Re-raises the dispatched work's panic, or panics with the typed
-    /// failure's message ("dispatched work failed: ...") — use
-    /// [`Session::try_wait_many`] for recoverable errors.
+    /// With the [`TfnoError`] text wherever [`Session::try_wait_many`]
+    /// returns `Err`; a panic from the dispatched work re-raises here.
     pub fn wait_many(&mut self, handle: LaunchHandle) -> Vec<PipelineRun> {
-        match self.try_wait_many(handle) {
-            Ok(runs) => runs,
-            Err(e) => {
-                panic!("dispatched work failed: {e}; use Session::try_wait_many for typed recovery")
-            }
-        }
+        self.try_wait_many(handle).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`Session::wait`].
@@ -1267,14 +1205,7 @@ impl<B: Backend> Session<B> {
     pub fn try_wait_many(&mut self, handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
         let seq = self.redeem(handle);
         self.synchronize();
-        match self.completed.remove(&seq) {
-            Some(Outcome::Done(runs)) => Ok(runs),
-            Some(Outcome::Failed(e)) => Err(e),
-            Some(Outcome::Panicked(payload)) => std::panic::resume_unwind(payload),
-            // INVARIANT: redeem() consumes the handle, so a missing parked
-            // result means a double-wait — a caller bug, not an engine error.
-            None => panic!("no parked result for this LaunchHandle (already waited on?)"),
-        }
+        self.take_outcome(seq)
     }
 
     /// Redeem a handle with a deadline. On success the parked runs come
@@ -1325,12 +1256,7 @@ impl<B: Backend> Session<B> {
             }
         }
         let seq = self.redeem(handle);
-        match self.completed.remove(&seq) {
-            Some(Outcome::Done(runs)) => Ok(runs),
-            Some(Outcome::Failed(e)) => Err((None, e)),
-            Some(Outcome::Panicked(payload)) => std::panic::resume_unwind(payload),
-            None => panic!("no parked result for this LaunchHandle (already waited on?)"),
-        }
+        self.take_outcome(seq).map_err(|e| (None, e))
     }
 
     /// Consume a handle without tripping its abandoned-drop hook and hand
@@ -1344,10 +1270,30 @@ impl<B: Backend> Session<B> {
         handle.seq
     }
 
+    /// Hand back a redeemed job's parked result. A panicked job re-raises
+    /// its payload; a missing result means the handle was already waited
+    /// on — a caller bug, not an engine error.
+    fn take_outcome(&mut self, seq: u64) -> Result<Vec<PipelineRun>, TfnoError> {
+        match self.completed.remove(&seq) {
+            Some(Outcome::Done(runs)) => Ok(runs),
+            Some(Outcome::Failed(e)) => Err(e),
+            Some(Outcome::Panicked(payload)) => std::panic::resume_unwind(payload),
+            None => panic!("no parked result for this LaunchHandle (already waited on?)"),
+        }
+    }
+
     /// Model one spec analytically on pooled virtual buffers (no values
     /// move; addresses and event counts only). The spec's `exec` mode is
     /// ignored — measurement is always [`ExecMode::Analytical`].
+    ///
+    /// # Panics
+    /// With the [`TfnoError::Validation`] text when the spec fails the
+    /// shape half of admission — an invalid shape, or an explicitly fused
+    /// variant on a shape the fused kernels cannot be built for.
     pub fn measure(&mut self, spec: &LayerSpec) -> PipelineRun {
+        if let Err(e) = spec.check_shape() {
+            panic!("{e}");
+        }
         self.synchronize();
         self.ctx().measure_spec(spec)
     }
@@ -1383,16 +1329,6 @@ fn hash_spec(spec: &LayerSpec, h: &mut DefaultHasher) {
     (spec.exec == ExecMode::Analytical).hash(h);
 }
 
-/// Replay key of a single-layer call: spec identity plus operand
-/// buffers (prefix-tagged so single runs and queues never collide).
-fn single_key(spec: &LayerSpec, x: BufferId, w: BufferId, y: BufferId) -> u64 {
-    let mut h = DefaultHasher::new();
-    0xF0u8.hash(&mut h);
-    hash_spec(spec, &mut h);
-    (x, w, y).hash(&mut h);
-    h.finish()
-}
-
 /// Replay key of a serving queue: the full request list, in order.
 fn queue_key(reqs: &[Request]) -> u64 {
     let mut h = DefaultHasher::new();
@@ -1412,9 +1348,10 @@ fn queue_key(reqs: &[Request]) -> u64 {
 ///
 /// Safe by the `run_many` admission contract: no request's `y` is any
 /// request's operand, so nothing issued while a scatter is pending reads
-/// its writes — and the scatter itself read its sources at issue time
-/// (execute-at-issue semantics), so releasing or reusing the stacked
-/// scratch behind it is fine.
+/// its writes. (A single call skips that rule, but a lone request never
+/// stacks, so it issues no scatter.) The scatter itself read its sources
+/// at issue time (execute-at-issue semantics), so releasing or reusing the
+/// stacked scratch behind it is fine.
 struct ScatterWindow {
     queue: DeferredWindow,
     /// `out` index owning each pending scatter, oldest first (parallel to
@@ -1489,7 +1426,7 @@ impl ExecCtx<'_> {
         self.planner.plan_shape(self.dev.config(), &spec.shape, &spec.opts)
     }
 
-    /// The [`Session::run_many`] body (queue already validated).
+    /// The body of every request entry point (queue already admitted).
     ///
     /// A coalesced group reports its launches on the group's first
     /// request; the other members report empty runs (their outputs are
@@ -1714,114 +1651,24 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Render a caught panic payload as text (best effort — payloads are
-/// `&str` or `String` everywhere this crate panics).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Typed twin of [`LayerSpec::assert_valid_shape`]: the legacy shape
-/// assertion panics with pinned messages; this catches them and
-/// re-surfaces the text as [`TfnoError::Validation`].
-fn try_shape(spec: &LayerSpec) -> Result<(), TfnoError> {
-    let shape = spec.shape;
-    std::panic::catch_unwind(move || shape.validate())
-        .map_err(|p| TfnoError::Validation(panic_message(&*p)))?;
-    spec.check_fusable().map_err(TfnoError::Validation)
-}
-
-/// The resilient single-layer engine shared by `try_run` and the
-/// dispatched body of `try_submit`.
+/// The resilient engine behind every request entry point: `try_run`/
+/// `try_run_many` run it in place, and the dispatch thread runs it for
+/// `try_submit`/`try_submit_many` (a single call is a queue of one).
 ///
 /// Two nested loops implement the recovery ladder:
 ///
 /// 1. **Retry rung** — up to [`RetryPolicy::attempts`] tries of the
-///    current spec. Transient faults are clean (nothing written), so a
+///    current queue. Transient faults are clean (nothing written), so a
 ///    retried success is bitwise-equal to an unfaulted run.
-/// 2. **Degradation rung** — if the rung exhausts and the spec resolves to
-///    a fused variant, the layer is re-planned onto the unfused
-///    [`Variant::FftOpt`] pipeline (new replay key, one more retry rung)
-///    before the error is surfaced.
+/// 2. **Degradation rung** — if the rung exhausts and any request resolves
+///    to a fused variant, every such request is re-planned onto the
+///    unfused [`Variant::FftOpt`] pipeline (the whole queue is one replay
+///    unit, so the rung re-keys and re-runs it whole) for one more retry
+///    rung before the error is surfaced.
 ///
 /// Replay stays coherent throughout: a faulted recording is never frozen,
 /// and a faulted replay evicts its artifact and falls back to the
 /// functional path (see `replay::try_execute`).
-#[allow(clippy::too_many_arguments)]
-fn run_single_resilient(
-    ctx: &mut ExecCtx<'_>,
-    cache: &Mutex<ReplayCache>,
-    recovery: &Mutex<RecoveryStats>,
-    policy: RetryPolicy,
-    spec: &LayerSpec,
-    x: BufferId,
-    w: BufferId,
-    y: BufferId,
-    enable: bool,
-) -> Result<Vec<PipelineRun>, TfnoError> {
-    let mut spec = *spec;
-    let mut degraded = false;
-    let mut total_attempts = 0u32;
-    loop {
-        let key = single_key(&spec, x, w, y);
-        let mut last: Option<TfnoError> = None;
-        for attempt in 1..=policy.attempts() {
-            let s = spec;
-            let out = replay::try_execute(ctx, cache, key, 1, enable, |ctx| {
-                let run = ctx
-                    .try_run_spec(&s, s.variant, LayerBufs::shared(x, w, y))
-                    .map_err(TfnoError::from)?;
-                ctx.mark_unit(0);
-                Ok(vec![run])
-            });
-            total_attempts += 1;
-            match out {
-                Ok(runs) => {
-                    // Lease balance is part of the proof: a sequence that
-                    // finished with outstanding verifier leases mis-declared
-                    // its scratch traffic.
-                    ctx.verify_finish()?;
-                    return Ok(runs);
-                }
-                Err(e) if e.is_transient() => {
-                    if attempt < policy.attempts() {
-                        lock_unpoisoned(recovery).transient_retries += 1;
-                        if policy.backoff > Duration::ZERO {
-                            std::thread::sleep(policy.backoff);
-                        }
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if ctx.resolve(&spec).is_fused() && !degraded {
-            degraded = true;
-            lock_unpoisoned(recovery).degraded += 1;
-            spec = spec.variant(Variant::FftOpt);
-            continue;
-        }
-        lock_unpoisoned(recovery).exhausted += 1;
-        return Err(match last.expect("at least one attempt ran") {
-            TfnoError::Transient { fault, .. } => TfnoError::Transient {
-                fault,
-                attempts: total_attempts,
-            },
-            e => e,
-        });
-    }
-}
-
-/// The resilient serving-queue engine shared by `try_run_many` and the
-/// dispatched body of `try_submit_many`. Same ladder as
-/// [`run_single_resilient`]; the degradation rung rewrites *every* request
-/// whose spec resolves to a fused variant onto `FftOpt` (the whole queue
-/// is one replay unit, so the rung re-keys and re-runs it whole).
 fn run_queue_resilient(
     ctx: &mut ExecCtx<'_>,
     cache: &Mutex<ReplayCache>,
@@ -1831,15 +1678,13 @@ fn run_queue_resilient(
     enable: bool,
 ) -> Result<Vec<PipelineRun>, TfnoError> {
     let n = reqs.len();
-    let mut degraded = false;
     let mut total_attempts = 0u32;
     loop {
         let key = queue_key(&reqs);
         let mut last: Option<TfnoError> = None;
         for attempt in 1..=policy.attempts() {
-            let attempt_reqs = reqs.clone();
-            let out = replay::try_execute(ctx, cache, key, n, enable, move |ctx| {
-                ctx.try_run_queue(&attempt_reqs).map_err(TfnoError::from)
+            let out = replay::try_execute(ctx, cache, key, n, enable, |ctx| {
+                ctx.try_run_queue(&reqs).map_err(TfnoError::from)
             });
             total_attempts += 1;
             match out {
@@ -1862,15 +1707,16 @@ fn run_queue_resilient(
                 Err(e) => return Err(e),
             }
         }
-        let any_fused = reqs.iter().any(|r| ctx.resolve(&r.spec).is_fused());
-        if any_fused && !degraded {
-            degraded = true;
-            lock_unpoisoned(recovery).degraded += 1;
-            for r in &mut reqs {
-                if ctx.resolve(&r.spec).is_fused() {
-                    r.spec = r.spec.variant(Variant::FftOpt);
-                }
+        // FftOpt is unfused, so the rung can only be taken once.
+        let mut degraded = false;
+        for r in &mut reqs {
+            if ctx.resolve(&r.spec).is_fused() {
+                r.spec = r.spec.variant(Variant::FftOpt);
+                degraded = true;
             }
+        }
+        if degraded {
+            lock_unpoisoned(recovery).degraded += 1;
             continue;
         }
         lock_unpoisoned(recovery).exhausted += 1;

@@ -181,32 +181,36 @@ impl SpectralShape {
         self
     }
 
-    /// Panic unless the shape is executable: power-of-two FFT lengths,
-    /// in-range mode counts, non-empty batch/channel dims. Uses the same
-    /// messages as [`FnoProblem1d::new`] so rank-1 callers see identical
-    /// diagnostics.
-    pub fn validate(&self) {
-        assert!(
-            self.rank >= 1 && self.rank <= MAX_RANK,
-            "spectral rank must be 1..={MAX_RANK}"
-        );
+    /// Check the shape is executable: power-of-two FFT lengths, in-range
+    /// mode counts, non-empty batch/channel dims. Uses the same messages as
+    /// [`FnoProblem1d::new`] so rank-1 callers see identical diagnostics.
+    pub fn try_validate(&self) -> Result<(), String> {
+        if !(1..=MAX_RANK).contains(&self.rank) {
+            return Err(format!("spectral rank must be 1..={MAX_RANK}"));
+        }
+        let fail = |msg: &str| Err(msg.to_string());
         for a in 0..self.rank {
-            assert!(
-                self.dims[a].is_power_of_two(),
-                "FFT length must be a power of two"
-            );
-            assert!(
-                self.modes[a] >= 1 && self.modes[a] <= self.dims[a],
-                "mode count out of range"
-            );
+            if !self.dims[a].is_power_of_two() {
+                return fail("FFT length must be a power of two");
+            }
+            if !(1..=self.dims[a]).contains(&self.modes[a]) {
+                return fail("mode count out of range");
+            }
         }
-        for a in self.rank..MAX_RANK {
-            assert!(
-                self.dims[a] == 1 && self.modes[a] == 1,
-                "axes beyond the rank must be 1"
-            );
+        if (self.rank..MAX_RANK).any(|a| self.dims[a] != 1 || self.modes[a] != 1) {
+            return fail("axes beyond the rank must be 1");
         }
-        assert!(self.batch >= 1 && self.k_in >= 1 && self.k_out >= 1);
+        if self.batch == 0 || self.k_in == 0 || self.k_out == 0 {
+            return fail("batch, k_in and k_out must be >= 1");
+        }
+        Ok(())
+    }
+
+    /// Panicking form of [`SpectralShape::try_validate`].
+    pub fn validate(&self) {
+        if let Err(msg) = self.try_validate() {
+            panic!("{msg}");
+        }
     }
 
     /// Product of the spatial extents (one grid's element count).
@@ -366,5 +370,28 @@ mod tests {
         let mut s = SpectralShape::d2(1, 1, 1, 8, 8);
         s.modes = [0, 8, 1];
         s.validate();
+    }
+
+    /// The typed check reports what `validate` panics with, rank first, so
+    /// an out-of-range rank never indexes past the axis arrays.
+    #[test]
+    fn shape_try_validate_reports_the_first_violation() {
+        assert_eq!(SpectralShape::d3(2, 4, 8, 8, 16, 32).try_validate(), Ok(()));
+        let mut s = SpectralShape::d1(1, 1, 1, 64);
+        s.rank = MAX_RANK + 1;
+        assert_eq!(
+            s.try_validate(),
+            Err(format!("spectral rank must be 1..={MAX_RANK}"))
+        );
+        let mut s = SpectralShape::d1(1, 1, 1, 64);
+        s.dims[1] = 2;
+        assert_eq!(
+            s.try_validate(),
+            Err("axes beyond the rank must be 1".to_string())
+        );
+        assert_eq!(
+            SpectralShape::d1(1, 0, 1, 64).try_validate(),
+            Err("batch, k_in and k_out must be >= 1".to_string())
+        );
     }
 }

@@ -273,6 +273,10 @@ impl FnoLayerNd {
     /// spectral launches execute on the dispatch thread while this thread
     /// runs the pointwise bypass. Bitwise-equal to
     /// [`FnoLayerNd::forward_device_sync`].
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever
+    /// [`FnoLayerNd::try_forward_device`] returns `Err`.
     pub fn forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -280,15 +284,14 @@ impl FnoLayerNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> (CTensor, PipelineRun) {
-        let pending = self.spectral.submit_device(sess, variant, opts, x);
-        let p = pointwise(x, &self.bypass);
-        let (s, run) = pending.finish(sess);
-        (add_gelu(&s, &p), run)
+        self.try_forward_device(sess, variant, opts, x)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`FnoLayerNd::forward_device`] — the same overlapped
-    /// schedule, with dispatched failures surfacing as [`TfnoError`]
-    /// (operand leases released by
+    /// schedule, with rejected submits and dispatched failures surfacing
+    /// as [`TfnoError`] (operand leases released by
+    /// [`SpectralConvNd::try_submit_device`] and
     /// [`PendingSpectral::try_finish`](crate::PendingSpectral::try_finish)).
     pub fn try_forward_device(
         &self,
@@ -297,7 +300,7 @@ impl FnoLayerNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        let pending = self.spectral.submit_device(sess, variant, opts, x);
+        let pending = self.spectral.try_submit_device(sess, variant, opts, x)?;
         let p = pointwise(x, &self.bypass);
         let (s, run) = pending.try_finish(sess)?;
         Ok((add_gelu(&s, &p), run))
@@ -362,6 +365,10 @@ impl FnoNd {
     /// timing records of all layers. Each layer runs the overlapped
     /// schedule ([`FnoLayerNd::forward_device`]); the output is
     /// bitwise-equal to [`FnoNd::forward_device_sync`].
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever [`FnoNd::try_forward_device`]
+    /// returns `Err`.
     pub fn forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -369,16 +376,8 @@ impl FnoNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> (CTensor, PipelineRun) {
-        let mut h = pointwise(x, &self.lift);
-        let mut total = PipelineRun::default();
-        for layer in &self.layers {
-            let (next, run) = layer.forward_device(sess, variant, opts, &h);
-            h = next;
-            for l in run.launches {
-                total.push(l);
-            }
-        }
-        (pointwise(&h, &self.proj), total)
+        self.try_forward_device(sess, variant, opts, x)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`FnoNd::forward_device`]: the layer sweep stops at

@@ -41,37 +41,45 @@ pub struct PendingSpectral {
 }
 
 impl PendingSpectral {
-    fn issue(
+    /// Lease and upload the operands, then submit. A rejected submit
+    /// releases the three leases before reporting its error.
+    fn try_issue(
         sess: &mut Session<impl Backend>,
         spec: &LayerSpec,
         x_data: &[C32],
         w_data: &[C32],
         out_shape: Vec<usize>,
-    ) -> Self {
+    ) -> Result<Self, TfnoError> {
         let x = sess.acquire(spec.input_len());
         let w = sess.acquire(spec.weight_len());
         let y = sess.acquire(spec.output_len());
         sess.upload(x, x_data);
         sess.upload(w, w_data);
-        let handle = sess.submit(spec, x, w, y);
-        PendingSpectral {
-            handle,
-            x,
-            w,
-            y,
-            out_shape,
+        match sess.try_submit(spec, x, w, y) {
+            Ok(handle) => Ok(PendingSpectral {
+                handle,
+                x,
+                w,
+                y,
+                out_shape,
+            }),
+            Err(e) => {
+                for id in [x, w, y] {
+                    sess.release(id);
+                }
+                Err(e)
+            }
         }
     }
 
     /// Join the dispatch: output tensor + the layer's timing record,
     /// bitwise-identical to what the synchronous `forward_device` returns.
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever [`PendingSpectral::try_finish`]
+    /// returns `Err` (the operand leases are released first).
     pub fn finish(self, sess: &mut Session<impl Backend>) -> (CTensor, PipelineRun) {
-        let run = sess.wait(self.handle);
-        let y = CTensor::from_vec(sess.download(self.y), &self.out_shape);
-        sess.release(self.x);
-        sess.release(self.w);
-        sess.release(self.y);
-        (y, run)
+        self.try_finish(sess).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed twin of [`PendingSpectral::finish`]: a dispatched failure
@@ -215,15 +223,18 @@ impl SpectralConvNd {
         s
     }
 
-    fn batch_of(&self, x: &CTensor) -> usize {
+    /// Batch size of an input `[batch, k_in, ...spatial]`, after checking
+    /// its rank.
+    fn batch_of(&self, x: &CTensor) -> Result<usize, TfnoError> {
         let r = self.rank();
-        assert_eq!(
-            x.shape().len(),
-            r + 2,
-            "expected rank-{} input [batch, modes, ...spatial]",
-            r + 2
-        );
-        x.shape()[0]
+        if x.shape().len() != r + 2 {
+            return Err(TfnoError::Validation(format!(
+                "spectral conv expects rank-{} input [batch, modes, ...spatial]; got rank-{}",
+                r + 2,
+                x.shape().len()
+            )));
+        }
+        Ok(x.shape()[0])
     }
 
     /// Host-side forward: separable truncated Stockham FFTs (innermost
@@ -232,7 +243,7 @@ impl SpectralConvNd {
     /// as the device pipelines.
     pub fn forward_host(&self, x: &CTensor) -> CTensor {
         let r = self.rank();
-        let batch = self.batch_of(x);
+        let batch = self.batch_of(x).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(x.shape()[1], self.k_in);
         assert_eq!(&x.shape()[2..], &self.dims[..]);
 
@@ -281,6 +292,10 @@ impl SpectralConvNd {
     /// Device forward through a pipeline variant; returns output + timings.
     /// Operand buffers are leased from the session pool, so repeated
     /// same-shape forwards allocate nothing.
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever
+    /// [`SpectralConvNd::try_forward_device`] returns `Err`.
     pub fn forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -288,24 +303,13 @@ impl SpectralConvNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> (CTensor, PipelineRun) {
-        let batch = self.batch_of(x);
-        let spec = self.spec(batch, variant, opts);
-        let xb = sess.acquire(spec.input_len());
-        let wb = sess.acquire(spec.weight_len());
-        let yb = sess.acquire(spec.output_len());
-        sess.upload(xb, x.data());
-        sess.upload(wb, self.weight.data());
-        let run = sess.run(&spec, xb, wb, yb);
-        let y = CTensor::from_vec(sess.download(yb), &self.out_shape(batch));
-        sess.release(xb);
-        sess.release(wb);
-        sess.release(yb);
-        (y, run)
+        self.try_forward_device(sess, variant, opts, x)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Typed twin of [`SpectralConvNd::forward_device`]: engine failures
-    /// (after the session's retry/degradation ladder) surface as
-    /// [`TfnoError`] with all operand leases released.
+    /// Typed twin of [`SpectralConvNd::forward_device`]: validation and
+    /// engine failures (after the session's retry/degradation ladder)
+    /// surface as [`TfnoError`] with all operand leases released.
     pub fn try_forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -313,15 +317,7 @@ impl SpectralConvNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        let r = self.rank();
-        if x.shape().len() != r + 2 {
-            return Err(TfnoError::Validation(format!(
-                "spectral conv expects rank-{} input [batch, modes, ...spatial]; got rank-{}",
-                r + 2,
-                x.shape().len()
-            )));
-        }
-        let batch = x.shape()[0];
+        let batch = self.batch_of(x)?;
         let spec = self.spec(batch, variant, opts);
         let xb = sess.acquire(spec.input_len());
         let wb = sess.acquire(spec.weight_len());
@@ -344,6 +340,10 @@ impl SpectralConvNd {
     /// work (an FNO layer runs its pointwise bypass here). Finish with
     /// [`PendingSpectral::finish`]; the result is bitwise-identical to the
     /// synchronous call.
+    ///
+    /// # Panics
+    /// With the [`TfnoError`] text wherever
+    /// [`SpectralConvNd::try_submit_device`] returns `Err`.
     pub fn submit_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -351,9 +351,23 @@ impl SpectralConvNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> PendingSpectral {
-        let batch = self.batch_of(x);
+        self.try_submit_device(sess, variant, opts, x)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Typed twin of [`SpectralConvNd::submit_device`]: a request the
+    /// session rejects comes back as [`TfnoError::Validation`] with the
+    /// three operand leases already released.
+    pub fn try_submit_device(
+        &self,
+        sess: &mut Session<impl Backend>,
+        variant: Variant,
+        opts: &TurboOptions,
+        x: &CTensor,
+    ) -> Result<PendingSpectral, TfnoError> {
+        let batch = self.batch_of(x)?;
         let spec = self.spec(batch, variant, opts);
-        PendingSpectral::issue(
+        PendingSpectral::try_issue(
             sess,
             &spec,
             x.data(),
@@ -721,6 +735,33 @@ mod tests {
             0,
             "finish must return every operand lease"
         );
+    }
+
+    /// A submit the session rejects is a typed error that leaves no
+    /// operand lease behind; so is an input of the wrong rank.
+    #[test]
+    fn rejected_submit_releases_its_leases() {
+        let mut rng = StdRng::seed_from_u64(62);
+        // 16 retained modes do not fill the fused kernels' 32-row warp tile.
+        let layer = SpectralConvNd::random(&mut rng, 4, 4, &[64], &[16]);
+        let opts = TurboOptions::default();
+        let mut sess = Session::a100();
+        let x = CTensor::random(&mut rng, &[1, 4, 64]);
+        let rejected = layer.try_submit_device(&mut sess, Variant::FullyFused, &opts, &x);
+        assert!(matches!(rejected, Err(TfnoError::Validation(_))));
+        assert_eq!(
+            sess.pool_stats().leased,
+            0,
+            "a rejected submit leaked leases"
+        );
+        let flat = CTensor::random(&mut rng, &[4, 64]);
+        let rejected = layer.try_submit_device(&mut sess, Variant::FftOpt, &opts, &flat);
+        assert!(matches!(rejected, Err(TfnoError::Validation(_))));
+
+        let pending = layer.try_submit_device(&mut sess, Variant::TurboBest, &opts, &x);
+        let (got, _) = pending.expect("TurboBest submit").finish(&mut sess);
+        assert!(rel_l2_error(got.data(), layer.forward_host(&x).data()) < 1e-4);
+        assert_eq!(sess.pool_stats().leased, 0);
     }
 
     #[test]

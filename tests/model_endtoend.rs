@@ -3,10 +3,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::{pde, Fno1d, Fno2d, PerModeSpectralConv1d};
+use tfno_model::{pde, Fno1d, Fno2d, FnoNd, PerModeSpectralConv1d};
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
-use turbofno::{Session, TurboOptions, Variant};
+use turbofno::{Session, TfnoError, TurboOptions, Variant};
 
 #[test]
 fn fno1d_all_variants_agree_with_host() {
@@ -36,6 +36,59 @@ fn fno2d_fused_agrees_with_host() {
     assert!(err < 1e-3, "rel l2 {err}");
     // 2 layers x 3 kernels (fused middle + two x-stage kernels)
     assert_eq!(run.kernel_count(), 6);
+}
+
+/// Regression: the typed model and layer forwards panicked when a request
+/// failed admission (here an explicit fused variant on a shape whose
+/// innermost retained modes, 16, do not fill a 32-row warp tile). At ranks
+/// 1-3 they return `Validation`, hold no lease afterwards, and the session
+/// then serves a `TurboBest` forward of the same model.
+#[test]
+fn typed_forwards_return_validation_errors() {
+    let cases: [(&[usize], &[usize]); 3] = [
+        (&[64], &[16]),
+        (&[8, 32], &[4, 16]),
+        (&[4, 8, 32], &[2, 4, 16]),
+    ];
+    let opts = TurboOptions::default();
+    for (dims, modes) in cases {
+        let mut rng = StdRng::seed_from_u64(36);
+        let model = FnoNd::random(&mut rng, 2, 4, 1, 2, dims, modes);
+        let input = |rng: &mut StdRng, ch: usize| {
+            let mut shape = vec![1, ch];
+            shape.extend_from_slice(dims);
+            CTensor::random(rng, &shape)
+        };
+        let x = input(&mut rng, 2);
+        let h = input(&mut rng, 4);
+        let mut sess = Session::a100();
+
+        let err = model
+            .try_forward_device(&mut sess, Variant::FullyFused, &opts, &x)
+            .unwrap_err();
+        assert!(
+            matches!(err, TfnoError::Validation(_)),
+            "{dims:?} model: {err}"
+        );
+        let err = model.layers[0]
+            .try_forward_device(&mut sess, Variant::FullyFused, &opts, &h)
+            .unwrap_err();
+        assert!(
+            matches!(err, TfnoError::Validation(_)),
+            "{dims:?} layer: {err}"
+        );
+        assert_eq!(
+            sess.pool_stats().leased,
+            0,
+            "{dims:?}: a rejected forward leaked leases"
+        );
+
+        let (got, _) = model
+            .try_forward_device(&mut sess, Variant::TurboBest, &opts, &x)
+            .expect("TurboBest forward after a rejection");
+        let err = rel_l2_error(got.data(), model.forward_host(&x).data());
+        assert!(err < 1e-3, "{dims:?}: rel l2 {err}");
+    }
 }
 
 #[test]

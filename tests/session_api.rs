@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno::{
-    Backend, BufferPool, FnoProblem1d, LayerSpec, Request, Session, TfnoError, Variant,
+    Backend, BufferPool, FnoProblem1d, LayerSpec, Request, Session, SimBackend, TfnoError, Variant,
 };
-use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice};
+use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice, KernelStats, LaunchRecord};
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
     (0..len)
@@ -410,6 +410,114 @@ fn run_many_rejects_self_aliased_input() {
     sess.run_many(&[Request { spec, x, w, y: x }]);
 }
 
+/// The four ways to issue one request.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Run,
+    RunMany,
+    Submit,
+    SubmitMany,
+}
+
+/// One launch record as a comparable tuple (`time_us` by bits).
+type RecordKey = (String, usize, KernelStats, u64);
+
+fn record_key(r: &LaunchRecord) -> RecordKey {
+    (r.name.clone(), r.dims_grid, r.stats, r.time_us.to_bits())
+}
+
+/// A cold and a warm call of `spec` through `entry` on a fresh simulator
+/// session (same operands, output cleared before each call); returns each
+/// call's launch records and output.
+fn cold_and_warm(entry: Entry, spec: &LayerSpec) -> Vec<(Vec<RecordKey>, Vec<C32>)> {
+    let mut sess = Session::new(SimBackend::a100());
+    let (x, w, y) = operands(&mut sess, spec, 0.3);
+    let req = Request {
+        spec: *spec,
+        x,
+        w,
+        y,
+    };
+    (0..2)
+        .map(|_| {
+            sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
+            let run = match entry {
+                Entry::Run => sess.run(spec, x, w, y),
+                Entry::RunMany => sess.run_many(&[req]).remove(0),
+                Entry::Submit => {
+                    let h = sess.submit(spec, x, w, y);
+                    sess.wait(h)
+                }
+                Entry::SubmitMany => {
+                    let h = sess.submit_many(&[req]);
+                    sess.wait_many(h).remove(0)
+                }
+            };
+            (
+                run.launches.iter().map(record_key).collect(),
+                sess.download(y),
+            )
+        })
+        .collect()
+}
+
+/// A single call is a queue of one: for every concrete variant plus
+/// `TurboBest` at ranks 1-3, `run`, `run_many(&[req])`, `submit`/`wait`
+/// and `submit_many`/`wait_many` produce bitwise-equal outputs and equal
+/// launch records, cold and warm.
+#[test]
+fn single_calls_match_queues_of_one() {
+    let shapes = [
+        LayerSpec::d1(1, 4, 4, 64).modes(32),
+        LayerSpec::d2(1, 4, 4, 8, 32).modes_xy(4, 32),
+        LayerSpec::d3(1, 4, 4, 4, 8, 32).modes_xyz(2, 4, 32),
+    ];
+    let mut variants = Variant::CONCRETE.to_vec();
+    variants.push(Variant::TurboBest);
+    for base in shapes {
+        for &v in &variants {
+            let spec = base.variant(v);
+            let want = cold_and_warm(Entry::Run, &spec);
+            assert!(!want[0].0.is_empty(), "{v:?}: the call launched nothing");
+            for entry in [Entry::RunMany, Entry::Submit, Entry::SubmitMany] {
+                let got = cold_and_warm(entry, &spec);
+                for (call, (g, w)) in ["cold", "warm"].iter().zip(got.iter().zip(&want)) {
+                    let what = format!("{v:?} rank {} {entry:?} {call}", spec.shape().rank);
+                    assert_eq!(g.0, w.0, "{what}: launch records");
+                    assert_eq!(g.1, w.1, "{what}: output");
+                }
+            }
+        }
+    }
+}
+
+/// A single `run`/`submit` may update in place (`y == x`): the result is
+/// bitwise the out-of-place output. (`run_many` rejects the same request,
+/// see `run_many_rejects_self_aliased_input`.)
+#[test]
+fn single_calls_allow_in_place_updates() {
+    let shapes = [
+        LayerSpec::d1(1, 4, 4, 64),
+        LayerSpec::d2(1, 4, 4, 8, 32).modes_xy(4, 16),
+        LayerSpec::d3(1, 4, 4, 4, 8, 32).modes_xyz(2, 4, 16),
+    ];
+    for base in shapes {
+        let spec = base.variant(Variant::FftOpt);
+        let want = solo_output(&spec, 0.4, 0.9);
+        for submit in [false, true] {
+            let mut sess = Session::a100();
+            let (x, w, _) = operands(&mut sess, &spec, 0.4);
+            if submit {
+                let h = sess.submit(&spec, x, w, x);
+                sess.wait(h);
+            } else {
+                sess.run(&spec, x, w, x);
+            }
+            assert_eq!(sess.download(x), want, "{:?} submit={submit}", spec.shape());
+        }
+    }
+}
+
 /// Self-aliasing against the weight buffer is rejected too.
 #[test]
 #[should_panic(expected = "self-aliased (y == w)")]
@@ -531,6 +639,16 @@ fn turbo_best_plans_unfusable_shapes_onto_fft_opt() {
         sess.try_run_many(&reqs).expect("TurboBest queue must run");
         assert_eq!(sess.download(y2), want, "{:?}: try_run_many", spec.shape());
     }
+}
+
+/// `measure` runs the shape admission check too: an explicit fused variant
+/// on an unfusable shape panics with the validation message, which names
+/// the fix, not deep inside kernel assembly.
+#[test]
+#[should_panic(expected = "use FftOpt or TurboBest")]
+fn measure_rejects_fused_variant_on_unfusable_shape() {
+    let mut sess = Session::a100();
+    sess.measure(&unfusable_specs()[1].variant(Variant::FullyFused));
 }
 
 /// An explicit fused variant on an unfusable shape is a typed validation
