@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use tfno_gpu_sim::{
     run_analytical_stats, run_functional_eager, workers_for, BufferId, CostModel, DeviceConfig,
-    ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel, KernelStats, LaunchError,
+    ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel, LaunchError,
     LaunchRecord, PendingLaunch,
 };
 use tfno_num::C32;
@@ -62,9 +62,9 @@ pub struct BackendCaps {
     pub deferred_launch: bool,
     /// Recorded launch sequences may be replayed against this backend
     /// (`turbofno`'s replay cache). Both current backends support it —
-    /// replay re-issues each recorded kernel through
-    /// [`Backend::try_replay_launch`], handing over the event counts its
-    /// recording measured.
+    /// replay re-issues each retained kernel object through
+    /// [`Backend::try_launch`], which on the simulator attaches the
+    /// memoized counts of the kernel's structure like any launch.
     pub replay: bool,
 }
 
@@ -196,20 +196,6 @@ pub trait Backend: Send + 'static {
         })
     }
 
-    /// Re-issue a launch of a recorded sequence, given the event counts
-    /// its recording measured (same kernel object, same buffers). The
-    /// record must equal what [`Backend::try_launch`] would return; a
-    /// backend may use the recorded counts to skip recounting. The default
-    /// simply launches.
-    fn try_replay_launch(
-        &mut self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-        _recorded: &KernelStats,
-    ) -> Result<LaunchRecord, LaunchError> {
-        self.try_launch(kernel, mode)
-    }
-
     /// Panicking twin of [`Backend::try_launch`].
     fn launch(&mut self, kernel: &dyn Kernel, mode: ExecMode) -> LaunchRecord {
         self.try_launch(kernel, mode).unwrap_or_else(|e| {
@@ -275,18 +261,6 @@ impl Backend for GpuDevice {
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
         GpuDevice::try_launch(self, kernel, mode)
-    }
-
-    /// Runs the blocks unmetered and attaches `recorded` (metered and
-    /// cross-checked when `validate_writes` is on; see
-    /// [`GpuDevice::try_replay_launch`]).
-    fn try_replay_launch(
-        &mut self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-        recorded: &KernelStats,
-    ) -> Result<LaunchRecord, LaunchError> {
-        GpuDevice::try_replay_launch(self, kernel, mode, recorded)
     }
 
     fn try_launch_deferred(
@@ -661,14 +635,6 @@ impl Backend for AnyBackend {
     ) -> Result<LaunchRecord, LaunchError> {
         AnyBackend::try_launch(self, kernel, mode)
     }
-    fn try_replay_launch(
-        &mut self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-        recorded: &KernelStats,
-    ) -> Result<LaunchRecord, LaunchError> {
-        any_delegate!(self, d => Backend::try_replay_launch(d, kernel, mode, recorded))
-    }
     fn try_launch_deferred(
         &self,
         kernel: &dyn Kernel,
@@ -905,32 +871,6 @@ mod tests {
         window.flush(&mut dev);
         assert_eq!(Backend::download(&dev, dst2)[5], C32::real(10.0));
         assert_eq!(window.in_flight(), 0);
-    }
-
-    /// `AnyBackend` must route replays to the simulator's override (the
-    /// recorded counts are attached), while native keeps the default (a
-    /// plain launch, whose counts it measures itself).
-    #[test]
-    fn replay_launch_reaches_each_backends_implementation() {
-        let mut sim = SimBackend::a100();
-        sim.validate_writes = false;
-        let mut sim = AnyBackend::Sim(sim);
-        let (src, dst) = seed_backend(&mut sim, 4);
-        let k = ScaleKernel { src, dst, blocks: 4 };
-        let cold = Backend::launch(&mut sim, &k, ExecMode::Functional);
-        let claimed = KernelStats { global_load_sectors: 1, ..cold.stats };
-        let warm = Backend::try_replay_launch(&mut sim, &k, ExecMode::Functional, &claimed)
-            .expect("sim replay");
-        assert_eq!(warm.stats, claimed, "sim attaches the recorded counts");
-
-        let mut native = AnyBackend::Native(NativeBackend::a100());
-        let (src, dst) = seed_backend(&mut native, 4);
-        let k = ScaleKernel { src, dst, blocks: 4 };
-        let cold = Backend::launch(&mut native, &k, ExecMode::Functional);
-        let warm = Backend::try_replay_launch(&mut native, &k, ExecMode::Functional, &claimed)
-            .expect("native replay");
-        assert_eq!(warm.stats, cold.stats, "native relaunches");
-        assert_eq!(Backend::download(&native, dst)[5], C32::real(10.0));
     }
 
     #[test]

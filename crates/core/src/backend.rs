@@ -21,5 +21,5 @@ pub use tfno_backend::{
 pub use tfno_gpu_sim::{
     configured_workers, lock_unpoisoned, merge_runs, runs_overlap, seq_insert, seq_lookup,
     wait_unpoisoned, BufferId, DeviceConfig, ExecMode, FaultKind, FaultPlan, FaultStats, Kernel,
-    KernelAccess, KernelStats, LaunchError, LaunchRecord, PendingLaunch,
+    KernelAccess, LaunchError, LaunchRecord, PendingLaunch,
 };

@@ -21,6 +21,7 @@
 
 use crate::swizzle::{EpilogueStaging, ForwardLayout};
 use std::hash::Hash;
+use std::sync::Arc;
 use tfno_cgemm::{
     view_spans, AProvider, BOperand, CFragments, CgemmBlockEngine, MatView, TileConfig,
     WeightStacking,
@@ -259,8 +260,9 @@ pub struct FusedKernel<G: FusedGeometry> {
     pub fuse_fft: bool,
     pub fuse_ifft: bool,
     pub tile: TileConfig,
-    pub fwd_plan: FftPlan,
-    pub inv_plan: FftPlan,
+    /// Shared process-wide ([`FftPlan::shared`]).
+    pub fwd_plan: Arc<FftPlan>,
+    pub inv_plan: Arc<FftPlan>,
     /// `x` (fused FFT) or pre-truncated modes (separate FFT).
     pub input: BufferId,
     /// Weights `[k_in, k_out]` row-major — one slice, or a
@@ -302,8 +304,8 @@ impl<G: FusedGeometry> FusedKernel<G> {
         let tile = TileConfig::for_fused(modes, n_tb);
         tile.validate();
         let n = geom.fft_len();
-        let fwd_plan = FftPlan::new(n, tfno_fft::FftDirection::Forward, n, modes);
-        let inv_plan = FftPlan::new(n, tfno_fft::FftDirection::Inverse, modes, n);
+        let fwd_plan = FftPlan::shared(n, tfno_fft::FftDirection::Forward, n, modes);
+        let inv_plan = FftPlan::shared(n, tfno_fft::FftDirection::Inverse, modes, n);
         FusedKernel {
             name: name.into(),
             geom,

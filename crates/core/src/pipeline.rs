@@ -231,7 +231,7 @@ fn turbo_fft_outer(
     let inner: usize = s.dims[axis + 1..s.rank].iter().product();
     let cfg =
         FftKernelConfig::new(FftBlockConfig::for_len(s.dims[axis])).with_l1_hit_rate(CUFFT_L1_HIT);
-    let plan = FftPlan::new(s.dims[axis], FftDirection::Forward, s.dims[axis], s.modes[axis]);
+    let plan = FftPlan::shared(s.dims[axis], FftDirection::Forward, s.dims[axis], s.modes[axis]);
     let addr = StridedPencils::along_axis(slabs, s.dims[axis], s.modes[axis], inner);
     BatchedFftKernel::new(stage_names(s.rank).fwd_outer[axis], cfg, plan, addr, src, dst)
 }
@@ -247,7 +247,7 @@ fn turbo_ifft_outer(
     let inner: usize = s.dims[axis + 1..s.rank].iter().product();
     let cfg =
         FftKernelConfig::new(FftBlockConfig::for_len(s.dims[axis])).with_l1_hit_rate(CUFFT_L1_HIT);
-    let plan = FftPlan::new(s.dims[axis], FftDirection::Inverse, s.modes[axis], s.dims[axis]);
+    let plan = FftPlan::shared(s.dims[axis], FftDirection::Inverse, s.modes[axis], s.dims[axis]);
     let addr = StridedPencils::along_axis(slabs, s.modes[axis], s.dims[axis], inner);
     BatchedFftKernel::new(stage_names(s.rank).inv_outer[axis], cfg, plan, addr, src, dst)
 }
@@ -265,7 +265,7 @@ fn turbo_fft_inner(
     let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n))
         .with_l1_hit_rate(opts.fft_l1_hit)
         .with_k_iters(s.k_in.div_ceil(8));
-    let plan = FftPlan::new(n, FftDirection::Forward, n, m);
+    let plan = FftPlan::shared(n, FftDirection::Forward, n, m);
     let addr = RowPencils {
         count: s.batch * s.k_in * s.outer_modes(),
         in_row_len: n,
@@ -286,7 +286,7 @@ fn turbo_ifft_inner(
     let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n))
         .with_l1_hit_rate(opts.fft_l1_hit)
         .with_k_iters(s.k_out.div_ceil(8));
-    let plan = FftPlan::new(n, FftDirection::Inverse, m, n);
+    let plan = FftPlan::shared(n, FftDirection::Inverse, m, n);
     let addr = RowPencils {
         count: s.batch * s.k_out * s.outer_modes(),
         in_row_len: m,
@@ -449,7 +449,7 @@ impl ExecCtx<'_> {
                 let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
                 match self.dev.try_launch(&*kernel, mode) {
                     Ok(rec) => {
-                        tape.steps.push(ReplayStep { kernel, mode, stats: rec.stats });
+                        tape.steps.push(ReplayStep { kernel, mode });
                         Ok(rec)
                     }
                     Err(e) => {
@@ -477,7 +477,7 @@ impl ExecCtx<'_> {
                 let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
                 match self.dev.try_launch_deferred(&*kernel, mode) {
                     Ok(pending) => {
-                        tape.steps.push(ReplayStep { kernel, mode, stats: *pending.stats() });
+                        tape.steps.push(ReplayStep { kernel, mode });
                         Ok(pending)
                     }
                     Err(e) => {

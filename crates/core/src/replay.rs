@@ -17,9 +17,8 @@
 //! planning, no pool traffic, no kernel assembly, and every per-kernel trace
 //! cache (FFT butterfly traces, CGEMM main-loop traces, segmented-copy
 //! address templates) already hot because the kernel *objects* are retained.
-//! Each step also keeps the event counts its recording measured, so the
-//! simulator replays blocks without re-metering them and reports the same
-//! [`LaunchRecord`] the cold run did.
+//! Each step is a plain launch of its retained kernel, so it reports the
+//! same [`LaunchRecord`] the cold run did.
 //!
 //! Replay is bitwise-identical to the un-replayed path by construction: the
 //! same kernel objects run against the same buffers in the same order, and
@@ -49,9 +48,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use tfno_culib::PipelineRun;
-use crate::backend::{
-    lock_unpoisoned, BufferId, ExecMode, Kernel, KernelStats, LaunchError, LaunchRecord,
-};
+use crate::backend::{lock_unpoisoned, BufferId, ExecMode, Kernel, LaunchError, LaunchRecord};
 
 use crate::error::TfnoError;
 use crate::pipeline::ExecCtx;
@@ -60,19 +57,13 @@ use crate::pipeline::ExecCtx;
 /// its retained scratch released back to the pool).
 pub(crate) const REPLAY_CAP: usize = 32;
 
-/// One recorded launch: the kernel object itself, its exec mode, and the
-/// event counts the recording measured.
+/// One recorded launch: the kernel object itself and its exec mode.
 ///
 /// Retaining the object (not a description of it) is the point: its
-/// internal trace caches stay warm across replays. The counts let a
-/// backend skip re-measuring them ([`Backend::try_replay_launch`]): the
-/// same kernel object against the same buffers issues the same accesses.
-///
-/// [`Backend::try_replay_launch`]: crate::backend::Backend::try_replay_launch
+/// internal trace caches stay warm across replays.
 pub(crate) struct ReplayStep {
     pub kernel: Arc<dyn Kernel + Send + Sync>,
     pub mode: ExecMode,
-    pub stats: KernelStats,
 }
 
 /// A recording in progress, carried by [`ExecCtx`] while the first
@@ -253,10 +244,9 @@ pub(crate) fn try_execute(
     }
 }
 
-/// Warm path: re-launch the stored kernel objects in order (handing each
-/// its recorded counts) and split the records back into per-request runs
-/// per the recorded plan. A faulted step aborts the pass (the failed
-/// launch wrote nothing).
+/// Warm path: re-launch the stored kernel objects in order and split the
+/// records back into per-request runs per the recorded plan. A faulted
+/// step aborts the pass (the failed launch wrote nothing).
 fn try_replay(
     ctx: &mut ExecCtx<'_>,
     artifact: &ReplayArtifact,
@@ -264,7 +254,7 @@ fn try_replay(
 ) -> Result<Vec<PipelineRun>, LaunchError> {
     let mut records: Vec<LaunchRecord> = Vec::with_capacity(artifact.steps.len());
     for s in &artifact.steps {
-        records.push(ctx.dev.try_replay_launch(&*s.kernel, s.mode, &s.stats)?);
+        records.push(ctx.dev.try_launch(&*s.kernel, s.mode)?);
     }
     let mut out: Vec<PipelineRun> = (0..n_out).map(|_| PipelineRun::default()).collect();
     let mut start = 0;

@@ -37,7 +37,7 @@ impl CuFft {
         mode: ExecMode,
     ) -> LaunchRecord {
         let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::full(n, dir);
+        let plan = FftPlan::shared(n, dir, n, n);
         let addr = RowPencils {
             count: rows,
             in_row_len: n,
@@ -60,7 +60,7 @@ impl CuFft {
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
         let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::full(n, dir);
+        let plan = FftPlan::shared(n, dir, n, n);
         let addr = RowPencils {
             count: rows,
             in_row_len: n,
@@ -83,7 +83,7 @@ impl CuFft {
         mode: ExecMode,
     ) -> LaunchRecord {
         let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::full(n, dir);
+        let plan = FftPlan::shared(n, dir, n, n);
         let k = BatchedFftKernel::new(name, cfg, plan, addressing, input, output);
         dev.launch(&k, mode)
     }
@@ -101,7 +101,7 @@ impl CuFft {
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
         let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::full(n, dir);
+        let plan = FftPlan::shared(n, dir, n, n);
         let k = BatchedFftKernel::new(name, cfg, plan, addressing, input, output);
         dev.try_launch(&k, mode)
     }

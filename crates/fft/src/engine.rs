@@ -13,10 +13,10 @@
 //! Figs. 7–8 plays out — the fused kernel in `turbofno` drives those
 //! patterns through this same engine).
 
+use crate::cache::shared_trace;
 use crate::plan::{FftOpKind, FftPlan};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use tfno_gpu_sim::{lock_unpoisoned, BlockCtx, BufferId, WarpIdx, WARP_SIZE};
+use std::sync::{Arc, OnceLock};
+use tfno_gpu_sim::{BlockCtx, BufferId, WarpIdx, WARP_SIZE};
 use tfno_num::C32;
 
 /// Where a block's pencils come from / go to.
@@ -118,20 +118,35 @@ pub struct ButterflyTrace {
     final_base: usize,
 }
 
-/// Per-kernel cache of [`ButterflyTrace`]s, keyed by the active-pencil
-/// count (full blocks vs. the remainder block). The owning kernel must use
-/// one cache per distinct (plan, layout, staging-bases, grouping) engine
-/// configuration — all fields except `active_pencils` must be constant
-/// across the cache's users.
+impl ButterflyTrace {
+    /// Heap plus inline bytes this trace occupies.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self
+                .stages
+                .iter()
+                .map(|s| {
+                    std::mem::size_of::<TraceStage>()
+                        + s.chunks.capacity() * std::mem::size_of::<TraceChunk>()
+                })
+                .sum::<usize>()
+    }
+}
+
+/// Per-kernel front of the process-wide trace cache ([`crate::cache`]),
+/// keyed by the active-pencil count (full blocks vs. the remainder block).
+/// The owning kernel must use one cache per distinct (plan, layout,
+/// staging-bases, grouping) engine configuration — all fields except
+/// `active_pencils` must be constant across the cache's users.
 ///
 /// A launch sees at most two distinct shapes (full and remainder), so the
 /// warm path is two lock-free `OnceLock` slots — the work-stealing
-/// workers' per-block lookups never contend. A mutexed overflow map keeps
-/// unusual callers correct.
+/// workers' per-block lookups never contend. An empty slot is filled from
+/// the shared cache, so every kernel of one structure holds the same
+/// trace; a shape beyond the two slots reads the shared cache directly.
 #[derive(Default)]
 pub struct TraceCache {
     slots: [OnceLock<(usize, Arc<ButterflyTrace>)>; 2],
-    overflow: Mutex<HashMap<usize, Arc<ButterflyTrace>>>,
 }
 
 impl TraceCache {
@@ -139,40 +154,16 @@ impl TraceCache {
         Self::default()
     }
 
-    /// Fetch (or build) the trace for this engine configuration. Warm
-    /// lookups are lock-free slot reads; cold builds serialize on the
-    /// overflow mutex so each shape's trace is built exactly once.
+    /// Fetch the trace for this engine configuration.
     pub fn get(&self, engine: &FftBlockEngine<'_>) -> Arc<ButterflyTrace> {
         let key = engine.active_pencils;
         for slot in &self.slots {
-            if let Some((k, trace)) = slot.get() {
-                if *k == key {
-                    return trace.clone();
-                }
+            let (k, trace) = slot.get_or_init(|| (key, shared_trace(engine)));
+            if *k == key {
+                return Arc::clone(trace);
             }
         }
-        // Poison recovery, not just style: a caught panic in another
-        // launch thread must not wedge every later trace build.
-        let mut map = lock_unpoisoned(&self.overflow);
-        // A racer may have published while we waited for the lock.
-        for slot in &self.slots {
-            if let Some((k, trace)) = slot.get() {
-                if *k == key {
-                    return trace.clone();
-                }
-            }
-        }
-        if let Some(trace) = map.get(&key) {
-            return trace.clone();
-        }
-        let trace = Arc::new(engine.build_trace());
-        for slot in &self.slots {
-            if slot.set((key, trace.clone())).is_ok() {
-                return trace;
-            }
-        }
-        map.insert(key, trace.clone());
-        trace
+        shared_trace(engine)
     }
 }
 

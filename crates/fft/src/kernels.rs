@@ -14,6 +14,7 @@ use crate::engine::{FftBlockEngine, FftIo, PencilTarget, TraceCache};
 use crate::plan::{FftDirection, FftPlan};
 use crate::FftBlockConfig;
 use std::hash::Hash;
+use std::sync::Arc;
 use tfno_gpu_sim::{
     structural_fingerprint, AccessSpan, BlockCtx, BufferId, Kernel, KernelAccess, LaunchDims,
 };
@@ -205,24 +206,27 @@ impl FftKernelConfig {
 pub struct BatchedFftKernel<A: PencilAddressing> {
     pub name: String,
     pub cfg: FftKernelConfig,
-    pub plan: FftPlan,
+    /// Usually [`FftPlan::shared`], so kernels of one structure hold one plan.
+    pub plan: Arc<FftPlan>,
     pub addressing: A,
     pub input: BufferId,
     pub output: BufferId,
     /// Butterfly schedules shared by every block of a launch (the index
-    /// patterns are block-invariant; only data differs).
-    traces: TraceCache,
+    /// patterns are block-invariant; only data differs) and, through the
+    /// process-wide cache, by every kernel of the same structure.
+    pub traces: TraceCache,
 }
 
 impl<A: PencilAddressing> BatchedFftKernel<A> {
     pub fn new(
         name: impl Into<String>,
         cfg: FftKernelConfig,
-        plan: FftPlan,
+        plan: impl Into<Arc<FftPlan>>,
         addressing: A,
         input: BufferId,
         output: BufferId,
     ) -> Self {
+        let plan = plan.into();
         assert_eq!(plan.n, cfg.block.n, "plan length must match block config");
         BatchedFftKernel {
             name: name.into(),

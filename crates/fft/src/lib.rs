@@ -12,6 +12,8 @@
 //! * [`kernels`] — standalone batched 1D FFT kernels (the paper's
 //!   non-fused "TurboFNO FFT" stage, and the building block the culib
 //!   baseline wraps);
+//! * [`cache`] — the process-wide cache that hands every kernel of one
+//!   structure the same plan and butterfly traces;
 //! * [`host`] — fast host-side Stockham FFT used by the model crate and as
 //!   an extra cross-check of the reference DFT.
 
@@ -19,6 +21,7 @@
 // warp-synchronous style — the index *is* the lane id.
 #![allow(clippy::needless_range_loop)]
 
+pub mod cache;
 pub mod engine;
 pub mod host;
 pub mod kernels;

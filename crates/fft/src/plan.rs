@@ -20,10 +20,12 @@
 //! The Stockham formulation is the same one the paper's kernel uses
 //! (coalesced reads, natural-order output, no bit-reversal pass).
 
+use crate::cache::{shared_plan, PlanKey};
+use std::sync::Arc;
 use tfno_num::C32;
 
 /// Direction of the transform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FftDirection {
     Forward,
     Inverse,
@@ -251,6 +253,36 @@ impl FftPlan {
     /// Full (unpruned) forward plan.
     pub fn full(n: usize, direction: FftDirection) -> Self {
         Self::new(n, direction, n, n)
+    }
+
+    /// The process-wide plan for these parameters: [`FftPlan::new`]'s
+    /// result, built on first use and shared by every kernel that asks
+    /// (see [`crate::cache`]).
+    pub fn shared(
+        n: usize,
+        direction: FftDirection,
+        n_in_valid: usize,
+        n_out_keep: usize,
+    ) -> Arc<FftPlan> {
+        shared_plan(PlanKey {
+            n,
+            direction,
+            n_in_valid,
+            n_out_keep,
+        })
+    }
+
+    /// Heap plus inline bytes this plan occupies.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self
+                .stages
+                .iter()
+                .map(|s| {
+                    std::mem::size_of::<FftStage>()
+                        + s.ops.capacity() * std::mem::size_of::<FftOp>()
+                })
+                .sum::<usize>()
     }
 
     /// Ops in the paper's Fig. 5 counting convention: one per produced value.

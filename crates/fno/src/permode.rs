@@ -130,7 +130,7 @@ impl PerModeSpectralConv1d {
 
         let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n))
             .with_l1_hit_rate(turbofno::TURBO_FFT_L1_HIT);
-        let plan = FftPlan::new(n, FftDirection::Forward, n, nf);
+        let plan = FftPlan::shared(n, FftDirection::Forward, n, nf);
         let fft = BatchedFftKernel::new(
             "pm.fft",
             cfg.clone(),
@@ -179,7 +179,7 @@ impl PerModeSpectralConv1d {
             ExecMode::Functional,
         ));
 
-        let plan_inv = FftPlan::new(n, FftDirection::Inverse, nf, n);
+        let plan_inv = FftPlan::shared(n, FftDirection::Inverse, nf, n);
         let ifft = BatchedFftKernel::new(
             "pm.ifft",
             cfg,

@@ -28,17 +28,23 @@
 //! access. That per-access math is most of the executor's host time, and
 //! it is a pure function of the kernel's structure: kernels branch on
 //! [`BlockCtx::legacy_mode`], never on metering or on the data they move.
-//! Two paths therefore run blocks unmetered, moving exactly the same data
-//! and counting only the structural events (blocks, warps, flops,
-//! barriers):
+//! A functional launch therefore runs its blocks unmetered — they move
+//! exactly the same data but count only the structural events (blocks,
+//! warps, flops, barriers) — and attaches the counts of its analytical
+//! launch ([`run_analytical_stats`], memoized per structure by the
+//! [launch memo](crate::memo)), so a functional and an analytical launch
+//! of one kernel carry the same [`LaunchRecord`]. Two checks tie the
+//! attached counts to the blocks that ran:
 //!
-//! * [`GpuDevice::try_replay_launch`] re-issues a launch whose counts a
-//!   previous metered run recorded and attaches those counts, so its
-//!   [`LaunchRecord`] is identical to the recording's. With
-//!   [`GpuDevice::validate_writes`] on (the debug-build default) it runs
-//!   metered instead and panics on any mismatch.
-//! * [`run_functional_eager`], the host backend's data path, reports the
-//!   structural counts only.
+//! * in every build, the unmetered run's structural counts must equal the
+//!   attached ones (a mismatch means two kernels share a fingerprint but
+//!   not a structure);
+//! * with [`GpuDevice::validate_writes`] on (the debug-build default) the
+//!   blocks run metered instead, and every counter must match (a mismatch
+//!   also catches an access pattern that depends on the data it moves).
+//!
+//! [`run_functional_eager`], the host backend's data path, reports the
+//! structural counts only. The legacy executor meters every block.
 //!
 //! ## Analytical launches
 //!
@@ -375,7 +381,9 @@ pub struct GpuDevice {
     pub memory: GlobalMemory,
     cost: CostModel,
     launches: Vec<LaunchRecord>,
-    /// Detect two blocks writing the same element in one launch.
+    /// Detect two blocks writing the same element in one launch, and run
+    /// functional blocks metered to cross-check every attached count (see
+    /// the module docs on metering).
     pub validate_writes: bool,
     /// Execute blocks on multiple host threads when the grid is large.
     pub parallel: bool,
@@ -598,23 +606,12 @@ impl GpuDevice {
             "deferred functional launches require the journaled executor \
              (legacy_executor = false)"
         );
-        self.issue(kernel, mode, true)
-    }
-
-    /// Roll the fault plan, then run the launch's blocks (functional
-    /// blocks `metered` or not) into an uncompleted [`PendingLaunch`].
-    fn issue(
-        &self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-        metered: bool,
-    ) -> Result<PendingLaunch, LaunchError> {
         let dims = kernel.dims();
         assert!(dims.grid_blocks > 0, "empty grid for kernel {}", kernel.name());
         self.check_launch_fault(kernel, mode)?;
         let (stats, journals, workers) = match mode {
             ExecMode::Analytical => (self.run_analytical(kernel, dims), Vec::new(), 1),
-            ExecMode::Functional => self.run_blocks(kernel, dims, metered),
+            ExecMode::Functional => self.run_functional(kernel, dims),
         };
         Ok(PendingLaunch {
             name: kernel.name(),
@@ -688,44 +685,6 @@ impl GpuDevice {
         rec
     }
 
-    /// Re-issue a recorded functional launch whose event counts are already
-    /// known (a warm replay of a launch sequence). Blocks run unmetered —
-    /// data moves exactly as in [`GpuDevice::try_launch`], but no sector or
-    /// bank-conflict accounting happens — and the returned record carries
-    /// `recorded` (and the modeled time derived from it). The fault plan is
-    /// consulted exactly as a normal launch consults it.
-    ///
-    /// Sound because a kernel's access pattern is a function of its
-    /// structure, never of the data it moves. With
-    /// [`validate_writes`](GpuDevice::validate_writes) on (the debug-build
-    /// default) the blocks run metered instead, and the launch panics if
-    /// its counts differ from `recorded` — the property is checked, not
-    /// assumed. Analytical launches and the legacy executor take the
-    /// ordinary [`GpuDevice::try_launch`] path.
-    pub fn try_replay_launch(
-        &mut self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-        recorded: &KernelStats,
-    ) -> Result<LaunchRecord, LaunchError> {
-        if self.legacy_executor || mode != ExecMode::Functional {
-            return self.try_launch(kernel, mode);
-        }
-        let metered = self.validate_writes;
-        let mut pending = self.issue(kernel, mode, metered)?;
-        if metered {
-            assert_eq!(
-                pending.stats,
-                *recorded,
-                "replayed kernel '{}' counted different events than its recording: \
-                 its access pattern depends on the data it moves",
-                kernel.name()
-            );
-        }
-        pending.stats = *recorded;
-        Ok(self.complete(pending))
-    }
-
     /// Analytical launch: run one representative block per class (writes
     /// discarded) and scale the counts — unless a memoized launch of the
     /// same signature already did.
@@ -734,12 +693,44 @@ impl GpuDevice {
         run_analytical_stats(&self.memory, kernel, self.analytical_memo)
     }
 
+    /// Functional launch body: run every block — metered only with
+    /// `validate_writes` on — and return the analytical counts, checked
+    /// against what the blocks counted (see the module docs on metering),
+    /// plus the unapplied per-worker write journals.
+    fn run_functional(
+        &self,
+        kernel: &dyn Kernel,
+        dims: LaunchDims,
+    ) -> (KernelStats, Vec<WriteJournal>, usize) {
+        let metered = self.validate_writes;
+        let (counted, journals, workers) = self.run_blocks(kernel, dims, metered);
+        let stats = self.run_analytical(kernel, dims);
+        if metered {
+            assert_eq!(
+                counted,
+                stats,
+                "kernel '{}' counted different events than its analytical launch: its \
+                 access pattern depends on the data it moves, or its fingerprint does \
+                 not cover its structure",
+                kernel.name()
+            );
+        } else {
+            assert_eq!(
+                counted,
+                stats.structural(),
+                "kernel '{}' ran different structural counts than its memoized analytical \
+                 launch: its fingerprint does not cover its structure",
+                kernel.name()
+            );
+        }
+        (stats, journals, workers)
+    }
+
     /// Work-stealing block execution (see the module docs): run every
     /// block and return the summed stats plus the unapplied per-worker
-    /// write journals. Shared by the synchronous launch path (which
-    /// applies the journals immediately), the deferred path (which hands
-    /// them to the caller inside a [`PendingLaunch`]) and the replay path
-    /// (which runs `metered = false` and attaches recorded counts).
+    /// write journals. The synchronous launch path applies the journals
+    /// immediately; the deferred path hands them to the caller inside a
+    /// [`PendingLaunch`].
     fn run_blocks(
         &self,
         kernel: &dyn Kernel,
@@ -1483,41 +1474,71 @@ mod tests {
         }
     }
 
-    /// A replayed launch moves the same data, and its record carries the
-    /// recorded counts (and the modeled time they imply) rather than
-    /// recomputing them.
+    /// With `validate_writes` off (the release default) the blocks run
+    /// unmetered, yet the record carries the full analytical counts.
     #[test]
-    fn replay_launch_attaches_recorded_counts() {
-        let (mut dev, src, dst) = setup(16);
-        let k = ScaleKernel { src, dst, blocks: 16 };
-        let cold = dev.launch(&k, ExecMode::Functional);
-        let want = dev.download(dst);
-        for validate in [false, true] {
-            dev.validate_writes = validate;
-            dev.upload(dst, &[C32::ZERO; 16 * 32]);
-            let warm = dev
-                .try_replay_launch(&k, ExecMode::Functional, &cold.stats)
-                .expect("replay");
-            assert_eq!(dev.download(dst), want, "validate_writes={validate}");
-            assert_eq!((warm.name.as_str(), warm.dims_grid), (cold.name.as_str(), cold.dims_grid));
-            assert_eq!(warm.stats, cold.stats);
-            assert_eq!(warm.time_us.to_bits(), cold.time_us.to_bits());
-        }
-        assert_eq!(dev.launches().len(), 3);
-
-        // Unmetered, the counts are taken on trust: the record is exactly
-        // what the caller says was recorded.
+    fn unmetered_functional_launch_attaches_analytical_counts() {
+        let (mut dev, src, dst) = setup(8);
         dev.validate_writes = false;
-        let claimed = KernelStats { global_load_sectors: 1, ..cold.stats };
-        let rec = dev.try_replay_launch(&k, ExecMode::Functional, &claimed).expect("replay");
-        assert_eq!(rec.stats, claimed);
-        assert_eq!(rec.time_us.to_bits(), dev.cost_model().kernel_time_us(&k.dims(), &claimed).to_bits());
+        let rec = dev.launch(&ScaleKernel { src, dst, blocks: 8 }, ExecMode::Functional);
+        assert_eq!(rec.stats, expected_stats(8));
+        assert_eq!(dev.download(dst)[37], C32::real(74.0));
+    }
+
+    /// Scales like [`ScaleKernel`] but counts `flops` per block, while its
+    /// fingerprint covers only `tag`: two of them with different `flops`
+    /// share a fingerprint and dims but not a structure.
+    struct FlopKernel {
+        src: BufferId,
+        dst: BufferId,
+        flops: u64,
+        tag: &'static str,
+    }
+
+    impl Kernel for FlopKernel {
+        fn name(&self) -> String {
+            "flops".into()
+        }
+        fn dims(&self) -> LaunchDims {
+            LaunchDims::new(4, 32)
+        }
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
+            let idx = WarpIdx::contiguous(block_id * 32);
+            let vals = ctx.global_read(self.src, &idx);
+            ctx.add_flops(self.flops);
+            ctx.global_write(self.dst, &idx, &vals);
+        }
+        fn fingerprint(&self) -> Option<u64> {
+            Some(memo::structural_fingerprint(self.tag, |_| {}))
+        }
+    }
+
+    /// Launch two [`FlopKernel`] twins functionally, one after the other:
+    /// the second gets the first one's memoized counts attached.
+    fn launch_flop_twins(tag: &'static str, validate_writes: bool) {
+        let (mut dev, src, dst) = setup(4);
+        dev.validate_writes = validate_writes;
+        dev.launch(&FlopKernel { src, dst, flops: 64, tag }, ExecMode::Functional);
+        dev.launch(&FlopKernel { src, dst, flops: 128, tag }, ExecMode::Functional);
+    }
+
+    #[test]
+    #[should_panic(expected = "ran different structural counts")]
+    fn structural_check_catches_a_fingerprint_that_misses_structure() {
+        launch_flop_twins("test.flops.unmetered", false);
+    }
+
+    #[test]
+    #[should_panic(expected = "counted different events than its analytical launch")]
+    fn metered_cross_check_catches_a_fingerprint_that_misses_structure() {
+        launch_flop_twins("test.flops.metered", true);
     }
 
     /// A kernel whose addresses depend on the data it reads: each block
     /// loads a control word and gathers contiguously when it is positive,
-    /// with stride 8 otherwise. Replaying recorded counts for it would be
-    /// wrong, which is what the metered cross-check exists to catch.
+    /// with stride 8 otherwise. Its fingerprint covers its structure, not
+    /// its data, so a later launch gets counts memoized under another
+    /// control word, which is what the metered cross-check exists to catch.
     struct DataDependentKernel {
         ctrl: BufferId,
         src: BufferId,
@@ -1539,6 +1560,12 @@ mod tests {
             let vals = ctx.global_read(self.src, &gather);
             ctx.global_write(self.dst, &WarpIdx::contiguous(block_id * 32), &vals);
         }
+        fn fingerprint(&self) -> Option<u64> {
+            Some(memo::structural_fingerprint("test.data_dependent", |h| {
+                use std::hash::Hash;
+                self.blocks.hash(h);
+            }))
+        }
     }
 
     fn data_dependent_setup(blocks: usize) -> (GpuDevice, DataDependentKernel) {
@@ -1550,50 +1577,33 @@ mod tests {
         (dev, DataDependentKernel { ctrl, src, dst, blocks })
     }
 
+    /// A warm replay re-launches the retained kernel; after the control
+    /// word flips, that launch's metered blocks disagree with the counts
+    /// memoized by the first one.
     #[test]
     #[should_panic(expected = "access pattern depends on the data")]
     fn replay_cross_check_fires_on_data_dependent_access() {
         let (mut dev, k) = data_dependent_setup(4);
-        let cold = dev.launch(&k, ExecMode::Functional);
+        dev.launch(&k, ExecMode::Functional);
         dev.upload(k.ctrl, &[-C32::ONE; 32]);
         dev.validate_writes = true;
-        let _ = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats);
+        dev.launch(&k, ExecMode::Functional);
     }
 
-    /// The same replay with the cross-check off goes through and reports
-    /// the (now stale) recorded counts, while a fresh launch counts more
-    /// sectors: the difference the cross-check guards against is real.
+    /// The same second launch with the cross-check off goes through and
+    /// reports the (now stale) memoized counts, while a fresh count finds
+    /// more sectors: the difference the cross-check guards against is real.
     #[test]
     fn unchecked_replay_of_data_dependent_access_reports_the_recording() {
         let (mut dev, k) = data_dependent_setup(4);
+        dev.validate_writes = false;
         let cold = dev.launch(&k, ExecMode::Functional);
         dev.upload(k.ctrl, &[-C32::ONE; 32]);
-        dev.validate_writes = false;
-        let warm = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).expect("replay");
+        let warm = dev.launch(&k, ExecMode::Functional);
+        dev.analytical_memo = false;
         let fresh = dev.launch(&k, ExecMode::Functional);
         assert_eq!(warm.stats, cold.stats);
         assert!(fresh.stats.global_load_sectors > cold.stats.global_load_sectors);
-    }
-
-    /// A replayed launch rolls the fault plan exactly once, like a launch,
-    /// and a faulted replay is clean.
-    #[test]
-    fn replay_launch_consults_the_fault_plan_like_a_launch() {
-        let (mut dev, src, dst) = setup(4);
-        let k = ScaleKernel { src, dst, blocks: 4 };
-        let cold = dev.launch(&k, ExecMode::Functional);
-        dev.upload(dst, &[C32::ZERO; 4 * 32]);
-        dev.clear_launches();
-        dev.set_fault_plan(Some(
-            FaultPlan::seeded(5).at_launch(0, FaultKind::TransientLaunch),
-        ));
-        let err = dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).unwrap_err();
-        assert!(matches!(err, LaunchError::Transient { launch_index: 0, .. }));
-        assert!(dev.launches().is_empty());
-        assert_eq!(dev.download(dst)[3], C32::ZERO);
-        dev.try_replay_launch(&k, ExecMode::Functional, &cold.stats).expect("retry succeeds");
-        assert_eq!(dev.download(dst)[3], C32::real(6.0));
-        assert_eq!(dev.fault_stats().launches_checked, 2);
     }
 
     /// The shared analytical helper is bit-identical to the device path.

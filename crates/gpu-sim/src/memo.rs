@@ -12,8 +12,12 @@
 //! parameter that shapes its access pattern), its [`LaunchDims`], and its
 //! block classes. Kernels opt in by returning `Some` from `fingerprint`;
 //! the contract is that two kernels with equal signatures record identical
-//! stats from an analytical launch. Modeled *time* is still computed per
-//! launch from the dims, so the memo never changes any figure.
+//! stats from an analytical launch. Functional launches attach the same
+//! memoized stats (see the metering docs in `kernel.rs`), so the contract
+//! decides their records too; every launch checks its structural counts
+//! against them, and debug builds check every counter. Modeled *time* is
+//! still computed per launch from the dims, so the memo never changes any
+//! figure.
 
 use crate::kernel::{LaunchDims, LaunchRecord};
 use crate::stats::KernelStats;

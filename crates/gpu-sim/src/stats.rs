@@ -47,6 +47,18 @@ impl KernelStats {
         syncthreads: 0,
     };
 
+    /// The counters an unmetered run still counts (blocks, warps, flops,
+    /// barriers), every traffic counter zeroed.
+    pub(crate) fn structural(&self) -> KernelStats {
+        KernelStats {
+            blocks: self.blocks,
+            warps: self.warps,
+            flops: self.flops,
+            syncthreads: self.syncthreads,
+            ..KernelStats::ZERO
+        }
+    }
+
     /// Total bytes moved through global memory.
     pub fn global_bytes(&self) -> u64 {
         self.global_load_bytes + self.global_store_bytes

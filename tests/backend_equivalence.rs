@@ -5,12 +5,18 @@
 //! equality), across every variant, every rank (1D/2D/3D), stacked
 //! mixed-weight queues, and async submit storms. Capabilities a backend
 //! does not advertise must surface as typed `TfnoError::Validation`
-//! errors, never panics.
+//! errors, never panics. Kernels of one structure share their FFT plan
+//! and butterfly traces across backends.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tfno_num::error::rel_l2_error;
 use tfno_num::C32;
-use turbofno_suite::gpu_sim::BufferId;
+use turbofno_suite::fft::{
+    BatchedFftKernel, ButterflyTrace, FftBlockConfig, FftBlockEngine, FftDirection, FftKernelConfig, FftPlan,
+    RowPencils,
+};
+use turbofno_suite::gpu_sim::{BufferId, ExecMode};
 use turbofno_suite::{
     Backend, FaultPlan, LayerSpec, NativeBackend, Request, Session, SimBackend, TfnoError, Variant,
 };
@@ -47,6 +53,49 @@ fn assert_backends_agree(spec: &LayerSpec, seed: f32) {
         "{:?}: sim and native diverge, rel l2 {err}",
         spec.variant
     );
+}
+
+/// Build and launch, against `sess`'s buffers, a 12-row truncated FFT:
+/// one full block of 8 pencils and a remainder block of 4.
+fn fft_kernel_on<B: Backend>(sess: &mut Session<B>) -> BatchedFftKernel<RowPencils> {
+    let (n, keep, rows) = (128, 32, 12);
+    let x = sess.alloc("x", rows * n);
+    let y = sess.alloc("y", rows * keep);
+    sess.upload(x, &data(rows * n, 0.1));
+    let k = BatchedFftKernel::new(
+        "share.fft",
+        FftKernelConfig::new(FftBlockConfig::for_len(n)),
+        FftPlan::shared(n, FftDirection::Forward, n, keep),
+        RowPencils { count: rows, in_row_len: n, out_row_len: keep },
+        x,
+        y,
+    );
+    sess.device_mut().launch(&k, ExecMode::Functional);
+    k
+}
+
+/// Kernels of one structure hold the process-wide plan and butterfly
+/// traces whichever backend they run on, instead of a copy each.
+#[test]
+fn kernels_of_one_structure_share_plans_and_traces_across_backends() {
+    let on_sim = fft_kernel_on(&mut Session::new(SimBackend::a100()));
+    let on_native = fft_kernel_on(&mut Session::with_backend(NativeBackend::a100()));
+    assert!(Arc::ptr_eq(&on_sim.plan, &on_native.plan), "one plan");
+    // The engine layout `run_block` uses for a block of `active` pencils.
+    fn trace(k: &BatchedFftKernel<RowPencils>, active: usize) -> Arc<ButterflyTrace> {
+        k.traces.get(&FftBlockEngine {
+            plan: &k.plan,
+            active_pencils: active,
+            bs_layout: 8,
+            ping_base: 0,
+            pong_base: 128 * 8,
+            reg_group_bits: k.cfg.block.n_thread.trailing_zeros() as usize,
+        })
+    }
+    for active in [8, 4] {
+        let (a, b) = (trace(&on_sim, active), trace(&on_native, active));
+        assert!(Arc::ptr_eq(&a, &b), "one trace for {active} active pencils");
+    }
 }
 
 #[test]

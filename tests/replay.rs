@@ -357,7 +357,7 @@ fn assert_same_records(cold: &[LaunchRecord], warm: &[LaunchRecord], what: &str)
     }
 }
 
-/// A sim session with the metered replay cross-check on or off.
+/// A sim session with the metered launch cross-check on or off.
 fn sim_session(validate_writes: bool) -> Session<SimBackend> {
     let mut dev = SimBackend::a100();
     dev.validate_writes = validate_writes;
@@ -366,8 +366,8 @@ fn sim_session(validate_writes: bool) -> Session<SimBackend> {
 
 /// Record-equality pin: for every concrete variant plus `TurboBest` at
 /// ranks 1-3, the warm call's launch records equal the cold call's, with
-/// the replay cross-check both off (counts attached unmetered) and on
-/// (blocks re-metered and compared against the recording).
+/// the launch cross-check both off (memoized counts attached unmetered)
+/// and on (blocks metered and compared against those counts).
 #[test]
 fn warm_replay_records_equal_cold_records() {
     let shapes = [

@@ -11,19 +11,23 @@ use turbofno_suite::gpu_sim::{ExecMode, KernelStats};
 // event-accounting model (analytical replays, modeled traffic), not of an
 // arbitrary backend.
 fn run(p: &FnoProblem1d, v: Variant, mode: ExecMode) -> (KernelStats, usize, f64) {
+    run_spec(&LayerSpec::from_problem_1d(p), v, mode)
+}
+
+fn run_spec(spec: &LayerSpec, v: Variant, mode: ExecMode) -> (KernelStats, usize, f64) {
     let mut sess = Session::new(SimBackend::a100());
-    let x = sess.alloc("x", p.input_len());
-    let w = sess.alloc("w", p.weight_len());
-    let y = sess.alloc("y", p.output_len());
-    let data: Vec<C32> = (0..p.input_len())
+    let x = sess.alloc("x", spec.input_len());
+    let w = sess.alloc("w", spec.weight_len());
+    let y = sess.alloc("y", spec.output_len());
+    let data: Vec<C32> = (0..spec.input_len())
         .map(|i| C32::new((i as f32 * 0.3).sin(), (i as f32 * 0.7).cos()))
         .collect();
     sess.upload(x, &data);
-    let wd: Vec<C32> = (0..p.weight_len())
+    let wd: Vec<C32> = (0..spec.weight_len())
         .map(|i| C32::new((i as f32 * 0.2).cos(), (i as f32 * 0.5).sin()))
         .collect();
     sess.upload(w, &wd);
-    let r = sess.run(&LayerSpec::from_problem_1d(p).variant(v).exec(mode), x, w, y);
+    let r = sess.run(&spec.variant(v).exec(mode), x, w, y);
     (r.total_stats(), r.kernel_count(), r.total_us())
 }
 
@@ -84,22 +88,29 @@ fn fewer_modes_never_cost_more_time() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Analytical launches must reproduce functional event counts exactly
-    /// for every variant — the contract that makes the figure sweeps valid.
+    /// for every variant at every rank — the contract that makes the
+    /// figure sweeps valid, and the one functional launches rely on when
+    /// they attach memoized analytical counts instead of metering.
     #[test]
     fn prop_analytical_equals_functional(
         batch in 1usize..4,
         k in 1usize..20,
         nf_sel in 0usize..2,
-        variant_sel in 0usize..5,
     ) {
-        let nf = [32usize, 64][nf_sel];
-        let p = FnoProblem1d::new(batch, k, k, 128, nf);
-        let v = Variant::CONCRETE[variant_sel];
-        let f = run(&p, v, ExecMode::Functional).0;
-        let a = run(&p, v, ExecMode::Analytical).0;
-        prop_assert_eq!(f, a);
+        let specs = [
+            LayerSpec::d1(batch, k, k, 128).modes([32, 64][nf_sel]),
+            LayerSpec::d2(batch, k, k, 16, 64).modes_xy([4, 8][nf_sel], 32),
+            LayerSpec::d3(batch, k, k, 8, 8, 32).modes_xyz(2, [2, 4][nf_sel], 32),
+        ];
+        for spec in specs {
+            for v in Variant::CONCRETE {
+                let f = run_spec(&spec, v, ExecMode::Functional).0;
+                let a = run_spec(&spec, v, ExecMode::Analytical).0;
+                prop_assert_eq!(f, a, "{:?} rank {}", v, spec.shape().rank);
+            }
+        }
     }
 }
