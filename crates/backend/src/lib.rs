@@ -57,15 +57,9 @@ pub struct BackendCaps {
     pub fault_injection: bool,
     /// [`Backend::try_launch_deferred`] can issue functional launches
     /// whose writes stay invisible until [`Backend::complete`] (CUDA async
-    /// visibility semantics). On the simulator this is dynamic: the legacy
-    /// A/B executor applies writes inline and cannot defer.
+    /// visibility semantics). The simulator always can; the native
+    /// backend applies writes eagerly and cannot.
     pub deferred_launch: bool,
-    /// Recorded launch sequences may be replayed against this backend
-    /// (`turbofno`'s replay cache). Both current backends support it —
-    /// replay re-issues each retained kernel object through
-    /// [`Backend::try_launch`], which on the simulator attaches the
-    /// memoized counts of the kernel's structure like any launch.
-    pub replay: bool,
 }
 
 /// Which backend implementation is running.
@@ -232,10 +226,7 @@ impl Backend for GpuDevice {
     fn caps(&self) -> BackendCaps {
         BackendCaps {
             fault_injection: true,
-            // The legacy A/B executor applies writes inline per element
-            // and cannot defer functional launches.
-            deferred_launch: !self.legacy_executor,
-            replay: true,
+            deferred_launch: true,
         }
     }
 
@@ -268,14 +259,6 @@ impl Backend for GpuDevice {
         kernel: &dyn Kernel,
         mode: ExecMode,
     ) -> Result<PendingLaunch, LaunchError> {
-        if self.legacy_executor && mode == ExecMode::Functional {
-            // Typed twin of the inherent method's assertion, so
-            // capability-gated callers get an error, not an unwind.
-            return Err(LaunchError::Unsupported {
-                backend: "sim(legacy-executor)",
-                op: "deferred functional launches",
-            });
-        }
         GpuDevice::try_launch_deferred(self, kernel, mode)
     }
 
@@ -378,7 +361,6 @@ impl Backend for NativeBackend {
         BackendCaps {
             fault_injection: false,
             deferred_launch: false,
-            replay: true,
         }
     }
 
@@ -769,15 +751,12 @@ mod tests {
         let sim = SimBackend::a100();
         assert_eq!(
             Backend::caps(&sim),
-            BackendCaps { fault_injection: true, deferred_launch: true, replay: true }
+            BackendCaps { fault_injection: true, deferred_launch: true }
         );
-        let mut legacy = SimBackend::a100();
-        legacy.legacy_executor = true;
-        assert!(!Backend::caps(&legacy).deferred_launch, "legacy executor cannot defer");
 
         let native = NativeBackend::a100();
         let caps = native.caps();
-        assert!(!caps.fault_injection && !caps.deferred_launch && caps.replay);
+        assert!(!caps.fault_injection && !caps.deferred_launch);
     }
 
     #[test]
@@ -836,20 +815,6 @@ mod tests {
         // default), so generic teardown code never special-cases.
         native.try_set_fault_plan(None).expect("clearing a plan is supported");
         assert_eq!(native.fault_stats(), FaultStats::default());
-    }
-
-    #[test]
-    fn legacy_sim_deferred_is_typed_through_the_trait() {
-        let mut legacy = SimBackend::a100();
-        legacy.legacy_executor = true;
-        let (src, dst) = seed_backend(&mut legacy, 2);
-        let k = ScaleKernel { src, dst, blocks: 2 };
-        let Err(err) = Backend::try_launch_deferred(&legacy, &k, ExecMode::Functional) else {
-            panic!("legacy-executor deferred functional launch must fail");
-        };
-        assert!(matches!(err, LaunchError::Unsupported { .. }));
-        // Analytical deferral still works under the legacy executor.
-        assert!(Backend::try_launch_deferred(&legacy, &k, ExecMode::Analytical).is_ok());
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! End-to-end model throughput: functional-mode FNO forwards per second.
 //!
-//! Measures the whole forward pass — lifting, every Fourier layer through
-//! the simulated device (`Variant::TurboBest`), pointwise bypasses, GELU,
-//! projection — under two engines:
+//! The `1d`/`2d`/`3d` `turbo` cases measure the whole forward pass —
+//! lifting, every Fourier layer through the simulated device
+//! (`Variant::TurboBest`), pointwise bypasses, GELU, projection — on one
+//! long-lived `turbofno::Session` (work-stealing executor, journaled
+//! writes, memoized analytical launches, warm per-session `Planner`
+//! cache, pooled operand/scratch buffers) serving every forward. Each
+//! model's device forward is checked against its host forward before
+//! timing. These cases are reported, not gated: the structural tests
+//! (`second_request_plans_nothing`,
+//! `pool_reports_hits_on_second_same_shape_call`,
+//! `turbo_best_dispatch_uses_session_planner_cache`,
+//! `parallel_executor_is_bitwise_deterministic`,
+//! `unmetered_functional_launch_attaches_analytical_counts`) pin the
+//! properties that make them fast.
 //!
-//! * **`legacy`** — the pre-PR stack: static-chunk executor with
-//!   per-block context allocation and per-element write application
-//!   (`GpuDevice::legacy_executor`), analytical launch memo off, a fresh
-//!   `pick_best` plan for every layer of every forward, and the scalar
-//!   `pointwise_naive` host path;
-//! * **`turbo`** — the throughput engine behind the `Session` API: one
-//!   long-lived `turbofno::Session` (work-stealing executor, journaled
-//!   writes, memoized analytical launches, warm per-session `Planner`
-//!   cache, pooled operand/scratch buffers) serving every forward, plus
-//!   the blocked parallel pointwise kernel.
-//!
-//! Both engines are verified to produce the same numbers before timing.
 //! Results land in `BENCH_throughput.json` (override the path with
 //! `TFNO_BENCH_OUT`) so every future perf PR has a pinned trajectory.
 //! `--smoke` shrinks shapes and the measuring window for CI.
@@ -43,25 +42,25 @@
 //! tapes that were proven at freeze time, so the verified steady state
 //! must hold throughput parity with verification off.
 //!
-//! `--check-floors` turns the emitted speedups into a regression gate:
-//! the process exits nonzero when any pinned floor is broken, so CI's
-//! smoke run fails loudly instead of uploading a quietly regressed JSON.
-//! The `serve-mixed`, `pipeline-overlap` and `backend-*` ratios are
-//! reported without floors: their baselines run with replay off, and
-//! since simulated launches attach memoized counts instead of metering
-//! every access, those baselines are about as fast as the paths they are
-//! compared with on the smoke shapes.
+//! `--check-floors` turns `speedup_replay_warm`, `fault_overhead` and
+//! `verify_overhead` into a regression gate: the process exits nonzero
+//! when any pinned floor is broken, so CI's smoke run fails loudly instead
+//! of uploading a quietly regressed JSON. The `1d`/`2d`/`3d` forwards/s
+//! are reported without floors (see above), and so are the `serve-mixed`,
+//! `pipeline-overlap` and `backend-*` ratios: their baselines run with
+//! replay off, and since simulated launches attach memoized counts
+//! instead of metering every access, those baselines are about as fast as
+//! the paths they are compared with on the smoke shapes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use tfno_gpu_sim::{set_launch_memo_enabled, FaultPlan, GpuDevice};
-use tfno_model::{gelu, pointwise_naive, Fno1d, Fno2d, FnoNd};
+use tfno_gpu_sim::FaultPlan;
+use tfno_model::{Fno1d, Fno2d, FnoNd};
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{
-    set_verify_override, LayerSpec, NativeBackend, Planner, Request, Session, TurboOptions,
-    Variant,
+    set_verify_override, LayerSpec, NativeBackend, Request, Session, TurboOptions, Variant,
 };
 
 struct Case {
@@ -88,90 +87,14 @@ fn measure(min_secs: f64, mut f: impl FnMut()) -> (u64, f64) {
     }
 }
 
-/// The pre-PR elementwise stage: a serial map (the shipped `add_gelu` is
-/// thread-fanned on multi-core hosts).
-fn add_gelu_naive(a: &CTensor, b: &CTensor) -> CTensor {
-    assert_eq!(a.shape(), b.shape());
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(x, y)| {
-            let v = *x + *y;
-            tfno_num::C32::new(gelu(v.re), gelu(v.im))
-        })
-        .collect();
-    CTensor::from_vec(data, a.shape())
-}
-
-/// A throwaway session over the pre-PR executor: fresh per forward, so no
-/// planner or pool state survives between forwards. (Within one forward
-/// the session API still pools operand buffers across layers — a
-/// host-allocation effect the pre-PR engine did not have, which makes
-/// this baseline marginally *faster* than the original; the reported
-/// speedups are therefore conservative.)
-fn legacy_session() -> Session {
-    let mut dev = GpuDevice::a100();
-    dev.legacy_executor = true;
-    Session::new(dev)
-}
-
-/// The pre-PR 1D forward: scalar pointwise everywhere and a cold
-/// `pick_best` plan per layer (what `TurboBest` dispatch used to do).
-fn forward_legacy_1d(model: &Fno1d, opts: &TurboOptions, x: &CTensor) -> CTensor {
-    let mut sess = legacy_session();
-    let mut h = pointwise_naive(x, &model.lift);
-    for layer in &model.layers {
-        let p = layer.spectral.problem(h.shape()[0]);
-        let best = Planner::pick_best_1d(&sess.device().config, &p, opts);
-        let (s, _) = layer.spectral.forward_device(&mut sess, best, opts, &h);
-        let pb = pointwise_naive(&h, &layer.bypass);
-        h = add_gelu_naive(&s, &pb);
-    }
-    pointwise_naive(&h, &model.proj)
-}
-
-fn forward_legacy_2d(model: &Fno2d, opts: &TurboOptions, x: &CTensor) -> CTensor {
-    let mut sess = legacy_session();
-    let mut h = pointwise_naive(x, &model.lift);
-    for layer in &model.layers {
-        let p = layer.spectral.problem(h.shape()[0]);
-        let best = Planner::pick_best_2d(&sess.device().config, &p, opts);
-        let (s, _) = layer.spectral.forward_device(&mut sess, best, opts, &h);
-        let pb = pointwise_naive(&h, &layer.bypass);
-        h = add_gelu_naive(&s, &pb);
-    }
-    pointwise_naive(&h, &model.proj)
-}
-
-/// The rank-generic legacy forward (used for the 3D scenario the rank-3
-/// path opened): same pre-PR costs — fresh session, static-chunk
-/// executor, cold `pick_best` plan per layer, scalar pointwise.
-fn forward_legacy_nd(model: &FnoNd, opts: &TurboOptions, x: &CTensor) -> CTensor {
-    let mut sess = legacy_session();
-    let mut h = pointwise_naive(x, &model.lift);
-    for layer in &model.layers {
-        let shape = layer.spectral.shape(h.shape()[0]);
-        let best = Planner::pick_best_shape(&sess.device().config, &shape, opts);
-        let (s, _) = layer.spectral.forward_device(&mut sess, best, opts, &h);
-        let pb = pointwise_naive(&h, &layer.bypass);
-        h = add_gelu_naive(&s, &pb);
-    }
-    pointwise_naive(&h, &model.proj)
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Regression floors for `--check-floors` (CI smoke). Deliberately far
-/// below the build-host numbers (7.4x / 4.5x / 4.1x for 1D/2D/3D at the
-/// last pinning): shared CI runners are noisy, and the gate exists to
-/// catch a *collapsed* optimization — an engine regression to pre-PR
-/// behavior — not a few percent of jitter.
-const FLOOR_SPEEDUP_1D: f64 = 2.0;
-const FLOOR_SPEEDUP_2D: f64 = 1.5;
-const FLOOR_SPEEDUP_3D: f64 = 1.3;
+/// Regression floor for `--check-floors` (CI smoke). Deliberately far
+/// below the build-host number: shared CI runners are noisy, and the gate
+/// exists to catch a *collapsed* optimization, not a few percent of
+/// jitter.
 const FLOOR_SPEEDUP_REPLAY_WARM: f64 = 1.3;
 /// `fault_overhead` is a *parity* floor, not a speedup floor: the armed
 /// zero-probability fault plan must not cost more than ~1% of throughput
@@ -232,25 +155,21 @@ fn main() {
          nfx={nfx3} nfy={nfy3} nfz={nfz3}"
     );
 
-    // Cross-check the two engines compute the same model before timing.
-    set_launch_memo_enabled(false);
-    let y1_legacy = forward_legacy_1d(&model1, &opts, &x1);
-    let y2_legacy = forward_legacy_2d(&model2, &opts, &x2);
-    let y3_legacy = forward_legacy_nd(&model3, &opts, &x3);
-    set_launch_memo_enabled(true);
     // One session serves every turbo forward of the bench: planner cache
     // and buffer pool warm up once and stay warm across the whole run.
+    // Cross-check each device forward against the host forward before
+    // timing.
     let mut turbo_sess = Session::a100();
     let (y1_turbo, _) = model1.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x1);
     let (y2_turbo, _) = model2.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x2);
     let (y3_turbo, _) = model3.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x3);
-    let err1 = rel_l2_error(y1_turbo.data(), y1_legacy.data());
-    let err2 = rel_l2_error(y2_turbo.data(), y2_legacy.data());
-    let err3 = rel_l2_error(y3_turbo.data(), y3_legacy.data());
-    assert!(err1 < 1e-6, "1D engines diverge: rel l2 {err1}");
-    assert!(err2 < 1e-6, "2D engines diverge: rel l2 {err2}");
-    assert!(err3 < 1e-6, "3D engines diverge: rel l2 {err3}");
-    println!("engine cross-check: 1D rel_l2 {err1:.2e}, 2D rel_l2 {err2:.2e}, 3D rel_l2 {err3:.2e}");
+    let err1 = rel_l2_error(y1_turbo.data(), model1.forward_host(&x1).data());
+    let err2 = rel_l2_error(y2_turbo.data(), model2.forward_host(&x2).data());
+    let err3 = rel_l2_error(y3_turbo.data(), model3.forward_host(&x3).data());
+    assert!(err1 < 1e-5, "1D device and host forwards diverge: rel l2 {err1}");
+    assert!(err2 < 1e-5, "2D device and host forwards diverge: rel l2 {err2}");
+    assert!(err3 < 1e-5, "3D device and host forwards diverge: rel l2 {err3}");
+    println!("host cross-check: 1D rel_l2 {err1:.2e}, 2D rel_l2 {err2:.2e}, 3D rel_l2 {err3:.2e}");
 
     // ------------------------------------------------- measurements ----
     let mut run_case = |dim: &'static str,
@@ -269,18 +188,6 @@ fn main() {
             elapsed_s: elapsed,
         });
     };
-
-    set_launch_memo_enabled(false);
-    run_case("1d", &shape1, "legacy", &mut || {
-        forward_legacy_1d(&model1, &opts, &x1);
-    });
-    run_case("2d", &shape2, "legacy", &mut || {
-        forward_legacy_2d(&model2, &opts, &x2);
-    });
-    run_case("3d", &shape3, "legacy", &mut || {
-        forward_legacy_nd(&model3, &opts, &x3);
-    });
-    set_launch_memo_enabled(true);
 
     run_case("1d", &shape1, "turbo", &mut || {
         model1.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x1);
@@ -552,9 +459,6 @@ fn main() {
             .map(|c| c.forwards_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let speedup_1d = fps_of("1d", "turbo") / fps_of("1d", "legacy");
-    let speedup_2d = fps_of("2d", "turbo") / fps_of("2d", "legacy");
-    let speedup_3d = fps_of("3d", "turbo") / fps_of("3d", "legacy");
     let speedup_serve =
         fps_of("serve-mixed", "mixed-stacked") / fps_of("serve-mixed", "per-weight");
     let speedup_overlap =
@@ -564,9 +468,6 @@ fn main() {
     let verify_overhead = fps_of("verify-overhead", "on") / fps_of("verify-overhead", "off");
     let speedup_backend_1d = fps_of("backend-1d", "native") / fps_of("backend-1d", "sim");
     let speedup_backend_2d = fps_of("backend-2d", "native") / fps_of("backend-2d", "sim");
-    println!(
-        "speedup vs pre-PR executor: 1D {speedup_1d:.2}x, 2D {speedup_2d:.2}x, 3D {speedup_3d:.2}x"
-    );
     println!("mixed-weight serving: stacked vs per-weight queues {speedup_serve:.2}x");
     println!("pipeline overlap: async dispatch vs synchronous session path {speedup_overlap:.2}x");
     println!("warm-path replay: steady-state session vs cold session {speedup_replay:.2}x");
@@ -598,7 +499,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_1d\": {speedup_1d:.4},\n  \"speedup_2d\": {speedup_2d:.4},\n  \"speedup_3d\": {speedup_3d:.4},\n  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_pipeline_overlap\": {speedup_overlap:.4},\n  \"speedup_replay_warm\": {speedup_replay:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4},\n  \"speedup_backend_native_1d\": {speedup_backend_1d:.4},\n  \"speedup_backend_native_2d\": {speedup_backend_2d:.4}\n}}\n"
+        "  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_pipeline_overlap\": {speedup_overlap:.4},\n  \"speedup_replay_warm\": {speedup_replay:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4},\n  \"speedup_backend_native_1d\": {speedup_backend_1d:.4},\n  \"speedup_backend_native_2d\": {speedup_backend_2d:.4}\n}}\n"
     ));
 
     // Default to the workspace root (cargo runs benches with the package
@@ -611,9 +512,6 @@ fn main() {
 
     if check_floors {
         let floors = [
-            ("speedup_1d", speedup_1d, FLOOR_SPEEDUP_1D),
-            ("speedup_2d", speedup_2d, FLOOR_SPEEDUP_2D),
-            ("speedup_3d", speedup_3d, FLOOR_SPEEDUP_3D),
             ("speedup_replay_warm", speedup_replay, FLOOR_SPEEDUP_REPLAY_WARM),
             ("fault_overhead", fault_overhead, FLOOR_FAULT_OVERHEAD),
             ("verify_overhead", verify_overhead, FLOOR_VERIFY_OVERHEAD),

@@ -6,7 +6,7 @@
 //! channel-major tensors need no packing copies. The grid is
 //! `batch x ceil(m / m_tb) x ceil(n / n_tb)` blocks.
 
-use crate::engine::{store_c_global, AProvider, BOperand, CgemmBlockEngine, MainloopTraceCache};
+use crate::engine::{store_c_global, CgemmBlockEngine, MainloopTraceCache};
 use crate::tile::TileConfig;
 use crate::view::{view_spans, MatView};
 use std::hash::Hash;
@@ -190,30 +190,17 @@ impl Kernel for BatchedCgemmKernel {
             tile: self.tile,
             k_total: self.shape.k,
         };
-        let frags = if ctx.legacy_mode() {
-            // Pre-trace path, kept for the legacy-executor A/B baseline.
-            let mut a = AProvider::Global {
-                buf: self.a.buf,
-                view: a_view,
-            };
-            let bop = BOperand {
-                buf: self.b.buf,
-                view: b_view,
-            };
-            engine.run_mainloop(ctx, &mut a, &bop, active_m, active_n, 0)
-        } else {
-            let trace = self
-                .traces
-                .get(&engine, &a_view, &b_view, active_m, active_n, 0);
-            engine.run_mainloop_traced(
-                ctx,
-                self.a.buf,
-                a_view.base,
-                self.b.buf,
-                b_view.base,
-                &trace,
-            )
-        };
+        let trace = self
+            .traces
+            .get(&engine, &a_view, &b_view, active_m, active_n, 0);
+        let frags = engine.run_mainloop_traced(
+            ctx,
+            self.a.buf,
+            a_view.base,
+            self.b.buf,
+            b_view.base,
+            &trace,
+        );
         store_c_global(
             ctx,
             &frags,
@@ -596,16 +583,66 @@ mod tests {
         assert!(kernel.dims().l1_hit_rate <= shared.dims().l1_hit_rate);
     }
 
+    /// [`BatchedCgemmKernel`] with its main loop run by the inline
+    /// [`CgemmBlockEngine::run_mainloop`] (the path the fused kernels use)
+    /// instead of a cached trace. It forwards `block_classes`, so its
+    /// analytical launch scales edge tiles correctly, and has no
+    /// fingerprint, so it never shares launch-memo entries with the kernel
+    /// it wraps.
+    struct InlineMainloop<'k>(&'k BatchedCgemmKernel);
+
+    impl Kernel for InlineMainloop<'_> {
+        fn name(&self) -> String {
+            format!("{}.inline", self.0.name)
+        }
+
+        fn dims(&self) -> LaunchDims {
+            self.0.dims()
+        }
+
+        fn block_classes(&self) -> Vec<(usize, u64)> {
+            self.0.block_classes()
+        }
+
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
+            use crate::engine::{AProvider, BOperand};
+            let k = self.0;
+            let (b, mt, nt) = k.decode(block_id);
+            let (m0, n0) = (mt * k.tile.m_tb, nt * k.tile.n_tb);
+            let active_m = k.tile.m_tb.min(k.shape.m - m0);
+            let active_n = k.tile.n_tb.min(k.shape.n - n0);
+            let c_view = k.c.at_batch(b).tile(m0, n0);
+            let engine = CgemmBlockEngine {
+                tile: k.tile,
+                k_total: k.shape.k,
+            };
+            let mut a = AProvider::Global {
+                buf: k.a.buf,
+                view: k.a.at_batch(b).tile(m0, 0),
+            };
+            let bop = BOperand {
+                buf: k.b.buf,
+                view: k.b.at_batch(b).tile(0, n0),
+            };
+            let frags = engine.run_mainloop(ctx, &mut a, &bop, active_m, active_n, 0);
+            store_c_global(ctx, &frags, k.c.buf, &c_view, active_m, active_n, k.alpha, k.beta);
+        }
+    }
+
     /// The traced main loop must be event-for-event equal to the inline
-    /// path: identical bytes moved, flops, bank behavior, and bitwise
-    /// results — edge tiles included so partial-lane predication and the
-    /// `thread_origin` prefix collapse are both exercised.
+    /// `run_mainloop` (the untraced path this kernel body used to keep as
+    /// a second branch, hence the name): identical bytes moved, flops,
+    /// bank behavior, and bitwise results — edge tiles included so
+    /// partial-lane predication and the `thread_origin` prefix collapse
+    /// are both exercised. Both launches meter every block
+    /// (`validate_writes`), so each is also cross-checked against its own
+    /// analytical counts.
     #[test]
     fn traced_mainloop_matches_legacy_path_bitwise() {
         for (batch, m, n, k) in [(1usize, 64usize, 64usize, 32usize), (2, 45, 37, 13)] {
-            let run = |legacy: bool| {
+            let run = |inline: bool| {
                 let mut dev = GpuDevice::a100();
-                dev.legacy_executor = legacy;
+                dev.validate_writes = true;
                 let a_buf = dev.alloc("A", batch * m * k);
                 let b_buf = dev.alloc("B", k * n);
                 let c_buf = dev.alloc("C", batch * m * n);
@@ -622,14 +659,18 @@ mod tests {
                     C32::new(0.5, 0.25),
                     C32::new(-1.0, 0.5),
                 );
-                let rec = dev.launch(&kernel, ExecMode::Functional);
+                let rec = if inline {
+                    dev.launch(&InlineMainloop(&kernel), ExecMode::Functional)
+                } else {
+                    dev.launch(&kernel, ExecMode::Functional)
+                };
                 (rec.stats, dev.download(c_buf))
             };
-            let (stats_legacy, out_legacy) = run(true);
+            let (stats_inline, out_inline) = run(true);
             let (stats_traced, out_traced) = run(false);
-            assert_eq!(stats_legacy, stats_traced, "m={m} n={n} k={k}");
-            assert_eq!(out_legacy.len(), out_traced.len());
-            for (i, (a, b)) in out_legacy.iter().zip(&out_traced).enumerate() {
+            assert_eq!(stats_inline, stats_traced, "m={m} n={n} k={k}");
+            assert_eq!(out_inline.len(), out_traced.len());
+            for (i, (a, b)) in out_inline.iter().zip(&out_traced).enumerate() {
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "element {i} differs: {a:?} vs {b:?}"

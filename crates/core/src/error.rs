@@ -11,9 +11,6 @@
 //!   and the degradation ladder re-plans a persistently failing fused
 //!   variant onto the unfused [`Variant::FftOpt`](crate::Variant::FftOpt)
 //!   before giving up.
-//! * **`Fatal`** — dispatched work panicked; the panic was caught on the
-//!   dispatch thread, the session healed (device and pool recovered, leaked
-//!   leases released), and only the affected handle reports this error.
 //! * **`Timeout`** — a `wait_timeout` deadline elapsed; the handle is
 //!   returned to the caller and stays valid.
 //! * **`InFlight`** — a `&self` inspector was called while submitted work
@@ -23,6 +20,14 @@
 //!
 //! Every panicking `Session` entry point is its `try_*` twin plus
 //! `panic!("{e}")`, so its panic message is this error's `Display` text.
+//!
+//! A panic is a bug, not one of these errors. When dispatched work panics,
+//! the dispatch thread catches it and heals the session (device and pool
+//! recovered, leaked leases released), and the panic payload is parked on
+//! the job. `wait`/`wait_many` and their `try_*` twins re-raise it with
+//! `resume_unwind`, so a `try_` wait on that handle panics rather than
+//! returning `Err`. A dropped handle's panic re-raises at the session's
+//! next synchronizing call. Other handles and the session stay usable.
 
 use std::fmt;
 use std::time::Duration;
@@ -39,9 +44,6 @@ pub enum TfnoError {
     /// the operation was tried before this error was surfaced (1 when no
     /// retry policy was in play).
     Transient { fault: LaunchError, attempts: u32 },
-    /// Dispatched work panicked; the session healed and stays usable, only
-    /// the handle that owned the job reports this.
-    Fatal(String),
     /// A `wait_timeout` deadline elapsed before the job's result arrived.
     Timeout { waited: Duration },
     /// A `&self` inspector was called while submitted work is in flight.
@@ -64,7 +66,6 @@ impl fmt::Display for TfnoError {
             TfnoError::Transient { fault, attempts } => {
                 write!(f, "transient device fault after {attempts} attempt(s): {fault}")
             }
-            TfnoError::Fatal(msg) => write!(f, "dispatched work panicked: {msg}"),
             TfnoError::Timeout { waited } => {
                 write!(f, "wait deadline elapsed after {waited:?}")
             }
@@ -188,7 +189,6 @@ mod tests {
     fn display_covers_the_taxonomy() {
         for (e, needle) in [
             (TfnoError::Validation("bad".into()), "validation"),
-            (TfnoError::Fatal("boom".into()), "panicked"),
             (
                 TfnoError::Timeout {
                     waited: Duration::from_millis(5),

@@ -471,12 +471,8 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
                     PencilTarget::Shared { addr: &out_addr },
                 )
                 .with_output_order(order);
-                if ctx.legacy_mode() {
-                    fft.run(ctx, &io);
-                } else {
-                    let trace = fwd_traces.get(&fft);
-                    fft.run_traced(ctx, &io, &trace);
-                }
+                let trace = fwd_traces.get(&fft);
+                fft.run_traced(ctx, &io, &trace);
                 ctx.syncthreads();
             };
             let mut a = AProvider::Custom(&mut provider_fn);
@@ -553,12 +549,8 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
                     },
                 )
                 .with_input_order(InstanceOrder::IdxFastest);
-                if ctx.legacy_mode() {
-                    ifft.run(ctx, &io);
-                } else {
-                    let trace = self.inv_traces.get(&ifft);
-                    ifft.run_traced(ctx, &io, &trace);
-                }
+                let trace = self.inv_traces.get(&ifft);
+                ifft.run_traced(ctx, &io, &trace);
                 ctx.syncthreads();
             }
         } else {

@@ -12,10 +12,9 @@
 //! Each [`Session`](crate::Session) owns a planner, so its models, benches
 //! and serving loops share one warm cache whose stats are observable per
 //! session. Cold, uncached best-of evaluation is exposed as
-//! [`Planner::pick_best_shape`] (with `pick_best_{1d,2d}` conveniences
-//! over the problem descriptors). Capping uses
-//! generational eviction (never a full wipe), and racing cold evaluations
-//! of one key are de-duplicated: one planner evaluates, the rest wait.
+//! [`Planner::pick_best_shape`]. Capping uses generational eviction (never
+//! a full wipe), and racing cold evaluations of one key are de-duplicated:
+//! one planner evaluates, the rest wait.
 //! Internal locks recover from poisoning ([`lock_unpoisoned`]), so a
 //! caught panic — the documented aliasing/conflict panics unwind through
 //! planner state — never wedges a shared planner for unrelated callers.
@@ -28,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use tfno_culib::{FnoProblem1d, FnoProblem2d, SpectralShape};
+use tfno_culib::SpectralShape;
 use crate::backend::{
     configured_workers, lock_unpoisoned, wait_unpoisoned, DeviceConfig, ExecMode, SimBackend,
 };
@@ -192,16 +191,6 @@ impl Planner {
         self.plan(h.finish(), || evaluate_shape(cfg, s, opts))
     }
 
-    /// Plan a 1D layer (convenience over [`Planner::plan_shape`]).
-    pub fn plan_1d(&self, cfg: &DeviceConfig, p: &FnoProblem1d, opts: &TurboOptions) -> Variant {
-        self.plan_shape(cfg, &SpectralShape::from(p), opts)
-    }
-
-    /// Plan a 2D layer (convenience over [`Planner::plan_shape`]).
-    pub fn plan_2d(&self, cfg: &DeviceConfig, p: &FnoProblem2d, opts: &TurboOptions) -> Variant {
-        self.plan_shape(cfg, &SpectralShape::from(p), opts)
-    }
-
     /// Default plan-cache entry cap: keeps long-running shape-diverse
     /// processes bounded. Eviction is generational (see [`PlanCache`]), so
     /// hitting the cap drops at most the stale half of the entries.
@@ -248,16 +237,6 @@ impl Planner {
     /// [`Planner::plan_shape`] instead.
     pub fn pick_best_shape(cfg: &DeviceConfig, s: &SpectralShape, opts: &TurboOptions) -> Variant {
         evaluate_shape(cfg, s, opts).0
-    }
-
-    /// Cold best-of evaluation for a 1D problem (see [`Planner::pick_best_shape`]).
-    pub fn pick_best_1d(cfg: &DeviceConfig, p: &FnoProblem1d, opts: &TurboOptions) -> Variant {
-        Self::pick_best_shape(cfg, &SpectralShape::from(p), opts)
-    }
-
-    /// Cold best-of evaluation for a 2D problem (see [`Planner::pick_best_shape`]).
-    pub fn pick_best_2d(cfg: &DeviceConfig, p: &FnoProblem2d, opts: &TurboOptions) -> Variant {
-        Self::pick_best_shape(cfg, &SpectralShape::from(p), opts)
     }
 }
 
@@ -394,13 +373,19 @@ fn select(results: [(Variant, f64, u64); 4]) -> (Variant, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfno_culib::{FnoProblem1d, FnoProblem2d};
 
-    fn p1() -> FnoProblem1d {
-        FnoProblem1d::new(2, 16, 16, 128, 32)
+    /// A 1D shape of `batch` with 16 channels, n = 128 and 32 modes.
+    fn s1(batch: usize) -> SpectralShape {
+        SpectralShape::from(&FnoProblem1d::new(batch, 16, 16, 128, 32))
     }
 
-    fn p2() -> FnoProblem2d {
-        FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32)
+    fn p1() -> SpectralShape {
+        s1(2)
+    }
+
+    fn p2() -> SpectralShape {
+        SpectralShape::from(&FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32))
     }
 
     #[test]
@@ -409,14 +394,14 @@ mod tests {
         let opts = TurboOptions::default();
         let planner = Planner::new();
 
-        let cold = Planner::pick_best_1d(&cfg, &p1(), &opts);
-        let first = planner.plan_1d(&cfg, &p1(), &opts);
+        let cold = Planner::pick_best_shape(&cfg, &p1(), &opts);
+        let first = planner.plan_shape(&cfg, &p1(), &opts);
         assert_eq!(first, cold, "planner must agree with the uncached scan");
         let after_first = planner.stats();
         assert_eq!(after_first.misses, 1);
         assert!(after_first.simulated_launches > 0);
 
-        let second = planner.plan_1d(&cfg, &p1(), &opts);
+        let second = planner.plan_shape(&cfg, &p1(), &opts);
         assert_eq!(second, first);
         let after_second = planner.stats();
         assert_eq!(after_second.hits, 1);
@@ -431,14 +416,14 @@ mod tests {
         let cfg = DeviceConfig::a100();
         let opts = TurboOptions::default();
         let planner = Planner::new();
-        planner.plan_1d(&cfg, &p1(), &opts);
-        planner.plan_1d(&cfg, &FnoProblem1d::new(4, 16, 16, 128, 32), &opts);
-        planner.plan_2d(&cfg, &p2(), &opts);
+        planner.plan_shape(&cfg, &p1(), &opts);
+        planner.plan_shape(&cfg, &s1(4), &opts);
+        planner.plan_shape(&cfg, &p2(), &opts);
         let degraded = TurboOptions {
             epilogue_swizzle: false,
             ..TurboOptions::default()
         };
-        planner.plan_1d(&cfg, &p1(), &degraded);
+        planner.plan_shape(&cfg, &p1(), &degraded);
         assert_eq!(planner.len(), 4);
         assert_eq!(planner.stats().hits, 0);
     }
@@ -448,8 +433,9 @@ mod tests {
         let cfg = DeviceConfig::a100();
         let opts = TurboOptions::default();
         let planner = Planner::new();
-        assert_eq!(planner.plan_2d(&cfg, &p2(), &opts), Planner::pick_best_2d(&cfg, &p2(), &opts));
-        assert_eq!(planner.plan_2d(&cfg, &p2(), &opts), Planner::pick_best_2d(&cfg, &p2(), &opts));
+        let cold = Planner::pick_best_shape(&cfg, &p2(), &opts);
+        assert_eq!(planner.plan_shape(&cfg, &p2(), &opts), cold);
+        assert_eq!(planner.plan_shape(&cfg, &p2(), &opts), cold);
         assert_eq!(planner.stats().hits, 1);
     }
 
@@ -462,18 +448,18 @@ mod tests {
         let opts = TurboOptions::default();
         // cap 4 -> hot generation holds 2 entries
         let planner = Planner::with_cache_cap(4);
-        let shapes: Vec<FnoProblem1d> = (0..3)
-            .map(|i| FnoProblem1d::new(1 + i, 8, 8, 128, 32))
+        let shapes: Vec<SpectralShape> = (0..3)
+            .map(|i| SpectralShape::from(&FnoProblem1d::new(1 + i, 8, 8, 128, 32)))
             .collect();
         for p in &shapes {
-            planner.plan_1d(&cfg, p, &opts);
+            planner.plan_shape(&cfg, p, &opts);
         }
         assert_eq!(planner.stats().misses, 3);
         assert!(planner.len() <= 4, "cache stays within its cap");
         // The third insert rotated {shape0, shape1} into the cold
         // generation; all three must still be hits, not re-evaluations.
         for p in &shapes {
-            planner.plan_1d(&cfg, p, &opts);
+            planner.plan_shape(&cfg, p, &opts);
         }
         let s = planner.stats();
         assert_eq!(
@@ -491,7 +477,8 @@ mod tests {
         let opts = TurboOptions::default();
         let planner = Planner::with_cache_cap(2);
         for i in 0..5 {
-            planner.plan_1d(&cfg, &FnoProblem1d::new(1 + i, 8, 8, 128, 32), &opts);
+            let s = SpectralShape::from(&FnoProblem1d::new(1 + i, 8, 8, 128, 32));
+            planner.plan_shape(&cfg, &s, &opts);
             assert!(planner.len() <= 2, "cap 2 exceeded: {}", planner.len());
         }
         assert_eq!(planner.stats().misses, 5);
@@ -507,7 +494,7 @@ mod tests {
 
         // One uncontended evaluation's launch count, for comparison.
         let reference = Planner::new();
-        reference.plan_1d(&cfg, &p1(), &opts);
+        reference.plan_shape(&cfg, &p1(), &opts);
         let one_eval = reference.stats().simulated_launches;
         assert!(one_eval > 0);
 
@@ -515,7 +502,7 @@ mod tests {
         let threads = 4;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| planner.plan_1d(&cfg, &p1(), &opts)))
+                .map(|_| scope.spawn(|| planner.plan_shape(&cfg, &p1(), &opts)))
                 .collect();
             let plans: Vec<Variant> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             assert!(plans.windows(2).all(|w| w[0] == w[1]));
@@ -582,8 +569,8 @@ mod tests {
     fn global_planner_is_shared_and_clearable() {
         let cfg = DeviceConfig::a100();
         let opts = TurboOptions::default();
-        let v = Planner::global().plan_1d(&cfg, &p1(), &opts);
-        assert_eq!(Planner::global().plan_1d(&cfg, &p1(), &opts), v);
+        let v = Planner::global().plan_shape(&cfg, &p1(), &opts);
+        assert_eq!(Planner::global().plan_shape(&cfg, &p1(), &opts), v);
         Planner::global().clear();
     }
 }

@@ -35,9 +35,9 @@
 //!   unique per pool instance, so an artifact can never be replayed against
 //!   a pool that does not own its retained scratch;
 //! * [`Backend::worker_key`](crate::backend::Backend::worker_key) —
-//!   hashes the executor configuration (worker
-//!   count, parallel flag, legacy executor), so changing the worker setup
-//!   re-records instead of replaying under a stale configuration.
+//!   hashes the executor configuration (worker override, configured worker
+//!   count, parallel flag), so changing the worker setup re-records instead
+//!   of replaying under a stale configuration.
 //!
 //! Shape, variant, options, exec mode, operand buffers and the full request
 //! list of a serving queue are part of the *key*, so mutating any of them is

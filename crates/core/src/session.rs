@@ -1596,9 +1596,9 @@ impl ExecCtx<'_> {
             .collect();
         let scatter = SegmentedCopyKernel::new("serve.scatter", scatter);
         if !self.dev.caps().deferred_launch {
-            // Backends without deferred completion (the sim's legacy
-            // executor, the eager native backend) run the scatter
-            // synchronously (bitwise-identical either way).
+            // A backend without deferred completion (the eager native
+            // backend) runs the scatter synchronously (bitwise-identical
+            // either way).
             out[owner].push(self.try_step(scatter, ExecMode::Functional)?);
         } else {
             let pending = self.try_step_deferred(scatter, ExecMode::Functional)?;

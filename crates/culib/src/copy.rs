@@ -391,9 +391,7 @@ impl<A: CopyAddressing> Kernel for StridedCopyKernel<A> {
 /// offset by each block's segment bases at run time. This is the
 /// transfer-phase analogue of the FFT butterfly trace cache: a warm
 /// serving loop's gather/scatter launches replay templates instead of
-/// re-deriving per-lane addresses. Addresses, lane masks, and therefore
-/// all traffic accounting are identical to the untemplated path (the
-/// legacy executor still runs that path for A/B fidelity).
+/// re-deriving per-lane addresses.
 #[derive(Debug)]
 struct CopyTemplate {
     /// `(relative element offset, active lanes)` per warp transaction.
@@ -477,18 +475,6 @@ impl Kernel for SegmentedCopyKernel {
         let (s, off) = self.blocks[block_id];
         let seg = &self.segments[s];
         let end = seg.len.min(off + SEGMENT_COPY_BLOCK_ELEMS);
-        if ctx.legacy_mode() {
-            // Pre-template path, kept for the legacy-executor A/B baseline.
-            let mut i = off;
-            while i < end {
-                let read_idx = WarpIdx::from_fn(|l| (i + l < end).then(|| seg.src_base + i + l));
-                let vals = ctx.global_read(seg.src, &read_idx);
-                let write_idx = WarpIdx::from_fn(|l| (i + l < end).then(|| seg.dst_base + i + l));
-                ctx.global_write(seg.dst, &write_idx, &vals);
-                i += WARP_SIZE;
-            }
-            return;
-        }
         let template = copy_template(end - off);
         for &(rel, active) in &template.iters {
             let read_idx = WarpIdx::contiguous_partial(seg.src_base + off + rel, active);
@@ -800,29 +786,28 @@ mod tests {
         assert_eq!(dev.download(dst), seq(len));
     }
 
-    /// The affine address templates must not change a single byte of data
-    /// or traffic relative to the per-lane closure path the legacy
-    /// executor still runs.
+    /// The affine address templates move every element exactly once, to
+    /// its offset in the destination, and charge exactly its bytes: `8 *
+    /// len` loaded and `8 * len` stored, over a full chunk plus an odd
+    /// tail landing at an unaligned destination base. (The name predates
+    /// the per-lane path it used to compare against.)
     #[test]
     fn templated_copy_matches_legacy_path_bitwise() {
-        let len = SEGMENT_COPY_BLOCK_ELEMS + 77; // full chunk + odd tail
-        let run = |legacy: bool| {
-            let mut dev = GpuDevice::a100();
-            dev.legacy_executor = legacy;
-            let src = dev.alloc("src", len);
-            let dst = dev.alloc("dst", len + 13);
-            dev.upload(src, &seq(len));
-            let k = SegmentedCopyKernel::new(
-                "tmpl",
-                vec![CopySegment { src, src_base: 0, dst, dst_base: 13, len }],
-            );
-            let rec = dev.launch(&k, ExecMode::Functional);
-            (rec.stats, dev.download(dst))
-        };
-        let (stats_new, out_new) = run(false);
-        let (stats_old, out_old) = run(true);
-        assert_eq!(stats_new, stats_old, "templates changed traffic accounting");
-        assert_eq!(out_new, out_old, "templates changed data movement");
+        let (len, dst_base) = (SEGMENT_COPY_BLOCK_ELEMS + 77, 13);
+        let mut dev = GpuDevice::a100();
+        let src = dev.alloc("src", len);
+        let dst = dev.alloc("dst", len + dst_base);
+        dev.upload(src, &seq(len));
+        let k = SegmentedCopyKernel::new(
+            "tmpl",
+            vec![CopySegment { src, src_base: 0, dst, dst_base, len }],
+        );
+        let stats = dev.launch(&k, ExecMode::Functional).stats;
+        let bytes = (len * tfno_num::C32_BYTES) as u64;
+        assert_eq!((stats.global_load_bytes, stats.global_store_bytes), (bytes, bytes));
+        let out = dev.download(dst);
+        assert!(out[..dst_base].iter().all(|&v| v == C32::ZERO), "wrote before the offset");
+        assert_eq!(out[dst_base..], seq(len)[..], "templates changed data movement");
     }
 
     #[test]

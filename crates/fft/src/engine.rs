@@ -195,96 +195,6 @@ impl<'p> FftBlockEngine<'p> {
         2 * n * bs_layout
     }
 
-    /// Run the planned FFT for this block's pencils, recomputing every
-    /// warp index inline — the pre-PR implementation, retained verbatim as
-    /// the legacy-executor baseline (so A/B benches measure the pre-PR
-    /// cost profile, not a trace build per block). Call sites that execute
-    /// many identical blocks should hold a [`TraceCache`] and use
-    /// [`Self::run_traced`] instead.
-    pub fn run(&self, ctx: &mut BlockCtx<'_>, io: &FftIo<'_>) {
-        let plan = self.plan;
-        let bs = self.bs_layout;
-        debug_assert!(self.active_pencils <= bs);
-        debug_assert!(
-            ctx.shared_len() >= self.pong_base + plan.n * bs,
-            "shared staging region out of bounds"
-        );
-
-        self.transfer_in(ctx, io);
-
-        let group = self.reg_group_bits.max(1);
-        let last_stage = plan.stages.len() - 1;
-        let mut src_base = self.ping_base;
-        let mut dst_base = self.pong_base;
-        for (t, stage) in plan.stages.iter().enumerate() {
-            let store_shared = (t + 1) % group == 0 && t != last_stage;
-            let load_shared = t % group == 0 && t != 0;
-            let instances = stage.ops.len() * bs;
-            let mut inst = 0;
-            while inst < instances {
-                // one warp handles up to 32 instances, pencil-fastest
-                let lane_op = |lane: usize| -> Option<(usize, usize)> {
-                    let i = inst + lane;
-                    if i >= instances {
-                        return None;
-                    }
-                    let pencil = i % bs;
-                    let op_j = i / bs;
-                    (pencil < self.active_pencils).then_some((pencil, op_j))
-                };
-
-                let idx_a = WarpIdx::from_fn(|l| {
-                    lane_op(l).and_then(|(p, j)| {
-                        stage.ops[j].a.map(|a| src_base + a as usize * bs + p)
-                    })
-                });
-                let idx_b = WarpIdx::from_fn(|l| {
-                    lane_op(l).and_then(|(p, j)| {
-                        stage.ops[j].b.map(|b| src_base + b as usize * bs + p)
-                    })
-                });
-                ctx.set_shared_metering(load_shared);
-                let a_vals = ctx.shared_load(&idx_a);
-                let b_vals = ctx.shared_load(&idx_b);
-                ctx.set_shared_metering(true);
-
-                let mut out = [C32::ZERO; WARP_SIZE];
-                let mut flops = 0u64;
-                for l in 0..WARP_SIZE {
-                    if let Some((_p, j)) = lane_op(l) {
-                        let op = &stage.ops[j];
-                        let a = if op.a.is_some() { a_vals[l] } else { C32::ZERO };
-                        let b = if op.b.is_some() { b_vals[l] } else { C32::ZERO };
-                        let v = match op.kind {
-                            FftOpKind::Sum => a + b,
-                            FftOpKind::Diff => a - b,
-                        };
-                        out[l] = match op.w {
-                            Some(w) => v * w,
-                            None => v,
-                        };
-                        flops += op.flops();
-                    }
-                }
-                ctx.add_flops(flops);
-
-                let idx_dst = WarpIdx::from_fn(|l| {
-                    lane_op(l).map(|(p, j)| dst_base + stage.ops[j].dst as usize * bs + p)
-                });
-                ctx.set_shared_metering(store_shared);
-                ctx.shared_store(&idx_dst, &out);
-                ctx.set_shared_metering(true);
-                inst += WARP_SIZE;
-            }
-            if store_shared {
-                ctx.syncthreads();
-            }
-            std::mem::swap(&mut src_base, &mut dst_base);
-        }
-
-        self.transfer_out(ctx, io, src_base);
-    }
-
     /// Precompute the butterfly schedule for this block shape.
     ///
     /// Stages within a register group move data without shared-memory

@@ -295,12 +295,8 @@ impl<A: PencilAddressing> Kernel for BatchedFftKernel<A> {
                     addr: &out_addr,
                 },
             );
-            if ctx.legacy_mode() {
-                engine.run(ctx, &io);
-            } else {
-                let trace = self.traces.get(&engine);
-                engine.run_traced(ctx, &io, &trace);
-            }
+            let trace = self.traces.get(&engine);
+            engine.run_traced(ctx, &io, &trace);
             if self.cfg.k_iters > 1 {
                 ctx.syncthreads();
             }

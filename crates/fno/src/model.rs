@@ -65,10 +65,9 @@ const PW_PAR_TASK_WORK: usize = 1 << 16;
 /// Elements of elementwise work per spawned `add_gelu` task.
 const EW_MIN_CHUNK: usize = 4096;
 
-/// Scalar reference pointwise convolution — the pre-PR implementation,
-/// kept as the ground truth the blocked kernel is checked against
-/// (bitwise: both accumulate over `k_in` in ascending order) and as the
-/// baseline of the throughput bench.
+/// Scalar reference pointwise convolution, kept as the ground truth the
+/// blocked kernel is checked against (bitwise: both accumulate over
+/// `k_in` in ascending order).
 pub fn pointwise_naive(x: &CTensor, w: &CTensor) -> CTensor {
     let shape = x.shape().to_vec();
     let batch = shape[0];

@@ -18,7 +18,7 @@
 //!   [`PendingSpectral::finish`]ing (bitwise-equal to the synchronous path).
 
 use rand::Rng;
-use tfno_culib::{FnoProblem1d, FnoProblem2d, PipelineRun, SpectralShape};
+use tfno_culib::{PipelineRun, SpectralShape};
 use tfno_fft::host;
 use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
@@ -419,10 +419,6 @@ impl SpectralConv1d {
         )
     }
 
-    pub fn problem(&self, batch: usize) -> FnoProblem1d {
-        FnoProblem1d::new(batch, self.k_in, self.k_out, self.n, self.nf)
-    }
-
     /// Host-side forward (fast Stockham FFTs).
     pub fn forward_host(&self, x: &CTensor) -> CTensor {
         self.nd().forward_host(x)
@@ -521,12 +517,6 @@ impl SpectralConv2d {
             vec![self.nx, self.ny],
             vec![self.nfx, self.nfy],
             self.weight.clone(),
-        )
-    }
-
-    pub fn problem(&self, batch: usize) -> FnoProblem2d {
-        FnoProblem2d::new(
-            batch, self.k_in, self.k_out, self.nx, self.ny, self.nfx, self.nfy,
         )
     }
 

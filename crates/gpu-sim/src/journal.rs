@@ -72,14 +72,6 @@ impl WriteJournal {
         });
         self.vals.push(v);
     }
-
-    /// Iterate `(buffer, element, value)` in insertion order (legacy
-    /// executor and tests).
-    pub fn iter_elements(&self) -> impl Iterator<Item = (BufferId, usize, C32)> + '_ {
-        self.runs.iter().flat_map(move |r| {
-            (0..r.len).map(move |i| (r.buf, r.start + i, self.vals[r.val_off + i]))
-        })
-    }
 }
 
 /// Reference to one run of one journal, used by the per-buffer index.
@@ -220,21 +212,6 @@ mod tests {
         j.push(buf(1), 1, C32::ONE);
         j.push(buf(0), 1, C32::ONE);
         assert_eq!(j.run_count(), 3);
-    }
-
-    #[test]
-    fn iter_elements_round_trips() {
-        let mut j = WriteJournal::new();
-        let writes = [(0usize, 3usize), (0, 4), (1, 7), (0, 9)];
-        for (b, e) in writes {
-            j.push(buf(b), e, C32::real(e as f32));
-        }
-        let got: Vec<_> = j.iter_elements().collect();
-        assert_eq!(got.len(), 4);
-        for ((b, e), (gb, ge, gv)) in writes.iter().zip(&got) {
-            assert_eq!((buf(*b), *e), (*gb, *ge));
-            assert_eq!(*gv, C32::real(*e as f32));
-        }
     }
 
     #[test]

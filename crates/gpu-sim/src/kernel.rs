@@ -15,20 +15,19 @@
 //! stats allocated once per launch, not per block) and one
 //! [`WriteJournal`] that run-length-compresses contiguous stores. Workers
 //! claim blocks from an atomic cursor — work stealing, so a slow remainder
-//! block never idles the other workers the way the pre-PR static chunking
-//! did. When the launch completes, the journals are validated (interval
+//! block never idles the other workers the way static chunking would.
+//! When the launch completes, the journals are validated (interval
 //! overlap per buffer) and applied (`memcpy` per run), both sharded per
-//! buffer across workers. The pre-PR executor is kept behind
-//! [`GpuDevice::legacy_executor`] for A/B benchmarking.
+//! buffer across workers.
 //!
 //! ## Metering
 //!
 //! A metered [`BlockCtx`] charges every warp access as it moves data:
 //! 32-byte sectors per global access, bank-conflict phases per shared
 //! access. That per-access math is most of the executor's host time, and
-//! it is a pure function of the kernel's structure: kernels branch on
-//! [`BlockCtx::legacy_mode`], never on metering or on the data they move.
-//! A functional launch therefore runs its blocks unmetered — they move
+//! it is a pure function of the kernel's structure: a kernel body has one
+//! path and never branches on metering or on the data it moves. A
+//! functional launch therefore runs its blocks unmetered — they move
 //! exactly the same data but count only the structural events (blocks,
 //! warps, flops, barriers) — and attaches the counts of its analytical
 //! launch ([`run_analytical_stats`], memoized per structure by the
@@ -44,7 +43,7 @@
 //!   also catches an access pattern that depends on the data it moves).
 //!
 //! [`run_functional_eager`], the host backend's data path, reports the
-//! structural counts only. The legacy executor meters every block.
+//! structural counts only.
 //!
 //! ## Analytical launches
 //!
@@ -66,7 +65,6 @@ use crate::memory::{BufferId, GlobalMemory};
 use crate::shared::SharedMem;
 use crate::stats::KernelStats;
 use crate::warp::{WarpIdx, WARP_SIZE};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tfno_num::C32;
 
@@ -223,9 +221,6 @@ pub struct BlockCtx<'a> {
     stats: KernelStats,
     gmem: &'a GlobalMemory,
     journal: WriteJournal,
-    /// Route per-access accounting through the pre-PR allocating
-    /// implementations (legacy-executor baseline).
-    legacy_accounting: bool,
     /// When false, global and shared accesses move data but skip all
     /// traffic accounting (sector math, bank-conflict cycles) — see the
     /// module docs on metering.
@@ -241,16 +236,8 @@ impl<'a> BlockCtx<'a> {
             stats: KernelStats::ZERO,
             gmem,
             journal: WriteJournal::new(),
-            legacy_accounting: false,
             metered: true,
         }
-    }
-
-    fn new_legacy(dims: LaunchDims, gmem: &'a GlobalMemory) -> Self {
-        let mut ctx = Self::new(dims, gmem);
-        ctx.legacy_accounting = true;
-        ctx.shared.legacy_accounting = true;
-        ctx
     }
 
     fn new_unmetered(dims: LaunchDims, gmem: &'a GlobalMemory) -> Self {
@@ -258,15 +245,6 @@ impl<'a> BlockCtx<'a> {
         ctx.metered = false;
         ctx.shared.metered = false;
         ctx
-    }
-
-    #[inline]
-    fn access_cost(&self, buf: BufferId, idx: &WarpIdx) -> crate::memory::AccessCost {
-        if self.legacy_accounting {
-            self.gmem.access_cost_alloc(buf, idx)
-        } else {
-            self.gmem.access_cost(buf, idx)
-        }
     }
 
     /// Arm the context for the next block: fresh zeroed shared scratch,
@@ -284,7 +262,7 @@ impl<'a> BlockCtx<'a> {
     /// Warp-level global load. Observes pre-launch buffer contents.
     pub fn global_read(&mut self, buf: BufferId, idx: &WarpIdx) -> [C32; WARP_SIZE] {
         if self.metered {
-            let cost = self.access_cost(buf, idx);
+            let cost = self.gmem.access_cost(buf, idx);
             self.stats.global_load_bytes += cost.bytes;
             self.stats.global_load_sectors += cost.sectors;
         }
@@ -294,7 +272,7 @@ impl<'a> BlockCtx<'a> {
     /// Warp-level global store. Becomes visible after the launch.
     pub fn global_write(&mut self, buf: BufferId, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
         if self.metered {
-            let cost = self.access_cost(buf, idx);
+            let cost = self.gmem.access_cost(buf, idx);
             self.stats.global_store_bytes += cost.bytes;
             self.stats.global_store_sectors += cost.sectors;
         }
@@ -331,14 +309,6 @@ impl<'a> BlockCtx<'a> {
     /// A context that is itself unmetered never re-enables accounting.
     pub fn set_shared_metering(&mut self, on: bool) {
         self.shared.metered = on && self.metered;
-    }
-
-    /// True when this context belongs to the legacy (pre-PR) executor
-    /// baseline. Kernels consult this to bypass new-engine caches (e.g.
-    /// butterfly trace reuse) so A/B benchmarks measure the pre-PR cost
-    /// profile faithfully.
-    pub fn legacy_mode(&self) -> bool {
-        self.legacy_accounting
     }
 
     /// Block-wide barrier. In the functional model execution is already
@@ -389,10 +359,6 @@ pub struct GpuDevice {
     pub parallel: bool,
     /// Use the memoized-analytical launch path (see [`crate::memo`]).
     pub analytical_memo: bool,
-    /// Run the pre-PR static-chunk executor (per-block context allocation,
-    /// per-element write tuples, serial hash-set validation and apply).
-    /// Kept solely so benchmarks and tests can A/B the engines.
-    pub legacy_executor: bool,
     /// Explicit worker-count override; `None` follows the
     /// `TFNO_THREADS`-aware default policy in [`crate::exec`].
     workers: Option<usize>,
@@ -412,7 +378,6 @@ impl GpuDevice {
             validate_writes: cfg!(debug_assertions),
             parallel: true,
             analytical_memo: true,
-            legacy_executor: false,
             workers: None,
             faults: None,
         }
@@ -437,7 +402,7 @@ impl GpuDevice {
 
     /// Stable key of the execution policy in force on this device: the
     /// explicit worker override, the process-wide configured worker count,
-    /// and the executor/parallelism flags. Sequence-replay caches store it
+    /// and the parallelism flag. Sequence-replay caches store it
     /// so a policy change between warm calls invalidates (never stale-hits)
     /// the recorded artifact.
     pub fn worker_key(&self) -> u64 {
@@ -446,7 +411,6 @@ impl GpuDevice {
         self.workers.hash(&mut h);
         exec::configured_workers().hash(&mut h);
         self.parallel.hash(&mut h);
-        self.legacy_executor.hash(&mut h);
         h.finish()
     }
 
@@ -536,9 +500,7 @@ impl GpuDevice {
     ///
     /// Equivalent to [`GpuDevice::launch_deferred`] immediately followed
     /// by [`GpuDevice::complete`] — the synchronous contract every
-    /// pipeline stage relies on (stage N+1 reads stage N's output). The
-    /// legacy executor applies its writes inline, so its launches flow
-    /// through `complete` with an empty journal set.
+    /// pipeline stage relies on (stage N+1 reads stage N's output).
     pub fn launch(&mut self, kernel: &dyn Kernel, mode: ExecMode) -> LaunchRecord {
         self.try_launch(kernel, mode).unwrap_or_else(|e| {
             panic!("injected device fault unhandled by this call path: {e}; use GpuDevice::try_launch")
@@ -554,21 +516,7 @@ impl GpuDevice {
         kernel: &dyn Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
-        let pending = if self.legacy_executor && mode == ExecMode::Functional {
-            let dims = kernel.dims();
-            assert!(dims.grid_blocks > 0, "empty grid for kernel {}", kernel.name());
-            self.check_launch_fault(kernel, mode)?;
-            let stats = self.run_functional_legacy(kernel, dims);
-            PendingLaunch {
-                name: kernel.name(),
-                dims,
-                stats,
-                journals: Vec::new(),
-                workers: 1,
-            }
-        } else {
-            self.try_launch_deferred(kernel, mode)?
-        };
+        let pending = self.try_launch_deferred(kernel, mode)?;
         Ok(self.complete(pending))
     }
 
@@ -580,11 +528,6 @@ impl GpuDevice {
     /// [`GpuDevice::complete`]. Note the `&self` receiver: between issue
     /// and completion the caller keeps shared access to the device, which
     /// models a CUDA host thread continuing past an async kernel launch.
-    ///
-    /// The legacy executor applies writes inline per element and therefore
-    /// cannot defer functional launches; deferred functional issue always
-    /// runs the journaled work-stealing engine. Analytical issue produces
-    /// no journals and works on any device configuration.
     pub fn launch_deferred(&self, kernel: &dyn Kernel, mode: ExecMode) -> PendingLaunch {
         self.try_launch_deferred(kernel, mode).unwrap_or_else(|e| {
             panic!(
@@ -601,11 +544,6 @@ impl GpuDevice {
         kernel: &dyn Kernel,
         mode: ExecMode,
     ) -> Result<PendingLaunch, LaunchError> {
-        assert!(
-            !(self.legacy_executor && mode == ExecMode::Functional),
-            "deferred functional launches require the journaled executor \
-             (legacy_executor = false)"
-        );
         let dims = kernel.dims();
         assert!(dims.grid_blocks > 0, "empty grid for kernel {}", kernel.name());
         self.check_launch_fault(kernel, mode)?;
@@ -787,68 +725,12 @@ impl GpuDevice {
         };
         (total, journals, workers)
     }
-
-    /// The pre-PR executor: static contiguous chunking, one context
-    /// allocation per block, per-element hash-set validation, serial write
-    /// application. Behavior-identical baseline for A/B benchmarks.
-    fn run_functional_legacy(&mut self, kernel: &dyn Kernel, dims: LaunchDims) -> KernelStats {
-        let n_blocks = dims.grid_blocks;
-        let workers = self.effective_workers(n_blocks);
-
-        let run_one = |b: usize, gmem: &GlobalMemory| -> WorkerResult {
-            let mut ctx = BlockCtx::new_legacy(dims, gmem);
-            ctx.begin_block(b);
-            kernel.run_block(b, &mut ctx);
-            ctx.finish()
-        };
-
-        let results: Vec<WorkerResult> = if workers <= 1 {
-            (0..n_blocks).map(|b| run_one(b, &self.memory)).collect()
-        } else {
-            let gmem = &self.memory;
-            std::thread::scope(|scope| {
-                let chunk = n_blocks.div_ceil(workers);
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let lo = w * chunk;
-                            let hi = ((w + 1) * chunk).min(n_blocks);
-                            (lo..hi).map(|b| run_one(b, gmem)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("block worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut total = KernelStats::ZERO;
-        let mut seen: Option<HashSet<(BufferId, usize)>> =
-            self.validate_writes.then(HashSet::new);
-        for (stats, journal) in results {
-            total += stats;
-            for (buf, elem, v) in journal.iter_elements() {
-                if let Some(seen) = seen.as_mut() {
-                    assert!(
-                        seen.insert((buf, elem)),
-                        "write conflict: two blocks of kernel '{}' wrote element {elem} of buffer '{}'",
-                        kernel.name(),
-                        self.memory.name(buf)
-                    );
-                }
-                self.memory.apply_write(buf, elem, v);
-            }
-        }
-        total
-    }
 }
 
 /// Analytical stats of one launch against `memory` — one representative
 /// block per equivalence class, counts scaled by class size, memoized
-/// through the process-wide [launch memo](crate::memo) when `use_memo` is
-/// set (and the memo is globally enabled).
+/// through the process-wide [launch memo](crate::memo) when `use_memo`
+/// is set.
 ///
 /// This is the device-independent core of the analytical launch path,
 /// shared by [`GpuDevice`] and the `tfno-backend` host backend so both
@@ -869,7 +751,7 @@ pub fn run_analytical_stats(
         kernel.name(),
         dims.grid_blocks
     );
-    let key = if use_memo && memo::launch_memo_enabled() {
+    let key = if use_memo {
         memo::signature(kernel.fingerprint(), &dims, &classes)
     } else {
         None
@@ -1067,25 +949,6 @@ mod tests {
         assert_eq!(out_seq, dev_par.download(dst2));
     }
 
-    #[test]
-    fn legacy_executor_matches_work_stealing() {
-        let (mut dev_new, src, dst) = setup(32);
-        let k = ScaleKernel { src, dst, blocks: 32 };
-        let rec_new = dev_new.launch(&k, ExecMode::Functional);
-        let out_new = dev_new.download(dst);
-
-        let (mut dev_old, src2, dst2) = setup(32);
-        dev_old.legacy_executor = true;
-        let k2 = ScaleKernel {
-            src: src2,
-            dst: dst2,
-            blocks: 32,
-        };
-        let rec_old = dev_old.launch(&k2, ExecMode::Functional);
-        assert_eq!(rec_new.stats, rec_old.stats);
-        assert_eq!(out_new, dev_old.download(dst2));
-    }
-
     /// Worker policy: explicit overrides beat the env var and the
     /// block-count gate. (Env-var *parsing* is tested in `exec::tests`
     /// through the pure parser — mutating `TFNO_THREADS` from a test
@@ -1204,18 +1067,6 @@ mod tests {
         dev.launch(&k, ExecMode::Functional);
     }
 
-    #[test]
-    #[should_panic(expected = "write conflict")]
-    fn legacy_executor_detects_conflicts_too() {
-        let mut dev = GpuDevice::new(DeviceConfig::a100());
-        let dst = dev.alloc("dst", 64);
-        dev.validate_writes = true;
-        dev.parallel = false;
-        dev.legacy_executor = true;
-        let k = ConflictKernel { dst };
-        dev.launch(&k, ExecMode::Functional);
-    }
-
     /// Deferred issue + complete must be indistinguishable from a
     /// synchronous launch: same stats, same data, same history entry.
     #[test]
@@ -1256,28 +1107,6 @@ mod tests {
         assert!(dev.launches().is_empty(), "history records completions, not issues");
         dev.complete(pending);
         assert_eq!(dev.download(dst)[5], C32::real(10.0));
-        assert_eq!(dev.launches().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "journaled executor")]
-    fn deferred_launch_rejects_legacy_executor() {
-        let (mut dev, src, dst) = setup(2);
-        dev.legacy_executor = true;
-        let k = ScaleKernel { src, dst, blocks: 2 };
-        let _ = dev.launch_deferred(&k, ExecMode::Functional);
-    }
-
-    /// Regression: `legacy_executor` only ever governed *functional*
-    /// execution — analytical launches (e.g. `Session::measure` on a
-    /// legacy A/B device) must keep working, as they did pre-deferral.
-    #[test]
-    fn legacy_executor_still_runs_analytical_launches() {
-        let (mut dev, src, dst) = setup(4);
-        dev.legacy_executor = true;
-        let k = ScaleKernel { src, dst, blocks: 4 };
-        let rec = dev.launch(&k, ExecMode::Analytical);
-        assert_eq!(rec.stats, expected_stats(4));
         assert_eq!(dev.launches().len(), 1);
     }
 
@@ -1344,9 +1173,9 @@ mod tests {
         assert_eq!(base, GpuDevice::a100().worker_key(), "key is stable");
         let pinned = GpuDevice::a100().with_workers(1);
         assert_ne!(base, pinned.worker_key(), "override changes the key");
-        let mut legacy = GpuDevice::a100();
-        legacy.legacy_executor = true;
-        assert_ne!(base, legacy.worker_key(), "executor flavor changes the key");
+        let mut serial = GpuDevice::a100();
+        serial.parallel = false;
+        assert_ne!(base, serial.worker_key(), "parallelism flag changes the key");
     }
 
     #[test]

@@ -57,9 +57,8 @@ pub use kernel::{
     LaunchDims, LaunchRecord,
 };
 pub use memo::{
-    launch_memo_clear, launch_memo_enabled, launch_memo_stats, seq_insert, seq_lookup,
-    seq_memo_clear, seq_memo_stats, set_launch_memo_enabled, structural_fingerprint,
-    MemoStats, SeqMemoStats,
+    launch_memo_clear, launch_memo_stats, seq_insert, seq_lookup, seq_memo_clear,
+    seq_memo_stats, structural_fingerprint, MemoStats, SeqMemoStats,
 };
 pub use memory::{BufferId, GlobalMemory};
 pub use shared::BankStats;

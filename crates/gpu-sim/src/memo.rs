@@ -24,7 +24,7 @@ use crate::stats::KernelStats;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use crate::exec::lock_unpoisoned;
 use std::sync::{Mutex, OnceLock};
 
@@ -39,20 +39,9 @@ pub struct MemoStats {
 static TABLE: OnceLock<Mutex<HashMap<u64, KernelStats>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 fn table() -> &'static Mutex<HashMap<u64, KernelStats>> {
     TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Globally enable/disable the memo (A/B benchmarking; it is on by
-/// default). Per-device opt-out exists too: `GpuDevice::analytical_memo`.
-pub fn set_launch_memo_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-pub fn launch_memo_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Counters plus current entry count.
@@ -143,12 +132,8 @@ fn seq_table() -> &'static Mutex<HashMap<u64, Vec<LaunchRecord>>> {
 /// epoch reset as the per-kernel table.
 const SEQ_MEMO_CAP: usize = 1 << 12;
 
-/// Look up a cached launch sequence. Honors the global memo enable flag
-/// (`set_launch_memo_enabled`); disabled lookups miss without counting.
+/// Look up a cached launch sequence.
 pub fn seq_lookup(key: u64) -> Option<Vec<LaunchRecord>> {
-    if !launch_memo_enabled() {
-        return None;
-    }
     let got = lock_unpoisoned(seq_table()).get(&key).cloned();
     match got {
         Some(_) => SEQ_HITS.fetch_add(1, Ordering::Relaxed),
@@ -164,9 +149,6 @@ pub fn seq_lookup(key: u64) -> Option<Vec<LaunchRecord>> {
 /// shapes the sequence (problem shape, variant, options, device config)
 /// while buffer identities stay out.
 pub fn seq_insert(key: u64, records: Vec<LaunchRecord>) {
-    if !launch_memo_enabled() {
-        return;
-    }
     let mut table = lock_unpoisoned(seq_table());
     if table.len() >= SEQ_MEMO_CAP {
         table.clear();

@@ -144,9 +144,9 @@ impl GlobalMemory {
     /// the sector list fits a stack buffer), with an O(lanes) fast path
     /// for monotonic address patterns — contiguous and forward-strided
     /// warps, i.e. nearly every access our kernels issue. This runs on
-    /// every global warp access of the functional executor. The pre-PR
-    /// heap-allocating version survives as [`Self::access_cost_alloc`] for
-    /// the legacy-executor baseline; a property test pins them equal.
+    /// every metered global warp access. The plain dedupe
+    /// [`Self::access_cost_alloc`] is its test oracle; a property test
+    /// pins them equal.
     pub fn access_cost(&self, id: BufferId, idx: &WarpIdx) -> AccessCost {
         let buf = &self.buffers[id.0];
         let buf_len = buf.len();
@@ -196,8 +196,10 @@ impl GlobalMemory {
         }
     }
 
-    /// The pre-PR implementation of [`Self::access_cost`] (one heap
-    /// allocation per warp access). Kept verbatim for the legacy executor.
+    /// Reference implementation of [`Self::access_cost`]: a plain
+    /// distinct-sector dedupe, one heap allocation per warp access. The
+    /// executor never calls it; it is the oracle the `conflict_properties`
+    /// property tests check the fast path against.
     pub fn access_cost_alloc(&self, id: BufferId, idx: &WarpIdx) -> AccessCost {
         let buf = &self.buffers[id.0];
         let buf_len = buf.len();
@@ -233,14 +235,6 @@ impl GlobalMemory {
             }
         }
         out
-    }
-
-    /// Apply a buffered write (used by the launch machinery after blocks
-    /// complete; not part of the public kernel API).
-    pub(crate) fn apply_write(&mut self, id: BufferId, elem: usize, v: C32) {
-        if let BufferData::Real(vec) = &mut self.buffers[id.0].data {
-            vec[elem] = v;
-        }
     }
 
     /// Number of allocated buffers (journal sharding).

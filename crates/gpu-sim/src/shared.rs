@@ -53,10 +53,10 @@ pub fn warp_bank_cycles(idx: &WarpIdx) -> BankStats {
 /// Lanes are grouped into phases of 128 bytes each, exactly like hardware.
 ///
 /// Allocation-free: a phase moves at most 128 bytes = 32 words, so the
-/// distinct-word set fits a stack buffer. Runs on every shared-memory warp
-/// access, i.e. the hottest loop of the functional executor. The pre-PR
-/// heap-allocating version survives as [`warp_bank_cycles_wide_alloc`]
-/// for the legacy-executor baseline; a property test pins them equal.
+/// distinct-word set fits a stack buffer. Runs on every metered
+/// shared-memory warp access. The plain per-bank formulation
+/// [`warp_bank_cycles_wide_alloc`] is its test oracle; a property test
+/// pins them equal.
 pub fn warp_bank_cycles_wide(idx: &WarpIdx, width: usize) -> BankStats {
     assert!(
         matches!(width, 1 | 2 | 4),
@@ -103,9 +103,10 @@ pub fn warp_bank_cycles_wide(idx: &WarpIdx, width: usize) -> BankStats {
     }
 }
 
-/// The pre-PR implementation of [`warp_bank_cycles_wide`] (a heap
-/// allocation per bank per phase). Kept verbatim so the legacy executor
-/// baseline preserves pre-PR performance characteristics in A/B benches.
+/// Reference implementation of [`warp_bank_cycles_wide`]: the direct
+/// per-bank distinct-word count, one heap allocation per bank per phase.
+/// The executor never calls it; it is the oracle the `conflict_properties`
+/// property tests check the allocation-free version against.
 pub fn warp_bank_cycles_wide_alloc(idx: &WarpIdx, width: usize) -> BankStats {
     assert!(
         matches!(width, 1 | 2 | 4),
@@ -157,9 +158,6 @@ pub struct SharedMem {
     /// register-resident value flow inside a radix pass, where the real
     /// kernel never touches shared memory).
     pub metered: bool,
-    /// Route accounting through the pre-PR allocating implementation
-    /// (the legacy-executor baseline).
-    pub legacy_accounting: bool,
 }
 
 impl SharedMem {
@@ -170,16 +168,6 @@ impl SharedMem {
             load_stats: BankStats::default(),
             store_stats: BankStats::default(),
             metered: true,
-            legacy_accounting: false,
-        }
-    }
-
-    #[inline]
-    fn cycles(&self, idx: &WarpIdx, width: usize) -> BankStats {
-        if self.legacy_accounting {
-            warp_bank_cycles_wide_alloc(idx, width)
-        } else {
-            warp_bank_cycles_wide(idx, width)
         }
     }
 
@@ -204,7 +192,7 @@ impl SharedMem {
     /// Warp store: each active lane writes its value at its element index.
     pub fn store_warp(&mut self, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
         if self.metered {
-            let s = self.cycles(idx, 1);
+            let s = warp_bank_cycles_wide(idx, 1);
             self.store_stats.ideal_cycles += s.ideal_cycles;
             self.store_stats.actual_cycles += s.actual_cycles;
         }
@@ -222,7 +210,7 @@ impl SharedMem {
     /// Warp load: returns each active lane's element (inactive lanes get 0).
     pub fn load_warp(&mut self, idx: &WarpIdx) -> [C32; WARP_SIZE] {
         if self.metered {
-            let s = self.cycles(idx, 1);
+            let s = warp_bank_cycles_wide(idx, 1);
             self.load_stats.ideal_cycles += s.ideal_cycles;
             self.load_stats.actual_cycles += s.actual_cycles;
         }
@@ -244,7 +232,7 @@ impl SharedMem {
     /// `v`-th element.
     pub fn load_warp_wide(&mut self, idx: &WarpIdx, width: usize) -> Vec<[C32; WARP_SIZE]> {
         if self.metered {
-            let s = self.cycles(idx, width);
+            let s = warp_bank_cycles_wide(idx, width);
             self.load_stats.ideal_cycles += s.ideal_cycles;
             self.load_stats.actual_cycles += s.actual_cycles;
         }
@@ -267,7 +255,7 @@ impl SharedMem {
     pub fn store_warp_wide(&mut self, idx: &WarpIdx, vals: &[[C32; WARP_SIZE]], width: usize) {
         assert_eq!(vals.len(), width);
         if self.metered {
-            let s = self.cycles(idx, width);
+            let s = warp_bank_cycles_wide(idx, width);
             self.store_stats.ideal_cycles += s.ideal_cycles;
             self.store_stats.actual_cycles += s.actual_cycles;
         }

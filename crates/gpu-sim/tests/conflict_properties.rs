@@ -94,17 +94,18 @@ fn broadcast_has_unit_cost() {
     }
 }
 
-// ---- fast-vs-legacy accounting equivalence --------------------------------
+// ---- fast accounting vs its reference oracles ------------------------------
 //
-// The throughput engine replaced the heap-allocating per-access accounting
-// with allocation-free implementations (stack buffers + a monotonic fast
-// path). The pre-PR versions survive for the legacy-executor baseline;
-// these properties pin the two bitwise equal over arbitrary patterns.
+// The metered executor charges every access through allocation-free
+// implementations (stack buffers + a monotonic fast path). The plain
+// heap-allocating formulations `warp_bank_cycles_wide_alloc` and
+// `GlobalMemory::access_cost_alloc` are their oracles; these properties
+// pin the two bitwise equal over arbitrary patterns.
 
 use tfno_gpu_sim::shared::warp_bank_cycles_wide_alloc;
 
 proptest! {
-    /// Stack-buffer bank accounting == the pre-PR allocating version, for
+    /// Stack-buffer bank accounting == the allocating oracle, for
     /// every vector width and random (partially predicated) patterns.
     #[test]
     fn prop_fast_bank_accounting_matches_alloc(
@@ -120,8 +121,8 @@ proptest! {
         );
     }
 
-    /// Sector accounting with the monotonic fast path == the pre-PR
-    /// allocating dedupe, over random (non-monotonic included) patterns.
+    /// Sector accounting with the monotonic fast path == the allocating
+    /// dedupe oracle, over random (non-monotonic included) patterns.
     #[test]
     fn prop_fast_sector_accounting_matches_alloc(
         addrs in proptest::collection::vec(0usize..2048, 32),

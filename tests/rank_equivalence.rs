@@ -8,8 +8,16 @@
 //! the pinned simulator. The rank-generic engine assembles the exact same
 //! kernel sequence, so the outputs must stay bitwise-identical — any hash
 //! drift means the refactor changed numerics, not just structure.
+//!
+//! The `STATS_PINS` hashes pin the other half of a launch: every
+//! [`LaunchRecord`] (name, grid, all ten `KernelStats` fields and the
+//! modeled time) of the same shapes on `SimBackend`, solo and as stacked
+//! mixed-weight queues. They were captured with every functional launch
+//! metering each block access directly, and a launch that attaches
+//! memoized analytical counts must reproduce them exactly.
 
 use proptest::prelude::*;
+use tfno_gpu_sim::LaunchRecord;
 use tfno_num::error::rel_l2_error;
 use tfno_num::{reference, C32, CTensor};
 use turbofno::{
@@ -238,6 +246,195 @@ fn rank3_stacked_queue_matches_solo_runs() {
     }
 }
 
+/// FNV-1a over every launch record: name, grid, all ten `KernelStats`
+/// fields and the bit pattern of the modeled time.
+fn records_hash(recs: &[LaunchRecord]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for r in recs {
+        let s = &r.stats;
+        eat(r.name.as_bytes());
+        for v in [
+            r.dims_grid as u64,
+            s.blocks,
+            s.warps,
+            s.flops,
+            s.global_load_bytes,
+            s.global_store_bytes,
+            s.global_load_sectors,
+            s.global_store_sectors,
+            s.shared_ideal_cycles,
+            s.shared_actual_cycles,
+            s.syncthreads,
+            r.time_us.to_bits(),
+        ] {
+            eat(&v.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The shapes the stats pins cover: the two 1D and two 2D golden shapes
+/// above, then [`spec_3d_fusable`]. The variant is set per case.
+fn stats_pin_specs() -> Vec<LayerSpec> {
+    let d1 = GOLDEN_1D.map(|((b, ki, ko, n, nf), _)| LayerSpec::d1(b, ki, ko, n).modes(nf));
+    let d2 = GOLDEN_2D.map(|((b, ki, ko, nx, ny, nfx, nfy), _, _)| {
+        LayerSpec::d2(b, ki, ko, nx, ny).modes_xy(nfx, nfy)
+    });
+    let mut specs = d1.to_vec();
+    specs.extend(d2);
+    specs.push(spec_3d_fusable(Variant::TurboBest));
+    specs
+}
+
+/// Variants whose stacked queues the stats pins cover. A queue is the only
+/// path that launches the `serve.gather`/`serve.scatter` copies.
+const QUEUE_VARIANTS: [Variant; 3] = [Variant::Pytorch, Variant::FftOpt, Variant::FullyFused];
+
+/// Launch records of `spec` run once on a fresh simulator session.
+fn solo_records(spec: &LayerSpec) -> Vec<LaunchRecord> {
+    let mut sess = Session::new(SimBackend::a100());
+    let x = sess.alloc("x", spec.input_len());
+    let w = sess.alloc("w", spec.weight_len());
+    let y = sess.alloc("y", spec.output_len());
+    sess.upload(x, &rand_vec(spec.input_len(), 0.4));
+    sess.upload(w, &rand_vec(spec.weight_len(), 0.9));
+    sess.run(spec, x, w, y);
+    sess.device().launches().to_vec()
+}
+
+/// Launch records of a 3-request `run_many` queue of `spec` with distinct
+/// inputs and weights, on a fresh simulator session.
+fn queue_records(spec: &LayerSpec) -> Vec<LaunchRecord> {
+    let mut sess = Session::new(SimBackend::a100());
+    let reqs: Vec<Request> = (0..3)
+        .map(|i| {
+            let x = sess.alloc("qx", spec.input_len());
+            let w = sess.alloc("qw", spec.weight_len());
+            let y = sess.alloc("qy", spec.output_len());
+            sess.upload(x, &rand_vec(spec.input_len(), 0.1 + i as f32));
+            sess.upload(w, &rand_vec(spec.weight_len(), 0.6 + i as f32));
+            Request {
+                spec: *spec,
+                x,
+                w,
+                y,
+            }
+        })
+        .collect();
+    sess.run_many(&reqs);
+    sess.device().launches().to_vec()
+}
+
+/// Every stats-pin case in `STATS_PINS` order: per shape, one solo run per
+/// concrete variant, then one queue per [`QUEUE_VARIANTS`] entry.
+fn stats_pin_cases() -> Vec<(String, Vec<LaunchRecord>)> {
+    let mut cases = Vec::new();
+    for spec in stats_pin_specs() {
+        for v in Variant::CONCRETE {
+            let spec = spec.variant(v);
+            cases.push((
+                format!("solo {:?} {v:?}", spec.shape()),
+                solo_records(&spec),
+            ));
+        }
+        for v in QUEUE_VARIANTS {
+            let spec = spec.variant(v);
+            cases.push((
+                format!("queue {:?} {v:?}", spec.shape()),
+                queue_records(&spec),
+            ));
+        }
+    }
+    cases
+}
+
+/// Per-launch stats pins, one row per [`stats_pin_specs`] shape:
+/// `(solo hashes in Variant::CONCRETE order, queue hashes in
+/// QUEUE_VARIANTS order)`.
+#[allow(clippy::type_complexity)]
+const STATS_PINS: [([u64; 5], [u64; 3]); 5] = [
+    (
+        [
+            0x90858bbc17149537,
+            0x0639ad3c35d14c04,
+            0x612b5655e480e584,
+            0x0ce4b57ab529d633,
+            0x0b78393c8f9e1e57,
+        ],
+        [0x83c253522d15cc83, 0xed2bde56531c7d31, 0xa27b8147b33e4270],
+    ),
+    (
+        [
+            0x19a5ca54d009a769,
+            0xc81f75e0010639ea,
+            0xef824cdee240fbf3,
+            0x7827a4fe864f4e69,
+            0xbb852f20436bf18a,
+        ],
+        [0x70bb0073d58a48ae, 0x945816ccff6ac513, 0x02a7d393658dfc23],
+    ),
+    (
+        [
+            0x77e6816181492df9,
+            0x46d2889adfd0d094,
+            0x1abca8893555b1c1,
+            0xee4aef4140e2d36c,
+            0xa878a2f4d924d297,
+        ],
+        [0xb6d5fed71aa6c0fb, 0x72789e38ae2580fc, 0x0bcb8b5314ef8fbb],
+    ),
+    (
+        [
+            0xdbb015a78dda6a01,
+            0x7610356060aafcfc,
+            0x65bed0a3a2e8d00c,
+            0x671835d9437413be,
+            0x9eb6808fb4a23fe4,
+        ],
+        [0x12a0a2fd1b6f2f8f, 0xcba1e05390392343, 0x98f9fad6ab33e56e],
+    ),
+    (
+        [
+            0xdbf8026a4ba799db,
+            0xaee01b03d70d8426,
+            0xf07dfc72c12f9d1e,
+            0xb5fba74bdad685d1,
+            0x8cb71a69c5bb76bc,
+        ],
+        [0xfd46b0dbe0a3143c, 0x80387e5b954733d3, 0xd8a48b7689a1d1a0],
+    ),
+];
+
+#[test]
+fn launch_records_match_stats_pins() {
+    let want = STATS_PINS
+        .iter()
+        .flat_map(|(solo, queue)| solo.iter().chain(queue));
+    let cases = stats_pin_cases();
+    assert_eq!(cases.len(), 40);
+    let mut failed = 0;
+    for ((label, recs), &want) in cases.iter().zip(want) {
+        let got = records_hash(recs);
+        if got != want {
+            failed += 1;
+            eprintln!("{label}: 0x{got:016x} != pinned 0x{want:016x}");
+            for r in recs {
+                eprintln!(
+                    "    {} grid={} {:?} time_us={}",
+                    r.name, r.dims_grid, r.stats, r.time_us
+                );
+            }
+        }
+    }
+    assert_eq!(failed, 0, "{failed} of {} stats pins drifted", cases.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -264,8 +461,11 @@ proptest! {
 /// Re-capture helper kept for the next engine change: prints the hashes
 /// the constants above pin.
 #[test]
-#[ignore = "golden capture helper: prints seed-path hashes"]
+#[ignore = "golden capture helper: prints seed-path and stats-pin hashes"]
 fn capture_golden_hashes() {
+    for (label, recs) in stats_pin_cases() {
+        println!("stats {label}: 0x{:016x}", records_hash(&recs));
+    }
     for (s, _) in GOLDEN_1D {
         let p = FnoProblem1d::new(s.0, s.1, s.2, s.3, s.4);
         for v in Variant::CONCRETE {

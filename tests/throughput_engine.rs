@@ -5,8 +5,7 @@
 use tfno_gpu_sim::{seq_memo_stats, ExecMode, GpuDevice};
 use tfno_num::C32;
 use turbofno::{
-    FnoProblem1d, FnoProblem2d, LayerSpec, Planner, Session,
-    TurboOptions, Variant,
+    FnoProblem1d, FnoProblem2d, LayerSpec, Planner, Session, SpectralShape, TurboOptions, Variant,
 };
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
@@ -52,18 +51,6 @@ fn parallel_executor_is_bitwise_deterministic() {
         assert_eq!(par_a, par_b, "{v:?}: parallel run not deterministic");
         assert_eq!(stats_serial, stats_a, "{v:?}: stats differ");
         assert_eq!(stats_a, stats_b, "{v:?}: stats not deterministic");
-    }
-}
-
-/// The retained pre-PR executor must agree with the work-stealing one.
-#[test]
-fn legacy_executor_is_bitwise_equal() {
-    let p = FnoProblem1d::new(2, 9, 16, 128, 32);
-    for v in [Variant::Pytorch, Variant::FftOpt, Variant::FullyFused] {
-        let (new_out, new_stats) = run_functional_1d(&p, v, |_| {});
-        let (old_out, old_stats) = run_functional_1d(&p, v, |d| d.legacy_executor = true);
-        assert_eq!(new_out, old_out, "{v:?}: engines diverge");
-        assert_eq!(new_stats, old_stats, "{v:?}: stats diverge");
     }
 }
 
@@ -120,18 +107,18 @@ fn repeated_analytical_launch_hits_memo() {
 fn second_turbo_best_plan_simulates_nothing() {
     let cfg = tfno_gpu_sim::DeviceConfig::a100();
     let opts = TurboOptions::default();
-    let p1 = FnoProblem1d::new(2, 16, 16, 256, 64);
-    let p2 = FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32);
+    let p1 = SpectralShape::from(&FnoProblem1d::new(2, 16, 16, 256, 64));
+    let p2 = SpectralShape::from(&FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32));
 
     let planner = Planner::new();
-    let first_1d = planner.plan_1d(&cfg, &p1, &opts);
-    let first_2d = planner.plan_2d(&cfg, &p2, &opts);
+    let first_1d = planner.plan_shape(&cfg, &p1, &opts);
+    let first_2d = planner.plan_shape(&cfg, &p2, &opts);
     let after_cold = planner.stats();
     assert_eq!(after_cold.misses, 2);
     assert!(after_cold.simulated_launches > 0);
 
-    let second_1d = planner.plan_1d(&cfg, &p1, &opts);
-    let second_2d = planner.plan_2d(&cfg, &p2, &opts);
+    let second_1d = planner.plan_shape(&cfg, &p1, &opts);
+    let second_2d = planner.plan_shape(&cfg, &p2, &opts);
     let after_warm = planner.stats();
     assert_eq!((second_1d, second_2d), (first_1d, first_2d));
     assert_eq!(after_warm.hits, 2);
@@ -140,8 +127,8 @@ fn second_turbo_best_plan_simulates_nothing() {
         "cache hits must not simulate any launch"
     );
 
-    assert_eq!(first_1d, Planner::pick_best_1d(&cfg, &p1, &opts));
-    assert_eq!(first_2d, Planner::pick_best_2d(&cfg, &p2, &opts));
+    assert_eq!(first_1d, Planner::pick_best_shape(&cfg, &p1, &opts));
+    assert_eq!(first_2d, Planner::pick_best_shape(&cfg, &p2, &opts));
 }
 
 /// `TurboBest` dispatches share the session's planner: an L-layer model

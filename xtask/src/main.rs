@@ -29,9 +29,8 @@
 //!   rank-suffixed twin entry points (`fn *_1d` / `fn *_2d`) in
 //!   `crates/core/src` are forbidden outside the grandfathered
 //!   compatibility shims (`problem_1d`/`problem_2d`,
-//!   `from_problem_1d`/`from_problem_2d`, `plan_1d`/`plan_2d`,
-//!   `pick_best_1d`/`pick_best_2d`) — add a rank-generic path instead of
-//!   re-growing the twin pipelines the refactor collapsed.
+//!   `from_problem_1d`/`from_problem_2d`) — add a rank-generic path
+//!   instead of re-growing the twin pipelines the refactor collapsed.
 //!
 //! Test code (`#[cfg(test)] mod` regions) is exempt from the source rules:
 //! tests assert invariants by panicking on purpose.
@@ -464,15 +463,11 @@ fn contains_try_fn_decl(line: &str) -> bool {
 /// The grandfathered per-rank compatibility shims: thin wrappers kept so
 /// pre-refactor call sites (`FnoProblem1d`/`FnoProblem2d` users) still
 /// work. Everything else in core must be rank-generic.
-const RANK_ISOLATION_ALLOW: [&str; 8] = [
+const RANK_ISOLATION_ALLOW: [&str; 4] = [
     "problem_1d",
     "problem_2d",
     "from_problem_1d",
     "from_problem_2d",
-    "plan_1d",
-    "plan_2d",
-    "pick_best_1d",
-    "pick_best_2d",
 ];
 
 /// Whether `file` is core engine source held to the rank-isolation rule.
@@ -820,8 +815,6 @@ trait Backend {
         let shims = "\
 pub fn from_problem_1d(p: &FnoProblem1d) -> Self { todo!() }
 pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
-pub fn plan_1d(&self) {}
-pub fn pick_best_2d() {}
 ";
         let mut findings = Vec::new();
         lint_source(
