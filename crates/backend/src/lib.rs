@@ -3,11 +3,11 @@
 //! The execution-backend abstraction of the TurboFNO stack.
 //!
 //! Everything above the device — `turbofno::Session`, the planner, the
-//! buffer pool, replay, verification, async dispatch — talks to an
+//! buffer pool, verification, async dispatch — talks to an
 //! execution backend through the [`Backend`] trait, which is exactly the
 //! surface of the simulated [`GpuDevice`] that the core crate consumed
 //! before the split: buffer allocation/upload/download, synchronous and
-//! deferred launches, worker policy keys, fault-plan arming, and the
+//! deferred launches, worker policy, fault-plan arming, and the
 //! analytical measurement hooks.
 //!
 //! Two backends implement it:
@@ -32,7 +32,6 @@
 //! variable (`sim` | `native`, default `sim`).
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 use tfno_gpu_sim::{
@@ -108,7 +107,7 @@ pub fn env_backend_kind() -> BackendKind {
 }
 
 /// An execution backend: the device surface the backend-generic stack
-/// (`Session`, planner, pool, replay, verifier, dispatch) runs against.
+/// (`Session`, planner, pool, verifier, dispatch) runs against.
 ///
 /// The contract is [`GpuDevice`]'s: `try_launch` executes a kernel's
 /// functional body (or its analytical cost model) with reads observing
@@ -155,10 +154,6 @@ pub trait Backend: Send + 'static {
 
     /// Apply a deferred launch's writes and record it.
     fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord;
-
-    /// Stable key of the execution policy in force (worker overrides,
-    /// executor flavor); replay caches invalidate on a change.
-    fn worker_key(&self) -> u64;
 
     /// Set or clear the explicit worker-count override.
     fn set_workers(&mut self, workers: Option<usize>);
@@ -264,10 +259,6 @@ impl Backend for GpuDevice {
 
     fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord {
         GpuDevice::complete(self, pending)
-    }
-
-    fn worker_key(&self) -> u64 {
-        GpuDevice::worker_key(self)
     }
 
     fn set_workers(&mut self, workers: Option<usize>) {
@@ -428,17 +419,6 @@ impl Backend for NativeBackend {
         unreachable!("NativeBackend cannot complete a deferred launch (caps().deferred_launch is false)")
     }
 
-    fn worker_key(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        // Tag the key with the backend so a replay artifact can never
-        // stale-hit across backend flavors.
-        "native-backend".hash(&mut h);
-        self.workers.hash(&mut h);
-        tfno_gpu_sim::configured_workers().hash(&mut h);
-        self.parallel.hash(&mut h);
-        h.finish()
-    }
-
     fn set_workers(&mut self, workers: Option<usize>) {
         self.workers = workers.map(|n| n.max(1));
     }
@@ -554,10 +534,6 @@ impl AnyBackend {
         any_delegate!(self, d => Backend::launch(d, kernel, mode))
     }
 
-    pub fn worker_key(&self) -> u64 {
-        any_delegate!(self, d => Backend::worker_key(d))
-    }
-
     pub fn set_workers(&mut self, workers: Option<usize>) {
         any_delegate!(self, d => Backend::set_workers(d, workers))
     }
@@ -626,9 +602,6 @@ impl Backend for AnyBackend {
     }
     fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord {
         any_delegate!(self, d => Backend::complete(d, pending))
-    }
-    fn worker_key(&self) -> u64 {
-        AnyBackend::worker_key(self)
     }
     fn set_workers(&mut self, workers: Option<usize>) {
         AnyBackend::set_workers(self, workers)
@@ -839,17 +812,10 @@ mod tests {
     }
 
     #[test]
-    fn any_backend_dispatches_and_tags_worker_keys() {
+    fn any_backend_dispatches_by_kind() {
         let sim = AnyBackend::Sim(SimBackend::a100());
         let native = AnyBackend::Native(NativeBackend::a100());
         assert_eq!(sim.kind(), BackendKind::Sim);
         assert_eq!(native.kind(), BackendKind::Native);
-        assert_ne!(
-            sim.worker_key(),
-            native.worker_key(),
-            "replay keys must never collide across backends"
-        );
-        let pinned = AnyBackend::Native(NativeBackend::a100().with_workers(1));
-        assert_ne!(native.worker_key(), pinned.worker_key());
     }
 }

@@ -93,8 +93,7 @@ pub struct BatchedCgemmKernel {
     pub alpha: C32,
     pub beta: C32,
     /// Main-loop schedules keyed by block extent class, built lazily on
-    /// first execution and kept for the kernel object's lifetime — replay
-    /// paths that retain the kernel re-launch with warm traces.
+    /// first execution and kept for the kernel object's lifetime.
     traces: MainloopTraceCache,
 }
 

@@ -1,7 +1,7 @@
 //! The crate's single gateway to the execution backends.
 //!
 //! Every execution-layer module in this crate (`session`, `pipeline`,
-//! `pool`, `planner`, `replay`, `verify`, `error`) imports its device
+//! `pool`, `planner`, `verify`, `error`) imports its device
 //! types from here and *only* from here — `cargo xtask lint` enforces it
 //! (`backend-isolation`). That keeps the engine generic over the
 //! [`Backend`] trait: the simulated device ([`SimBackend`]) and the eager

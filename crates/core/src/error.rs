@@ -147,9 +147,6 @@ pub struct RecoveryStats {
     /// Operations that gave up: retries (and degradation, when available)
     /// exhausted without a success.
     pub exhausted: u64,
-    /// Replays that hit a fault mid-sequence, evicted the artifact, and
-    /// fell back to the functional path.
-    pub faulted_replays: u64,
     /// Dispatched jobs whose panic was caught and healed (leaked leases
     /// released, later handles unaffected).
     pub jobs_healed: u64,

@@ -18,10 +18,7 @@
 //!   selection the paper calls "TurboFNO";
 //! * [`pool`] — the size-class scratch [`BufferPool`] sessions allocate
 //!   pipeline intermediates from;
-//! * [`planner`] — the memoizing `TurboBest` [`Planner`];
-//! * [`replay`] — whole-forward launch replay: warm serving loops re-issue
-//!   a recorded kernel sequence instead of re-planning and re-assembling
-//!   every layer (see the "Warm-path replay" section of the README).
+//! * [`planner`] — the memoizing `TurboBest` [`Planner`].
 //!
 //! Numerical equivalence of every variant against the naive reference
 //! layer is enforced by the test suite (`tests/` in this crate and the
@@ -39,7 +36,6 @@ mod fused_tests;
 pub mod pipeline;
 pub mod planner;
 pub mod pool;
-pub mod replay;
 pub mod session;
 pub mod swizzle;
 pub mod verify;
@@ -52,11 +48,10 @@ pub use fused::{FusedGeometry, FusedKernel, GeomNd, FUSED_FFT_BS};
 pub use pipeline::{TurboOptions, Variant, TURBO_FFT_L1_HIT};
 pub use planner::{Planner, PlannerStats, TURBO_CANDIDATES};
 pub use pool::{BufferPool, PoolStats};
-pub use replay::ReplayStats;
-pub use session::{DispatchStats, LaunchHandle, LayerSpec, Request, Session};
+pub use session::{DispatchStats, LaunchHandle, LayerSpec, ReplayStats, Request, Session};
 pub use verify::{
-    check_queue_aliasing, check_tape, set_verify_override, verifier_enabled, PlanHazard,
-    PlanVerifier, QueueAccess,
+    check_queue_aliasing, set_verify_override, verifier_enabled, PlanHazard, PlanVerifier,
+    QueueAccess,
 };
 // The strided-batched weight layout mixed-weight serving stacks ride on.
 pub use tfno_cgemm::WeightStacking;

@@ -28,9 +28,7 @@ use crate::backend::{
 };
 use crate::fused::{FusedKernel, GeomNd};
 use crate::pool::BufferPool;
-use crate::replay::{ReplayStep, ReplayTape};
 use crate::swizzle::ForwardLayout;
-use std::sync::Arc;
 use tfno_cgemm::{BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, WeightStacking};
 use tfno_culib::{try_run_pytorch_stacked, CuBlas, PipelineRun, SpectralShape, CUFFT_L1_HIT};
 use tfno_fft::{
@@ -117,7 +115,7 @@ fn fused_n_tb(k_out: usize) -> usize {
     (k_out.div_ceil(16) * 16).clamp(16, 128)
 }
 
-/// Per-rank kernel naming so traces, stats and replay keys keep the
+/// Per-rank kernel naming so traces and stats keep the
 /// established `turbo.*` vocabulary (1D/2D names are byte-identical to the
 /// pre-refactor twin pipelines).
 struct StageNames {
@@ -203,10 +201,6 @@ pub(crate) struct ExecCtx<'a> {
     pub dev: &'a mut dyn Backend,
     pub pool: &'a mut BufferPool,
     pub planner: &'a crate::Planner,
-    /// Recording tape for whole-forward launch replay (`replay.rs`). When
-    /// present, every launch routed through [`ExecCtx::step`] is captured;
-    /// `None` on paths that never record (planner cost probes, measure).
-    pub tape: Option<ReplayTape>,
     /// Static launch-plan verifier (`verify.rs`). When present, every
     /// launch routed through `try_step`/`try_step_deferred` is proven
     /// hazard-free before it issues, and lease traffic is balanced; `None`
@@ -369,23 +363,6 @@ impl ExecCtx<'_> {
     }
 
     pub(crate) fn release(&mut self, leases: Vec<BufferId>) {
-        // While a replay recording is live, scratch stays leased: on a
-        // successful recording the artifact retains it (so the buffers —
-        // and therefore the recorded kernels' operand views — remain
-        // exclusively its own), and on an abandoned one `replay::record`
-        // releases it. Data-wise this is invisible: every stage fully
-        // overwrites the scratch it reads.
-        if let Some(tape) = &mut self.tape {
-            if let Some(v) = &mut self.verify {
-                // The tape now owes the release, not this sequence — and
-                // the buffers stay live (recorded steps reference them).
-                for id in &leases {
-                    v.transfer(*id);
-                }
-            }
-            tape.scratch.extend(leases);
-            return;
-        }
         for id in leases {
             self.pool.release(self.dev, id);
             if let Some(v) = &mut self.verify {
@@ -425,7 +402,7 @@ impl ExecCtx<'_> {
     }
 
     /// End-of-sequence verifier check: every lease this sequence took must
-    /// have been released (or handed to a recording tape).
+    /// have been released.
     pub(crate) fn verify_finish(&mut self) -> Result<(), crate::error::TfnoError> {
         if let Some(v) = &mut self.verify {
             v.finish()?;
@@ -433,78 +410,26 @@ impl ExecCtx<'_> {
         Ok(())
     }
 
-    /// Launch a kernel, capturing it on the replay tape when recording.
-    ///
-    /// A faulted launch marks the tape: a recording that saw a fault is
-    /// never frozen into a replay artifact (`replay::record` abandons it),
-    /// so the cache can only ever serve sequences that completed cleanly.
-    pub(crate) fn try_step<K: Kernel + Send + Sync + 'static>(
+    /// Check a kernel against the plan verifier, then launch it.
+    pub(crate) fn try_step(
         &mut self,
-        kernel: K,
+        kernel: impl Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
         self.check_plan(&kernel, false)?;
-        match &mut self.tape {
-            Some(tape) if tape.recordable => {
-                let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
-                match self.dev.try_launch(&*kernel, mode) {
-                    Ok(rec) => {
-                        tape.steps.push(ReplayStep { kernel, mode });
-                        Ok(rec)
-                    }
-                    Err(e) => {
-                        tape.faulted = true;
-                        Err(e)
-                    }
-                }
-            }
-            _ => self.dev.try_launch(&kernel, mode),
-        }
+        self.dev.try_launch(&kernel, mode)
     }
 
     /// Deferred-completion variant of [`ExecCtx::try_step`] for launches
     /// whose writes nothing later in the sequence reads (serving-queue
-    /// scatters). On the tape the step is ordinary — replay completes
-    /// synchronously, which is bitwise-identical.
-    pub(crate) fn try_step_deferred<K: Kernel + Send + Sync + 'static>(
+    /// scatters).
+    pub(crate) fn try_step_deferred(
         &mut self,
-        kernel: K,
+        kernel: impl Kernel,
         mode: ExecMode,
     ) -> Result<PendingLaunch, LaunchError> {
         self.check_plan(&kernel, true)?;
-        match &mut self.tape {
-            Some(tape) if tape.recordable => {
-                let kernel: Arc<dyn Kernel + Send + Sync> = Arc::new(kernel);
-                match self.dev.try_launch_deferred(&*kernel, mode) {
-                    Ok(pending) => {
-                        tape.steps.push(ReplayStep { kernel, mode });
-                        Ok(pending)
-                    }
-                    Err(e) => {
-                        tape.faulted = true;
-                        Err(e)
-                    }
-                }
-            }
-            _ => self.dev.try_launch_deferred(&kernel, mode),
-        }
-    }
-
-    /// Close the current output unit: steps since the previous boundary
-    /// belong to `out[out_idx]` when the recording is replayed.
-    pub(crate) fn mark_unit(&mut self, out_idx: usize) {
-        if let Some(tape) = &mut self.tape {
-            let end = tape.steps.len();
-            tape.plan.push((out_idx, end));
-        }
-    }
-
-    /// The sequence took a path that cannot be captured (the opaque
-    /// `Pytorch` baseline); the recording is abandoned.
-    pub(crate) fn mark_unrecordable(&mut self) {
-        if let Some(tape) = &mut self.tape {
-            tape.recordable = false;
-        }
+        self.dev.try_launch_deferred(&kernel, mode)
     }
 
     /// Run one variant of the rank-`s.rank` Fourier layer.
@@ -513,10 +438,9 @@ impl ExecCtx<'_> {
     ///   `y`: `[batch, k_out, dims...]`
     ///
     /// A faulted launch aborts the remaining stages and returns the fault;
-    /// leases are always released (or handed to the recording tape, which
-    /// releases them when the faulted recording is abandoned), completed
-    /// stages only wrote scratch or `y` — both fully overwritten on a retry
-    /// — so re-running the layer whole is always sound.
+    /// leases are always released, and completed stages only wrote scratch
+    /// or `y` — both fully overwritten on a retry — so re-running the layer
+    /// whole is always sound.
     pub(crate) fn try_run_spectral(
         &mut self,
         s: &SpectralShape,
@@ -528,10 +452,8 @@ impl ExecCtx<'_> {
         match variant {
             // The baseline allocates its copy temporaries per call on
             // purpose: that churn is part of the library stack it emulates
-            // (only Turbo scratch goes through the pool). Its internal
-            // launches never reach the tape, so the recording is abandoned.
+            // (only Turbo scratch goes through the pool).
             Variant::Pytorch => {
-                self.mark_unrecordable();
                 return try_run_pytorch_stacked(self.dev, s, b.x, b.w, b.ws, b.y, mode);
             }
             Variant::TurboBest => {

@@ -25,7 +25,6 @@ use crate::pool::BufferPool;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use tfno_culib::SpectralShape;
 use crate::backend::{
@@ -113,11 +112,6 @@ pub struct Planner {
     pending_cv: Condvar,
     stats: Mutex<PlannerStats>,
     cap: usize,
-    /// Bumped on every [`Planner::clear`]. Replay artifacts that embedded
-    /// a plan decision record the generation they saw; a mismatch means
-    /// the plans they were recorded under may have changed, so the
-    /// artifact must re-record instead of replaying a stale decision.
-    generation: AtomicU64,
 }
 
 impl Default for Planner {
@@ -140,7 +134,6 @@ impl Planner {
             pending_cv: Condvar::new(),
             stats: Mutex::new(PlannerStats::default()),
             cap: cap.max(2),
-            generation: AtomicU64::new(0),
         }
     }
 
@@ -154,18 +147,9 @@ impl Planner {
         *lock_unpoisoned(&self.stats)
     }
 
-    /// Drop all cached plans (counters keep accumulating). Bumps the
-    /// planner [`generation`](Planner::generation) so downstream caches
-    /// keyed on plan decisions know to re-record.
+    /// Drop all cached plans (counters keep accumulating).
     pub fn clear(&self) {
         lock_unpoisoned(&self.cache).clear();
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Monotonic counter of [`Planner::clear`] calls — the invalidation
-    /// token replay artifacts check before trusting a recorded plan.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
     }
 
     /// Number of cached plans.
@@ -303,7 +287,6 @@ pub(crate) fn evaluate_shape(
             dev: &mut dev,
             pool: &mut pool,
             planner: Planner::global(),
-            tape: None,
             // Cost probes re-run already-proven plans analytically; the
             // verifier would only re-prove the same fingerprints.
             verify: None,
@@ -553,16 +536,6 @@ mod tests {
         assert_eq!(planner.stats().misses, 1, "stats lock must recover");
         assert_eq!(planner.plan(7, || unreachable!()), Variant::FftOpt);
         assert_eq!(planner.stats().hits, 1, "cache lock must recover");
-    }
-
-    #[test]
-    fn clear_bumps_the_generation() {
-        let planner = Planner::new();
-        let g0 = planner.generation();
-        planner.plan(9, || (Variant::FftOpt, 1));
-        assert_eq!(planner.generation(), g0, "planning alone never invalidates");
-        planner.clear();
-        assert_eq!(planner.generation(), g0 + 1);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! pin bitwise equality between pooled and fresh-buffer runs.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use crate::backend::{Backend, BufferId, LaunchError};
 
 /// Counters of one [`BufferPool`] (see [`BufferPool::stats`]).
@@ -30,9 +29,6 @@ pub struct PoolStats {
     pub leased: u64,
     /// Buffers currently sitting in the free lists.
     pub pooled: u64,
-    /// Buffers moved out of the lease set into caller-owned artifacts
-    /// (replay scratch retention) and not yet restored.
-    pub retained: u64,
 }
 
 /// A size-class pool of simulated device buffers.
@@ -42,7 +38,7 @@ pub struct PoolStats {
 /// to it in one struct without borrow cycles. Handing buffers from one
 /// backend to a pool used with another is a logic error (buffer ids are
 /// per-backend indices).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BufferPool {
     free: HashMap<(usize, bool), Vec<BufferId>>,
     /// Ids currently sitting in `free` — O(1) double-release detection.
@@ -50,41 +46,13 @@ pub struct BufferPool {
     /// Ids currently leased out. `release` only accepts members; foreign
     /// buffers enter via the explicit [`BufferPool::adopt`].
     leased_ids: HashSet<BufferId>,
-    /// Ids currently retained by artifacts (see [`BufferPool::retain`]).
-    retained_ids: HashSet<BufferId>,
     stats: PoolStats,
     seq: u64,
-    /// Process-unique pool identity (see [`BufferPool::generation`]).
-    generation: u64,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-        BufferPool {
-            free: HashMap::new(),
-            free_ids: HashSet::new(),
-            leased_ids: HashSet::new(),
-            retained_ids: HashSet::new(),
-            stats: PoolStats::default(),
-            seq: 0,
-            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-        }
-    }
 }
 
 impl BufferPool {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Process-unique identity of this pool instance. Replay artifacts
-    /// embed the generation of the pool their scratch was retained from;
-    /// a key that no longer matches the session's live pool (the pool was
-    /// replaced) proves the artifact's buffer ids are meaningless and the
-    /// artifact must be re-recorded, not replayed.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Lease/recycle counters so callers can prove reuse (a warm
@@ -186,18 +154,6 @@ impl BufferPool {
         self.leased_ids.clone()
     }
 
-    /// Is `id` sitting in the free lists (released, available for reuse)?
-    /// A replay tape referencing a free pool buffer is a use-after-release
-    /// in the making — the plan verifier's freeze check rejects it.
-    pub fn is_free(&self, id: BufferId) -> bool {
-        self.free_ids.contains(&id)
-    }
-
-    /// Is `id` currently leased from this pool?
-    pub fn is_leased(&self, id: BufferId) -> bool {
-        self.leased_ids.contains(&id)
-    }
-
     /// Return a leased buffer to its size class. Contents are left as-is —
     /// the next lessee must fully overwrite before reading, which every
     /// pipeline stage does.
@@ -240,40 +196,6 @@ impl BufferPool {
             !self.leased_ids.contains(&id),
             "buffer {id:?} is currently leased from this pool; release it instead"
         );
-        self.park(dev, id);
-    }
-
-    /// Move a leased buffer out of the lease set into the caller's
-    /// ownership — the mechanism replay artifacts use to keep their
-    /// recorded scratch buffers alive (and their embedded ids valid)
-    /// across calls without counting as an outstanding lease. The pool
-    /// will not re-issue a retained id until it is [`restored`].
-    ///
-    /// [`restored`]: BufferPool::restore
-    ///
-    /// # Panics
-    /// If the buffer is not currently leased from this pool.
-    pub fn retain(&mut self, id: BufferId) {
-        assert!(
-            self.leased_ids.remove(&id),
-            "retained buffer {id:?} is not currently leased from this pool"
-        );
-        self.retained_ids.insert(id);
-        self.stats.leased -= 1;
-        self.stats.retained += 1;
-    }
-
-    /// Return a retained buffer to the free lists (artifact eviction or
-    /// invalidation). The inverse of [`BufferPool::retain`].
-    ///
-    /// # Panics
-    /// If the buffer is not currently retained.
-    pub fn restore(&mut self, dev: &dyn Backend, id: BufferId) {
-        assert!(
-            self.retained_ids.remove(&id),
-            "restored buffer {id:?} is not retained from this pool"
-        );
-        self.stats.retained -= 1;
         self.park(dev, id);
     }
 
@@ -402,46 +324,6 @@ mod tests {
         let mut pool = BufferPool::new();
         let a = pool.acquire(&mut dev, 8);
         pool.adopt(&dev, a);
-    }
-
-    /// Retained buffers leave the lease count (a replay artifact holding
-    /// scratch must not read as an outstanding lease), cannot be re-issued
-    /// while retained, and re-enter circulation on restore.
-    #[test]
-    fn retain_restore_lifecycle() {
-        let mut dev = SimBackend::a100();
-        let mut pool = BufferPool::new();
-        let a = pool.acquire(&mut dev, 16);
-        pool.retain(a);
-        assert_eq!(
-            (pool.stats().leased, pool.stats().retained, pool.stats().pooled),
-            (0, 1, 0)
-        );
-        // a retained id is out of circulation: a same-class lease allocates
-        let b = pool.acquire(&mut dev, 16);
-        assert_ne!(a, b);
-        pool.restore(&dev, a);
-        assert_eq!(
-            (pool.stats().leased, pool.stats().retained, pool.stats().pooled),
-            (1, 0, 1)
-        );
-        // ...and a restored id satisfies the next lease again
-        let c = pool.acquire(&mut dev, 16);
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    #[should_panic(expected = "not currently leased")]
-    fn retaining_an_unleased_buffer_is_rejected() {
-        let mut dev = SimBackend::a100();
-        let mut pool = BufferPool::new();
-        let foreign = dev.alloc("foreign", 8);
-        pool.retain(foreign);
-    }
-
-    #[test]
-    fn pool_generations_are_unique_per_instance() {
-        assert_ne!(BufferPool::new().generation(), BufferPool::new().generation());
     }
 
     /// Regression: a shape-diverse serving loop must not grow the free map

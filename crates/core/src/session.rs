@@ -20,11 +20,12 @@
 //! // ... upload x/w ...
 //! let run = sess.run(&spec, x, w, y);
 //! assert_eq!(run.kernel_count(), 3); // FFT, CGEMM, iFFT
-//! // A second same-shape-same-buffers run replays the recorded launch
-//! // sequence — no planning, no scratch leasing, no kernel assembly:
+//! // A second same-shape run leases its scratch from the pool — no new
+//! // device allocation — and launches the same sequence:
+//! let misses = sess.pool_stats().misses;
 //! let warm = sess.run(&spec, x, w, y);
 //! assert_eq!(warm.kernel_count(), 3);
-//! assert_eq!(sess.replay_stats().hits, 1);
+//! assert_eq!(sess.pool_stats().misses, misses);
 //! ```
 //!
 //! [`Session::run_many`] is the serving entry point: requests of the same
@@ -39,19 +40,15 @@
 //! so no request's `y` may be any request's operand, while a single call
 //! may update in place (`y == x`).
 //!
-//! ## Warm-path replay
+//! ## Warm calls
 //!
-//! Every functional `run`/`run_many` (and their submitted halves) goes
-//! through the whole-forward replay cache (`replay.rs`): the first call of
-//! a `(shape, variant, options, stack layout, operand buffers)` tuple
-//! records its complete launch sequence — kernel objects included — as a
-//! replayable artifact that also retains the scratch it leased; every
-//! later identical call re-issues that sequence in one pass. Results are
-//! bitwise-identical to the cold path. Artifacts are invalidated (never
-//! served stale) when the planner is cleared, the pool is swapped, or the
-//! device's worker configuration changes; changing shape, variant,
-//! options, stack depth or weight-stacking layout is simply a different
-//! key. [`Session::replay_stats`] exposes hits/misses/invalidations.
+//! Every call runs the same path; nothing records or replays a launch
+//! sequence. A second call of a known shape is cheap because its inputs
+//! are already warm: the [`Planner`] has its `TurboBest` decision cached,
+//! the [`BufferPool`] hands back the scratch the first call released, the
+//! process-wide FFT plan/trace cache (`tfno_fft::cache`) shares every
+//! pruned plan and butterfly trace, and a functional sim launch attaches
+//! its memoized analytical counts instead of metering every access.
 //!
 //! ## Async layer dispatch
 //!
@@ -114,7 +111,6 @@ use crate::error::{RecoveryStats, RetryPolicy, TfnoError};
 use crate::pipeline::{ExecCtx, LayerBufs, TurboOptions, Variant};
 use crate::planner::{hash_device_config, Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
-use crate::replay::{self, ReplayCache, ReplayStats};
 use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVerifier, QueueAccess};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -129,7 +125,7 @@ use tfno_culib::{
 };
 use crate::backend::{
     lock_unpoisoned, seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeferredWindow,
-    ExecMode, FaultPlan, FaultStats, LaunchError, PendingLaunch, SimBackend,
+    ExecMode, FaultPlan, FaultStats, LaunchError, LaunchRecord, PendingLaunch, SimBackend,
 };
 use tfno_num::C32;
 
@@ -415,9 +411,8 @@ struct Dispatcher<B: Backend> {
 ///
 /// Self-healing: a snapshot of the pool's lease ledger is taken before
 /// each job, so when the job unwinds, every lease it acquired and leaked
-/// (pipeline scratch, staging buffers, a live recording tape's deferred
-/// releases) is released here before the next job runs. Only the panicked
-/// job's handle observes the failure.
+/// (pipeline scratch, staging buffers) is released here before the next
+/// job runs. Only the panicked job's handle observes the failure.
 fn dispatch_loop<B: Backend>(
     jobs: mpsc::Receiver<Job<B>>,
     results: mpsc::Sender<JobOutcome>,
@@ -438,7 +433,6 @@ fn dispatch_loop<B: Backend>(
                         dev: &mut *dev,
                         pool: &mut *pool,
                         planner: &planner,
-                        tape: None,
                         verify: verifier_enabled().then(PlanVerifier::new),
                     };
                     work(&mut ctx)
@@ -485,6 +479,14 @@ pub struct DispatchStats {
     pub max_in_flight: u64,
 }
 
+/// Counters [`Session::replay_stats`] reports: always zero, since no
+/// call records or replays a launch sequence.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
 /// Default in-flight depth of the dispatch pipeline: double-buffered — the
 /// host stages submit N+1 while the device runs submit N.
 const DEFAULT_PIPELINE_DEPTH: usize = 2;
@@ -517,8 +519,6 @@ pub struct Session<B: Backend = SimBackend> {
     pool: Option<BufferPool>,
     /// Shared with the dispatch thread; all planner state is interior-mutex.
     planner: Arc<Planner>,
-    /// Whole-forward replay cache, shared with the dispatch thread.
-    replay: Arc<Mutex<ReplayCache>>,
     id: u64,
     next_seq: u64,
     /// Max jobs in flight before `submit` applies backpressure.
@@ -540,9 +540,6 @@ pub struct Session<B: Backend = SimBackend> {
     /// Shadow operand-length ledger: lets `submit` check operand lengths while
     /// the authoritative memory ledger is away on the dispatch thread.
     buf_meta: HashMap<BufferId, usize>,
-    /// Gates recording and replaying (the artifact cache itself is kept);
-    /// see [`Session::set_replay_enabled`].
-    replay_enabled: bool,
 }
 
 impl Session<AnyBackend> {
@@ -574,7 +571,6 @@ impl<B: Backend> Session<B> {
             dev: Some(dev),
             pool: Some(BufferPool::new()),
             planner: Arc::new(Planner::new()),
-            replay: Arc::new(Mutex::new(ReplayCache::new())),
             id: SESSION_IDS.fetch_add(1, Ordering::Relaxed),
             next_seq: 0,
             depth: DEFAULT_PIPELINE_DEPTH,
@@ -586,7 +582,6 @@ impl<B: Backend> Session<B> {
             recovery: Arc::new(Mutex::new(RecoveryStats::default())),
             stats: DispatchStats::default(),
             buf_meta: HashMap::new(),
-            replay_enabled: true,
         }
     }
 
@@ -680,12 +675,10 @@ impl<B: Backend> Session<B> {
     }
 
     /// Counters of the recovery machinery: transient retries, degradations
-    /// to the unfused pipeline, exhausted operations, faulted replays,
-    /// healed dispatch jobs and the leases they leaked, abandoned handles.
+    /// to the unfused pipeline, exhausted operations, healed dispatch jobs
+    /// and the leases they leaked, abandoned handles.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut s = *lock_unpoisoned(&self.recovery);
-        s.faulted_replays = lock_unpoisoned(&self.replay).stats().faulted;
-        s
+        *lock_unpoisoned(&self.recovery)
     }
 
     /// True while submitted work (or the session state that ran it) is
@@ -695,32 +688,18 @@ impl<B: Backend> Session<B> {
         self.dev.is_none()
     }
 
-    /// Replay-cache counters: a steady-state serving loop must report
-    /// `hits` growing and `misses` flat (see the module docs).
+    /// Always zero. Kept only because the repo benchmark's counter
+    /// adapter (`fnobench/src/counters.rs`) reads `hits` and `misses`; it
+    /// goes together with that benchmark's `session.replay_hit_ratio`
+    /// metric.
     pub fn replay_stats(&self) -> ReplayStats {
-        lock_unpoisoned(&self.replay).stats()
+        ReplayStats::default()
     }
 
     /// Dispatch-thread counters: `threads_spawned` stays at 1 however many
     /// submits ran; `max_in_flight` shows how deep the pipeline actually got.
     pub fn dispatch_stats(&self) -> DispatchStats {
         self.stats
-    }
-
-    /// Turn whole-forward replay off (or back on). While off, calls
-    /// neither record nor replay artifacts — every execution takes the
-    /// full cold path — but artifacts already cached are kept (with their
-    /// retained scratch) and serve again once re-enabled. Useful for
-    /// A/B-measuring the warm path against the cold one on a single
-    /// session, and for callers that would otherwise churn the FIFO
-    /// artifact cache with never-repeating keys.
-    pub fn set_replay_enabled(&mut self, on: bool) {
-        self.replay_enabled = on;
-    }
-
-    /// Whether warm-path replay is active (the default).
-    pub fn replay_enabled(&self) -> bool {
-        self.replay_enabled
     }
 
     /// Max submitted jobs in flight before [`Session::submit`] blocks on
@@ -896,7 +875,6 @@ impl<B: Backend> Session<B> {
             dev: self.dev.as_mut().expect("device resident after synchronize"),
             pool: self.pool.as_mut().expect("pool resident after synchronize"),
             planner: &self.planner,
-            tape: None,
             verify: verifier_enabled().then(PlanVerifier::new),
         }
     }
@@ -943,7 +921,7 @@ impl<B: Backend> Session<B> {
             return Ok(());
         }
         // The aliasing rules are one `PlanVerifier` code path shared by the
-        // sync, async and replayed entry points; only the message text —
+        // sync and async entry points; only the message text —
         // pinned by the API tests — is rendered here.
         let access: Vec<QueueAccess> = reqs
             .iter()
@@ -968,21 +946,18 @@ impl<B: Backend> Session<B> {
         }
     }
 
-    /// The resilient engine over `reqs`, bound to this session's replay
-    /// cache, recovery counters and retry policy: the one body the
-    /// synchronous entry points run in place and the submitting ones ship
-    /// to the dispatch thread.
+    /// The resilient engine over `reqs`, bound to this session's recovery
+    /// counters and retry policy: the one body the synchronous entry
+    /// points run in place and the submitting ones ship to the dispatch
+    /// thread.
     fn engine(
         &self,
         reqs: &[Request],
     ) -> impl FnOnce(&mut ExecCtx<'_>) -> Result<Vec<PipelineRun>, TfnoError> + Send + 'static {
-        let enable =
-            self.replay_enabled && reqs.iter().all(|r| r.spec.exec == ExecMode::Functional);
-        let cache = Arc::clone(&self.replay);
         let recovery = Arc::clone(&self.recovery);
         let policy = self.retry;
         let reqs = reqs.to_vec();
-        move |ctx| run_queue_resilient(ctx, &cache, &recovery, policy, reqs, enable)
+        move |ctx| run_queue_resilient(ctx, &recovery, policy, reqs)
     }
 
     /// The synchronous request path: admit, then run the engine on the
@@ -1010,9 +985,8 @@ impl<B: Backend> Session<B> {
     }
 
     /// Execute one layer spec. `TurboBest` consults the session planner
-    /// (memoized per shape); scratch comes from the session pool. Warm
-    /// same-key calls replay the recorded launch sequence (see the module
-    /// docs), bitwise equal to a cold run.
+    /// (memoized per shape); scratch comes from the session pool (see the
+    /// module docs on warm calls).
     ///
     /// A single call is a queue of one through the [`Session::run_many`]
     /// engine, which runs a lone request unstacked. Unlike `run_many`, it
@@ -1118,8 +1092,8 @@ impl<B: Backend> Session<B> {
     }
 
     /// Issue [`Session::run_many`] asynchronously (same coalescing, same
-    /// aliasing contract — admitted here, synchronously; same warm-path
-    /// replay). Redeem with [`Session::wait_many`].
+    /// aliasing contract — admitted here, synchronously). Redeem with
+    /// [`Session::wait_many`].
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_submit_many`]
@@ -1315,7 +1289,7 @@ impl<B: Backend> Drop for Session<B> {
 
 /// Hash the spec fields that shape a launch sequence: geometry, variant,
 /// the options that steer kernel assembly, and the functional/analytical
-/// split. Shared by the replay keys and the `measure` sequence memo.
+/// split (the `measure` sequence memo's key).
 fn hash_spec(spec: &LayerSpec, h: &mut DefaultHasher) {
     let s = &spec.shape;
     (s.rank as u8).hash(h);
@@ -1327,18 +1301,6 @@ fn hash_spec(spec: &LayerSpec, h: &mut DefaultHasher) {
     spec.opts.epilogue_swizzle.hash(h);
     spec.opts.fft_l1_hit.to_bits().hash(h);
     (spec.exec == ExecMode::Analytical).hash(h);
-}
-
-/// Replay key of a serving queue: the full request list, in order.
-fn queue_key(reqs: &[Request]) -> u64 {
-    let mut h = DefaultHasher::new();
-    0xF1u8.hash(&mut h);
-    reqs.len().hash(&mut h);
-    for r in reqs {
-        hash_spec(&r.spec, &mut h);
-        (r.x, r.w, r.y).hash(&mut h);
-    }
-    h.finish()
 }
 
 /// Deferred serving-queue output scatters: a small [`DeferredWindow`]
@@ -1377,22 +1339,22 @@ impl ScatterWindow {
         out: &mut [PipelineRun],
     ) -> usize {
         self.owners.push_back(owner);
-        let mut completed = 0;
-        for rec in self.queue.push(dev, pending) {
-            let o = self.owners.pop_front().expect("one owner per completion");
-            out[o].push(rec);
-            completed += 1;
-        }
-        completed
+        let done = self.queue.push(dev, pending);
+        self.hand_out(done, out)
     }
 
     /// Returns how many pending scatters completed (see `push`).
     fn flush(&mut self, dev: &mut dyn Backend, out: &mut [PipelineRun]) -> usize {
-        let mut completed = 0;
-        for rec in self.queue.flush(dev) {
+        let done = self.queue.flush(dev);
+        self.hand_out(done, out)
+    }
+
+    /// Append each completed record, oldest first, to its owner's run.
+    fn hand_out(&mut self, done: Vec<LaunchRecord>, out: &mut [PipelineRun]) -> usize {
+        let completed = done.len();
+        for rec in done {
             let o = self.owners.pop_front().expect("one owner per completion");
             out[o].push(rec);
-            completed += 1;
         }
         completed
     }
@@ -1478,7 +1440,6 @@ impl ExecCtx<'_> {
                 let r = &reqs[j];
                 let run = self.try_run_spec(&r.spec, concrete, LayerBufs::shared(r.x, r.w, r.y))?;
                 out[j].launches.extend(run.launches);
-                self.mark_unit(j);
             }
         }
         let completed = window.flush(self.dev, &mut out);
@@ -1512,7 +1473,7 @@ impl ExecCtx<'_> {
     /// same whether the stack shares one weight buffer or uses `k`
     /// distinct ones. Launches land in `out[stack[0]]`; the scatter is
     /// issued deferred through `window` (completed up to two groups later,
-    /// or synchronously on a backend without deferred launches / on replay).
+    /// or synchronously on a backend without deferred launches).
     fn try_run_stacked(
         &mut self,
         reqs: &[Request],
@@ -1525,9 +1486,7 @@ impl ExecCtx<'_> {
         let r = self.stacked_body(reqs, stack, concrete, window, out, &mut leases);
         // The pending scatter read sy at issue; releasing the staging
         // scratch (or recycling it for the next group) cannot disturb it.
-        // On the error path this returns the staging leases too — a live
-        // recording tape defers them (record() releases an abandoned
-        // tape's scratch), so nothing leaks either way.
+        // On the error path this returns the staging leases too.
         self.release(leases);
         r
     }
@@ -1605,7 +1564,6 @@ impl ExecCtx<'_> {
             let completed = window.push(self.dev, pending, owner, out);
             self.note_completions(completed);
         }
-        self.mark_unit(owner);
         Ok(())
     }
 
@@ -1662,30 +1620,19 @@ impl ExecCtx<'_> {
 ///    retried success is bitwise-equal to an unfaulted run.
 /// 2. **Degradation rung** — if the rung exhausts and any request resolves
 ///    to a fused variant, every such request is re-planned onto the
-///    unfused [`Variant::FftOpt`] pipeline (the whole queue is one replay
-///    unit, so the rung re-keys and re-runs it whole) for one more retry
-///    rung before the error is surfaced.
-///
-/// Replay stays coherent throughout: a faulted recording is never frozen,
-/// and a faulted replay evicts its artifact and falls back to the
-/// functional path (see `replay::try_execute`).
+///    unfused [`Variant::FftOpt`] pipeline and the whole queue re-runs for
+///    one more retry rung before the error is surfaced.
 fn run_queue_resilient(
     ctx: &mut ExecCtx<'_>,
-    cache: &Mutex<ReplayCache>,
     recovery: &Mutex<RecoveryStats>,
     policy: RetryPolicy,
     mut reqs: Vec<Request>,
-    enable: bool,
 ) -> Result<Vec<PipelineRun>, TfnoError> {
-    let n = reqs.len();
     let mut total_attempts = 0u32;
     loop {
-        let key = queue_key(&reqs);
         let mut last: Option<TfnoError> = None;
         for attempt in 1..=policy.attempts() {
-            let out = replay::try_execute(ctx, cache, key, n, enable, |ctx| {
-                ctx.try_run_queue(&reqs).map_err(TfnoError::from)
-            });
+            let out = ctx.try_run_queue(&reqs).map_err(TfnoError::from);
             total_attempts += 1;
             match out {
                 Ok(runs) => {
@@ -1940,7 +1887,7 @@ mod tests {
         sess.run(&spec, x, w, y);
         let want = sess.download(y);
 
-        // A fresh output buffer gives the faulted run its own replay key.
+        // A fresh output buffer, so only the retried run can have filled it.
         let y2 = sess.alloc("y2", spec.output_len());
         sess.set_fault_plan(Some(
             FaultPlan::seeded(11).at_launch(0, crate::backend::FaultKind::TransientLaunch),
@@ -2016,38 +1963,12 @@ mod tests {
     }
 
     #[test]
-    fn faulted_replay_evicts_and_falls_back_to_functional() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        sess.run(&spec, x, w, y); // cold: records the tape
-        let want = sess.download(y);
-
-        // Warm call would replay; fault its first replayed launch.
-        sess.set_fault_plan(Some(
-            FaultPlan::seeded(13).at_launch(0, crate::backend::FaultKind::TransientLaunch),
-        ));
-        sess.try_run(&spec, x, w, y).expect("fallback recovers");
-        assert_eq!(sess.download(y), want);
-        assert_eq!(sess.recovery_stats().faulted_replays, 1);
-        assert_eq!(sess.pool_stats().leased, 0);
-
-        // The evicted artifact was re-recorded by the fallback: the next
-        // warm call replays again, fault-free.
-        sess.set_fault_plan(None);
-        let hits_before = sess.replay_stats().hits;
-        sess.run(&spec, x, w, y);
-        let after = sess.replay_stats();
-        assert_eq!(after.hits, hits_before + 1);
-        assert_eq!(after.faulted, 1, "only the faulted warm call was evicted");
-    }
-
-    #[test]
     fn job_panic_heals_leases_and_only_fails_its_handle() {
         let mut sess = Session::new(SimBackend::a100());
         let (spec, x, w, y) = spec_with_operands(&mut sess);
         // A job that leaks a lease and panics (only constructible from
         // inside the crate — the public surface never panics mid-lease
-        // without the tape hygiene the pipelines provide).
+        // without the lease hygiene the pipelines provide).
         let bad = sess.dispatch(Box::new(|ctx| {
             let _leak = ctx
                 .pool

@@ -17,9 +17,6 @@
 //!   observes stale data or loses writes.
 //! * **Lease discipline** — every pool lease a sequence takes is released
 //!   exactly once, and no launch touches a buffer after its release.
-//! * **Replay-tape validity** — at freeze time a tape references only
-//!   scratch that is still alive (about to be retained) and was leased
-//!   from the pool generation the tape recorded ([`check_tape`]).
 //!
 //! The declared access sets are exact, so the verifier holds a zero
 //! false-positive contract: a plan the engine would execute correctly is
@@ -39,7 +36,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::TfnoError;
-use crate::pool::BufferPool;
 use crate::backend::{
     lock_unpoisoned, merge_runs, runs_overlap, Backend, BufferId, Kernel, KernelAccess,
     LaunchError,
@@ -88,15 +84,6 @@ pub enum PlanHazard {
     ReleaseUnleased { buf: String },
     /// The sequence finished with leases still outstanding.
     UnreleasedLease { count: usize },
-    /// A frozen tape step references a pool buffer that was released back
-    /// to the free lists (a replay would read/write recycled scratch).
-    TapeUnretainedScratch { step: String, buf: String },
-    /// A tape's scratch list names a buffer that is not leased from the
-    /// pool at freeze time, so it cannot be retained.
-    TapeScratchNotLeased { buf: String },
-    /// A tape recorded against a different pool generation than the one
-    /// it is being frozen against: its buffer ids are meaningless.
-    StaleGeneration { recorded: u64, current: u64 },
     /// A queued request's output aliases one of its own operands.
     SelfAlias { index: usize, operand: String },
     /// A queued request's output is an operand (or the output) of another
@@ -160,20 +147,6 @@ impl fmt::Display for PlanHazard {
             PlanHazard::UnreleasedLease { count } => {
                 write!(f, "sequence finished with {count} unreleased pool lease(s)")
             }
-            PlanHazard::TapeUnretainedScratch { step, buf } => write!(
-                f,
-                "replay tape step '{step}' references pool buffer {buf}, which was \
-                 released back to the free lists"
-            ),
-            PlanHazard::TapeScratchNotLeased { buf } => write!(
-                f,
-                "replay tape scratch {buf} is not leased from the pool at freeze time"
-            ),
-            PlanHazard::StaleGeneration { recorded, current } => write!(
-                f,
-                "replay tape recorded against pool generation {recorded} but is frozen \
-                 against generation {current}"
-            ),
             PlanHazard::SelfAlias { index, operand } => {
                 write!(f, "request {index} is self-aliased (y == {operand})")
             }
@@ -306,14 +279,6 @@ impl PlanVerifier {
     pub fn acquire(&mut self, buf: BufferId) {
         self.released.remove(&buf);
         self.leased.insert(buf);
-    }
-
-    /// Note a lease whose release was deferred past this sequence (a
-    /// recording tape retaining its scratch): the sequence's balance no
-    /// longer owes a release, but the buffer stays live — later launches
-    /// may still reference it.
-    pub fn transfer(&mut self, buf: BufferId) {
-        self.leased.remove(&buf);
     }
 
     /// Note a lease release. Rejects double releases and releases of
@@ -564,47 +529,6 @@ pub fn check_queue_aliasing(reqs: &[QueueAccess]) -> Result<(), PlanHazard> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Replay-tape freeze check
-// ---------------------------------------------------------------------------
-
-/// Prove a replay tape safe to freeze: the pool generation matches the
-/// one the tape recorded, every scratch buffer slated for retention is
-/// still leased, and no recorded step references a pool buffer that was
-/// released back to the free lists.
-pub fn check_tape(
-    pool: &BufferPool,
-    recorded_gen: u64,
-    scratch: &[BufferId],
-    steps: impl Iterator<Item = (String, Option<KernelAccess>)>,
-) -> Result<(), PlanHazard> {
-    if recorded_gen != pool.generation() {
-        return Err(PlanHazard::StaleGeneration {
-            recorded: recorded_gen,
-            current: pool.generation(),
-        });
-    }
-    for &b in scratch {
-        if !pool.is_leased(b) {
-            return Err(PlanHazard::TapeScratchNotLeased {
-                buf: format!("{b:?}"),
-            });
-        }
-    }
-    for (step, access) in steps {
-        let Some(access) = access else { continue };
-        for buf in access.buffers() {
-            if pool.is_free(buf) {
-                return Err(PlanHazard::TapeUnretainedScratch {
-                    step,
-                    buf: format!("{buf:?}"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,12 +718,6 @@ mod tests {
             (PlanHazard::DoubleRelease { buf: "b".into() }, "twice"),
             (PlanHazard::ReleaseUnleased { buf: "b".into() }, "never acquired"),
             (PlanHazard::UnreleasedLease { count: 2 }, "unreleased"),
-            (
-                PlanHazard::TapeUnretainedScratch { step: "s".into(), buf: "b".into() },
-                "free lists",
-            ),
-            (PlanHazard::TapeScratchNotLeased { buf: "b".into() }, "not leased"),
-            (PlanHazard::StaleGeneration { recorded: 1, current: 2 }, "generation"),
             (PlanHazard::SelfAlias { index: 0, operand: "x".into() }, "self-aliased"),
             (PlanHazard::CrossAlias { writer: 0, reader: 1 }, "operand of request"),
         ];

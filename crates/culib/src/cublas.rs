@@ -26,10 +26,9 @@ impl CuBlas {
     }
 
     /// Build the kernel `cgemm_strided_batched` would launch, without
-    /// launching it. Callers that record replayable launch sequences
-    /// (CUDA-graph-style capture) keep the returned kernel object alive —
-    /// along with its internal main-loop trace — and re-launch it on warm
-    /// replays.
+    /// launching it — for callers that route each launch through their own
+    /// checks first (the session pipelines prove it against the launch-plan
+    /// verifier).
     #[allow(clippy::too_many_arguments)]
     pub fn kernel(
         name: &str,

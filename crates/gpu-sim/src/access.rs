@@ -6,8 +6,8 @@
 //! partitioned per block. The launch-plan verifier in the core crate uses
 //! these sets to *prove* plan-level safety properties before a launch is
 //! issued — cross-block write disjointness, read-after-write ordering
-//! through deferred launch windows, and replay-tape resource validity —
-//! instead of detecting violations from write journals after the damage
+//! through deferred launch windows, and lease discipline — instead of
+//! detecting violations from write journals after the damage
 //! would already be visible.
 //!
 //! The contract mirrors [`Kernel::fingerprint`]: the declared sets must be

@@ -400,20 +400,6 @@ impl GpuDevice {
         self.workers = workers.map(|n| n.max(1));
     }
 
-    /// Stable key of the execution policy in force on this device: the
-    /// explicit worker override, the process-wide configured worker count,
-    /// and the parallelism flag. Sequence-replay caches store it
-    /// so a policy change between warm calls invalidates (never stale-hits)
-    /// the recorded artifact.
-    pub fn worker_key(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.workers.hash(&mut h);
-        exec::configured_workers().hash(&mut h);
-        self.parallel.hash(&mut h);
-        h.finish()
-    }
-
     /// Worker count the functional executor will use for a grid of
     /// `n_blocks` under the current policy.
     pub fn effective_workers(&self, n_blocks: usize) -> usize {
@@ -1167,18 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_key_tracks_policy_changes() {
-        let dev = GpuDevice::a100();
-        let base = dev.worker_key();
-        assert_eq!(base, GpuDevice::a100().worker_key(), "key is stable");
-        let pinned = GpuDevice::a100().with_workers(1);
-        assert_ne!(base, pinned.worker_key(), "override changes the key");
-        let mut serial = GpuDevice::a100();
-        serial.parallel = false;
-        assert_ne!(base, serial.worker_key(), "parallelism flag changes the key");
-    }
-
-    #[test]
     fn time_increases_with_work() {
         let (mut dev, src, dst) = setup(256);
         let small = ScaleKernel { src, dst, blocks: 4 };
@@ -1406,9 +1380,8 @@ mod tests {
         (dev, DataDependentKernel { ctrl, src, dst, blocks })
     }
 
-    /// A warm replay re-launches the retained kernel; after the control
-    /// word flips, that launch's metered blocks disagree with the counts
-    /// memoized by the first one.
+    /// A second launch of the same kernel after the control word flips:
+    /// its metered blocks disagree with the counts memoized by the first.
     #[test]
     #[should_panic(expected = "access pattern depends on the data")]
     fn replay_cross_check_fires_on_data_dependent_access() {

@@ -104,7 +104,7 @@ pub(crate) fn insert(key: u64, stats: KernelStats) {
 // ---------------------------------------------------------------------------
 //
 // The per-kernel memo above caches the *stats of one launch*. Warm serving
-// loops replay whole launch **sequences** (an L-layer forward is the same
+// loops repeat whole launch **sequences** (an L-layer forward is the same
 // FFT→CGEMM→iFFT chain every call), so the next level up caches the full
 // `Vec<LaunchRecord>` of a sequence under a caller-provided structural key
 // (hash of problem shape + variant + options + device config — never buffer

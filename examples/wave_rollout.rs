@@ -9,10 +9,10 @@
 //! This is the serving pattern FNO surrogates run in production: one
 //! learned operator applied T times to its own output. The spec is
 //! identical every step, so after the cold first step the session's
-//! launch replay serves every subsequent step from the recorded sequence
-//! and the buffer pool recycles the same leases — the device trajectory
-//! must stay within float tolerance of the host-reference trajectory at
-//! every step.
+//! planner answers from its cache and the buffer pool recycles the same
+//! leases: a warm step plans nothing and allocates nothing. The device
+//! trajectory must stay within float tolerance of the host-reference
+//! trajectory at every step.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,6 +46,8 @@ fn main() {
     );
     let mut host = x0.clone();
     let mut dev = x0;
+    // (pool misses, simulated planning launches) after the cold step.
+    let mut cold = (0, 0);
     for step in 0..steps {
         // Issue the device step, overlap the host-reference step with it,
         // then finish and swap the output in as the next input.
@@ -65,20 +67,29 @@ fn main() {
             err
         );
         assert!(err < 1e-3, "step {step}: device trajectory diverged ({err})");
+        if step == 0 {
+            cold = (
+                sess.pool_stats().misses,
+                sess.planner_stats().simulated_launches,
+            );
+        }
     }
 
-    let replay = sess.replay_stats();
-    let pool = sess.pool_stats();
+    let (pool, plans) = (sess.pool_stats(), sess.planner_stats());
     println!(
-        "\nsession caches: replay {} hits / {} misses, pool {} hits / {} misses",
-        replay.hits, replay.misses, pool.hits, pool.misses
+        "\nsession caches: pool {} hits / {} misses, planner {} hits / {} misses",
+        pool.hits, pool.misses, plans.hits, plans.misses
     );
-    assert!(
-        replay.hits >= 1,
-        "warm rollout steps must replay the recorded launch sequence"
+    assert_eq!(
+        pool.misses, cold.0,
+        "warm rollout steps must allocate nothing new"
+    );
+    assert_eq!(
+        plans.simulated_launches, cold.1,
+        "warm rollout steps must plan nothing"
     );
     assert!(pool.hits >= 1, "warm rollout steps must recycle pooled buffers");
 
-    println!("\nEvery warm step replayed the cold step's recorded launch sequence;");
+    println!("\nEvery warm step reused the cold step's plan and pooled buffers;");
     println!("the {steps}-step device trajectory tracks the host reference.");
 }

@@ -173,8 +173,8 @@ fn seeded(len: usize, seed: f32) -> Vec<C32> {
 }
 
 /// Satellite regression: a session runs ONE long-lived dispatch thread,
-/// reused across every submit — the pre-replay implementation spawned
-/// (and joined) a fresh OS thread per submit.
+/// reused across every submit — an earlier implementation spawned (and
+/// joined) a fresh OS thread per submit.
 #[test]
 fn submits_reuse_one_dispatch_thread() {
     let spec = LayerSpec::d1(1, 8, 8, 128).modes(32).variant(Variant::FftOpt);
@@ -196,7 +196,7 @@ fn submits_reuse_one_dispatch_thread() {
         "every submit must reuse the session's one dispatch thread"
     );
     assert_eq!(stats.jobs_dispatched, 8);
-    // Each submit used a distinct y (a distinct replay key); all outputs agree.
+    // Each submit used a distinct y; all outputs agree.
     let want = sess.download(ys[0]);
     for &y in &ys[1..] {
         assert_eq!(sess.download(y), want);

@@ -1,9 +1,10 @@
-//! Whole-forward launch replay: the warm (replayed) path must be
-//! **bitwise**-equal to the cold path for every variant and
-//! dimensionality, must re-read operand buffers at launch time (it is
-//! re-execution, not output caching), and must never serve a stale
-//! artifact when anything about the call changes — shape, variant, stack
-//! depth, weight-stacking layout, worker configuration, or planner state.
+//! Repeated calls on one session: the second call of a request must be
+//! **bitwise**-equal to the first and to a fresh session's, for every
+//! variant and dimensionality, and must report equal launch records. It
+//! must re-read operand buffers (warm state is plans, pooled scratch and
+//! shared kernel structure, never outputs), and recycled pool scratch
+//! must never leak one call's values into another when the shape, the
+//! variant, the stack depth or the weight-stacking layout changes.
 //!
 //! CI additionally runs this file under `TFNO_THREADS=1`.
 
@@ -25,7 +26,7 @@ fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
 }
 
 /// Run `spec` cold and warm in one session (same operands), proving the
-/// warm call replayed (where the variant allows) and rewrote the output;
+/// warm call allocated nothing, planned nothing and rewrote the output;
 /// returns the agreed output bits.
 fn cold_then_warm(sess: &mut Session<AnyBackend>, spec: &LayerSpec, x_seed: f32, w_seed: f32) -> Vec<C32> {
     let x = sess.alloc("x", spec.input_len());
@@ -41,27 +42,31 @@ fn cold_then_warm(sess: &mut Session<AnyBackend>, spec: &LayerSpec, x_seed: f32,
     // scatter/epilogue would be caught bitwise.
     sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
 
-    let hits_before = sess.replay_stats().hits;
+    let (pool, plans) = (sess.pool_stats(), sess.planner_stats());
     let warm = sess.run(spec, x, w, y);
     let warm_out = sess.download(y);
 
     assert_eq!(cold_out, warm_out, "warm run diverged from cold run");
     assert_eq!(warm.kernel_count(), cold.kernel_count());
     assert_eq!(warm.total_stats(), cold.total_stats());
-    if spec.variant != Variant::Pytorch {
-        assert_eq!(
-            sess.replay_stats().hits,
-            hits_before + 1,
-            "warm run must be a replay hit for {:?}",
-            spec.variant
-        );
-    }
+    assert_eq!(
+        sess.pool_stats().misses,
+        pool.misses,
+        "{:?}: warm call allocated",
+        spec.variant
+    );
+    assert_eq!(
+        sess.planner_stats().simulated_launches,
+        plans.simulated_launches,
+        "{:?}: warm call planned",
+        spec.variant
+    );
     cold_out
 }
 
 /// Acceptance bar: for every concrete variant × {1D, 2D} (plus
-/// `TurboBest`), the replayed forward is bitwise-equal to the cold
-/// forward and to a fresh session's forward.
+/// `TurboBest`), the second forward is bitwise-equal to the first and to
+/// a fresh session's forward.
 #[test]
 fn warm_replay_is_bitwise_equal_all_variants() {
     let mut variants = Variant::CONCRETE.to_vec();
@@ -83,14 +88,14 @@ fn warm_replay_is_bitwise_equal_all_variants() {
             assert_eq!(
                 fresh.download(y),
                 agreed,
-                "{v:?}: replayed session != fresh session"
+                "{v:?}: warm session != fresh session"
             );
         }
     }
 }
 
-/// Replay re-reads operands at launch time: uploading new input between
-/// warm calls must produce the new answer, not the recorded call's.
+/// A warm call re-reads operands at launch time: uploading new input
+/// between calls must produce the new answer, not the previous call's.
 #[test]
 fn replay_reads_current_operand_values() {
     let spec = LayerSpec::d1(1, 8, 8, 128).modes(32).variant(Variant::FullyFused);
@@ -114,50 +119,13 @@ fn replay_reads_current_operand_values() {
         assert_eq!(
             sess.download(y),
             fresh.download(fy),
-            "round {round}: replay served stale values"
+            "round {round}: warm call served stale values"
         );
     }
-    let stats = sess.replay_stats();
-    assert_eq!((stats.hits, stats.misses), (2, 1));
 }
 
-/// Changing the device's worker configuration between warm calls must
-/// invalidate the artifact (re-record), never serve under the stale
-/// executor setup — and stay bitwise-equal throughout.
-#[test]
-fn changing_workers_invalidates_never_stale_serves() {
-    let spec = LayerSpec::d1(2, 8, 8, 128).modes(32).variant(Variant::FftOpt);
-    let mut sess = Session::a100();
-    let x = sess.alloc("x", spec.input_len());
-    let w = sess.alloc("w", spec.weight_len());
-    let y = sess.alloc("y", spec.output_len());
-    sess.upload(x, &rand_vec(spec.input_len(), 0.2));
-    sess.upload(w, &rand_vec(spec.weight_len(), 0.6));
-
-    sess.run(&spec, x, w, y);
-    sess.run(&spec, x, w, y);
-    let want = sess.download(y);
-    assert_eq!(sess.replay_stats().hits, 1);
-
-    sess.device_mut().set_workers(Some(1));
-    sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
-    sess.run(&spec, x, w, y);
-    let stats = sess.replay_stats();
-    assert_eq!(
-        stats.invalidations, 1,
-        "worker change must invalidate, not hit: {stats:?}"
-    );
-    assert_eq!(sess.download(y), want, "single-worker run diverged");
-
-    // The re-recorded artifact replays under the new configuration.
-    sess.run(&spec, x, w, y);
-    assert_eq!(sess.replay_stats().hits, 2);
-    assert_eq!(sess.download(y), want);
-}
-
-/// Clearing the planner bumps its generation: a warm `TurboBest` call
-/// re-records against the fresh plan instead of replaying a sequence that
-/// might no longer match the planner's answer.
+/// Clearing the planner drops its cached `TurboBest` decision: the next
+/// call plans again (one more planner miss) and writes the same output.
 #[test]
 fn planner_clear_invalidates_turbo_best_artifacts() {
     let spec = LayerSpec::d1(2, 8, 8, 128).modes(32); // TurboBest default
@@ -171,17 +139,21 @@ fn planner_clear_invalidates_turbo_best_artifacts() {
     sess.run(&spec, x, w, y);
     sess.run(&spec, x, w, y);
     let want = sess.download(y);
-    assert_eq!(sess.replay_stats().hits, 1);
+    let misses = sess.planner_stats().misses;
 
     sess.planner().clear();
+    sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
     sess.run(&spec, x, w, y);
-    let stats = sess.replay_stats();
-    assert_eq!(stats.invalidations, 1, "planner clear must invalidate");
+    assert_eq!(
+        sess.planner_stats().misses,
+        misses + 1,
+        "planner clear must re-plan"
+    );
     assert_eq!(sess.download(y), want);
 }
 
 /// Per-iteration operand slots for the queue property: reused across
-/// iterations so identical queue layouts actually replay.
+/// iterations so identical queue layouts recycle the same pooled scratch.
 struct Slots {
     sess: Session<AnyBackend>,
     x: Vec<BufferId>,
@@ -210,12 +182,11 @@ impl Slots {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Property (tentpole correctness bar): over a random sequence of
-    /// serving calls that mutate the stack depth and the weight-stacking
-    /// layout between warm calls — with fresh operand values every
-    /// iteration — every output is bitwise-equal to a fresh session
-    /// running that request alone. Stale artifacts are impossible, not
-    /// just unlikely: the key covers the whole request list.
+    /// Property: over a random sequence of serving calls that mutate the
+    /// stack depth and the weight-stacking layout between warm calls —
+    /// with fresh operand values every iteration — every output is
+    /// bitwise-equal to a fresh session running that request alone, and
+    /// every pooled staging lease comes back.
     #[test]
     fn prop_queue_mutations_never_serve_stale(
         // Each element encodes a (stack depth 1..=3, mixed-weights) pair.
@@ -262,8 +233,7 @@ proptest! {
                 );
             }
         }
-        let stats = slots.sess.replay_stats();
-        prop_assert_eq!(stats.invalidations, 0, "no stamp changed: {:?}", stats);
+        prop_assert_eq!(slots.sess.pool_stats().leased, 0);
     }
 
     /// Property: a random interleaving of single-layer calls that mutate
@@ -280,7 +250,7 @@ proptest! {
             LayerSpec::d1(1, 6, 6, 64).modes(32).variant(Variant::FullyFused),
         ];
         let mut sess = Session::a100();
-        // One operand set per spec, created lazily and reused so repeats replay.
+        // One operand set per spec, created lazily and reused across repeats.
         let mut bufs: HashMap<usize, (BufferId, BufferId, BufferId)> = HashMap::new();
         for (call, sel) in ops.into_iter().enumerate() {
             let spec = specs[sel];
@@ -311,9 +281,9 @@ proptest! {
     }
 }
 
-/// Worker-count parity: a warm replayed forward on a single-worker device
-/// is bitwise-equal to one on a multi-worker device (the executor's
-/// determinism carries through recording and replay).
+/// Worker-count parity: a warm forward on a single-worker device is
+/// bitwise-equal to one on a multi-worker device (the executor is
+/// deterministic on every call, not just the first).
 #[test]
 fn replay_is_bitwise_equal_across_worker_counts() {
     let spec = LayerSpec::d1(2, 8, 8, 128).modes(32).variant(Variant::FullyFused);
@@ -330,15 +300,17 @@ fn replay_is_bitwise_equal_across_worker_counts() {
         sess.upload(w, &rand_vec(spec.weight_len(), 0.4));
         sess.run(&spec, x, w, y);
         sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
-        sess.run(&spec, x, w, y); // warm: replayed
-        assert_eq!(sess.replay_stats().hits, 1);
+        sess.run(&spec, x, w, y); // warm
         sess.download(y)
     };
     let single = warm_out(Some(1));
     let multi = warm_out(Some(4));
     let default = warm_out(None);
-    assert_eq!(single, multi, "workers=1 replay != workers=4 replay");
-    assert_eq!(single, default, "workers=1 replay != default-workers replay");
+    assert_eq!(single, multi, "workers=1 warm call != workers=4 warm call");
+    assert_eq!(
+        single, default,
+        "workers=1 warm call != default-workers warm call"
+    );
 }
 
 /// Field-for-field equality of two launch sequences (`time_us` by bits).
@@ -391,11 +363,7 @@ fn warm_replay_records_equal_cold_records() {
                 let cold = sess.run(&spec, x, w, y);
                 let cold_out = sess.download(y);
                 sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
-                let hits = sess.replay_stats().hits;
                 let warm = sess.run(&spec, x, w, y);
-                if v != Variant::Pytorch {
-                    assert_eq!(sess.replay_stats().hits, hits + 1, "{what}: replay hit");
-                }
                 assert_eq!(sess.download(y), cold_out, "{what}: output");
                 assert_same_records(&cold.launches, &warm.launches, &what);
                 // The device history holds the same records the run returned.
@@ -424,9 +392,7 @@ fn warm_replay_records_equal_cold_records_stacked_queue() {
             reqs.push(Request { spec, x, w, y });
         }
         let cold = sess.run_many(&reqs);
-        let hits = sess.replay_stats().hits;
         let warm = sess.run_many(&reqs);
-        assert_eq!(sess.replay_stats().hits, hits + 1, "validate_writes={validate}: replay hit");
         assert!(cold[0].launches.iter().any(|l| l.name == "serve.scatter"));
         for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
             let what = format!("request {i} validate_writes={validate}");

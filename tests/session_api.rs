@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno::{
-    Backend, BufferPool, FnoProblem1d, LayerSpec, Request, Session, SimBackend, TfnoError, Variant,
+    Backend, BufferPool, FnoProblem1d, LayerSpec, PipelineRun, Request, Session, SimBackend,
+    TfnoError, Variant,
 };
 use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice, KernelStats, LaunchRecord};
 
@@ -77,20 +78,43 @@ fn run_many_matches_sequential_runs_bitwise() {
         (1, 0),
         "same-shape group must plan exactly once"
     );
-    // Re-serving the same queue replays the recorded launch sequence:
-    // zero new allocations, zero pool traffic, one replay hit.
-    let cold = batch_sess.pool_stats();
-    batch_sess.run_many(&reqs);
-    let warm = batch_sess.pool_stats();
+    // Re-serving the same queue: the pool serves every lease (nothing new
+    // is allocated), the planner answers the spec1 group from its cache,
+    // and the outputs and launch records repeat exactly.
+    let cold_out: Vec<Vec<C32>> = reqs.iter().map(|r| batch_sess.download(r.y)).collect();
+    let (cold, cold_plans) = (batch_sess.pool_stats(), batch_sess.planner_stats());
+    for r in &reqs {
+        batch_sess.upload(r.y, &vec![C32::ZERO; r.spec.output_len()]);
+    }
+    let warm_runs = batch_sess.run_many(&reqs);
+    let (warm, warm_plans) = (batch_sess.pool_stats(), batch_sess.planner_stats());
     assert_eq!(
         warm.misses, cold.misses,
         "second pass over the queue must allocate nothing new"
     );
     assert_eq!(
-        batch_sess.replay_stats().hits,
-        1,
-        "second pass must be a whole-queue replay hit"
+        warm.hits - cold.hits,
+        cold.hits + cold.misses,
+        "the pool must serve every lease of the second pass"
     );
+    assert_eq!(
+        warm_plans.hits,
+        cold_plans.hits + 1,
+        "spec1 is a planner cache hit"
+    );
+    assert_eq!(warm_plans.simulated_launches, cold_plans.simulated_launches);
+    for (i, (c, w)) in runs.iter().zip(&warm_runs).enumerate() {
+        assert_eq!(
+            record_keys(c),
+            record_keys(w),
+            "request {i}: launch records"
+        );
+        assert_eq!(
+            batch_sess.download(reqs[i].y),
+            cold_out[i],
+            "request {i}: output"
+        );
+    }
 
     // Sequential reference: same data through `run`, one call at a time.
     let mut seq_sess = Session::a100();
@@ -107,7 +131,8 @@ fn run_many_matches_sequential_runs_bitwise() {
 
 /// A session reused across many runs must produce bitwise-identical
 /// outputs to a fresh session per run — pooled scratch reuse is
-/// unobservable in the numerics.
+/// unobservable in the numerics — and its second run of each variant
+/// leases only pooled scratch and repeats the first run's launch records.
 #[test]
 fn reused_session_is_bitwise_identical_to_fresh() {
     let p = FnoProblem1d::new(2, 9, 16, 128, 32);
@@ -115,26 +140,36 @@ fn reused_session_is_bitwise_identical_to_fresh() {
     for v in Variant::CONCRETE {
         let spec = LayerSpec::from_problem_1d(&p).variant(v);
         let (wx, ww, wy) = operands(&mut warm, &spec, 0.3);
-        warm.run(&spec, wx, ww, wy);
+        let before = warm.pool_stats();
+        let first = warm.run(&spec, wx, ww, wy);
+        let mid = warm.pool_stats();
         // drive the warm session a second time into the same buffers
-        warm.run(&spec, wx, ww, wy);
+        let second = warm.run(&spec, wx, ww, wy);
+        let after = warm.pool_stats();
         let warm_out = warm.download(wy);
+
+        let leases = (mid.hits + mid.misses) - (before.hits + before.misses);
+        assert_eq!(after.misses, mid.misses, "{v:?}: second run allocated");
+        assert_eq!(
+            after.hits - mid.hits,
+            leases,
+            "{v:?}: second run bypassed the pool"
+        );
+        assert_eq!(
+            record_keys(&first),
+            record_keys(&second),
+            "{v:?}: launch records"
+        );
 
         let mut fresh = Session::a100();
         let (fx, fw, fy) = operands(&mut fresh, &spec, 0.3);
         fresh.run(&spec, fx, fw, fy);
         assert_eq!(warm_out, fresh.download(fy), "{v:?}: warm != fresh");
     }
-    // Every replayable variant's second run was a replay hit; the opaque
-    // Pytorch baseline records nothing and always misses.
-    let stats = warm.replay_stats();
-    assert_eq!(stats.hits as usize, Variant::CONCRETE.len() - 1);
-    assert_eq!(stats.misses as usize, Variant::CONCRETE.len() + 1);
 }
 
-/// Satellite acceptance: the second same-shape call allocates nothing —
-/// the first call's recording retained its scratch, and the warm call
-/// replays it without touching the pool at all.
+/// The second same-shape call allocates nothing: it leases the two
+/// scratch buffers the first call released back to the pool.
 #[test]
 fn pool_reports_hits_on_second_same_shape_call() {
     let spec = LayerSpec::d1(2, 8, 8, 128).modes(32).variant(Variant::FftOpt);
@@ -144,18 +179,21 @@ fn pool_reports_hits_on_second_same_shape_call() {
     let cold = sess.pool_stats();
     assert_eq!(cold.hits, 0);
     assert_eq!(cold.misses, 2, "variant A leases xf_t and yf_t");
-    assert_eq!(cold.retained, 2, "the recording retains both leases");
-    assert_eq!(cold.leased, 0, "retained scratch is not a live lease");
+    assert_eq!(
+        (cold.leased, cold.pooled),
+        (0, 2),
+        "both leases are back in the pool"
+    );
     sess.run(&spec, x, w, y);
     let warm = sess.pool_stats();
-    assert_eq!(warm.hits, 0, "a replay hit bypasses the pool entirely");
+    assert_eq!(warm.hits, 2, "the warm call recycles both scratch buffers");
     assert_eq!(warm.misses, cold.misses, "no new allocations when warm");
-    assert_eq!(sess.replay_stats().hits, 1);
+    assert_eq!((warm.leased, warm.pooled), (0, 2));
 }
 
 /// Planner/memo acceptance: the second same-shape `TurboBest` request
-/// through a session performs zero simulated planning launches — the warm
-/// replay skips even the planner's memo lookup.
+/// through a session performs zero simulated planning launches — the
+/// planner answers it from its cache.
 #[test]
 fn second_request_plans_nothing() {
     let spec = LayerSpec::d1(2, 16, 16, 128).modes(32);
@@ -168,8 +206,8 @@ fn second_request_plans_nothing() {
     sess.run(&spec, x, w, y);
     let warm = sess.planner_stats();
     assert_eq!(warm.simulated_launches, cold.simulated_launches);
-    assert_eq!(warm.hits, cold.hits, "replay skips the planner entirely");
-    assert_eq!(sess.replay_stats().hits, 1);
+    assert_eq!(warm.misses, cold.misses);
+    assert_eq!(warm.hits, cold.hits + 1, "the warm call is a planner cache hit");
 }
 
 /// Requests sharing spec *and* weight buffer coalesce into one stacked
@@ -426,6 +464,10 @@ fn record_key(r: &LaunchRecord) -> RecordKey {
     (r.name.clone(), r.dims_grid, r.stats, r.time_us.to_bits())
 }
 
+fn record_keys(run: &PipelineRun) -> Vec<RecordKey> {
+    run.launches.iter().map(record_key).collect()
+}
+
 /// A cold and a warm call of `spec` through `entry` on a fresh simulator
 /// session (same operands, output cleared before each call); returns each
 /// call's launch records and output.
@@ -453,10 +495,7 @@ fn cold_and_warm(entry: Entry, spec: &LayerSpec) -> Vec<(Vec<RecordKey>, Vec<C32
                     sess.wait_many(h).remove(0)
                 }
             };
-            (
-                run.launches.iter().map(record_key).collect(),
-                sess.download(y),
-            )
+            (record_keys(&run), sess.download(y))
         })
         .collect()
 }

@@ -159,14 +159,13 @@ fn turbo_best_dispatch_uses_session_planner_cache() {
         "second dispatch of the same shape must not replan"
     );
     assert_eq!(
-        after.hits, mid.hits,
-        "an identical call replays; the planner is not even consulted"
+        after.hits,
+        mid.hits + 1,
+        "an identical call is a planner cache hit"
     );
-    assert_eq!(sess.replay_stats().hits, 1);
 
-    // A different output buffer is a fresh replay key but the same shape:
-    // this records a new sequence, and the planner answers from its cache
-    // without simulating anything.
+    // A different output buffer, same shape: the planner answers from its
+    // cache again without simulating anything.
     let y2 = sess.alloc("y2", p.output_len());
     sess.run(&spec, x, w, y2);
     let third = sess.planner_stats();
@@ -174,6 +173,10 @@ fn turbo_best_dispatch_uses_session_planner_cache() {
         third.simulated_launches, mid.simulated_launches,
         "same shape must never replan"
     );
-    assert!(third.hits > mid.hits, "new key, same shape: planner cache hit");
+    assert_eq!(
+        third.hits,
+        after.hits + 1,
+        "new buffers, same shape: planner cache hit"
+    );
     assert_eq!(sess.download(y2), out_a);
 }
