@@ -5,10 +5,10 @@
 //! cuFFT-style stages against the Turbo stages at the paper's headline 1D
 //! configuration.
 
-use tfno_bench::{measure_1d, problem_1d, report};
+use tfno_bench::{measure, problem_1d, report};
 use tfno_fft::{FftDirection, FftPlan};
 use tfno_gpu_sim::DeviceConfig;
-use turbofno::Variant;
+use turbofno::{TurboOptions, Variant};
 
 fn main() {
     report::header(
@@ -18,8 +18,9 @@ fn main() {
     let cfg = DeviceConfig::a100();
     let p = problem_1d(64, 1 << 18, 128, 32);
 
-    let pt = measure_1d(&cfg, &p, Variant::Pytorch);
-    let a = measure_1d(&cfg, &p, Variant::FftOpt);
+    let opts = TurboOptions::default();
+    let pt = measure(&cfg, &p, Variant::Pytorch, &opts);
+    let a = measure(&cfg, &p, Variant::FftOpt, &opts);
     let pts = pt.total_stats();
     let as_ = a.total_stats();
 

@@ -3,10 +3,11 @@
 //! Runs the fully fused 1D kernel with (a) the paper's thread-to-data
 //! layout + both swizzles, and (b) the VkFFT-style strided layout with
 //! swizzles disabled, and reports bank-conflict replay cycles, modeled
-//! shared-memory time, and end-to-end impact. This quantifies the design
-//! choice DESIGN.md calls out (Figs. 7/8 applied end to end).
+//! shared-memory time, and end-to-end impact. This quantifies the paper's
+//! swizzle design (Figs. 7/8) applied end to end, beyond the per-pattern
+//! bank utilization `fig07_swizzle_a`/`fig08_swizzle_c` report.
 
-use tfno_bench::{measure_1d_opts, problem_1d, report};
+use tfno_bench::{measure, problem_1d, report};
 use tfno_gpu_sim::DeviceConfig;
 use turbofno::{ForwardLayout, TurboOptions, Variant};
 
@@ -23,13 +24,13 @@ fn main() {
     );
     for (k, m) in [(32usize, 1usize << 16), (64, 1 << 18), (128, 1 << 20)] {
         let p = problem_1d(k, m, 128, 32);
-        let good = measure_1d_opts(&cfg, &p, Variant::FullyFused, &TurboOptions::default());
+        let good = measure(&cfg, &p, Variant::FullyFused, &TurboOptions::default());
         let bad_opts = TurboOptions {
             forward_layout: ForwardLayout::VkFftStrided,
             epilogue_swizzle: false,
             ..Default::default()
         };
-        let bad = measure_1d_opts(&cfg, &p, Variant::FullyFused, &bad_opts);
+        let bad = measure(&cfg, &p, Variant::FullyFused, &bad_opts);
         let gs = good.total_stats();
         let bs = bad.total_stats();
         let extra =

@@ -4,9 +4,9 @@
 //! The paper's bar chart makes the motivation visual: the copies and
 //! intermediate round trips vanish under fusion.
 
-use tfno_bench::{measure_1d, problem_1d, report};
+use tfno_bench::{measure, problem_1d, report};
 use tfno_gpu_sim::DeviceConfig;
-use turbofno::Variant;
+use turbofno::{TurboOptions, Variant};
 
 fn main() {
     report::header(
@@ -16,7 +16,8 @@ fn main() {
     let cfg = DeviceConfig::a100();
     let p = problem_1d(64, 1 << 18, 128, 32);
 
-    let pt = measure_1d(&cfg, &p, Variant::Pytorch);
+    let opts = TurboOptions::default();
+    let pt = measure(&cfg, &p, Variant::Pytorch, &opts);
     println!("\nPyTorch pipeline:");
     let mut pt_total = 0.0;
     for l in &pt.launches {
@@ -25,7 +26,7 @@ fn main() {
     }
     println!("  {:<14} {pt_total:>9.1} us", "TOTAL");
 
-    let fused = measure_1d(&cfg, &p, Variant::FullyFused);
+    let fused = measure(&cfg, &p, Variant::FullyFused, &opts);
     println!("\nTurboFNO fused FFT-GEMM-iFFT:");
     let mut f_total = 0.0;
     for l in &fused.launches {

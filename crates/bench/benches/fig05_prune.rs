@@ -4,7 +4,10 @@
 //! truncation = 37.5%, 6 ops at 50% = 75%) and extends the analysis to the
 //! paper's evaluation sizes (128/256-pt), where we report the *structural*
 //! pruning limits of the radix-2 network — a documented deviation from the
-//! paper's extrapolated 25%-67.5% claim (see EXPERIMENTS.md).
+//! paper's extrapolated 25%-67.5% claim. The backward cone of a contiguous
+//! prefix of outputs already covers every value below the last two
+//! stages, so at 128-pt only 17.9% (keep 32) or 7.1% (keep 64) of the
+//! ops can be pruned; `tfno_fft::plan`'s tests pin those counts.
 
 use tfno_bench::report;
 use tfno_fft::{FftDirection, FftPlan};

@@ -11,7 +11,7 @@ use tfno_cgemm::{BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, TileCon
 use tfno_fft::{host, BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils};
 use tfno_gpu_sim::{ExecMode, GpuDevice};
 use tfno_num::{reference, C32};
-use turbofno::{FnoProblem1d, LayerSpec, Session, Variant};
+use turbofno::{LayerSpec, Session, SpectralShape, Variant};
 
 fn signals(n: usize) -> Vec<C32> {
     (0..n)
@@ -81,8 +81,8 @@ fn bench_sim_cgemm_kernel(c: &mut Criterion) {
 }
 
 fn bench_pipeline(c: &mut Criterion) {
-    let p = FnoProblem1d::new(2, 16, 16, 128, 32);
-    let spec = LayerSpec::from_problem_1d(&p).variant(Variant::FullyFused);
+    let p = SpectralShape::d1(2, 16, 16, 128).with_modes(&[32]);
+    let spec = LayerSpec::from_shape(p).variant(Variant::FullyFused);
     c.bench_function("pipeline_1d_fully_fused_functional", |b| {
         b.iter(|| {
             let mut sess = Session::a100();

@@ -4,9 +4,9 @@
 //! and against which baselines), mirroring the paper's Table 2, and checks
 //! that every variant's kernel count matches its fusion level.
 
-use tfno_bench::{measure_1d, problem_1d, report};
+use tfno_bench::{measure, problem_1d, report};
 use tfno_gpu_sim::DeviceConfig;
-use turbofno::Variant;
+use turbofno::{TurboOptions, Variant};
 
 fn main() {
     report::header("Table 2", "Method and comparison base in the evaluation");
@@ -24,7 +24,7 @@ fn main() {
     let p = problem_1d(64, 4096, 128, 32);
     println!("\nkernel launches per 1D Fourier layer (K=64, M=4096):");
     for v in Variant::CONCRETE {
-        let run = measure_1d(&cfg, &p, v);
+        let run = measure(&cfg, &p, v, &TurboOptions::default());
         println!("  {:<22} {} kernels, {:>8.1} us", v.label(), run.kernel_count(), run.total_us());
     }
     report::paper_vs_measured(

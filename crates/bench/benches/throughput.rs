@@ -57,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tfno_gpu_sim::FaultPlan;
-use tfno_model::{Fno1d, Fno2d, FnoNd};
+use tfno_model::FnoNd;
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{
@@ -115,7 +115,7 @@ fn main() {
     // ------------------------------------------------------------ 1D ----
     let (layers1, n1, nf1, width1, batch1) =
         if smoke { (2, 128, 32, 8, 1) } else { (4, 256, 64, 16, 2) };
-    let model1 = Fno1d::random(&mut rng, 1, width1, 1, layers1, n1, nf1);
+    let model1 = FnoNd::random(&mut rng, 1, width1, 1, layers1, &[n1], &[nf1]);
     let x1 = CTensor::random(&mut rng, &[batch1, 1, n1]);
     let shape1 = format!(
         "batch={batch1} width={width1} layers={layers1} n={n1} nf={nf1}"
@@ -124,7 +124,7 @@ fn main() {
     // ------------------------------------------------------------ 2D ----
     let (layers2, nx2, ny2, nfx2, nfy2, width2, batch2) =
         if smoke { (2, 16, 32, 4, 32, 8, 1) } else { (4, 32, 64, 8, 32, 8, 1) };
-    let model2 = Fno2d::random(&mut rng, 1, width2, 1, layers2, nx2, ny2, nfx2, nfy2);
+    let model2 = FnoNd::random(&mut rng, 1, width2, 1, layers2, &[nx2, ny2], &[nfx2, nfy2]);
     let x2 = CTensor::random(&mut rng, &[batch2, 1, nx2, ny2]);
     let shape2 = format!(
         "batch={batch2} width={width2} layers={layers2} nx={nx2} ny={ny2} nfx={nfx2} nfy={nfy2}"

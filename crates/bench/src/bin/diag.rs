@@ -1,7 +1,7 @@
 //! Per-launch diagnostic dump for calibration.
-use tfno_bench::{measure_1d, measure_2d, problem_1d, problem_2d};
+use tfno_bench::{measure, problem_1d, problem_2d};
 use tfno_gpu_sim::DeviceConfig;
-use turbofno::Variant;
+use turbofno::{TurboOptions, Variant};
 
 fn dump(label: &str, run: &turbofno::PipelineRun) {
     println!("== {label}: total {:.1} us", run.total_us());
@@ -17,12 +17,13 @@ fn dump(label: &str, run: &turbofno::PipelineRun) {
 
 fn main() {
     let cfg = DeviceConfig::a100();
+    let opts = TurboOptions::default();
     let p2 = problem_2d(16, 8, 256, 128, 64);
     for v in [Variant::Pytorch, Variant::FftOpt, Variant::FusedFftGemm, Variant::FullyFused] {
-        dump(&format!("2D K=16 {:?}", v), &measure_2d(&cfg, &p2, v));
+        dump(&format!("2D K=16 {:?}", v), &measure(&cfg, &p2, v, &opts));
     }
     let p1 = problem_1d(64, 1 << 20, 128, 32);
     for v in [Variant::Pytorch, Variant::FftOpt, Variant::FusedGemmIfft, Variant::FullyFused] {
-        dump(&format!("1D K=64 nf=32 {:?}", v), &measure_1d(&cfg, &p1, v));
+        dump(&format!("1D K=64 nf=32 {:?}", v), &measure(&cfg, &p1, v, &opts));
     }
 }

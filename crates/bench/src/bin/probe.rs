@@ -2,43 +2,51 @@
 //! cost-model constants can be audited quickly. Not part of the paper's
 //! figure set — see `benches/` for the real harness.
 
-use tfno_bench::{measure_1d, measure_2d, perf_pct, problem_1d, problem_2d};
+use tfno_bench::{measure, perf_pct, problem_1d, problem_2d, sweep};
 use tfno_gpu_sim::DeviceConfig;
-use turbofno::Variant;
+use turbofno::{SpectralShape, TurboOptions, Variant};
 
-fn main() {
-    let cfg = DeviceConfig::a100();
-
-    println!("--- 1D: K sweep at M=2^20 (fig 10/11/12/13a shape) ---");
+/// A K sweep: PyTorch's modeled time and each Turbo variant's performance
+/// relative to it, one row per `(K, shape)` point.
+fn k_sweep(cfg: &DeviceConfig, title: &str, points: impl Iterator<Item = (usize, SpectralShape)>) {
+    println!("{title}");
     println!(
         "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "K", "pt_us", "A%", "B%", "C%", "D%"
     );
-    for k in [16usize, 32, 48, 64, 96, 128, 136] {
-        let p = problem_1d(k, 1 << 20, 128, 32);
-        let pt = measure_1d(&cfg, &p, Variant::Pytorch).total_us();
-        let a = measure_1d(&cfg, &p, Variant::FftOpt).total_us();
-        let b = measure_1d(&cfg, &p, Variant::FusedFftGemm).total_us();
-        let c = measure_1d(&cfg, &p, Variant::FusedGemmIfft).total_us();
-        let d = measure_1d(&cfg, &p, Variant::FullyFused).total_us();
+    for (k, p) in points {
+        let t = sweep(cfg, &p);
         println!(
             "{:>5} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
             k,
-            pt,
-            perf_pct(pt, a),
-            perf_pct(pt, b),
-            perf_pct(pt, c),
-            perf_pct(pt, d)
+            t.pytorch,
+            perf_pct(t.pytorch, t.fft_opt),
+            perf_pct(t.pytorch, t.fused_fft_gemm),
+            perf_pct(t.pytorch, t.fused_gemm_ifft),
+            perf_pct(t.pytorch, t.fully_fused)
         );
     }
+}
+
+fn main() {
+    let cfg = DeviceConfig::a100();
+    let opts = TurboOptions::default();
+
+    k_sweep(
+        &cfg,
+        "--- 1D: K sweep at M=2^20 (fig 10/11/12/13a shape) ---",
+        [16usize, 32, 48, 64, 96, 128, 136]
+            .into_iter()
+            .map(|k| (k, problem_1d(k, 1 << 20, 128, 32))),
+    );
 
     println!("\n--- 1D: M sweep at K=64 (fig 10c shape) ---");
     println!("{:>9} {:>10} {:>10} {:>10}", "M", "pt_us", "A%", "D%");
     for m in [64usize, 256, 1024, 4096, 16384, 65536, 262144] {
         let p = problem_1d(64, m, 128, 32);
-        let pt = measure_1d(&cfg, &p, Variant::Pytorch).total_us();
-        let a = measure_1d(&cfg, &p, Variant::FftOpt).total_us();
-        let d = measure_1d(&cfg, &p, Variant::FullyFused).total_us();
+        let pt = measure(&cfg, &p, Variant::Pytorch, &opts).total_us();
+        let a = measure(&cfg, &p, Variant::FftOpt, &opts).total_us();
+        let d = measure(&cfg, &p, Variant::FullyFused, &opts).total_us();
         println!(
             "{:>9} {:>10.1} {:>10.1} {:>10.1}",
             m,
@@ -50,43 +58,18 @@ fn main() {
 
     println!("\n--- 1D heatmap corners (fig 14 shape: small M + large K should be blue) ---");
     for (k, logm) in [(8usize, 6u32), (128, 6), (8, 20), (128, 20)] {
-        let p = problem_1d(k, 1usize << logm, 128, 64);
-        let pt = measure_1d(&cfg, &p, Variant::Pytorch).total_us();
-        let best = [
-            Variant::FftOpt,
-            Variant::FusedFftGemm,
-            Variant::FusedGemmIfft,
-            Variant::FullyFused,
-        ]
-        .iter()
-        .map(|v| measure_1d(&cfg, &p, *v).total_us())
-        .fold(f64::INFINITY, f64::min);
+        let t = sweep(&cfg, &problem_1d(k, 1usize << logm, 128, 64));
         println!(
             "K={k:>4} log2(M)={logm:>2}: speedup {:>7.1}%",
-            perf_pct(pt, best) - 100.0
+            perf_pct(t.pytorch, t.best_turbo()) - 100.0
         );
     }
 
-    println!("\n--- 2D: K sweep at BS=8, 256x128, Nf=64 (fig 15-18a shape) ---");
-    println!(
-        "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "K", "pt_us", "A%", "B%", "C%", "D%"
+    k_sweep(
+        &cfg,
+        "\n--- 2D: K sweep at BS=8, 256x128, Nf=64 (fig 15-18a shape) ---",
+        [16usize, 32, 64, 128]
+            .into_iter()
+            .map(|k| (k, problem_2d(k, 8, 256, 128, 64))),
     );
-    for k in [16usize, 32, 64, 128] {
-        let p = problem_2d(k, 8, 256, 128, 64);
-        let pt = measure_2d(&cfg, &p, Variant::Pytorch).total_us();
-        let a = measure_2d(&cfg, &p, Variant::FftOpt).total_us();
-        let b = measure_2d(&cfg, &p, Variant::FusedFftGemm).total_us();
-        let c = measure_2d(&cfg, &p, Variant::FusedGemmIfft).total_us();
-        let d = measure_2d(&cfg, &p, Variant::FullyFused).total_us();
-        println!(
-            "{:>5} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            k,
-            pt,
-            perf_pct(pt, a),
-            perf_pct(pt, b),
-            perf_pct(pt, c),
-            perf_pct(pt, d)
-        );
-    }
 }

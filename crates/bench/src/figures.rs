@@ -1,7 +1,7 @@
 //! Shared drivers for the paper's line figures and heatmaps.
 
 use crate::report::{self, summarize};
-use crate::{perf_pct, problem_1d, problem_2d, speedup_pct, sweep_1d, sweep_2d, VariantTimes};
+use crate::{perf_pct, problem_1d, problem_2d, speedup_pct, sweep, VariantTimes};
 use tfno_gpu_sim::DeviceConfig;
 use turbofno::Variant;
 
@@ -17,7 +17,7 @@ pub fn line_1d(fig: &str, caption: &str, variants: &[Variant], m_axis: &[usize])
     let ks: Vec<usize> = (16..=136).step_by(8).collect();
     let points: Vec<VariantTimes> = ks
         .iter()
-        .map(|&k| sweep_1d(&cfg, &problem_1d(k, 1 << 20, n, nf)))
+        .map(|&k| sweep(&cfg, &problem_1d(k, 1 << 20, n, nf)))
         .collect();
     println!("\n(a) Performance vs PyTorch (%), changing K, fix M=2^20:");
     let xs: Vec<String> = ks.iter().map(|k| k.to_string()).collect();
@@ -36,7 +36,7 @@ pub fn line_1d(fig: &str, caption: &str, variants: &[Variant], m_axis: &[usize])
     for k in [32usize, 64, 128] {
         let points: Vec<VariantTimes> = m_axis
             .iter()
-            .map(|&m| sweep_1d(&cfg, &problem_1d(k, m, n, nf)))
+            .map(|&m| sweep(&cfg, &problem_1d(k, m, n, nf)))
             .collect();
         println!("\nPerformance vs PyTorch (%), changing M, fix K={k}:");
         let xs: Vec<String> = m_axis.iter().map(|m| m.to_string()).collect();
@@ -62,7 +62,7 @@ pub fn line_2d(fig: &str, caption: &str, variants: &[Variant], bs_axis: &[usize]
     let ks: Vec<usize> = (16..=136).step_by(8).collect();
     let points: Vec<VariantTimes> = ks
         .iter()
-        .map(|&k| sweep_2d(&cfg, &problem_2d(k, 8, nx, ny, nf)))
+        .map(|&k| sweep(&cfg, &problem_2d(k, 8, nx, ny, nf)))
         .collect();
     println!("\n(a) Performance vs PyTorch (%), changing K, fix BS=8 (256x128, Nf=64):");
     let xs: Vec<String> = ks.iter().map(|k| k.to_string()).collect();
@@ -80,7 +80,7 @@ pub fn line_2d(fig: &str, caption: &str, variants: &[Variant], bs_axis: &[usize]
     for k in [32usize, 64, 128] {
         let points: Vec<VariantTimes> = bs_axis
             .iter()
-            .map(|&bs| sweep_2d(&cfg, &problem_2d(k, bs, nx, ny, nf)))
+            .map(|&bs| sweep(&cfg, &problem_2d(k, bs, nx, ny, nf)))
             .collect();
         println!("\nPerformance vs PyTorch (%), changing BS, fix K={k}:");
         let xs: Vec<String> = bs_axis.iter().map(|b| b.to_string()).collect();
@@ -110,7 +110,7 @@ pub fn heatmap_1d() -> Vec<f64> {
         for &logm in &logms {
             let mut row = Vec::new();
             for &k in &ks {
-                let t = sweep_1d(&cfg, &problem_1d(k, 1usize << logm, n, nf));
+                let t = sweep(&cfg, &problem_1d(k, 1usize << logm, n, nf));
                 let s = speedup_pct(t.pytorch, t.best_turbo());
                 row.push(s);
                 all.push(s);
@@ -147,7 +147,7 @@ pub fn heatmap_2d() -> Vec<f64> {
         for &bs in &bss {
             let mut row = Vec::new();
             for &k in &ks {
-                let t = sweep_2d(&cfg, &problem_2d(k, bs, nx, ny, nf));
+                let t = sweep(&cfg, &problem_2d(k, bs, nx, ny, nf));
                 let s = speedup_pct(t.pytorch, t.best_turbo());
                 row.push(s);
                 all.push(s);

@@ -4,12 +4,11 @@
 //! `crates/bench/benches/`). Each paper figure/table has one bench target
 //! with `harness = false` that sweeps the paper's parameter grid through
 //! the *analytical* simulator path (virtual buffers, representative-block
-//! execution) and prints the same rows/series the paper reports, plus a
-//! paper-vs-measured summary consumed by EXPERIMENTS.md.
+//! execution) and prints the same rows/series the paper reports, plus
+//! `PAPER-CHECK` lines comparing each claim with the measured value.
 
-use tfno_culib::{FnoProblem1d, FnoProblem2d};
 use tfno_gpu_sim::{DeviceConfig, GpuDevice};
-use turbofno::{LayerSpec, PipelineRun, Session, TurboOptions, Variant};
+use turbofno::{LayerSpec, PipelineRun, Session, SpectralShape, TurboOptions, Variant};
 
 pub mod figures;
 pub mod report;
@@ -19,35 +18,16 @@ pub mod report;
 pub const DEFAULT_N_1D: usize = 128;
 pub const DEFAULT_NF_1D: usize = 64;
 
-/// Run one 1D variant analytically on virtual buffers; returns the
-/// pipeline record (modeled time + stats).
-pub fn measure_1d(cfg: &DeviceConfig, p: &FnoProblem1d, variant: Variant) -> PipelineRun {
-    measure_1d_opts(cfg, p, variant, &TurboOptions::default())
-}
-
-pub fn measure_1d_opts(
+/// Run one variant analytically on virtual buffers, at any rank; returns
+/// the pipeline record (modeled time + stats).
+pub fn measure(
     cfg: &DeviceConfig,
-    p: &FnoProblem1d,
+    s: &SpectralShape,
     variant: Variant,
     opts: &TurboOptions,
 ) -> PipelineRun {
     Session::new(GpuDevice::new(cfg.clone()))
-        .measure(&LayerSpec::from_problem_1d(p).variant(variant).options(*opts))
-}
-
-/// Run one 2D variant analytically on virtual buffers.
-pub fn measure_2d(cfg: &DeviceConfig, p: &FnoProblem2d, variant: Variant) -> PipelineRun {
-    measure_2d_opts(cfg, p, variant, &TurboOptions::default())
-}
-
-pub fn measure_2d_opts(
-    cfg: &DeviceConfig,
-    p: &FnoProblem2d,
-    variant: Variant,
-    opts: &TurboOptions,
-) -> PipelineRun {
-    Session::new(GpuDevice::new(cfg.clone()))
-        .measure(&LayerSpec::from_problem_2d(p).variant(variant).options(*opts))
+        .measure(&LayerSpec::from_shape(*s).variant(variant).options(*opts))
 }
 
 /// The paper's y-axis: "Performance vs PyTorch (%)", where 100 = parity.
@@ -91,25 +71,15 @@ impl VariantTimes {
     }
 }
 
-/// Measure all concrete variants of a 1D point.
-pub fn sweep_1d(cfg: &DeviceConfig, p: &FnoProblem1d) -> VariantTimes {
+/// Measure all concrete variants of one evaluation point.
+pub fn sweep(cfg: &DeviceConfig, s: &SpectralShape) -> VariantTimes {
+    let us = |v| measure(cfg, s, v, &TurboOptions::default()).total_us();
     VariantTimes {
-        pytorch: measure_1d(cfg, p, Variant::Pytorch).total_us(),
-        fft_opt: measure_1d(cfg, p, Variant::FftOpt).total_us(),
-        fused_fft_gemm: measure_1d(cfg, p, Variant::FusedFftGemm).total_us(),
-        fused_gemm_ifft: measure_1d(cfg, p, Variant::FusedGemmIfft).total_us(),
-        fully_fused: measure_1d(cfg, p, Variant::FullyFused).total_us(),
-    }
-}
-
-/// Measure all concrete variants of a 2D point.
-pub fn sweep_2d(cfg: &DeviceConfig, p: &FnoProblem2d) -> VariantTimes {
-    VariantTimes {
-        pytorch: measure_2d(cfg, p, Variant::Pytorch).total_us(),
-        fft_opt: measure_2d(cfg, p, Variant::FftOpt).total_us(),
-        fused_fft_gemm: measure_2d(cfg, p, Variant::FusedFftGemm).total_us(),
-        fused_gemm_ifft: measure_2d(cfg, p, Variant::FusedGemmIfft).total_us(),
-        fully_fused: measure_2d(cfg, p, Variant::FullyFused).total_us(),
+        pytorch: us(Variant::Pytorch),
+        fft_opt: us(Variant::FftOpt),
+        fused_fft_gemm: us(Variant::FusedFftGemm),
+        fused_gemm_ifft: us(Variant::FusedGemmIfft),
+        fully_fused: us(Variant::FullyFused),
     }
 }
 
@@ -128,17 +98,17 @@ pub const BS_AXIS_1D_M: [usize; 4] = [64 * 32, 256 * 32, 1024 * 32, 4096 * 32];
 /// The paper's M axis for Fig. 10 (b)–(d).
 pub const M_AXIS_1D: [usize; 7] = [64, 256, 1024, 4096, 16384, 65536, 262144];
 
-/// 1D problem for a (K, total-M) evaluation point: `M = batch * nf` GEMM
+/// 1D shape for a (K, total-M) evaluation point: `M = batch * nf` GEMM
 /// rows, signal length `n`, retained modes `nf`, square hidden dims.
-pub fn problem_1d(k: usize, m_total: usize, n: usize, nf: usize) -> FnoProblem1d {
+pub fn problem_1d(k: usize, m_total: usize, n: usize, nf: usize) -> SpectralShape {
     let batch = (m_total / nf).max(1);
-    FnoProblem1d::new(batch, k, k, n, nf)
+    SpectralShape::d1(batch, k, k, n).with_modes(&[nf])
 }
 
-/// 2D problem for a (K, batch) point at resolution `nx x ny` keeping an
-/// `nf x nf` corner (the paper's "N = 64/128" label).
-pub fn problem_2d(k: usize, batch: usize, nx: usize, ny: usize, nf: usize) -> FnoProblem2d {
-    FnoProblem2d::new(batch, k, k, nx, ny, nf.min(nx), nf.min(ny))
+/// 2D shape for a (K, batch) point at resolution `nx x ny` keeping an
+/// `nf x nf` corner (the paper's "N = 64/128" label), clamped per axis.
+pub fn problem_2d(k: usize, batch: usize, nx: usize, ny: usize, nf: usize) -> SpectralShape {
+    SpectralShape::d2(batch, k, k, nx, ny).with_modes(&[nf, nf])
 }
 
 #[cfg(test)]
@@ -155,8 +125,8 @@ mod tests {
     fn measurement_smoke_1d() {
         let cfg = DeviceConfig::a100();
         let p = problem_1d(32, 4096, 128, 64);
-        let pt = measure_1d(&cfg, &p, Variant::Pytorch);
-        let a = measure_1d(&cfg, &p, Variant::FftOpt);
+        let pt = measure(&cfg, &p, Variant::Pytorch, &TurboOptions::default());
+        let a = measure(&cfg, &p, Variant::FftOpt, &TurboOptions::default());
         assert!(pt.total_us() > 0.0 && a.total_us() > 0.0);
         assert_eq!(pt.kernel_count(), 5);
         assert_eq!(a.kernel_count(), 3);
@@ -166,7 +136,7 @@ mod tests {
     fn measurement_smoke_2d() {
         let cfg = DeviceConfig::a100();
         let p = problem_2d(32, 8, 256, 128, 64);
-        let pt = measure_2d(&cfg, &p, Variant::Pytorch);
+        let pt = measure(&cfg, &p, Variant::Pytorch, &TurboOptions::default());
         assert_eq!(pt.kernel_count(), 7);
     }
 }

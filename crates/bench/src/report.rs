@@ -53,8 +53,8 @@ pub fn summarize(values: &[f64]) -> (f64, f64, f64) {
     (avg, max, min)
 }
 
-/// Print a paper-vs-measured comparison line (collected into
-/// EXPERIMENTS.md after a full bench run).
+/// Print a paper-vs-measured comparison line. Every line starts with
+/// `PAPER-CHECK`, so `grep PAPER-CHECK` over a bench run collects them.
 pub fn paper_vs_measured(metric: &str, paper: &str, measured: &str, verdict: &str) {
     println!("PAPER-CHECK | {metric:<46} | paper: {paper:<22} | measured: {measured:<22} | {verdict}");
 }

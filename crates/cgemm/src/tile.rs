@@ -61,8 +61,9 @@ impl TileConfig {
     }
 
     /// A tile whose `m_tb` equals the FNO mode count `nf` — the shape the
-    /// fused kernels require (one block owns all retained modes of its
-    /// batch slice; see DESIGN.md).
+    /// fused kernels require: one block owns all retained modes of its
+    /// batch slice, so the truncated FFT output in shared memory is the
+    /// block's whole A tile (the paper's dataflow alignment, §4.1).
     pub fn for_fused(nf: usize, n_tb: usize) -> Self {
         TileConfig {
             m_tb: nf,

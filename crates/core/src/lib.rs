@@ -60,8 +60,8 @@ pub use swizzle::{
     pattern_utilization, EpilogueStaging, ForwardLayout,
 };
 
-// Re-export the problem descriptors so users of the core crate see one API.
-pub use tfno_culib::{FnoProblem1d, FnoProblem2d, PipelineRun, SpectralShape, MAX_RANK};
+// Re-export the layer shape so users of the core crate see one API.
+pub use tfno_culib::{PipelineRun, SpectralShape, MAX_RANK};
 
 #[cfg(test)]
 mod tests {
@@ -74,16 +74,23 @@ mod tests {
     /// `tfno-model` (dev-dependency; itself pinned against the naive
     /// O(N^2) DFT), so the hottest equivalence checks here do not pay
     /// quadratic DFT cost.
-    fn reference_layer_1d(x: &CTensor, w: &CTensor, p: &FnoProblem1d) -> CTensor {
-        tfno_model::spectral::SpectralConv1d::new(p.k_in, p.k_out, p.n, p.nf, w.clone())
-            .forward_host(x)
-    }
-
-    fn reference_layer_2d(x: &CTensor, w: &CTensor, p: &FnoProblem2d) -> CTensor {
-        tfno_model::spectral::SpectralConv2d::new(
-            p.k_in, p.k_out, p.nx, p.ny, p.nfx, p.nfy, w.clone(),
+    fn reference_layer(x: &CTensor, w: &CTensor, s: &SpectralShape) -> CTensor {
+        let r = s.rank;
+        tfno_model::SpectralConvNd::new(
+            s.k_in,
+            s.k_out,
+            s.dims[..r].to_vec(),
+            s.modes[..r].to_vec(),
+            w.clone(),
         )
         .forward_host(x)
+    }
+
+    /// The `[batch, k_in, ...dims]` input tensor of `s`.
+    fn input_tensor(data: Vec<C32>, s: &SpectralShape) -> CTensor {
+        let mut shape = vec![s.batch, s.k_in];
+        shape.extend_from_slice(&s.dims[..s.rank]);
+        CTensor::from_vec(data, &shape)
     }
 
     fn rand_like(len: usize, seed: f32) -> Vec<C32> {
@@ -103,7 +110,7 @@ mod tests {
     /// use [`session_for_1d_sim`] instead.
     #[allow(clippy::type_complexity)]
     fn session_for_1d(
-        p: &FnoProblem1d,
+        p: &SpectralShape,
     ) -> (
         Session<AnyBackend>,
         LayerSpec,
@@ -117,7 +124,7 @@ mod tests {
     /// assert modeled traffic/cycle stats or analytical-mode agreement.
     #[allow(clippy::type_complexity)]
     fn session_for_1d_sim(
-        p: &FnoProblem1d,
+        p: &SpectralShape,
     ) -> (
         Session<SimBackend>,
         LayerSpec,
@@ -130,14 +137,14 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn session_for_1d_in<B: Backend>(
         mut sess: Session<B>,
-        p: &FnoProblem1d,
+        p: &SpectralShape,
     ) -> (
         Session<B>,
         LayerSpec,
         [BufferId; 3],
         (Vec<C32>, Vec<C32>),
     ) {
-        let spec = LayerSpec::from_problem_1d(p);
+        let spec = LayerSpec::from_shape(*p);
         let x = sess.alloc("x", p.input_len());
         let w = sess.alloc("w", p.weight_len());
         let y = sess.alloc("y", p.output_len());
@@ -148,32 +155,32 @@ mod tests {
         (sess, spec, [x, w, y], (xd, wd))
     }
 
-    fn run_1d(p: &FnoProblem1d, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
+    fn run_1d(p: &SpectralShape, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
         run_1d_in(session_for_1d(p), p, v)
     }
 
     /// Like [`run_1d`] but pinned to the simulator (modeled stats).
-    fn run_1d_sim(p: &FnoProblem1d, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
+    fn run_1d_sim(p: &SpectralShape, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
         run_1d_in(session_for_1d_sim(p), p, v)
     }
 
     #[allow(clippy::type_complexity)]
     fn run_1d_in<B: Backend>(
         parts: (Session<B>, LayerSpec, [BufferId; 3], (Vec<C32>, Vec<C32>)),
-        p: &FnoProblem1d,
+        p: &SpectralShape,
         v: Variant,
     ) -> (Vec<C32>, PipelineRun, CTensor) {
         let (mut sess, spec, [x, w, y], (xd, wd)) = parts;
         let run = sess.run(&spec.variant(v), x, w, y);
-        let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.n]);
+        let xt = input_tensor(xd, p);
         let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-        let want = reference_layer_1d(&xt, &wt, p);
+        let want = reference_layer(&xt, &wt, p);
         (sess.download(y), run, want)
     }
 
     #[test]
     fn all_1d_variants_match_reference() {
-        let p = FnoProblem1d::new(2, 12, 16, 128, 32);
+        let p = SpectralShape::d1(2, 12, 16, 128).with_modes(&[32]);
         for v in Variant::CONCRETE {
             let (got, run, want) = run_1d(&p, v);
             let err = rel_l2_error(&got, want.data());
@@ -191,7 +198,7 @@ mod tests {
 
     #[test]
     fn turbo_best_matches_reference_1d() {
-        let p = FnoProblem1d::new(2, 8, 8, 128, 32);
+        let p = SpectralShape::d1(2, 8, 8, 128).with_modes(&[32]);
         let (got, run, want) = run_1d(&p, Variant::TurboBest);
         let err = rel_l2_error(&got, want.data());
         assert!(err < 1e-4, "rel l2 error {err}");
@@ -200,7 +207,7 @@ mod tests {
 
     #[test]
     fn fused_variants_reduce_traffic_and_launches() {
-        let p = FnoProblem1d::new(4, 32, 32, 128, 32);
+        let p = SpectralShape::d1(4, 32, 32, 128).with_modes(&[32]);
         let (_, pt, _) = run_1d_sim(&p, Variant::Pytorch);
         let (_, a, _) = run_1d_sim(&p, Variant::FftOpt);
         let (_, d, _) = run_1d_sim(&p, Variant::FullyFused);
@@ -221,7 +228,7 @@ mod tests {
 
     #[test]
     fn ablation_layouts_only_change_bank_stats() {
-        let p = FnoProblem1d::new(2, 16, 16, 128, 32);
+        let p = SpectralShape::d1(2, 16, 16, 128).with_modes(&[32]);
         let run_with = |layout: ForwardLayout, swz: bool| {
             let (mut sess, spec, [x, w, y], _) = session_for_1d_sim(&p);
             let opts = TurboOptions {
@@ -257,9 +264,9 @@ mod tests {
         );
     }
 
-    fn run_2d(p: &FnoProblem2d, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
+    fn run_2d(p: &SpectralShape, v: Variant) -> (Vec<C32>, PipelineRun, CTensor) {
         let mut sess = Session::a100();
-        let spec = LayerSpec::from_problem_2d(p).variant(v);
+        let spec = LayerSpec::from_shape(*p).variant(v);
         let x = sess.alloc("x", p.input_len());
         let w = sess.alloc("w", p.weight_len());
         let y = sess.alloc("y", p.output_len());
@@ -268,15 +275,15 @@ mod tests {
         sess.upload(x, &xd);
         sess.upload(w, &wd);
         let run = sess.run(&spec, x, w, y);
-        let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.nx, p.ny]);
+        let xt = input_tensor(xd, p);
         let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-        let want = reference_layer_2d(&xt, &wt, p);
+        let want = reference_layer(&xt, &wt, p);
         (sess.download(y), run, want)
     }
 
     #[test]
     fn all_2d_variants_match_reference() {
-        let p = FnoProblem2d::new(1, 10, 8, 32, 64, 8, 32);
+        let p = SpectralShape::d2(1, 10, 8, 32, 64).with_modes(&[8, 32]);
         for v in Variant::CONCRETE {
             let (got, run, want) = run_2d(&p, v);
             let err = rel_l2_error(&got, want.data());
@@ -294,7 +301,7 @@ mod tests {
 
     #[test]
     fn analytical_equals_functional_fused() {
-        let p = FnoProblem1d::new(3, 16, 24, 128, 32);
+        let p = SpectralShape::d1(3, 16, 24, 128).with_modes(&[32]);
         for v in [
             Variant::FftOpt,
             Variant::FusedFftGemm,
@@ -310,10 +317,10 @@ mod tests {
 
     #[test]
     fn analytical_equals_functional_fused_2d() {
-        let p = FnoProblem2d::new(2, 12, 8, 32, 64, 8, 32);
+        let p = SpectralShape::d2(2, 12, 8, 32, 64).with_modes(&[8, 32]);
         for v in [Variant::FftOpt, Variant::FullyFused] {
             let mut sess = Session::new(SimBackend::a100());
-            let spec = LayerSpec::from_problem_2d(&p).variant(v);
+            let spec = LayerSpec::from_shape(p).variant(v);
             let x = sess.alloc("x", p.input_len());
             let w = sess.alloc("w", p.weight_len());
             let y = sess.alloc("y", p.output_len());

@@ -356,11 +356,10 @@ fn select(results: [(Variant, f64, u64); 4]) -> (Variant, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfno_culib::{FnoProblem1d, FnoProblem2d};
 
     /// A 1D shape of `batch` with 16 channels, n = 128 and 32 modes.
     fn s1(batch: usize) -> SpectralShape {
-        SpectralShape::from(&FnoProblem1d::new(batch, 16, 16, 128, 32))
+        SpectralShape::d1(batch, 16, 16, 128).with_modes(&[32])
     }
 
     fn p1() -> SpectralShape {
@@ -368,7 +367,7 @@ mod tests {
     }
 
     fn p2() -> SpectralShape {
-        SpectralShape::from(&FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32))
+        SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32])
     }
 
     #[test]
@@ -432,7 +431,7 @@ mod tests {
         // cap 4 -> hot generation holds 2 entries
         let planner = Planner::with_cache_cap(4);
         let shapes: Vec<SpectralShape> = (0..3)
-            .map(|i| SpectralShape::from(&FnoProblem1d::new(1 + i, 8, 8, 128, 32)))
+            .map(|i| SpectralShape::d1(1 + i, 8, 8, 128).with_modes(&[32]))
             .collect();
         for p in &shapes {
             planner.plan_shape(&cfg, p, &opts);
@@ -460,7 +459,7 @@ mod tests {
         let opts = TurboOptions::default();
         let planner = Planner::with_cache_cap(2);
         for i in 0..5 {
-            let s = SpectralShape::from(&FnoProblem1d::new(1 + i, 8, 8, 128, 32));
+            let s = SpectralShape::d1(1 + i, 8, 8, 128).with_modes(&[32]);
             planner.plan_shape(&cfg, &s, &opts);
             assert!(planner.len() <= 2, "cap 2 exceeded: {}", planner.len());
         }

@@ -119,10 +119,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use tfno_cgemm::WeightStacking;
-use tfno_culib::{
-    CopySegment, FnoProblem1d, FnoProblem2d, PipelineRun, SegmentedCopyKernel, SpectralShape,
-    MAX_RANK,
-};
+use tfno_culib::{CopySegment, PipelineRun, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
     lock_unpoisoned, seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeferredWindow,
     ExecMode, FaultPlan, FaultStats, LaunchError, LaunchRecord, PendingLaunch, SimBackend,
@@ -172,16 +169,6 @@ impl LayerSpec {
     /// `x [batch, k_in, nx, ny, nz] -> y [batch, k_out, nx, ny, nz]`.
     pub fn d3(batch: usize, k_in: usize, k_out: usize, nx: usize, ny: usize, nz: usize) -> Self {
         LayerSpec::from_shape(SpectralShape::d3(batch, k_in, k_out, nx, ny, nz))
-    }
-
-    /// Spec matching an existing 1D problem descriptor.
-    pub fn from_problem_1d(p: &FnoProblem1d) -> Self {
-        LayerSpec::d1(p.batch, p.k_in, p.k_out, p.n).modes(p.nf)
-    }
-
-    /// Spec matching an existing 2D problem descriptor.
-    pub fn from_problem_2d(p: &FnoProblem2d) -> Self {
-        LayerSpec::d2(p.batch, p.k_in, p.k_out, p.nx, p.ny).modes_xy(p.nfx, p.nfy)
     }
 
     /// Retain `nf` low-frequency modes per transformed axis, clamped to
@@ -249,16 +236,6 @@ impl LayerSpec {
     /// The spectral shape this spec executes.
     pub fn shape(&self) -> SpectralShape {
         self.shape
-    }
-
-    /// The 1D problem descriptor, if this spec is rank 1.
-    pub fn problem_1d(&self) -> Option<FnoProblem1d> {
-        self.shape.to_problem_1d()
-    }
-
-    /// The 2D problem descriptor, if this spec is rank 2.
-    pub fn problem_2d(&self) -> Option<FnoProblem2d> {
-        self.shape.to_problem_2d()
     }
 
     /// The buffer-free half of admission: an executable shape (power-of-two
@@ -1687,27 +1664,29 @@ mod tests {
         assert_eq!(s.input_len(), 2 * 8 * 128);
         assert_eq!(s.weight_len(), 8 * 16);
         assert_eq!(s.output_len(), 2 * 16 * 128);
-        assert_eq!(s.problem_1d().unwrap(), FnoProblem1d::new(2, 8, 16, 128, 32));
-        assert!(s.problem_2d().is_none());
+        assert_eq!(
+            s.shape(),
+            SpectralShape::d1(2, 8, 16, 128).with_modes(&[32])
+        );
 
         let s2 = LayerSpec::d2(1, 4, 4, 32, 64).modes(32);
-        let p2 = s2.problem_2d().unwrap();
-        assert_eq!((p2.nfx, p2.nfy), (32, 32), "modes clamp to the axis");
+        assert_eq!(s2.shape().modes, [32, 32, 1], "modes clamp to the axis");
         assert_eq!(
-            LayerSpec::d2(1, 4, 4, 32, 64).modes_xy(8, 32).problem_2d().unwrap(),
-            FnoProblem2d::new(1, 4, 4, 32, 64, 8, 32)
+            LayerSpec::d2(1, 4, 4, 32, 64).modes_xy(8, 32).shape(),
+            SpectralShape::d2(1, 4, 4, 32, 64).with_modes(&[8, 32])
         );
     }
 
     /// Regression: the 1D arm of `modes` documented the clamp but did not
-    /// apply it — `.modes(nf > n)` built an invalid `FnoProblem1d` that
-    /// only failed later with an opaque downstream assert.
+    /// apply it — `.modes(nf > n)` built an invalid 1D shape that only
+    /// failed later with an opaque downstream assert.
     #[test]
     fn modes_clamps_to_the_1d_axis() {
         let s = LayerSpec::d1(1, 2, 2, 64).modes(1000);
-        assert_eq!(s.problem_1d().unwrap(), FnoProblem1d::new(1, 2, 2, 64, 64));
+        assert_eq!(s.shape(), SpectralShape::d1(1, 2, 2, 64));
+        s.shape().validate();
         // In-range requests are untouched.
-        assert_eq!(LayerSpec::d1(1, 2, 2, 64).modes(16).problem_1d().unwrap().nf, 16);
+        assert_eq!(LayerSpec::d1(1, 2, 2, 64).modes(16).shape().modes[0], 16);
     }
 
     /// Regression: `modes_xy` skipped the per-axis clamp `modes` applies,
@@ -1715,8 +1694,7 @@ mod tests {
     #[test]
     fn modes_xy_clamps_like_modes() {
         let s = LayerSpec::d2(1, 2, 2, 32, 64).modes_xy(1000, 48);
-        let p = s.problem_2d().unwrap();
-        assert_eq!((p.nfx, p.nfy), (32, 48));
+        assert_eq!(s.shape().modes, [32, 48, 1]);
         // The two builders must agree on every input, in and out of range.
         for k in [1usize, 16, 32, 33, 64, 65, 1000] {
             assert_eq!(
@@ -1732,7 +1710,7 @@ mod tests {
         let s = LayerSpec::d1(1, 4, 4, 64);
         assert_eq!(s.variant, Variant::TurboBest);
         assert_eq!(s.exec, ExecMode::Functional);
-        assert_eq!(s.problem_1d().unwrap().nf, 64);
+        assert_eq!(s.shape().modes[0], 64);
     }
 
     #[test]
@@ -1744,7 +1722,10 @@ mod tests {
     #[test]
     fn stacked_scales_only_batch() {
         let s = LayerSpec::d1(3, 8, 8, 128).modes(32).stacked(4);
-        assert_eq!(s.problem_1d().unwrap(), FnoProblem1d::new(12, 8, 8, 128, 32));
+        assert_eq!(
+            s.shape(),
+            SpectralShape::d1(12, 8, 8, 128).with_modes(&[32])
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! FFT (`out_ft` padding). Both are pure global-memory traffic — exactly
 //! the overhead TurboFNO's built-in truncation removes.
 
+use crate::problem::{SpectralShape, MAX_RANK};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,253 +36,120 @@ pub trait CopyAddressing: Sync {
     fn fingerprint(&self) -> u64;
 }
 
-/// Truncation gather: keep the first `nf` of every length-`n` row
-/// (`[rows, n] -> [rows, nf]`, both packed).
-#[derive(Clone, Copy, Debug)]
-pub struct RowTruncate {
-    pub rows: usize,
-    pub n: usize,
-    pub nf: usize,
-}
-
-impl CopyAddressing for RowTruncate {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn in_len(&self, _r: usize) -> usize {
-        self.nf
-    }
-    fn out_len(&self, _r: usize) -> usize {
-        self.nf
-    }
-    fn in_addr(&self, r: usize, i: usize) -> usize {
-        r * self.n + i
-    }
-    fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.nf + i
-    }
-    fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.row_truncate", |h| {
-            self.rows.hash(h);
-            self.n.hash(h);
-            self.nf.hash(h);
-        })
-    }
-}
-
-/// Zero-padding scatter: `[rows, nf] -> [rows, n]` with a zero tail.
-#[derive(Clone, Copy, Debug)]
-pub struct RowPad {
-    pub rows: usize,
-    pub nf: usize,
-    pub n: usize,
-}
-
-impl CopyAddressing for RowPad {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn in_len(&self, _r: usize) -> usize {
-        self.nf
-    }
-    fn out_len(&self, _r: usize) -> usize {
-        self.n
-    }
-    fn in_addr(&self, r: usize, i: usize) -> usize {
-        r * self.nf + i
-    }
-    fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.n + i
-    }
-    fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.row_pad", |h| {
-            self.rows.hash(h);
-            self.nf.hash(h);
-            self.n.hash(h);
-        })
-    }
-}
-
-/// 2D corner truncation: gather the `[nfx, nfy]` low-frequency corner out
-/// of each `[nx, ny]` grid (`grids` of them), packed output.
-#[derive(Clone, Copy, Debug)]
-pub struct CornerTruncate2d {
+/// The geometry both filter copies share: `grids` dense row-major grids
+/// `dims[..rank]` whose low-frequency corner `modes[..rank]` is kept.
+/// Axes `>= rank` are 1, as in [`SpectralShape`]. Each copy row is one
+/// pencil along the innermost axis; rows run over the outer axes
+/// row-major, grid index slowest.
+#[derive(Clone, Copy, Debug, Hash)]
+pub struct Corner {
     pub grids: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nfx: usize,
-    pub nfy: usize,
+    pub rank: usize,
+    pub dims: [usize; MAX_RANK],
+    pub modes: [usize; MAX_RANK],
 }
 
-impl CopyAddressing for CornerTruncate2d {
+impl Corner {
+    /// The corner of `s`'s grids, `grids` of them (`batch * k_in` before
+    /// the CGEMM, `batch * k_out` after it).
+    pub fn new(grids: usize, s: &SpectralShape) -> Self {
+        Corner {
+            grids,
+            rank: s.rank,
+            dims: s.dims,
+            modes: s.modes,
+        }
+    }
+
+    /// Outer-axis coordinates and grid index of row `row` when rows run
+    /// over the outer extents `rows_ext[..rank - 1]`.
+    fn decode(&self, row: usize, rows_ext: &[usize; MAX_RANK]) -> ([usize; MAX_RANK], usize) {
+        let mut coords = [0; MAX_RANK];
+        let mut rest = row;
+        for a in (0..self.rank - 1).rev() {
+            coords[a] = rest % rows_ext[a];
+            rest /= rows_ext[a];
+        }
+        (coords, rest)
+    }
+
+    /// Start of row `row`'s pencil in a dense `[grids, ext[..rank]]`
+    /// tensor, rows running over `rows_ext`.
+    fn pencil_start(
+        &self,
+        row: usize,
+        rows_ext: &[usize; MAX_RANK],
+        ext: &[usize; MAX_RANK],
+    ) -> usize {
+        let (coords, grid) = self.decode(row, rows_ext);
+        let outer = (0..self.rank - 1).fold(grid, |acc, a| acc * ext[a] + coords[a]);
+        outer * ext[self.rank - 1]
+    }
+
+    fn outer_rows(&self, ext: &[usize; MAX_RANK]) -> usize {
+        self.grids * ext[..self.rank - 1].iter().product::<usize>()
+    }
+}
+
+/// Truncation gather (`x_ft[..., :modes]`): copy the retained corner of
+/// every grid into a packed `[grids, modes..]` tensor. One row per
+/// retained innermost-axis pencil; at rank 1 that is the first `nf` of
+/// every length-`n` row.
+#[derive(Clone, Copy, Debug)]
+pub struct CornerTruncate(pub Corner);
+
+impl CopyAddressing for CornerTruncate {
     fn rows(&self) -> usize {
-        self.grids * self.nfx
+        self.0.outer_rows(&self.0.modes)
     }
     fn in_len(&self, _r: usize) -> usize {
-        self.nfy
+        self.0.modes[self.0.rank - 1]
     }
     fn out_len(&self, _r: usize) -> usize {
-        self.nfy
+        self.0.modes[self.0.rank - 1]
     }
     fn in_addr(&self, r: usize, i: usize) -> usize {
-        let g = r / self.nfx;
-        let x = r % self.nfx;
-        g * self.nx * self.ny + x * self.ny + i
+        self.0.pencil_start(r, &self.0.modes, &self.0.dims) + i
     }
     fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.nfy + i
+        r * self.0.modes[self.0.rank - 1] + i
     }
     fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.corner_truncate2d", |h| {
-            self.grids.hash(h);
-            self.nx.hash(h);
-            self.ny.hash(h);
-            self.nfx.hash(h);
-            self.nfy.hash(h);
-        })
+        structural_fingerprint("copy.corner_truncate", |h| self.0.hash(h))
     }
 }
 
-/// 2D corner padding: scatter packed `[nfx, nfy]` corners into zeroed
-/// `[nx, ny]` grids. Rows with `x >= nfx` are pure zero-fill.
+/// Zero-padding scatter: write packed `[grids, modes..]` corners into
+/// zeroed `[grids, dims..]` grids. Every output row is written in full;
+/// rows outside the corner on an outer axis read nothing and are pure
+/// zero-fill.
 #[derive(Clone, Copy, Debug)]
-pub struct CornerPad2d {
-    pub grids: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-    pub nx: usize,
-    pub ny: usize,
-}
+pub struct CornerPad(pub Corner);
 
-impl CopyAddressing for CornerPad2d {
+impl CopyAddressing for CornerPad {
     fn rows(&self) -> usize {
-        self.grids * self.nx
+        self.0.outer_rows(&self.0.dims)
     }
     fn in_len(&self, r: usize) -> usize {
-        let x = r % self.nx;
-        if x < self.nfx {
-            self.nfy
+        let c = &self.0;
+        let (coords, _) = c.decode(r, &c.dims);
+        if (0..c.rank - 1).all(|a| coords[a] < c.modes[a]) {
+            c.modes[c.rank - 1]
         } else {
             0
         }
     }
     fn out_len(&self, _r: usize) -> usize {
-        self.ny
+        self.0.dims[self.0.rank - 1]
     }
     fn in_addr(&self, r: usize, i: usize) -> usize {
-        let g = r / self.nx;
-        let x = r % self.nx;
-        (g * self.nfx + x) * self.nfy + i
+        self.0.pencil_start(r, &self.0.dims, &self.0.modes) + i
     }
     fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.ny + i
+        r * self.0.dims[self.0.rank - 1] + i
     }
     fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.corner_pad2d", |h| {
-            self.grids.hash(h);
-            self.nfx.hash(h);
-            self.nfy.hash(h);
-            self.nx.hash(h);
-            self.ny.hash(h);
-        })
-    }
-}
-
-/// 3D corner truncation: gather the `[nfx, nfy, nfz]` low-frequency corner
-/// out of each `[nx, ny, nz]` volume (`grids` of them), packed output. One
-/// row per retained `(x, y)` pencil, contiguous along z.
-#[derive(Clone, Copy, Debug)]
-pub struct CornerTruncate3d {
-    pub grids: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nz: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-    pub nfz: usize,
-}
-
-impl CopyAddressing for CornerTruncate3d {
-    fn rows(&self) -> usize {
-        self.grids * self.nfx * self.nfy
-    }
-    fn in_len(&self, _r: usize) -> usize {
-        self.nfz
-    }
-    fn out_len(&self, _r: usize) -> usize {
-        self.nfz
-    }
-    fn in_addr(&self, r: usize, i: usize) -> usize {
-        let g = r / (self.nfx * self.nfy);
-        let x = (r / self.nfy) % self.nfx;
-        let y = r % self.nfy;
-        ((g * self.nx + x) * self.ny + y) * self.nz + i
-    }
-    fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.nfz + i
-    }
-    fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.corner_truncate3d", |h| {
-            self.grids.hash(h);
-            self.nx.hash(h);
-            self.ny.hash(h);
-            self.nz.hash(h);
-            self.nfx.hash(h);
-            self.nfy.hash(h);
-            self.nfz.hash(h);
-        })
-    }
-}
-
-/// 3D corner padding: scatter packed `[nfx, nfy, nfz]` corners into zeroed
-/// `[nx, ny, nz]` volumes. Rows with `x >= nfx` or `y >= nfy` are pure
-/// zero-fill, like [`CornerPad2d`]'s tail rows.
-#[derive(Clone, Copy, Debug)]
-pub struct CornerPad3d {
-    pub grids: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-    pub nfz: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nz: usize,
-}
-
-impl CopyAddressing for CornerPad3d {
-    fn rows(&self) -> usize {
-        self.grids * self.nx * self.ny
-    }
-    fn in_len(&self, r: usize) -> usize {
-        let x = (r / self.ny) % self.nx;
-        let y = r % self.ny;
-        if x < self.nfx && y < self.nfy {
-            self.nfz
-        } else {
-            0
-        }
-    }
-    fn out_len(&self, _r: usize) -> usize {
-        self.nz
-    }
-    fn in_addr(&self, r: usize, i: usize) -> usize {
-        let g = r / (self.nx * self.ny);
-        let x = (r / self.ny) % self.nx;
-        let y = r % self.ny;
-        ((g * self.nfx + x) * self.nfy + y) * self.nfz + i
-    }
-    fn out_addr(&self, r: usize, i: usize) -> usize {
-        r * self.nz + i
-    }
-    fn fingerprint(&self) -> u64 {
-        structural_fingerprint("copy.corner_pad3d", |h| {
-            self.grids.hash(h);
-            self.nfx.hash(h);
-            self.nfy.hash(h);
-            self.nfz.hash(h);
-            self.nx.hash(h);
-            self.ny.hash(h);
-            self.nz.hash(h);
-        })
+        structural_fingerprint("copy.corner_pad", |h| self.0.hash(h))
     }
 }
 
@@ -376,7 +244,7 @@ impl<A: CopyAddressing> Kernel for StridedCopyKernel<A> {
     }
 
     fn block_classes(&self) -> Vec<(usize, u64)> {
-        // Copy kernels can have heterogeneous rows (e.g. CornerPad2d's
+        // Copy kernels can have heterogeneous rows (e.g. CornerPad's
         // zero-fill rows), and blocks are cheap: enumerate every block as
         // its own class only when patterns vary per block; here we group
         // conservatively by running each block (they are O(rows) cheap).
@@ -531,6 +399,19 @@ mod tests {
         (0..n).map(|i| C32::new(i as f32, -(i as f32))).collect()
     }
 
+    /// The corner of `grids` grids of extents `dims`, keeping `modes`.
+    fn corner(grids: usize, dims: &[usize], modes: &[usize]) -> Corner {
+        let mut c = Corner {
+            grids,
+            rank: dims.len(),
+            dims: [1; MAX_RANK],
+            modes: [1; MAX_RANK],
+        };
+        c.dims[..dims.len()].copy_from_slice(dims);
+        c.modes[..modes.len()].copy_from_slice(modes);
+        c
+    }
+
     #[test]
     fn truncate_gathers_prefix() {
         let (rows, n, nf) = (5usize, 64usize, 16usize);
@@ -538,7 +419,8 @@ mod tests {
         let src = dev.alloc("src", rows * n);
         let dst = dev.alloc("dst", rows * nf);
         dev.upload(src, &seq(rows * n));
-        let k = StridedCopyKernel::new("trunc", RowTruncate { rows, n, nf }, src, dst);
+        let k =
+            StridedCopyKernel::new("trunc", CornerTruncate(corner(rows, &[n], &[nf])), src, dst);
         let rec = dev.launch(&k, ExecMode::Functional);
         let out = dev.download(dst);
         for r in 0..rows {
@@ -560,7 +442,7 @@ mod tests {
         dev.upload(src, &seq(rows * nf));
         // poison dst to prove zeros are written, not assumed
         dev.upload(dst, &vec![C32::new(9.0, 9.0); rows * n]);
-        let k = StridedCopyKernel::new("pad", RowPad { rows, nf, n }, src, dst);
+        let k = StridedCopyKernel::new("pad", CornerPad(corner(rows, &[n], &[nf])), src, dst);
         let rec = dev.launch(&k, ExecMode::Functional);
         let out = dev.download(dst);
         for r in 0..rows {
@@ -586,13 +468,7 @@ mod tests {
         dev.upload(src, &seq(grids * nx * ny));
         let k = StridedCopyKernel::new(
             "corner",
-            CornerTruncate2d {
-                grids,
-                nx,
-                ny,
-                nfx,
-                nfy,
-            },
+            CornerTruncate(corner(grids, &[nx, ny], &[nfx, nfy])),
             src,
             dst,
         );
@@ -621,13 +497,7 @@ mod tests {
         dev.upload(dst, &vec![C32::new(7.0, 7.0); grids * nx * ny]);
         let k = StridedCopyKernel::new(
             "cpad",
-            CornerPad2d {
-                grids,
-                nfx,
-                nfy,
-                nx,
-                ny,
-            },
+            CornerPad(corner(grids, &[nx, ny], &[nfx, nfy])),
             src,
             dst,
         );
@@ -655,7 +525,7 @@ mod tests {
         dev.upload(src, &seq(grids * nx * ny * nz));
         let k = StridedCopyKernel::new(
             "corner3",
-            CornerTruncate3d { grids, nx, ny, nz, nfx, nfy, nfz },
+            CornerTruncate(corner(grids, &[nx, ny, nz], &[nfx, nfy, nfz])),
             src,
             dst,
         );
@@ -687,7 +557,7 @@ mod tests {
         dev.upload(dst, &vec![C32::new(7.0, 7.0); grids * nx * ny * nz]);
         let k = StridedCopyKernel::new(
             "cpad3",
-            CornerPad3d { grids, nfx, nfy, nfz, nx, ny, nz },
+            CornerPad(corner(grids, &[nx, ny, nz], &[nfx, nfy, nfz])),
             src,
             dst,
         );
@@ -830,7 +700,7 @@ mod tests {
 
     /// Declared access sets must match the real footprint: every output
     /// element written exactly once (block partitions disjoint), reads
-    /// covering exactly the source elements — including CornerPad2d's
+    /// covering exactly the source elements — including CornerPad's
     /// zero-fill rows, which read nothing but still write full rows.
     #[test]
     fn declared_access_matches_footprint() {
@@ -841,7 +711,7 @@ mod tests {
         let dst = dev.alloc("dst", grids * nx * ny);
         let k = StridedCopyKernel::new(
             "cpad",
-            CornerPad2d { grids, nfx, nfy, nx, ny },
+            CornerPad(corner(grids, &[nx, ny], &[nfx, nfy])),
             src,
             dst,
         );
@@ -896,9 +766,61 @@ mod tests {
         let src = dev.alloc("src", rows * n);
         let dst = dev.alloc("dst", rows * nf);
         dev.upload(src, &seq(rows * n));
-        let k = StridedCopyKernel::new("trunc", RowTruncate { rows, n, nf }, src, dst);
+        let k =
+            StridedCopyKernel::new("trunc", CornerTruncate(corner(rows, &[n], &[nf])), src, dst);
         let f = dev.launch(&k, ExecMode::Functional);
         let a = dev.launch(&k, ExecMode::Analytical);
         assert_eq!(f.stats, a.stats);
+    }
+
+    /// The corner layouts match their closed-form per-rank addressing:
+    /// row counts, lengths and start addresses at ranks 1-3, zero-fill rows
+    /// of the pad included.
+    #[test]
+    fn corner_rows_match_the_per_rank_layouts() {
+        let g = 3;
+        // rank 1: `[rows, n] <-> [rows, nf]`
+        let (n, nf) = (64, 16);
+        let t = CornerTruncate(corner(g, &[n], &[nf]));
+        let p = CornerPad(corner(g, &[n], &[nf]));
+        assert_eq!((t.rows(), p.rows()), (g, g));
+        for r in 0..g {
+            assert_eq!((t.in_len(r), t.out_len(r)), (nf, nf));
+            assert_eq!((t.in_addr(r, 5), t.out_addr(r, 5)), (r * n + 5, r * nf + 5));
+            assert_eq!((p.in_len(r), p.out_len(r)), (nf, n));
+            assert_eq!((p.in_addr(r, 5), p.out_addr(r, 5)), (r * nf + 5, r * n + 5));
+        }
+        // rank 2: one row per x pencil
+        let (nx, ny, nfx, nfy) = (8, 16, 3, 5);
+        let t = CornerTruncate(corner(g, &[nx, ny], &[nfx, nfy]));
+        let p = CornerPad(corner(g, &[nx, ny], &[nfx, nfy]));
+        assert_eq!((t.rows(), p.rows()), (g * nfx, g * nx));
+        for r in 0..t.rows() {
+            let (gi, x) = (r / nfx, r % nfx);
+            assert_eq!(t.in_addr(r, 0), gi * nx * ny + x * ny);
+            assert_eq!((t.in_len(r), t.out_addr(r, 0)), (nfy, r * nfy));
+        }
+        for r in 0..p.rows() {
+            let (gi, x) = (r / nx, r % nx);
+            assert_eq!(p.in_len(r), if x < nfx { nfy } else { 0 });
+            assert_eq!(p.in_addr(r, 0), (gi * nfx + x) * nfy);
+            assert_eq!((p.out_len(r), p.out_addr(r, 0)), (ny, r * ny));
+        }
+        // rank 3: one row per (x, y) pencil
+        let (nx, ny, nz, nfx, nfy, nfz) = (4, 8, 16, 2, 3, 5);
+        let t = CornerTruncate(corner(g, &[nx, ny, nz], &[nfx, nfy, nfz]));
+        let p = CornerPad(corner(g, &[nx, ny, nz], &[nfx, nfy, nfz]));
+        assert_eq!((t.rows(), p.rows()), (g * nfx * nfy, g * nx * ny));
+        for r in 0..t.rows() {
+            let (gi, x, y) = (r / (nfx * nfy), (r / nfy) % nfx, r % nfy);
+            assert_eq!(t.in_addr(r, 0), ((gi * nx + x) * ny + y) * nz);
+            assert_eq!((t.in_len(r), t.out_addr(r, 0)), (nfz, r * nfz));
+        }
+        for r in 0..p.rows() {
+            let (gi, x, y) = (r / (nx * ny), (r / ny) % nx, r % ny);
+            assert_eq!(p.in_len(r), if x < nfx && y < nfy { nfz } else { 0 });
+            assert_eq!(p.in_addr(r, 0), ((gi * nfx + x) * nfy + y) * nfz);
+            assert_eq!((p.out_len(r), p.out_addr(r, 0)), (nz, r * nz));
+        }
     }
 }

@@ -8,10 +8,10 @@
 //! * [`copy`] — the PyTorch-style truncation/zero-padding memory-copy
 //!   kernels forced by the libraries' black-box design;
 //! * [`pytorch`] — the full baseline executor chaining them (5 kernels in
-//!   1D, 7 in 2D, 9 in 3D), numerically validated against
-//!   `tfno_num::reference`;
-//! * [`problem`] — Fourier-layer problem descriptors shared with the
-//!   TurboFNO executors, including the rank-generic [`SpectralShape`].
+//!   1D, 7 in 2D, 9 in 3D) in one body over the axes of a shape,
+//!   numerically validated against `tfno_num::reference`;
+//! * [`problem`] — the rank-generic Fourier-layer shape
+//!   [`SpectralShape`] shared with the TurboFNO executors.
 
 // The cuFFT-facade planner takes the same long parameter list the real
 // `cufftPlanMany` does — flattening it is part of the emulation.
@@ -24,14 +24,9 @@ pub mod problem;
 pub mod pytorch;
 
 pub use copy::{
-    CopySegment, CornerPad2d, CornerPad3d, CornerTruncate2d, CornerTruncate3d, RowPad,
-    RowTruncate, SegmentedCopyKernel, StridedCopyKernel,
+    CopySegment, Corner, CornerPad, CornerTruncate, SegmentedCopyKernel, StridedCopyKernel,
 };
 pub use cublas::CuBlas;
 pub use cufft::{CuFft, CUFFT_L1_HIT};
-pub use problem::{FnoProblem1d, FnoProblem2d, SpectralShape, MAX_RANK};
-pub use pytorch::{
-    alloc_like, run_pytorch_1d, run_pytorch_1d_stacked, run_pytorch_2d, run_pytorch_2d_stacked,
-    run_pytorch_3d, try_alloc_like, try_run_pytorch_1d_stacked, try_run_pytorch_2d_stacked,
-    try_run_pytorch_3d_stacked, try_run_pytorch_stacked, PipelineRun,
-};
+pub use problem::{SpectralShape, MAX_RANK};
+pub use pytorch::{alloc_like, try_alloc_like, try_run_pytorch_stacked, PipelineRun};

@@ -1,103 +1,7 @@
-//! FNO Fourier-layer problem descriptions shared by every executor
-//! (PyTorch baseline here, TurboFNO variants in the `turbofno` crate).
-
-/// One 1D Fourier layer: input `[batch, k_in, n]`, weight `[k_in, k_out]`,
-/// output `[batch, k_out, n]`, keeping `nf` low-frequency modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FnoProblem1d {
-    pub batch: usize,
-    pub k_in: usize,
-    pub k_out: usize,
-    pub n: usize,
-    pub nf: usize,
-}
-
-impl FnoProblem1d {
-    pub fn new(batch: usize, k_in: usize, k_out: usize, n: usize, nf: usize) -> Self {
-        assert!(n.is_power_of_two(), "FFT length must be a power of two");
-        assert!(nf >= 1 && nf <= n, "mode count out of range");
-        assert!(batch >= 1 && k_in >= 1 && k_out >= 1);
-        FnoProblem1d {
-            batch,
-            k_in,
-            k_out,
-            n,
-            nf,
-        }
-    }
-
-    /// The paper's GEMM `M` dimension: `BatchSize x` retained positions.
-    pub fn gemm_m_total(&self) -> usize {
-        self.batch * self.nf
-    }
-
-    pub fn input_len(&self) -> usize {
-        self.batch * self.k_in * self.n
-    }
-
-    pub fn output_len(&self) -> usize {
-        self.batch * self.k_out * self.n
-    }
-
-    pub fn weight_len(&self) -> usize {
-        self.k_in * self.k_out
-    }
-}
-
-/// One 2D Fourier layer: input `[batch, k_in, nx, ny]`, keeping the
-/// `nfx x nfy` low-frequency corner.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FnoProblem2d {
-    pub batch: usize,
-    pub k_in: usize,
-    pub k_out: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-}
-
-impl FnoProblem2d {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        batch: usize,
-        k_in: usize,
-        k_out: usize,
-        nx: usize,
-        ny: usize,
-        nfx: usize,
-        nfy: usize,
-    ) -> Self {
-        assert!(nx.is_power_of_two() && ny.is_power_of_two());
-        assert!(nfx >= 1 && nfx <= nx && nfy >= 1 && nfy <= ny);
-        assert!(batch >= 1 && k_in >= 1 && k_out >= 1);
-        FnoProblem2d {
-            batch,
-            k_in,
-            k_out,
-            nx,
-            ny,
-            nfx,
-            nfy,
-        }
-    }
-
-    pub fn gemm_m_total(&self) -> usize {
-        self.batch * self.nfx * self.nfy
-    }
-
-    pub fn input_len(&self) -> usize {
-        self.batch * self.k_in * self.nx * self.ny
-    }
-
-    pub fn output_len(&self) -> usize {
-        self.batch * self.k_out * self.nx * self.ny
-    }
-
-    pub fn weight_len(&self) -> usize {
-        self.k_in * self.k_out
-    }
-}
+//! The Fourier-layer shape shared by every executor (PyTorch baseline
+//! here, TurboFNO variants in the `turbofno` crate). Rank is a field of
+//! [`SpectralShape`], not a type: one struct describes a layer over a 1D,
+//! 2D or 3D grid, and every executor walks its axes.
 
 /// Highest spatial rank the spectral engine supports.
 pub const MAX_RANK: usize = 3;
@@ -109,9 +13,8 @@ pub const MAX_RANK: usize = 3;
 ///
 /// Axes at positions `>= rank` are `1` so products over the fixed-size
 /// arrays work for every rank; the innermost (contiguous) axis is
-/// `dims[rank - 1]`. This one struct replaces the `FnoProblem1d` /
-/// `FnoProblem2d` twins everywhere inside the engine; the rank-specific
-/// descriptors remain as thin public conversions.
+/// `dims[rank - 1]`. [`SpectralShape::d1`]/[`SpectralShape::d2`]/
+/// [`SpectralShape::d3`] are constructors of this one type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpectralShape {
     pub batch: usize,
@@ -182,8 +85,7 @@ impl SpectralShape {
     }
 
     /// Check the shape is executable: power-of-two FFT lengths, in-range
-    /// mode counts, non-empty batch/channel dims. Uses the same messages as
-    /// [`FnoProblem1d::new`] so rank-1 callers see identical diagnostics.
+    /// mode counts, non-empty batch/channel dims.
     pub fn try_validate(&self) -> Result<(), String> {
         if !(1..=MAX_RANK).contains(&self.rank) {
             return Err(format!("spectral rank must be 1..={MAX_RANK}"));
@@ -246,33 +148,6 @@ impl SpectralShape {
     pub fn weight_len(&self) -> usize {
         self.k_in * self.k_out
     }
-
-    /// The 1D problem descriptor, if this is a rank-1 shape.
-    pub fn to_problem_1d(&self) -> Option<FnoProblem1d> {
-        (self.rank == 1).then(|| FnoProblem1d::new(self.batch, self.k_in, self.k_out, self.dims[0], self.modes[0]))
-    }
-
-    /// The 2D problem descriptor, if this is a rank-2 shape.
-    pub fn to_problem_2d(&self) -> Option<FnoProblem2d> {
-        (self.rank == 2).then(|| {
-            FnoProblem2d::new(
-                self.batch, self.k_in, self.k_out, self.dims[0], self.dims[1], self.modes[0],
-                self.modes[1],
-            )
-        })
-    }
-}
-
-impl From<&FnoProblem1d> for SpectralShape {
-    fn from(p: &FnoProblem1d) -> Self {
-        SpectralShape::d1(p.batch, p.k_in, p.k_out, p.n).with_modes(&[p.nf])
-    }
-}
-
-impl From<&FnoProblem2d> for SpectralShape {
-    fn from(p: &FnoProblem2d) -> Self {
-        SpectralShape::d2(p.batch, p.k_in, p.k_out, p.nx, p.ny).with_modes(&[p.nfx, p.nfy])
-    }
 }
 
 #[cfg(test)]
@@ -281,48 +156,37 @@ mod tests {
 
     #[test]
     fn sizes_1d() {
-        let p = FnoProblem1d::new(4, 8, 16, 128, 32);
-        assert_eq!(p.gemm_m_total(), 128);
-        assert_eq!(p.input_len(), 4 * 8 * 128);
-        assert_eq!(p.output_len(), 4 * 16 * 128);
-        assert_eq!(p.weight_len(), 128);
+        let s = SpectralShape::d1(4, 8, 16, 128).with_modes(&[32]);
+        assert_eq!(s.gemm_m_total(), 128);
+        assert_eq!(s.input_len(), 4 * 8 * 128);
+        assert_eq!(s.output_len(), 4 * 16 * 128);
+        assert_eq!(s.weight_len(), 128);
+        assert_eq!(s.outer_modes(), 1);
     }
 
     #[test]
     fn sizes_2d() {
-        let p = FnoProblem2d::new(2, 4, 4, 64, 32, 16, 8);
-        assert_eq!(p.gemm_m_total(), 2 * 16 * 8);
-        assert_eq!(p.input_len(), 2 * 4 * 64 * 32);
+        let s = SpectralShape::d2(2, 4, 4, 64, 32).with_modes(&[16, 8]);
+        assert_eq!(s.gemm_m_total(), 2 * 16 * 8);
+        assert_eq!(s.input_len(), 2 * 4 * 64 * 32);
+        assert_eq!(s.output_len(), 2 * 4 * 64 * 32);
+        assert_eq!(s.outer_modes(), 16);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_rejected() {
-        FnoProblem1d::new(1, 1, 1, 100, 10);
+        SpectralShape::d1(1, 1, 1, 100).with_modes(&[10]).validate();
     }
 
+    /// `with_modes` clamps, so an excess mode count can only come from the
+    /// public field; `validate` must reject it.
     #[test]
     #[should_panic(expected = "mode count")]
     fn excess_modes_rejected() {
-        FnoProblem1d::new(1, 1, 1, 64, 65);
-    }
-
-    #[test]
-    fn shape_roundtrips_problem_descriptors() {
-        let p1 = FnoProblem1d::new(4, 8, 16, 128, 32);
-        let s1 = SpectralShape::from(&p1);
-        assert_eq!(s1.to_problem_1d(), Some(p1));
-        assert_eq!(s1.to_problem_2d(), None);
-        assert_eq!(s1.input_len(), p1.input_len());
-        assert_eq!(s1.gemm_m_total(), p1.gemm_m_total());
-        assert_eq!(s1.outer_modes(), 1);
-
-        let p2 = FnoProblem2d::new(2, 4, 4, 64, 32, 16, 8);
-        let s2 = SpectralShape::from(&p2);
-        assert_eq!(s2.to_problem_2d(), Some(p2));
-        assert_eq!(s2.to_problem_1d(), None);
-        assert_eq!(s2.output_len(), p2.output_len());
-        assert_eq!(s2.outer_modes(), 16);
+        let mut s = SpectralShape::d1(1, 1, 1, 64);
+        s.modes[0] = 65;
+        s.validate();
     }
 
     #[test]

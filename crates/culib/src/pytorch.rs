@@ -1,30 +1,28 @@
 //! The PyTorch-style baseline executor (the paper's comparison base).
 //!
 //! Replicates, kernel for kernel, what `torch.fft` + `einsum`-as-batched-
-//! CGEMM + tensor slicing/padding do for one FNO Fourier layer:
+//! CGEMM + tensor slicing/padding do for one FNO Fourier layer over a
+//! rank-`r` grid, in `2r + 3` kernels:
 //!
-//! * **1D** (5 kernels): full FFT → truncate-copy → CGEMM → pad-copy →
-//!   full iFFT;
-//! * **2D** (7 kernels): full FFT-y → full FFT-x → corner-truncate-copy →
-//!   CGEMM → corner-pad-copy → full iFFT-x → full iFFT-y;
-//! * **3D** (9 kernels): full FFT-z → FFT-y → FFT-x → corner-truncate →
-//!   CGEMM → corner-pad → iFFT-x → iFFT-y → iFFT-z.
+//! 1. one full FFT per axis, innermost axis first;
+//! 2. a corner-truncate copy;
+//! 3. the hidden-dim CGEMM;
+//! 4. a corner-pad copy;
+//! 5. one full iFFT per axis, outermost axis first.
 //!
-//! Every stage round-trips global memory, and the copies exist only because
-//! cuFFT cannot filter — the two inefficiencies TurboFNO removes.
-//! [`try_run_pytorch_stacked`] is the rank-generic entry the engine
-//! dispatches through.
+//! That is 5 kernels in 1D, 7 in 2D and 9 in 3D. Every stage round-trips
+//! global memory, and the copies exist only because cuFFT cannot filter —
+//! the two inefficiencies TurboFNO removes. [`try_run_pytorch_stacked`]
+//! is the one body; it walks the axes of a [`SpectralShape`] the way the
+//! Turbo executor in `turbofno::pipeline` does.
 
-use crate::copy::{
-    CornerPad2d, CornerPad3d, CornerTruncate2d, CornerTruncate3d, RowPad, RowTruncate,
-    StridedCopyKernel,
-};
+use crate::copy::{Corner, CornerPad, CornerTruncate, StridedCopyKernel};
 use crate::cublas::CuBlas;
 use crate::cufft::CuFft;
-use crate::problem::{FnoProblem1d, FnoProblem2d, SpectralShape};
+use crate::problem::{SpectralShape, MAX_RANK};
+use tfno_backend::Backend;
 use tfno_cgemm::{BatchedOperand, GemmShape, MatView, WeightStacking};
 use tfno_fft::{FftDirection, StridedPencils};
-use tfno_backend::Backend;
 use tfno_gpu_sim::{BufferId, ExecMode, KernelStats, LaunchError, LaunchRecord};
 
 /// The launches of one pipeline execution.
@@ -76,459 +74,103 @@ pub fn try_alloc_like(
     }
 }
 
-/// Run the 1D baseline pipeline: `y = iFFT(pad(W * trunc(FFT(x))))`.
+/// Per-rank launch and scratch names. Traces, the stats pins and
+/// fnobench's stage ledger key on the launch names, so they must not
+/// change.
+struct BaselineNames {
+    /// Launch order: `r` forward FFTs (innermost axis first), truncate,
+    /// CGEMM, pad, `r` inverse FFTs (outermost axis first).
+    launches: &'static [&'static str],
+    /// Allocation order: `r` forward temporaries, `xf_t`, `yf_t`,
+    /// `yf_pad`, then `r - 1` inverse temporaries (the last iFFT writes
+    /// `y`).
+    scratch: &'static [&'static str],
+}
+
+static BASELINE_NAMES: [BaselineNames; MAX_RANK] = [
+    BaselineNames {
+        launches: &["pt.fft", "pt.truncate", "pt.cgemm", "pt.pad", "pt.ifft"],
+        scratch: &["pt.xf", "pt.xf_t", "pt.yf_t", "pt.yf_pad"],
+    },
+    BaselineNames {
+        launches: &[
+            "pt2.fft_y",
+            "pt2.fft_x",
+            "pt2.truncate",
+            "pt2.cgemm",
+            "pt2.pad",
+            "pt2.ifft_x",
+            "pt2.ifft_y",
+        ],
+        scratch: &[
+            "pt2.t1",
+            "pt2.t2",
+            "pt2.xf_t",
+            "pt2.yf_t",
+            "pt2.yf_pad",
+            "pt2.t3",
+        ],
+    },
+    BaselineNames {
+        launches: &[
+            "pt3.fft_z",
+            "pt3.fft_y",
+            "pt3.fft_x",
+            "pt3.truncate",
+            "pt3.cgemm",
+            "pt3.pad",
+            "pt3.ifft_x",
+            "pt3.ifft_y",
+            "pt3.ifft_z",
+        ],
+        scratch: &[
+            "pt3.t1",
+            "pt3.t2",
+            "pt3.t3",
+            "pt3.xf_t",
+            "pt3.yf_t",
+            "pt3.yf_pad",
+            "pt3.t4",
+            "pt3.t5",
+        ],
+    },
+];
+
+/// One full (unfiltered) FFT along axis `a` of `grids` dense `s.dims`
+/// grids: contiguous rows on the innermost axis, strided pencils on the
+/// others.
+fn try_fft_axis(
+    dev: &mut dyn Backend,
+    name: &str,
+    s: &SpectralShape,
+    a: usize,
+    grids: usize,
+    dir: FftDirection,
+    input: BufferId,
+    output: BufferId,
+    mode: ExecMode,
+) -> Result<LaunchRecord, LaunchError> {
+    let n = s.dims[a];
+    let slabs = grids * s.dims[..a].iter().product::<usize>();
+    if a + 1 == s.rank {
+        return CuFft::try_exec_rows(dev, name, n, slabs, dir, input, output, mode);
+    }
+    let inner = s.dims[a + 1..].iter().product();
+    let pencils = StridedPencils::along_axis(slabs, n, n, inner);
+    CuFft::try_exec_strided(dev, name, n, pencils, dir, input, output, mode)
+}
+
+/// Run the baseline pipeline `y = iFFT(pad(W * trunc(FFT(x))))` through
+/// the device's typed fault path.
 ///
-/// * `x`: `[batch, k_in, n]`, `w`: `[k_in, k_out]` row-major,
-///   `y`: `[batch, k_out, n]`.
-pub fn run_pytorch_1d(
-    dev: &mut dyn Backend,
-    p: &FnoProblem1d,
-    x: BufferId,
-    w: BufferId,
-    y: BufferId,
-    mode: ExecMode,
-) -> PipelineRun {
-    run_pytorch_1d_stacked(dev, p, x, w, WeightStacking::SHARED, y, mode)
-}
-
-/// [`run_pytorch_1d`] with a stacked weight operand: `w` holds one
-/// `[k_in, k_out]` slice per `ws.group` consecutive batch entries (the
-/// mixed-weight serving stack collapsed into one baseline launch sequence).
-pub fn run_pytorch_1d_stacked(
-    dev: &mut dyn Backend,
-    p: &FnoProblem1d,
-    x: BufferId,
-    w: BufferId,
-    ws: WeightStacking,
-    y: BufferId,
-    mode: ExecMode,
-) -> PipelineRun {
-    try_run_pytorch_1d_stacked(dev, p, x, w, ws, y, mode)
-        .unwrap_or_else(|e| panic!("pytorch 1d baseline failed: {e}"))
-}
-
-/// [`run_pytorch_1d_stacked`] through the device's typed fault path. A
-/// faulted stage aborts the rest of the sequence; completed stages only
+/// * `x`: `[batch, k_in, ...dims]`, `w`: one `[k_in, k_out]` row-major
+///   slice per `ws.group` consecutive batch entries (a single shared
+///   matrix under [`WeightStacking::SHARED`]), `y`: `[batch, k_out,
+///   ...dims]`.
+///
+/// A faulted stage aborts the rest of the sequence. Completed stages only
 /// wrote scratch intermediates, so the caller's `y` is untouched unless
 /// every stage succeeded, and retrying the whole sequence is sound.
-pub fn try_run_pytorch_1d_stacked(
-    dev: &mut dyn Backend,
-    p: &FnoProblem1d,
-    x: BufferId,
-    w: BufferId,
-    ws: WeightStacking,
-    y: BufferId,
-    mode: ExecMode,
-) -> Result<PipelineRun, LaunchError> {
-    let mut run = PipelineRun::default();
-    let (b, ki, ko, n, nf) = (p.batch, p.k_in, p.k_out, p.n, p.nf);
-
-    let xf = try_alloc_like(dev, x, "pt.xf", b * ki * n)?;
-    let xf_t = try_alloc_like(dev, x, "pt.xf_t", b * ki * nf)?;
-    let yf_t = try_alloc_like(dev, x, "pt.yf_t", b * ko * nf)?;
-    let yf_pad = try_alloc_like(dev, x, "pt.yf_pad", b * ko * n)?;
-
-    // 1. full forward FFT (cuFFT cannot truncate)
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt.fft",
-        n,
-        b * ki,
-        FftDirection::Forward,
-        x,
-        xf,
-        mode,
-    )?);
-
-    // 2. truncation memcpy
-    let trunc = StridedCopyKernel::new(
-        "pt.truncate",
-        RowTruncate {
-            rows: b * ki,
-            n,
-            nf,
-        },
-        xf,
-        xf_t,
-    );
-    run.push(dev.try_launch(&trunc, mode)?);
-
-    // 3. batched CGEMM along the hidden dim
-    run.push(CuBlas::try_cgemm_strided_batched(
-        dev,
-        "pt.cgemm",
-        GemmShape {
-            batch: b,
-            m: nf,
-            n: ko,
-            k: ki,
-        },
-        BatchedOperand::strided(xf_t, MatView { base: 0, row_stride: 1, col_stride: nf, }, ki * nf),
-        BatchedOperand::stacked(w, MatView::row_major(0, ko), ws),
-        BatchedOperand::strided(yf_t, MatView { base: 0, row_stride: 1, col_stride: nf, }, ko * nf),
-        tfno_num::C32::ONE,
-        tfno_num::C32::ZERO,
-        mode,
-    )?);
-
-    // 4. zero-padding memcpy
-    let pad = StridedCopyKernel::new(
-        "pt.pad",
-        RowPad {
-            rows: b * ko,
-            nf,
-            n,
-        },
-        yf_t,
-        yf_pad,
-    );
-    run.push(dev.try_launch(&pad, mode)?);
-
-    // 5. full inverse FFT
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt.ifft",
-        n,
-        b * ko,
-        FftDirection::Inverse,
-        yf_pad,
-        y,
-        mode,
-    )?);
-
-    Ok(run)
-}
-
-/// Run the 2D baseline pipeline (7 kernels).
-///
-/// * `x`: `[batch, k_in, nx, ny]`, `w`: `[k_in, k_out]`,
-///   `y`: `[batch, k_out, nx, ny]`.
-pub fn run_pytorch_2d(
-    dev: &mut dyn Backend,
-    p: &FnoProblem2d,
-    x: BufferId,
-    w: BufferId,
-    y: BufferId,
-    mode: ExecMode,
-) -> PipelineRun {
-    run_pytorch_2d_stacked(dev, p, x, w, WeightStacking::SHARED, y, mode)
-}
-
-/// [`run_pytorch_2d`] with a stacked weight operand (see
-/// [`run_pytorch_1d_stacked`]).
-pub fn run_pytorch_2d_stacked(
-    dev: &mut dyn Backend,
-    p: &FnoProblem2d,
-    x: BufferId,
-    w: BufferId,
-    ws: WeightStacking,
-    y: BufferId,
-    mode: ExecMode,
-) -> PipelineRun {
-    try_run_pytorch_2d_stacked(dev, p, x, w, ws, y, mode)
-        .unwrap_or_else(|e| panic!("pytorch 2d baseline failed: {e}"))
-}
-
-/// [`run_pytorch_2d_stacked`] through the device's typed fault path (see
-/// [`try_run_pytorch_1d_stacked`] for the abort contract).
-pub fn try_run_pytorch_2d_stacked(
-    dev: &mut dyn Backend,
-    p: &FnoProblem2d,
-    x: BufferId,
-    w: BufferId,
-    ws: WeightStacking,
-    y: BufferId,
-    mode: ExecMode,
-) -> Result<PipelineRun, LaunchError> {
-    let mut run = PipelineRun::default();
-    let (b, ki, ko) = (p.batch, p.k_in, p.k_out);
-    let (nx, ny, nfx, nfy) = (p.nx, p.ny, p.nfx, p.nfy);
-
-    let t1 = try_alloc_like(dev, x, "pt2.t1", b * ki * nx * ny)?;
-    let t2 = try_alloc_like(dev, x, "pt2.t2", b * ki * nx * ny)?;
-    let xf_t = try_alloc_like(dev, x, "pt2.xf_t", b * ki * nfx * nfy)?;
-    let yf_t = try_alloc_like(dev, x, "pt2.yf_t", b * ko * nfx * nfy)?;
-    let yf_pad = try_alloc_like(dev, x, "pt2.yf_pad", b * ko * nx * ny)?;
-    let t3 = try_alloc_like(dev, x, "pt2.t3", b * ko * nx * ny)?;
-
-    // 1. full FFT along y
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt2.fft_y",
-        ny,
-        b * ki * nx,
-        FftDirection::Forward,
-        x,
-        t1,
-        mode,
-    )?);
-
-    // 2. full FFT along x (strided pencils)
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt2.fft_x",
-        nx,
-        StridedPencils::along_axis(b * ki, nx, nx, ny),
-        FftDirection::Forward,
-        t1,
-        t2,
-        mode,
-    )?);
-
-    // 3. corner truncation memcpy
-    let trunc = StridedCopyKernel::new(
-        "pt2.truncate",
-        CornerTruncate2d {
-            grids: b * ki,
-            nx,
-            ny,
-            nfx,
-            nfy,
-        },
-        t2,
-        xf_t,
-    );
-    run.push(dev.try_launch(&trunc, mode)?);
-
-    // 4. batched CGEMM along the hidden dim
-    let m = nfx * nfy;
-    run.push(CuBlas::try_cgemm_strided_batched(
-        dev,
-        "pt2.cgemm",
-        GemmShape {
-            batch: b,
-            m,
-            n: ko,
-            k: ki,
-        },
-        BatchedOperand::strided(xf_t, MatView { base: 0, row_stride: 1, col_stride: m, }, ki * m),
-        BatchedOperand::stacked(w, MatView::row_major(0, ko), ws),
-        BatchedOperand::strided(yf_t, MatView { base: 0, row_stride: 1, col_stride: m, }, ko * m),
-        tfno_num::C32::ONE,
-        tfno_num::C32::ZERO,
-        mode,
-    )?);
-
-    // 5. corner padding memcpy
-    let pad = StridedCopyKernel::new(
-        "pt2.pad",
-        CornerPad2d {
-            grids: b * ko,
-            nfx,
-            nfy,
-            nx,
-            ny,
-        },
-        yf_t,
-        yf_pad,
-    );
-    run.push(dev.try_launch(&pad, mode)?);
-
-    // 6. full inverse FFT along x
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt2.ifft_x",
-        nx,
-        StridedPencils::along_axis(b * ko, nx, nx, ny),
-        FftDirection::Inverse,
-        yf_pad,
-        t3,
-        mode,
-    )?);
-
-    // 7. full inverse FFT along y
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt2.ifft_y",
-        ny,
-        b * ko * nx,
-        FftDirection::Inverse,
-        t3,
-        y,
-        mode,
-    )?);
-
-    Ok(run)
-}
-
-/// [`try_run_pytorch_3d_stacked`] without weight stacking, panicking on
-/// faults (the unsandboxed convenience wrapper the 1D/2D baselines have).
-pub fn run_pytorch_3d(
-    dev: &mut dyn Backend,
-    s: &SpectralShape,
-    x: BufferId,
-    w: BufferId,
-    y: BufferId,
-    mode: ExecMode,
-) -> PipelineRun {
-    try_run_pytorch_3d_stacked(dev, s, x, w, WeightStacking::SHARED, y, mode)
-        .unwrap_or_else(|e| panic!("pytorch 3d baseline failed: {e}"))
-}
-
-/// Run the 3D baseline pipeline (9 kernels) through the device's typed
-/// fault path: one full FFT per axis (innermost z first), the corner
-/// truncation/padding copies cuFFT forces, and the hidden-dim CGEMM.
-///
-/// * `x`: `[batch, k_in, nx, ny, nz]`, `w`: `[k_in, k_out]`,
-///   `y`: `[batch, k_out, nx, ny, nz]`.
-pub fn try_run_pytorch_3d_stacked(
-    dev: &mut dyn Backend,
-    s: &SpectralShape,
-    x: BufferId,
-    w: BufferId,
-    ws: WeightStacking,
-    y: BufferId,
-    mode: ExecMode,
-) -> Result<PipelineRun, LaunchError> {
-    assert_eq!(s.rank, 3, "3d baseline needs a rank-3 shape");
-    let mut run = PipelineRun::default();
-    let (b, ki, ko) = (s.batch, s.k_in, s.k_out);
-    let [nx, ny, nz] = s.dims;
-    let [nfx, nfy, nfz] = s.modes;
-    let grid = nx * ny * nz;
-    let corner = nfx * nfy * nfz;
-
-    let t1 = try_alloc_like(dev, x, "pt3.t1", b * ki * grid)?;
-    let t2 = try_alloc_like(dev, x, "pt3.t2", b * ki * grid)?;
-    let t3 = try_alloc_like(dev, x, "pt3.t3", b * ki * grid)?;
-    let xf_t = try_alloc_like(dev, x, "pt3.xf_t", b * ki * corner)?;
-    let yf_t = try_alloc_like(dev, x, "pt3.yf_t", b * ko * corner)?;
-    let yf_pad = try_alloc_like(dev, x, "pt3.yf_pad", b * ko * grid)?;
-    let t4 = try_alloc_like(dev, x, "pt3.t4", b * ko * grid)?;
-    let t5 = try_alloc_like(dev, x, "pt3.t5", b * ko * grid)?;
-
-    // 1. full FFT along z (contiguous rows)
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt3.fft_z",
-        nz,
-        b * ki * nx * ny,
-        FftDirection::Forward,
-        x,
-        t1,
-        mode,
-    )?);
-
-    // 2. full FFT along y (strided pencils)
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt3.fft_y",
-        ny,
-        StridedPencils::along_axis(b * ki * nx, ny, ny, nz),
-        FftDirection::Forward,
-        t1,
-        t2,
-        mode,
-    )?);
-
-    // 3. full FFT along x (strided pencils)
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt3.fft_x",
-        nx,
-        StridedPencils::along_axis(b * ki, nx, nx, ny * nz),
-        FftDirection::Forward,
-        t2,
-        t3,
-        mode,
-    )?);
-
-    // 4. corner truncation memcpy
-    let trunc = StridedCopyKernel::new(
-        "pt3.truncate",
-        CornerTruncate3d {
-            grids: b * ki,
-            nx,
-            ny,
-            nz,
-            nfx,
-            nfy,
-            nfz,
-        },
-        t3,
-        xf_t,
-    );
-    run.push(dev.try_launch(&trunc, mode)?);
-
-    // 5. batched CGEMM along the hidden dim
-    let m = corner;
-    run.push(CuBlas::try_cgemm_strided_batched(
-        dev,
-        "pt3.cgemm",
-        GemmShape {
-            batch: b,
-            m,
-            n: ko,
-            k: ki,
-        },
-        BatchedOperand::strided(xf_t, MatView { base: 0, row_stride: 1, col_stride: m, }, ki * m),
-        BatchedOperand::stacked(w, MatView::row_major(0, ko), ws),
-        BatchedOperand::strided(yf_t, MatView { base: 0, row_stride: 1, col_stride: m, }, ko * m),
-        tfno_num::C32::ONE,
-        tfno_num::C32::ZERO,
-        mode,
-    )?);
-
-    // 6. corner padding memcpy
-    let pad = StridedCopyKernel::new(
-        "pt3.pad",
-        CornerPad3d {
-            grids: b * ko,
-            nfx,
-            nfy,
-            nfz,
-            nx,
-            ny,
-            nz,
-        },
-        yf_t,
-        yf_pad,
-    );
-    run.push(dev.try_launch(&pad, mode)?);
-
-    // 7. full inverse FFT along x
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt3.ifft_x",
-        nx,
-        StridedPencils::along_axis(b * ko, nx, nx, ny * nz),
-        FftDirection::Inverse,
-        yf_pad,
-        t4,
-        mode,
-    )?);
-
-    // 8. full inverse FFT along y
-    run.push(CuFft::try_exec_strided(
-        dev,
-        "pt3.ifft_y",
-        ny,
-        StridedPencils::along_axis(b * ko * nx, ny, ny, nz),
-        FftDirection::Inverse,
-        t4,
-        t5,
-        mode,
-    )?);
-
-    // 9. full inverse FFT along z
-    run.push(CuFft::try_exec_rows(
-        dev,
-        "pt3.ifft_z",
-        nz,
-        b * ko * nx * ny,
-        FftDirection::Inverse,
-        t5,
-        y,
-        mode,
-    )?);
-
-    Ok(run)
-}
-
-/// Rank-generic baseline entry: dispatch a [`SpectralShape`] to the 1D, 2D
-/// or 3D kernel sequence. The per-rank bodies stay separate because the
-/// baseline's WHOLE point is replicating the rank-specific launch sequences
-/// PyTorch emits; this is the one seam the engine calls through.
 pub fn try_run_pytorch_stacked(
     dev: &mut dyn Backend,
     s: &SpectralShape,
@@ -538,20 +180,113 @@ pub fn try_run_pytorch_stacked(
     y: BufferId,
     mode: ExecMode,
 ) -> Result<PipelineRun, LaunchError> {
-    match s.rank {
-        1 => {
-            let p = s.to_problem_1d().expect("rank checked");
-            try_run_pytorch_1d_stacked(dev, &p, x, w, ws, y, mode)
-        }
-        2 => {
-            let p = s.to_problem_2d().expect("rank checked");
-            try_run_pytorch_2d_stacked(dev, &p, x, w, ws, y, mode)
-        }
-        3 => try_run_pytorch_3d_stacked(dev, s, x, w, ws, y, mode),
-        // INVARIANT: SpectralShape::validate() rejects ranks outside 1..=3
-        // before any launch path runs, so this arm is unreachable.
-        r => panic!("unsupported spectral rank {r}"),
+    // INVARIANT: SpectralShape::validate() rejects ranks outside 1..=3
+    // before any launch path runs, so the rank indexes the table.
+    let names = &BASELINE_NAMES[s.rank - 1];
+    let r = s.rank;
+    let (b, ki, ko) = (s.batch, s.k_in, s.k_out);
+    let (grid, m) = (s.spatial_len(), s.modes_total());
+
+    let mut scratch = Vec::with_capacity(names.scratch.len());
+    for (i, name) in names.scratch.iter().enumerate() {
+        let len = match i.checked_sub(r) {
+            None => b * ki * grid,
+            Some(0) => b * ki * m,
+            Some(1) => b * ko * m,
+            Some(_) => b * ko * grid,
+        };
+        scratch.push(try_alloc_like(dev, x, name, len)?);
     }
+    let (fwd, rest) = scratch.split_at(r);
+    let (xf_t, yf_t, yf_pad, inv) = (rest[0], rest[1], rest[2], &rest[3..]);
+    let launch = names.launches;
+    let mut run = PipelineRun::default();
+
+    // 1. full forward FFTs (cuFFT cannot truncate), innermost axis first
+    let mut src = x;
+    for (step, &dst) in fwd.iter().enumerate() {
+        let a = r - 1 - step;
+        run.push(try_fft_axis(
+            dev,
+            launch[step],
+            s,
+            a,
+            b * ki,
+            FftDirection::Forward,
+            src,
+            dst,
+            mode,
+        )?);
+        src = dst;
+    }
+
+    // 2. corner truncation memcpy
+    let trunc =
+        StridedCopyKernel::new(launch[r], CornerTruncate(Corner::new(b * ki, s)), src, xf_t);
+    run.push(dev.try_launch(&trunc, mode)?);
+
+    // 3. batched CGEMM along the hidden dim
+    run.push(CuBlas::try_cgemm_strided_batched(
+        dev,
+        launch[r + 1],
+        GemmShape {
+            batch: b,
+            m,
+            n: ko,
+            k: ki,
+        },
+        BatchedOperand::strided(
+            xf_t,
+            MatView {
+                base: 0,
+                row_stride: 1,
+                col_stride: m,
+            },
+            ki * m,
+        ),
+        BatchedOperand::stacked(w, MatView::row_major(0, ko), ws),
+        BatchedOperand::strided(
+            yf_t,
+            MatView {
+                base: 0,
+                row_stride: 1,
+                col_stride: m,
+            },
+            ko * m,
+        ),
+        tfno_num::C32::ONE,
+        tfno_num::C32::ZERO,
+        mode,
+    )?);
+
+    // 4. corner zero-padding memcpy
+    let pad = StridedCopyKernel::new(
+        launch[r + 2],
+        CornerPad(Corner::new(b * ko, s)),
+        yf_t,
+        yf_pad,
+    );
+    run.push(dev.try_launch(&pad, mode)?);
+
+    // 5. full inverse FFTs, outermost axis first; the last one writes `y`
+    let mut src = yf_pad;
+    for a in 0..r {
+        let dst = inv.get(a).copied().unwrap_or(y);
+        run.push(try_fft_axis(
+            dev,
+            launch[r + 3 + a],
+            s,
+            a,
+            b * ko,
+            FftDirection::Inverse,
+            src,
+            dst,
+            mode,
+        )?);
+        src = dst;
+    }
+
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -559,7 +294,7 @@ mod tests {
     use super::*;
     use tfno_gpu_sim::GpuDevice;
     use tfno_num::error::rel_l2_error;
-    use tfno_num::{reference, C32, CTensor};
+    use tfno_num::{reference, CTensor, C32};
 
     fn rand_like(len: usize, seed: f32) -> Vec<C32> {
         (0..len)
@@ -572,48 +307,55 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn pipeline_1d_matches_reference_layer() {
-        let p = FnoProblem1d::new(2, 4, 4, 64, 16);
+    fn run(
+        dev: &mut GpuDevice,
+        s: &SpectralShape,
+        x: BufferId,
+        w: BufferId,
+        y: BufferId,
+        mode: ExecMode,
+    ) -> PipelineRun {
+        try_run_pytorch_stacked(dev, s, x, w, WeightStacking::SHARED, y, mode).unwrap()
+    }
+
+    /// Upload seeded operands for `s`, run the baseline functionally and
+    /// return the output with the operands it was computed from.
+    fn run_functional(
+        s: &SpectralShape,
+        seeds: (f32, f32),
+    ) -> (PipelineRun, Vec<C32>, CTensor, CTensor) {
         let mut dev = GpuDevice::a100();
-        let x = dev.alloc("x", p.input_len());
-        let w = dev.alloc("w", p.weight_len());
-        let y = dev.alloc("y", p.output_len());
-        let xd = rand_like(p.input_len(), 0.3);
-        let wd = rand_like(p.weight_len(), 0.7);
+        let x = dev.alloc("x", s.input_len());
+        let w = dev.alloc("w", s.weight_len());
+        let y = dev.alloc("y", s.output_len());
+        let xd = rand_like(s.input_len(), seeds.0);
+        let wd = rand_like(s.weight_len(), seeds.1);
         dev.upload(x, &xd);
         dev.upload(w, &wd);
+        let run = run(&mut dev, s, x, w, y, ExecMode::Functional);
+        let mut x_shape = vec![s.batch, s.k_in];
+        x_shape.extend_from_slice(&s.dims[..s.rank]);
+        let xt = CTensor::from_vec(xd, &x_shape);
+        let wt = CTensor::from_vec(wd, &[s.k_in, s.k_out]);
+        (run, dev.download(y), xt, wt)
+    }
 
-        let run = run_pytorch_1d(&mut dev, &p, x, w, y, ExecMode::Functional);
+    #[test]
+    fn pipeline_1d_matches_reference_layer() {
+        let s = SpectralShape::d1(2, 4, 4, 64).with_modes(&[16]);
+        let (run, got, xt, wt) = run_functional(&s, (0.3, 0.7));
         assert_eq!(run.kernel_count(), 5);
-
-        let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.n]);
-        let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-        let want = reference::fno_layer_1d(&xt, &wt, p.nf);
-        let got = dev.download(y);
+        let want = reference::fno_layer_1d(&xt, &wt, 16);
         let err = rel_l2_error(&got, want.data());
         assert!(err < 1e-4, "rel l2 error {err}");
     }
 
     #[test]
     fn pipeline_2d_matches_reference_layer() {
-        let p = FnoProblem2d::new(1, 2, 2, 16, 16, 4, 4);
-        let mut dev = GpuDevice::a100();
-        let x = dev.alloc("x", p.input_len());
-        let w = dev.alloc("w", p.weight_len());
-        let y = dev.alloc("y", p.output_len());
-        let xd = rand_like(p.input_len(), 0.1);
-        let wd = rand_like(p.weight_len(), 0.9);
-        dev.upload(x, &xd);
-        dev.upload(w, &wd);
-
-        let run = run_pytorch_2d(&mut dev, &p, x, w, y, ExecMode::Functional);
+        let s = SpectralShape::d2(1, 2, 2, 16, 16).with_modes(&[4, 4]);
+        let (run, got, xt, wt) = run_functional(&s, (0.1, 0.9));
         assert_eq!(run.kernel_count(), 7);
-
-        let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.nx, p.ny]);
-        let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-        let want = reference::fno_layer_2d(&xt, &wt, p.nfx, p.nfy);
-        let got = dev.download(y);
+        let want = reference::fno_layer_2d(&xt, &wt, 4, 4);
         let err = rel_l2_error(&got, want.data());
         assert!(err < 1e-4, "rel l2 error {err}");
     }
@@ -621,56 +363,21 @@ mod tests {
     #[test]
     fn pipeline_3d_matches_reference_layer() {
         let s = SpectralShape::d3(1, 2, 3, 4, 8, 16).with_modes(&[2, 3, 5]);
-        let mut dev = GpuDevice::a100();
-        let x = dev.alloc("x", s.input_len());
-        let w = dev.alloc("w", s.weight_len());
-        let y = dev.alloc("y", s.output_len());
-        let xd = rand_like(s.input_len(), 0.6);
-        let wd = rand_like(s.weight_len(), 0.2);
-        dev.upload(x, &xd);
-        dev.upload(w, &wd);
-
-        let run = run_pytorch_3d(&mut dev, &s, x, w, y, ExecMode::Functional);
+        let (run, got, xt, wt) = run_functional(&s, (0.6, 0.2));
         assert_eq!(run.kernel_count(), 9);
-
-        let xt = CTensor::from_vec(xd, &[s.batch, s.k_in, 4, 8, 16]);
-        let wt = CTensor::from_vec(wd, &[s.k_in, s.k_out]);
         let want = reference::fno_layer_3d(&xt, &wt, 2, 3, 5);
-        let got = dev.download(y);
         let err = rel_l2_error(&got, want.data());
         assert!(err < 1e-4, "rel l2 error {err}");
     }
 
     #[test]
-    fn generic_dispatch_matches_per_rank_entries() {
-        let p = FnoProblem1d::new(2, 4, 4, 64, 16);
-        let s = SpectralShape::from(&p);
-        let mut dev = GpuDevice::a100();
-        let x = dev.alloc("x", p.input_len());
-        let w = dev.alloc("w", p.weight_len());
-        let (y1, y2) = (dev.alloc("y1", p.output_len()), dev.alloc("y2", p.output_len()));
-        dev.upload(x, &rand_like(p.input_len(), 0.3));
-        dev.upload(w, &rand_like(p.weight_len(), 0.7));
-        let r1 = try_run_pytorch_1d_stacked(
-            &mut dev, &p, x, w, WeightStacking::SHARED, y1, ExecMode::Functional,
-        )
-        .unwrap();
-        let r2 = try_run_pytorch_stacked(
-            &mut dev, &s, x, w, WeightStacking::SHARED, y2, ExecMode::Functional,
-        )
-        .unwrap();
-        assert_eq!(r1.kernel_count(), r2.kernel_count());
-        assert_eq!(dev.download(y1), dev.download(y2));
-    }
-
-    #[test]
     fn analytical_pipeline_on_virtual_buffers() {
-        let p = FnoProblem1d::new(8, 32, 32, 128, 32);
+        let s = SpectralShape::d1(8, 32, 32, 128).with_modes(&[32]);
         let mut dev = GpuDevice::a100();
-        let x = dev.memory.alloc_virtual("x", p.input_len());
-        let w = dev.memory.alloc_virtual("w", p.weight_len());
-        let y = dev.memory.alloc_virtual("y", p.output_len());
-        let run = run_pytorch_1d(&mut dev, &p, x, w, y, ExecMode::Analytical);
+        let x = dev.memory.alloc_virtual("x", s.input_len());
+        let w = dev.memory.alloc_virtual("w", s.weight_len());
+        let y = dev.memory.alloc_virtual("y", s.output_len());
+        let run = run(&mut dev, &s, x, w, y, ExecMode::Analytical);
         assert_eq!(run.kernel_count(), 5);
         assert!(run.total_us() > 0.0);
         // 5 launches, each paying launch overhead
@@ -680,15 +387,15 @@ mod tests {
 
     #[test]
     fn functional_equals_analytical_stats() {
-        let p = FnoProblem1d::new(2, 8, 8, 64, 16);
+        let s = SpectralShape::d1(2, 8, 8, 64).with_modes(&[16]);
         let mut dev = GpuDevice::a100();
-        let x = dev.alloc("x", p.input_len());
-        let w = dev.alloc("w", p.weight_len());
-        let y = dev.alloc("y", p.output_len());
-        dev.upload(x, &rand_like(p.input_len(), 0.2));
-        dev.upload(w, &rand_like(p.weight_len(), 0.4));
-        let f = run_pytorch_1d(&mut dev, &p, x, w, y, ExecMode::Functional);
-        let a = run_pytorch_1d(&mut dev, &p, x, w, y, ExecMode::Analytical);
+        let x = dev.alloc("x", s.input_len());
+        let w = dev.alloc("w", s.weight_len());
+        let y = dev.alloc("y", s.output_len());
+        dev.upload(x, &rand_like(s.input_len(), 0.2));
+        dev.upload(w, &rand_like(s.weight_len(), 0.4));
+        let f = run(&mut dev, &s, x, w, y, ExecMode::Functional);
+        let a = run(&mut dev, &s, x, w, y, ExecMode::Analytical);
         assert_eq!(f.total_stats(), a.total_stats());
     }
 }

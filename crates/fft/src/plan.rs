@@ -441,7 +441,8 @@ mod tests {
 
     /// Graph-theoretic pruning limits at the paper's evaluation sizes.
     ///
-    /// REPRODUCTION NOTE (documented in EXPERIMENTS.md): the paper's §5.1
+    /// REPRODUCTION NOTE (`fig05_prune` reports it as a documented
+    /// deviation): the paper's §5.1
     /// extrapolates Fig. 5's 4-point savings (62.5% at 25% truncation) to
     /// its 128/256-point FFTs ("reduces computation by 25%–67.5%"). On the
     /// actual radix-2 Cooley-Tukey network, backward reachability from a

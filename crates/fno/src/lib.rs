@@ -9,8 +9,8 @@
 //! * [`permode`] — the classic per-mode-weight FNO spectral layer as an
 //!   extension (executed as a mode-batched CGEMM);
 //! * [`model`] — complete FNO architectures (lifting → Fourier layers with
-//!   pointwise bypass + GELU → projection), rank-generic ([`FnoNd`]) with
-//!   1D/2D shape-named wrappers;
+//!   pointwise bypass + GELU → projection) over a 1D, 2D or 3D grid
+//!   ([`FnoNd`]; rank is the number of spatial dims);
 //! * [`pde`] — synthetic PDE workload generators (heat-equation exact
 //!   spectral operator, Burgers-style initial conditions, Gaussian random
 //!   fields for Darcy/Navier–Stokes-like inputs).
@@ -27,11 +27,6 @@ pub mod permode;
 pub mod pde;
 pub mod spectral;
 
-pub use model::{
-    add_gelu, gelu, pointwise, pointwise_naive, Fno1d, Fno2d, FnoLayer1d, FnoLayer2d, FnoLayerNd,
-    FnoNd,
-};
+pub use model::{add_gelu, gelu, pointwise, pointwise_naive, FnoLayerNd, FnoNd};
 pub use permode::PerModeSpectralConv1d;
-pub use spectral::{
-    PendingSpectral, SpectralConv1d, SpectralConv2d, SpectralConv3d, SpectralConvNd,
-};
+pub use spectral::{PendingSpectral, SpectralConvNd};

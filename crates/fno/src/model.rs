@@ -1,6 +1,6 @@
 //! Complete FNO architectures: lifting → Fourier layers (spectral conv +
-//! pointwise bypass + GELU) → projection, rank-generic with shape-named
-//! 1D/2D wrappers.
+//! pointwise bypass + GELU) → projection, over a grid of any supported
+//! rank.
 //!
 //! The device path runs the spectral convolutions through a
 //! [`Session`] (shared planner + pooled buffers across layers and
@@ -8,8 +8,9 @@
 //! per-layer timing records; the pointwise/projection GEMMs execute on the
 //! host (the paper's optimization target is the Fourier layer — everything
 //! else is identical between baselines and TurboFNO). [`FnoNd`] is the one
-//! implementation; [`Fno1d`]/[`Fno2d`] delegate to it, and a 3D model is
-//! just `FnoNd` with three spatial dims.
+//! model type: its rank is the number of spatial dims it is built with, so
+//! a 1D, 2D or 3D model is `FnoNd::random(.., &dims, &modes)` with one,
+//! two or three axes.
 //!
 //! ## Overlapped layer schedule
 //!
@@ -33,7 +34,7 @@
 //! bypasses — the serving-path schedule the throughput bench pins as
 //! `pipeline-overlap`.
 
-use crate::spectral::{SpectralConv1d, SpectralConv2d, SpectralConvNd};
+use crate::spectral::SpectralConvNd;
 use rand::Rng;
 use tfno_culib::PipelineRun;
 use tfno_num::{C32, CTensor};
@@ -246,7 +247,6 @@ fn random_real_weight<R: Rng>(rng: &mut R, i: usize, o: usize) -> CTensor {
 }
 
 /// One rank-generic Fourier layer: `gelu(spectral(x) + pointwise(x))`.
-/// The single implementation behind [`FnoLayer1d`]/[`FnoLayer2d`].
 #[derive(Clone, Debug)]
 pub struct FnoLayerNd {
     pub spectral: SpectralConvNd,
@@ -322,9 +322,8 @@ impl FnoLayerNd {
 }
 
 /// A full rank-generic FNO: `in_ch -> width -> (layers x Fourier) ->
-/// out_ch` over any supported spatial rank. The single implementation
-/// behind [`Fno1d`]/[`Fno2d`]; a 3D model is `FnoNd::random(.., &[nx, ny,
-/// nz], &[nfx, nfy, nfz])`.
+/// out_ch` over any supported spatial rank; a 3D model is
+/// `FnoNd::random(.., &[nx, ny, nz], &[nfx, nfy, nfz])`.
 #[derive(Clone, Debug)]
 pub struct FnoNd {
     pub lift: CTensor, // [in_ch, width]
@@ -479,334 +478,6 @@ impl FnoNd {
     }
 }
 
-/// One 1D Fourier layer: `gelu(spectral(x) + pointwise(x))`.
-/// Thin shape-named wrapper over [`FnoLayerNd`].
-#[derive(Clone, Debug)]
-pub struct FnoLayer1d {
-    pub spectral: SpectralConv1d,
-    pub bypass: CTensor, // [k, k]
-}
-
-impl FnoLayer1d {
-    pub fn random<R: Rng>(rng: &mut R, width: usize, n: usize, nf: usize) -> Self {
-        let nd = FnoLayerNd::random(rng, width, &[n], &[nf]);
-        FnoLayer1d {
-            spectral: SpectralConv1d::new(width, width, n, nf, nd.spectral.weight),
-            bypass: nd.bypass,
-        }
-    }
-
-    /// The rank-generic layer this wrapper delegates to.
-    pub fn nd(&self) -> FnoLayerNd {
-        FnoLayerNd {
-            spectral: self.spectral.nd(),
-            bypass: self.bypass.clone(),
-        }
-    }
-
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Overlapped device forward (see [`FnoLayerNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin (see [`FnoLayerNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// The strictly sequential schedule (see
-    /// [`FnoLayerNd::forward_device_sync`]).
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device_sync(sess, variant, opts, x)
-    }
-}
-
-/// A full 1D FNO. Thin shape-named wrapper over [`FnoNd`].
-#[derive(Clone, Debug)]
-pub struct Fno1d {
-    pub lift: CTensor,  // [in_ch, width]
-    pub layers: Vec<FnoLayer1d>,
-    pub proj: CTensor,  // [width, out_ch]
-}
-
-impl Fno1d {
-    /// Random model: `in_ch -> width -> (layers x Fourier) -> out_ch`.
-    pub fn random<R: Rng>(
-        rng: &mut R,
-        in_ch: usize,
-        width: usize,
-        out_ch: usize,
-        layers: usize,
-        n: usize,
-        nf: usize,
-    ) -> Self {
-        let nd = FnoNd::random(rng, in_ch, width, out_ch, layers, &[n], &[nf]);
-        Fno1d {
-            lift: nd.lift,
-            layers: nd
-                .layers
-                .into_iter()
-                .map(|l| FnoLayer1d {
-                    spectral: SpectralConv1d::new(width, width, n, nf, l.spectral.weight),
-                    bypass: l.bypass,
-                })
-                .collect(),
-            proj: nd.proj,
-        }
-    }
-
-    /// The rank-generic model this wrapper delegates to.
-    pub fn nd(&self) -> FnoNd {
-        FnoNd {
-            lift: self.lift.clone(),
-            layers: self.layers.iter().map(|l| l.nd()).collect(),
-            proj: self.proj.clone(),
-        }
-    }
-
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Overlapped device forward (see [`FnoNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin (see [`FnoNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// Sequential per-layer schedule (see [`FnoNd::forward_device_sync`]).
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device_sync(sess, variant, opts, x)
-    }
-
-    /// Lockstep queue forward (see [`FnoNd::forward_device_batch`]).
-    pub fn forward_device_batch(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        xs: &[CTensor],
-    ) -> Vec<(CTensor, PipelineRun)> {
-        self.nd().forward_device_batch(sess, variant, opts, xs)
-    }
-}
-
-/// One 2D Fourier layer. Thin shape-named wrapper over [`FnoLayerNd`].
-#[derive(Clone, Debug)]
-pub struct FnoLayer2d {
-    pub spectral: SpectralConv2d,
-    pub bypass: CTensor,
-}
-
-impl FnoLayer2d {
-    pub fn random<R: Rng>(
-        rng: &mut R,
-        width: usize,
-        nx: usize,
-        ny: usize,
-        nfx: usize,
-        nfy: usize,
-    ) -> Self {
-        let nd = FnoLayerNd::random(rng, width, &[nx, ny], &[nfx, nfy]);
-        FnoLayer2d {
-            spectral: SpectralConv2d::new(width, width, nx, ny, nfx, nfy, nd.spectral.weight),
-            bypass: nd.bypass,
-        }
-    }
-
-    /// The rank-generic layer this wrapper delegates to.
-    pub fn nd(&self) -> FnoLayerNd {
-        FnoLayerNd {
-            spectral: self.spectral.nd(),
-            bypass: self.bypass.clone(),
-        }
-    }
-
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Overlapped device forward (see [`FnoLayerNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin (see [`FnoLayerNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// The strictly sequential schedule (see
-    /// [`FnoLayerNd::forward_device_sync`]).
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device_sync(sess, variant, opts, x)
-    }
-}
-
-/// A full 2D FNO. Thin shape-named wrapper over [`FnoNd`].
-#[derive(Clone, Debug)]
-pub struct Fno2d {
-    pub lift: CTensor,
-    pub layers: Vec<FnoLayer2d>,
-    pub proj: CTensor,
-}
-
-impl Fno2d {
-    #[allow(clippy::too_many_arguments)]
-    pub fn random<R: Rng>(
-        rng: &mut R,
-        in_ch: usize,
-        width: usize,
-        out_ch: usize,
-        layers: usize,
-        nx: usize,
-        ny: usize,
-        nfx: usize,
-        nfy: usize,
-    ) -> Self {
-        let nd = FnoNd::random(rng, in_ch, width, out_ch, layers, &[nx, ny], &[nfx, nfy]);
-        Fno2d {
-            lift: nd.lift,
-            layers: nd
-                .layers
-                .into_iter()
-                .map(|l| FnoLayer2d {
-                    spectral: SpectralConv2d::new(
-                        width,
-                        width,
-                        nx,
-                        ny,
-                        nfx,
-                        nfy,
-                        l.spectral.weight,
-                    ),
-                    bypass: l.bypass,
-                })
-                .collect(),
-            proj: nd.proj,
-        }
-    }
-
-    /// The rank-generic model this wrapper delegates to.
-    pub fn nd(&self) -> FnoNd {
-        FnoNd {
-            lift: self.lift.clone(),
-            layers: self.layers.iter().map(|l| l.nd()).collect(),
-            proj: self.proj.clone(),
-        }
-    }
-
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Overlapped device forward (see [`FnoNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin (see [`FnoNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// Sequential per-layer schedule (see [`FnoNd::forward_device_sync`]).
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device_sync(sess, variant, opts, x)
-    }
-
-    /// Lockstep queue forward (see [`FnoNd::forward_device_batch`]).
-    pub fn forward_device_batch(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        xs: &[CTensor],
-    ) -> Vec<(CTensor, PipelineRun)> {
-        self.nd().forward_device_batch(sess, variant, opts, xs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,7 +543,7 @@ mod tests {
     #[test]
     fn fno1d_device_matches_host() {
         let mut rng = StdRng::seed_from_u64(2);
-        let model = Fno1d::random(&mut rng, 2, 8, 1, 2, 64, 16);
+        let model = FnoNd::random(&mut rng, 2, 8, 1, 2, &[64], &[16]);
         let x = CTensor::random(&mut rng, &[1, 2, 64]);
         let want = model.forward_host(&x);
         let mut sess = Session::a100();
@@ -890,7 +561,7 @@ mod tests {
     #[test]
     fn fno1d_variants_agree() {
         let mut rng = StdRng::seed_from_u64(3);
-        let model = Fno1d::random(&mut rng, 1, 8, 1, 1, 128, 32);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, 1, &[128], &[32]);
         let x = CTensor::random(&mut rng, &[2, 1, 128]);
         let mut outputs = Vec::new();
         for v in [Variant::Pytorch, Variant::FullyFused] {
@@ -907,9 +578,9 @@ mod tests {
     #[test]
     fn overlapped_forward_is_bitwise_equal_to_sync() {
         let mut rng = StdRng::seed_from_u64(23);
-        let model1 = Fno1d::random(&mut rng, 2, 8, 1, 2, 128, 32);
+        let model1 = FnoNd::random(&mut rng, 2, 8, 1, 2, &[128], &[32]);
         let x1 = CTensor::random(&mut rng, &[2, 2, 128]);
-        let model2 = Fno2d::random(&mut rng, 1, 8, 1, 2, 32, 64, 8, 32);
+        let model2 = FnoNd::random(&mut rng, 1, 8, 1, 2, &[32, 64], &[8, 32]);
         let x2 = CTensor::random(&mut rng, &[1, 1, 32, 64]);
         let mut sess = Session::a100();
         let opts = TurboOptions::default();
@@ -929,7 +600,7 @@ mod tests {
     #[test]
     fn batch_forward_is_bitwise_equal_to_solo_forwards() {
         let mut rng = StdRng::seed_from_u64(24);
-        let model = Fno1d::random(&mut rng, 1, 8, 1, 2, 128, 32);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[128], &[32]);
         let xs: Vec<CTensor> = (0..3).map(|_| CTensor::random(&mut rng, &[1, 1, 128])).collect();
         let mut sess = Session::a100();
         let opts = TurboOptions::default();
@@ -952,7 +623,7 @@ mod tests {
     #[test]
     fn fno2d_device_matches_host() {
         let mut rng = StdRng::seed_from_u64(4);
-        let model = Fno2d::random(&mut rng, 1, 8, 1, 1, 32, 32, 8, 32);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, 1, &[32, 32], &[8, 32]);
         let x = CTensor::random(&mut rng, &[1, 1, 32, 32]);
         let want = model.forward_host(&x);
         let mut sess = Session::a100();

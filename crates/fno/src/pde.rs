@@ -4,7 +4,9 @@
 //! to the FNO papers' datasets, so examples validate physics against
 //! *exact spectral solutions* (heat equation) and exercise realistic
 //! spectra via Gaussian random fields (Burgers/Darcy/Navier–Stokes-style
-//! inputs). See DESIGN.md's substitution table.
+//! inputs). Modeled kernel costs depend only on tensor shapes, and the
+//! host reference checks the numerics whatever the values are, so
+//! generated inputs exercise the same paths a dataset would.
 
 use rand::Rng;
 use tfno_num::{C32, CTensor};

@@ -213,7 +213,7 @@ mod tests {
     fn matches_shared_weight_when_weights_equal() {
         // per-mode weights all equal to one matrix == shared-weight layer
         let mut rng = StdRng::seed_from_u64(9);
-        let shared = crate::spectral::SpectralConv1d::random(&mut rng, 4, 4, 64, 16);
+        let shared = crate::spectral::SpectralConvNd::random(&mut rng, 4, 4, &[64], &[16]);
         let mut w = CTensor::zeros(&[16, 4, 4]);
         for f in 0..16 {
             for i in 0..4 {

@@ -1,11 +1,12 @@
 //! Spectral convolution layers (the paper's Fourier layer).
 //!
 //! The weight is a single complex `[k_in, k_out]` matrix shared across
-//! retained modes — the formulation that turns the spectral multiply into
-//! one CGEMM (see DESIGN.md §1, "Semantics note"). The rank-generic
-//! [`SpectralConvNd`] is the one implementation; [`SpectralConv1d`] and
-//! [`SpectralConv2d`] are thin shape-named wrappers over it. Two
-//! execution paths:
+//! retained modes. That is the paper's formulation: it turns the spectral
+//! multiply into one CGEMM over the hidden dimension, where the classic
+//! FNO keeps one matrix per mode ([`crate::permode`]). [`SpectralConvNd`]
+//! is the one layer type; its rank is the length of its `dims`, so a 1D,
+//! 2D or 3D layer is `SpectralConvNd::random(rng, k_in, k_out, &dims,
+//! &modes)` with one, two or three axes. Three execution paths:
 //!
 //! * `forward_host` — O(N log N) host Stockham FFTs applied separably per
 //!   axis, used for training-free validation and as the reference for the
@@ -18,14 +19,14 @@
 //!   [`PendingSpectral::finish`]ing (bitwise-equal to the synchronous path).
 
 use rand::Rng;
-use tfno_culib::{PipelineRun, SpectralShape};
+use tfno_culib::{PipelineRun, SpectralShape, MAX_RANK};
 use tfno_fft::host;
 use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
 use turbofno::{Backend, LaunchHandle, LayerSpec, Session, TfnoError, TurboOptions, Variant};
 
 /// A spectral convolution in flight on the session's dispatch thread
-/// (issued by [`SpectralConvNd::submit_device`] or a rank-named wrapper):
+/// (issued by [`SpectralConvNd::submit_device`]):
 /// the device is executing the layer's launch sequence while the host is
 /// free to run the layer's pointwise bypass. [`PendingSpectral::finish`]
 /// joins the dispatch, downloads the result, and returns the leased
@@ -137,9 +138,9 @@ fn inv_stage(data: &[C32], slabs: usize, m: usize, d: usize, inner: usize) -> Ve
 }
 
 /// Rank-generic spectral convolution:
-/// `[batch, k_in, ...dims] -> [batch, k_out, ...dims]` with an
-/// `nf[a]`-mode corner retained per axis. The single implementation the
-/// rank-named wrappers delegate to.
+/// `[batch, k_in, ...dims] -> [batch, k_out, ...dims]` with a
+/// `modes[a]`-mode corner retained per axis. The host path runs at any
+/// rank; the device paths take ranks `1..=MAX_RANK`.
 #[derive(Clone, Debug)]
 pub struct SpectralConvNd {
     pub k_in: usize,
@@ -207,14 +208,29 @@ impl SpectralConvNd {
     }
 
     /// The execution-layer shape of a batch-`batch` forward.
+    ///
+    /// # Panics
+    /// On a rank above [`MAX_RANK`], with the text of the
+    /// [`TfnoError::Validation`] the device paths return for it.
     pub fn shape(&self, batch: usize) -> SpectralShape {
+        self.try_shape(batch).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SpectralConvNd::shape`], or a `Validation` error when the rank
+    /// exceeds what the device engine runs.
+    fn try_shape(&self, batch: usize) -> Result<SpectralShape, TfnoError> {
         let s = match *self.dims.as_slice() {
             [n] => SpectralShape::d1(batch, self.k_in, self.k_out, n),
             [nx, ny] => SpectralShape::d2(batch, self.k_in, self.k_out, nx, ny),
             [nx, ny, nz] => SpectralShape::d3(batch, self.k_in, self.k_out, nx, ny, nz),
-            _ => panic!("spectral conv supports ranks 1..=3, got {}", self.rank()),
+            _ => {
+                return Err(TfnoError::Validation(format!(
+                    "spectral conv supports ranks 1..={MAX_RANK}, got {}",
+                    self.rank()
+                )))
+            }
         };
-        s.with_modes(&self.modes)
+        Ok(s.with_modes(&self.modes))
     }
 
     fn out_shape(&self, batch: usize) -> Vec<usize> {
@@ -283,10 +299,15 @@ impl SpectralConvNd {
         CTensor::from_vec(cur, &self.out_shape(batch))
     }
 
-    fn spec(&self, batch: usize, variant: Variant, opts: &TurboOptions) -> LayerSpec {
-        LayerSpec::from_shape(self.shape(batch))
+    fn try_spec(
+        &self,
+        batch: usize,
+        variant: Variant,
+        opts: &TurboOptions,
+    ) -> Result<LayerSpec, TfnoError> {
+        Ok(LayerSpec::from_shape(self.try_shape(batch)?)
             .variant(variant)
-            .options(*opts)
+            .options(*opts))
     }
 
     /// Device forward through a pipeline variant; returns output + timings.
@@ -318,7 +339,7 @@ impl SpectralConvNd {
         x: &CTensor,
     ) -> Result<(CTensor, PipelineRun), TfnoError> {
         let batch = self.batch_of(x)?;
-        let spec = self.spec(batch, variant, opts);
+        let spec = self.try_spec(batch, variant, opts)?;
         let xb = sess.acquire(spec.input_len());
         let wb = sess.acquire(spec.weight_len());
         let yb = sess.acquire(spec.output_len());
@@ -366,7 +387,7 @@ impl SpectralConvNd {
         x: &CTensor,
     ) -> Result<PendingSpectral, TfnoError> {
         let batch = self.batch_of(x)?;
-        let spec = self.spec(batch, variant, opts);
+        let spec = self.try_spec(batch, variant, opts)?;
         PendingSpectral::try_issue(
             sess,
             &spec,
@@ -374,299 +395,6 @@ impl SpectralConvNd {
             self.weight.data(),
             self.out_shape(batch),
         )
-    }
-}
-
-/// 1D spectral convolution: `[batch, k_in, n] -> [batch, k_out, n]`.
-/// Thin shape-named wrapper over [`SpectralConvNd`].
-#[derive(Clone, Debug)]
-pub struct SpectralConv1d {
-    pub k_in: usize,
-    pub k_out: usize,
-    pub n: usize,
-    pub nf: usize,
-    /// `[k_in, k_out]` complex weight shared across modes.
-    pub weight: CTensor,
-}
-
-impl SpectralConv1d {
-    pub fn new(k_in: usize, k_out: usize, n: usize, nf: usize, weight: CTensor) -> Self {
-        assert_eq!(weight.shape(), &[k_in, k_out], "weight shape mismatch");
-        assert!(nf <= n);
-        SpectralConv1d {
-            k_in,
-            k_out,
-            n,
-            nf,
-            weight,
-        }
-    }
-
-    /// Xavier-ish random initialization (scale `1 / k_in`).
-    pub fn random<R: Rng>(rng: &mut R, k_in: usize, k_out: usize, n: usize, nf: usize) -> Self {
-        let nd = SpectralConvNd::random(rng, k_in, k_out, &[n], &[nf]);
-        Self::new(k_in, k_out, n, nf, nd.weight)
-    }
-
-    /// The rank-generic layer this wrapper delegates to.
-    pub fn nd(&self) -> SpectralConvNd {
-        SpectralConvNd::new(
-            self.k_in,
-            self.k_out,
-            vec![self.n],
-            vec![self.nf],
-            self.weight.clone(),
-        )
-    }
-
-    /// Host-side forward (fast Stockham FFTs).
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Device forward (see [`SpectralConvNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin of [`SpectralConv1d::forward_device`] (see
-    /// [`SpectralConvNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// Asynchronous forward (see [`SpectralConvNd::submit_device`]).
-    pub fn submit_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> PendingSpectral {
-        self.nd().submit_device(sess, variant, opts, x)
-    }
-}
-
-/// 2D spectral convolution: `[batch, k_in, nx, ny] -> [batch, k_out, nx, ny]`.
-/// Thin shape-named wrapper over [`SpectralConvNd`].
-#[derive(Clone, Debug)]
-pub struct SpectralConv2d {
-    pub k_in: usize,
-    pub k_out: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-    pub weight: CTensor,
-}
-
-impl SpectralConv2d {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        k_in: usize,
-        k_out: usize,
-        nx: usize,
-        ny: usize,
-        nfx: usize,
-        nfy: usize,
-        weight: CTensor,
-    ) -> Self {
-        assert_eq!(weight.shape(), &[k_in, k_out]);
-        SpectralConv2d {
-            k_in,
-            k_out,
-            nx,
-            ny,
-            nfx,
-            nfy,
-            weight,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn random<R: Rng>(
-        rng: &mut R,
-        k_in: usize,
-        k_out: usize,
-        nx: usize,
-        ny: usize,
-        nfx: usize,
-        nfy: usize,
-    ) -> Self {
-        let nd = SpectralConvNd::random(rng, k_in, k_out, &[nx, ny], &[nfx, nfy]);
-        Self::new(k_in, k_out, nx, ny, nfx, nfy, nd.weight)
-    }
-
-    /// The rank-generic layer this wrapper delegates to.
-    pub fn nd(&self) -> SpectralConvNd {
-        SpectralConvNd::new(
-            self.k_in,
-            self.k_out,
-            vec![self.nx, self.ny],
-            vec![self.nfx, self.nfy],
-            self.weight.clone(),
-        )
-    }
-
-    /// Host-side forward via separable Stockham FFTs.
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Device forward (see [`SpectralConvNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin of [`SpectralConv2d::forward_device`] (see
-    /// [`SpectralConvNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// Asynchronous forward (see [`SpectralConvNd::submit_device`]).
-    pub fn submit_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> PendingSpectral {
-        self.nd().submit_device(sess, variant, opts, x)
-    }
-}
-
-/// 3D spectral convolution:
-/// `[batch, k_in, nx, ny, nz] -> [batch, k_out, nx, ny, nz]`.
-/// Thin shape-named wrapper over [`SpectralConvNd`].
-#[derive(Clone, Debug)]
-pub struct SpectralConv3d {
-    pub k_in: usize,
-    pub k_out: usize,
-    pub nx: usize,
-    pub ny: usize,
-    pub nz: usize,
-    pub nfx: usize,
-    pub nfy: usize,
-    pub nfz: usize,
-    pub weight: CTensor,
-}
-
-impl SpectralConv3d {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        k_in: usize,
-        k_out: usize,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        nfx: usize,
-        nfy: usize,
-        nfz: usize,
-        weight: CTensor,
-    ) -> Self {
-        assert_eq!(weight.shape(), &[k_in, k_out]);
-        SpectralConv3d {
-            k_in,
-            k_out,
-            nx,
-            ny,
-            nz,
-            nfx,
-            nfy,
-            nfz,
-            weight,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn random<R: Rng>(
-        rng: &mut R,
-        k_in: usize,
-        k_out: usize,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        nfx: usize,
-        nfy: usize,
-        nfz: usize,
-    ) -> Self {
-        let nd = SpectralConvNd::random(rng, k_in, k_out, &[nx, ny, nz], &[nfx, nfy, nfz]);
-        Self::new(k_in, k_out, nx, ny, nz, nfx, nfy, nfz, nd.weight)
-    }
-
-    /// The rank-generic layer this wrapper delegates to.
-    pub fn nd(&self) -> SpectralConvNd {
-        SpectralConvNd::new(
-            self.k_in,
-            self.k_out,
-            vec![self.nx, self.ny, self.nz],
-            vec![self.nfx, self.nfy, self.nfz],
-            self.weight.clone(),
-        )
-    }
-
-    /// Host-side forward via separable Stockham FFTs.
-    pub fn forward_host(&self, x: &CTensor) -> CTensor {
-        self.nd().forward_host(x)
-    }
-
-    /// Device forward (see [`SpectralConvNd::forward_device`]).
-    pub fn forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        self.nd().forward_device(sess, variant, opts, x)
-    }
-
-    /// Typed twin of [`SpectralConv3d::forward_device`] (see
-    /// [`SpectralConvNd::try_forward_device`]).
-    pub fn try_forward_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        self.nd().try_forward_device(sess, variant, opts, x)
-    }
-
-    /// Asynchronous forward (see [`SpectralConvNd::submit_device`]).
-    pub fn submit_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> PendingSpectral {
-        self.nd().submit_device(sess, variant, opts, x)
     }
 }
 
@@ -681,7 +409,7 @@ mod tests {
     #[test]
     fn host_forward_matches_reference_1d() {
         let mut rng = StdRng::seed_from_u64(5);
-        let layer = SpectralConv1d::random(&mut rng, 4, 6, 64, 16);
+        let layer = SpectralConvNd::random(&mut rng, 4, 6, &[64], &[16]);
         let x = CTensor::random(&mut rng, &[2, 4, 64]);
         let got = layer.forward_host(&x);
         let want = reference::fno_layer_1d(&x, &layer.weight, 16);
@@ -692,7 +420,7 @@ mod tests {
     #[test]
     fn device_forward_matches_host_1d() {
         let mut rng = StdRng::seed_from_u64(6);
-        let layer = SpectralConv1d::random(&mut rng, 8, 8, 128, 32);
+        let layer = SpectralConvNd::random(&mut rng, 8, 8, &[128], &[32]);
         let x = CTensor::random(&mut rng, &[2, 8, 128]);
         let want = layer.forward_host(&x);
         let mut sess = Session::a100();
@@ -711,7 +439,7 @@ mod tests {
     #[test]
     fn submit_device_matches_forward_device_bitwise() {
         let mut rng = StdRng::seed_from_u64(61);
-        let layer = SpectralConv1d::random(&mut rng, 8, 8, 128, 32);
+        let layer = SpectralConvNd::random(&mut rng, 8, 8, &[128], &[32]);
         let x = CTensor::random(&mut rng, &[2, 8, 128]);
         let mut sess = Session::a100();
         let (want, run_sync) =
@@ -728,7 +456,8 @@ mod tests {
     }
 
     /// A submit the session rejects is a typed error that leaves no
-    /// operand lease behind; so is an input of the wrong rank.
+    /// operand lease behind; so is an input of the wrong rank, and so is a
+    /// layer of a rank above `MAX_RANK`.
     #[test]
     fn rejected_submit_releases_its_leases() {
         let mut rng = StdRng::seed_from_u64(62);
@@ -748,6 +477,17 @@ mod tests {
         let rejected = layer.try_submit_device(&mut sess, Variant::FftOpt, &opts, &flat);
         assert!(matches!(rejected, Err(TfnoError::Validation(_))));
 
+        // A rank the device engine does not run is rejected before any
+        // lease is taken, on both device paths; the host path still runs.
+        let deep = SpectralConvNd::random(&mut rng, 2, 2, &[2, 2, 2, 4], &[1, 2, 2, 2]);
+        let x4 = CTensor::random(&mut rng, &[1, 2, 2, 2, 2, 4]);
+        let rejected = deep.try_submit_device(&mut sess, Variant::FftOpt, &opts, &x4);
+        assert!(matches!(rejected, Err(TfnoError::Validation(ref m)) if m.contains("ranks 1..=3")));
+        let rejected = deep.try_forward_device(&mut sess, Variant::Pytorch, &opts, &x4);
+        assert!(matches!(rejected, Err(TfnoError::Validation(_))));
+        assert_eq!(sess.pool_stats().leased, 0, "rank-4 request leaked leases");
+        assert_eq!(deep.forward_host(&x4).shape(), &[1, 2, 2, 2, 2, 4]);
+
         let pending = layer.try_submit_device(&mut sess, Variant::TurboBest, &opts, &x);
         let (got, _) = pending.expect("TurboBest submit").finish(&mut sess);
         assert!(rel_l2_error(got.data(), layer.forward_host(&x).data()) < 1e-4);
@@ -757,7 +497,7 @@ mod tests {
     #[test]
     fn host_forward_matches_reference_2d() {
         let mut rng = StdRng::seed_from_u64(7);
-        let layer = SpectralConv2d::random(&mut rng, 3, 5, 16, 16, 4, 4);
+        let layer = SpectralConvNd::random(&mut rng, 3, 5, &[16, 16], &[4, 4]);
         let x = CTensor::random(&mut rng, &[2, 3, 16, 16]);
         let got = layer.forward_host(&x);
         let want = reference::fno_layer_2d(&x, &layer.weight, 4, 4);
@@ -768,7 +508,7 @@ mod tests {
     #[test]
     fn device_forward_matches_host_2d() {
         let mut rng = StdRng::seed_from_u64(8);
-        let layer = SpectralConv2d::random(&mut rng, 8, 8, 32, 64, 8, 32);
+        let layer = SpectralConvNd::random(&mut rng, 8, 8, &[32, 64], &[8, 32]);
         let x = CTensor::random(&mut rng, &[1, 8, 32, 64]);
         let want = layer.forward_host(&x);
         let mut sess = Session::a100();
@@ -785,7 +525,7 @@ mod tests {
     #[test]
     fn host_forward_matches_reference_3d() {
         let mut rng = StdRng::seed_from_u64(9);
-        let layer = SpectralConv3d::random(&mut rng, 3, 4, 8, 8, 16, 2, 4, 8);
+        let layer = SpectralConvNd::random(&mut rng, 3, 4, &[8, 8, 16], &[2, 4, 8]);
         let x = CTensor::random(&mut rng, &[2, 3, 8, 8, 16]);
         let got = layer.forward_host(&x);
         let want = reference::fno_layer_3d(&x, &layer.weight, 2, 4, 8);
@@ -796,7 +536,7 @@ mod tests {
     #[test]
     fn device_forward_matches_host_3d() {
         let mut rng = StdRng::seed_from_u64(10);
-        let layer = SpectralConv3d::random(&mut rng, 6, 4, 8, 16, 32, 4, 8, 16);
+        let layer = SpectralConvNd::random(&mut rng, 6, 4, &[8, 16, 32], &[4, 8, 16]);
         let x = CTensor::random(&mut rng, &[1, 6, 8, 16, 32]);
         let want = layer.forward_host(&x);
         let mut sess = Session::a100();
@@ -806,18 +546,5 @@ mod tests {
             let err = rel_l2_error(got.data(), want.data());
             assert!(err < 1e-4, "{variant:?} err {err}");
         }
-    }
-
-    /// The separable Nd host path must agree with the rank-named wrappers'
-    /// historical outputs exactly: the wrapper and the generic layer run
-    /// the same code, so this pins the delegation plumbing.
-    #[test]
-    fn nd_wrapper_is_bitwise_equal() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let layer = SpectralConv2d::random(&mut rng, 4, 4, 16, 32, 4, 8);
-        let x = CTensor::random(&mut rng, &[2, 4, 16, 32]);
-        let via_wrapper = layer.forward_host(&x);
-        let via_nd = layer.nd().forward_host(&x);
-        assert_eq!(via_wrapper.data(), via_nd.data());
     }
 }

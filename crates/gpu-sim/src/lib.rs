@@ -2,8 +2,8 @@
 //!
 //! A software model of an NVIDIA-A100-class GPU, built so the TurboFNO
 //! kernels can be implemented, *functionally executed*, and *costed* without
-//! physical hardware (the reproduction's substitution for CUDA — see
-//! DESIGN.md §2.1).
+//! physical hardware (the reproduction's substitution for CUDA; the README
+//! introduction explains the approach).
 //!
 //! The model has two coupled halves:
 //!

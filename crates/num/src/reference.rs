@@ -8,7 +8,9 @@
 //! * Inverse DFT carries the `1/N` factor (the PyTorch `ifft` convention,
 //!   which is what the paper's baseline uses).
 //! * Frequency truncation keeps the **first `nf` modes** (the paper's
-//!   Fig. 1 keeps the low-frequency corner; see DESIGN.md §1).
+//!   Fig. 1 keeps the low-frequency corner). Modes count complex spectrum
+//!   entries from DC upward; inputs are complex, so there is no Hermitian
+//!   folding.
 //! * The spectral weight is a single complex `K_in x K_out` matrix shared
 //!   across retained modes (the paper's single-CGEMM formulation).
 

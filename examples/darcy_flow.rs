@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::{pde, SpectralConv2d};
+use tfno_model::{pde, SpectralConvNd};
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{Session, TurboOptions, Variant};
@@ -24,7 +24,7 @@ fn main() {
     let width = 32usize;
 
     let mut rng = StdRng::seed_from_u64(11);
-    let layer = SpectralConv2d::random(&mut rng, width, width, nx, ny, nfx, nfy);
+    let layer = SpectralConvNd::random(&mut rng, width, width, &[nx, ny], &[nfx, nfy]);
 
     // One session for the whole sweep: every variant of every batch size
     // shares the planner cache and the buffer pool.

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::{pde, Fno2d};
+use tfno_model::{pde, FnoNd};
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{Session, TurboOptions, Variant};
@@ -26,7 +26,7 @@ fn main() {
     println!("2D FNO: {layers} Fourier layers, width {width}, grid {nx}x{ny}, modes {nfx}x{nfy}");
 
     let mut rng = StdRng::seed_from_u64(42);
-    let model = Fno2d::random(&mut rng, 1, width, 1, layers, nx, ny, nfx, nfy);
+    let model = FnoNd::random(&mut rng, 1, width, 1, layers, &[nx, ny], &[nfx, nfy]);
 
     // Vorticity-like inputs: power-law Gaussian random fields.
     let mut data = Vec::with_capacity(batch * nx * ny);

@@ -17,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::SpectralConv1d;
+use tfno_model::SpectralConvNd;
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{LayerSpec, Request, Session, Variant};
@@ -26,7 +26,7 @@ fn main() {
     // One Fourier layer: 64 hidden channels, 128-point signals, keep 32 modes.
     let (batch, width, n, nf) = (8usize, 64usize, 128usize, 32usize);
     let mut rng = StdRng::seed_from_u64(2026);
-    let layer = SpectralConv1d::random(&mut rng, width, width, n, nf);
+    let layer = SpectralConvNd::random(&mut rng, width, width, &[n], &[nf]);
     let x = CTensor::random(&mut rng, &[batch, width, n]);
 
     println!("FNO Fourier layer: [batch={batch}, k={width}, n={n}], {nf} retained modes");

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::SpectralConv3d;
+use tfno_model::SpectralConvNd;
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::Variant;
@@ -31,7 +31,7 @@ fn main() {
     let steps = 6usize;
 
     let mut rng = StdRng::seed_from_u64(2026);
-    let op = SpectralConv3d::random(&mut rng, width, width, nx, ny, nz, nfx, nfy, nfz);
+    let op = SpectralConvNd::random(&mut rng, width, width, &[nx, ny, nz], &[nfx, nfy, nfz]);
     let x0 = CTensor::random(&mut rng, &[batch, width, nx, ny, nz]);
 
     println!("wave rollout: [batch={batch}, k={width}, {nx}x{ny}x{nz}], modes ({nfx},{nfy},{nfz})");

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::{Fno1d, Fno2d};
+use tfno_model::FnoNd;
 use tfno_num::{CTensor, C32};
 use turbofno::{LayerSpec, Session, TurboOptions, Variant};
 
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let width = [4usize, 8][width_sel];
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = Fno1d::random(&mut rng, 2, width, 1, layers, 128, 32);
+        let model = FnoNd::random(&mut rng, 2, width, 1, layers, &[128], &[32]);
         let x = CTensor::random(&mut rng, &[batch, 2, 128]);
         let opts = TurboOptions::default();
         let mut sess = Session::a100();
@@ -67,7 +67,7 @@ proptest! {
         layers in 1usize..3,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = Fno2d::random(&mut rng, 1, 8, 1, layers, 32, 64, 8, 32);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, layers, &[32, 64], &[8, 32]);
         let x = CTensor::random(&mut rng, &[batch, 1, 32, 64]);
         let opts = TurboOptions::default();
         let mut sess = Session::a100();
@@ -94,7 +94,7 @@ proptest! {
         k in 1usize..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = Fno1d::random(&mut rng, 1, 8, 1, 2, 128, 32);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[128], &[32]);
         let xs: Vec<CTensor> = (0..k).map(|_| CTensor::random(&mut rng, &[1, 1, 128])).collect();
         let opts = TurboOptions::default();
         let mut sess = Session::a100();
@@ -116,7 +116,7 @@ proptest! {
 #[test]
 fn batch_forward_2d_matches_solo_forwards() {
     let mut rng = StdRng::seed_from_u64(77);
-    let model = Fno2d::random(&mut rng, 1, 8, 1, 2, 32, 64, 8, 32);
+    let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[32, 64], &[8, 32]);
     let xs: Vec<CTensor> = (0..3).map(|_| CTensor::random(&mut rng, &[1, 1, 32, 64])).collect();
     let opts = TurboOptions::default();
     let mut sess = Session::a100();
@@ -139,7 +139,7 @@ fn batch_forward_2d_matches_solo_forwards() {
 #[test]
 fn dispatch_interleaving_contract() {
     let mut rng = StdRng::seed_from_u64(78);
-    let model = Fno1d::random(&mut rng, 1, 8, 1, 1, 128, 32);
+    let model = FnoNd::random(&mut rng, 1, 8, 1, 1, &[128], &[32]);
     let x = CTensor::random(&mut rng, &[1, 1, 128]);
     let opts = TurboOptions::default();
     let mut sess = Session::a100();

@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfno_model::{pde, Fno1d, Fno2d, FnoNd, PerModeSpectralConv1d};
+use tfno_model::{pde, FnoNd, PerModeSpectralConv1d};
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
 use turbofno::{Session, TfnoError, TurboOptions, Variant};
@@ -11,7 +11,7 @@ use turbofno::{Session, TfnoError, TurboOptions, Variant};
 #[test]
 fn fno1d_all_variants_agree_with_host() {
     let mut rng = StdRng::seed_from_u64(31);
-    let model = Fno1d::random(&mut rng, 2, 16, 3, 2, 128, 32);
+    let model = FnoNd::random(&mut rng, 2, 16, 3, 2, &[128], &[32]);
     let x = CTensor::random(&mut rng, &[2, 2, 128]);
     let host = model.forward_host(&x);
     let mut sess = Session::a100();
@@ -26,7 +26,7 @@ fn fno1d_all_variants_agree_with_host() {
 #[test]
 fn fno2d_fused_agrees_with_host() {
     let mut rng = StdRng::seed_from_u64(32);
-    let model = Fno2d::random(&mut rng, 1, 8, 1, 2, 32, 64, 8, 32);
+    let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[32, 64], &[8, 32]);
     let x = CTensor::random(&mut rng, &[1, 1, 32, 64]);
     let host = model.forward_host(&x);
     let mut sess = Session::a100();
@@ -113,10 +113,10 @@ fn heat_operator_is_exact_on_analytic_fields() {
 
 #[test]
 fn permode_reduces_to_shared_weights() {
-    use tfno_model::SpectralConv1d;
+    use tfno_model::SpectralConvNd;
     use tfno_num::C32;
     let mut rng = StdRng::seed_from_u64(34);
-    let shared = SpectralConv1d::random(&mut rng, 6, 6, 64, 32);
+    let shared = SpectralConvNd::random(&mut rng, 6, 6, &[64], &[32]);
     let mut w = CTensor::zeros(&[32, 6, 6]);
     for f in 0..32 {
         for i in 0..6 {
@@ -143,10 +143,10 @@ fn permode_reduces_to_shared_weights() {
 #[test]
 fn spectral_layer_is_linear() {
     // FNO spectral conv is linear: f(a*x1 + x2) == a*f(x1) + f(x2).
-    use tfno_model::SpectralConv1d;
+    use tfno_model::SpectralConvNd;
     use tfno_num::C32;
     let mut rng = StdRng::seed_from_u64(35);
-    let layer = SpectralConv1d::random(&mut rng, 4, 4, 64, 16);
+    let layer = SpectralConvNd::random(&mut rng, 4, 4, &[64], &[16]);
     let x1 = CTensor::random(&mut rng, &[1, 4, 64]);
     let x2 = CTensor::random(&mut rng, &[1, 4, 64]);
     let a = C32::new(0.5, -1.5);

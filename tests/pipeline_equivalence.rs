@@ -2,25 +2,29 @@
 //! same Fourier layer as the reference, across a matrix of problem shapes,
 //! including property-based random configurations.
 //!
-//! The reference here is the host Stockham path (`SpectralConv*::
-//! forward_host`, O(N log N)) rather than the naive O(N^2) DFT layer: the
+//! The reference here is the host Stockham path
+//! (`SpectralConvNd::forward_host`, O(N log N)) rather than the naive O(N^2) DFT layer: the
 //! host path itself is pinned against `tfno_num::reference` by the
 //! `tfno-model` unit tests, and these are the hottest cross-checks in the
 //! suite — the swap cuts most of their wall clock at equal coverage.
 
 use proptest::prelude::*;
-use tfno_model::spectral::{SpectralConv1d, SpectralConv2d};
+use tfno_model::SpectralConvNd;
 use tfno_num::error::rel_l2_error;
 use tfno_num::{C32, CTensor};
-use turbofno::{FnoProblem1d, FnoProblem2d, LayerSpec, Session, Variant};
+use turbofno::{LayerSpec, Session, SpectralShape, Variant};
 
 /// O(N log N) reference layer via the host Stockham path.
-fn reference_layer_1d(x: &CTensor, w: &CTensor, p: &FnoProblem1d) -> CTensor {
-    SpectralConv1d::new(p.k_in, p.k_out, p.n, p.nf, w.clone()).forward_host(x)
-}
-
-fn reference_layer_2d(x: &CTensor, w: &CTensor, p: &FnoProblem2d) -> CTensor {
-    SpectralConv2d::new(p.k_in, p.k_out, p.nx, p.ny, p.nfx, p.nfy, w.clone()).forward_host(x)
+fn reference_layer(x: &CTensor, w: &CTensor, p: &SpectralShape) -> CTensor {
+    let r = p.rank;
+    SpectralConvNd::new(
+        p.k_in,
+        p.k_out,
+        p.dims[..r].to_vec(),
+        p.modes[..r].to_vec(),
+        w.clone(),
+    )
+    .forward_host(x)
 }
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
@@ -34,7 +38,7 @@ fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
         .collect()
 }
 
-fn check_1d(p: &FnoProblem1d, v: Variant) {
+fn check_1d(p: &SpectralShape, v: Variant) {
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
@@ -43,10 +47,10 @@ fn check_1d(p: &FnoProblem1d, v: Variant) {
     let wd = rand_vec(p.weight_len(), 0.9);
     sess.upload(x, &xd);
     sess.upload(w, &wd);
-    sess.run(&LayerSpec::from_problem_1d(p).variant(v), x, w, y);
-    let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.n]);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
+    let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.dims[0]]);
     let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-    let want = reference_layer_1d(&xt, &wt, p);
+    let want = reference_layer(&xt, &wt, p);
     let got = sess.download(y);
     let err = rel_l2_error(&got, want.data());
     assert!(err < 2e-4, "{v:?} {p:?}: rel l2 {err}");
@@ -57,10 +61,10 @@ fn variant_matrix_1d() {
     // shapes chosen to hit: uneven hidden dims, k tails (k % 8 != 0),
     // partial n-tiles, different mode counts
     let shapes = [
-        FnoProblem1d::new(1, 8, 8, 64, 32),
-        FnoProblem1d::new(3, 12, 20, 128, 32),
-        FnoProblem1d::new(2, 9, 16, 128, 64),
-        FnoProblem1d::new(2, 33, 40, 64, 32),
+        SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]),
+        SpectralShape::d1(3, 12, 20, 128).with_modes(&[32]),
+        SpectralShape::d1(2, 9, 16, 128).with_modes(&[64]),
+        SpectralShape::d1(2, 33, 40, 64).with_modes(&[32]),
     ];
     for p in &shapes {
         for v in Variant::CONCRETE {
@@ -69,7 +73,7 @@ fn variant_matrix_1d() {
     }
 }
 
-fn check_2d(p: &FnoProblem2d, v: Variant) {
+fn check_2d(p: &SpectralShape, v: Variant) {
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
@@ -78,10 +82,10 @@ fn check_2d(p: &FnoProblem2d, v: Variant) {
     let wd = rand_vec(p.weight_len(), 0.7);
     sess.upload(x, &xd);
     sess.upload(w, &wd);
-    sess.run(&LayerSpec::from_problem_2d(p).variant(v), x, w, y);
-    let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.nx, p.ny]);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
+    let xt = CTensor::from_vec(xd, &[p.batch, p.k_in, p.dims[0], p.dims[1]]);
     let wt = CTensor::from_vec(wd, &[p.k_in, p.k_out]);
-    let want = reference_layer_2d(&xt, &wt, p);
+    let want = reference_layer(&xt, &wt, p);
     let got = sess.download(y);
     let err = rel_l2_error(&got, want.data());
     assert!(err < 2e-4, "{v:?} {p:?}: rel l2 {err}");
@@ -90,9 +94,9 @@ fn check_2d(p: &FnoProblem2d, v: Variant) {
 #[test]
 fn variant_matrix_2d() {
     let shapes = [
-        FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32),
-        FnoProblem2d::new(2, 10, 12, 32, 32, 16, 32),
-        FnoProblem2d::new(1, 17, 8, 64, 64, 8, 32),
+        SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]),
+        SpectralShape::d2(2, 10, 12, 32, 32).with_modes(&[16, 32]),
+        SpectralShape::d2(1, 17, 8, 64, 64).with_modes(&[8, 32]),
     ];
     for p in &shapes {
         for v in Variant::CONCRETE {
@@ -103,8 +107,14 @@ fn variant_matrix_2d() {
 
 #[test]
 fn turbo_best_equivalence() {
-    check_1d(&FnoProblem1d::new(2, 16, 16, 128, 32), Variant::TurboBest);
-    check_2d(&FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32), Variant::TurboBest);
+    check_1d(
+        &SpectralShape::d1(2, 16, 16, 128).with_modes(&[32]),
+        Variant::TurboBest,
+    );
+    check_2d(
+        &SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]),
+        Variant::TurboBest,
+    );
 }
 
 proptest! {
@@ -121,7 +131,7 @@ proptest! {
     ) {
         let n = 1usize << n_pow;
         let nf = [32usize, 64][nf_sel].min(n);
-        let p = FnoProblem1d::new(batch, k_in, k_out, n, nf);
+        let p = SpectralShape::d1(batch, k_in, k_out, n).with_modes(&[nf]);
         check_1d(&p, Variant::FullyFused);
     }
 
@@ -135,7 +145,7 @@ proptest! {
     ) {
         let n = 1usize << n_pow;
         let nf = (n / (1 << nf_div)).max(1);
-        let p = FnoProblem1d::new(batch, k, k, n, nf);
+        let p = SpectralShape::d1(batch, k, k, n).with_modes(&[nf]);
         check_1d(&p, Variant::Pytorch);
     }
 }

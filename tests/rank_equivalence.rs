@@ -21,8 +21,7 @@ use tfno_gpu_sim::LaunchRecord;
 use tfno_num::error::rel_l2_error;
 use tfno_num::{reference, C32, CTensor};
 use turbofno::{
-    Backend, FnoProblem1d, FnoProblem2d, LayerSpec, NativeBackend, Request, Session, SimBackend,
-    Variant,
+    Backend, LayerSpec, NativeBackend, Request, Session, SimBackend, SpectralShape, Variant,
 };
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
@@ -52,25 +51,25 @@ fn bits_hash(out: &[C32]) -> u64 {
     h
 }
 
-fn run_1d(p: &FnoProblem1d, v: Variant) -> u64 {
+fn run_1d(p: &SpectralShape, v: Variant) -> u64 {
     let mut sess = Session::new(SimBackend::a100());
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
     let y = sess.alloc("y", p.output_len());
     sess.upload(x, &rand_vec(p.input_len(), 0.4));
     sess.upload(w, &rand_vec(p.weight_len(), 0.9));
-    sess.run(&LayerSpec::from_problem_1d(p).variant(v), x, w, y);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
     bits_hash(&sess.download(y))
 }
 
-fn run_2d(p: &FnoProblem2d, v: Variant) -> u64 {
+fn run_2d(p: &SpectralShape, v: Variant) -> u64 {
     let mut sess = Session::new(SimBackend::a100());
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
     let y = sess.alloc("y", p.output_len());
     sess.upload(x, &rand_vec(p.input_len(), 0.2));
     sess.upload(w, &rand_vec(p.weight_len(), 0.7));
-    sess.run(&LayerSpec::from_problem_2d(p).variant(v), x, w, y);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
     bits_hash(&sess.download(y))
 }
 
@@ -96,7 +95,7 @@ const GOLDEN_2D: [((usize, usize, usize, usize, usize, usize, usize), u64, u64);
 #[test]
 fn rank_generic_engine_preserves_1d_bits() {
     for ((batch, k_in, k_out, n, nf), want) in GOLDEN_1D {
-        let p = FnoProblem1d::new(batch, k_in, k_out, n, nf);
+        let p = SpectralShape::d1(batch, k_in, k_out, n).with_modes(&[nf]);
         for v in Variant::CONCRETE {
             let got = run_1d(&p, v);
             assert_eq!(
@@ -110,7 +109,7 @@ fn rank_generic_engine_preserves_1d_bits() {
 #[test]
 fn rank_generic_engine_preserves_2d_bits() {
     for ((batch, k_in, k_out, nx, ny, nfx, nfy), want_pt, want_turbo) in GOLDEN_2D {
-        let p = FnoProblem2d::new(batch, k_in, k_out, nx, ny, nfx, nfy);
+        let p = SpectralShape::d2(batch, k_in, k_out, nx, ny).with_modes(&[nfx, nfy]);
         for v in Variant::CONCRETE {
             let got = run_2d(&p, v);
             let want = if v == Variant::Pytorch { want_pt } else { want_turbo };
@@ -470,13 +469,13 @@ fn capture_golden_hashes() {
         println!("stats {label}: 0x{:016x}", records_hash(&recs));
     }
     for (s, _) in GOLDEN_1D {
-        let p = FnoProblem1d::new(s.0, s.1, s.2, s.3, s.4);
+        let p = SpectralShape::d1(s.0, s.1, s.2, s.3).with_modes(&[s.4]);
         for v in Variant::CONCRETE {
             println!("1d {p:?} {:?}: 0x{:016x}", v, run_1d(&p, v));
         }
     }
     for (s, _, _) in GOLDEN_2D {
-        let p = FnoProblem2d::new(s.0, s.1, s.2, s.3, s.4, s.5, s.6);
+        let p = SpectralShape::d2(s.0, s.1, s.2, s.3, s.4).with_modes(&[s.5, s.6]);
         for v in Variant::CONCRETE {
             println!("2d {p:?} {:?}: 0x{:016x}", v, run_2d(&p, v));
         }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno::{
-    Backend, BufferPool, FnoProblem1d, LayerSpec, PipelineRun, Request, Session, SimBackend,
+    Backend, BufferPool, LayerSpec, PipelineRun, Request, Session, SimBackend, SpectralShape,
     TfnoError, Variant,
 };
 use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice, KernelStats, LaunchRecord};
@@ -135,10 +135,10 @@ fn run_many_matches_sequential_runs_bitwise() {
 /// leases only pooled scratch and repeats the first run's launch records.
 #[test]
 fn reused_session_is_bitwise_identical_to_fresh() {
-    let p = FnoProblem1d::new(2, 9, 16, 128, 32);
+    let p = SpectralShape::d1(2, 9, 16, 128).with_modes(&[32]);
     let mut warm = Session::a100();
     for v in Variant::CONCRETE {
-        let spec = LayerSpec::from_problem_1d(&p).variant(v);
+        let spec = LayerSpec::from_shape(p).variant(v);
         let (wx, ww, wy) = operands(&mut warm, &spec, 0.3);
         let before = warm.pool_stats();
         let first = warm.run(&spec, wx, ww, wy);

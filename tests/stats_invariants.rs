@@ -4,14 +4,14 @@
 
 use proptest::prelude::*;
 use tfno_num::C32;
-use turbofno::{FnoProblem1d, LayerSpec, Session, SimBackend, Variant};
+use turbofno::{LayerSpec, Session, SimBackend, SpectralShape, Variant};
 use turbofno_suite::gpu_sim::{ExecMode, KernelStats};
 
 // Pinned to the simulator: these invariants are properties of the sim's
 // event-accounting model (analytical replays, modeled traffic), not of an
 // arbitrary backend.
-fn run(p: &FnoProblem1d, v: Variant, mode: ExecMode) -> (KernelStats, usize, f64) {
-    run_spec(&LayerSpec::from_problem_1d(p), v, mode)
+fn run(p: &SpectralShape, v: Variant, mode: ExecMode) -> (KernelStats, usize, f64) {
+    run_spec(&LayerSpec::from_shape(*p), v, mode)
 }
 
 fn run_spec(spec: &LayerSpec, v: Variant, mode: ExecMode) -> (KernelStats, usize, f64) {
@@ -33,7 +33,7 @@ fn run_spec(spec: &LayerSpec, v: Variant, mode: ExecMode) -> (KernelStats, usize
 
 #[test]
 fn kernel_counts_follow_table2() {
-    let p = FnoProblem1d::new(2, 16, 16, 128, 32);
+    let p = SpectralShape::d1(2, 16, 16, 128).with_modes(&[32]);
     let counts: Vec<usize> = Variant::CONCRETE
         .iter()
         .map(|v| run(&p, *v, ExecMode::Analytical).1)
@@ -43,7 +43,7 @@ fn kernel_counts_follow_table2() {
 
 #[test]
 fn traffic_strictly_decreases_with_fusion_level() {
-    let p = FnoProblem1d::new(8, 32, 32, 128, 32);
+    let p = SpectralShape::d1(8, 32, 32, 128).with_modes(&[32]);
     let pt = run(&p, Variant::Pytorch, ExecMode::Analytical).0;
     let a = run(&p, Variant::FftOpt, ExecMode::Analytical).0;
     let d = run(&p, Variant::FullyFused, ExecMode::Analytical).0;
@@ -52,14 +52,14 @@ fn traffic_strictly_decreases_with_fusion_level() {
     // the copies are pure overhead: PyTorch moves the truncated tensor 4
     // extra times (trunc write+read is implicit in the next stage reads)
     let extra = pt.global_bytes() - a.global_bytes();
-    let nf_tensor = (p.batch * p.k_in * p.nf * 8) as u64;
+    let nf_tensor = (p.batch * p.k_in * p.modes_total() * 8) as u64;
     assert!(extra >= 2 * nf_tensor, "copies must account for the gap");
 }
 
 #[test]
 fn flops_reflect_pruning() {
-    let full = FnoProblem1d::new(2, 16, 16, 128, 128);
-    let pruned = FnoProblem1d::new(2, 16, 16, 128, 32);
+    let full = SpectralShape::d1(2, 16, 16, 128).with_modes(&[128]);
+    let pruned = SpectralShape::d1(2, 16, 16, 128).with_modes(&[32]);
     let f_full = run(&full, Variant::FftOpt, ExecMode::Analytical).0.flops;
     let f_pruned = run(&pruned, Variant::FftOpt, ExecMode::Analytical).0.flops;
     assert!(f_pruned < f_full);
@@ -69,13 +69,13 @@ fn flops_reflect_pruning() {
 fn fewer_modes_never_cost_more_time() {
     for v in [Variant::Pytorch, Variant::FftOpt, Variant::FullyFused] {
         let t64 = run(
-            &FnoProblem1d::new(8, 32, 32, 128, 64),
+            &SpectralShape::d1(8, 32, 32, 128).with_modes(&[64]),
             v,
             ExecMode::Analytical,
         )
         .2;
         let t32 = run(
-            &FnoProblem1d::new(8, 32, 32, 128, 32),
+            &SpectralShape::d1(8, 32, 32, 128).with_modes(&[32]),
             v,
             ExecMode::Analytical,
         )

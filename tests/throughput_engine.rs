@@ -5,7 +5,7 @@
 use tfno_gpu_sim::{seq_memo_stats, ExecMode, GpuDevice};
 use tfno_num::C32;
 use turbofno::{
-    FnoProblem1d, FnoProblem2d, LayerSpec, Planner, Session, SpectralShape, TurboOptions, Variant,
+    LayerSpec, Planner, Session, SpectralShape, TurboOptions, Variant,
 };
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
@@ -22,7 +22,7 @@ fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
 /// Run one functional 1D pipeline on a session over a configured device;
 /// returns the output bits and the total stats.
 fn run_functional_1d(
-    p: &FnoProblem1d,
+    p: &SpectralShape,
     v: Variant,
     configure: impl FnOnce(&mut GpuDevice),
 ) -> (Vec<C32>, tfno_gpu_sim::KernelStats) {
@@ -34,7 +34,7 @@ fn run_functional_1d(
     let y = sess.alloc("y", p.output_len());
     sess.upload(x, &rand_vec(p.input_len(), 0.3));
     sess.upload(w, &rand_vec(p.weight_len(), 0.8));
-    let run = sess.run(&LayerSpec::from_problem_1d(p).variant(v), x, w, y);
+    let run = sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
     (sess.download(y), run.total_stats())
 }
 
@@ -42,7 +42,7 @@ fn run_functional_1d(
 /// to the serial path, for every concrete variant.
 #[test]
 fn parallel_executor_is_bitwise_deterministic() {
-    let p = FnoProblem1d::new(2, 12, 16, 128, 32);
+    let p = SpectralShape::d1(2, 12, 16, 128).with_modes(&[32]);
     for v in Variant::CONCRETE {
         let (serial, stats_serial) = run_functional_1d(&p, v, |d| d.parallel = false);
         let (par_a, stats_a) = run_functional_1d(&p, v, |d| d.set_workers(Some(4)));
@@ -58,7 +58,7 @@ fn parallel_executor_is_bitwise_deterministic() {
 /// (memo-disabled) analytical run records, across all five variants.
 #[test]
 fn memoized_analytical_equals_fresh_all_variants() {
-    let p = FnoProblem1d::new(3, 16, 24, 128, 32);
+    let p = SpectralShape::d1(3, 16, 24, 128).with_modes(&[32]);
     for v in Variant::CONCRETE {
         let run_analytical = |memo: bool| {
             let mut dev = GpuDevice::a100();
@@ -67,7 +67,7 @@ fn memoized_analytical_equals_fresh_all_variants() {
             let x = sess.acquire_virtual(p.input_len());
             let w = sess.acquire_virtual(p.weight_len());
             let y = sess.acquire_virtual(p.output_len());
-            let spec = LayerSpec::from_problem_1d(&p)
+            let spec = LayerSpec::from_shape(p)
                 .variant(v)
                 .exec(ExecMode::Analytical);
             sess.run(&spec, x, w, y).total_stats()
@@ -86,8 +86,8 @@ fn memoized_analytical_equals_fresh_all_variants() {
 /// is pinned by the gpu-sim crate's own tests).
 #[test]
 fn repeated_analytical_launch_hits_memo() {
-    let p = FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32);
-    let spec = LayerSpec::from_problem_2d(&p).variant(Variant::FullyFused);
+    let p = SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]);
+    let spec = LayerSpec::from_shape(p).variant(Variant::FullyFused);
     let launch = || Session::a100().measure(&spec).total_stats();
     let first = launch();
     let before = seq_memo_stats();
@@ -107,8 +107,8 @@ fn repeated_analytical_launch_hits_memo() {
 fn second_turbo_best_plan_simulates_nothing() {
     let cfg = tfno_gpu_sim::DeviceConfig::a100();
     let opts = TurboOptions::default();
-    let p1 = SpectralShape::from(&FnoProblem1d::new(2, 16, 16, 256, 64));
-    let p2 = SpectralShape::from(&FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32));
+    let p1 = SpectralShape::d1(2, 16, 16, 256).with_modes(&[64]);
+    let p2 = SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]);
 
     let planner = Planner::new();
     let first_1d = planner.plan_shape(&cfg, &p1, &opts);
@@ -135,8 +135,8 @@ fn second_turbo_best_plan_simulates_nothing() {
 /// plans once per shape, not L times, and repeated forwards replan nothing.
 #[test]
 fn turbo_best_dispatch_uses_session_planner_cache() {
-    let p = FnoProblem1d::new(2, 8, 8, 64, 32);
-    let spec = LayerSpec::from_problem_1d(&p).variant(Variant::TurboBest);
+    let p = SpectralShape::d1(2, 8, 8, 64).with_modes(&[32]);
+    let spec = LayerSpec::from_shape(p).variant(Variant::TurboBest);
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());

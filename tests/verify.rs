@@ -19,12 +19,11 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use turbofno_suite::core::{
     check_queue_aliasing, set_verify_override, verifier_enabled, PlanHazard, PlanVerifier,
-    QueueAccess,
+    QueueAccess, SpectralShape,
 };
 use turbofno_suite::culib::copy::{CopySegment, SegmentedCopyKernel};
 use turbofno_suite::gpu_sim::{GpuDevice, Kernel};
 use turbofno_suite::num::C32;
-use turbofno_suite::core::{FnoProblem1d, FnoProblem2d};
 use turbofno_suite::{LayerSpec, Request, Session, TfnoError, Variant};
 
 static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
@@ -57,25 +56,25 @@ fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
 }
 
 /// One full layer through a fresh session, returning the downloaded output.
-fn run_once_1d(p: &FnoProblem1d, v: Variant) -> Vec<C32> {
+fn run_once_1d(p: &SpectralShape, v: Variant) -> Vec<C32> {
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
     let y = sess.alloc("y", p.output_len());
     sess.upload(x, &rand_vec(p.input_len(), 0.4));
     sess.upload(w, &rand_vec(p.weight_len(), 0.9));
-    sess.run(&LayerSpec::from_problem_1d(p).variant(v), x, w, y);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
     sess.download(y)
 }
 
-fn run_once_2d(p: &FnoProblem2d, v: Variant) -> Vec<C32> {
+fn run_once_2d(p: &SpectralShape, v: Variant) -> Vec<C32> {
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
     let y = sess.alloc("y", p.output_len());
     sess.upload(x, &rand_vec(p.input_len(), 0.2));
     sess.upload(w, &rand_vec(p.weight_len(), 0.7));
-    sess.run(&LayerSpec::from_problem_2d(p).variant(v), x, w, y);
+    sess.run(&LayerSpec::from_shape(*p).variant(v), x, w, y);
     sess.download(y)
 }
 
@@ -94,8 +93,8 @@ fn override_controls_gating() {
 /// verifier observes without perturbing.
 #[test]
 fn all_variants_verified_match_unverified_bitwise() {
-    let p1 = FnoProblem1d::new(2, 9, 12, 128, 32);
-    let p2 = FnoProblem2d::new(2, 10, 12, 32, 32, 16, 32);
+    let p1 = SpectralShape::d1(2, 9, 12, 128).with_modes(&[32]);
+    let p2 = SpectralShape::d2(2, 10, 12, 32, 32).with_modes(&[16, 32]);
     for v in Variant::CONCRETE {
         let on_1d = with_override(Some(true), || run_once_1d(&p1, v));
         let off_1d = with_override(Some(false), || run_once_1d(&p1, v));
@@ -113,7 +112,8 @@ fn all_variants_verified_match_unverified_bitwise() {
 fn stacked_queues_verified_match_unverified_bitwise() {
     let run_queue = |mixed: bool| {
         let mut sess = Session::a100();
-        let spec = LayerSpec::from_problem_1d(&FnoProblem1d::new(2, 8, 12, 128, 32)).variant(Variant::FullyFused);
+        let shape = SpectralShape::d1(2, 8, 12, 128).with_modes(&[32]);
+        let spec = LayerSpec::from_shape(shape).variant(Variant::FullyFused);
         let shared_w = sess.alloc("w", spec.weight_len());
         sess.upload(shared_w, &rand_vec(spec.weight_len(), 0.9));
         let reqs: Vec<Request> = (0..3)
@@ -149,8 +149,8 @@ fn stacked_queues_verified_match_unverified_bitwise() {
 fn warm_replay_verified() {
     with_override(Some(true), || {
         // Rank 2, so the fused middle runs between pooled outer-axis stages.
-        let p = FnoProblem2d::new(1, 8, 8, 32, 64, 8, 32);
-        let spec = LayerSpec::from_problem_2d(&p).variant(Variant::FullyFused);
+        let p = SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]);
+        let spec = LayerSpec::from_shape(p).variant(Variant::FullyFused);
         let mut sess = Session::a100();
         let x = sess.alloc("x", spec.input_len());
         let w = sess.alloc("w", spec.weight_len());
@@ -186,7 +186,7 @@ proptest! {
     ) {
         let n = 1usize << n_pow;
         let nf = [32usize, 64][nf_sel].min(n);
-        let p = FnoProblem1d::new(batch, k_in, k_out, n, nf);
+        let p = SpectralShape::d1(batch, k_in, k_out, n).with_modes(&[nf]);
         let out = with_override(Some(true), || run_once_1d(&p, Variant::FullyFused));
         prop_assert!(out.iter().all(|c| c.re.is_finite() && c.im.is_finite()));
     }
@@ -389,7 +389,8 @@ fn mutation_self_alias() {
     );
 
     let mut sess = Session::a100();
-    let spec = LayerSpec::from_problem_1d(&FnoProblem1d::new(1, 8, 8, 64, 32)).variant(Variant::FftOpt);
+    let shape = SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]);
+    let spec = LayerSpec::from_shape(shape).variant(Variant::FftOpt);
     let x = sess.alloc("x", spec.input_len().max(spec.output_len()));
     let w = sess.alloc("w", spec.weight_len());
     let err = sess
@@ -425,7 +426,8 @@ fn mutation_cross_alias() {
     );
 
     let mut sess = Session::a100();
-    let spec = LayerSpec::from_problem_1d(&FnoProblem1d::new(1, 8, 8, 64, 32)).variant(Variant::FftOpt);
+    let shape = SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]);
+    let spec = LayerSpec::from_shape(shape).variant(Variant::FftOpt);
     let x = sess.alloc("x", spec.input_len());
     let w = sess.alloc("w", spec.weight_len());
     let y = sess.alloc("y", spec.output_len().max(spec.input_len()));

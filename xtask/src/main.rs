@@ -25,12 +25,14 @@
 //!   `swizzle.rs`, `fused_tests.rs`), core source must not name
 //!   `tfno_gpu_sim` or `GpuDevice` — new code goes through the trait so
 //!   every backend benefits.
-//! - **rank-isolation**: the engine is rank-generic (`SpectralShape`); new
-//!   rank-suffixed twin entry points (`fn *_1d` / `fn *_2d`) in
-//!   `crates/core/src` are forbidden outside the grandfathered
-//!   compatibility shims (`problem_1d`/`problem_2d`,
-//!   `from_problem_1d`/`from_problem_2d`) — add a rank-generic path
-//!   instead of re-growing the twin pipelines the refactor collapsed.
+//! - **rank-isolation**: the engine and the baseline are rank-generic
+//!   (`SpectralShape`); rank-suffixed twin entry points (`fn *_1d` /
+//!   `fn *_2d` / `fn *_3d`) in `crates/core/src` and `crates/culib/src`
+//!   are forbidden, with nothing grandfathered — add a rank-generic path
+//!   instead of re-growing the per-rank twins that were collapsed. Other
+//!   crates keep rank-specific code where the rank is the point (the 1D/2D
+//!   field generators in `crates/fno/src/pde.rs`, the per-rank figure
+//!   drivers).
 //!
 //! Test code (`#[cfg(test)] mod` regions) is exempt from the source rules:
 //! tests assert invariants by panicking on purpose.
@@ -387,19 +389,16 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
             }
             if rank_scope {
                 if let Some(name) = rank_suffixed_fn_decl(line) {
-                    if !RANK_ISOLATION_ALLOW.contains(&name) {
-                        findings.push(Finding {
-                            file: file.to_path_buf(),
-                            line: lineno,
-                            rule: "rank-isolation",
-                            message: format!(
-                                "new rank-suffixed entry point `fn {name}` in core: \
-                                 the engine is rank-generic — take a `SpectralShape` \
-                                 (or extend the generic path) instead of adding a \
-                                 per-rank twin"
-                            ),
-                        });
-                    }
+                    findings.push(Finding {
+                        file: file.to_path_buf(),
+                        line: lineno,
+                        rule: "rank-isolation",
+                        message: format!(
+                            "rank-suffixed entry point `fn {name}`: the engine and the \
+                             baseline are rank-generic — take a `SpectralShape` (or \
+                             extend the generic path) instead of adding a per-rank twin"
+                        ),
+                    });
                 }
             }
         }
@@ -460,30 +459,21 @@ fn contains_try_fn_decl(line: &str) -> bool {
     false
 }
 
-/// The grandfathered per-rank compatibility shims: thin wrappers kept so
-/// pre-refactor call sites (`FnoProblem1d`/`FnoProblem2d` users) still
-/// work. Everything else in core must be rank-generic.
-const RANK_ISOLATION_ALLOW: [&str; 4] = [
-    "problem_1d",
-    "problem_2d",
-    "from_problem_1d",
-    "from_problem_2d",
-];
-
-/// Whether `file` is core engine source held to the rank-isolation rule.
+/// Whether `file` is engine or baseline source held to the rank-isolation
+/// rule: everything under `crates/core/src` and `crates/culib/src`.
 /// `fused_tests.rs` is a test-only module (compiled under `cfg(test)` via
 /// its `mod` declaration, so its helpers are test scaffolding).
 fn rank_isolation_scope(root: &Path, file: &Path) -> bool {
     let Ok(rel) = file.strip_prefix(root) else {
         return false;
     };
-    rel.starts_with("crates/core/src")
+    (rel.starts_with("crates/core/src") || rel.starts_with("crates/culib/src"))
         && file.file_name().and_then(|n| n.to_str()) != Some("fused_tests.rs")
 }
 
 /// Returns the name of a `fn` declared on the (sanitized) line when it
-/// ends in a rank suffix (`_1d` / `_2d`), using the same `fn`-keyword
-/// boundary logic as [`contains_try_fn_decl`].
+/// ends in a rank suffix (`_1d` / `_2d` / `_3d`), using the same
+/// `fn`-keyword boundary logic as [`contains_try_fn_decl`].
 fn rank_suffixed_fn_decl(line: &str) -> Option<&str> {
     let mut rest = line;
     while let Some(pos) = rest.find("fn ") {
@@ -499,7 +489,7 @@ fn rank_suffixed_fn_decl(line: &str) -> Option<&str> {
                 .find(|c: char| !(c.is_alphanumeric() || c == '_'))
                 .unwrap_or(after.len());
             let name = &after[..end];
-            if name.ends_with("_1d") || name.ends_with("_2d") {
+            if name.ends_with("_1d") || name.ends_with("_2d") || name.ends_with("_3d") {
                 return Some(name);
             }
         }
@@ -807,11 +797,23 @@ trait Backend {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "rank-isolation");
         assert_eq!(findings[0].line, 1);
+
+        // The baseline crate is in scope, and `_3d` is a rank suffix too.
+        let src = "pub fn run_pytorch_3d() {}\n";
+        lint_source(
+            root,
+            &root.join("crates/culib/src/pytorch.rs"),
+            src,
+            &mut findings,
+        );
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert_eq!(findings[1].rule, "rank-isolation");
     }
 
     #[test]
     fn rank_isolation_allows_grandfathered_shims_tests_and_other_crates() {
         let root = Path::new("/repo");
+        // Nothing is grandfathered any more: the old shim names are flagged.
         let shims = "\
 pub fn from_problem_1d(p: &FnoProblem1d) -> Self { todo!() }
 pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
@@ -823,7 +825,8 @@ pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
             shims,
             &mut findings,
         );
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        findings.clear();
 
         // Test modules assert per-rank behavior on purpose.
         let test_src = "#[cfg(test)]\nmod tests {\n    fn run_1d() {}\n}\n";
@@ -835,11 +838,12 @@ pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
         );
         assert!(findings.is_empty(), "{findings:?}");
 
-        // Other crates (model wrappers, root tests) keep shape-named APIs.
-        let src = "pub fn forward_2d() {}\n";
+        // Other crates (the PDE field generators, root tests) may be
+        // rank-specific.
+        let src = "pub fn gaussian_random_field_2d() {}\n";
         lint_source(
             root,
-            &root.join("crates/fno/src/spectral.rs"),
+            &root.join("crates/fno/src/pde.rs"),
             src,
             &mut findings,
         );
@@ -852,7 +856,7 @@ pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
         assert_eq!(rank_suffixed_fn_decl("pub fn run_1d(p: &P) {"), Some("run_1d"));
         assert_eq!(rank_suffixed_fn_decl("    fn stage_2d<T>("), Some("stage_2d"));
         assert_eq!(rank_suffixed_fn_decl("self.run_1d();"), None);
-        assert_eq!(rank_suffixed_fn_decl("pub fn run_3d() {"), None);
+        assert_eq!(rank_suffixed_fn_decl("pub fn run_3d() {"), Some("run_3d"));
         assert_eq!(rank_suffixed_fn_decl("pub fn rank() {"), None);
     }
 
