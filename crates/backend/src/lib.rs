@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 
 use tfno_gpu_sim::{
     run_analytical_stats, run_functional_eager, workers_for, BufferId, CostModel, DeviceConfig,
-    ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel, LaunchError,
+    ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel, LaunchError, LaunchHistory,
     LaunchRecord, PendingLaunch,
 };
 use tfno_num::C32;
@@ -170,7 +170,8 @@ pub trait Backend: Send + 'static {
     /// injection is unsupported).
     fn fault_stats(&self) -> FaultStats;
 
-    /// Completed-launch history.
+    /// Completed-launch history: the newest records, a bounded window
+    /// (see [`LaunchHistory`]).
     fn launches(&self) -> &[LaunchRecord];
 
     /// Drop the launch history.
@@ -299,7 +300,7 @@ pub struct NativeBackend {
     config: DeviceConfig,
     memory: GlobalMemory,
     cost: CostModel,
-    launches: Vec<LaunchRecord>,
+    launches: LaunchHistory,
     /// Execute blocks on multiple host threads when the grid is large.
     pub parallel: bool,
     /// Use the memoized-analytical launch path.
@@ -314,7 +315,7 @@ impl NativeBackend {
             config,
             memory: GlobalMemory::new(),
             cost,
-            launches: Vec::new(),
+            launches: LaunchHistory::default(),
             parallel: true,
             analytical_memo: true,
             workers: None,
@@ -442,7 +443,7 @@ impl Backend for NativeBackend {
     }
 
     fn launches(&self) -> &[LaunchRecord] {
-        &self.launches
+        self.launches.as_slice()
     }
 
     fn clear_launches(&mut self) {
@@ -730,6 +731,46 @@ mod tests {
         let native = NativeBackend::a100();
         let caps = native.caps();
         assert!(!caps.fault_injection && !caps.deferred_launch);
+    }
+
+    /// Launch history is a bounded window on both backends: after more
+    /// than `2 * WINDOW` launches it holds at most `2 * WINDOW` records,
+    /// and they are the newest ones, the last launch last.
+    #[test]
+    fn launch_history_stays_bounded() {
+        fn check<B: Backend>(dev: &mut B) {
+            let (src, dst) = seed_backend(dev, 4);
+            let launches = 2 * LaunchHistory::WINDOW + 5;
+            let grid = |i: usize| 1 + i % 4;
+            let mut last = None;
+            for i in 0..launches {
+                let k = ScaleKernel {
+                    src,
+                    dst,
+                    blocks: grid(i),
+                };
+                last = Some(dev.launch(&k, ExecMode::Analytical));
+            }
+            let hist = dev.launches();
+            assert!(
+                hist.len() <= 2 * LaunchHistory::WINDOW,
+                "{} records kept",
+                hist.len()
+            );
+            assert!(hist.len() >= LaunchHistory::WINDOW);
+            for (back, rec) in hist.iter().rev().enumerate() {
+                assert_eq!(
+                    rec.dims_grid,
+                    grid(launches - 1 - back),
+                    "record {back} from the end"
+                );
+            }
+            let (got, want) = (hist.last().unwrap(), last.unwrap());
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.time_us.to_bits(), want.time_us.to_bits());
+        }
+        check(&mut SimBackend::a100());
+        check(&mut NativeBackend::a100());
     }
 
     #[test]

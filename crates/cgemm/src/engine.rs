@@ -4,10 +4,15 @@
 //! One call to [`CgemmBlockEngine::run_mainloop`] executes a thread block's
 //! whole `k`-loop: stage the `A`/`B` tiles into double-buffered shared
 //! memory, then per `k_tb`-chunk run the warp/thread-tiled multiply-
-//! accumulate with fragments loaded from shared memory. The `A` tile can
-//! come from global memory (standalone GEMM) or from a custom provider —
-//! the hook the fused FFT→CGEMM kernel uses to write FFT output straight
-//! into `As` (paper §4.1).
+//! accumulate with fragments read straight from the block's shared slice.
+//! The `A` tile can come from global memory (standalone GEMM) or from a
+//! custom provider — the hook the fused FFT→CGEMM kernel uses to write FFT
+//! output straight into `As` (paper §4.1).
+//!
+//! The loop's shared-memory traffic (staging stores, fragment loads) and
+//! flops depend only on the block shape, so a [`MainloopTrace`] counts
+//! them once per shape and a metered block charges the counts; global
+//! staging loads are charged per warp from the lane addresses.
 //!
 //! The accumulators are returned as [`CFragments`] so the caller chooses an
 //! epilogue: [`store_c_global`] (standalone, `alpha/beta` supported) or the
@@ -15,9 +20,10 @@
 
 use crate::tile::TileConfig;
 use crate::view::MatView;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use tfno_gpu_sim::{lock_unpoisoned, BlockCtx, BufferId, WarpIdx, WARP_SIZE};
+use std::sync::{Arc, OnceLock};
+use tfno_gpu_sim::{
+    warp_bank_cycles, warp_bank_cycles_wide, BankStats, BlockCtx, BufferId, WarpIdx, WARP_SIZE,
+};
 use tfno_num::C32;
 
 /// Where the `A` tile of each `k`-chunk comes from.
@@ -26,7 +32,8 @@ pub enum AProvider<'a> {
     Global { buf: BufferId, view: MatView },
     /// Custom filler: called as `(ctx, k0, as_base)` and must store the
     /// `m_tb x k_tb` chunk (column-major, `as_base + kt * m_tb + m`) into
-    /// shared memory itself. Used by the fused FFT→CGEMM kernel.
+    /// shared memory itself, charging its own traffic. Used by the fused
+    /// FFT→CGEMM kernel.
     Custom(&'a mut (dyn FnMut(&mut BlockCtx<'_>, usize, usize) + Send)),
 }
 
@@ -51,6 +58,15 @@ impl CFragments {
         self.acc[tid * self.tile.m_t * self.tile.n_t + i * self.tile.n_t + j]
     }
 
+    /// The accumulator of tile-local element `(m, n)`, whichever thread
+    /// holds it (the inverse of [`CFragments::thread_origin`]).
+    pub fn at(&self, m: usize, n: usize) -> C32 {
+        let t = &self.tile;
+        let warp = (n / t.n_w) * (t.m_tb / t.m_w) + m / t.m_w;
+        let lane = ((n % t.n_w) / t.n_t) * t.lanes_m() + (m % t.m_w) / t.m_t;
+        self.get(warp * WARP_SIZE + lane, m % t.m_t, n % t.n_t)
+    }
+
     /// Tile-local `(m, n)` origin of a thread's register tile.
     pub fn thread_origin(tile: &TileConfig, tid: usize) -> (usize, usize) {
         let warp = tid / WARP_SIZE;
@@ -73,6 +89,43 @@ pub struct CgemmBlockEngine {
     pub k_total: usize,
 }
 
+/// One thread's share of the MACs: its accumulator base, register-tile
+/// origin, and how many of its `m_t x n_t` elements lie inside the
+/// block's active extent (the edge predicates are prefixes).
+#[derive(Clone, Copy)]
+struct ThreadMac {
+    acc_base: usize,
+    m0: usize,
+    n0: usize,
+    ni: usize,
+    nj: usize,
+}
+
+/// What one block shape of the main loop charges, plus its staging
+/// layout.
+///
+/// Every block of a launch executes the same loop over different data:
+/// the shared-memory bank phases of the staging stores and of the
+/// fragment loads (summed over every `(warp, kt)` step of every chunk),
+/// and the MAC count per `kt` step, depend only on the tile config,
+/// `k_total`, the `A` source and the block's `(active_m, active_n)`.
+/// The trace counts them once, from the lane patterns the real kernel
+/// issues; the MACs themselves read their fragments straight from the
+/// shared slice at every block.
+pub struct MainloopTrace {
+    active_m: usize,
+    active_n: usize,
+    as_base: usize,
+    /// Elements between the two `As` buffers (0 when single-buffered).
+    as_stride: usize,
+    bs_base: usize,
+    loads: BankStats,
+    stores: BankStats,
+    macs: Vec<ThreadMac>,
+    /// Flops of one `kt` step over the whole block.
+    kt_flops: u64,
+}
+
 impl CgemmBlockEngine {
     /// Shared elements the double-buffered tiles need.
     pub fn shared_elems(&self) -> usize {
@@ -86,205 +139,13 @@ impl CgemmBlockEngine {
         self.tile.m_tb * self.tile.k_tb + 2 * self.tile.k_tb * self.tile.n_tb
     }
 
-    /// Execute the main loop; returns the C accumulators.
-    ///
-    /// * `active_m`/`active_n` — valid extent of this block's tile (partial
-    ///   edge tiles predicate the excess lanes off).
-    /// * `shared_base` — element offset where this engine's staging starts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mainloop(
-        &self,
-        ctx: &mut BlockCtx<'_>,
-        a: &mut AProvider<'_>,
-        b: &BOperand,
-        active_m: usize,
-        active_n: usize,
-        shared_base: usize,
-    ) -> CFragments {
-        let tile = self.tile;
-        tile.validate();
-        let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
-        let threads = tile.threads();
-        // A is double-buffered only when loaded from global memory; a custom
-        // provider (the fused FFT) synchronizes anyway, so As is single-
-        // buffered (paper §3.1).
-        let (as_base, as_stride, bs_base) = match a {
-            AProvider::Global { .. } => (shared_base, ms * ks, shared_base + 2 * ms * ks),
-            AProvider::Custom(_) => (shared_base, 0, shared_base + ms * ks),
-        };
-
-        let mut acc = vec![C32::ZERO; threads * tile.m_t * tile.n_t];
-        let chunks = self.k_total.div_ceil(ks);
-
-        for chunk in 0..chunks {
-            let k0 = chunk * ks;
-            let active_k = ks.min(self.k_total - k0);
-            let buf = chunk % 2;
-            let as_buf = as_base + buf * as_stride;
-            let bs_buf = bs_base + buf * ks * ns;
-
-            // ---- stage A tile ----
-            match a {
-                AProvider::Global { buf: abuf, view } => {
-                    for kt in 0..active_k {
-                        let mut m = 0;
-                        while m < active_m {
-                            let idx_g = WarpIdx::from_fn(|l| {
-                                (m + l < active_m).then(|| view.at(m + l, k0 + kt))
-                            });
-                            let vals = ctx.global_read(*abuf, &idx_g);
-                            let idx_s = WarpIdx::from_fn(|l| {
-                                (m + l < active_m).then(|| as_buf + kt * ms + m + l)
-                            });
-                            ctx.shared_store(&idx_s, &vals);
-                            m += WARP_SIZE;
-                        }
-                    }
-                }
-                AProvider::Custom(f) => f(ctx, k0, as_buf),
-            }
-
-            // ---- stage B tile ----
-            for kt in 0..active_k {
-                let mut n = 0;
-                while n < active_n {
-                    let idx_g = WarpIdx::from_fn(|l| {
-                        (n + l < active_n).then(|| b.view.at(k0 + kt, n + l))
-                    });
-                    let vals = ctx.global_read(b.buf, &idx_g);
-                    let idx_s = WarpIdx::from_fn(|l| {
-                        (n + l < active_n).then(|| bs_buf + kt * ns + n + l)
-                    });
-                    ctx.shared_store(&idx_s, &vals);
-                    n += WARP_SIZE;
-                }
-            }
-
-            ctx.syncthreads();
-
-            // ---- compute: per warp, per kt: fragment loads + MACs ----
-            // Fragment loads are vectorized (LDS.128-class): each thread
-            // pulls its m_t / n_t consecutive elements in one wide access —
-            // the conflict-free pattern production GEMMs use.
-            for w in 0..tile.warps() {
-                for kt in 0..active_k {
-                    let idx_a = WarpIdx::from_fn(|l| {
-                        let tid = w * WARP_SIZE + l;
-                        let (m0, _n0) = CFragments::thread_origin(&tile, tid);
-                        (m0 < active_m).then(|| as_buf + kt * ms + m0)
-                    });
-                    let at = ctx.shared_load_wide(&idx_a, tile.m_t);
-                    let idx_b = WarpIdx::from_fn(|l| {
-                        let tid = w * WARP_SIZE + l;
-                        let (_m0, n0) = CFragments::thread_origin(&tile, tid);
-                        (n0 < active_n).then(|| bs_buf + kt * ns + n0)
-                    });
-                    let bt = ctx.shared_load_wide(&idx_b, tile.n_t);
-                    // MACs.
-                    let mut flops = 0u64;
-                    for l in 0..WARP_SIZE {
-                        let tid = w * WARP_SIZE + l;
-                        let (m0, n0) = CFragments::thread_origin(&tile, tid);
-                        for i in 0..tile.m_t {
-                            if m0 + i >= active_m {
-                                continue;
-                            }
-                            for j in 0..tile.n_t {
-                                if n0 + j >= active_n {
-                                    continue;
-                                }
-                                let idx = tid * tile.m_t * tile.n_t + i * tile.n_t + j;
-                                acc[idx] = acc[idx].mac(at[i][l], bt[j][l]);
-                                flops += tfno_num::FLOPS_PER_CMAC;
-                            }
-                        }
-                    }
-                    ctx.add_flops(flops);
-                }
-            }
-
-            ctx.syncthreads();
-        }
-
-        CFragments { tile, acc }
-    }
-}
-
-/// One staged warp transaction of the main loop. The global pattern is
-/// stored relative to the operand view's base: blocks of one launch differ
-/// only in their view bases (tile origin / batch offset), never in strides,
-/// so one trace serves every block of the same `(active_m, active_n)` class.
-#[derive(Clone)]
-struct TraceXfer {
-    global_rel: WarpIdx,
-    shared: WarpIdx,
-}
-
-/// Shared-memory fragment-load patterns of one `(warp, kt)` step.
-#[derive(Clone)]
-struct TraceFrag {
-    idx_a: WarpIdx,
-    idx_b: WarpIdx,
-}
-
-/// One `k`-chunk of the main loop, fully resolved: staging transactions
-/// (double-buffer parity baked in), fragment loads, and the chunk's valid
-/// `k` extent.
-struct TraceChunk {
-    a_stage: Vec<TraceXfer>,
-    b_stage: Vec<TraceXfer>,
-    /// Warp-major, then `kt` within the chunk.
-    frags: Vec<TraceFrag>,
-    active_k: usize,
-}
-
-/// Per-lane MAC extents of one warp: the edge predicates of the original
-/// loop (`m0 + i < active_m`) are prefixes, so each lane's work collapses
-/// to two trip counts.
-#[derive(Clone, Copy)]
-struct LaneMac {
-    lane: usize,
-    acc_base: usize,
-    ni: usize,
-    nj: usize,
-}
-
-/// Precomputed main-loop schedule of one block shape.
-///
-/// Every block of a CGEMM launch executes the same instruction sequence
-/// over different data: the staging/fragment warp index patterns and the
-/// per-lane MAC predication depend only on the tile config, `k_total`,
-/// operand strides, and the block's `(active_m, active_n)` — never on the
-/// block id. Building them once and replaying per block removes the
-/// per-block address arithmetic and `thread_origin` divisions that
-/// dominate the functional executor's GEMM cost; only the data movement,
-/// MACs, and event accounting remain per block. Replay is event-for-event
-/// identical to [`CgemmBlockEngine::run_mainloop`].
-pub struct MainloopTrace {
-    chunks: Vec<TraceChunk>,
-    /// Per warp: active lanes with their accumulator base and trip counts.
-    warp_macs: Vec<Vec<LaneMac>>,
-    /// Per warp: flops of one `(warp, kt)` MAC step.
-    warp_flops: Vec<u64>,
-}
-
-fn offset_idx(rel: &WarpIdx, base: usize) -> WarpIdx {
-    let mut out = *rel;
-    for v in out.lanes.iter_mut().flatten() {
-        *v += base;
-    }
-    out
-}
-
-impl CgemmBlockEngine {
-    /// Build the replayable main-loop schedule for blocks with a
-    /// global-memory `A` operand. `a_view`/`b_view` contribute only their
-    /// strides (bases are re-applied per block at replay); `shared_base` is
-    /// baked into the shared patterns.
+    /// Count the main loop of one block shape. `custom_a` selects the
+    /// single-buffered `As` layout of [`AProvider::Custom`], whose staging
+    /// the provider charges itself; `shared_base` is where this engine's
+    /// staging starts.
     pub fn build_trace(
         &self,
-        a_view: &MatView,
-        b_view: &MatView,
+        custom_a: bool,
         active_m: usize,
         active_n: usize,
         shared_base: usize,
@@ -292,224 +153,223 @@ impl CgemmBlockEngine {
         let tile = self.tile;
         tile.validate();
         let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
-        let a_rel = MatView { base: 0, ..*a_view };
-        let b_rel = MatView { base: 0, ..*b_view };
-        let (as_base, as_stride, bs_base) = (shared_base, ms * ks, shared_base + 2 * ms * ks);
+        // A is double-buffered only when loaded from global memory; a custom
+        // provider (the fused FFT) synchronizes anyway, so As is single-
+        // buffered (paper §3.1).
+        let (as_base, as_stride, bs_base) = if custom_a {
+            (shared_base, 0, shared_base + ms * ks)
+        } else {
+            (shared_base, ms * ks, shared_base + 2 * ms * ks)
+        };
+        let contiguous = |base: usize, extent: usize| {
+            (0..extent)
+                .step_by(WARP_SIZE)
+                .map(move |e0| WarpIdx::from_fn(|l| (e0 + l < extent).then(|| base + e0 + l)))
+        };
 
-        let total_chunks = self.k_total.div_ceil(ks);
-        let mut chunks = Vec::with_capacity(total_chunks);
-        for chunk in 0..total_chunks {
-            let k0 = chunk * ks;
-            let active_k = ks.min(self.k_total - k0);
-            let buf = chunk % 2;
-            let as_buf = as_base + buf * as_stride;
-            let bs_buf = bs_base + buf * ks * ns;
-
-            let mut a_stage = Vec::new();
+        let mut loads = BankStats::default();
+        let mut stores = BankStats::default();
+        for chunk in 0..self.k_total.div_ceil(ks) {
+            let active_k = ks.min(self.k_total - chunk * ks);
+            let as_buf = as_base + (chunk % 2) * as_stride;
+            let bs_buf = bs_base + (chunk % 2) * ks * ns;
             for kt in 0..active_k {
-                let mut m = 0;
-                while m < active_m {
-                    a_stage.push(TraceXfer {
-                        global_rel: WarpIdx::from_fn(|l| {
-                            (m + l < active_m).then(|| a_rel.at(m + l, k0 + kt))
-                        }),
-                        shared: WarpIdx::from_fn(|l| {
-                            (m + l < active_m).then(|| as_buf + kt * ms + m + l)
-                        }),
-                    });
-                    m += WARP_SIZE;
+                if !custom_a {
+                    for idx in contiguous(as_buf + kt * ms, active_m) {
+                        stores += warp_bank_cycles(&idx);
+                    }
+                }
+                for idx in contiguous(bs_buf + kt * ns, active_n) {
+                    stores += warp_bank_cycles(&idx);
                 }
             }
-
-            let mut b_stage = Vec::new();
-            for kt in 0..active_k {
-                let mut n = 0;
-                while n < active_n {
-                    b_stage.push(TraceXfer {
-                        global_rel: WarpIdx::from_fn(|l| {
-                            (n + l < active_n).then(|| b_rel.at(k0 + kt, n + l))
-                        }),
-                        shared: WarpIdx::from_fn(|l| {
-                            (n + l < active_n).then(|| bs_buf + kt * ns + n + l)
-                        }),
-                    });
-                    n += WARP_SIZE;
-                }
-            }
-
-            let mut frags = Vec::with_capacity(tile.warps() * active_k);
+            // Fragment loads are vectorized (LDS.128-class): each thread
+            // pulls its m_t / n_t consecutive elements in one wide access —
+            // the conflict-free pattern production GEMMs use.
             for w in 0..tile.warps() {
+                let origin = |l: usize| CFragments::thread_origin(&tile, w * WARP_SIZE + l);
                 for kt in 0..active_k {
-                    frags.push(TraceFrag {
-                        idx_a: WarpIdx::from_fn(|l| {
-                            let tid = w * WARP_SIZE + l;
-                            let (m0, _n0) = CFragments::thread_origin(&tile, tid);
-                            (m0 < active_m).then(|| as_buf + kt * ms + m0)
-                        }),
-                        idx_b: WarpIdx::from_fn(|l| {
-                            let tid = w * WARP_SIZE + l;
-                            let (_m0, n0) = CFragments::thread_origin(&tile, tid);
-                            (n0 < active_n).then(|| bs_buf + kt * ns + n0)
-                        }),
+                    let idx_a = WarpIdx::from_fn(|l| {
+                        let (m0, _) = origin(l);
+                        (m0 < active_m).then(|| as_buf + kt * ms + m0)
                     });
+                    let idx_b = WarpIdx::from_fn(|l| {
+                        let (_, n0) = origin(l);
+                        (n0 < active_n).then(|| bs_buf + kt * ns + n0)
+                    });
+                    loads += warp_bank_cycles_wide(&idx_a, tile.m_t);
+                    loads += warp_bank_cycles_wide(&idx_b, tile.n_t);
                 }
             }
-
-            chunks.push(TraceChunk {
-                a_stage,
-                b_stage,
-                frags,
-                active_k,
-            });
         }
 
-        let mut warp_macs = Vec::with_capacity(tile.warps());
-        let mut warp_flops = Vec::with_capacity(tile.warps());
-        for w in 0..tile.warps() {
-            let mut lanes = Vec::new();
-            let mut flops = 0u64;
-            for l in 0..WARP_SIZE {
-                let tid = w * WARP_SIZE + l;
-                let (m0, n0) = CFragments::thread_origin(&tile, tid);
-                let ni = tile.m_t.min(active_m.saturating_sub(m0));
-                let nj = tile.n_t.min(active_n.saturating_sub(n0));
-                if ni == 0 || nj == 0 {
-                    continue;
-                }
-                lanes.push(LaneMac {
-                    lane: l,
-                    acc_base: tid * tile.m_t * tile.n_t,
-                    ni,
-                    nj,
-                });
-                flops += (ni * nj) as u64 * tfno_num::FLOPS_PER_CMAC;
+        let mut macs = Vec::new();
+        let mut kt_flops = 0u64;
+        for tid in 0..tile.threads() {
+            let (m0, n0) = CFragments::thread_origin(&tile, tid);
+            let ni = tile.m_t.min(active_m.saturating_sub(m0));
+            let nj = tile.n_t.min(active_n.saturating_sub(n0));
+            if ni == 0 || nj == 0 {
+                continue;
             }
-            warp_macs.push(lanes);
-            warp_flops.push(flops);
+            macs.push(ThreadMac {
+                acc_base: tid * tile.m_t * tile.n_t,
+                m0,
+                n0,
+                ni,
+                nj,
+            });
+            kt_flops += (ni * nj) as u64 * tfno_num::FLOPS_PER_CMAC;
         }
 
         MainloopTrace {
-            chunks,
-            warp_macs,
-            warp_flops,
+            active_m,
+            active_n,
+            as_base,
+            as_stride,
+            bs_base,
+            loads,
+            stores,
+            macs,
+            kt_flops,
         }
     }
 
-    /// Replay a prebuilt schedule: event-for-event identical to
-    /// [`Self::run_mainloop`] with a [`AProvider::Global`] operand whose
-    /// view has base `a_base` (likewise `b_base` for `B`), but with every
-    /// index pattern and predicate looked up instead of recomputed.
-    pub fn run_mainloop_traced(
+    /// Execute the main loop of a block shaped like `trace` (built by
+    /// [`Self::build_trace`] for this engine and `a`'s source); returns
+    /// the C accumulators.
+    pub fn run_mainloop(
         &self,
         ctx: &mut BlockCtx<'_>,
-        a_buf: BufferId,
-        a_base: usize,
-        b_buf: BufferId,
-        b_base: usize,
+        a: &mut AProvider<'_>,
+        b: &BOperand,
         trace: &MainloopTrace,
     ) -> CFragments {
         let tile = self.tile;
-        let threads = tile.threads();
-        let mut acc = vec![C32::ZERO; threads * tile.m_t * tile.n_t];
+        let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
+        let mut acc = vec![C32::ZERO; tile.threads() * tile.m_t * tile.n_t];
 
-        for chunk in &trace.chunks {
-            for x in &chunk.a_stage {
-                let vals = ctx.global_read(a_buf, &offset_idx(&x.global_rel, a_base));
-                ctx.shared_store(&x.shared, &vals);
+        for chunk in 0..self.k_total.div_ceil(ks) {
+            let k0 = chunk * ks;
+            let active_k = ks.min(self.k_total - k0);
+            let as_buf = trace.as_base + (chunk % 2) * trace.as_stride;
+            let bs_buf = trace.bs_base + (chunk % 2) * ks * ns;
+
+            // ---- stage A and B tiles ----
+            match a {
+                AProvider::Global { buf, view } => stage_tile(
+                    ctx,
+                    *buf,
+                    active_k,
+                    trace.active_m,
+                    |kt, m| view.at(m, k0 + kt),
+                    |kt, m| as_buf + kt * ms + m,
+                ),
+                AProvider::Custom(f) => f(ctx, k0, as_buf),
             }
-            for x in &chunk.b_stage {
-                let vals = ctx.global_read(b_buf, &offset_idx(&x.global_rel, b_base));
-                ctx.shared_store(&x.shared, &vals);
-            }
+            stage_tile(
+                ctx,
+                b.buf,
+                active_k,
+                trace.active_n,
+                |kt, n| b.view.at(k0 + kt, n),
+                |kt, n| bs_buf + kt * ns + n,
+            );
             ctx.syncthreads();
 
-            let mut fi = 0;
-            for w in 0..tile.warps() {
-                for _kt in 0..chunk.active_k {
-                    let f = &chunk.frags[fi];
-                    fi += 1;
-                    let at = ctx.shared_load_wide(&f.idx_a, tile.m_t);
-                    let bt = ctx.shared_load_wide(&f.idx_b, tile.n_t);
-                    for mac in &trace.warp_macs[w] {
-                        for i in 0..mac.ni {
-                            for j in 0..mac.nj {
-                                let idx = mac.acc_base + i * tile.n_t + j;
-                                acc[idx] = acc[idx].mac(at[i][mac.lane], bt[j][mac.lane]);
-                            }
+            // ---- compute: MACs on fragments read from the shared tiles ----
+            let sh = ctx.shared();
+            for mac in &trace.macs {
+                for kt in 0..active_k {
+                    let a0 = as_buf + kt * ms + mac.m0;
+                    let b0 = bs_buf + kt * ns + mac.n0;
+                    for i in 0..mac.ni {
+                        let av = sh[a0 + i];
+                        for j in 0..mac.nj {
+                            let idx = mac.acc_base + i * tile.n_t + j;
+                            acc[idx] = acc[idx].mac(av, sh[b0 + j]);
                         }
                     }
-                    ctx.add_flops(trace.warp_flops[w]);
                 }
             }
+            ctx.add_flops(trace.kt_flops * active_k as u64);
             ctx.syncthreads();
         }
+        ctx.charge_shared(trace.loads, trace.stores);
 
         CFragments { tile, acc }
     }
 }
 
+/// Copy an `active_k x extent` operand slice from global memory into the
+/// shared staging tile: element `(kt, e)` moves from `src(kt, e)` to
+/// `dst(kt, e)`. A metered block charges each warp of 32 consecutive `e`
+/// from its lane addresses.
+fn stage_tile(
+    ctx: &mut BlockCtx<'_>,
+    buf: BufferId,
+    active_k: usize,
+    extent: usize,
+    src: impl Fn(usize, usize) -> usize,
+    dst: impl Fn(usize, usize) -> usize,
+) {
+    if ctx.is_metered() {
+        for kt in 0..active_k {
+            for e0 in (0..extent).step_by(WARP_SIZE) {
+                let idx = WarpIdx::from_fn(|l| (e0 + l < extent).then(|| src(kt, e0 + l)));
+                ctx.charge_global_load(buf, &idx);
+            }
+        }
+    }
+    let g = ctx.global(buf);
+    let sh = ctx.shared_mut();
+    for kt in 0..active_k {
+        for e in 0..extent {
+            sh[dst(kt, e)] = g.get(src(kt, e));
+        }
+    }
+}
+
 /// Per-kernel cache of [`MainloopTrace`]s, keyed by `(active_m, active_n)`.
 /// The owning kernel must use one cache per distinct (tile, `k_total`,
-/// operand-stride, `shared_base`) configuration — everything except the
+/// `A` source, `shared_base`) configuration — everything except the
 /// active extents must be constant across the cache's users.
 ///
 /// A launch sees at most four distinct extents (interior blocks plus the
-/// m-edge, n-edge, and corner), so the warm path is four lock-free
-/// `OnceLock` slots; a mutexed overflow map keeps unusual callers correct.
-/// One warm-path slot: the `(active_m, active_n)` key plus its trace.
-type TraceSlot = OnceLock<((usize, usize), Arc<MainloopTrace>)>;
-
+/// m-edge, n-edge, and corner), so the cache is four lock-free `OnceLock`
+/// slots, each claimed by the first extent that reaches it; an extent
+/// beyond them (no kernel launches one) is counted on the spot.
 #[derive(Default)]
 pub struct MainloopTraceCache {
     slots: [TraceSlot; 4],
-    overflow: Mutex<HashMap<(usize, usize), Arc<MainloopTrace>>>,
 }
+
+/// One slot: the `(active_m, active_n)` key plus its trace.
+type TraceSlot = OnceLock<((usize, usize), Arc<MainloopTrace>)>;
 
 impl MainloopTraceCache {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fetch (or build) the trace for one block-extent class. Warm lookups
-    /// are lock-free slot reads; cold builds serialize on the overflow
-    /// mutex so each class's trace is built exactly once per racer set.
+    /// Fetch (or build) the trace for one block-extent class.
     pub fn get(
         &self,
         engine: &CgemmBlockEngine,
-        a_view: &MatView,
-        b_view: &MatView,
+        custom_a: bool,
         active_m: usize,
         active_n: usize,
         shared_base: usize,
     ) -> Arc<MainloopTrace> {
         let key = (active_m, active_n);
+        let build = || Arc::new(engine.build_trace(custom_a, active_m, active_n, shared_base));
         for slot in &self.slots {
-            if let Some((k, trace)) = slot.get() {
-                if *k == key {
-                    return trace.clone();
-                }
+            let (k, trace) = slot.get_or_init(|| (key, build()));
+            if *k == key {
+                return Arc::clone(trace);
             }
         }
-        let mut map = lock_unpoisoned(&self.overflow);
-        // A racer may have published while we waited for the lock.
-        for slot in &self.slots {
-            if let Some((k, trace)) = slot.get() {
-                if *k == key {
-                    return trace.clone();
-                }
-            }
-        }
-        if let Some(trace) = map.get(&key) {
-            return trace.clone();
-        }
-        let trace = Arc::new(engine.build_trace(a_view, b_view, active_m, active_n, shared_base));
-        for slot in &self.slots {
-            if slot.set((key, trace.clone())).is_ok() {
-                return trace;
-            }
-        }
-        map.insert(key, trace.clone());
-        trace
+        build()
     }
 }
 
@@ -527,38 +387,55 @@ pub fn store_c_global(
     beta: C32,
 ) {
     let tile = frags.tile;
-    for w in 0..tile.warps() {
-        for i in 0..tile.m_t {
-            for j in 0..tile.n_t {
-                let lane_mn = |l: usize| {
-                    let tid = w * WARP_SIZE + l;
-                    let (m0, n0) = CFragments::thread_origin(&tile, tid);
-                    let (m, n) = (m0 + i, n0 + j);
-                    (m < active_m && n < active_n).then_some((m, n))
-                };
-                let idx = WarpIdx::from_fn(|l| lane_mn(l).map(|(m, n)| c_view.at(m, n)));
-                let old = if beta != C32::ZERO {
-                    ctx.global_read(buf, &idx)
-                } else {
-                    [C32::ZERO; WARP_SIZE]
-                };
-                let mut vals = [C32::ZERO; WARP_SIZE];
-                let mut flops = 0u64;
-                for l in 0..WARP_SIZE {
-                    if lane_mn(l).is_none() {
-                        continue;
+    let plain = alpha == C32::ONE && beta == C32::ZERO;
+    if ctx.is_metered() {
+        // Each thread stores register (i, j) of its tile per warp access.
+        for w in 0..tile.warps() {
+            for i in 0..tile.m_t {
+                for j in 0..tile.n_t {
+                    let idx = WarpIdx::from_fn(|l| {
+                        let (m0, n0) = CFragments::thread_origin(&tile, w * WARP_SIZE + l);
+                        let (m, n) = (m0 + i, n0 + j);
+                        (m < active_m && n < active_n).then(|| c_view.at(m, n))
+                    });
+                    if beta != C32::ZERO {
+                        ctx.charge_global_load(buf, &idx);
                     }
-                    let tid = w * WARP_SIZE + l;
-                    let a = frags.get(tid, i, j);
-                    vals[l] = if alpha == C32::ONE && beta == C32::ZERO {
-                        a
-                    } else {
-                        flops += 12;
-                        alpha * a + beta * old[l]
-                    };
+                    ctx.charge_global_store(buf, &idx);
                 }
-                ctx.add_flops(flops);
-                ctx.global_write(buf, &idx, &vals);
+            }
+        }
+    }
+    if !plain {
+        ctx.add_flops(12 * (active_m * active_n) as u64);
+    }
+    let old = ctx.global(buf);
+    let mut put = |m: usize, n: usize| {
+        let addr = c_view.at(m, n);
+        let a = frags.at(m, n);
+        let v = if plain {
+            a
+        } else {
+            let c = if beta != C32::ZERO {
+                old.get(addr)
+            } else {
+                C32::ZERO
+            };
+            alpha * a + beta * c
+        };
+        ctx.global_store(buf, addr, v);
+    };
+    // Walk C contiguously so the write journal keeps long runs.
+    if c_view.row_stride == 1 {
+        for n in 0..active_n {
+            for m in 0..active_m {
+                put(m, n);
+            }
+        }
+    } else {
+        for m in 0..active_m {
+            for n in 0..active_n {
+                put(m, n);
             }
         }
     }

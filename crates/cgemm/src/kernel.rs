@@ -6,7 +6,7 @@
 //! channel-major tensors need no packing copies. The grid is
 //! `batch x ceil(m / m_tb) x ceil(n / n_tb)` blocks.
 
-use crate::engine::{store_c_global, CgemmBlockEngine, MainloopTraceCache};
+use crate::engine::{store_c_global, AProvider, BOperand, CgemmBlockEngine, MainloopTraceCache};
 use crate::tile::TileConfig;
 use crate::view::{view_spans, MatView};
 use std::hash::Hash;
@@ -92,7 +92,7 @@ pub struct BatchedCgemmKernel {
     pub c: BatchedOperand,
     pub alpha: C32,
     pub beta: C32,
-    /// Main-loop schedules keyed by block extent class, built lazily on
+    /// Main-loop counts keyed by block extent class, built lazily on
     /// first execution and kept for the kernel object's lifetime.
     traces: MainloopTraceCache,
 }
@@ -170,7 +170,7 @@ impl Kernel for BatchedCgemmKernel {
 
     fn dims(&self) -> LaunchDims {
         LaunchDims::new(self.grid(), self.tile.threads() as u32)
-            .with_shared(self.tile.shared_elems() * C32_BYTES)
+            .with_shared(self.tile.shared_bytes())
             .with_regs(self.tile.regs_per_thread())
             .with_l1_hit_rate(self.l1_hit_estimate())
     }
@@ -189,17 +189,16 @@ impl Kernel for BatchedCgemmKernel {
             tile: self.tile,
             k_total: self.shape.k,
         };
-        let trace = self
-            .traces
-            .get(&engine, &a_view, &b_view, active_m, active_n, 0);
-        let frags = engine.run_mainloop_traced(
-            ctx,
-            self.a.buf,
-            a_view.base,
-            self.b.buf,
-            b_view.base,
-            &trace,
-        );
+        let trace = self.traces.get(&engine, false, active_m, active_n, 0);
+        let mut a = AProvider::Global {
+            buf: self.a.buf,
+            view: a_view,
+        };
+        let b = BOperand {
+            buf: self.b.buf,
+            view: b_view,
+        };
+        let frags = engine.run_mainloop(ctx, &mut a, &b, &trace);
         store_c_global(
             ctx,
             &frags,
@@ -582,17 +581,17 @@ mod tests {
         assert!(kernel.dims().l1_hit_rate <= shared.dims().l1_hit_rate);
     }
 
-    /// [`BatchedCgemmKernel`] with its main loop run by the inline
-    /// [`CgemmBlockEngine::run_mainloop`] (the path the fused kernels use)
-    /// instead of a cached trace. It forwards `block_classes`, so its
-    /// analytical launch scales edge tiles correctly, and has no
-    /// fingerprint, so it never shares launch-memo entries with the kernel
-    /// it wraps.
-    struct InlineMainloop<'k>(&'k BatchedCgemmKernel);
+    /// [`BatchedCgemmKernel`] with its `A` tile staged by a custom
+    /// provider (the hook the fused FFT→CGEMM kernel fills `As` through)
+    /// that loads the same global elements and charges them itself, warp
+    /// by warp. It forwards `block_classes`, so its analytical launch
+    /// scales edge tiles correctly, and has no fingerprint, so it never
+    /// shares launch-memo entries with the kernel it wraps.
+    struct CustomA<'k>(&'k BatchedCgemmKernel);
 
-    impl Kernel for InlineMainloop<'_> {
+    impl Kernel for CustomA<'_> {
         fn name(&self) -> String {
-            format!("{}.inline", self.0.name)
+            format!("{}.custom_a", self.0.name)
         }
 
         fn dims(&self) -> LaunchDims {
@@ -604,42 +603,61 @@ mod tests {
         }
 
         fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
-            use crate::engine::{AProvider, BOperand};
+            use tfno_gpu_sim::{warp_bank_cycles, BankStats, WarpIdx, WARP_SIZE};
             let k = self.0;
             let (b, mt, nt) = k.decode(block_id);
             let (m0, n0) = (mt * k.tile.m_tb, nt * k.tile.n_tb);
             let active_m = k.tile.m_tb.min(k.shape.m - m0);
             let active_n = k.tile.n_tb.min(k.shape.n - n0);
             let c_view = k.c.at_batch(b).tile(m0, n0);
+            let a_view = k.a.at_batch(b).tile(m0, 0);
             let engine = CgemmBlockEngine {
                 tile: k.tile,
                 k_total: k.shape.k,
             };
-            let mut a = AProvider::Global {
-                buf: k.a.buf,
-                view: k.a.at_batch(b).tile(m0, 0),
+            let (ms, ks, a_buf) = (k.tile.m_tb, k.tile.k_tb, k.a.buf);
+            let k_total = k.shape.k;
+            let mut fill = |ctx: &mut BlockCtx<'_>, k0: usize, as_buf: usize| {
+                for kt in 0..ks.min(k_total - k0) {
+                    for e0 in (0..active_m).step_by(WARP_SIZE) {
+                        let lanes = |l: usize| (e0 + l < active_m).then_some(e0 + l);
+                        let g = WarpIdx::from_fn(|l| lanes(l).map(|m| a_view.at(m, k0 + kt)));
+                        let s = WarpIdx::from_fn(|l| lanes(l).map(|m| as_buf + kt * ms + m));
+                        ctx.charge_global_load(a_buf, &g);
+                        if ctx.is_metered() {
+                            ctx.charge_shared(BankStats::default(), warp_bank_cycles(&s));
+                        }
+                        let src = ctx.global(a_buf);
+                        for l in 0..WARP_SIZE {
+                            if let (Some(gi), Some(si)) = (g.lanes[l], s.lanes[l]) {
+                                ctx.shared_mut()[si] = src.get(gi);
+                            }
+                        }
+                    }
+                }
             };
+            let mut a = AProvider::Custom(&mut fill);
             let bop = BOperand {
                 buf: k.b.buf,
                 view: k.b.at_batch(b).tile(0, n0),
             };
-            let frags = engine.run_mainloop(ctx, &mut a, &bop, active_m, active_n, 0);
+            let trace = engine.build_trace(true, active_m, active_n, 0);
+            let frags = engine.run_mainloop(ctx, &mut a, &bop, &trace);
             store_c_global(ctx, &frags, k.c.buf, &c_view, active_m, active_n, k.alpha, k.beta);
         }
     }
 
-    /// The traced main loop must be event-for-event equal to the inline
-    /// `run_mainloop` (the untraced path this kernel body used to keep as
-    /// a second branch, hence the name): identical bytes moved, flops,
-    /// bank behavior, and bitwise results — edge tiles included so
-    /// partial-lane predication and the `thread_origin` prefix collapse
-    /// are both exercised. Both launches meter every block
-    /// (`validate_writes`), so each is also cross-checked against its own
-    /// analytical counts.
+    /// The one main loop must behave identically whichever source fills
+    /// `As`: staged from global memory by the loop itself (double-buffered)
+    /// or by a custom provider (single-buffered) that moves and charges
+    /// the same elements — identical bytes moved, flops, bank behavior and
+    /// bitwise results, edge tiles included so partial-lane predication is
+    /// exercised. Both launches meter every block (`validate_writes`), so
+    /// each is also cross-checked against its own analytical counts.
     #[test]
-    fn traced_mainloop_matches_legacy_path_bitwise() {
+    fn custom_a_provider_matches_global_a_bitwise() {
         for (batch, m, n, k) in [(1usize, 64usize, 64usize, 32usize), (2, 45, 37, 13)] {
-            let run = |inline: bool| {
+            let run = |custom: bool| {
                 let mut dev = GpuDevice::a100();
                 dev.validate_writes = true;
                 let a_buf = dev.alloc("A", batch * m * k);
@@ -658,18 +676,18 @@ mod tests {
                     C32::new(0.5, 0.25),
                     C32::new(-1.0, 0.5),
                 );
-                let rec = if inline {
-                    dev.launch(&InlineMainloop(&kernel), ExecMode::Functional)
+                let rec = if custom {
+                    dev.launch(&CustomA(&kernel), ExecMode::Functional)
                 } else {
                     dev.launch(&kernel, ExecMode::Functional)
                 };
                 (rec.stats, dev.download(c_buf))
             };
-            let (stats_inline, out_inline) = run(true);
-            let (stats_traced, out_traced) = run(false);
-            assert_eq!(stats_inline, stats_traced, "m={m} n={n} k={k}");
-            assert_eq!(out_inline.len(), out_traced.len());
-            for (i, (a, b)) in out_inline.iter().zip(&out_traced).enumerate() {
+            let (stats_custom, out_custom) = run(true);
+            let (stats_global, out_global) = run(false);
+            assert_eq!(stats_custom, stats_global, "m={m} n={n} k={k}");
+            assert_eq!(out_custom.len(), out_global.len());
+            for (i, (a, b)) in out_custom.iter().zip(&out_global).enumerate() {
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "element {i} differs: {a:?} vs {b:?}"

@@ -7,7 +7,7 @@
 //!
 //! The crate deliberately splits the *main loop* ([`engine`]) from the
 //! *kernel driver* ([`kernel`]): the fused FFT-CGEMM-iFFT kernels in the
-//! `turbofno` crate reuse the exact main loop with a custom `A` provider
+//! `turbofno` crate reuse the one main loop with a custom `A` provider
 //! (the FFT writes straight into the `As` tile) and a custom epilogue (the
 //! iFFT consumes `C` from shared memory).
 

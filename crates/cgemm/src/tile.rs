@@ -107,6 +107,11 @@ impl TileConfig {
         2 * self.m_tb * self.k_tb + 2 * self.k_tb * self.n_tb
     }
 
+    /// Shared memory one standalone CGEMM block requests.
+    pub fn shared_bytes(&self) -> usize {
+        self.shared_elems() * tfno_num::C32_BYTES
+    }
+
     /// Registers per thread: accumulators (2 floats each) + A/B fragments
     /// + bookkeeping; mirrors Fig. 9's register list.
     pub fn regs_per_thread(&self) -> u32 {

@@ -21,15 +21,15 @@
 
 use crate::swizzle::{EpilogueStaging, ForwardLayout};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tfno_cgemm::{
-    view_spans, AProvider, BOperand, CFragments, CgemmBlockEngine, MatView, TileConfig,
-    WeightStacking,
+    view_spans, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopTraceCache, MatView,
+    TileConfig, WeightStacking,
 };
 use tfno_fft::{FftBlockEngine, FftIo, FftPlan, InstanceOrder, PencilTarget, TraceCache};
 use tfno_gpu_sim::{
-    structural_fingerprint, AccessSpan, BlockCtx, BufferId, Kernel, KernelAccess, LaunchDims,
-    WarpIdx, WARP_SIZE,
+    structural_fingerprint, warp_bank_cycles, AccessSpan, BankStats, BlockCtx, BufferId, Kernel,
+    KernelAccess, LaunchDims, WarpIdx, WARP_SIZE,
 };
 use tfno_num::{C32, C32_BYTES};
 
@@ -276,10 +276,15 @@ pub struct FusedKernel<G: FusedGeometry> {
     pub forward_layout: ForwardLayout,
     pub epilogue_swizzle: bool,
     pub l1_hit_rate: f64,
-    /// Butterfly schedules of the fused forward / inverse FFT stages,
+    /// Butterfly counts of the fused forward / inverse FFT stages,
     /// shared across blocks and k-iterations of a launch.
     fwd_traces: TraceCache,
     inv_traces: TraceCache,
+    /// Main-loop counts per block extent class.
+    mainloop: MainloopTraceCache,
+    /// Bank phases of the epilogue's C-fragment staging stores, keyed by
+    /// the block's active channel count (full n-tiles and the last one).
+    epilogue: [OnceLock<(usize, BankStats)>; 2],
 }
 
 impl<G: FusedGeometry> FusedKernel<G> {
@@ -323,6 +328,8 @@ impl<G: FusedGeometry> FusedKernel<G> {
             l1_hit_rate,
             fwd_traces: TraceCache::new(),
             inv_traces: TraceCache::new(),
+            mainloop: MainloopTraceCache::new(),
+            epilogue: Default::default(),
         }
     }
 
@@ -365,31 +372,87 @@ impl<G: FusedGeometry> FusedKernel<G> {
         }
     }
 
+    /// Bank phases of staging a block's C fragments, `active_n` channels,
+    /// into the Fig. 8 staging region: per group of `FUSED_FFT_BS`
+    /// channels, every thread stores register `(i, j)` of its tile in one
+    /// warp access when its channel falls in the group.
+    fn epilogue_stores(&self, staging_base: usize, active_n: usize) -> BankStats {
+        let count = || {
+            let tile = self.tile;
+            let staging = self.staging();
+            let mut stores = BankStats::default();
+            for ch0 in (0..active_n).step_by(FUSED_FFT_BS) {
+                let chs = FUSED_FFT_BS.min(active_n - ch0);
+                for w in 0..tile.warps() {
+                    for i in 0..tile.m_t {
+                        for j in 0..tile.n_t {
+                            let idx = WarpIdx::from_fn(|l| {
+                                let (m0, n0) = CFragments::thread_origin(&tile, w * WARP_SIZE + l);
+                                let (m, n) = (m0 + i, n0 + j);
+                                (n >= ch0 && n < ch0 + chs)
+                                    .then(|| staging_base + staging.addr(m, n - ch0))
+                            });
+                            stores += warp_bank_cycles(&idx);
+                        }
+                    }
+                }
+            }
+            stores
+        };
+        for slot in &self.epilogue {
+            let (k, stores) = slot.get_or_init(|| (active_n, count()));
+            if *k == active_n {
+                return *stores;
+            }
+        }
+        count()
+    }
+
     /// Shared-memory layout: [GEMM tiles][FFT ping/pong][epilogue staging].
     fn shared_layout(&self) -> (usize, usize, usize) {
-        let engine = CgemmBlockEngine {
-            tile: self.tile,
-            k_total: self.geom.k_in(),
-        };
-        let gemm = if self.fuse_fft {
-            engine.shared_elems_custom_a()
-        } else {
-            engine.shared_elems()
-        };
-        let fft_base = gemm;
-        let fft = if self.fuse_fft || self.fuse_ifft {
-            FftBlockEngine::staging_elems(self.geom.fft_len(), FUSED_FFT_BS)
-        } else {
-            0
-        };
-        let staging_base = fft_base + fft;
-        let staging = if self.fuse_ifft {
-            self.staging().elems(FUSED_FFT_BS)
-        } else {
-            0
-        };
-        (fft_base, staging_base, staging_base + staging)
+        shared_layout(
+            self.tile,
+            self.geom.fft_len(),
+            self.fuse_fft,
+            self.fuse_ifft,
+            self.epilogue_swizzle,
+        )
     }
+}
+
+/// Element offsets of a fused block's shared-memory layout — `[GEMM
+/// tiles][FFT ping/pong][epilogue staging]` — as `(fft_base,
+/// staging_base, total)`, for a `tile` over `n_len`-point FFTs.
+pub(crate) fn shared_layout(
+    tile: TileConfig,
+    n_len: usize,
+    fuse_fft: bool,
+    fuse_ifft: bool,
+    swizzled: bool,
+) -> (usize, usize, usize) {
+    let engine = CgemmBlockEngine { tile, k_total: 0 };
+    let gemm = if fuse_fft {
+        engine.shared_elems_custom_a()
+    } else {
+        engine.shared_elems()
+    };
+    let fft_base = gemm;
+    let fft = if fuse_fft || fuse_ifft {
+        FftBlockEngine::staging_elems(n_len, FUSED_FFT_BS)
+    } else {
+        0
+    };
+    let staging_base = fft_base + fft;
+    let staging = if fuse_ifft {
+        EpilogueStaging {
+            ms: tile.m_tb,
+            swizzled,
+        }
+        .elems(FUSED_FFT_BS)
+    } else {
+        0
+    };
+    (fft_base, staging_base, staging_base + staging)
 }
 
 impl<G: FusedGeometry> Kernel for FusedKernel<G> {
@@ -442,6 +505,11 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
         };
 
         // ---- main loop with either a fused-FFT A provider or global A ----
+        let trace = self.mainloop.get(&engine, self.fuse_fft, ms, active_n, 0);
+        let b = BOperand {
+            buf: self.w,
+            view: self.w_view(outer, n0),
+        };
         let frags: CFragments = if self.fuse_fft {
             let fwd_plan = &self.fwd_plan;
             let order = match self.forward_layout {
@@ -476,56 +544,29 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
                 ctx.syncthreads();
             };
             let mut a = AProvider::Custom(&mut provider_fn);
-            let b = BOperand {
-                buf: self.w,
-                view: self.w_view(outer, n0),
-            };
-            engine.run_mainloop(ctx, &mut a, &b, ms, active_n, 0)
+            engine.run_mainloop(ctx, &mut a, &b, &trace)
         } else {
             let mut a = AProvider::Global {
                 buf: self.input,
                 view: geom.a_view(outer),
             };
-            let b = BOperand {
-                buf: self.w,
-                view: self.w_view(outer, n0),
-            };
-            engine.run_mainloop(ctx, &mut a, &b, ms, active_n, 0)
+            engine.run_mainloop(ctx, &mut a, &b, &trace)
         };
 
         // ---- epilogue ----
         if self.fuse_ifft {
             let staging = self.staging();
-            let groups = active_n.div_ceil(FUSED_FFT_BS);
-            for g in 0..groups {
-                let ch0 = g * FUSED_FFT_BS;
+            let stores = self.epilogue_stores(staging_base, active_n);
+            ctx.charge_shared(BankStats::default(), stores);
+            for ch0 in (0..active_n).step_by(FUSED_FFT_BS) {
                 let chs = FUSED_FFT_BS.min(active_n - ch0);
 
                 // Stage the group's C fragments into shared memory with the
                 // Fig. 8 access pattern.
-                for w in 0..tile.warps() {
-                    for i in 0..tile.m_t {
-                        for j in 0..tile.n_t {
-                            let lane_mn = |l: usize| {
-                                let tid = w * WARP_SIZE + l;
-                                let (m0, nloc0) = CFragments::thread_origin(&tile, tid);
-                                let (m, n) = (m0 + i, nloc0 + j);
-                                (n >= ch0 && n < ch0 + chs).then_some((m, n))
-                            };
-                            let idx = WarpIdx::from_fn(|l| {
-                                lane_mn(l).map(|(m, n)| staging_base + staging.addr(m, n - ch0))
-                            });
-                            if idx.active_lanes() == 0 {
-                                continue;
-                            }
-                            let mut vals = [C32::ZERO; WARP_SIZE];
-                            for l in 0..WARP_SIZE {
-                                if lane_mn(l).is_some() {
-                                    vals[l] = frags.get(w * WARP_SIZE + l, i, j);
-                                }
-                            }
-                            ctx.shared_store(&idx, &vals);
-                        }
+                let sh = ctx.shared_mut();
+                for n in ch0..ch0 + chs {
+                    for m in 0..ms {
+                        sh[staging_base + staging.addr(m, n - ch0)] = frags.at(m, n);
                     }
                 }
                 ctx.syncthreads();

@@ -24,18 +24,21 @@
 //! and dispatches [`crate::LayerSpec`]s through the executors here.
 
 use crate::backend::{
-    Backend, BufferId, ExecMode, Kernel, LaunchError, LaunchRecord, PendingLaunch,
+    Backend, BufferId, DeviceConfig, ExecMode, Kernel, LaunchError, LaunchRecord, PendingLaunch,
 };
-use crate::fused::{FusedKernel, GeomNd};
+use crate::fused::{fused_supported, FusedKernel, GeomNd};
+use crate::planner::TURBO_CANDIDATES;
 use crate::pool::BufferPool;
 use crate::swizzle::ForwardLayout;
-use tfno_cgemm::{BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, WeightStacking};
+use tfno_cgemm::{
+    BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, TileConfig, WeightStacking,
+};
 use tfno_culib::{try_run_pytorch_stacked, CuBlas, PipelineRun, SpectralShape, CUFFT_L1_HIT};
 use tfno_fft::{
     BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils,
     StridedPencils,
 };
-use tfno_num::C32;
+use tfno_num::{C32, C32_BYTES};
 
 /// L1/L2 hit rate of the hidden-dim-ordered Turbo FFT: the k-loop-aligned
 /// dataflow gives up the spatial locality the baseline FFT enjoys (paper
@@ -113,6 +116,93 @@ impl Default for TurboOptions {
 /// fusion may even degrade performance".
 fn fused_n_tb(k_out: usize) -> usize {
     (k_out.div_ceil(16) * 16).clamp(16, 128)
+}
+
+/// Shared memory per block each kernel of a concrete Turbo or baseline
+/// `variant` requests for `s`, labelled, from the arithmetic the kernels'
+/// `LaunchDims` use. Copy kernels request none and are left out.
+fn stage_shared_bytes(
+    s: &SpectralShape,
+    variant: Variant,
+    opts: &TurboOptions,
+) -> Vec<(String, usize)> {
+    let r = s.rank;
+    let fft = |a: usize| {
+        let n = s.dims[a];
+        let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n));
+        (format!("{n}-point FFT"), cfg.shared_bytes())
+    };
+    let gemm = || {
+        let shape = GemmShape {
+            batch: s.batch,
+            m: s.modes_total(),
+            n: s.k_out,
+            k: s.k_in,
+        };
+        (
+            "CGEMM".to_string(),
+            CuBlas::select_tile(&shape).shared_bytes(),
+        )
+    };
+    let fused = |fuse_fft: bool, fuse_ifft: bool| {
+        let tile = TileConfig::for_fused(s.modes[r - 1], fused_n_tb(s.k_out));
+        let (_, _, elems) = crate::fused::shared_layout(
+            tile,
+            s.dims[r - 1],
+            fuse_fft,
+            fuse_ifft,
+            opts.epilogue_swizzle,
+        );
+        ("fused kernel".to_string(), elems * C32_BYTES)
+    };
+    // Every variant transforms the outer axes with standalone FFTs.
+    let mut stages: Vec<(String, usize)> = (0..r - 1).map(fft).collect();
+    match variant {
+        Variant::Pytorch | Variant::FftOpt => stages.extend([fft(r - 1), gemm()]),
+        Variant::FusedFftGemm => stages.extend([fused(true, false), fft(r - 1)]),
+        Variant::FusedGemmIfft => stages.extend([fft(r - 1), fused(false, true)]),
+        Variant::FullyFused => stages.push(fused(true, true)),
+        Variant::TurboBest => unreachable!("TurboBest is resolved to a concrete variant first"),
+    }
+    stages
+}
+
+/// Why `variant` cannot run `s` on a device with `cfg`, or `None` when
+/// every kernel it launches can be built: a fused kernel's M-tile must
+/// fill whole warp tiles ([`fused_supported`]), and no kernel may request
+/// more shared memory per block than the device allows. `TurboBest` fits
+/// when any of its candidates does.
+pub(crate) fn unfit_reason(
+    cfg: &DeviceConfig,
+    s: &SpectralShape,
+    variant: Variant,
+    opts: &TurboOptions,
+) -> Option<String> {
+    if variant == Variant::TurboBest {
+        let reasons = TURBO_CANDIDATES
+            .iter()
+            .map(|&v| unfit_reason(cfg, s, v, opts))
+            .collect::<Option<Vec<String>>>()?;
+        return Some(format!("no Turbo variant fits ({})", reasons.join("; ")));
+    }
+    if variant.is_fused() && !fused_supported(s) {
+        return Some(format!(
+            "{variant:?} needs the innermost retained modes ({}) to be a multiple of {}; \
+             use FftOpt or TurboBest for this shape",
+            s.modes[s.rank - 1],
+            crate::fused::FUSED_MODES_MULTIPLE
+        ));
+    }
+    let max = cfg.shared_mem_per_block_max;
+    let (what, bytes) = stage_shared_bytes(s, variant, opts)
+        .into_iter()
+        .max_by_key(|&(_, bytes)| bytes)?;
+    (bytes > max).then(|| {
+        format!(
+            "{variant:?}'s {what} requests {bytes} B of shared memory per block, \
+             more than the device's {max} B"
+        )
+    })
 }
 
 /// Per-rank kernel naming so traces and stats keep the
@@ -457,7 +547,15 @@ impl ExecCtx<'_> {
                 return try_run_pytorch_stacked(self.dev, s, b.x, b.w, b.ws, b.y, mode);
             }
             Variant::TurboBest => {
-                let best = self.planner.plan_shape(self.dev.config(), s, opts);
+                // Admission rejects a shape no candidate fits before any
+                // call gets here; the planner still reports it typed.
+                let best = self
+                    .planner
+                    .try_plan_shape(self.dev.config(), s, opts)
+                    .map_err(|e| LaunchError::PlanRejected {
+                        kernel: "TurboBest".to_string(),
+                        reason: e.to_string(),
+                    })?;
                 return self.try_run_spectral(s, best, b, opts, mode);
             }
             _ => {}

@@ -19,8 +19,8 @@
 //! caught panic — the documented aliasing/conflict panics unwind through
 //! planner state — never wedges a shared planner for unrelated callers.
 
-use crate::fused::fused_supported;
-use crate::pipeline::{ExecCtx, LayerBufs, TurboOptions, Variant};
+use crate::error::TfnoError;
+use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
 use crate::pool::BufferPool;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -163,7 +163,28 @@ impl Planner {
 
     /// Plan a spectral layer of any rank: cached variant, or a cold
     /// four-way evaluation.
+    ///
+    /// # Panics
+    /// With the [`TfnoError::Validation`] text when no candidate fits the
+    /// device — use [`Planner::try_plan_shape`] for the typed twin.
     pub fn plan_shape(&self, cfg: &DeviceConfig, s: &SpectralShape, opts: &TurboOptions) -> Variant {
+        self.try_plan_shape(cfg, s, opts)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Typed twin of [`Planner::plan_shape`]: a shape none of the
+    /// candidates can be built for on `cfg` (see [`TURBO_CANDIDATES`])
+    /// returns [`TfnoError::Validation`] without evaluating or caching
+    /// anything.
+    pub fn try_plan_shape(
+        &self,
+        cfg: &DeviceConfig,
+        s: &SpectralShape,
+        opts: &TurboOptions,
+    ) -> Result<Variant, TfnoError> {
+        if let Some(reason) = unfit_reason(cfg, s, Variant::TurboBest, opts) {
+            return Err(TfnoError::Validation(reason));
+        }
         let mut h = key_base(cfg, opts);
         "shape".hash(&mut h);
         s.rank.hash(&mut h);
@@ -172,7 +193,7 @@ impl Planner {
         s.k_out.hash(&mut h);
         s.dims.hash(&mut h);
         s.modes.hash(&mut h);
-        self.plan(h.finish(), || evaluate_shape(cfg, s, opts))
+        Ok(self.plan(h.finish(), || evaluate_shape(cfg, s, opts)))
     }
 
     /// Default plan-cache entry cap: keeps long-running shape-diverse
@@ -265,15 +286,16 @@ pub(crate) fn hash_device_config(cfg: &DeviceConfig, h: &mut DefaultHasher) {
 /// earlier candidate, matching the sequential pre-PR scan. The analytical
 /// launch memo is disabled on the scratch devices so "cold" stays true —
 /// every counted launch really simulates its representative blocks.
-/// Fused candidates the shape cannot build ([`fused_supported`]) are not
-/// simulated and never win, so such shapes plan onto `FftOpt`.
+/// Candidates the shape cannot be built for on `cfg` ([`unfit_reason`]:
+/// unaligned fused modes, or a block over the device's shared memory) are
+/// not simulated and never win.
 pub(crate) fn evaluate_shape(
     cfg: &DeviceConfig,
     s: &SpectralShape,
     opts: &TurboOptions,
 ) -> (Variant, u64) {
     select(evaluate_candidates(|v| {
-        if v.is_fused() && !fused_supported(s) {
+        if unfit_reason(cfg, s, v, opts).is_some() {
             return (f64::INFINITY, 0);
         }
         let mut dev = SimBackend::new(cfg.clone());

@@ -108,7 +108,7 @@
 //! re-raised there). [`Session::recovery_stats`] counts all of it.
 
 use crate::error::{RecoveryStats, RetryPolicy, TfnoError};
-use crate::pipeline::{ExecCtx, LayerBufs, TurboOptions, Variant};
+use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
 use crate::planner::{hash_device_config, Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
 use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVerifier, QueueAccess};
@@ -122,7 +122,8 @@ use tfno_cgemm::WeightStacking;
 use tfno_culib::{CopySegment, PipelineRun, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
     lock_unpoisoned, seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeferredWindow,
-    ExecMode, FaultPlan, FaultStats, LaunchError, LaunchRecord, PendingLaunch, SimBackend,
+    DeviceConfig, ExecMode, FaultPlan, FaultStats, LaunchError, LaunchRecord, PendingLaunch,
+    SimBackend,
 };
 use tfno_num::C32;
 
@@ -239,21 +240,16 @@ impl LayerSpec {
     }
 
     /// The buffer-free half of admission: an executable shape (power-of-two
-    /// lengths, mode bounds) and, for an explicitly fused variant, one the
-    /// fused kernels can be built for (`TurboBest` never picks one it
-    /// cannot build).
-    fn check_shape(&self) -> Result<(), TfnoError> {
+    /// lengths, mode bounds) whose kernels the variant can build on a
+    /// device with `cfg` — fused M-tiles that fill whole warp tiles, and
+    /// every block within the device's shared memory. `TurboBest` is
+    /// admitted when any candidate fits, and plans only among those.
+    fn check_shape(&self, cfg: &DeviceConfig) -> Result<(), TfnoError> {
         self.shape.try_validate().map_err(TfnoError::Validation)?;
-        if !self.variant.is_fused() || crate::fused::fused_supported(&self.shape) {
-            return Ok(());
+        match unfit_reason(cfg, &self.shape, self.variant, &self.opts) {
+            None => Ok(()),
+            Some(reason) => Err(TfnoError::Validation(reason)),
         }
-        Err(TfnoError::Validation(format!(
-            "{:?} needs the innermost retained modes ({}) to be a multiple of {}; \
-             use FftOpt or TurboBest for this shape",
-            self.variant,
-            self.shape.modes[self.shape.rank - 1],
-            crate::fused::FUSED_MODES_MULTIPLE
-        )))
     }
 
     /// Leading (batch) dimension.
@@ -517,6 +513,9 @@ pub struct Session<B: Backend = SimBackend> {
     /// Shadow operand-length ledger: lets `submit` check operand lengths while
     /// the authoritative memory ledger is away on the dispatch thread.
     buf_meta: HashMap<BufferId, usize>,
+    /// The device's configuration, for admission while the device is on
+    /// the dispatch thread.
+    config: DeviceConfig,
 }
 
 impl Session<AnyBackend> {
@@ -545,6 +544,7 @@ impl<B: Backend> Session<B> {
     /// Wrap an existing backend (its executor/memo configuration is kept).
     pub fn new(dev: B) -> Self {
         Session {
+            config: dev.config().clone(),
             dev: Some(dev),
             pool: Some(BufferPool::new()),
             planner: Arc::new(Planner::new()),
@@ -892,7 +892,7 @@ impl<B: Backend> Session<B> {
                     return Err(TfnoError::Validation(format!("{msg} ({got} != {want})")));
                 }
             }
-            r.spec.check_shape()?;
+            r.spec.check_shape(&self.config)?;
         }
         if !parallel {
             return Ok(());
@@ -1239,10 +1239,10 @@ impl<B: Backend> Session<B> {
     ///
     /// # Panics
     /// With the [`TfnoError::Validation`] text when the spec fails the
-    /// shape half of admission — an invalid shape, or an explicitly fused
-    /// variant on a shape the fused kernels cannot be built for.
+    /// shape half of admission — an invalid shape, or a variant whose
+    /// kernels cannot be built for it on this device.
     pub fn measure(&mut self, spec: &LayerSpec) -> PipelineRun {
-        if let Err(e) = spec.check_shape() {
+        if let Err(e) = spec.check_shape(&self.config) {
             panic!("{e}");
         }
         self.synchronize();

@@ -43,9 +43,7 @@ pub fn fft_writeback_pattern(n_thread: usize, swizzled: bool) -> Vec<WarpIdx> {
 pub fn pattern_utilization(patterns: &[WarpIdx]) -> f64 {
     let mut total = BankStats::default();
     for p in patterns {
-        let s = warp_bank_cycles(p);
-        total.ideal_cycles += s.ideal_cycles;
-        total.actual_cycles += s.actual_cycles;
+        total += warp_bank_cycles(p);
     }
     total.utilization()
 }

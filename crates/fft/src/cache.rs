@@ -8,6 +8,10 @@
 //! — across launches, kernel objects, sessions and backends — shares one
 //! `Arc` of each instead of building and holding its own copy.
 //!
+//! A plan holds its pruned op lists (O(n log n) ops); a trace holds one
+//! fixed-size record of counts per stage (O(log n)), never per-lane index
+//! patterns, so plans make up nearly all of the cached bytes.
+//!
 //! Keys are full `Hash + Eq` structs, compared on every hit. The cache is
 //! bounded by a constant budget of 256 MiB of plans and traces: an
 //! insert that would exceed it empties the cache first (the wholesale
@@ -184,7 +188,7 @@ mod tests {
     }
 
     /// Engines that differ in exactly one key field must never share a
-    /// trace: each field shapes the recorded index patterns or ops.
+    /// trace: each field shapes the recorded counts or staging bases.
     #[test]
     fn engines_differing_in_one_field_get_distinct_traces() {
         let base_plan = key(64, FftDirection::Forward, 32, 16);
@@ -261,12 +265,27 @@ mod tests {
             "the budget must have forced a reset"
         );
 
-        let huge = trace_of(
-            &mut cache,
-            (key(512, FftDirection::Forward, 512, 512), 8, 8, 0, 4096, 2),
-        );
+        // A 1024-point plan holds ten stages of up to 1024 ops: far more
+        // than three 64-point shapes.
+        let huge = cache.plan(key(1024, FftDirection::Forward, 1024, 1024));
         assert!(huge.bytes() > budget);
         assert!(cache.bytes <= budget);
-        assert!(!cache.traces.values().any(|t| Arc::ptr_eq(t, &huge)));
+        assert!(!cache.plans.values().any(|p| Arc::ptr_eq(p, &huge)));
+    }
+
+    /// A trace keeps a fixed record per stage, never per-lane patterns:
+    /// each doubling of the length adds one stage and a constant number of
+    /// bytes, and a 1024-point trace (10 stages of 8192 butterfly
+    /// instances each) stays under 2 KiB.
+    #[test]
+    fn trace_bytes_grow_with_stages_not_lanes() {
+        let mut cache = StructureCache::with_budget(STRUCTURE_CACHE_BUDGET);
+        let mut bytes = |n: usize| {
+            let k = key(n, FftDirection::Forward, n, n);
+            trace_of(&mut cache, (k, 8, 8, 0, n * 8, 4)).bytes()
+        };
+        let (b256, b512, b1024) = (bytes(256), bytes(512), bytes(1024));
+        assert_eq!(b1024 - b512, b512 - b256, "one stage, one fixed record");
+        assert!(b1024 < 2048, "1024-point trace holds {b1024} B");
     }
 }

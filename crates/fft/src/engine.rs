@@ -4,8 +4,17 @@
 //! kernel: pencils are staged in a ping/pong pair of shared regions using
 //! the interleaved layout `elem = idx * bs + pencil` (consecutive threads
 //! work on consecutive pencils — the conflict-free arrangement batched FFTs
-//! use internally), every butterfly stage issues its loads/stores as
-//! warp-level transactions, and a `__syncthreads()` separates stages.
+//! use internally), the butterfly stages run straight from the plan's op
+//! lists on the block's shared slice, and a `__syncthreads()` separates
+//! the stages that exchange data through shared memory.
+//!
+//! Metering is split by what an access depends on. The butterfly stages'
+//! bank phases and flops depend only on the block shape, so a
+//! [`ButterflyTrace`] counts them once per shape and a metered block
+//! charges the counts. The transfers in and out depend on the caller's
+//! addressing, so a metered block charges them per warp from the lane
+//! addresses (sectors for global memory, bank phases for shared targets);
+//! an unmetered block builds no lane patterns at all.
 //!
 //! Input and output are pluggable ([`PencilTarget`]): global memory for the
 //! standalone kernels, shared memory for the fused FFT→CGEMM forwarding and
@@ -14,9 +23,9 @@
 //! patterns through this same engine).
 
 use crate::cache::shared_trace;
-use crate::plan::{FftOpKind, FftPlan};
+use crate::plan::{FftOp, FftOpKind, FftPlan};
 use std::sync::{Arc, OnceLock};
-use tfno_gpu_sim::{BlockCtx, BufferId, WarpIdx, WARP_SIZE};
+use tfno_gpu_sim::{warp_bank_cycles, BankStats, BlockCtx, BufferId, WarpIdx, WARP_SIZE};
 use tfno_num::C32;
 
 /// Where a block's pencils come from / go to.
@@ -77,41 +86,31 @@ impl<'a> FftIo<'a> {
     }
 }
 
-/// One lane's butterfly operation, resolved at trace-build time.
-#[derive(Clone, Copy)]
-struct TraceLaneOp {
-    sum: bool,
-    has_a: bool,
-    has_b: bool,
-    w: Option<C32>,
-}
-
-/// One warp-sized chunk of a butterfly stage with every index pattern and
-/// per-lane op precomputed.
-struct TraceChunk {
-    /// `None` when no lane reads this operand (fully pruned input) — the
-    /// load is skipped entirely at replay.
-    idx_a: Option<WarpIdx>,
-    idx_b: Option<WarpIdx>,
-    idx_dst: WarpIdx,
-    lane: [Option<TraceLaneOp>; WARP_SIZE],
+/// What a metered block charges for one butterfly stage, plus the
+/// staging regions it reads and writes.
+struct TraceStage {
+    src_base: usize,
+    dst_base: usize,
+    /// The stage ends a register group: its results go through shared
+    /// memory and a `__syncthreads` follows.
+    store_shared: bool,
+    /// Bank phases of the stage's operand loads (zero inside a register
+    /// group, where the real kernel reads registers).
+    loads: BankStats,
+    /// Bank phases of the stage's result stores (zero unless
+    /// `store_shared`).
+    stores: BankStats,
     flops: u64,
 }
 
-struct TraceStage {
-    chunks: Vec<TraceChunk>,
-    load_shared: bool,
-    store_shared: bool,
-}
-
-/// Precomputed butterfly schedule of one block shape.
+/// Per-stage counts of one block shape.
 ///
-/// Every block of a launch executes the same instruction sequence over
-/// different data, so the warp index patterns and per-lane op selections of
-/// the butterfly stages are block-invariant. Building them once and
-/// replaying per block removes the per-block address arithmetic that
-/// dominated the functional executor's FFT cost (only the actual data
-/// movement, compute, and event accounting remain per block).
+/// Every block of a launch executes the same butterfly network over
+/// different data, so what a stage costs — its shared-memory bank phases
+/// and flops — is block-invariant. The trace computes it once, from the
+/// warp grouping the real kernel uses (op `j` of pencil `p` runs on lane
+/// `(j * bs + p) % 32`), and keeps only the counts: the butterflies
+/// themselves run straight from the plan's op lists at every block.
 pub struct ButterflyTrace {
     stages: Vec<TraceStage>,
     /// Staging region holding the final values (after ping/pong swaps).
@@ -119,17 +118,10 @@ pub struct ButterflyTrace {
 }
 
 impl ButterflyTrace {
-    /// Heap plus inline bytes this trace occupies.
+    /// Heap plus inline bytes this trace occupies: a fixed amount per
+    /// stage, independent of the transform length and the pencil count.
     pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .stages
-                .iter()
-                .map(|s| {
-                    std::mem::size_of::<TraceStage>()
-                        + s.chunks.capacity() * std::mem::size_of::<TraceChunk>()
-                })
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + self.stages.capacity() * std::mem::size_of::<TraceStage>()
     }
 }
 
@@ -195,7 +187,7 @@ impl<'p> FftBlockEngine<'p> {
         2 * n * bs_layout
     }
 
-    /// Precompute the butterfly schedule for this block shape.
+    /// Count what each butterfly stage of this block shape charges.
     ///
     /// Stages within a register group move data without shared-memory
     /// charges (the real kernel holds them in per-thread registers); only
@@ -213,58 +205,49 @@ impl<'p> FftBlockEngine<'p> {
         for (t, stage) in plan.stages.iter().enumerate() {
             let store_shared = (t + 1) % group == 0 && t != last_stage;
             let load_shared = t % group == 0 && t != 0;
+            let mut loads = BankStats::default();
+            let mut stores = BankStats::default();
             let instances = stage.ops.len() * bs;
-            let mut chunks = Vec::with_capacity(instances.div_ceil(WARP_SIZE));
-            let mut inst = 0;
-            while inst < instances {
-                let mut lane_ops: [Option<(usize, usize)>; WARP_SIZE] = [None; WARP_SIZE];
-                for (lane, slot) in lane_ops.iter_mut().enumerate() {
-                    let i = inst + lane;
-                    if i < instances {
-                        let pencil = i % bs;
-                        *slot = (pencil < self.active_pencils).then_some((pencil, i / bs));
-                    }
-                }
-                let idx_a = WarpIdx::from_fn(|l| {
-                    lane_ops[l].and_then(|(p, j)| {
-                        stage.ops[j].a.map(|a| src_base + a as usize * bs + p)
-                    })
-                });
-                let idx_b = WarpIdx::from_fn(|l| {
-                    lane_ops[l].and_then(|(p, j)| {
-                        stage.ops[j].b.map(|b| src_base + b as usize * bs + p)
-                    })
-                });
-                let idx_dst = WarpIdx::from_fn(|l| {
-                    lane_ops[l].map(|(p, j)| dst_base + stage.ops[j].dst as usize * bs + p)
-                });
-                let mut lane = [None; WARP_SIZE];
-                let mut flops = 0u64;
-                for l in 0..WARP_SIZE {
-                    if let Some((_p, j)) = lane_ops[l] {
-                        let op = &stage.ops[j];
-                        lane[l] = Some(TraceLaneOp {
-                            sum: matches!(op.kind, FftOpKind::Sum),
-                            has_a: op.a.is_some(),
-                            has_b: op.b.is_some(),
-                            w: op.w,
+            // Register-resident stages charge nothing: skip their lanes.
+            let charged = if load_shared || store_shared {
+                instances
+            } else {
+                0
+            };
+            for inst in (0..charged).step_by(WARP_SIZE) {
+                // Lane l runs instance inst + l: op (inst + l) / bs of
+                // pencil (inst + l) % bs, predicated off past the last
+                // active pencil.
+                let lane = |l: usize| {
+                    let i = inst + l;
+                    (i < instances && i % bs < self.active_pencils)
+                        .then(|| (i % bs, &stage.ops[i / bs]))
+                };
+                if load_shared {
+                    for operand in [|op: &FftOp| op.a, |op: &FftOp| op.b] {
+                        let idx = WarpIdx::from_fn(|l| {
+                            lane(l).and_then(|(p, op)| {
+                                operand(op).map(|i| src_base + i as usize * bs + p)
+                            })
                         });
-                        flops += op.flops();
+                        loads += warp_bank_cycles(&idx);
                     }
                 }
-                chunks.push(TraceChunk {
-                    idx_a: (idx_a.active_lanes() > 0).then_some(idx_a),
-                    idx_b: (idx_b.active_lanes() > 0).then_some(idx_b),
-                    idx_dst,
-                    lane,
-                    flops,
-                });
-                inst += WARP_SIZE;
+                if store_shared {
+                    let idx = WarpIdx::from_fn(|l| {
+                        lane(l).map(|(p, op)| dst_base + op.dst as usize * bs + p)
+                    });
+                    stores += warp_bank_cycles(&idx);
+                }
             }
+            let op_flops: u64 = stage.ops.iter().map(FftOp::flops).sum();
             stages.push(TraceStage {
-                chunks,
-                load_shared,
+                src_base,
+                dst_base,
                 store_shared,
+                loads,
+                stores,
+                flops: op_flops * self.active_pencils as u64,
             });
             std::mem::swap(&mut src_base, &mut dst_base);
         }
@@ -274,14 +257,16 @@ impl<'p> FftBlockEngine<'p> {
         }
     }
 
-    /// Run the planned FFT using a precomputed [`ButterflyTrace`] (which
-    /// must have been built from an identically-configured engine).
+    /// Run the planned FFT on the block's shared slice, charging the
+    /// counts of a [`ButterflyTrace`] built from an identically-configured
+    /// engine.
     pub fn run_traced(&self, ctx: &mut BlockCtx<'_>, io: &FftIo<'_>, trace: &ButterflyTrace) {
         let plan = self.plan;
         let bs = self.bs_layout;
-        debug_assert!(self.active_pencils <= bs);
+        let active = self.active_pencils;
+        debug_assert!(active <= bs);
         debug_assert!(
-            ctx.shared_len() >= self.pong_base + plan.n * bs,
+            ctx.shared().len() >= self.pong_base + plan.n * bs,
             "shared staging region out of bounds"
         );
         debug_assert_eq!(trace.stages.len(), plan.stages.len());
@@ -291,40 +276,30 @@ impl<'p> FftBlockEngine<'p> {
         // store is bookkeeping of the functional model, not shared traffic.
         self.transfer_in(ctx, io);
 
-        // ---- butterfly stages, ping-pong (precomputed schedule) ----
-        for stage in &trace.stages {
-            for chunk in &stage.chunks {
-                ctx.set_shared_metering(stage.load_shared);
-                let zero = [C32::ZERO; WARP_SIZE];
-                let a_vals = match &chunk.idx_a {
-                    Some(idx) => ctx.shared_load(idx),
-                    None => zero,
-                };
-                let b_vals = match &chunk.idx_b {
-                    Some(idx) => ctx.shared_load(idx),
-                    None => zero,
-                };
-                ctx.set_shared_metering(true);
-
-                let mut out = [C32::ZERO; WARP_SIZE];
-                for l in 0..WARP_SIZE {
-                    if let Some(op) = chunk.lane[l] {
-                        let a = if op.has_a { a_vals[l] } else { C32::ZERO };
-                        let b = if op.has_b { b_vals[l] } else { C32::ZERO };
-                        let v = if op.sum { a + b } else { a - b };
-                        out[l] = match op.w {
-                            Some(w) => v * w,
-                            None => v,
-                        };
-                    }
+        // ---- butterfly stages, ping-pong, straight from the plan ----
+        for (stage, counts) in plan.stages.iter().zip(&trace.stages) {
+            let sh = ctx.shared_mut();
+            for op in &stage.ops {
+                let a = op.a.map(|i| counts.src_base + i as usize * bs);
+                let b = op.b.map(|i| counts.src_base + i as usize * bs);
+                let dst = counts.dst_base + op.dst as usize * bs;
+                for p in 0..active {
+                    // A pruned operand is structurally zero (FftOp::eval).
+                    let va = a.map_or(C32::ZERO, |o| sh[o + p]);
+                    let vb = b.map_or(C32::ZERO, |o| sh[o + p]);
+                    let v = match op.kind {
+                        FftOpKind::Sum => va + vb,
+                        FftOpKind::Diff => va - vb,
+                    };
+                    sh[dst + p] = match op.w {
+                        Some(w) => v * w,
+                        None => v,
+                    };
                 }
-                ctx.add_flops(chunk.flops);
-
-                ctx.set_shared_metering(stage.store_shared);
-                ctx.shared_store(&chunk.idx_dst, &out);
-                ctx.set_shared_metering(true);
             }
-            if stage.store_shared {
+            ctx.add_flops(counts.flops);
+            ctx.charge_shared(counts.loads, counts.stores);
+            if counts.store_shared {
                 ctx.syncthreads();
             }
         }
@@ -341,90 +316,125 @@ impl<'p> FftBlockEngine<'p> {
         }
     }
 
+    /// Call `f` with the lane pattern of every warp of a transfer phase
+    /// moving `n` elements per pencil in `order`: each active lane's
+    /// element address, `None` past the end or on an inactive pencil.
+    /// Metering only — the data moves in [`Self::for_each_instance`].
+    fn for_each_transfer_warp(
+        &self,
+        n: usize,
+        order: InstanceOrder,
+        addr: &(dyn Fn(usize, usize) -> usize + Sync),
+        mut f: impl FnMut(&WarpIdx),
+    ) {
+        let bs = self.bs_layout;
+        let instances = n * bs;
+        for inst in (0..instances).step_by(WARP_SIZE) {
+            f(&WarpIdx::from_fn(|l| {
+                let i = inst + l;
+                (i < instances)
+                    .then(|| Self::split(i, bs, n, order))
+                    .filter(|&(p, _)| p < self.active_pencils)
+                    .map(|(p, idx)| addr(p, idx))
+            }));
+        }
+    }
+
+    /// Visit every active `(pencil, idx)` instance with `idx < n`, in the
+    /// order that walks `addr` (the side of the transfer outside the
+    /// staging regions) contiguously when its `idx` stride is 1.
+    fn for_each_instance(
+        &self,
+        n: usize,
+        addr: &(dyn Fn(usize, usize) -> usize + Sync),
+        mut f: impl FnMut(usize, usize),
+    ) {
+        if n > 1 && addr(0, 1) == addr(0, 0) + 1 {
+            for p in 0..self.active_pencils {
+                for i in 0..n {
+                    f(p, i);
+                }
+            }
+        } else {
+            for i in 0..n {
+                for p in 0..self.active_pencils {
+                    f(p, i);
+                }
+            }
+        }
+    }
+
     /// Gather input pencils into the ping region (zero-padding applied by
     /// only loading the `n_in_valid` prefix — the padded tail is never read
     /// thanks to plan pruning).
     fn transfer_in(&self, ctx: &mut BlockCtx<'_>, io: &FftIo<'_>) {
-        let plan = self.plan;
         let bs = self.bs_layout;
-        let n_in = plan.n_in_valid;
-        let instances = n_in * bs;
-        let mut inst = 0;
-        while inst < instances {
-            let mut lane_pi = [None; WARP_SIZE];
-            for (lane, slot) in lane_pi.iter_mut().enumerate() {
-                let i = inst + lane;
-                if i < instances {
-                    let (pencil, idx) = Self::split(i, bs, n_in, io.input_order);
-                    *slot = (pencil < self.active_pencils).then_some((pencil, idx));
+        let n_in = self.plan.n_in_valid;
+        let ping = self.ping_base;
+        match &io.input {
+            PencilTarget::Global { buf, addr } => {
+                if ctx.is_metered() {
+                    self.for_each_transfer_warp(n_in, io.input_order, *addr, |idx| {
+                        ctx.charge_global_load(*buf, idx)
+                    });
                 }
+                let src = ctx.global(*buf);
+                let sh = ctx.shared_mut();
+                self.for_each_instance(n_in, *addr, |p, i| {
+                    sh[ping + i * bs + p] = src.get(addr(p, i))
+                });
             }
-            let vals = match &io.input {
-                PencilTarget::Global { buf, addr } => {
-                    let gidx =
-                        WarpIdx::from_fn(|l| lane_pi[l].map(|(p, i): (usize, usize)| addr(p, i)));
-                    ctx.global_read(*buf, &gidx)
+            PencilTarget::Shared { addr } => {
+                if ctx.is_metered() {
+                    self.for_each_transfer_warp(n_in, io.input_order, *addr, |idx| {
+                        ctx.charge_shared(warp_bank_cycles(idx), BankStats::default())
+                    });
                 }
-                PencilTarget::Shared { addr } => {
-                    let sidx =
-                        WarpIdx::from_fn(|l| lane_pi[l].map(|(p, i): (usize, usize)| addr(p, i)));
-                    ctx.shared_load(&sidx)
-                }
-            };
-            // staging store models registers, not a shared transaction
-            let dst = WarpIdx::from_fn(|l| lane_pi[l].map(|(p, i)| self.ping_base + i * bs + p));
-            ctx.set_shared_metering(false);
-            ctx.shared_store(&dst, &vals);
-            ctx.set_shared_metering(true);
-            inst += WARP_SIZE;
+                let sh = ctx.shared_mut();
+                self.for_each_instance(n_in, *addr, |p, i| sh[ping + i * bs + p] = sh[addr(p, i)]);
+            }
         }
     }
 
     /// Scatter the kept outputs (applying the inverse-FFT scale).
     fn transfer_out(&self, ctx: &mut BlockCtx<'_>, io: &FftIo<'_>, final_base: usize) {
-        let plan = self.plan;
         let bs = self.bs_layout;
-        let n_out = plan.n_out_keep;
-        let scale = plan.scale;
-        let instances = n_out * bs;
-        let mut inst = 0;
-        while inst < instances {
-            let mut lane_pi = [None; WARP_SIZE];
-            for (lane, slot) in lane_pi.iter_mut().enumerate() {
-                let i = inst + lane;
-                if i < instances {
-                    let (pencil, idx) = Self::split(i, bs, n_out, io.output_order);
-                    *slot = (pencil < self.active_pencils).then_some((pencil, idx));
-                }
-            }
-            // the final values live in registers; the staging read is free
-            let src = WarpIdx::from_fn(|l| {
-                lane_pi[l].map(|(p, i): (usize, usize)| final_base + i * bs + p)
-            });
-            ctx.set_shared_metering(false);
-            let mut vals = ctx.shared_load(&src);
-            ctx.set_shared_metering(true);
+        let n_out = self.plan.n_out_keep;
+        let scale = self.plan.scale;
+        // The final values live in registers; reading the staging region
+        // is free.
+        let value = |sh: &[C32], p: usize, i: usize| {
+            let v = sh[final_base + i * bs + p];
             if scale != 1.0 {
-                let mut flops = 0u64;
-                for l in 0..WARP_SIZE {
-                    if lane_pi[l].is_some() {
-                        vals[l] = vals[l].scale(scale);
-                        flops += 2;
-                    }
-                }
-                ctx.add_flops(flops);
+                v.scale(scale)
+            } else {
+                v
             }
-            match &io.output {
-                PencilTarget::Global { buf, addr } => {
-                    let gidx = WarpIdx::from_fn(|l| lane_pi[l].map(|(p, i)| addr(p, i)));
-                    ctx.global_write(*buf, &gidx, &vals);
+        };
+        if scale != 1.0 {
+            ctx.add_flops(2 * (n_out * self.active_pencils) as u64);
+        }
+        match &io.output {
+            PencilTarget::Global { buf, addr } => {
+                if ctx.is_metered() {
+                    self.for_each_transfer_warp(n_out, io.output_order, *addr, |idx| {
+                        ctx.charge_global_store(*buf, idx)
+                    });
                 }
-                PencilTarget::Shared { addr } => {
-                    let sidx = WarpIdx::from_fn(|l| lane_pi[l].map(|(p, i)| addr(p, i)));
-                    ctx.shared_store(&sidx, &vals);
-                }
+                self.for_each_instance(n_out, *addr, |p, i| {
+                    let v = value(ctx.shared(), p, i);
+                    ctx.global_store(*buf, addr(p, i), v);
+                });
             }
-            inst += WARP_SIZE;
+            PencilTarget::Shared { addr } => {
+                if ctx.is_metered() {
+                    self.for_each_transfer_warp(n_out, io.output_order, *addr, |idx| {
+                        ctx.charge_shared(BankStats::default(), warp_bank_cycles(idx))
+                    });
+                }
+                let sh = ctx.shared_mut();
+                self.for_each_instance(n_out, *addr, |p, i| sh[addr(p, i)] = value(sh, p, i));
+            }
         }
     }
 }

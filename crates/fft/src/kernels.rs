@@ -200,6 +200,12 @@ impl FftKernelConfig {
         self.k_iters = iters.max(1);
         self
     }
+
+    /// Shared memory one block requests: the engine's ping/pong staging
+    /// of `bs` pencils of `n` points.
+    pub fn shared_bytes(&self) -> usize {
+        FftBlockEngine::staging_elems(self.block.n, self.block.bs) * C32_BYTES
+    }
 }
 
 /// Batched 1D FFT kernel: `ceil(count / bs)` blocks of `bs` pencils each.
@@ -257,12 +263,13 @@ impl<A: PencilAddressing> Kernel for BatchedFftKernel<A> {
     }
 
     fn dims(&self) -> LaunchDims {
-        let bs = self.cfg.block.bs;
-        let shared_elems = FftBlockEngine::staging_elems(self.plan.n, bs);
-        LaunchDims::new(self.grid_blocks(), self.cfg.block.threads_per_block() as u32)
-            .with_shared(shared_elems * C32_BYTES)
-            .with_regs(self.cfg.regs_per_thread)
-            .with_l1_hit_rate(self.cfg.l1_hit_rate)
+        LaunchDims::new(
+            self.grid_blocks(),
+            self.cfg.block.threads_per_block() as u32,
+        )
+        .with_shared(self.cfg.shared_bytes())
+        .with_regs(self.cfg.regs_per_thread)
+        .with_l1_hit_rate(self.cfg.l1_hit_rate)
     }
 
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {

@@ -22,18 +22,25 @@
 //!
 //! ## Metering
 //!
-//! A metered [`BlockCtx`] charges every warp access as it moves data:
-//! 32-byte sectors per global access, bank-conflict phases per shared
-//! access. That per-access math is most of the executor's host time, and
-//! it is a pure function of the kernel's structure: a kernel body has one
-//! path and never branches on metering or on the data it moves. A
-//! functional launch therefore runs its blocks unmetered — they move
-//! exactly the same data but count only the structural events (blocks,
-//! warps, flops, barriers) — and attaches the counts of its analytical
-//! launch ([`run_analytical_stats`], memoized per structure by the
-//! [launch memo](crate::memo)), so a functional and an analytical launch
-//! of one kernel carry the same [`LaunchRecord`]. Two checks tie the
-//! attached counts to the blocks that ran:
+//! Kernel bodies move data directly: element reads from a pre-launch
+//! [`GlobalView`], element stores into the worker's journal, and plain
+//! indexing into the block's shared slice. A metered [`BlockCtx`]
+//! ([`BlockCtx::is_metered`]) additionally charges traffic: global
+//! accesses (and transfers whose shared-memory side is data-layout
+//! dependent) are charged per warp from the lane addresses — 32-byte
+//! sectors per global access, bank-conflict phases per shared access —
+//! while block-invariant shared traffic (butterfly stages, GEMM staging
+//! and fragment loads) is charged as [`BankStats`] precomputed once per
+//! block shape. Unmetered contexts skip both and build no lane patterns.
+//! A kernel body has one data path either way and never branches on the
+//! data it moves, so the charged counts are a pure function of the
+//! kernel's structure. A functional launch therefore runs its blocks
+//! unmetered — they move exactly the same data but count only the
+//! structural events (blocks, warps, flops, barriers) — and attaches the
+//! counts of its analytical launch ([`run_analytical_stats`], memoized per
+//! structure by the [launch memo](crate::memo)), so a functional and an
+//! analytical launch of one kernel carry the same [`LaunchRecord`]. Two
+//! checks tie the attached counts to the blocks that ran:
 //!
 //! * in every build, the unmetered run's structural counts must equal the
 //!   attached ones (a mismatch means two kernels share a fingerprint but
@@ -44,6 +51,12 @@
 //!
 //! [`run_functional_eager`], the host backend's data path, reports the
 //! structural counts only.
+//!
+//! ## Launch history
+//!
+//! [`GpuDevice::launches`] keeps a bounded window of the newest records
+//! ([`LaunchHistory`]), so a long-lived device does not grow with the
+//! number of launches it has run.
 //!
 //! ## Analytical launches
 //!
@@ -61,8 +74,8 @@ use crate::exec::{self, PendingLaunch};
 use crate::fault::{FaultKind, FaultPlan, FaultState, FaultStats, LaunchError};
 use crate::journal::{self, WriteJournal};
 use crate::memo;
-use crate::memory::{BufferId, GlobalMemory};
-use crate::shared::SharedMem;
+use crate::memory::{BufferId, GlobalMemory, GlobalView};
+use crate::shared::{BankStats, SharedMem};
 use crate::stats::KernelStats;
 use crate::warp::{WarpIdx, WARP_SIZE};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,6 +213,38 @@ pub struct LaunchRecord {
     pub time_us: f64,
 }
 
+/// The newest launch records of a device, oldest first.
+///
+/// Once the window holds `2 * WINDOW` records, the oldest `WINDOW` are
+/// dropped before the next push, so it never holds more than
+/// `2 * WINDOW` and always keeps at least the last `WINDOW`.
+#[derive(Debug, Default)]
+pub struct LaunchHistory {
+    recs: Vec<LaunchRecord>,
+}
+
+impl LaunchHistory {
+    /// Records always retained (the newest ones).
+    pub const WINDOW: usize = 1024;
+
+    /// Append a record, dropping the oldest `WINDOW` when full.
+    pub fn push(&mut self, rec: LaunchRecord) {
+        if self.recs.len() >= 2 * Self::WINDOW {
+            self.recs.drain(..Self::WINDOW);
+        }
+        self.recs.push(rec);
+    }
+
+    /// The retained records, newest last.
+    pub fn as_slice(&self) -> &[LaunchRecord] {
+        &self.recs
+    }
+
+    pub fn clear(&mut self) {
+        self.recs.clear();
+    }
+}
+
 /// Execution mode for a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
@@ -221,9 +266,8 @@ pub struct BlockCtx<'a> {
     stats: KernelStats,
     gmem: &'a GlobalMemory,
     journal: WriteJournal,
-    /// When false, global and shared accesses move data but skip all
-    /// traffic accounting (sector math, bank-conflict cycles) — see the
-    /// module docs on metering.
+    /// When false, data moves but no traffic is charged (sector math,
+    /// bank-conflict cycles) — see the module docs on metering.
     metered: bool,
 }
 
@@ -243,7 +287,6 @@ impl<'a> BlockCtx<'a> {
     fn new_unmetered(dims: LaunchDims, gmem: &'a GlobalMemory) -> Self {
         let mut ctx = Self::new(dims, gmem);
         ctx.metered = false;
-        ctx.shared.metered = false;
         ctx
     }
 
@@ -254,9 +297,13 @@ impl<'a> BlockCtx<'a> {
         self.stats.blocks += 1;
         self.stats.warps += self.dims.warps_per_block() as u64;
         self.shared.reset_for_block();
-        // reset_for_block unconditionally re-arms shared metering; an
-        // unmetered context must stay unmetered for every block it runs.
-        self.shared.metered = self.metered;
+    }
+
+    /// Whether this context charges traffic. Kernels use it only to skip
+    /// building lane patterns whose sole purpose is metering; the data
+    /// path must not depend on it.
+    pub fn is_metered(&self) -> bool {
+        self.metered
     }
 
     /// Warp-level global load. Observes pre-launch buffer contents.
@@ -281,34 +328,62 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp-level shared-memory store (bank conflicts counted).
-    pub fn shared_store(&mut self, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
-        self.shared.store_warp(idx, vals);
+    /// Read view of a global buffer as it was before the launch (a
+    /// virtual buffer reads zero). Element reads are not metered; charge
+    /// them per warp with [`BlockCtx::charge_global_load`].
+    pub fn global(&self, buf: BufferId) -> GlobalView<'a> {
+        self.gmem.view(buf)
     }
 
-    /// Warp-level shared-memory load (bank conflicts counted).
-    pub fn shared_load(&mut self, idx: &WarpIdx) -> [C32; WARP_SIZE] {
-        self.shared.load_warp(idx)
+    /// Element-level global store; becomes visible after the launch. Not
+    /// metered; charge it per warp with [`BlockCtx::charge_global_store`].
+    #[inline]
+    pub fn global_store(&mut self, buf: BufferId, elem: usize, v: C32) {
+        let len = self.gmem.len(buf);
+        assert!(
+            elem < len,
+            "global store out of bounds: elem {elem} >= {len} in buffer {}",
+            self.gmem.name(buf)
+        );
+        self.journal.push(buf, elem, v);
     }
 
-    /// Vectorized shared load: each lane reads `width` consecutive elements
-    /// (models LDS.64/LDS.128 fragment loads in the GEMM main loop).
-    pub fn shared_load_wide(&mut self, idx: &WarpIdx, width: usize) -> Vec<[C32; WARP_SIZE]> {
-        self.shared.load_warp_wide(idx, width)
+    /// Charge one warp's global load at the lane addresses of `idx` (no-op
+    /// when unmetered).
+    pub fn charge_global_load(&mut self, buf: BufferId, idx: &WarpIdx) {
+        if self.metered {
+            let cost = self.gmem.access_cost(buf, idx);
+            self.stats.global_load_bytes += cost.bytes;
+            self.stats.global_load_sectors += cost.sectors;
+        }
     }
 
-    /// Vectorized shared store (`vals[v][lane]`).
-    pub fn shared_store_wide(&mut self, idx: &WarpIdx, vals: &[[C32; WARP_SIZE]], width: usize) {
-        self.shared.store_warp_wide(idx, vals, width)
+    /// Charge one warp's global store at the lane addresses of `idx`
+    /// (no-op when unmetered).
+    pub fn charge_global_store(&mut self, buf: BufferId, idx: &WarpIdx) {
+        if self.metered {
+            let cost = self.gmem.access_cost(buf, idx);
+            self.stats.global_store_bytes += cost.bytes;
+            self.stats.global_store_sectors += cost.sectors;
+        }
     }
 
-    /// Toggle shared-memory traffic accounting. While off, accesses still
-    /// move data (so functional results stay exact) but are charged as
-    /// register traffic — used by the FFT engine to model butterfly stages
-    /// that a real kernel keeps entirely in registers within a radix pass.
-    /// A context that is itself unmetered never re-enables accounting.
-    pub fn set_shared_metering(&mut self, on: bool) {
-        self.shared.metered = on && self.metered;
+    /// Charge shared-memory load and store phases (no-op when unmetered).
+    pub fn charge_shared(&mut self, loads: BankStats, stores: BankStats) {
+        if self.metered {
+            self.shared.charge_loads(loads);
+            self.shared.charge_stores(stores);
+        }
+    }
+
+    /// The block's shared memory, `C32` elements.
+    pub fn shared(&self) -> &[C32] {
+        self.shared.raw()
+    }
+
+    /// The block's shared memory, mutably.
+    pub fn shared_mut(&mut self) -> &mut [C32] {
+        self.shared.raw_mut()
     }
 
     /// Block-wide barrier. In the functional model execution is already
@@ -320,16 +395,6 @@ impl<'a> BlockCtx<'a> {
     /// Record `n` real floating-point operations.
     pub fn add_flops(&mut self, n: u64) {
         self.stats.flops += n;
-    }
-
-    /// Size of this block's shared memory in `C32` elements.
-    pub fn shared_len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Unmetered shared-memory view for debug assertions in kernels/tests.
-    pub fn shared_raw(&self) -> &[C32] {
-        self.shared.raw()
     }
 
     fn finish(mut self) -> WorkerResult {
@@ -350,7 +415,7 @@ pub struct GpuDevice {
     pub config: DeviceConfig,
     pub memory: GlobalMemory,
     cost: CostModel,
-    launches: Vec<LaunchRecord>,
+    launches: LaunchHistory,
     /// Detect two blocks writing the same element in one launch, and run
     /// functional blocks metered to cross-check every attached count (see
     /// the module docs on metering).
@@ -374,7 +439,7 @@ impl GpuDevice {
             config,
             memory: GlobalMemory::new(),
             cost,
-            launches: Vec::new(),
+            launches: LaunchHistory::default(),
             validate_writes: cfg!(debug_assertions),
             parallel: true,
             analytical_memo: true,
@@ -469,17 +534,21 @@ impl GpuDevice {
         &self.cost
     }
 
+    /// The newest launch records (a bounded window, see
+    /// [`LaunchHistory`]).
     pub fn launches(&self) -> &[LaunchRecord] {
-        &self.launches
+        self.launches.as_slice()
     }
 
     pub fn clear_launches(&mut self) {
         self.launches.clear();
     }
 
-    /// Total modeled time of all recorded launches (a "pipeline time").
+    /// Total modeled time of the retained launch records (a "pipeline
+    /// time" since the last [`GpuDevice::clear_launches`], while fewer
+    /// than [`LaunchHistory::WINDOW`] launches ran since).
     pub fn total_time_us(&self) -> f64 {
-        self.launches.iter().map(|l| l.time_us).sum()
+        self.launches().iter().map(|l| l.time_us).sum()
     }
 
     /// Launch a kernel. Returns the record (also appended to history).

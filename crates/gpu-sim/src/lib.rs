@@ -8,12 +8,14 @@
 //! The model has two coupled halves:
 //!
 //! 1. **Functional execution** ([`kernel`], [`memory`], [`shared`]):
-//!    kernels are written warp-synchronously; every global access is issued
-//!    as a 32-lane warp transaction (coalescing counted in 32-byte sectors,
-//!    like the hardware's L2 sectors) and every shared-memory access goes
-//!    through a 32-bank conflict model with replay accounting. The bytes
-//!    really move, so kernels produce real numerical results that are
-//!    checked against `tfno-num` references.
+//!    kernels move real data through a block context (element reads of
+//!    pre-launch global memory, journaled stores, the block's shared
+//!    slice), so they produce real numerical results that are checked
+//!    against `tfno-num` references. A metered block charges the traffic
+//!    the hardware would see, warp by warp: global accesses as 32-lane
+//!    transactions (coalescing counted in 32-byte sectors, like the
+//!    hardware's L2 sectors) and shared-memory accesses through a 32-bank
+//!    conflict model with replay accounting.
 //! 2. **Analytical cost model** ([`cost`]): converts the recorded (or
 //!    closed-form predicted) [`KernelStats`] into an estimated execution
 //!    time using a roofline over DRAM bandwidth, FP32 throughput, shared
@@ -53,15 +55,15 @@ pub use exec::{
 pub use fault::{FaultKind, FaultPlan, FaultStats, LaunchError};
 pub use journal::WriteJournal;
 pub use kernel::{
-    run_analytical_stats, run_functional_eager, BlockCtx, ExecMode, GpuDevice, Kernel,
-    LaunchDims, LaunchRecord,
+    run_analytical_stats, run_functional_eager, BlockCtx, ExecMode, GpuDevice, Kernel, LaunchDims,
+    LaunchHistory, LaunchRecord,
 };
 pub use memo::{
     launch_memo_clear, launch_memo_stats, seq_insert, seq_lookup, seq_memo_clear,
     seq_memo_stats, structural_fingerprint, MemoStats, SeqMemoStats,
 };
-pub use memory::{BufferId, GlobalMemory};
-pub use shared::BankStats;
+pub use memory::{BufferId, GlobalMemory, GlobalView};
+pub use shared::{warp_bank_cycles, warp_bank_cycles_wide, BankStats};
 pub use stats::KernelStats;
 pub use timeline::{achieved_bandwidth_gbps, binding_resource, render_table, BindingResource};
 pub use warp::{WarpIdx, WARP_SIZE};

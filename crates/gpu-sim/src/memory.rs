@@ -45,6 +45,33 @@ impl Buffer {
     }
 }
 
+/// Read view of one buffer's contents, as kernels see them during a
+/// launch (pre-launch state; a virtual buffer reads zero everywhere).
+/// Out-of-bounds reads panic on either kind.
+#[derive(Clone, Copy, Debug)]
+pub struct GlobalView<'a> {
+    data: Option<&'a [C32]>,
+    len: usize,
+}
+
+impl GlobalView<'_> {
+    /// Element `elem` of the buffer.
+    #[inline]
+    pub fn get(&self, elem: usize) -> C32 {
+        match self.data {
+            Some(d) => d[elem],
+            None => {
+                assert!(
+                    elem < self.len,
+                    "global read out of bounds: elem {elem} >= {}",
+                    self.len
+                );
+                C32::ZERO
+            }
+        }
+    }
+}
+
 /// All global memory of the simulated device.
 #[derive(Debug, Default)]
 pub struct GlobalMemory {
@@ -222,6 +249,18 @@ impl GlobalMemory {
         AccessCost {
             bytes,
             sectors: sectors.len() as u64,
+        }
+    }
+
+    /// Element-level read view of a buffer (see [`GlobalView`]).
+    pub fn view(&self, id: BufferId) -> GlobalView<'_> {
+        let buf = &self.buffers[id.0];
+        GlobalView {
+            data: match &buf.data {
+                BufferData::Real(v) => Some(v),
+                BufferData::Virtual { .. } => None,
+            },
+            len: buf.len(),
         }
     }
 

@@ -31,6 +31,13 @@ pub struct BankStats {
     pub actual_cycles: u64,
 }
 
+impl std::ops::AddAssign for BankStats {
+    fn add_assign(&mut self, o: BankStats) {
+        self.ideal_cycles += o.ideal_cycles;
+        self.actual_cycles += o.actual_cycles;
+    }
+}
+
 impl BankStats {
     pub fn utilization(&self) -> f64 {
         if self.actual_cycles == 0 {
@@ -53,8 +60,9 @@ pub fn warp_bank_cycles(idx: &WarpIdx) -> BankStats {
 /// Lanes are grouped into phases of 128 bytes each, exactly like hardware.
 ///
 /// Allocation-free: a phase moves at most 128 bytes = 32 words, so the
-/// distinct-word set fits a stack buffer. Runs on every metered
-/// shared-memory warp access. The plain per-bank formulation
+/// distinct-word set fits a stack buffer. Counts every warp of a block
+/// shape's precomputed shared traffic, and every layout-dependent shared
+/// transfer of a metered block. The plain per-bank formulation
 /// [`warp_bank_cycles_wide_alloc`] is its test oracle; a property test
 /// pins them equal.
 pub fn warp_bank_cycles_wide(idx: &WarpIdx, width: usize) -> BankStats {
@@ -149,15 +157,17 @@ pub fn warp_bank_cycles_wide_alloc(idx: &WarpIdx, width: usize) -> BankStats {
 }
 
 /// Per-block shared memory with conflict accounting.
+///
+/// Kernels move data through the slice directly ([`SharedMem::raw`] /
+/// [`SharedMem::raw_mut`]); a metered block charges each access's bank
+/// phases separately, either precomputed for its block shape or from the
+/// warp's lane addresses via [`warp_bank_cycles`]. Out-of-bounds indices
+/// panic like any slice access.
 #[derive(Debug)]
 pub struct SharedMem {
     data: Vec<C32>,
     pub load_stats: BankStats,
     pub store_stats: BankStats,
-    /// When false, accesses move data but are not charged (used to model
-    /// register-resident value flow inside a radix pass, where the real
-    /// kernel never touches shared memory).
-    pub metered: bool,
 }
 
 impl SharedMem {
@@ -167,18 +177,15 @@ impl SharedMem {
             data: vec![C32::ZERO; bytes / (WORDS_PER_ELEM * 4)],
             load_stats: BankStats::default(),
             store_stats: BankStats::default(),
-            metered: true,
         }
     }
 
     /// Re-arm for the next block of the same launch: zero the data (each
-    /// block sees fresh scratch, as `new` gives) and restore metering, but
-    /// keep the bank statistics accumulating across blocks. Lets the
-    /// executor reuse one allocation per worker instead of reallocating
-    /// per block.
+    /// block sees fresh scratch, as `new` gives) but keep the bank
+    /// statistics accumulating across blocks. Lets the executor reuse one
+    /// allocation per worker instead of reallocating per block.
     pub fn reset_for_block(&mut self) {
         self.data.fill(C32::ZERO);
-        self.metered = true;
     }
 
     pub fn len(&self) -> usize {
@@ -189,94 +196,22 @@ impl SharedMem {
         self.data.is_empty()
     }
 
-    /// Warp store: each active lane writes its value at its element index.
-    pub fn store_warp(&mut self, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
-        if self.metered {
-            let s = warp_bank_cycles_wide(idx, 1);
-            self.store_stats.ideal_cycles += s.ideal_cycles;
-            self.store_stats.actual_cycles += s.actual_cycles;
-        }
-        for (lane, elem) in idx.iter_active() {
-            match self.data.get_mut(elem) {
-                Some(slot) => *slot = vals[lane],
-                None => panic!(
-                    "shared store out of bounds: elem {elem} >= {}",
-                    self.data.len()
-                ),
-            }
-        }
+    /// Charge load phases.
+    pub fn charge_loads(&mut self, s: BankStats) {
+        self.load_stats += s;
     }
 
-    /// Warp load: returns each active lane's element (inactive lanes get 0).
-    pub fn load_warp(&mut self, idx: &WarpIdx) -> [C32; WARP_SIZE] {
-        if self.metered {
-            let s = warp_bank_cycles_wide(idx, 1);
-            self.load_stats.ideal_cycles += s.ideal_cycles;
-            self.load_stats.actual_cycles += s.actual_cycles;
-        }
-        let mut out = [C32::ZERO; WARP_SIZE];
-        for (lane, elem) in idx.iter_active() {
-            match self.data.get(elem) {
-                Some(v) => out[lane] = *v,
-                None => panic!(
-                    "shared load out of bounds: elem {elem} >= {}",
-                    self.data.len()
-                ),
-            }
-        }
-        out
+    /// Charge store phases.
+    pub fn charge_stores(&mut self, s: BankStats) {
+        self.store_stats += s;
     }
 
-    /// Vectorized warp load: each active lane reads `width` consecutive
-    /// elements starting at its index. Returns `vals[v][lane]` = the lane's
-    /// `v`-th element.
-    pub fn load_warp_wide(&mut self, idx: &WarpIdx, width: usize) -> Vec<[C32; WARP_SIZE]> {
-        if self.metered {
-            let s = warp_bank_cycles_wide(idx, width);
-            self.load_stats.ideal_cycles += s.ideal_cycles;
-            self.load_stats.actual_cycles += s.actual_cycles;
-        }
-        let mut out = vec![[C32::ZERO; WARP_SIZE]; width];
-        for (lane, elem) in idx.iter_active() {
-            assert!(
-                elem + width <= self.data.len(),
-                "wide shared load out of bounds: elem {elem}+{width} > {}",
-                self.data.len()
-            );
-            for (v, slot) in out.iter_mut().enumerate() {
-                slot[lane] = self.data[elem + v];
-            }
-        }
-        out
-    }
-
-    /// Vectorized warp store: each active lane writes `width` consecutive
-    /// elements starting at its index; `vals[v][lane]`.
-    pub fn store_warp_wide(&mut self, idx: &WarpIdx, vals: &[[C32; WARP_SIZE]], width: usize) {
-        assert_eq!(vals.len(), width);
-        if self.metered {
-            let s = warp_bank_cycles_wide(idx, width);
-            self.store_stats.ideal_cycles += s.ideal_cycles;
-            self.store_stats.actual_cycles += s.actual_cycles;
-        }
-        for (lane, elem) in idx.iter_active() {
-            assert!(
-                elem + width <= self.data.len(),
-                "wide shared store out of bounds: elem {elem}+{width} > {}",
-                self.data.len()
-            );
-            for (v, slot) in vals.iter().enumerate() {
-                self.data[elem + v] = slot[lane];
-            }
-        }
-    }
-
-    /// Direct (unmetered) view, for debug assertions inside kernels only.
+    /// The block's shared elements.
     pub fn raw(&self) -> &[C32] {
         &self.data
     }
 
-    /// Direct (unmetered) mutable view; use only for test scaffolding.
+    /// The block's shared elements, mutably.
     pub fn raw_mut(&mut self) -> &mut [C32] {
         &mut self.data
     }
@@ -347,6 +282,24 @@ mod tests {
         assert_eq!(warp_bank_cycles(&w).actual_cycles, 16);
     }
 
+    /// Move one warp's values through the slice and charge the store and
+    /// the load from the lane addresses, the way a metered block does.
+    fn store_warp(sm: &mut SharedMem, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
+        for (lane, elem) in idx.iter_active() {
+            sm.raw_mut()[elem] = vals[lane];
+        }
+        sm.charge_stores(warp_bank_cycles(idx));
+    }
+
+    fn load_warp(sm: &mut SharedMem, idx: &WarpIdx) -> [C32; WARP_SIZE] {
+        let mut out = [C32::ZERO; WARP_SIZE];
+        for (lane, elem) in idx.iter_active() {
+            out[lane] = sm.raw()[elem];
+        }
+        sm.charge_loads(warp_bank_cycles(idx));
+        out
+    }
+
     #[test]
     fn store_then_load_roundtrip() {
         let mut sm = SharedMem::new(1024);
@@ -355,8 +308,8 @@ mod tests {
         for (i, v) in vals.iter_mut().enumerate() {
             *v = C32::new(i as f32, -(i as f32));
         }
-        sm.store_warp(&idx, &vals);
-        let back = sm.load_warp(&idx);
+        store_warp(&mut sm, &idx, &vals);
+        let back = load_warp(&mut sm, &idx);
         assert_eq!(back, vals);
         assert_eq!(sm.store_stats.actual_cycles, 2);
         assert_eq!(sm.load_stats.actual_cycles, 2);
@@ -367,7 +320,7 @@ mod tests {
     fn oob_store_panics() {
         let mut sm = SharedMem::new(64);
         let idx = WarpIdx::contiguous(0);
-        sm.store_warp(&idx, &[C32::ZERO; WARP_SIZE]);
+        store_warp(&mut sm, &idx, &[C32::ZERO; WARP_SIZE]);
     }
 
     /// Utilization accumulates across multiple accesses.
@@ -376,8 +329,8 @@ mod tests {
         let mut sm = SharedMem::new(16 * 1024);
         let good = WarpIdx::contiguous(0);
         let bad = WarpIdx::from_fn(|l| (l < 16).then_some(l * 16));
-        sm.store_warp(&good, &[C32::ZERO; WARP_SIZE]);
-        sm.store_warp(&bad, &[C32::ZERO; WARP_SIZE]);
+        store_warp(&mut sm, &good, &[C32::ZERO; WARP_SIZE]);
+        store_warp(&mut sm, &bad, &[C32::ZERO; WARP_SIZE]);
         assert_eq!(sm.store_stats.ideal_cycles, 3);
         assert_eq!(sm.store_stats.actual_cycles, 18);
     }

@@ -26,7 +26,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tfno_num::C32;
-use turbofno_suite::{FaultPlan, LayerSpec, Request, RetryPolicy, Session, SimBackend, Variant};
+use turbofno_suite::{
+    FaultPlan, FaultStats, LayerSpec, Request, RetryPolicy, Session, SimBackend, Variant,
+};
 
 /// All five concrete pipeline variants (TurboBest is a planner alias).
 const VARIANTS: [Variant; 5] = [
@@ -372,4 +374,62 @@ fn fault_schedules_are_deterministic_per_seed() {
     assert_eq!(fa, fb, "fault schedules must be deterministic");
     assert_eq!(ra, rb, "recovery paths must be deterministic");
     assert_eq!(ya, yb, "outputs must be deterministic");
+}
+
+/// The fault hooks pinned by structure instead of by a throughput ratio:
+/// over the same forwards, a session with no plan installed consults no
+/// plan at all, and one armed with an all-zero plan consults it exactly
+/// once per functional launch, injects nothing, stalls nothing, and leaves
+/// every output bitwise equal to the unarmed run.
+#[test]
+fn fault_hooks_unarmed_consult_nothing_and_armed_zero_injects_nothing() {
+    const FORWARDS: usize = 3;
+    let specs = [
+        LayerSpec::d1(2, 4, 4, 64).modes(32),
+        LayerSpec::d1(1, 4, 4, 64)
+            .modes(32)
+            .variant(Variant::Pytorch),
+        LayerSpec::d2(1, 4, 4, 32, 64)
+            .modes_xy(8, 32)
+            .variant(Variant::FullyFused),
+    ];
+    let run_all = |sess: &mut Session<SimBackend>| {
+        let mut outs = Vec::new();
+        let mut launches = 0u64;
+        for (i, spec) in specs.iter().enumerate() {
+            let x = sess.alloc("x", spec.input_len());
+            let w = sess.alloc("w", spec.weight_len());
+            let y = sess.alloc("y", spec.output_len());
+            sess.upload(x, &seeded_values(spec.input_len(), 0.3 + i as f32));
+            sess.upload(w, &seeded_values(spec.weight_len(), 0.7 + i as f32));
+            for _ in 0..FORWARDS {
+                launches += sess.run(spec, x, w, y).kernel_count() as u64;
+                outs.push(sess.download(y));
+            }
+        }
+        (outs, launches)
+    };
+
+    let mut unarmed = Session::new(SimBackend::a100());
+    let (want, _) = run_all(&mut unarmed);
+    assert_eq!(
+        unarmed.fault_stats(),
+        FaultStats::default(),
+        "an unarmed session must consult no plan"
+    );
+
+    let mut armed = Session::new(SimBackend::a100());
+    armed.set_fault_plan(Some(FaultPlan::seeded(fault_seed(0x2E20))));
+    let (got, launches) = run_all(&mut armed);
+    let st = armed.fault_stats();
+    assert_eq!(
+        st.launches_checked, launches,
+        "one consultation per functional launch"
+    );
+    assert_eq!(
+        (st.injected(), st.stalls),
+        (0, 0),
+        "an all-zero plan must never fire"
+    );
+    assert!(got == want, "an all-zero plan must not perturb any output");
 }

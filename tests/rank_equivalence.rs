@@ -437,6 +437,94 @@ fn launch_records_match_stats_pins() {
     assert_eq!(failed, 0, "{failed} of {} stats pins drifted", cases.len());
 }
 
+/// Edge shapes of the block engines, each run solo through every
+/// concrete variant:
+/// * 15 inner pencils (a remainder FFT block of 7), `k_in = 5 < 8` (one
+///   partial fused FFT k-chunk) and one partial fused n-tile (20 of 32
+///   channels);
+/// * two fused n-tiles, the second 8 of 128 channels wide;
+/// * odd outer modes in 2D (30 inner pencils);
+/// * rank 3 with odd outer modes.
+fn edge_pin_specs() -> [LayerSpec; 4] {
+    [
+        LayerSpec::d1(3, 5, 20, 64).modes(32),
+        LayerSpec::d1(1, 3, 136, 64).modes(32),
+        LayerSpec::d2(2, 3, 7, 16, 64).modes_xy(5, 32),
+        LayerSpec::d3(1, 3, 5, 8, 4, 32).modes_xyz(3, 3, 32),
+    ]
+}
+
+/// `(output bits hash, launch records hash)` of `spec` run once on a
+/// fresh simulator session.
+fn edge_pin_case(spec: &LayerSpec) -> (u64, u64) {
+    let mut sess = Session::new(SimBackend::a100());
+    let x = sess.alloc("x", spec.input_len());
+    let w = sess.alloc("w", spec.weight_len());
+    let y = sess.alloc("y", spec.output_len());
+    sess.upload(x, &rand_vec(spec.input_len(), 0.45));
+    sess.upload(w, &rand_vec(spec.weight_len(), 0.85));
+    sess.run(spec, x, w, y);
+    (
+        bits_hash(&sess.download(y)),
+        records_hash(sess.device().launches()),
+    )
+}
+
+/// Output and launch-record pins of [`edge_pin_specs`], per shape in
+/// `Variant::CONCRETE` order.
+const EDGE_PINS: [[(u64, u64); 5]; 4] = [
+    [
+        (0xb0c3d8ab0ccc8a9e, 0x35a861eb09318acd),
+        (0xb0c3d8ab0ccc8a9e, 0x351f30f98b500df0),
+        (0xb0c3d8ab0ccc8a9e, 0xbcd442a55e5122b3),
+        (0xb0c3d8ab0ccc8a9e, 0x804f64bfd0be15b6),
+        (0xb0c3d8ab0ccc8a9e, 0x981748e896a7fc09),
+    ],
+    [
+        (0xe59dee11788e9c77, 0xe4c764cc0702e400),
+        (0xe59dee11788e9c77, 0xf11852c649bb41a9),
+        (0xe59dee11788e9c77, 0x0792a77910205d18),
+        (0xe59dee11788e9c77, 0x9d2a0c1c85041381),
+        (0xe59dee11788e9c77, 0xf74c0d106deea5d0),
+    ],
+    [
+        (0x21e8590b1751e4a1, 0x3e2096649234508a),
+        (0x5c2427abbaba96c0, 0x0e961fffd7488da0),
+        (0x5c2427abbaba96c0, 0xf08f22bcc1100553),
+        (0x5c2427abbaba96c0, 0x0056308dc28538ea),
+        (0x5c2427abbaba96c0, 0x35e881d852f7d0f9),
+    ],
+    [
+        (0x2e1eb0c09929aa60, 0x635fbce5423e8e90),
+        (0x1ee37e641f389a01, 0x14448db3e1284bac),
+        (0x1ee37e641f389a01, 0x45a912c67bcb7e1f),
+        (0x1ee37e641f389a01, 0xa2941d585e2603b4),
+        (0x1ee37e641f389a01, 0x32bce084c346a154),
+    ],
+];
+
+#[test]
+fn edge_shapes_match_output_and_record_pins() {
+    let mut failed = 0;
+    for (spec, pins) in edge_pin_specs().iter().zip(EDGE_PINS) {
+        for (v, want) in Variant::CONCRETE.into_iter().zip(pins) {
+            let got = edge_pin_case(&spec.variant(v));
+            if got != want {
+                failed += 1;
+                eprintln!(
+                    "{:?} {v:?}: (0x{:016x}, 0x{:016x}) != pinned (0x{:016x}, 0x{:016x})",
+                    spec.shape(),
+                    got.0,
+                    got.1,
+                    want.0,
+                    want.1
+                );
+            }
+        }
+    }
+    assert_eq!(failed, 0, "{failed} edge pins drifted");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -463,10 +551,19 @@ proptest! {
 /// Re-capture helper kept for the next engine change: prints the hashes
 /// the constants above pin.
 #[test]
-#[ignore = "golden capture helper: prints seed-path and stats-pin hashes"]
+#[ignore = "golden capture helper: prints seed-path, stats-pin and edge-pin hashes"]
 fn capture_golden_hashes() {
     for (label, recs) in stats_pin_cases() {
         println!("stats {label}: 0x{:016x}", records_hash(&recs));
+    }
+    for spec in edge_pin_specs() {
+        for v in Variant::CONCRETE {
+            let (out, recs) = edge_pin_case(&spec.variant(v));
+            println!(
+                "edge {:?} {v:?}: (0x{out:016x}, 0x{recs:016x})",
+                spec.shape()
+            );
+        }
     }
     for (s, _) in GOLDEN_1D {
         let p = SpectralShape::d1(s.0, s.1, s.2, s.3).with_modes(&[s.4]);

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno::{
-    Backend, BufferPool, LayerSpec, PipelineRun, Request, Session, SimBackend, SpectralShape,
-    TfnoError, Variant,
+    Backend, BufferPool, LayerSpec, NativeBackend, PipelineRun, Request, Session, SimBackend,
+    SpectralShape, TfnoError, Variant,
 };
 use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice, KernelStats, LaunchRecord};
 
@@ -714,4 +714,54 @@ fn explicit_fused_variant_on_unfusable_shape_is_a_validation_error() {
             assert!(sess.device().launches().is_empty(), "{v:?} {shape:?}: nothing may launch");
         }
     }
+}
+
+/// Shapes that pass `SpectralShape::try_validate` but whose kernels ask
+/// for more shared memory per block than the A100 allows: a 2048-point
+/// axis at every rank (every variant transforms it in one block), and a
+/// 1024-point, 128-mode, 64-channel layer whose fused-iFFT kernels
+/// overflow while `FftOpt`, `FusedFftGemm` and `FullyFused` fit.
+fn oversized_specs() -> [LayerSpec; 5] {
+    [
+        LayerSpec::d1(1, 2, 2, 2048).modes(32),
+        LayerSpec::d2(1, 2, 2, 2048, 64).modes_xy(8, 32),
+        LayerSpec::d2(1, 2, 2, 64, 2048).modes_xy(8, 32),
+        LayerSpec::d3(1, 2, 2, 8, 8, 2048).modes_xyz(4, 4, 32),
+        LayerSpec::d1(1, 64, 64, 1024).modes(128),
+    ]
+}
+
+/// Admission derives fit from the kernels' own shared-memory arithmetic:
+/// every variant of every oversized shape, on both backends, returns `Ok`
+/// or `Validation` — never a panic, in the planner or in a launch — and
+/// leaves no scratch leased. A 2048-point axis fits no variant at all; the
+/// 1024-point layer runs on everything but the fused-iFFT-with-global-A
+/// variant, and `TurboBest` plans among the ones that fit.
+#[test]
+fn oversized_shapes_are_admitted_or_rejected_never_panic() {
+    fn check<B: Backend>(mut sess: Session<B>, backend: &str) {
+        let mut variants = Variant::CONCRETE.to_vec();
+        variants.push(Variant::TurboBest);
+        for (i, base) in oversized_specs().into_iter().enumerate() {
+            for &v in &variants {
+                let spec = base.variant(v);
+                let what = format!("{backend} {v:?} {:?}", spec.shape());
+                let (x, w, y) = operands(&mut sess, &spec, 0.3);
+                let got = sess.try_run(&spec, x, w, y);
+                let long_axis = i < 4;
+                let fits = !long_axis && v != Variant::FusedGemmIfft;
+                match got {
+                    Ok(_) => assert!(fits, "{what}: must be rejected"),
+                    Err(TfnoError::Validation(msg)) => {
+                        assert!(!fits, "{what}: must run, got {msg}");
+                        assert!(msg.contains("shared memory"), "{what}: {msg}");
+                    }
+                    Err(e) => panic!("{what}: expected Ok or Validation, got {e}"),
+                }
+                assert_eq!(sess.pool_stats().leased, 0, "{what}: leaked a lease");
+            }
+        }
+    }
+    check(Session::new(SimBackend::a100()), "sim");
+    check(Session::with_backend(NativeBackend::a100()), "native");
 }
