@@ -3,19 +3,18 @@
 //! The execution-backend abstraction of the TurboFNO stack.
 //!
 //! Everything above the device — `turbofno::Session`, the planner, the
-//! buffer pool, verification, async dispatch — talks to an
-//! execution backend through the [`Backend`] trait, which is exactly the
-//! surface of the simulated [`GpuDevice`] that the core crate consumed
-//! before the split: buffer allocation/upload/download, synchronous and
-//! deferred launches, worker policy, fault-plan arming, and the
-//! analytical measurement hooks.
+//! buffer pool, verification — talks to an execution backend through the
+//! [`Backend`] trait, which is exactly the surface of the simulated
+//! [`GpuDevice`] that the core crate consumed before the split: buffer
+//! allocation/upload/download, synchronous launches, worker policy,
+//! fault-plan arming, and the analytical measurement hooks.
 //!
 //! Two backends implement it:
 //!
 //! * [`SimBackend`] (= [`GpuDevice`]) — the cycle-accounting simulator.
 //!   The bit-level oracle: every launch is costed (sectors, bank
 //!   conflicts, occupancy), writes are journaled with CUDA visibility
-//!   semantics, and fault injection / deferred launches are supported.
+//!   semantics, and fault injection is supported.
 //! * [`NativeBackend`] — an eager host executor. The same kernel bodies
 //!   run (so results match the simulator bit-for-bit for
 //!   order-deterministic kernels), but with no sector math, no
@@ -31,13 +30,12 @@
 //! `Session::a100()` constructs, honoring the `TFNO_BACKEND` environment
 //! variable (`sim` | `native`, default `sim`).
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use tfno_gpu_sim::{
     run_analytical_stats, run_functional_eager, workers_for, BufferId, CostModel, DeviceConfig,
     ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel, LaunchError, LaunchHistory,
-    LaunchRecord, PendingLaunch,
+    LaunchRecord,
 };
 use tfno_num::C32;
 
@@ -54,11 +52,6 @@ pub struct BackendCaps {
     /// [`Backend::try_set_fault_plan`] accepts a plan and the launch/alloc
     /// paths consult it.
     pub fault_injection: bool,
-    /// [`Backend::try_launch_deferred`] can issue functional launches
-    /// whose writes stay invisible until [`Backend::complete`] (CUDA async
-    /// visibility semantics). The simulator always can; the native
-    /// backend applies writes eagerly and cannot.
-    pub deferred_launch: bool,
 }
 
 /// Which backend implementation is running.
@@ -107,16 +100,14 @@ pub fn env_backend_kind() -> BackendKind {
 }
 
 /// An execution backend: the device surface the backend-generic stack
-/// (`Session`, planner, pool, verifier, dispatch) runs against.
+/// (`Session`, planner, pool, verifier) runs against.
 ///
 /// The contract is [`GpuDevice`]'s: `try_launch` executes a kernel's
 /// functional body (or its analytical cost model) with reads observing
-/// pre-launch memory and writes visible at return; `try_launch_deferred` /
-/// `complete` split that into CUDA-style async issue and completion where
-/// [`BackendCaps::deferred_launch`] allows; failed operations are clean
-/// (nothing written, nothing recorded). Unsupported operations return
+/// pre-launch memory and writes visible at return; failed operations are
+/// clean (nothing written, nothing recorded). Unsupported operations return
 /// [`LaunchError::Unsupported`] — consult [`Backend::caps`] first.
-pub trait Backend: Send + 'static {
+pub trait Backend {
     /// Which implementation this is.
     fn kind(&self) -> BackendKind;
 
@@ -143,17 +134,6 @@ pub trait Backend: Send + 'static {
         kernel: &dyn Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError>;
-
-    /// Issue a launch without applying its writes (see
-    /// [`BackendCaps::deferred_launch`]).
-    fn try_launch_deferred(
-        &self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError>;
-
-    /// Apply a deferred launch's writes and record it.
-    fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord;
 
     /// Set or clear the explicit worker-count override.
     fn set_workers(&mut self, workers: Option<usize>);
@@ -222,7 +202,6 @@ impl Backend for GpuDevice {
     fn caps(&self) -> BackendCaps {
         BackendCaps {
             fault_injection: true,
-            deferred_launch: true,
         }
     }
 
@@ -248,18 +227,6 @@ impl Backend for GpuDevice {
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
         GpuDevice::try_launch(self, kernel, mode)
-    }
-
-    fn try_launch_deferred(
-        &self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError> {
-        GpuDevice::try_launch_deferred(self, kernel, mode)
-    }
-
-    fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord {
-        GpuDevice::complete(self, pending)
     }
 
     fn set_workers(&mut self, workers: Option<usize>) {
@@ -294,8 +261,7 @@ impl Backend for GpuDevice {
 /// launches share the simulator's exact code path and memo, so
 /// `Session::measure` is bit-identical across backends.
 ///
-/// Unsupported (typed, per [`BackendCaps`]): fault injection and deferred
-/// functional launches — callers fall back to synchronous issue.
+/// Unsupported (typed, per [`BackendCaps`]): fault injection.
 pub struct NativeBackend {
     config: DeviceConfig,
     memory: GlobalMemory,
@@ -352,7 +318,6 @@ impl Backend for NativeBackend {
     fn caps(&self) -> BackendCaps {
         BackendCaps {
             fault_injection: false,
-            deferred_launch: false,
         }
     }
 
@@ -399,25 +364,6 @@ impl Backend for NativeBackend {
         };
         self.launches.push(rec.clone());
         Ok(rec)
-    }
-
-    fn try_launch_deferred(
-        &self,
-        _kernel: &dyn Kernel,
-        _mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError> {
-        Err(LaunchError::Unsupported {
-            backend: "native",
-            op: "deferred launches",
-        })
-    }
-
-    fn complete(&mut self, _pending: PendingLaunch) -> LaunchRecord {
-        // INVARIANT: unreachable through this backend — try_launch_deferred
-        // never produces a PendingLaunch here, and pendings from another
-        // backend reference that backend's buffers. Completing one against
-        // native memory would be a caller bug, so failing loudly is right.
-        unreachable!("NativeBackend cannot complete a deferred launch (caps().deferred_launch is false)")
     }
 
     fn set_workers(&mut self, workers: Option<usize>) {
@@ -594,16 +540,6 @@ impl Backend for AnyBackend {
     ) -> Result<LaunchRecord, LaunchError> {
         AnyBackend::try_launch(self, kernel, mode)
     }
-    fn try_launch_deferred(
-        &self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError> {
-        any_delegate!(self, d => Backend::try_launch_deferred(d, kernel, mode))
-    }
-    fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord {
-        any_delegate!(self, d => Backend::complete(d, pending))
-    }
     fn set_workers(&mut self, workers: Option<usize>) {
         AnyBackend::set_workers(self, workers)
     }
@@ -621,50 +557,6 @@ impl Backend for AnyBackend {
     }
     fn clear_launches(&mut self) {
         AnyBackend::clear_launches(self)
-    }
-}
-
-/// Backend-generic twin of [`tfno_gpu_sim::LaunchQueue`]: a bounded
-/// in-order window of deferred launches, completing the oldest when the
-/// window overflows. The safety contract is the queue's — nothing issued
-/// or read between a pending's issue and its completion may depend on that
-/// pending's writes.
-#[derive(Default)]
-pub struct DeferredWindow {
-    depth: usize,
-    pending: VecDeque<PendingLaunch>,
-}
-
-impl DeferredWindow {
-    /// A window completing eagerly past `depth` in-flight launches
-    /// (clamped to ≥ 1).
-    pub fn new(depth: usize) -> Self {
-        DeferredWindow {
-            depth: depth.max(1),
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Enqueue an issued launch; completes the oldest launches first if
-    /// the window is full. Returns the records of whatever completed.
-    pub fn push(&mut self, dev: &mut dyn Backend, launch: PendingLaunch) -> Vec<LaunchRecord> {
-        let mut done = Vec::new();
-        while self.pending.len() >= self.depth.max(1) {
-            let oldest = self.pending.pop_front().expect("non-empty window");
-            done.push(dev.complete(oldest));
-        }
-        self.pending.push_back(launch);
-        done
-    }
-
-    /// Complete every in-flight launch, oldest first.
-    pub fn flush(&mut self, dev: &mut dyn Backend) -> Vec<LaunchRecord> {
-        self.pending.drain(..).map(|p| dev.complete(p)).collect()
-    }
-
-    /// Launches currently issued but not completed.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -723,14 +615,10 @@ mod tests {
     #[test]
     fn caps_reflect_backend_abilities() {
         let sim = SimBackend::a100();
-        assert_eq!(
-            Backend::caps(&sim),
-            BackendCaps { fault_injection: true, deferred_launch: true }
-        );
+        assert_eq!(Backend::caps(&sim), BackendCaps { fault_injection: true });
 
         let native = NativeBackend::a100();
-        let caps = native.caps();
-        assert!(!caps.fault_injection && !caps.deferred_launch);
+        assert!(!native.caps().fault_injection);
     }
 
     /// Launch history is a bounded window on both backends: after more
@@ -815,41 +703,13 @@ mod tests {
     #[test]
     fn native_unsupported_operations_are_typed() {
         let mut native = NativeBackend::a100();
-        let (src, dst) = seed_backend(&mut native, 2);
-        let k = ScaleKernel { src, dst, blocks: 2 };
-        let Err(err) = native.try_launch_deferred(&k, ExecMode::Functional) else {
-            panic!("native deferred launch must fail");
-        };
+        let err = native.try_set_fault_plan(Some(FaultPlan::seeded(1))).unwrap_err();
         assert!(matches!(err, LaunchError::Unsupported { backend: "native", .. }), "{err}");
         assert!(err.to_string().contains("does not support"));
-
-        let err = native.try_set_fault_plan(Some(FaultPlan::seeded(1))).unwrap_err();
-        assert!(matches!(err, LaunchError::Unsupported { .. }));
         // Clearing is always fine (the no-plan state is every backend's
         // default), so generic teardown code never special-cases.
         native.try_set_fault_plan(None).expect("clearing a plan is supported");
         assert_eq!(native.fault_stats(), FaultStats::default());
-    }
-
-    #[test]
-    fn deferred_window_matches_launch_queue_semantics() {
-        let mut dev = AnyBackend::Sim(SimBackend::a100());
-        let (src, dst) = seed_backend(&mut dev, 4);
-        let dst2 = Backend::alloc(&mut dev, "dst2", 4 * 32);
-        let k1 = ScaleKernel { src, dst, blocks: 4 };
-        let k2 = ScaleKernel { src, dst: dst2, blocks: 4 };
-        let mut window = DeferredWindow::new(1);
-        let p1 = Backend::try_launch_deferred(&dev, &k1, ExecMode::Functional).unwrap();
-        assert!(window.push(&mut dev, p1).is_empty(), "window not full yet");
-        let p2 = Backend::try_launch_deferred(&dev, &k2, ExecMode::Functional).unwrap();
-        let done = window.push(&mut dev, p2);
-        assert_eq!(done.len(), 1, "depth-1 window completes on the next push");
-        assert_eq!(Backend::download(&dev, dst)[5], C32::real(10.0), "oldest applied");
-        assert_eq!(Backend::download(&dev, dst2)[5], C32::ZERO, "newest still journaled");
-        assert_eq!(window.in_flight(), 1);
-        window.flush(&mut dev);
-        assert_eq!(Backend::download(&dev, dst2)[5], C32::real(10.0));
-        assert_eq!(window.in_flight(), 0);
     }
 
     #[test]

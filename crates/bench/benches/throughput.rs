@@ -15,15 +15,16 @@
 //! `unmetered_functional_launch_attaches_analytical_counts`) pin the
 //! properties that make them fast.
 //!
-//! Results land in `BENCH_throughput.json` (override the path with
-//! `TFNO_BENCH_OUT`) so every future perf PR has a pinned trajectory.
-//! `--smoke` shrinks shapes and the measuring window for CI.
+//! A full run writes `BENCH_throughput.json` at the workspace root, the
+//! tracked file every future perf PR compares against. `--smoke` shrinks
+//! shapes and the measuring window for CI and writes
+//! `target/BENCH_throughput.smoke.json` instead, so a smoke run never
+//! touches the tracked file. `TFNO_BENCH_OUT` overrides either path.
 //!
-//! The `pipeline-overlap` scenario compares a queue of K independent
-//! forwards through the strictly sequential session path
-//! (`forward_device_sync` per input) against the async-dispatch schedule
-//! (`forward_device_batch`: per layer, one stacked spectral launch
-//! sequence in flight while the host runs all K pointwise bypasses).
+//! The `batch-stacking` scenario compares a queue of K independent
+//! forwards run one by one (`forward_device` per input) against
+//! `forward_device_batch` (per layer, the K spectral convs as one stacked
+//! launch sequence).
 //!
 //! The `warm-session` scenario pins what a long-lived session buys: a
 //! steady-state forward on one session (planner cache and buffer pool
@@ -52,7 +53,7 @@
 //! smoke run fails loudly instead of uploading a quietly regressed JSON.
 //! The `1d`/`2d`/`3d` forwards/s, `fault_overhead` and `verify_overhead`
 //! are reported without floors (see above), and so are
-//! the `serve-mixed`, `pipeline-overlap` and `backend-*` ratios: since
+//! the `serve-mixed`, `batch-stacking` and `backend-*` ratios: since
 //! simulated launches attach memoized counts instead of metering every
 //! access, their baselines are about as fast as the paths they are
 //! compared with on the smoke shapes.
@@ -261,54 +262,46 @@ fn main() {
         serve_sess.run_many(&serve_reqs);
     });
 
-    // ------------------------------------------- pipeline overlap ----
+    // -------------------------------------------- batch stacking ----
     // A queue of K independent batch-1 model forwards — the online-serving
-    // shape, where each request is one sample. "sync" runs them one by
-    // one on the strictly sequential per-layer schedule (spectral conv to
-    // completion, then the pointwise bypass). "async" runs the
-    // async-dispatch schedule: per layer, all K spectral convs coalesce
-    // into ONE stacked launch sequence issued on the dispatch thread
-    // while the host computes the K pointwise bypasses. Outputs are
-    // bitwise-identical; the async gain comes from launch coalescing plus
-    // (on multi-core hosts) genuine device/host overlap. Batch-1 requests
+    // shape, where each request is one sample. "per-input" runs them one
+    // by one through `forward_device`. "stacked" runs
+    // `forward_device_batch`: per layer, all K spectral convs coalesce
+    // into ONE stacked launch sequence, then the host computes the K
+    // pointwise bypasses. Outputs are bitwise-identical. Batch-1 requests
     // are where stacking pays: the gather/scatter staging is small
     // relative to the per-sequence launch costs it removes (fat-batch
-    // offline forwards already amortize their launches and should use the
-    // plain overlapped `forward_device` instead).
-    let overlap_k = if smoke { 4usize } else { 8 };
-    let overlap_shape = format!(
-        "k={overlap_k} batch=1 width={width1} layers={layers1} n={n1} nf={nf1}"
+    // offline forwards already amortize their launches).
+    let stack_k = if smoke { 4usize } else { 8 };
+    let stack_shape = format!(
+        "k={stack_k} batch=1 width={width1} layers={layers1} n={n1} nf={nf1}"
     );
-    let mut overlap_rng = StdRng::seed_from_u64(7);
-    let overlap_xs: Vec<CTensor> = (0..overlap_k)
-        .map(|_| CTensor::random(&mut overlap_rng, &[1, 1, n1]))
+    let mut stack_rng = StdRng::seed_from_u64(7);
+    let stack_xs: Vec<CTensor> = (0..stack_k)
+        .map(|_| CTensor::random(&mut stack_rng, &[1, 1, n1]))
         .collect();
-    let mut overlap_sess = Session::a100();
+    let mut stack_sess = Session::a100();
     // Cross-check bitwise equality before any timing.
-    let overlap_want: Vec<CTensor> = overlap_xs
+    let stack_want: Vec<CTensor> = stack_xs
         .iter()
-        .map(|x| {
-            model1
-                .forward_device_sync(&mut overlap_sess, Variant::TurboBest, &opts, x)
-                .0
-        })
+        .map(|x| model1.forward_device(&mut stack_sess, Variant::TurboBest, &opts, x).0)
         .collect();
-    let overlap_got =
-        model1.forward_device_batch(&mut overlap_sess, Variant::TurboBest, &opts, &overlap_xs);
-    for (i, ((got, _), want)) in overlap_got.iter().zip(&overlap_want).enumerate() {
+    let stack_got =
+        model1.forward_device_batch(&mut stack_sess, Variant::TurboBest, &opts, &stack_xs);
+    for (i, ((got, _), want)) in stack_got.iter().zip(&stack_want).enumerate() {
         assert_eq!(
             got.data(),
             want.data(),
-            "pipeline-overlap: async forward {i} diverged from the synchronous path"
+            "batch-stacking: stacked forward {i} diverged from its solo forward"
         );
     }
-    run_case("pipeline-overlap", &overlap_shape, "sync", &mut || {
-        for x in &overlap_xs {
-            model1.forward_device_sync(&mut overlap_sess, Variant::TurboBest, &opts, x);
+    run_case("batch-stacking", &stack_shape, "per-input", &mut || {
+        for x in &stack_xs {
+            model1.forward_device(&mut stack_sess, Variant::TurboBest, &opts, x);
         }
     });
-    run_case("pipeline-overlap", &overlap_shape, "async", &mut || {
-        model1.forward_device_batch(&mut overlap_sess, Variant::TurboBest, &opts, &overlap_xs);
+    run_case("batch-stacking", &stack_shape, "stacked", &mut || {
+        model1.forward_device_batch(&mut stack_sess, Variant::TurboBest, &opts, &stack_xs);
     });
 
     // --------------------------------------------------- warm session ----
@@ -400,8 +393,8 @@ fn main() {
     // The same TurboBest forwards on the two execution backends behind the
     // `Backend` trait. "sim" is the default simulated device (modeled
     // counts and memory system); "native" is the eager host
-    // executor — each kernel's functional body runs immediately, no
-    // deferred window, no event modeling. Outputs are held to the
+    // executor — each kernel's functional body runs immediately, with no
+    // event modeling. Outputs are held to the
     // functional contract (float tolerance, not bitwise): both backends
     // run the same kernel bodies, but the native path skips the
     // simulator's launch machinery.
@@ -430,11 +423,6 @@ fn main() {
         "session state after the run: pool {} hits / {} misses, planner {} hits / {} misses",
         pool.hits, pool.misses, plans.hits, plans.misses
     );
-    let dispatch = turbo_sess.dispatch_stats();
-    println!(
-        "  dispatch: {} thread(s) spawned, {} jobs, max in-flight depth {}",
-        dispatch.threads_spawned, dispatch.jobs_dispatched, dispatch.max_in_flight
-    );
 
     let fps_of = |dim: &str, engine: &str| {
         cases
@@ -445,8 +433,8 @@ fn main() {
     };
     let speedup_serve =
         fps_of("serve-mixed", "mixed-stacked") / fps_of("serve-mixed", "per-weight");
-    let speedup_overlap =
-        fps_of("pipeline-overlap", "async") / fps_of("pipeline-overlap", "sync");
+    let speedup_stacking =
+        fps_of("batch-stacking", "stacked") / fps_of("batch-stacking", "per-input");
     let speedup_warm =
         fps_of("warm-session", "long-lived") / fps_of("warm-session", "cold-session");
     let fault_overhead = fps_of("fault-overhead", "armed-zero") / fps_of("fault-overhead", "unarmed");
@@ -454,7 +442,7 @@ fn main() {
     let speedup_backend_1d = fps_of("backend-1d", "native") / fps_of("backend-1d", "sim");
     let speedup_backend_2d = fps_of("backend-2d", "native") / fps_of("backend-2d", "sim");
     println!("mixed-weight serving: stacked vs per-weight queues {speedup_serve:.2}x");
-    println!("pipeline overlap: async dispatch vs synchronous session path {speedup_overlap:.2}x");
+    println!("batch stacking: stacked batch forward vs per-input forwards {speedup_stacking:.2}x");
     println!("warm session: long-lived session vs a fresh session per forward {speedup_warm:.2}x");
     println!("fault hooks: armed-zero plan vs unarmed session {fault_overhead:.3}x");
     println!("plan verifier: verification on vs off, steady state {verify_overhead:.3}x");
@@ -484,15 +472,19 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_pipeline_overlap\": {speedup_overlap:.4},\n  \"speedup_warm_session\": {speedup_warm:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4},\n  \"speedup_backend_native_1d\": {speedup_backend_1d:.4},\n  \"speedup_backend_native_2d\": {speedup_backend_2d:.4}\n}}\n"
+        "  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_batch_stacking\": {speedup_stacking:.4},\n  \"speedup_warm_session\": {speedup_warm:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4},\n  \"speedup_backend_native_1d\": {speedup_backend_1d:.4},\n  \"speedup_backend_native_2d\": {speedup_backend_2d:.4}\n}}\n"
     ));
 
-    // Default to the workspace root (cargo runs benches with the package
-    // dir as CWD), overridable for CI layouts.
+    // Paths are relative to the workspace root (cargo runs benches with
+    // the package dir as CWD); a smoke run stays out of the tracked file.
     let out_path = std::env::var("TFNO_BENCH_OUT").unwrap_or_else(|_| {
-        format!("{}/../../BENCH_throughput.json", env!("CARGO_MANIFEST_DIR"))
+        let file = if smoke { "target/BENCH_throughput.smoke.json" } else { "BENCH_throughput.json" };
+        format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
     });
-    std::fs::write(&out_path, &json).expect("write BENCH_throughput.json");
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create the throughput output directory");
+    }
+    std::fs::write(&out_path, &json).expect("write the throughput JSON");
     println!("wrote {out_path}");
 
     if check_floors {

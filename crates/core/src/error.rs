@@ -11,23 +11,17 @@
 //!   and the degradation ladder re-plans a persistently failing fused
 //!   variant onto the unfused [`Variant::FftOpt`](crate::Variant::FftOpt)
 //!   before giving up.
-//! * **`Timeout`** — a `wait_timeout` deadline elapsed; the handle is
-//!   returned to the caller and stays valid.
-//! * **`InFlight`** — a `&self` inspector was called while submitted work
-//!   holds the device (see `Session::try_download` and friends).
-//! * **`Poisoned`** — the dispatch channel died; the session cannot recover
-//!   the device state that was on the dispatch thread.
 //!
 //! Every panicking `Session` entry point is its `try_*` twin plus
 //! `panic!("{e}")`, so its panic message is this error's `Display` text.
 //!
-//! A panic is a bug, not one of these errors. When dispatched work panics,
-//! the dispatch thread catches it and heals the session (device and pool
-//! recovered, leaked leases released), and the panic payload is parked on
-//! the job. `wait`/`wait_many` and their `try_*` twins re-raise it with
+//! A panic is a bug, not one of these errors. When submitted work panics,
+//! the submit catches it and heals the session (leaked leases released),
+//! and the panic payload is kept in the returned handle.
+//! `wait`/`wait_many` and their `try_*` twins re-raise it with
 //! `resume_unwind`, so a `try_` wait on that handle panics rather than
-//! returning `Err`. A dropped handle's panic re-raises at the session's
-//! next synchronizing call. Other handles and the session stay usable.
+//! returning `Err`; a handle dropped without a wait re-raises it from its
+//! `Drop`. Other handles and the session stay usable.
 
 use std::fmt;
 use std::time::Duration;
@@ -44,12 +38,6 @@ pub enum TfnoError {
     /// the operation was tried before this error was surfaced (1 when no
     /// retry policy was in play).
     Transient { fault: LaunchError, attempts: u32 },
-    /// A `wait_timeout` deadline elapsed before the job's result arrived.
-    Timeout { waited: Duration },
-    /// A `&self` inspector was called while submitted work is in flight.
-    InFlight,
-    /// The dispatch thread is gone; the session lost its device state.
-    Poisoned(String),
 }
 
 impl TfnoError {
@@ -66,15 +54,6 @@ impl fmt::Display for TfnoError {
             TfnoError::Transient { fault, attempts } => {
                 write!(f, "transient device fault after {attempts} attempt(s): {fault}")
             }
-            TfnoError::Timeout { waited } => {
-                write!(f, "wait deadline elapsed after {waited:?}")
-            }
-            TfnoError::InFlight => write!(
-                f,
-                "submitted work is in flight; wait on the outstanding LaunchHandle \
-                 (or synchronize) before inspecting the session"
-            ),
-            TfnoError::Poisoned(msg) => write!(f, "session dispatch thread lost: {msg}"),
         }
     }
 }
@@ -102,7 +81,7 @@ impl From<LaunchError> for TfnoError {
 }
 
 /// Bounded retry policy for transient faults in `Session::try_run` /
-/// `try_run_many` / `try_submit` (and their dispatched bodies).
+/// `try_run_many` / `try_submit` / `try_submit_many`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per plan rung (first try included). Clamped to ≥ 1.
@@ -147,14 +126,11 @@ pub struct RecoveryStats {
     /// Operations that gave up: retries (and degradation, when available)
     /// exhausted without a success.
     pub exhausted: u64,
-    /// Dispatched jobs whose panic was caught and healed (leaked leases
-    /// released, later handles unaffected).
+    /// Requests whose panic was caught and healed (leaked leases
+    /// released, later calls unaffected).
     pub jobs_healed: u64,
-    /// Leases a panicked job leaked that the dispatch loop released.
+    /// Leases a panicked request leaked that the session released.
     pub leases_recovered: u64,
-    /// Handles dropped without `wait`; their results were discarded at the
-    /// next synchronizing call.
-    pub abandoned_handles: u64,
 }
 
 #[cfg(test)]
@@ -184,18 +160,8 @@ mod tests {
 
     #[test]
     fn display_covers_the_taxonomy() {
-        for (e, needle) in [
-            (TfnoError::Validation("bad".into()), "validation"),
-            (
-                TfnoError::Timeout {
-                    waited: Duration::from_millis(5),
-                },
-                "deadline",
-            ),
-            (TfnoError::InFlight, "in flight"),
-            (TfnoError::Poisoned("gone".into()), "dispatch thread"),
-        ] {
-            assert!(e.to_string().contains(needle), "{e}");
-        }
+        // `Transient`'s text is covered by launch_error_maps_to_transient.
+        let e = TfnoError::Validation("bad".into());
+        assert!(e.to_string().contains("validation"), "{e}");
     }
 }

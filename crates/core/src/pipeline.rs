@@ -24,7 +24,7 @@
 //! and dispatches [`crate::LayerSpec`]s through the executors here.
 
 use crate::backend::{
-    Backend, BufferId, DeviceConfig, ExecMode, Kernel, LaunchError, LaunchRecord, PendingLaunch,
+    Backend, BufferId, DeviceConfig, ExecMode, Kernel, LaunchError, LaunchRecord,
 };
 use crate::fused::{fused_supported, FusedKernel, GeomNd};
 use crate::planner::TURBO_CANDIDATES;
@@ -283,16 +283,14 @@ impl LayerBufs {
 
 /// Everything a pipeline execution needs from its surrounding
 /// [`Session`](crate::Session): the backend, the scratch pool, and the
-/// planner consulted for `TurboBest` dispatches. Synchronous `Session`
-/// calls build one over the resident state; async dispatch threads build
-/// one over the device/pool they temporarily own — both paths therefore
-/// execute the exact same engine code (see `session.rs`).
+/// planner consulted for `TurboBest` requests. Every executing `Session`
+/// call builds one over its own state (see `session.rs`).
 pub(crate) struct ExecCtx<'a> {
     pub dev: &'a mut dyn Backend,
     pub pool: &'a mut BufferPool,
     pub planner: &'a crate::Planner,
     /// Static launch-plan verifier (`verify.rs`). When present, every
-    /// launch routed through `try_step`/`try_step_deferred` is proven
+    /// launch routed through `try_step` is proven
     /// hazard-free before it issues, and lease traffic is balanced; `None`
     /// when verification is disabled (see `verify::verifier_enabled`) and
     /// on planner cost probes, which re-run proven plans analytically.
@@ -468,27 +466,15 @@ impl ExecCtx<'_> {
     /// verifier is off). A rejection surfaces as
     /// [`LaunchError::PlanRejected`], which the session's error layer maps
     /// to non-retryable `TfnoError::Validation`.
-    fn check_plan(&mut self, kernel: &dyn Kernel, deferred: bool) -> Result<(), LaunchError> {
+    fn check_plan(&mut self, kernel: &dyn Kernel) -> Result<(), LaunchError> {
         let Some(v) = &mut self.verify else {
             return Ok(());
         };
-        let checked = if deferred {
-            v.check_deferred(self.dev, kernel)
-        } else {
-            v.check_launch(self.dev, kernel)
-        };
-        checked.map_err(|hazard| LaunchError::PlanRejected {
-            kernel: kernel.name(),
-            reason: hazard.to_string(),
-        })
-    }
-
-    /// Retire the `n` oldest verified deferred launches (their journals
-    /// were applied by [`Backend::complete`]).
-    pub(crate) fn note_completions(&mut self, n: usize) {
-        if let Some(v) = &mut self.verify {
-            v.complete_oldest(n);
-        }
+        v.check_launch(self.dev, kernel)
+            .map_err(|hazard| LaunchError::PlanRejected {
+                kernel: kernel.name(),
+                reason: hazard.to_string(),
+            })
     }
 
     /// End-of-sequence verifier check: every lease this sequence took must
@@ -506,20 +492,8 @@ impl ExecCtx<'_> {
         kernel: impl Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
-        self.check_plan(&kernel, false)?;
+        self.check_plan(&kernel)?;
         self.dev.try_launch(&kernel, mode)
-    }
-
-    /// Deferred-completion variant of [`ExecCtx::try_step`] for launches
-    /// whose writes nothing later in the sequence reads (serving-queue
-    /// scatters).
-    pub(crate) fn try_step_deferred(
-        &mut self,
-        kernel: impl Kernel,
-        mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError> {
-        self.check_plan(&kernel, true)?;
-        self.dev.try_launch_deferred(&kernel, mode)
     }
 
     /// Run one variant of the rank-`s.rank` Fourier layer.

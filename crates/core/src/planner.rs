@@ -240,7 +240,14 @@ impl Planner {
     /// paper's "TurboFNO" best-of configuration). Always a cold, uncached
     /// evaluation; `Variant::TurboBest` dispatches use the memoized
     /// [`Planner::plan_shape`] instead.
+    ///
+    /// # Panics
+    /// With the [`TfnoError::Validation`] text when no candidate fits the
+    /// device, exactly as [`Planner::plan_shape`] does.
     pub fn pick_best_shape(cfg: &DeviceConfig, s: &SpectralShape, opts: &TurboOptions) -> Variant {
+        if let Some(reason) = unfit_reason(cfg, s, Variant::TurboBest, opts) {
+            panic!("{}", TfnoError::Validation(reason));
+        }
         evaluate_shape(cfg, s, opts).0
     }
 }
@@ -441,6 +448,17 @@ mod tests {
         assert_eq!(planner.plan_shape(&cfg, &p2(), &opts), cold);
         assert_eq!(planner.plan_shape(&cfg, &p2(), &opts), cold);
         assert_eq!(planner.stats().hits, 1);
+    }
+
+    /// Regression: the cold scan answered `FftOpt` for a shape no
+    /// candidate fits (every modeled time infinite), so a caller that
+    /// launched the answer hit the device's shared-memory assert. It now
+    /// fails with `plan_shape`'s `Validation` text.
+    #[test]
+    #[should_panic(expected = "no Turbo variant fits")]
+    fn cold_pick_rejects_a_shape_no_candidate_fits() {
+        let s = SpectralShape::d1(1, 16, 16, 2048);
+        Planner::pick_best_shape(&DeviceConfig::a100(), &s, &TurboOptions::default());
     }
 
     /// Regression (re-evaluation storm): hitting the cache cap must not

@@ -147,9 +147,9 @@ impl BufferPool {
         Ok(id)
     }
 
-    /// Snapshot of the ids currently leased out — the dispatch loop's
-    /// basis for releasing leases leaked by a panicked job (diff the
-    /// snapshots taken before and after the job).
+    /// Snapshot of the ids currently leased out — a submit's basis for
+    /// releasing leases leaked by panicked work (diff the snapshots taken
+    /// before and after the work).
     pub(crate) fn leased_snapshot(&self) -> HashSet<BufferId> {
         self.leased_ids.clone()
     }

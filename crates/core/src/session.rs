@@ -50,33 +50,21 @@
 //! pruned plan and butterfly trace, and a functional sim launch attaches
 //! its memoized analytical counts instead of metering every access.
 //!
-//! ## Async layer dispatch
+//! ## Submit and wait
 //!
-//! [`Session::submit`]/[`Session::submit_many`] are the asynchronous halves
-//! of `run`/`run_many`: they enqueue the same launch sequence on the
-//! session's *dispatch thread* — one long-lived thread, created at the
-//! first submit and reused for every later one — and return a
-//! [`LaunchHandle`] immediately, so the host can do unrelated work — an
-//! FNO layer's pointwise bypass, the next batch's staging — while the
-//! simulated device executes. Up to [`Session::pipeline_depth`] submits
-//! ride the in-order queue concurrently; past that, `submit` waits for the
-//! oldest job before enqueueing (backpressure, never reordering).
-//! [`Session::wait`] (or [`Session::wait_many`]) synchronizes and returns
-//! the same [`PipelineRun`]s the synchronous call would have; outputs are
-//! bitwise-identical because the dispatched work *is* the synchronous code
-//! path, merely running on another thread.
+//! [`Session::submit`]/[`Session::submit_many`] take the same admission
+//! check and run the same engine as `run`/`run_many`, on the caller's
+//! thread, before they return; `run` is `submit` followed by
+//! [`Session::wait`]. The returned [`LaunchHandle`] owns the outcome —
+//! the [`PipelineRun`]s, the typed error, or a caught panic — until
+//! `wait`/[`Session::wait_many`] (or a `try_*` twin) takes it. The output
+//! buffers hold their results as soon as `submit` returns, and nothing is
+//! ever in flight, so every inspector ([`Session::download`],
+//! [`Session::device`], [`Session::pool_stats`]) is safe at any time.
 //!
-//! While dispatched work is in flight the device and pool live on the
-//! dispatch thread: any `&mut Session` method except `submit`/`submit_many`
-//! first synchronizes (so `submit` → `run` is legal and simply
-//! serializes), while `&self` inspection methods ([`Session::download`],
-//! [`Session::device`], [`Session::pool_stats`]) panic rather than observe
-//! half-complete state (their `try_*` twins return
-//! [`TfnoError::InFlight`] instead). Submits themselves are admitted against a
-//! shadow length ledger so a deep pipeline never drains just to check
-//! shapes. Buffers leased before a `submit` stay leased until after the
-//! `wait` — the lease ledger travels with the pool, so in-flight layers
-//! keep their operands pinned.
+//! No work runs beside the caller: the simulator's block executor and the
+//! host `pointwise` each already fan out to every core, so a second
+//! thread would have nothing to overlap.
 //!
 //! ## Failure semantics
 //!
@@ -88,7 +76,8 @@
 //! success path is the same code and the panic message is the
 //! [`TfnoError`] text. Validation is typed at its source
 //! ([`SpectralShape::try_validate`]); nothing on a validation path
-//! catches a panic.
+//! catches a panic. A `try_submit` only validates: an engine error is
+//! kept in the handle and surfaces at the `try_wait`.
 //!
 //! Transient device faults (see [`FaultPlan`]) are retried
 //! under the session's [`RetryPolicy`]; a fused variant that keeps
@@ -97,15 +86,13 @@
 //! nothing, so every retry — and the final success — is bitwise-identical
 //! to a fault-free run of the same variant.
 //!
-//! The dispatch thread *self-heals*: a dispatched job that panics is
-//! caught there, scratch leases the unwind leaked are released, and only
-//! that job's handle reports the failure — the payload parks per-handle
-//! and re-raises at that handle's wait ([`Session::wait`] and
-//! [`Session::try_wait`] alike: a panic is a bug, not a recoverable
-//! error), and later submits proceed unaffected. A handle
-//! dropped without `wait` is *abandoned*: its work still completes, its
-//! result is discarded at the next synchronizing call (a parked panic is
-//! re-raised there). [`Session::recovery_stats`] counts all of it.
+//! A panic in the engine is a bug, not a [`TfnoError`], but it does not
+//! wedge the session: the submit catches it, releases the scratch leases
+//! the unwind leaked, and keeps the payload in the handle. The payload
+//! re-raises at that handle's wait ([`Session::wait`] and
+//! [`Session::try_wait`] alike) or, for a handle dropped without a wait,
+//! from the handle's drop, so a panic never vanishes. Later calls proceed
+//! unaffected, and [`Session::recovery_stats`] counts all of it.
 
 use crate::error::{RecoveryStats, RetryPolicy, TfnoError};
 use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
@@ -113,17 +100,15 @@ use crate::planner::{hash_device_config, Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
 use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVerifier, QueueAccess};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tfno_cgemm::WeightStacking;
 use tfno_culib::{CopySegment, PipelineRun, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
-    lock_unpoisoned, seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeferredWindow,
-    DeviceConfig, ExecMode, FaultPlan, FaultStats, LaunchError, LaunchRecord, PendingLaunch,
-    SimBackend,
+    seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan,
+    FaultStats, LaunchError, SimBackend,
 };
 use tfno_num::C32;
 
@@ -290,165 +275,53 @@ pub struct Request {
     pub y: BufferId,
 }
 
-/// Ticket for work dispatched with [`Session::submit`] or
-/// [`Session::submit_many`]. Redeem it with [`Session::wait`] /
-/// [`Session::wait_many`] (or their `try_*` twins) on the session that
-/// issued it — handles are session-bound and single-use (consumed by the
-/// wait).
+/// The outcome of work issued with [`Session::submit`] or
+/// [`Session::submit_many`]. The work has already run; the handle holds
+/// its [`PipelineRun`]s, its typed error or its caught panic until
+/// [`Session::wait`] / [`Session::wait_many`] (or a `try_*` twin) on the
+/// issuing session takes them. Handles are session-bound and single-use
+/// (consumed by the wait).
 ///
-/// Dropping a handle without waiting does not cancel the work, but it no
-/// longer strands its result either: the drop registers the handle as
-/// *abandoned*, and the session's next synchronizing call discards the
-/// parked result (re-raising its panic payload, if the work panicked) and
-/// counts it in [`RecoveryStats::abandoned_handles`].
+/// Dropping a handle without a wait discards its runs or its error (the
+/// outputs stay written). A caught panic re-raises from the drop instead,
+/// unless the thread is already unwinding, so it never vanishes.
 #[derive(Debug)]
-#[must_use = "dispatched work completes, but its PipelineRun is lost unless the handle is waited on"]
+#[must_use = "the work already ran, but its PipelineRun is lost unless the handle is waited on"]
 pub struct LaunchHandle {
     session: u64,
-    seq: u64,
-    /// Shared abandoned-handle registry of the issuing session; disarmed
-    /// (`None`) when a wait redeems the handle.
-    abandoned: Option<Arc<Mutex<Vec<u64>>>>,
-}
-
-impl LaunchHandle {
-    /// Redeem on the issuing session with a deadline — sugar for
-    /// [`Session::wait_timeout`].
-    pub fn wait_timeout<B: Backend>(
-        self,
-        sess: &mut Session<B>,
-        timeout: Duration,
-    ) -> Result<Vec<PipelineRun>, (Option<LaunchHandle>, TfnoError)> {
-        sess.wait_timeout(self, timeout)
-    }
+    /// `None` once a wait has taken it.
+    outcome: Option<Outcome>,
 }
 
 impl Drop for LaunchHandle {
     fn drop(&mut self) {
-        if let Some(reg) = self.abandoned.take() {
-            lock_unpoisoned(&reg).push(self.seq);
+        if let Some(Outcome::Panicked(payload)) = self.outcome.take() {
+            if !std::thread::panicking() {
+                resume_unwind(payload);
+            }
         }
     }
 }
 
-/// A dispatched pipeline body: runs against the thread-resident state and
-/// yields one `PipelineRun` per request, or the typed error the resilient
-/// engine could not recover from.
-type DispatchWork =
-    Box<dyn FnOnce(&mut ExecCtx<'_>) -> Result<Vec<PipelineRun>, TfnoError> + Send>;
-
-/// Parked terminal state of one dispatched job, held until its handle is
-/// redeemed (or the handle is abandoned and a synchronize discards it).
+/// What one submit produced, held by its handle.
+#[derive(Debug)]
 enum Outcome {
     Done(Vec<PipelineRun>),
     /// The resilient engine exhausted retries/degradation, or the plan
-    /// verifier rejected a launch; only this job's handle reports it.
+    /// verifier rejected a launch.
     Failed(TfnoError),
-    /// The work panicked; the dispatch thread healed (leaked leases
-    /// released) and the payload waits here for the handle's wait.
+    /// The work panicked; the submit released the leases it leaked.
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Work items for the session's long-lived dispatch thread.
-enum Job<B: Backend> {
-    /// Move the device and pool onto the dispatch thread (boxed so the
-    /// queue slot stays small).
-    Install(Box<(B, BufferPool)>),
-    /// Execute one dispatched pipeline; the result travels back over the
-    /// in-order results channel tagged with `seq`.
-    Work { seq: u64, work: DispatchWork },
-    /// Hand the device and pool back to the session (synchronize).
-    Return,
-}
-
-/// The session's persistent dispatch thread: created at the first
-/// `submit`, reused for every later one, joined on drop. Holds the device
-/// and pool between `Install` and `Return` so a deep pipeline of submits
-/// pays zero thread spawns and zero state hand-offs per job.
-/// What a dispatched job reports back: its sequence number plus either
-/// the job's typed result or its panic payload (`std::thread::Result`
-/// captures the unwind).
-type JobOutcome = (u64, std::thread::Result<Result<Vec<PipelineRun>, TfnoError>>);
-
-struct Dispatcher<B: Backend> {
-    jobs: mpsc::Sender<Job<B>>,
-    results: mpsc::Receiver<JobOutcome>,
-    state_back: mpsc::Receiver<Box<(B, BufferPool)>>,
-    join: std::thread::JoinHandle<()>,
-}
-
-/// Body of the dispatch thread: drain jobs in order until the session
-/// drops its sender. The device and pool live in `state` and are only
-/// *borrowed* per job, so a panicking pipeline can never lose them — the
-/// panic payload rides the results channel and the thread keeps serving.
-///
-/// Self-healing: a snapshot of the pool's lease ledger is taken before
-/// each job, so when the job unwinds, every lease it acquired and leaked
-/// (pipeline scratch, staging buffers) is released here before the next
-/// job runs. Only the panicked job's handle observes the failure.
-fn dispatch_loop<B: Backend>(
-    jobs: mpsc::Receiver<Job<B>>,
-    results: mpsc::Sender<JobOutcome>,
-    state_back: mpsc::Sender<Box<(B, BufferPool)>>,
-    planner: Arc<Planner>,
-    recovery: Arc<Mutex<RecoveryStats>>,
-) {
-    let mut state: Option<Box<(B, BufferPool)>> = None;
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Install(s) => state = Some(s),
-            Job::Work { seq, work } => {
-                let s = state.as_mut().expect("Work job follows an Install");
-                let (dev, pool) = &mut **s;
-                let before = pool.leased_snapshot();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = ExecCtx {
-                        dev: &mut *dev,
-                        pool: &mut *pool,
-                        planner: &planner,
-                        verify: verifier_enabled().then(PlanVerifier::new),
-                    };
-                    work(&mut ctx)
-                }));
-                if result.is_err() {
-                    let leaked: Vec<BufferId> = pool
-                        .leased_snapshot()
-                        .difference(&before)
-                        .copied()
-                        .collect();
-                    let mut r = lock_unpoisoned(&recovery);
-                    r.jobs_healed += 1;
-                    r.leases_recovered += leaked.len() as u64;
-                    drop(r);
-                    for id in leaked {
-                        pool.release(&*dev, id);
-                    }
-                }
-                if results.send((seq, result)).is_err() {
-                    return; // session gone; nothing left to serve
-                }
-            }
-            Job::Return => {
-                let s = state.take().expect("Return job follows an Install");
-                if state_back.send(s).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Counters for the persistent dispatch thread (see
-/// [`Session::dispatch_stats`]).
+/// Always zero: submits run on the caller's thread, so nothing is
+/// dispatched and nothing is ever in flight. Kept only because the repo
+/// benchmark's counter adapter (`fnobench/src/counters.rs`) reads both
+/// fields; it goes together with that benchmark's `session.dispatch_jobs`
+/// and `session.max_in_flight` metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Dispatch threads created over the session's lifetime. Stays at 1 no
-    /// matter how many submits ran (the thread is reused, not respawned).
-    pub threads_spawned: u64,
-    /// Jobs enqueued on the dispatch thread.
     pub jobs_dispatched: u64,
-    /// High-water mark of concurrently in-flight jobs (bounded by
-    /// [`Session::pipeline_depth`]).
     pub max_in_flight: u64,
 }
 
@@ -460,16 +333,7 @@ pub struct ReplayStats {
     pub misses: u64,
 }
 
-/// Default in-flight depth of the dispatch pipeline: double-buffered — the
-/// host stages submit N+1 while the device runs submit N.
-const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
 static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
-
-const IN_FLIGHT: &str = "session has in-flight submitted work; wait on its LaunchHandle \
-                         (any `&mut Session` method also synchronizes) before reading \
-                         session state, or use the typed try_download/try_device/\
-                         try_pool_stats inspectors for a recoverable InFlight error";
 
 /// An owning execution handle: simulated device + memoizing planner +
 /// scratch buffer pool. The single way to execute Fourier layers (and,
@@ -479,43 +343,19 @@ const IN_FLIGHT: &str = "session has in-flight submitted work; wait on its Launc
 /// pool state warm up over the first request of each shape and every later
 /// same-shape request skips planning and scratch allocation entirely.
 ///
-/// Execution is synchronous ([`Session::run`], [`Session::run_many`]) or
-/// asynchronous ([`Session::submit`], [`Session::submit_many`] — see the
-/// [module docs](self) for the dispatch model); both produce bitwise-equal
-/// results.
+/// Every call runs on the caller's thread: [`Session::run`] and
+/// [`Session::run_many`] return their runs, while [`Session::submit`] and
+/// [`Session::submit_many`] return them in a [`LaunchHandle`] (see the
+/// [module docs](self)).
 pub struct Session<B: Backend = SimBackend> {
-    /// `None` exactly while dispatched work is in flight (the device lives
-    /// on the dispatch thread between `Install` and `Return`).
-    dev: Option<B>,
-    /// Travels with the device so in-flight pipelines lease scratch and
-    /// leases pinned by the host stay tracked.
-    pool: Option<BufferPool>,
-    /// Shared with the dispatch thread; all planner state is interior-mutex.
-    planner: Arc<Planner>,
+    dev: B,
+    pool: BufferPool,
+    planner: Planner,
+    /// Binds the handles this session issues to it.
     id: u64,
-    next_seq: u64,
-    /// Max jobs in flight before `submit` applies backpressure.
-    depth: usize,
-    dispatcher: Option<Dispatcher<B>>,
-    /// Sequence numbers of jobs on the dispatch thread, oldest first.
-    inflight: VecDeque<u64>,
-    /// Terminal states of finished dispatches not yet redeemed by a `wait`.
-    completed: HashMap<u64, Outcome>,
-    /// Seqs of handles dropped without a wait; shared with every issued
-    /// [`LaunchHandle`], drained (results discarded) at synchronize.
-    abandoned: Arc<Mutex<Vec<u64>>>,
     /// Bounded retry budget for transient faults (see [`RetryPolicy`]).
     retry: RetryPolicy,
-    /// Counters of the recovery machinery, shared with dispatched bodies
-    /// and the dispatch loop's healing path.
-    recovery: Arc<Mutex<RecoveryStats>>,
-    stats: DispatchStats,
-    /// Shadow operand-length ledger: lets `submit` check operand lengths while
-    /// the authoritative memory ledger is away on the dispatch thread.
-    buf_meta: HashMap<BufferId, usize>,
-    /// The device's configuration, for admission while the device is on
-    /// the dispatch thread.
-    config: DeviceConfig,
+    recovery: RecoveryStats,
 }
 
 impl Session<AnyBackend> {
@@ -544,41 +384,21 @@ impl<B: Backend> Session<B> {
     /// Wrap an existing backend (its executor/memo configuration is kept).
     pub fn new(dev: B) -> Self {
         Session {
-            config: dev.config().clone(),
-            dev: Some(dev),
-            pool: Some(BufferPool::new()),
-            planner: Arc::new(Planner::new()),
+            dev,
+            pool: BufferPool::new(),
+            planner: Planner::new(),
             id: SESSION_IDS.fetch_add(1, Ordering::Relaxed),
-            next_seq: 0,
-            depth: DEFAULT_PIPELINE_DEPTH,
-            dispatcher: None,
-            inflight: VecDeque::new(),
-            completed: HashMap::new(),
-            abandoned: Arc::new(Mutex::new(Vec::new())),
             retry: RetryPolicy::default(),
-            recovery: Arc::new(Mutex::new(RecoveryStats::default())),
-            stats: DispatchStats::default(),
-            buf_meta: HashMap::new(),
+            recovery: RecoveryStats::default(),
         }
     }
 
-    fn dev_ref(&self) -> &B {
-        self.dev.as_ref().expect(IN_FLIGHT)
-    }
-
     pub fn device(&self) -> &B {
-        self.dev_ref()
-    }
-
-    /// Typed twin of [`Session::device`]: [`TfnoError::InFlight`] instead
-    /// of a panic while submitted work holds the device.
-    pub fn try_device(&self) -> Result<&B, TfnoError> {
-        self.dev.as_ref().ok_or(TfnoError::InFlight)
+        &self.dev
     }
 
     pub fn device_mut(&mut self) -> &mut B {
-        self.synchronize();
-        self.dev.as_mut().expect("device resident after synchronize")
+        &mut self.dev
     }
 
     /// The session-local `TurboBest` planner.
@@ -595,20 +415,11 @@ impl<B: Backend> Session<B> {
     /// Scratch-pool counters: a warm same-shape request must report
     /// `hits > 0`.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.as_ref().expect(IN_FLIGHT).stats()
-    }
-
-    /// Typed twin of [`Session::pool_stats`].
-    pub fn try_pool_stats(&self) -> Result<PoolStats, TfnoError> {
-        self.pool
-            .as_ref()
-            .map(|p| p.stats())
-            .ok_or(TfnoError::InFlight)
+        self.pool.stats()
     }
 
     /// Install (or clear, with `None`) a deterministic fault-injection
-    /// plan on the session's device. Synchronizes first so the plan's
-    /// event cursors start from a quiescent state.
+    /// plan on the session's device.
     ///
     /// # Panics
     /// If the backend does not advertise fault injection (see
@@ -625,19 +436,13 @@ impl<B: Backend> Session<B> {
     /// instead of panicking (asking for an unadvertised capability is a
     /// request error — check [`Backend::caps`] first).
     pub fn try_set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<(), TfnoError> {
-        self.device_mut()
-            .try_set_fault_plan(plan)
-            .map_err(TfnoError::from)
+        self.dev.try_set_fault_plan(plan).map_err(TfnoError::from)
     }
 
     /// Fault-injection counters of the session's device (all zero when no
     /// plan is installed).
-    ///
-    /// # Panics
-    /// While submitted work is in flight (the counters live on the
-    /// device); synchronize or wait first.
     pub fn fault_stats(&self) -> FaultStats {
-        self.dev_ref().fault_stats()
+        self.dev.fault_stats()
     }
 
     /// Bounded retry budget applied by every executing entry point
@@ -652,17 +457,10 @@ impl<B: Backend> Session<B> {
     }
 
     /// Counters of the recovery machinery: transient retries, degradations
-    /// to the unfused pipeline, exhausted operations, healed dispatch jobs
-    /// and the leases they leaked, abandoned handles.
+    /// to the unfused pipeline, exhausted operations, healed panics and
+    /// the leases they leaked.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        *lock_unpoisoned(&self.recovery)
-    }
-
-    /// True while submitted work (or the session state that ran it) is
-    /// still on the dispatch thread — it flips false at the next
-    /// synchronizing call, not by itself.
-    pub fn pending(&self) -> bool {
-        self.dev.is_none()
+        self.recovery
     }
 
     /// Always zero. Kept only because the repo benchmark's counter
@@ -673,215 +471,59 @@ impl<B: Backend> Session<B> {
         ReplayStats::default()
     }
 
-    /// Dispatch-thread counters: `threads_spawned` stays at 1 however many
-    /// submits ran; `max_in_flight` shows how deep the pipeline actually got.
+    /// Always zero (see [`DispatchStats`]); kept for the repo benchmark's
+    /// counter adapter and goes together with its dispatch metrics.
     pub fn dispatch_stats(&self) -> DispatchStats {
-        self.stats
+        DispatchStats::default()
     }
 
-    /// Max submitted jobs in flight before [`Session::submit`] blocks on
-    /// the oldest (clamped to ≥ 1). Depth 1 is classic double-buffering's
-    /// degenerate case: one job runs while the host stages the next submit.
-    pub fn set_pipeline_depth(&mut self, depth: usize) {
-        self.depth = depth.max(1);
-    }
-
-    /// Current in-flight depth bound (default 2).
-    pub fn pipeline_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Lazily create the session's one long-lived dispatch thread.
-    fn ensure_dispatcher(&mut self) {
-        if self.dispatcher.is_some() {
-            return;
-        }
-        let (jobs_tx, jobs_rx) = mpsc::channel();
-        let (res_tx, res_rx) = mpsc::channel();
-        let (state_tx, state_rx) = mpsc::channel();
-        let planner = Arc::clone(&self.planner);
-        let recovery = Arc::clone(&self.recovery);
-        let join = std::thread::Builder::new()
-            .name("tfno-dispatch".into())
-            .spawn(move || dispatch_loop(jobs_rx, res_tx, state_tx, planner, recovery))
-            .expect("spawn dispatch thread");
-        self.stats.threads_spawned += 1;
-        self.dispatcher = Some(Dispatcher {
-            jobs: jobs_tx,
-            results: res_rx,
-            state_back: state_rx,
-            join,
-        });
-    }
-
-    /// Park one received result under its seq, as a typed [`Outcome`].
-    fn park(&mut self, seq: u64, result: std::thread::Result<Result<Vec<PipelineRun>, TfnoError>>) {
-        let outcome = match result {
-            Ok(Ok(runs)) => Outcome::Done(runs),
-            Ok(Err(e)) => Outcome::Failed(e),
-            Err(payload) => Outcome::Panicked(payload),
-        };
-        self.completed.insert(seq, outcome);
-    }
-
-    /// Receive the oldest in-flight job's result, parking it for its
-    /// `wait`. Failures — typed or panic — park per-seq: only the handle
-    /// that submitted the job observes them.
-    fn collect_one(&mut self) {
-        let Some(seq) = self.inflight.pop_front() else {
-            return;
-        };
-        let d = self
-            .dispatcher
-            .as_ref()
-            .expect("dispatcher alive while jobs are in flight");
-        let (got, result) = d.results.recv().expect("dispatch thread alive");
-        debug_assert_eq!(got, seq, "results arrive in submit order");
-        self.park(got, result);
-    }
-
-    /// Drain the dispatch pipeline, restore the device and pool, and
-    /// discard the parked results of abandoned handles — re-raising the
-    /// first abandoned panic payload, so a dropped handle can never make a
-    /// dispatched panic disappear silently. Every `&mut Session` entry
-    /// point except `submit`/`submit_many` calls this first, so session
-    /// state is never observed mid-dispatch.
-    pub fn synchronize(&mut self) {
-        while !self.inflight.is_empty() {
-            self.collect_one();
-        }
-        if self.dev.is_none() {
-            let d = self
-                .dispatcher
-                .as_ref()
-                .expect("dispatcher holds the device while it is away");
-            d.jobs.send(Job::Return).expect("dispatch thread alive");
-            let state = d
-                .state_back
-                .recv()
-                .expect("dispatch thread returns the device");
-            let (dev, pool) = *state;
-            self.dev = Some(dev);
-            self.pool = Some(pool);
-        }
-        let drained: Vec<u64> = {
-            let mut reg = lock_unpoisoned(&self.abandoned);
-            reg.drain(..).collect()
-        };
-        if drained.is_empty() {
-            return;
-        }
-        lock_unpoisoned(&self.recovery).abandoned_handles += drained.len() as u64;
-        let mut first_panic = None;
-        for seq in drained {
-            if let Some(Outcome::Panicked(payload)) = self.completed.remove(&seq) {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
+    /// A no-op: nothing is ever in flight. Kept only because the repo
+    /// benchmark's counter adapter calls it; it goes together with that
+    /// benchmark's dispatch metrics.
+    pub fn synchronize(&mut self) {}
 
     /// Allocate a named long-lived buffer (weights, persistent activations).
     pub fn alloc(&mut self, name: &str, len: usize) -> BufferId {
-        let id = self.device_mut().alloc(name, len);
-        self.buf_meta.insert(id, len);
-        id
+        self.dev.alloc(name, len)
     }
 
     /// Lease a real buffer from the pool (return it with [`Session::release`]).
     pub fn acquire(&mut self, len: usize) -> BufferId {
-        self.synchronize();
-        let (dev, pool) = self.resident_mut();
-        let id = pool.acquire(&mut *dev, len);
-        let n = dev.memory().len(id);
-        self.buf_meta.insert(id, n);
-        id
+        self.pool.acquire(&mut self.dev, len)
     }
 
     /// Lease a storage-free virtual buffer from the pool.
     pub fn acquire_virtual(&mut self, len: usize) -> BufferId {
-        self.synchronize();
-        let (dev, pool) = self.resident_mut();
-        let id = pool.acquire_virtual(&mut *dev, len);
-        let n = dev.memory().len(id);
-        self.buf_meta.insert(id, n);
-        id
+        self.pool.acquire_virtual(&mut self.dev, len)
     }
 
     /// Return a leased buffer to the pool.
     pub fn release(&mut self, id: BufferId) {
-        self.synchronize();
-        let (dev, pool) = self.resident_mut();
-        pool.release(&*dev, id);
+        self.pool.release(&self.dev, id);
     }
 
     /// Donate a buffer the pool never leased (e.g. one created with
     /// [`Session::alloc`] that is no longer needed) to the free lists.
     pub fn adopt(&mut self, id: BufferId) {
-        self.synchronize();
-        let (dev, pool) = self.resident_mut();
-        pool.adopt(&*dev, id);
+        self.pool.adopt(&self.dev, id);
     }
 
     pub fn upload(&mut self, id: BufferId, data: &[C32]) {
-        self.device_mut().upload(id, data);
+        self.dev.upload(id, data);
     }
 
     pub fn download(&self, id: BufferId) -> Vec<C32> {
-        self.dev_ref().download(id)
+        self.dev.download(id)
     }
 
-    /// Typed twin of [`Session::download`]: [`TfnoError::InFlight`]
-    /// instead of a panic while submitted work holds the device.
-    pub fn try_download(&self, id: BufferId) -> Result<Vec<C32>, TfnoError> {
-        Ok(self.try_device()?.download(id))
-    }
-
-    /// Both halves of the resident state, after a `synchronize`.
-    fn resident_mut(&mut self) -> (&mut B, &mut BufferPool) {
-        (
-            self.dev.as_mut().expect("device resident after synchronize"),
-            self.pool.as_mut().expect("pool resident after synchronize"),
-        )
-    }
-
-    fn ctx(&mut self) -> ExecCtx<'_> {
-        ExecCtx {
-            dev: self.dev.as_mut().expect("device resident after synchronize"),
-            pool: self.pool.as_mut().expect("pool resident after synchronize"),
-            planner: &self.planner,
-            verify: verifier_enabled().then(PlanVerifier::new),
-        }
-    }
-
-    /// The one admission check, run on the caller's thread by every entry
-    /// point before anything launches or dispatches, so a bad request fails
-    /// at its call site: operand lengths, shape and fusability for every
-    /// request, plus — for a `run_many`/`submit_many` queue (`parallel`) —
-    /// the aliasing rules. A single `run`/`submit` is never reordered
-    /// against other work, so it may update in place (`y == x`).
-    ///
-    /// Lengths come from the resident memory ledger, or from the shadow
-    /// ledger while the device is on the dispatch thread — so a deep
-    /// pipeline of submits never drains just to check shapes. A buffer the
-    /// shadow ledger has not seen (created directly via
-    /// [`Session::device_mut`]) falls back to a synchronize plus the
-    /// authoritative ledger.
-    fn try_admit(&mut self, reqs: &[Request], parallel: bool) -> Result<(), TfnoError> {
-        let unseen = |r: &Request| {
-            [r.x, r.w, r.y]
-                .iter()
-                .any(|id| !self.buf_meta.contains_key(id))
-        };
-        if self.dev.is_none() && reqs.iter().any(unseen) {
-            self.synchronize();
-        }
-        let len = |id: BufferId| match &self.dev {
-            Some(dev) => dev.memory().len(id),
-            None => self.buf_meta[&id],
-        };
+    /// The one admission check, run by every entry point before anything
+    /// launches, so a bad request fails at its call site: operand lengths,
+    /// shape and fusability for every request, plus — for a
+    /// `run_many`/`submit_many` queue (`parallel`) — the aliasing rules.
+    /// A single `run`/`submit` is never reordered against other work, so
+    /// it may update in place (`y == x`).
+    fn try_admit(&self, reqs: &[Request], parallel: bool) -> Result<(), TfnoError> {
+        let len = |id: BufferId| self.dev.memory().len(id);
         for r in reqs {
             for (got, want, msg) in [
                 (len(r.x), r.spec.input_len(), "x length != spec input_len"),
@@ -892,14 +534,13 @@ impl<B: Backend> Session<B> {
                     return Err(TfnoError::Validation(format!("{msg} ({got} != {want})")));
                 }
             }
-            r.spec.check_shape(&self.config)?;
+            r.spec.check_shape(self.dev.config())?;
         }
         if !parallel {
             return Ok(());
         }
-        // The aliasing rules are one `PlanVerifier` code path shared by the
-        // sync and async entry points; only the message text —
-        // pinned by the API tests — is rendered here.
+        // The aliasing rules are one `PlanVerifier` code path; only the
+        // message text — pinned by the API tests — is rendered here.
         let access: Vec<QueueAccess> = reqs
             .iter()
             .map(|r| QueueAccess {
@@ -923,42 +564,58 @@ impl<B: Backend> Session<B> {
         }
     }
 
-    /// The resilient engine over `reqs`, bound to this session's recovery
-    /// counters and retry policy: the one body the synchronous entry
-    /// points run in place and the submitting ones ship to the dispatch
-    /// thread.
-    fn engine(
-        &self,
-        reqs: &[Request],
-    ) -> impl FnOnce(&mut ExecCtx<'_>) -> Result<Vec<PipelineRun>, TfnoError> + Send + 'static {
-        let recovery = Arc::clone(&self.recovery);
-        let policy = self.retry;
-        let reqs = reqs.to_vec();
-        move |ctx| run_queue_resilient(ctx, &recovery, policy, reqs)
-    }
-
-    /// The synchronous request path: admit, then run the engine on the
-    /// resident state.
-    fn try_run_requests(
-        &mut self,
-        reqs: &[Request],
-        parallel: bool,
-    ) -> Result<Vec<PipelineRun>, TfnoError> {
-        self.synchronize();
-        self.try_admit(reqs, parallel)?;
-        let engine = self.engine(reqs);
-        engine(&mut self.ctx())
-    }
-
-    /// The submitting request path: admit here, run on the dispatch thread.
+    /// The one request path: admit, then run the resilient engine through
+    /// [`Session::submit_work`].
     fn try_submit_requests(
         &mut self,
         reqs: &[Request],
         parallel: bool,
     ) -> Result<LaunchHandle, TfnoError> {
         self.try_admit(reqs, parallel)?;
-        let engine = self.engine(reqs);
-        Ok(self.dispatch(Box::new(engine)))
+        let (policy, reqs) = (self.retry, reqs.to_vec());
+        Ok(self.submit_work(move |ctx, recovery| run_queue_resilient(ctx, recovery, policy, reqs)))
+    }
+
+    /// Run `work` against the session state and hand back its outcome.
+    ///
+    /// Self-healing: a snapshot of the pool's lease ledger is taken first,
+    /// so when `work` unwinds, every lease it acquired and leaked
+    /// (pipeline scratch, staging buffers) is released here and the payload
+    /// is kept in the handle instead of unwinding through the caller.
+    fn submit_work(
+        &mut self,
+        work: impl FnOnce(&mut ExecCtx<'_>, &mut RecoveryStats) -> Result<Vec<PipelineRun>, TfnoError>,
+    ) -> LaunchHandle {
+        let before = self.pool.leased_snapshot();
+        let mut ctx = ExecCtx {
+            dev: &mut self.dev,
+            pool: &mut self.pool,
+            planner: &self.planner,
+            verify: verifier_enabled().then(PlanVerifier::new),
+        };
+        let recovery = &mut self.recovery;
+        let outcome = match catch_unwind(AssertUnwindSafe(|| work(&mut ctx, recovery))) {
+            Ok(Ok(runs)) => Outcome::Done(runs),
+            Ok(Err(e)) => Outcome::Failed(e),
+            Err(payload) => {
+                let leaked: Vec<BufferId> = self
+                    .pool
+                    .leased_snapshot()
+                    .difference(&before)
+                    .copied()
+                    .collect();
+                self.recovery.jobs_healed += 1;
+                self.recovery.leases_recovered += leaked.len() as u64;
+                for id in leaked {
+                    self.pool.release(&self.dev, id);
+                }
+                Outcome::Panicked(payload)
+            }
+        };
+        LaunchHandle {
+            session: self.id,
+            outcome: Some(outcome),
+        }
     }
 
     /// Execute one layer spec. `TurboBest` consults the session planner
@@ -989,9 +646,8 @@ impl<B: Backend> Session<B> {
         w: BufferId,
         y: BufferId,
     ) -> Result<PipelineRun, TfnoError> {
-        let mut runs = self.try_run_requests(&[Request { spec: *spec, x, w, y }], false)?;
-        // INVARIANT: the engine returns one PipelineRun per request.
-        Ok(runs.pop().expect("one run per request"))
+        let handle = self.try_submit(spec, x, w, y)?;
+        self.try_wait(handle)
     }
 
     /// Execute a queue of layer requests, coalescing where possible.
@@ -1031,20 +687,13 @@ impl<B: Backend> Session<B> {
     /// Typed twin of [`Session::run_many`] (same coalescing, same
     /// aliasing contract, typed errors instead of panics).
     pub fn try_run_many(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, TfnoError> {
-        self.try_run_requests(reqs, true)
+        let handle = self.try_submit_many(reqs)?;
+        self.try_wait_many(handle)
     }
 
-    /// Issue [`Session::run`] asynchronously: the launch sequence executes
-    /// on the session's dispatch thread while this call returns
-    /// immediately. Redeem the handle with [`Session::wait`] for the
-    /// [`PipelineRun`]; the output buffer holds its result from that point
-    /// on, bitwise equal to the synchronous call. Admission (lengths,
-    /// shape; in-place `y == x` allowed) still happens here, synchronously.
-    ///
-    /// Up to [`Session::pipeline_depth`] submits ride the in-order queue
-    /// concurrently; past that, this call waits for the oldest job before
-    /// enqueueing. Interleaving host work *between* submits and their
-    /// waits is the profitable pattern.
+    /// [`Session::run`], with the [`PipelineRun`] handed over later by
+    /// [`Session::wait`]: the launch sequence has run, and the output
+    /// buffer holds its result, when this returns.
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_submit`]
@@ -1055,9 +704,9 @@ impl<B: Backend> Session<B> {
     }
 
     /// Typed twin of [`Session::submit`]: validation failures come back as
-    /// [`TfnoError::Validation`] instead of panics. The dispatched body is
-    /// the same resilient engine as [`Session::try_run`]; its outcome
-    /// (typed error or panic payload) parks under the returned handle.
+    /// [`TfnoError::Validation`] instead of panics. An engine failure is
+    /// not an error here: it is kept in the handle and surfaces at
+    /// [`Session::try_wait`].
     pub fn try_submit(
         &mut self,
         spec: &LayerSpec,
@@ -1068,9 +717,8 @@ impl<B: Backend> Session<B> {
         self.try_submit_requests(&[Request { spec: *spec, x, w, y }], false)
     }
 
-    /// Issue [`Session::run_many`] asynchronously (same coalescing, same
-    /// aliasing contract — admitted here, synchronously). Redeem with
-    /// [`Session::wait_many`].
+    /// [`Session::run_many`] with its runs handed over later by
+    /// [`Session::wait_many`] (same coalescing, same aliasing contract).
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_submit_many`]
@@ -1084,55 +732,24 @@ impl<B: Backend> Session<B> {
         self.try_submit_requests(reqs, true)
     }
 
-    /// Enqueue `work` on the persistent dispatch thread, moving the device
-    /// and pool there first if they are still resident. Applies the
-    /// pipeline-depth backpressure and hands back the job's ticket.
-    fn dispatch(&mut self, work: DispatchWork) -> LaunchHandle {
-        self.ensure_dispatcher();
-        if let (Some(dev), Some(pool)) = (self.dev.take(), self.pool.take()) {
-            let d = self.dispatcher.as_ref().expect("dispatcher just ensured");
-            d.jobs
-                .send(Job::Install(Box::new((dev, pool))))
-                .expect("dispatch thread alive");
-        }
-        while self.inflight.len() >= self.depth {
-            self.collect_one();
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let d = self.dispatcher.as_ref().expect("dispatcher just ensured");
-        d.jobs
-            .send(Job::Work { seq, work })
-            .expect("dispatch thread alive");
-        self.inflight.push_back(seq);
-        self.stats.jobs_dispatched += 1;
-        self.stats.max_in_flight = self.stats.max_in_flight.max(self.inflight.len() as u64);
-        LaunchHandle {
-            session: self.id,
-            seq,
-            abandoned: Some(Arc::clone(&self.abandoned)),
-        }
-    }
-
-    /// Redeem a [`Session::submit`] handle: synchronize with the dispatch
-    /// and return its [`PipelineRun`].
+    /// Take a [`Session::submit`] handle's [`PipelineRun`].
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_wait`] returns
-    /// `Err`; a panic from the dispatched work re-raises here. Also panics
+    /// `Err`; a panic from the submitted work re-raises here. Also panics
     /// if the handle came from another session or from a multi-request
     /// [`Session::submit_many`] (use [`Session::wait_many`]).
     pub fn wait(&mut self, handle: LaunchHandle) -> PipelineRun {
         self.try_wait(handle).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Redeem a [`Session::submit_many`] handle: one [`PipelineRun`] per
-    /// submitted request, in order, exactly as [`Session::run_many`] would
-    /// have returned them.
+    /// Take a [`Session::submit_many`] handle's runs: one [`PipelineRun`]
+    /// per submitted request, in order, exactly as [`Session::run_many`]
+    /// would have returned them.
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_wait_many`]
-    /// returns `Err`; a panic from the dispatched work re-raises here.
+    /// returns `Err`; a panic from the submitted work re-raises here.
     pub fn wait_many(&mut self, handle: LaunchHandle) -> Vec<PipelineRun> {
         self.try_wait_many(handle).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -1149,87 +766,20 @@ impl<B: Backend> Session<B> {
         Ok(runs.pop().expect("one run"))
     }
 
-    /// Typed twin of [`Session::wait_many`]: a job that exhausted the
+    /// Typed twin of [`Session::wait_many`]: work that exhausted the
     /// retry/degradation ladder reports its [`TfnoError`] here instead of
-    /// panicking; a job that *panicked* still re-raises its payload (a
+    /// panicking; work that *panicked* still re-raises its payload (a
     /// panic is a bug, not a recoverable condition).
-    pub fn try_wait_many(&mut self, handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
-        let seq = self.redeem(handle);
-        self.synchronize();
-        self.take_outcome(seq)
-    }
-
-    /// Redeem a handle with a deadline. On success the parked runs come
-    /// back exactly as [`Session::wait_many`] would return them. On
-    /// timeout the handle is returned *re-armed* alongside
-    /// [`TfnoError::Timeout`], so the caller can keep waiting; any other
-    /// error consumes the handle (`None`).
-    ///
-    /// Unlike the blocking waits this does not drain the whole pipeline:
-    /// it collects completions in dispatch order only until this handle's
-    /// job lands, so the device and pool stay on the dispatch thread.
-    pub fn wait_timeout(
-        &mut self,
-        handle: LaunchHandle,
-        timeout: Duration,
-    ) -> Result<Vec<PipelineRun>, (Option<LaunchHandle>, TfnoError)> {
+    pub fn try_wait_many(&mut self, mut handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
         assert_eq!(
             handle.session, self.id,
             "LaunchHandle was issued by a different Session"
         );
-        let start = Instant::now();
-        while !self.completed.contains_key(&handle.seq) {
-            let Some(d) = self.dispatcher.as_ref() else {
-                // No dispatcher ⇒ nothing in flight ⇒ the handle was
-                // already redeemed (impossible: redeeming consumes it) or
-                // parked; fall through to the lookup panic below.
-                break;
-            };
-            let waited = start.elapsed();
-            let Some(remaining) = timeout.checked_sub(waited) else {
-                return Err((Some(handle), TfnoError::Timeout { waited }));
-            };
-            match d.results.recv_timeout(remaining) {
-                Ok((seq, result)) => {
-                    let front = self.inflight.pop_front();
-                    debug_assert_eq!(front, Some(seq), "results arrive in dispatch order");
-                    self.park(seq, result);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err((Some(handle), TfnoError::Timeout { waited: start.elapsed() }));
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err((
-                        None,
-                        TfnoError::Poisoned("dispatch thread exited unexpectedly".into()),
-                    ));
-                }
-            }
-        }
-        let seq = self.redeem(handle);
-        self.take_outcome(seq).map_err(|e| (None, e))
-    }
-
-    /// Consume a handle without tripping its abandoned-drop hook and hand
-    /// back its sequence number.
-    fn redeem(&self, mut handle: LaunchHandle) -> u64 {
-        assert_eq!(
-            handle.session, self.id,
-            "LaunchHandle was issued by a different Session"
-        );
-        handle.abandoned = None;
-        handle.seq
-    }
-
-    /// Hand back a redeemed job's parked result. A panicked job re-raises
-    /// its payload; a missing result means the handle was already waited
-    /// on — a caller bug, not an engine error.
-    fn take_outcome(&mut self, seq: u64) -> Result<Vec<PipelineRun>, TfnoError> {
-        match self.completed.remove(&seq) {
-            Some(Outcome::Done(runs)) => Ok(runs),
-            Some(Outcome::Failed(e)) => Err(e),
-            Some(Outcome::Panicked(payload)) => std::panic::resume_unwind(payload),
-            None => panic!("no parked result for this LaunchHandle (already waited on?)"),
+        // INVARIANT: only a wait takes the outcome, and it consumes the handle.
+        match handle.outcome.take().expect("an unredeemed handle holds its outcome") {
+            Outcome::Done(runs) => Ok(runs),
+            Outcome::Failed(e) => Err(e),
+            Outcome::Panicked(payload) => resume_unwind(payload),
         }
     }
 
@@ -1242,25 +792,16 @@ impl<B: Backend> Session<B> {
     /// shape half of admission — an invalid shape, or a variant whose
     /// kernels cannot be built for it on this device.
     pub fn measure(&mut self, spec: &LayerSpec) -> PipelineRun {
-        if let Err(e) = spec.check_shape(&self.config) {
+        if let Err(e) = spec.check_shape(self.dev.config()) {
             panic!("{e}");
         }
-        self.synchronize();
-        self.ctx().measure_spec(spec)
-    }
-}
-
-impl<B: Backend> Drop for Session<B> {
-    /// Never leak the dispatch thread: drop its job queue (the loop exits
-    /// at the closed channel, finishing any in-flight work first) and join
-    /// it, discarding parked results and swallowing — not re-raising — any
-    /// panic payload, since panicking in drop would abort.
-    fn drop(&mut self) {
-        if let Some(d) = self.dispatcher.take() {
-            let Dispatcher { jobs, join, .. } = d;
-            drop(jobs);
-            let _ = join.join();
+        ExecCtx {
+            dev: &mut self.dev,
+            pool: &mut self.pool,
+            planner: &self.planner,
+            verify: verifier_enabled().then(PlanVerifier::new),
         }
+        .measure_spec(spec)
     }
 }
 
@@ -1280,68 +821,8 @@ fn hash_spec(spec: &LayerSpec, h: &mut DefaultHasher) {
     (spec.exec == ExecMode::Analytical).hash(h);
 }
 
-/// Deferred serving-queue output scatters: a small [`DeferredWindow`]
-/// completes each stacked group's scatter a couple of groups behind issue,
-/// so the next group's gather and pipeline overlap the previous group's
-/// output redistribution (double-buffered staging on the device side).
-///
-/// Safe by the `run_many` admission contract: no request's `y` is any
-/// request's operand, so nothing issued while a scatter is pending reads
-/// its writes. (A single call skips that rule, but a lone request never
-/// stacks, so it issues no scatter.) The scatter itself read its sources
-/// at issue time (execute-at-issue semantics), so releasing or reusing the
-/// stacked scratch behind it is fine.
-struct ScatterWindow {
-    queue: DeferredWindow,
-    /// `out` index owning each pending scatter, oldest first (parallel to
-    /// the queue's in-flight order).
-    owners: VecDeque<usize>,
-}
-
-impl ScatterWindow {
-    fn new() -> Self {
-        ScatterWindow {
-            queue: DeferredWindow::new(2),
-            owners: VecDeque::new(),
-        }
-    }
-
-    /// Returns how many pending scatters *completed* during the push, so
-    /// the caller can retire their verifier windows in the same order.
-    fn push(
-        &mut self,
-        dev: &mut dyn Backend,
-        pending: PendingLaunch,
-        owner: usize,
-        out: &mut [PipelineRun],
-    ) -> usize {
-        self.owners.push_back(owner);
-        let done = self.queue.push(dev, pending);
-        self.hand_out(done, out)
-    }
-
-    /// Returns how many pending scatters completed (see `push`).
-    fn flush(&mut self, dev: &mut dyn Backend, out: &mut [PipelineRun]) -> usize {
-        let done = self.queue.flush(dev);
-        self.hand_out(done, out)
-    }
-
-    /// Append each completed record, oldest first, to its owner's run.
-    fn hand_out(&mut self, done: Vec<LaunchRecord>, out: &mut [PipelineRun]) -> usize {
-        let completed = done.len();
-        for rec in done {
-            let o = self.owners.pop_front().expect("one owner per completion");
-            out[o].push(rec);
-        }
-        completed
-    }
-}
-
-/// The execution engine shared by the synchronous entry points and the
-/// dispatch threads: everything here runs against an [`ExecCtx`], so the
-/// submitted path is the *same code* as the synchronous one — the bitwise
-/// equality guarantee of async dispatch is structural, not re-verified
-/// per feature.
+/// The execution engine behind every entry point: everything here runs
+/// against an [`ExecCtx`].
 impl ExecCtx<'_> {
     /// Execute one layer spec against this context. A launch fault
     /// surfaces as `Err` with nothing written and no lease held (the
@@ -1369,18 +850,10 @@ impl ExecCtx<'_> {
     ///
     /// A coalesced group reports its launches on the group's first
     /// request; the other members report empty runs (their outputs are
-    /// still written). Each group's output scatter is completed through a
-    /// small [`DeferredWindow`] so the next group's work overlaps it.
+    /// still written).
     pub(crate) fn try_run_queue(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, LaunchError> {
         let mut out: Vec<PipelineRun> = (0..reqs.len()).map(|_| PipelineRun::default()).collect();
         let mut claimed = vec![false; reqs.len()];
-        let mut window = ScatterWindow::new();
-        // A retried queue starts with a fresh ScatterWindow — the aborted
-        // run's deferred launches were dropped unexecuted — so the
-        // verifier's pending tracking must restart with it.
-        if let Some(v) = &mut self.verify {
-            v.clear_pending();
-        }
         for i in 0..reqs.len() {
             if claimed[i] {
                 continue;
@@ -1407,11 +880,7 @@ impl ExecCtx<'_> {
                 rest.sort_unstable();
             }
             if !stack.is_empty() {
-                // On a fault mid-group the window's pending scatters are
-                // simply dropped with the queue run: deferred launches
-                // never executed, so the device is consistent and a retry
-                // rewrites every output from scratch.
-                self.try_run_stacked(reqs, &stack, concrete, &mut window, &mut out)?;
+                self.try_run_stacked(reqs, &stack, concrete, &mut out)?;
             }
             for j in rest {
                 let r = &reqs[j];
@@ -1419,8 +888,6 @@ impl ExecCtx<'_> {
                 out[j].launches.extend(run.launches);
             }
         }
-        let completed = window.flush(self.dev, &mut out);
-        self.note_completions(completed);
         Ok(out)
     }
 
@@ -1448,21 +915,16 @@ impl ExecCtx<'_> {
     ///
     /// No values round-trip through the host, and the launch count is the
     /// same whether the stack shares one weight buffer or uses `k`
-    /// distinct ones. Launches land in `out[stack[0]]`; the scatter is
-    /// issued deferred through `window` (completed up to two groups later,
-    /// or synchronously on a backend without deferred launches).
+    /// distinct ones. Launches land in `out[stack[0]]`.
     fn try_run_stacked(
         &mut self,
         reqs: &[Request],
         stack: &[usize],
         concrete: Variant,
-        window: &mut ScatterWindow,
         out: &mut [PipelineRun],
     ) -> Result<(), LaunchError> {
         let mut leases = Vec::new();
-        let r = self.stacked_body(reqs, stack, concrete, window, out, &mut leases);
-        // The pending scatter read sy at issue; releasing the staging
-        // scratch (or recycling it for the next group) cannot disturb it.
+        let r = self.stacked_body(reqs, stack, concrete, out, &mut leases);
         // On the error path this returns the staging leases too.
         self.release(leases);
         r
@@ -1473,7 +935,6 @@ impl ExecCtx<'_> {
         reqs: &[Request],
         stack: &[usize],
         concrete: Variant,
-        window: &mut ScatterWindow,
         out: &mut [PipelineRun],
         leases: &mut Vec<BufferId>,
     ) -> Result<(), LaunchError> {
@@ -1531,16 +992,7 @@ impl ExecCtx<'_> {
             })
             .collect();
         let scatter = SegmentedCopyKernel::new("serve.scatter", scatter);
-        if !self.dev.caps().deferred_launch {
-            // A backend without deferred completion (the eager native
-            // backend) runs the scatter synchronously (bitwise-identical
-            // either way).
-            out[owner].push(self.try_step(scatter, ExecMode::Functional)?);
-        } else {
-            let pending = self.try_step_deferred(scatter, ExecMode::Functional)?;
-            let completed = window.push(self.dev, pending, owner, out);
-            self.note_completions(completed);
-        }
+        out[owner].push(self.try_step(scatter, ExecMode::Functional)?);
         Ok(())
     }
 
@@ -1586,9 +1038,8 @@ impl ExecCtx<'_> {
     }
 }
 
-/// The resilient engine behind every request entry point: `try_run`/
-/// `try_run_many` run it in place, and the dispatch thread runs it for
-/// `try_submit`/`try_submit_many` (a single call is a queue of one).
+/// The resilient engine behind every request entry point (a single call
+/// is a queue of one).
 ///
 /// Two nested loops implement the recovery ladder:
 ///
@@ -1601,7 +1052,7 @@ impl ExecCtx<'_> {
 ///    one more retry rung before the error is surfaced.
 fn run_queue_resilient(
     ctx: &mut ExecCtx<'_>,
-    recovery: &Mutex<RecoveryStats>,
+    recovery: &mut RecoveryStats,
     policy: RetryPolicy,
     mut reqs: Vec<Request>,
 ) -> Result<Vec<PipelineRun>, TfnoError> {
@@ -1621,7 +1072,7 @@ fn run_queue_resilient(
                 }
                 Err(e) if e.is_transient() => {
                     if attempt < policy.attempts() {
-                        lock_unpoisoned(recovery).transient_retries += 1;
+                        recovery.transient_retries += 1;
                         if policy.backoff > Duration::ZERO {
                             std::thread::sleep(policy.backoff);
                         }
@@ -1640,10 +1091,10 @@ fn run_queue_resilient(
             }
         }
         if degraded {
-            lock_unpoisoned(recovery).degraded += 1;
+            recovery.degraded += 1;
             continue;
         }
-        lock_unpoisoned(recovery).exhausted += 1;
+        recovery.exhausted += 1;
         return Err(match last.expect("at least one attempt ran") {
             TfnoError::Transient { fault, .. } => TfnoError::Transient {
                 fault,
@@ -1792,37 +1243,10 @@ mod tests {
         let mut agsync = Session::new(SimBackend::a100());
         let (spec2, x2, w2, y2) = spec_with_operands(&mut agsync);
         let handle = agsync.submit(&spec2, x2, w2, y2);
-        assert!(agsync.pending(), "dispatch must be in flight after submit");
         let run_async = agsync.wait(handle);
-        assert!(!agsync.pending());
         assert_eq!(agsync.download(y2), want);
         assert_eq!(run_async.kernel_count(), run_sync.kernel_count());
         assert_eq!(run_async.total_stats(), run_sync.total_stats());
-    }
-
-    #[test]
-    fn mut_session_methods_synchronize_with_the_dispatch() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        let handle = sess.submit(&spec, x, w, y);
-        // `run` is a &mut method: it must serialize behind the dispatch,
-        // not observe or corrupt mid-flight state.
-        let y2 = sess.alloc("y2", spec.output_len());
-        assert!(!sess.pending(), "alloc synchronized with the dispatch");
-        sess.run(&spec, x, w, y2);
-        assert_eq!(sess.download(y2), sess.download(y));
-        // The handle's result was parked across the interleaved run.
-        let run = sess.wait(handle);
-        assert!(run.kernel_count() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "in-flight submitted work")]
-    fn download_during_flight_panics() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        let _handle = sess.submit(&spec, x, w, y);
-        let _ = sess.download(y);
     }
 
     #[test]
@@ -1835,8 +1259,8 @@ mod tests {
         let _ = b.wait(handle);
     }
 
-    /// Shape panics surface on the submitting thread, exactly like the
-    /// synchronous path — not deferred into the dispatch.
+    /// Shape panics surface at the submit, exactly like the run path —
+    /// not at the wait.
     #[test]
     #[should_panic(expected = "mode count out of range")]
     fn submit_validates_shapes_synchronously() {
@@ -1947,16 +1371,18 @@ mod tests {
     fn job_panic_heals_leases_and_only_fails_its_handle() {
         let mut sess = Session::new(SimBackend::a100());
         let (spec, x, w, y) = spec_with_operands(&mut sess);
-        // A job that leaks a lease and panics (only constructible from
+        // Work that leaks a lease and panics (only constructible from
         // inside the crate — the public surface never panics mid-lease
         // without the lease hygiene the pipelines provide).
-        let bad = sess.dispatch(Box::new(|ctx| {
+        let bad = sess.submit_work(|ctx, _| {
             let _leak = ctx
                 .pool
                 .try_acquire(ctx.dev, 64)
                 .expect("unfaulted acquire");
             panic!("chaos: job panic")
-        }));
+        });
+        // The submit healed: the leaked lease is back before any wait.
+        assert_eq!(sess.pool_stats().leased, 0);
         let good = sess.submit(&spec, x, w, y);
 
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1964,7 +1390,7 @@ mod tests {
         }));
         assert!(err.is_err(), "the panicked job re-raises at its wait");
 
-        // The later submit is unaffected and the leaked lease came back.
+        // The later submit is unaffected.
         let run = sess.wait(good);
         assert!(run.kernel_count() > 0);
         let stats = sess.recovery_stats();
@@ -1974,19 +1400,14 @@ mod tests {
         sess.run(&spec, x, w, y); // still serviceable
     }
 
-    /// Satellite: dropping a handle without waiting must not strand its
-    /// parked result or leak state — the next synchronize discards it.
+    /// A handle dropped without a wait leaves no lease behind, and its
+    /// output was written at the submit.
     #[test]
-    fn abandoned_handle_is_discarded_at_next_synchronize() {
+    fn abandoned_handle_leaves_no_lease_and_a_written_output() {
         let mut sess = Session::new(SimBackend::a100());
         let (spec, x, w, y) = spec_with_operands(&mut sess);
-        let handle = sess.submit(&spec, x, w, y);
-        drop(handle);
-        sess.synchronize();
-        let stats = sess.recovery_stats();
-        assert_eq!(stats.abandoned_handles, 1);
+        drop(sess.submit(&spec, x, w, y));
         assert_eq!(sess.pool_stats().leased, 0);
-        // The output was still written (dispatch ran to completion).
         let mut reference = Session::new(SimBackend::a100());
         let (spec2, x2, w2, y2) = spec_with_operands(&mut reference);
         reference.run(&spec2, x2, w2, y2);
@@ -1994,58 +1415,14 @@ mod tests {
         sess.run(&spec, x, w, y); // still serviceable
     }
 
-    /// A panicked job whose handle was dropped surfaces at the next
-    /// synchronizing call instead of disappearing.
+    /// A panicked handle dropped without a wait re-raises from its drop
+    /// instead of disappearing.
     #[test]
     #[should_panic(expected = "chaos: abandoned panic")]
-    fn abandoned_panicked_job_reraises_at_synchronize() {
+    fn abandoned_panicked_handle_reraises_on_drop() {
         let mut sess = Session::new(SimBackend::a100());
-        let handle = sess.dispatch(Box::new(|_ctx| panic!("chaos: abandoned panic")));
+        let handle = sess.submit_work(|_, _| panic!("chaos: abandoned panic"));
         drop(handle);
-        sess.synchronize();
-    }
-
-    #[test]
-    fn try_inspectors_report_in_flight() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        let handle = sess.submit(&spec, x, w, y);
-        assert!(matches!(sess.try_download(y), Err(TfnoError::InFlight)));
-        assert!(matches!(sess.try_device(), Err(TfnoError::InFlight)));
-        assert!(matches!(sess.try_pool_stats(), Err(TfnoError::InFlight)));
-        let _ = sess.wait(handle);
-        assert!(sess.try_download(y).is_ok());
-        assert!(sess.try_device().is_ok());
-        assert_eq!(sess.try_pool_stats().expect("synchronized").leased, 0);
-    }
-
-    #[test]
-    fn wait_timeout_rearms_the_handle_on_deadline() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        // Stall the first launch long enough for a short deadline to trip.
-        sess.set_fault_plan(Some(
-            FaultPlan::seeded(17)
-                .at_launch(0, crate::backend::FaultKind::Stall)
-                .stall_us(200_000),
-        ));
-        let handle = sess.submit(&spec, x, w, y);
-        let handle = match sess.wait_timeout(handle, Duration::from_millis(5)) {
-            Err((Some(h), TfnoError::Timeout { waited })) => {
-                assert!(waited >= Duration::from_millis(5));
-                h
-            }
-            other => panic!("expected a re-armed timeout, got {other:?}"),
-        };
-        // The re-armed handle stays redeemable.
-        let runs = sess
-            .wait_timeout(handle, Duration::from_secs(30))
-            .expect("stall finishes well inside the second deadline");
-        assert_eq!(runs.len(), 1);
-        // wait_timeout leaves the device on the dispatch thread (it never
-        // drains); synchronize before inspecting it.
-        sess.synchronize();
-        assert_eq!(sess.fault_stats().stalls, 1);
     }
 
     #[test]
@@ -2056,7 +1433,7 @@ mod tests {
         sess.set_fault_plan(Some(FaultPlan::seeded(23).transient(1.0)));
         let handle = sess.try_submit(&spec, x, w, y).expect("admission is clean");
         let err = sess.try_wait(handle).unwrap_err();
-        assert!(err.is_transient(), "dispatched fault surfaces typed: {err}");
+        assert!(err.is_transient(), "submitted fault surfaces typed at the wait: {err}");
         // Session heals: lift the plan, run clean.
         sess.set_fault_plan(None);
         sess.run(&spec, x, w, y);

@@ -9,12 +9,8 @@
 //! * **Block-write disjointness** — no two blocks of one launch write the
 //!   same element (the static counterpart of the device's journal-time
 //!   `validate_writes`, caught before the launch instead of after).
-//! * **Deferred-window ordering** — a launch issued while deferred
-//!   launches are pending must not read (RAW) or write (WAW) elements a
-//!   still-pending launch will write: deferred blocks execute at issue
-//!   against current memory, but their writes journal in and apply at
-//!   [`Backend::complete`] time, so such a plan
-//!   observes stale data or loses writes.
+//! * **Bounds** — every declared read and write span lies inside its
+//!   buffer.
 //! * **Lease discipline** — every pool lease a sequence takes is released
 //!   exactly once, and no launch touches a buffer after its release.
 //!
@@ -29,7 +25,7 @@
 //! read once per process).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -61,20 +57,6 @@ pub enum PlanHazard {
         buf: String,
         end: usize,
         len: usize,
-    },
-    /// The launch reads elements a still-pending deferred launch writes:
-    /// it would observe pre-write (stale) data.
-    RawHazard {
-        kernel: String,
-        pending: String,
-        buf: String,
-    },
-    /// The launch writes elements a still-pending deferred launch writes:
-    /// the pending journal would clobber them on completion.
-    WawHazard {
-        kernel: String,
-        pending: String,
-        buf: String,
     },
     /// The launch touches a buffer after its pool lease was released.
     UseAfterRelease { kernel: String, buf: String },
@@ -115,24 +97,6 @@ impl fmt::Display for PlanHazard {
             } => write!(
                 f,
                 "kernel '{kernel}' writes {buf} up to element {end} but the buffer holds {len}"
-            ),
-            PlanHazard::RawHazard {
-                kernel,
-                pending,
-                buf,
-            } => write!(
-                f,
-                "kernel '{kernel}' reads elements of {buf} that pending deferred launch \
-                 '{pending}' writes (stale read: deferred writes apply at completion)"
-            ),
-            PlanHazard::WawHazard {
-                kernel,
-                pending,
-                buf,
-            } => write!(
-                f,
-                "kernel '{kernel}' writes elements of {buf} that pending deferred launch \
-                 '{pending}' also writes (the pending journal would clobber them)"
             ),
             PlanHazard::UseAfterRelease { kernel, buf } => write!(
                 f,
@@ -221,26 +185,10 @@ pub fn verifier_enabled() -> bool {
 // The verifier
 // ---------------------------------------------------------------------------
 
-/// Merged, pending (journaled but not yet applied) writes of one deferred
-/// launch.
-#[derive(Debug)]
-struct PendingWrites {
-    kernel: String,
-    writes: HashMap<BufferId, Vec<(usize, usize)>>,
-}
-
-/// Tracks one execution sequence (an `ExecCtx` lifetime or a queue
-/// window) and proves each launch hazard-free before it issues.
-///
-/// The verifier mirrors the engine's ordering semantics exactly: deferred
-/// blocks *execute at issue* (reads see current memory) while their
-/// writes journal in and apply at completion — so only pending **writes**
-/// participate in hazard tracking, and completing a deferred launch
-/// ([`complete_oldest`](PlanVerifier::complete_oldest)) retires its
-/// window.
+/// Tracks one execution sequence (an `ExecCtx` lifetime) and proves each
+/// launch hazard-free before it issues.
 #[derive(Debug, Default)]
 pub struct PlanVerifier {
-    pending: VecDeque<PendingWrites>,
     leased: HashSet<BufferId>,
     released: HashSet<BufferId>,
 }
@@ -298,79 +246,13 @@ impl PlanVerifier {
         Ok(())
     }
 
-    /// Prove a synchronous launch safe against the current window. The
-    /// launch executes and completes immediately, so nothing is added to
-    /// the pending set.
+    /// Prove a launch safe before it issues: bounds, use after release,
+    /// and cross-block write disjointness. A kernel that declares no
+    /// access set is opaque and passes.
     pub fn check_launch(&mut self, dev: &dyn Backend, kernel: &dyn Kernel) -> Result<(), PlanHazard> {
-        if let Some(access) = kernel.access() {
-            self.check_access(dev, kernel, &access)?;
-        }
-        Ok(())
-    }
-
-    /// Prove a deferred launch safe, then track its writes as pending
-    /// until [`complete_oldest`](PlanVerifier::complete_oldest) retires
-    /// them.
-    pub fn check_deferred(
-        &mut self,
-        dev: &dyn Backend,
-        kernel: &dyn Kernel,
-    ) -> Result<(), PlanHazard> {
         let Some(access) = kernel.access() else {
-            // Opaque kernels cannot be tracked; skip permissively (they
-            // also skip the sync checks).
             return Ok(());
         };
-        self.check_access(dev, kernel, &access)?;
-        let mut writes: HashMap<BufferId, Vec<(usize, usize)>> = HashMap::new();
-        for span in access.write_spans() {
-            writes.entry(span.buf).or_default().extend(span.runs());
-        }
-        for runs in writes.values_mut() {
-            merge_runs(runs);
-        }
-        self.pending.push_back(PendingWrites {
-            kernel: kernel.name(),
-            writes,
-        });
-        Ok(())
-    }
-
-    /// Retire the `n` oldest pending deferred launches (their journals
-    /// were applied by [`Backend::complete`]).
-    pub fn complete_oldest(&mut self, n: usize) {
-        for _ in 0..n {
-            self.pending.pop_front();
-        }
-    }
-
-    /// Deferred launches still tracked as pending.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Drop every tracked pending window — an aborted queue run drops its
-    /// deferred launches unexecuted, so a retry starts from a clean slate.
-    pub fn clear_pending(&mut self) {
-        self.pending.clear();
-    }
-
-    /// End-of-sequence check: every lease must have been released.
-    pub fn finish(&self) -> Result<(), PlanHazard> {
-        if !self.leased.is_empty() {
-            return Err(PlanHazard::UnreleasedLease {
-                count: self.leased.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_access(
-        &self,
-        dev: &dyn Backend,
-        kernel: &dyn Kernel,
-        access: &KernelAccess,
-    ) -> Result<(), PlanHazard> {
         let name = |buf: BufferId| format!("'{}'", dev.memory().name(buf));
 
         // Bounds: cheap (O(spans)) and a precondition for everything else.
@@ -406,7 +288,7 @@ impl PlanVerifier {
         }
 
         // Cross-block write disjointness, memoized per structure.
-        let key = disjoint_key(kernel, access);
+        let key = disjoint_key(kernel, &access);
         let proven = key
             .map(|k| lock_unpoisoned(disjoint_memo()).contains(&k))
             .unwrap_or(false);
@@ -434,44 +316,15 @@ impl PlanVerifier {
                 lock_unpoisoned(disjoint_memo()).insert(k);
             }
         }
+        Ok(())
+    }
 
-        // RAW / WAW against pending deferred writes. A launch issued now
-        // reads current memory and (sync) applies its writes before the
-        // older pending journals do — both directions are plan bugs.
-        if !self.pending.is_empty() {
-            let mut reads: HashMap<BufferId, Vec<(usize, usize)>> = HashMap::new();
-            for span in &access.reads {
-                reads.entry(span.buf).or_default().extend(span.runs());
-            }
-            let mut writes: HashMap<BufferId, Vec<(usize, usize)>> = HashMap::new();
-            for span in access.write_spans() {
-                writes.entry(span.buf).or_default().extend(span.runs());
-            }
-            for runs in reads.values_mut().chain(writes.values_mut()) {
-                merge_runs(runs);
-            }
-            for p in &self.pending {
-                for (buf, pending_runs) in &p.writes {
-                    if let Some(r) = reads.get(buf) {
-                        if runs_overlap(r, pending_runs) {
-                            return Err(PlanHazard::RawHazard {
-                                kernel: kernel.name(),
-                                pending: p.kernel.clone(),
-                                buf: name(*buf),
-                            });
-                        }
-                    }
-                    if let Some(w) = writes.get(buf) {
-                        if runs_overlap(w, pending_runs) {
-                            return Err(PlanHazard::WawHazard {
-                                kernel: kernel.name(),
-                                pending: p.kernel.clone(),
-                                buf: name(*buf),
-                            });
-                        }
-                    }
-                }
-            }
+    /// End-of-sequence check: every lease must have been released.
+    pub fn finish(&self) -> Result<(), PlanHazard> {
+        if !self.leased.is_empty() {
+            return Err(PlanHazard::UnreleasedLease {
+                count: self.leased.len(),
+            });
         }
         Ok(())
     }
@@ -600,32 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_window_raw_and_waw() {
-        let (dev, ids) = dev_with(&[64, 64, 64]);
-        let (a, b, c) = (ids[0], ids[1], ids[2]);
-        let copy = |name: &str, src, dst| {
-            SegmentedCopyKernel::new(
-                name,
-                vec![CopySegment { src, src_base: 0, dst, dst_base: 0, len: 64 }],
-            )
-        };
-        let mut v = PlanVerifier::new();
-        v.check_deferred(&dev, &copy("w_b", a, b)).expect("first defer");
-        // Reading b while its write is pending -> stale read.
-        let err = v.check_launch(&dev, &copy("r_b", b, c)).unwrap_err();
-        assert!(matches!(err, PlanHazard::RawHazard { .. }), "{err}");
-        // Writing b while its write is pending -> lost write.
-        let err = v.check_launch(&dev, &copy("w_b2", c, b)).unwrap_err();
-        assert!(matches!(err, PlanHazard::WawHazard { .. }), "{err}");
-        // Disjoint traffic is fine, and completion clears the window.
-        v.check_launch(&dev, &copy("ok", a, c)).expect("disjoint launch");
-        v.complete_oldest(1);
-        assert_eq!(v.pending_len(), 0);
-        v.check_launch(&dev, &copy("r_b_after", b, c))
-            .expect("ordered read after completion");
-    }
-
-    #[test]
     fn lease_discipline() {
         let (dev, ids) = dev_with(&[64, 64]);
         let (a, b) = (ids[0], ids[1]);
@@ -702,14 +529,6 @@ mod tests {
             (
                 PlanHazard::WriteOutOfBounds { kernel: "k".into(), buf: "b".into(), end: 9, len: 8 },
                 "writes",
-            ),
-            (
-                PlanHazard::RawHazard { kernel: "k".into(), pending: "p".into(), buf: "b".into() },
-                "stale read",
-            ),
-            (
-                PlanHazard::WawHazard { kernel: "k".into(), pending: "p".into(), buf: "b".into() },
-                "clobber",
             ),
             (
                 PlanHazard::UseAfterRelease { kernel: "k".into(), buf: "b".into() },

@@ -12,27 +12,21 @@
 //! a 1D, 2D or 3D model is `FnoNd::random(.., &dims, &modes)` with one,
 //! two or three axes.
 //!
-//! ## Overlapped layer schedule
+//! ## Layer schedule
 //!
 //! Within one Fourier layer, the spectral conv (device) and the pointwise
-//! bypass (host) both read the *same* input — they are independent until
-//! `add_gelu` joins them. `forward_device` exploits that: it submits the
-//! spectral launch sequence on the session's dispatch thread
-//! ([`Session::submit`]), runs the blocked host `pointwise` while the
-//! launches execute, then joins for `add_gelu`. The paper removes dead
-//! time between pipeline stages *inside* the Fourier layer (fused
-//! FFT-GEMM-iFFT); this applies the same idea one level up, to the glue
-//! between device launches and host pointwise work. `forward_device_sync`
-//! keeps the strictly sequential schedule; both are bitwise-identical
-//! (pinned by tests and a workspace proptest) because the overlapped path
-//! runs the exact same kernels and the exact same host arithmetic.
+//! bypass (host) both read the *same* input and are independent until
+//! `add_gelu` joins them. `forward_device` runs them in sequence: the
+//! spectral conv to completion, then the blocked host `pointwise`, then
+//! `add_gelu`. (Running the two side by side gains nothing: the
+//! simulator's block executor and `pointwise` each already use every
+//! core.)
 //!
-//! `forward_device_batch` extends the overlap across a *queue* of
-//! independent forwards: each layer's K same-shape spectral convs coalesce
-//! into one stacked launch sequence ([`Session::submit_many`], riding the
-//! mixed-weight stacking machinery) while the host runs all K pointwise
-//! bypasses — the serving-path schedule the throughput bench pins as
-//! `pipeline-overlap`.
+//! `forward_device_batch` serves a *queue* of independent forwards: each
+//! layer's K same-shape spectral convs coalesce into one stacked launch
+//! sequence ([`Session::run_many`], riding the mixed-weight stacking
+//! machinery), then the host runs the K pointwise bypasses — the
+//! serving-path schedule the throughput bench pins as `batch-stacking`.
 
 use crate::spectral::SpectralConvNd;
 use rand::Rng;
@@ -268,10 +262,8 @@ impl FnoLayerNd {
         add_gelu(&s, &p)
     }
 
-    /// Overlapped device forward (see the [module docs](self)): the
-    /// spectral launches execute on the dispatch thread while this thread
-    /// runs the pointwise bypass. Bitwise-equal to
-    /// [`FnoLayerNd::forward_device_sync`].
+    /// Device forward (see the [module docs](self)): the spectral conv
+    /// through the session, then the host pointwise bypass and GELU.
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever
@@ -287,11 +279,9 @@ impl FnoLayerNd {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Typed twin of [`FnoLayerNd::forward_device`] — the same overlapped
-    /// schedule, with rejected submits and dispatched failures surfacing
-    /// as [`TfnoError`] (operand leases released by
-    /// [`SpectralConvNd::try_submit_device`] and
-    /// [`PendingSpectral::try_finish`](crate::PendingSpectral::try_finish)).
+    /// Typed twin of [`FnoLayerNd::forward_device`]: rejected requests and
+    /// engine failures surface as [`TfnoError`] (operand leases released
+    /// by [`SpectralConvNd::try_forward_device`]).
     pub fn try_forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -299,25 +289,9 @@ impl FnoLayerNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> Result<(CTensor, PipelineRun), TfnoError> {
-        let pending = self.spectral.try_submit_device(sess, variant, opts, x)?;
+        let (s, run) = self.spectral.try_forward_device(sess, variant, opts, x)?;
         let p = pointwise(x, &self.bypass);
-        let (s, run) = pending.try_finish(sess)?;
         Ok((add_gelu(&s, &p), run))
-    }
-
-    /// The strictly sequential schedule: spectral conv to completion, then
-    /// the pointwise bypass. Retained as the equality reference and the
-    /// baseline of the `pipeline-overlap` throughput scenario.
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        let (s, run) = self.spectral.forward_device(sess, variant, opts, x);
-        let p = pointwise(x, &self.bypass);
-        (add_gelu(&s, &p), run)
     }
 }
 
@@ -360,9 +334,8 @@ impl FnoNd {
     }
 
     /// Device forward; returns the output and the concatenated spectral
-    /// timing records of all layers. Each layer runs the overlapped
-    /// schedule ([`FnoLayerNd::forward_device`]); the output is
-    /// bitwise-equal to [`FnoNd::forward_device_sync`].
+    /// timing records of all layers, each layer run by
+    /// [`FnoLayerNd::forward_device`].
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`FnoNd::try_forward_device`]
@@ -380,7 +353,7 @@ impl FnoNd {
 
     /// Typed twin of [`FnoNd::forward_device`]: the layer sweep stops at
     /// the first unrecoverable failure and reports it; the session stays
-    /// usable (no leases held, no in-flight work).
+    /// usable (no leases held).
     pub fn try_forward_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -400,33 +373,10 @@ impl FnoNd {
         Ok((pointwise(&h, &self.proj), total))
     }
 
-    /// Device forward on the strictly sequential per-layer schedule (the
-    /// pre-async execution contract; equality reference for
-    /// [`FnoNd::forward_device`]).
-    pub fn forward_device_sync(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> (CTensor, PipelineRun) {
-        let mut h = pointwise(x, &self.lift);
-        let mut total = PipelineRun::default();
-        for layer in &self.layers {
-            let (next, run) = layer.forward_device_sync(sess, variant, opts, &h);
-            h = next;
-            for l in run.launches {
-                total.push(l);
-            }
-        }
-        (pointwise(&h, &self.proj), total)
-    }
-
     /// Forward a queue of independent inputs in lockstep (see the
-    /// [module docs](self)): per layer, all K spectral convs are submitted
-    /// as one [`Session::submit_many`] stack (one gather, one batched
-    /// pipeline, one scatter) while the host runs the K pointwise
-    /// bypasses. Returns `(output, timing)` per input, in order; each
+    /// [module docs](self)): per layer, all K spectral convs run as one
+    /// [`Session::run_many`] stack (one gather, one batched pipeline, one
+    /// scatter), then the host runs the K pointwise bypasses. Returns `(output, timing)` per input, in order; each
     /// output is bitwise-equal to a solo [`FnoNd::forward_device`] on the
     /// same input. A coalesced layer's launches are reported on the
     /// queue's first entry, matching the [`Session::run_many`] convention.
@@ -456,15 +406,12 @@ impl FnoNd {
                 let yb = sess.acquire(spec.output_len());
                 reqs.push(Request { spec, x: xb, w: wb, y: yb });
             }
-            let handle = sess.submit_many(&reqs);
-            // Host half of the layer, overlapped with the stacked dispatch.
-            let ps: Vec<CTensor> = hs.iter().map(|h| pointwise(h, &layer.bypass)).collect();
-            let runs = sess.wait_many(handle);
+            let runs = sess.run_many(&reqs);
             for (j, (req, run)) in reqs.iter().zip(runs).enumerate() {
                 let mut out_shape = vec![hs[j].shape()[0], sc.k_out];
                 out_shape.extend_from_slice(&sc.dims);
                 let s = CTensor::from_vec(sess.download(req.y), &out_shape);
-                hs[j] = add_gelu(&s, &ps[j]);
+                hs[j] = add_gelu(&s, &pointwise(&hs[j], &layer.bypass));
                 totals[j].launches.extend(run.launches);
                 sess.release(req.x);
                 sess.release(req.y);
@@ -573,28 +520,6 @@ mod tests {
         assert!(err < 1e-4, "variants diverge: {err}");
     }
 
-    /// The overlapped schedule must be *bitwise* equal to the sequential
-    /// one — same kernels, same host arithmetic, different interleaving.
-    #[test]
-    fn overlapped_forward_is_bitwise_equal_to_sync() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let model1 = FnoNd::random(&mut rng, 2, 8, 1, 2, &[128], &[32]);
-        let x1 = CTensor::random(&mut rng, &[2, 2, 128]);
-        let model2 = FnoNd::random(&mut rng, 1, 8, 1, 2, &[32, 64], &[8, 32]);
-        let x2 = CTensor::random(&mut rng, &[1, 1, 32, 64]);
-        let mut sess = Session::a100();
-        let opts = TurboOptions::default();
-
-        let (sync1, run_s1) = model1.forward_device_sync(&mut sess, Variant::TurboBest, &opts, &x1);
-        let (over1, run_o1) = model1.forward_device(&mut sess, Variant::TurboBest, &opts, &x1);
-        assert_eq!(over1.data(), sync1.data(), "1D overlapped forward diverged");
-        assert_eq!(run_o1.kernel_count(), run_s1.kernel_count());
-
-        let (sync2, _) = model2.forward_device_sync(&mut sess, Variant::FullyFused, &opts, &x2);
-        let (over2, _) = model2.forward_device(&mut sess, Variant::FullyFused, &opts, &x2);
-        assert_eq!(over2.data(), sync2.data(), "2D overlapped forward diverged");
-    }
-
     /// The lockstep batch path must reproduce the solo forwards bitwise
     /// and leave no leases behind.
     #[test]
@@ -606,7 +531,7 @@ mod tests {
         let opts = TurboOptions::default();
         let solo: Vec<CTensor> = xs
             .iter()
-            .map(|x| model.forward_device_sync(&mut sess, Variant::TurboBest, &opts, x).0)
+            .map(|x| model.forward_device(&mut sess, Variant::TurboBest, &opts, x).0)
             .collect();
         let batch = model.forward_device_batch(&mut sess, Variant::TurboBest, &opts, &xs);
         assert_eq!(batch.len(), xs.len());

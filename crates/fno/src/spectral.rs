@@ -13,10 +13,10 @@
 //!   device path;
 //! * `forward_device` — any pipeline [`Variant`] through a
 //!   [`Session`], returning both the output and the modeled timing record;
-//! * `submit_device` — the asynchronous split of `forward_device`: launches
-//!   issue on the session's dispatch thread and a [`PendingSpectral`]
-//!   ticket is returned so the host can overlap independent work before
-//!   [`PendingSpectral::finish`]ing (bitwise-equal to the synchronous path).
+//! * `submit_device` — `forward_device` split in two: the layer runs
+//!   through [`Session::submit`] and a [`PendingSpectral`] holds its
+//!   operand leases until [`PendingSpectral::finish`] downloads the output
+//!   (bitwise-equal to `forward_device`).
 
 use rand::Rng;
 use tfno_culib::{PipelineRun, SpectralShape, MAX_RANK};
@@ -25,14 +25,11 @@ use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
 use turbofno::{Backend, LaunchHandle, LayerSpec, Session, TfnoError, TurboOptions, Variant};
 
-/// A spectral convolution in flight on the session's dispatch thread
-/// (issued by [`SpectralConvNd::submit_device`]):
-/// the device is executing the layer's launch sequence while the host is
-/// free to run the layer's pointwise bypass. [`PendingSpectral::finish`]
-/// joins the dispatch, downloads the result, and returns the leased
-/// operand buffers to the session pool — the leases stay pinned for
-/// exactly the flight's duration.
-#[must_use = "an in-flight spectral conv leaks its pooled operand leases unless finished"]
+/// A spectral convolution issued by [`SpectralConvNd::submit_device`]:
+/// the layer has run, and its output waits in a leased device buffer.
+/// [`PendingSpectral::finish`] downloads the result and returns the leased
+/// operand buffers to the session pool.
+#[must_use = "a submitted spectral conv leaks its pooled operand leases unless finished"]
 pub struct PendingSpectral {
     handle: LaunchHandle,
     x: BufferId,
@@ -73,8 +70,8 @@ impl PendingSpectral {
         }
     }
 
-    /// Join the dispatch: output tensor + the layer's timing record,
-    /// bitwise-identical to what the synchronous `forward_device` returns.
+    /// Output tensor + the layer's timing record, bitwise-identical to
+    /// what `forward_device` returns.
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`PendingSpectral::try_finish`]
@@ -83,9 +80,9 @@ impl PendingSpectral {
         self.try_finish(sess).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Typed twin of [`PendingSpectral::finish`]: a dispatched failure
+    /// Typed twin of [`PendingSpectral::finish`]: an engine failure
     /// comes back as a [`TfnoError`] with the operand leases released
-    /// either way — a faulted flight leaks nothing.
+    /// either way — a faulted layer leaks nothing.
     pub fn try_finish(self, sess: &mut Session<impl Backend>) -> Result<(CTensor, PipelineRun), TfnoError> {
         let out = sess.try_wait(self.handle).map(|run| {
             let y = CTensor::from_vec(sess.download(self.y), &self.out_shape);
@@ -355,12 +352,10 @@ impl SpectralConvNd {
         out
     }
 
-    /// Asynchronous [`SpectralConvNd::forward_device`]: uploads the
-    /// operands and issues the launch sequence on the session's dispatch
-    /// thread, returning immediately so the host can overlap independent
-    /// work (an FNO layer runs its pointwise bypass here). Finish with
-    /// [`PendingSpectral::finish`]; the result is bitwise-identical to the
-    /// synchronous call.
+    /// [`SpectralConvNd::forward_device`] split in two: uploads the
+    /// operands and runs the layer through [`Session::submit`]; the
+    /// output stays on the device until [`PendingSpectral::finish`]
+    /// downloads it, bitwise-identical to `forward_device`.
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever
@@ -434,8 +429,8 @@ mod tests {
         assert!(sess.pool_stats().hits >= 3);
     }
 
-    /// The async split must be bitwise-equal to the synchronous forward —
-    /// the dispatch runs the identical engine code on another thread.
+    /// The submit/finish split must be bitwise-equal to `forward_device` —
+    /// both run the identical engine code.
     #[test]
     fn submit_device_matches_forward_device_bitwise() {
         let mut rng = StdRng::seed_from_u64(61);
@@ -446,7 +441,7 @@ mod tests {
             layer.forward_device(&mut sess, Variant::FftOpt, &TurboOptions::default(), &x);
         let pending = layer.submit_device(&mut sess, Variant::FftOpt, &TurboOptions::default(), &x);
         let (got, run_async) = pending.finish(&mut sess);
-        assert_eq!(got.data(), want.data(), "async forward diverged bitwise");
+        assert_eq!(got.data(), want.data(), "submitted forward diverged bitwise");
         assert_eq!(run_async.kernel_count(), run_sync.kernel_count());
         assert_eq!(
             sess.pool_stats().leased,

@@ -5,10 +5,9 @@
 //! it will read and write: reads as launch-level [`AccessSpan`]s, writes
 //! partitioned per block. The launch-plan verifier in the core crate uses
 //! these sets to *prove* plan-level safety properties before a launch is
-//! issued — cross-block write disjointness, read-after-write ordering
-//! through deferred launch windows, and lease discipline — instead of
-//! detecting violations from write journals after the damage
-//! would already be visible.
+//! issued — cross-block write disjointness, in-bounds accesses and lease
+//! discipline — instead of detecting violations from write journals after
+//! the damage would already be visible.
 //!
 //! The contract mirrors [`Kernel::fingerprint`]: the declared sets must be
 //! *exact* (the verifier promises zero false positives on well-formed

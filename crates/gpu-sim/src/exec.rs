@@ -1,5 +1,5 @@
 //! Host-side parallelism policy for the functional executor, plus the
-//! completion handle of deferred (asynchronous) launches.
+//! poison-recovering lock helpers.
 //!
 //! The pre-PR executor hard-coded `available_parallelism` behind a
 //! `>= 16 blocks` gate. The policy is now tunable at two levels:
@@ -14,112 +14,8 @@
 //! The same policy feeds every host-parallel loop in the stack (block
 //! execution, write application, planner evaluation, the model's pointwise
 //! path), so one knob tunes the whole engine.
-//!
-//! ## Deferred launches
-//!
-//! [`GpuDevice::launch`](crate::GpuDevice::launch) executes blocks *and*
-//! applies the buffered write journals before returning — the synchronous
-//! contract every pipeline stage relies on. [`PendingLaunch`] splits that
-//! in two, mirroring CUDA's asynchronous launch semantics: issue executes
-//! the blocks (reads observe pre-launch memory, writes accumulate in
-//! journals) and returns this handle; nothing becomes visible until the
-//! handle is passed back to [`complete`](crate::GpuDevice::complete),
-//! which validates and applies the journals and records the launch. In
-//! between, the issuing side only holds `&GpuDevice`, so the host is free
-//! to do unrelated work — the primitive `turbofno::Session::submit`'s
-//! async layer dispatch is built on.
 
-use crate::journal::WriteJournal;
-use crate::kernel::{GpuDevice, LaunchDims, LaunchRecord};
-use crate::stats::KernelStats;
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// A launch whose blocks have executed but whose global writes have not
-/// been applied yet. Created by
-/// [`GpuDevice::launch_deferred`](crate::GpuDevice::launch_deferred);
-/// consumed by [`GpuDevice::complete`](crate::GpuDevice::complete).
-///
-/// Until completion the device's global memory still holds its pre-launch
-/// contents — exactly what a CUDA host thread observes between an async
-/// kernel launch and the stream synchronize.
-#[must_use = "a deferred launch moves no data until GpuDevice::complete applies its journals"]
-pub struct PendingLaunch {
-    pub(crate) name: String,
-    pub(crate) dims: LaunchDims,
-    pub(crate) stats: KernelStats,
-    pub(crate) journals: Vec<WriteJournal>,
-    pub(crate) workers: usize,
-}
-
-impl PendingLaunch {
-    /// Kernel name of the issued launch.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Event counts recorded at issue time (identical to what the
-    /// completed [`LaunchRecord`] will carry).
-    pub fn stats(&self) -> &KernelStats {
-        &self.stats
-    }
-}
-
-/// A bounded in-order queue of deferred launches — the simulator's stand-in
-/// for a CUDA stream with a completion window.
-///
-/// [`push`](LaunchQueue::push) issues nothing itself: the caller hands over
-/// an already-issued [`PendingLaunch`] (its blocks have executed; its reads
-/// observed the memory state at issue time). The queue holds up to `depth`
-/// pendings and completes the oldest ones — applying their journals and
-/// recording them — whenever the window overflows; [`flush`](LaunchQueue::flush)
-/// drains everything.
-///
-/// **Safety contract** (the caller's obligation, exactly as with CUDA
-/// streams): nothing issued or read between a pending's issue and its
-/// completion may depend on that pending's *writes*. Its reads are safe —
-/// they already happened at issue. `Session::run_many` uses this to defer
-/// cross-group scatter launches: aliasing validation guarantees no later
-/// gather or pipeline reads any scatter destination.
-#[derive(Default)]
-pub struct LaunchQueue {
-    depth: usize,
-    pending: VecDeque<PendingLaunch>,
-}
-
-impl LaunchQueue {
-    /// A queue completing eagerly past `depth` in-flight launches
-    /// (clamped to ≥ 1; depth 1 behaves like immediate completion on the
-    /// next push).
-    pub fn new(depth: usize) -> Self {
-        LaunchQueue {
-            depth: depth.max(1),
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Enqueue an issued launch; completes the oldest launches first if
-    /// the window is full. Returns the records of whatever completed.
-    pub fn push(&mut self, dev: &mut GpuDevice, launch: PendingLaunch) -> Vec<LaunchRecord> {
-        let mut done = Vec::new();
-        while self.pending.len() >= self.depth.max(1) {
-            let oldest = self.pending.pop_front().expect("non-empty window");
-            done.push(dev.complete(oldest));
-        }
-        self.pending.push_back(launch);
-        done
-    }
-
-    /// Complete every in-flight launch, oldest first.
-    pub fn flush(&mut self, dev: &mut GpuDevice) -> Vec<LaunchRecord> {
-        self.pending.drain(..).map(|p| dev.complete(p)).collect()
-    }
-
-    /// Launches currently issued but not completed.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-}
 
 /// Lock a mutex, recovering the guard when a previous holder panicked.
 ///

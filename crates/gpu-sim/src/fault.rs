@@ -11,9 +11,8 @@
 //! * **worker panics** — a block worker dies mid-launch; the whole launch
 //!   is discarded (every journal dropped), which is observationally the
 //!   same clean failure as a transient fault but is counted separately;
-//! * **deferred-launch stalls** — the launch succeeds but its issue blocks
-//!   the calling thread for [`FaultPlan::stall_us`], exercising deadline
-//!   paths such as `Session::wait_timeout`;
+//! * **stalls** — the launch succeeds but blocks the calling thread for
+//!   [`FaultPlan::stall_us`] first;
 //! * **allocation (OOM) failures** — a device allocation fails with
 //!   [`LaunchError::Oom`].
 //!
@@ -33,7 +32,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kinds of fault a [`FaultPlan`] can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -51,8 +49,7 @@ pub enum FaultKind {
 }
 
 /// Typed failure of a device operation — the non-unwinding error surface
-/// of [`GpuDevice::try_launch`](crate::GpuDevice::try_launch),
-/// [`try_launch_deferred`](crate::GpuDevice::try_launch_deferred) and
+/// of [`GpuDevice::try_launch`](crate::GpuDevice::try_launch) and
 /// [`try_alloc`](crate::GpuDevice::try_alloc).
 ///
 /// Every variant is *clean*: the failed operation applied no writes,
@@ -174,8 +171,8 @@ pub struct FaultPlan {
     at_alloc: HashSet<u64>,
 }
 
-/// Default stall duration: long enough that a millisecond-scale
-/// `wait_timeout` deadline reliably trips on a stalled launch.
+/// Default stall duration: long enough to show in a stalled call's wall
+/// time, short enough for chaos soaks.
 const DEFAULT_STALL_US: u64 = 2_000;
 
 impl FaultPlan {
@@ -282,28 +279,18 @@ fn unit(seed: u64, idx: u64, salt: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The installed plan plus its interior-mutable event counters. Launch
-/// issue holds only `&GpuDevice`, so the cursors and stats are atomics.
+/// The installed plan plus its event counters; the `*_checked` counts
+/// are the launch and allocation cursors.
 pub(crate) struct FaultState {
     plan: FaultPlan,
-    launch_cursor: AtomicU64,
-    alloc_cursor: AtomicU64,
-    transient: AtomicU64,
-    worker_panics: AtomicU64,
-    stalls: AtomicU64,
-    oom: AtomicU64,
+    stats: FaultStats,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultState {
             plan,
-            launch_cursor: AtomicU64::new(0),
-            alloc_cursor: AtomicU64::new(0),
-            transient: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            oom: AtomicU64::new(0),
+            stats: FaultStats::default(),
         }
     }
 
@@ -313,23 +300,25 @@ impl FaultState {
 
     /// Consume one functional-launch event: bump the cursor, roll the
     /// plan, count what was drawn.
-    pub(crate) fn next_launch(&self) -> Option<(u64, FaultKind)> {
-        let idx = self.launch_cursor.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn next_launch(&mut self) -> Option<(u64, FaultKind)> {
+        let idx = self.stats.launches_checked;
+        self.stats.launches_checked += 1;
         let kind = self.plan.launch_decision(idx)?;
         match kind {
-            FaultKind::TransientLaunch => self.transient.fetch_add(1, Ordering::Relaxed),
-            FaultKind::WorkerPanic => self.worker_panics.fetch_add(1, Ordering::Relaxed),
-            FaultKind::Stall => self.stalls.fetch_add(1, Ordering::Relaxed),
+            FaultKind::TransientLaunch => self.stats.transient += 1,
+            FaultKind::WorkerPanic => self.stats.worker_panics += 1,
+            FaultKind::Stall => self.stats.stalls += 1,
             FaultKind::Alloc => unreachable!("at_launch rejects FaultKind::Alloc"),
-        };
+        }
         Some((idx, kind))
     }
 
     /// Consume one device-allocation event; returns the failed index.
-    pub(crate) fn next_alloc(&self) -> Option<u64> {
-        let idx = self.alloc_cursor.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn next_alloc(&mut self) -> Option<u64> {
+        let idx = self.stats.allocs_checked;
+        self.stats.allocs_checked += 1;
         if self.plan.alloc_decision(idx) {
-            self.oom.fetch_add(1, Ordering::Relaxed);
+            self.stats.oom += 1;
             Some(idx)
         } else {
             None
@@ -341,14 +330,7 @@ impl FaultState {
     }
 
     pub(crate) fn stats(&self) -> FaultStats {
-        FaultStats {
-            launches_checked: self.launch_cursor.load(Ordering::Relaxed),
-            allocs_checked: self.alloc_cursor.load(Ordering::Relaxed),
-            transient: self.transient.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            oom: self.oom.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 }
 
@@ -400,7 +382,7 @@ mod tests {
 
     #[test]
     fn state_counts_events_and_stats() {
-        let s = FaultState::new(FaultPlan::seeded(5).at_launch(1, FaultKind::TransientLaunch));
+        let mut s = FaultState::new(FaultPlan::seeded(5).at_launch(1, FaultKind::TransientLaunch));
         assert_eq!(s.next_launch(), None);
         assert_eq!(s.next_launch(), Some((1, FaultKind::TransientLaunch)));
         assert_eq!(s.next_alloc(), None);

@@ -70,7 +70,7 @@
 use crate::access::KernelAccess;
 use crate::cost::CostModel;
 use crate::device::DeviceConfig;
-use crate::exec::{self, PendingLaunch};
+use crate::exec;
 use crate::fault::{FaultKind, FaultPlan, FaultState, FaultStats, LaunchError};
 use crate::journal::{self, WriteJournal};
 use crate::memo;
@@ -510,7 +510,7 @@ impl GpuDevice {
     /// [`FaultPlan`] fails this allocation event, returns
     /// [`LaunchError::Oom`] instead of allocating.
     pub fn try_alloc(&mut self, name: &str, len: usize) -> Result<BufferId, LaunchError> {
-        if let Some(f) = &self.faults {
+        if let Some(f) = &mut self.faults {
             if let Some(idx) = f.next_alloc() {
                 return Err(LaunchError::Oom {
                     name: name.to_string(),
@@ -552,9 +552,7 @@ impl GpuDevice {
     }
 
     /// Launch a kernel. Returns the record (also appended to history).
-    ///
-    /// Equivalent to [`GpuDevice::launch_deferred`] immediately followed
-    /// by [`GpuDevice::complete`] — the synchronous contract every
+    /// Its writes are visible when this returns — the contract every
     /// pipeline stage relies on (stage N+1 reads stage N's output).
     pub fn launch(&mut self, kernel: &dyn Kernel, mode: ExecMode) -> LaunchRecord {
         self.try_launch(kernel, mode).unwrap_or_else(|e| {
@@ -571,34 +569,6 @@ impl GpuDevice {
         kernel: &dyn Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
-        let pending = self.try_launch_deferred(kernel, mode)?;
-        Ok(self.complete(pending))
-    }
-
-    /// Issue a launch without applying its writes — the asynchronous half
-    /// of [`GpuDevice::launch`]. Blocks execute now (reads observe the
-    /// current memory state; global stores accumulate in write journals),
-    /// but memory is untouched and nothing lands in the launch history
-    /// until the returned [`PendingLaunch`] goes through
-    /// [`GpuDevice::complete`]. Note the `&self` receiver: between issue
-    /// and completion the caller keeps shared access to the device, which
-    /// models a CUDA host thread continuing past an async kernel launch.
-    pub fn launch_deferred(&self, kernel: &dyn Kernel, mode: ExecMode) -> PendingLaunch {
-        self.try_launch_deferred(kernel, mode).unwrap_or_else(|e| {
-            panic!(
-                "injected device fault unhandled by this call path: {e}; \
-                 use GpuDevice::try_launch_deferred"
-            )
-        })
-    }
-
-    /// [`GpuDevice::launch_deferred`] with a typed error path (see
-    /// [`GpuDevice::try_launch`]).
-    pub fn try_launch_deferred(
-        &self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-    ) -> Result<PendingLaunch, LaunchError> {
         let dims = kernel.dims();
         assert!(dims.grid_blocks > 0, "empty grid for kernel {}", kernel.name());
         self.check_launch_fault(kernel, mode)?;
@@ -606,13 +576,25 @@ impl GpuDevice {
             ExecMode::Analytical => (self.run_analytical(kernel, dims), Vec::new(), 1),
             ExecMode::Functional => self.run_functional(kernel, dims),
         };
-        Ok(PendingLaunch {
-            name: kernel.name(),
-            dims,
+        let name = kernel.name();
+        if !journals.is_empty() {
+            journal::apply_journals(
+                &mut self.memory,
+                &journals,
+                self.validate_writes,
+                workers,
+                &name,
+            );
+        }
+        let time_us = self.cost.kernel_time_us(&dims, &stats);
+        let rec = LaunchRecord {
+            name,
+            dims_grid: dims.grid_blocks,
             stats,
-            journals,
-            workers,
-        })
+            time_us,
+        };
+        self.launches.push(rec.clone());
+        Ok(rec)
     }
 
     /// Roll the installed fault plan for one functional launch. A drawn
@@ -622,11 +604,11 @@ impl GpuDevice {
     /// if every journal died with the worker — so no thread actually
     /// unwinds and chaos soaks stay quiet). Analytical launches model
     /// host-side cost math, not device work, and are never faulted.
-    fn check_launch_fault(&self, kernel: &dyn Kernel, mode: ExecMode) -> Result<(), LaunchError> {
+    fn check_launch_fault(&mut self, kernel: &dyn Kernel, mode: ExecMode) -> Result<(), LaunchError> {
         if mode != ExecMode::Functional {
             return Ok(());
         }
-        let Some(f) = &self.faults else {
+        let Some(f) = &mut self.faults else {
             return Ok(());
         };
         match f.next_launch() {
@@ -645,37 +627,6 @@ impl GpuDevice {
             }),
             Some((_, FaultKind::Alloc)) => unreachable!("at_launch rejects FaultKind::Alloc"),
         }
-    }
-
-    /// Complete a deferred launch: validate and apply its write journals
-    /// (making the kernel's stores visible, as a stream synchronize
-    /// would), cost it, and append it to the launch history.
-    pub fn complete(&mut self, pending: PendingLaunch) -> LaunchRecord {
-        let PendingLaunch {
-            name,
-            dims,
-            stats,
-            journals,
-            workers,
-        } = pending;
-        if !journals.is_empty() {
-            journal::apply_journals(
-                &mut self.memory,
-                &journals,
-                self.validate_writes,
-                workers,
-                &name,
-            );
-        }
-        let time_us = self.cost.kernel_time_us(&dims, &stats);
-        let rec = LaunchRecord {
-            name,
-            dims_grid: dims.grid_blocks,
-            stats,
-            time_us,
-        };
-        self.launches.push(rec.clone());
-        rec
     }
 
     /// Analytical launch: run one representative block per class (writes
@@ -720,10 +671,8 @@ impl GpuDevice {
     }
 
     /// Work-stealing block execution (see the module docs): run every
-    /// block and return the summed stats plus the unapplied per-worker
-    /// write journals. The synchronous launch path applies the journals
-    /// immediately; the deferred path hands them to the caller inside a
-    /// [`PendingLaunch`].
+    /// block and return the summed stats plus the per-worker write
+    /// journals, which [`GpuDevice::try_launch`] validates and applies.
     fn run_blocks(
         &self,
         kernel: &dyn Kernel,
@@ -1120,105 +1069,6 @@ mod tests {
         dev.parallel = false;
         let k = ConflictKernel { dst };
         dev.launch(&k, ExecMode::Functional);
-    }
-
-    /// Deferred issue + complete must be indistinguishable from a
-    /// synchronous launch: same stats, same data, same history entry.
-    #[test]
-    fn deferred_launch_equals_synchronous_launch() {
-        let (mut dev_sync, src, dst) = setup(16);
-        let k = ScaleKernel { src, dst, blocks: 16 };
-        let rec_sync = dev_sync.launch(&k, ExecMode::Functional);
-        let out_sync = dev_sync.download(dst);
-
-        let (mut dev_def, src2, dst2) = setup(16);
-        let k2 = ScaleKernel {
-            src: src2,
-            dst: dst2,
-            blocks: 16,
-        };
-        let pending = dev_def.launch_deferred(&k2, ExecMode::Functional);
-        assert_eq!(pending.name(), "scale2");
-        assert_eq!(*pending.stats(), rec_sync.stats);
-        let rec_def = dev_def.complete(pending);
-        assert_eq!(rec_def.stats, rec_sync.stats);
-        assert_eq!(rec_def.time_us, rec_sync.time_us);
-        assert_eq!(dev_def.download(dst2), out_sync);
-        assert_eq!(dev_def.launches().len(), 1);
-    }
-
-    /// CUDA visibility semantics: between issue and completion the host
-    /// observes pre-launch memory, and nothing is in the launch history.
-    #[test]
-    fn deferred_writes_invisible_until_complete() {
-        let (mut dev, src, dst) = setup(4);
-        let k = ScaleKernel { src, dst, blocks: 4 };
-        let pending = dev.launch_deferred(&k, ExecMode::Functional);
-        assert_eq!(
-            dev.download(dst)[5],
-            C32::ZERO,
-            "writes must stay journaled until completion"
-        );
-        assert!(dev.launches().is_empty(), "history records completions, not issues");
-        dev.complete(pending);
-        assert_eq!(dev.download(dst)[5], C32::real(10.0));
-        assert_eq!(dev.launches().len(), 1);
-    }
-
-    /// A depth-D launch queue must end in exactly the state a sequence of
-    /// synchronous launches produces, as long as the queued launches are
-    /// write-independent (disjoint destinations here).
-    #[test]
-    fn launch_queue_matches_synchronous_completion() {
-        let (mut dev_sync, src, dst) = setup(8);
-        let dst2 = dev_sync.alloc("dst2", 8 * 32);
-        let k1 = ScaleKernel { src, dst, blocks: 8 };
-        let k2 = ScaleKernel { src, dst: dst2, blocks: 8 };
-        let r1 = dev_sync.launch(&k1, ExecMode::Functional);
-        let r2 = dev_sync.launch(&k2, ExecMode::Functional);
-        let want_a = dev_sync.download(dst);
-        let want_b = dev_sync.download(dst2);
-
-        let (mut dev_q, src_q, dst_q) = setup(8);
-        let dst2_q = dev_q.alloc("dst2", 8 * 32);
-        let q1 = ScaleKernel { src: src_q, dst: dst_q, blocks: 8 };
-        let q2 = ScaleKernel { src: src_q, dst: dst2_q, blocks: 8 };
-        let mut queue = crate::exec::LaunchQueue::new(2);
-        let p1 = dev_q.launch_deferred(&q1, ExecMode::Functional);
-        assert!(queue.push(&mut dev_q, p1).is_empty(), "window not full yet");
-        let p2 = dev_q.launch_deferred(&q2, ExecMode::Functional);
-        assert!(queue.push(&mut dev_q, p2).is_empty());
-        assert_eq!(queue.in_flight(), 2);
-        // Nothing visible until the window drains.
-        assert_eq!(dev_q.download(dst_q)[5], C32::ZERO);
-        let done = queue.flush(&mut dev_q);
-        assert_eq!(done.len(), 2);
-        assert_eq!(queue.in_flight(), 0);
-        assert_eq!(done[0].stats, r1.stats);
-        assert_eq!(done[1].stats, r2.stats);
-        assert_eq!(dev_q.download(dst_q), want_a);
-        assert_eq!(dev_q.download(dst2_q), want_b);
-        assert_eq!(dev_q.launches().len(), 2);
-    }
-
-    /// Overflowing the window completes the oldest launch first.
-    #[test]
-    fn launch_queue_completes_oldest_on_overflow() {
-        let (mut dev, src, dst) = setup(4);
-        let dst2 = dev.alloc("q.dst2", 4 * 32);
-        let k1 = ScaleKernel { src, dst, blocks: 4 };
-        let k2 = ScaleKernel { src, dst: dst2, blocks: 4 };
-        let mut queue = crate::exec::LaunchQueue::new(1);
-        let p1 = dev.launch_deferred(&k1, ExecMode::Functional);
-        queue.push(&mut dev, p1);
-        let p2 = dev.launch_deferred(&k2, ExecMode::Functional);
-        let done = queue.push(&mut dev, p2);
-        assert_eq!(done.len(), 1, "depth-1 window completes on the next push");
-        assert_eq!(done[0].name, "scale2");
-        assert_eq!(dev.download(dst)[5], C32::real(10.0), "oldest applied");
-        assert_eq!(dev.download(dst2)[5], C32::ZERO, "newest still journaled");
-        queue.flush(&mut dev);
-        assert_eq!(dev.download(dst2)[5], C32::real(10.0));
     }
 
     #[test]

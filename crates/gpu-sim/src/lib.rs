@@ -49,8 +49,7 @@ pub use access::{merge_runs, runs_overlap, AccessSpan, KernelAccess};
 pub use cost::CostModel;
 pub use device::{DeviceConfig, Occupancy};
 pub use exec::{
-    configured_workers, lock_unpoisoned, wait_unpoisoned, workers_for, LaunchQueue,
-    PendingLaunch, PAR_BLOCK_THRESHOLD,
+    configured_workers, lock_unpoisoned, wait_unpoisoned, workers_for, PAR_BLOCK_THRESHOLD,
 };
 pub use fault::{FaultKind, FaultPlan, FaultStats, LaunchError};
 pub use journal::WriteJournal;

@@ -1,6 +1,6 @@
 //! Wave rollout: autoregressive inference on the rank-3 spectral path —
 //! a 3D spectral surrogate stepped in time, each step's output fed back
-//! as the next step's input through the async `submit`/`finish` API.
+//! as the next step's input through the `submit_device`/`finish` API.
 //!
 //! ```text
 //! cargo run --release --example wave_rollout
@@ -49,8 +49,8 @@ fn main() {
     // (pool misses, simulated planning launches) after the cold step.
     let mut cold = (0, 0);
     for step in 0..steps {
-        // Issue the device step, overlap the host-reference step with it,
-        // then finish and swap the output in as the next input.
+        // Run the device step, then the host-reference step, then finish
+        // and swap the device output in as the next input.
         let pending = op.submit_device(&mut sess, Variant::TurboBest, &opts, &dev);
         host = op.forward_host(&host);
         let (y, run) = pending.finish(&mut sess);

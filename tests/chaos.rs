@@ -255,8 +255,8 @@ fn soak_queue(case_seed: u64) {
     assert_eq!(sess.pool_stats().leased, 0);
 }
 
-/// The async soak: a storm of `try_submit`s redeemed with `try_wait`,
-/// including handles deliberately dropped without waiting.
+/// The submit soak: a storm of `try_submit`s redeemed with `try_wait`,
+/// including a handle deliberately dropped without waiting.
 fn soak_submits(case_seed: u64) {
     let mut sess = Session::new(SimBackend::a100());
     let fused = LayerSpec::d1(1, 4, 4, 64).modes(32).variant(Variant::FullyFused);
@@ -301,8 +301,7 @@ fn soak_submits(case_seed: u64) {
             .expect("admission is validation-only, never faulted");
         jobs.push((si, y, handle));
     }
-    // Drop one handle unredeemed: the result must be discarded at the
-    // next synchronizing call, not stranded.
+    // Drop one handle unredeemed: its outcome is discarded with it.
     let (_, _, dropped) = jobs.remove(3);
     drop(dropped);
 
@@ -318,7 +317,6 @@ fn soak_submits(case_seed: u64) {
             Err(e) => assert!(e.is_transient(), "case {case_seed}: {e}"),
         }
     }
-    assert!(sess.recovery_stats().abandoned_handles >= 1);
 
     sess.set_fault_plan(None);
     for (i, spec) in specs.iter().enumerate() {
@@ -327,7 +325,6 @@ fn soak_submits(case_seed: u64) {
         sess.wait(h);
         assert_eq!(&sess.download(y), &refs[i]);
     }
-    assert!(!sess.pending());
     assert_eq!(sess.pool_stats().leased, 0);
 }
 
@@ -366,7 +363,7 @@ fn fault_schedules_are_deterministic_per_seed() {
         for _ in 0..4 {
             let _ = sess.try_run(&spec, x, w, y);
         }
-        let out = sess.try_download(y).expect("synchronous session");
+        let out = sess.download(y);
         (sess.fault_stats(), sess.recovery_stats(), out)
     };
     let (fa, ra, ya) = run();

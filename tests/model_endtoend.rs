@@ -1,6 +1,8 @@
 //! End-to-end model tests: full FNO networks across execution paths, the
-//! heat-equation exact-operator validation, and the per-mode extension.
+//! lockstep batch forward, the heat-equation exact-operator validation,
+//! and the per-mode extension.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tfno_model::{pde, FnoNd, PerModeSpectralConv1d};
@@ -89,6 +91,54 @@ fn typed_forwards_return_validation_errors() {
         let err = rel_l2_error(got.data(), model.forward_host(&x).data());
         assert!(err < 1e-3, "{dims:?}: rel l2 {err}");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The lockstep batch queue (stacked spectral launches per layer)
+    /// reproduces each solo forward bitwise, for any queue length.
+    #[test]
+    fn prop_batch_forward_matches_solo_forwards(
+        seed in 0u64..1000,
+        k in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[128], &[32]);
+        let xs: Vec<CTensor> = (0..k).map(|_| CTensor::random(&mut rng, &[1, 1, 128])).collect();
+        let opts = TurboOptions::default();
+        let mut sess = Session::a100();
+        let solo: Vec<CTensor> = xs
+            .iter()
+            .map(|x| model.forward_device(&mut sess, Variant::TurboBest, &opts, x).0)
+            .collect();
+        let batch = model.forward_device_batch(&mut sess, Variant::TurboBest, &opts, &xs);
+        prop_assert_eq!(batch.len(), k);
+        for (j, ((got, _), want)) in batch.iter().zip(&solo).enumerate() {
+            prop_assert_eq!(got.data(), want.data(), "batched forward {} diverged", j);
+        }
+        prop_assert_eq!(sess.pool_stats().leased, 0, "batch forward leaked leases");
+    }
+}
+
+/// The 2D batch path gets one pinned (non-property) equality check — its
+/// request shapes exercise the 2D stacking geometry.
+#[test]
+fn batch_forward_2d_matches_solo_forwards() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let model = FnoNd::random(&mut rng, 1, 8, 1, 2, &[32, 64], &[8, 32]);
+    let xs: Vec<CTensor> = (0..3).map(|_| CTensor::random(&mut rng, &[1, 1, 32, 64])).collect();
+    let opts = TurboOptions::default();
+    let mut sess = Session::a100();
+    let solo: Vec<CTensor> = xs
+        .iter()
+        .map(|x| model.forward_device(&mut sess, Variant::TurboBest, &opts, x).0)
+        .collect();
+    let batch = model.forward_device_batch(&mut sess, Variant::TurboBest, &opts, &xs);
+    for (j, ((got, _), want)) in batch.iter().zip(&solo).enumerate() {
+        assert_eq!(got.data(), want.data(), "2D batched forward {j} diverged");
+    }
+    assert_eq!(sess.pool_stats().leased, 0);
 }
 
 #[test]

@@ -106,8 +106,8 @@ fn all_variants_verified_match_unverified_bitwise() {
 }
 
 /// Stacked queues under verification: same-weight and mixed-weight groups
-/// coalesce through the scatter window with deferred launches — the
-/// verifier's pending-write tracking must accept both shapes clean.
+/// coalesce into one gather, one pipeline and one scatter — the verifier
+/// must accept both shapes clean.
 #[test]
 fn stacked_queues_verified_match_unverified_bitwise() {
     let run_queue = |mixed: bool| {
@@ -273,58 +273,7 @@ fn mutation_read_out_of_bounds() {
     assert_validation(err, &bad);
 }
 
-/// Hazard class 4: reading elements a pending deferred launch writes.
-#[test]
-fn mutation_raw_hazard_against_pending_deferred() {
-    let (dev, ids) = dev_with(&[64, 64, 64]);
-    let (a, b, c) = (ids[0], ids[1], ids[2]);
-    let mut v = PlanVerifier::new();
-    let deferred = copy_kernel(
-        "producer",
-        vec![CopySegment { src: a, src_base: 0, dst: b, dst_base: 0, len: 32 }],
-    );
-    v.check_deferred(&dev, &deferred).expect("clean deferred");
-    assert_eq!(v.pending_len(), 1);
-
-    let stale_reader = copy_kernel(
-        "stale-reader",
-        vec![CopySegment { src: b, src_base: 16, dst: c, dst_base: 0, len: 16 }],
-    );
-    let err = v.check_launch(&dev, &stale_reader).unwrap_err();
-    assert!(matches!(err, PlanHazard::RawHazard { .. }), "{err}");
-    assert_validation(err, &stale_reader);
-
-    // Retiring the pending window clears the hazard.
-    v.complete_oldest(1);
-    v.check_launch(&dev, &stale_reader).expect("hazard retired");
-}
-
-/// Hazard class 5: writing elements a pending deferred launch also writes.
-#[test]
-fn mutation_waw_hazard_against_pending_deferred() {
-    let (dev, ids) = dev_with(&[64, 64, 64]);
-    let (a, b, c) = (ids[0], ids[1], ids[2]);
-    let mut v = PlanVerifier::new();
-    let deferred = copy_kernel(
-        "producer",
-        vec![CopySegment { src: a, src_base: 0, dst: b, dst_base: 0, len: 32 }],
-    );
-    v.check_deferred(&dev, &deferred).expect("clean deferred");
-
-    let clobber = copy_kernel(
-        "clobber",
-        vec![CopySegment { src: c, src_base: 0, dst: b, dst_base: 8, len: 16 }],
-    );
-    let err = v.check_launch(&dev, &clobber).unwrap_err();
-    assert!(matches!(err, PlanHazard::WawHazard { .. }), "{err}");
-    assert_validation(err, &clobber);
-
-    // clear_pending models an aborted queue: the hazard must clear too.
-    v.clear_pending();
-    v.check_launch(&dev, &clobber).expect("aborted window cleared");
-}
-
-/// Hazard class 6: touching a buffer after its pool lease was released.
+/// Hazard class 4: touching a buffer after its pool lease was released.
 #[test]
 fn mutation_use_after_release() {
     let (dev, ids) = dev_with(&[64, 64]);
@@ -345,7 +294,7 @@ fn mutation_use_after_release() {
     v.check_launch(&dev, &bad).expect("recycled lease is live again");
 }
 
-/// Hazard classes 7–9: lease-ledger defects (double release, unleased
+/// Hazard classes 5–7: lease-ledger defects (double release, unleased
 /// release, leaked lease at finish).
 #[test]
 fn mutation_lease_ledger_defects() {
@@ -371,7 +320,7 @@ fn mutation_lease_ledger_defects() {
     v.finish().expect("balanced sequence finishes clean");
 }
 
-/// Hazard class 10: a queued request whose output aliases its own operand —
+/// Hazard class 8: a queued request whose output aliases its own operand —
 /// both directly and end-to-end through `try_run_many`, where the pinned
 /// message must survive the delegation to the verifier.
 #[test]
@@ -405,7 +354,7 @@ fn mutation_self_alias() {
     }
 }
 
-/// Hazard class 11: chained queue requests (one request's output is another
+/// Hazard class 9: chained queue requests (one request's output is another
 /// request's operand), rejected end-to-end with the pinned message.
 #[test]
 fn mutation_cross_alias() {

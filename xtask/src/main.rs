@@ -300,8 +300,8 @@ fn has_invariant_comment(raw_lines: &[&str], line: usize) -> bool {
 }
 
 /// Files whose `fn try_*` bodies are held to the invariant-comment rule for
-/// `.unwrap()` / `.expect(` — the session/device/exec hot paths where a stray
-/// panic unwinds through the dispatch thread.
+/// `.unwrap()` / `.expect(` — the session/device/exec hot paths every
+/// request runs through, where a stray panic fails the caller's request.
 fn is_hot_path_file(file: &Path) -> bool {
     matches!(
         file.file_name().and_then(|n| n.to_str()),
