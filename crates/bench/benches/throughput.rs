@@ -53,7 +53,7 @@
 //! smoke run fails loudly instead of uploading a quietly regressed JSON.
 //! The `1d`/`2d`/`3d` forwards/s, `fault_overhead` and `verify_overhead`
 //! are reported without floors (see above), and so are
-//! the `serve-mixed`, `batch-stacking` and `backend-*` ratios: since
+//! the `serve-mixed` and `batch-stacking` ratios: since
 //! simulated launches attach memoized counts instead of metering every
 //! access, their baselines are about as fast as the paths they are
 //! compared with on the smoke shapes.
@@ -65,9 +65,7 @@ use tfno_gpu_sim::FaultPlan;
 use tfno_model::FnoNd;
 use tfno_num::error::rel_l2_error;
 use tfno_num::CTensor;
-use turbofno::{
-    set_verify_override, LayerSpec, NativeBackend, Request, Session, TurboOptions, Variant,
-};
+use turbofno::{set_verify_override, LayerSpec, Request, Session, TurboOptions, Variant};
 
 struct Case {
     dim: &'static str,
@@ -389,35 +387,6 @@ fn main() {
     });
     set_verify_override(None);
 
-    // ---------------------------------------------- backend comparison ----
-    // The same TurboBest forwards on the two execution backends behind the
-    // `Backend` trait. "sim" is the default simulated device (modeled
-    // counts and memory system); "native" is the eager host
-    // executor — each kernel's functional body runs immediately, with no
-    // event modeling. Outputs are held to the
-    // functional contract (float tolerance, not bitwise): both backends
-    // run the same kernel bodies, but the native path skips the
-    // simulator's launch machinery.
-    let mut native_sess = Session::with_backend(NativeBackend::a100());
-    let (y1_native, _) = model1.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x1);
-    let (y2_native, _) = model2.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x2);
-    let err1n = rel_l2_error(y1_native.data(), y1_turbo.data());
-    let err2n = rel_l2_error(y2_native.data(), y2_turbo.data());
-    assert!(err1n < 1e-5, "backend-native: 1D backends diverge: rel l2 {err1n}");
-    assert!(err2n < 1e-5, "backend-native: 2D backends diverge: rel l2 {err2n}");
-    run_case("backend-1d", &shape1, "sim", &mut || {
-        model1.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x1);
-    });
-    run_case("backend-1d", &shape1, "native", &mut || {
-        model1.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x1);
-    });
-    run_case("backend-2d", &shape2, "sim", &mut || {
-        model2.forward_device(&mut turbo_sess, Variant::TurboBest, &opts, &x2);
-    });
-    run_case("backend-2d", &shape2, "native", &mut || {
-        model2.forward_device(&mut native_sess, Variant::TurboBest, &opts, &x2);
-    });
-
     let (pool, plans) = (turbo_sess.pool_stats(), turbo_sess.planner_stats());
     println!(
         "session state after the run: pool {} hits / {} misses, planner {} hits / {} misses",
@@ -439,14 +408,11 @@ fn main() {
         fps_of("warm-session", "long-lived") / fps_of("warm-session", "cold-session");
     let fault_overhead = fps_of("fault-overhead", "armed-zero") / fps_of("fault-overhead", "unarmed");
     let verify_overhead = fps_of("verify-overhead", "on") / fps_of("verify-overhead", "off");
-    let speedup_backend_1d = fps_of("backend-1d", "native") / fps_of("backend-1d", "sim");
-    let speedup_backend_2d = fps_of("backend-2d", "native") / fps_of("backend-2d", "sim");
     println!("mixed-weight serving: stacked vs per-weight queues {speedup_serve:.2}x");
     println!("batch stacking: stacked batch forward vs per-input forwards {speedup_stacking:.2}x");
     println!("warm session: long-lived session vs a fresh session per forward {speedup_warm:.2}x");
     println!("fault hooks: armed-zero plan vs unarmed session {fault_overhead:.3}x");
     println!("plan verifier: verification on vs off, steady state {verify_overhead:.3}x");
-    println!("native backend vs sim: 1D {speedup_backend_1d:.2}x, 2D {speedup_backend_2d:.2}x");
 
     // --------------------------------------------------------- JSON ----
     let mut json = String::from("{\n");
@@ -472,7 +438,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_batch_stacking\": {speedup_stacking:.4},\n  \"speedup_warm_session\": {speedup_warm:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4},\n  \"speedup_backend_native_1d\": {speedup_backend_1d:.4},\n  \"speedup_backend_native_2d\": {speedup_backend_2d:.4}\n}}\n"
+        "  \"speedup_serve_mixed\": {speedup_serve:.4},\n  \"speedup_batch_stacking\": {speedup_stacking:.4},\n  \"speedup_warm_session\": {speedup_warm:.4},\n  \"fault_overhead\": {fault_overhead:.4},\n  \"verify_overhead\": {verify_overhead:.4}\n}}\n"
     ));
 
     // Paths are relative to the workspace root (cargo runs benches with

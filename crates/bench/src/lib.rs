@@ -13,11 +13,6 @@ use turbofno::{LayerSpec, PipelineRun, Session, SpectralShape, TurboOptions, Var
 pub mod figures;
 pub mod report;
 
-/// Default evaluation geometry used across the 1D figures: 128-point FFT
-/// with 50% truncation, matching the paper's headline configuration.
-pub const DEFAULT_N_1D: usize = 128;
-pub const DEFAULT_NF_1D: usize = 64;
-
 /// Run one variant analytically on virtual buffers, at any rank; returns
 /// the pipeline record (modeled time + stats).
 pub fn measure(
@@ -83,16 +78,9 @@ pub fn sweep(cfg: &DeviceConfig, s: &SpectralShape) -> VariantTimes {
     }
 }
 
-/// The paper's K axis for the 1D line figures: 16..136 step 8.
-pub fn k_axis_1d() -> Vec<usize> {
-    (16..=136).step_by(8).collect()
-}
-
-/// The paper's BS axis for Figs. 11–13 (b)–(d).
-pub const BS_AXIS_1D: [usize; 4] = [64, 256, 1024, 4096];
-
-/// The same BS axis expressed in GEMM-M rows (`BS x nf`, `nf = 32`), the
-/// unit `figures::line_1d` sweeps.
+/// The paper's BS axis for Figs. 11–13 (b)–(d) — BS 64, 256, 1024 and
+/// 4096 — expressed in GEMM-M rows (`BS x nf`, `nf = 32`), the unit
+/// `figures::line_1d` sweeps.
 pub const BS_AXIS_1D_M: [usize; 4] = [64 * 32, 256 * 32, 1024 * 32, 4096 * 32];
 
 /// The paper's M axis for Fig. 10 (b)–(d).

@@ -19,14 +19,12 @@
 pub mod engine;
 pub mod kernel;
 pub mod tile;
-pub mod tuner;
 pub mod view;
 
 pub use engine::{
     store_c_global, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopTrace,
     MainloopTraceCache,
 };
-pub use tuner::{candidate_tiles, evaluate_tile, tune, verify_tile, TunedTile};
 pub use kernel::{BatchedCgemmKernel, BatchedOperand, GemmShape};
 pub use tile::TileConfig;
 pub use view::{view_spans, MatView, WeightStacking};

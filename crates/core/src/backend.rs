@@ -4,10 +4,12 @@
 //! `pool`, `planner`, `verify`, `error`) imports its device
 //! types from here and *only* from here — `cargo xtask lint` enforces it
 //! (`backend-isolation`). That keeps the engine generic over the
-//! [`Backend`] trait: the simulated device ([`SimBackend`]) and the eager
-//! host executor ([`NativeBackend`]) are interchangeable behind
-//! [`AnyBackend`], and a hardware backend would slot in by implementing
-//! the trait, not by editing the engine.
+//! [`Backend`] trait. Both backends are configurations of the one
+//! simulated device: [`SimBackend`] with its default checks (metered
+//! blocks in debug builds, fault injection) and [`NativeBackend`] in its
+//! release configuration (unmetered blocks with attached counts, no fault
+//! injection). They are interchangeable behind [`AnyBackend`] and record
+//! the same launches; the engine only ever calls the trait.
 //!
 //! The kernel-construction modules (`fused`, `swizzle`) are exempt: they
 //! build [`Kernel`] objects against the simulator's launch geometry and

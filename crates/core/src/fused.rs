@@ -11,8 +11,8 @@
 //!   and transformed in place, writing final spatial-domain rows to global
 //!   memory (§4.2). With it off, `C` is stored to global memory.
 //!
-//! The geometry of the surrounding tensor (1D layer or the second stage of
-//! a 2D layer) is abstracted by [`FusedGeometry`].
+//! The geometry of the surrounding tensor — the innermost axis of a layer
+//! at any rank, its outer axes already truncated — is a [`GeomNd`].
 //!
 //! Key structural constraint inherited from the paper's configuration: the
 //! block's `m_tb` equals the retained mode count (`N = 64/128` in Table 1's
@@ -54,52 +54,6 @@ fn reg_bits_for(n: usize) -> usize {
         .n_thread
         .max(1)
         .trailing_zeros() as usize
-}
-
-/// Tensor geometry seen by the fused kernel.
-pub trait FusedGeometry: Sync {
-    /// Blocks along the non-tiled axes (batch for 1D; batch x nfy for 2D).
-    fn outer_blocks(&self) -> usize;
-    /// Batch index of an `outer` block — the axis stacked weight slices
-    /// are grouped along.
-    fn outer_batch(&self, outer: usize) -> usize;
-    fn k_in(&self) -> usize;
-    fn k_out(&self) -> usize;
-    /// Length of the fused FFT (spatial extent along the transformed axis).
-    fn fft_len(&self) -> usize;
-    /// Retained modes along the transformed axis (= the tile's `m_tb`).
-    fn modes(&self) -> usize;
-    /// Element address of FFT input `(outer, hidden k, spatial idx)`.
-    fn x_addr(&self, outer: usize, k: usize, idx: usize) -> usize;
-    /// `A` view when the forward FFT is *not* fused (reads pre-truncated
-    /// modes): `view.at(m, k_global)`.
-    fn a_view(&self, outer: usize) -> MatView;
-    /// `C` view when the inverse FFT is *not* fused (stores truncated
-    /// modes): `view.at(m, n_local)`, already offset to channel `n0`.
-    fn c_view(&self, outer: usize, n0: usize) -> MatView;
-    /// Element address of iFFT output `(outer, channel, spatial idx)`.
-    fn y_addr(&self, outer: usize, ch: usize, idx: usize) -> usize;
-
-    /// Equivalence classes of `outer` indices whose blocks issue identical
-    /// access *patterns* (same sector/bank counts). Geometries whose
-    /// addresses shift by non-sector-aligned amounts across `outer` must
-    /// split classes by alignment phase.
-    fn outer_classes(&self) -> Vec<(usize, u64)> {
-        vec![(0, self.outer_blocks() as u64)]
-    }
-
-    /// Phase-serialization factors `(fully_fused, single_fusion)` for the
-    /// cost model. 2D fused kernels overlap worse than 1D ones: their
-    /// per-outer working set (one fx slice) is smaller, so the k-loop's
-    /// FFT/MAC dependency chain leaves less independent work in flight —
-    /// consistent with the paper's near-zero 2D fusion gains (§5.2 B.2).
-    fn serialization(&self) -> (f64, f64) {
-        (0.40, 0.30)
-    }
-
-    /// Structural hash of the geometry for the analytical launch memo:
-    /// must cover every field that shapes the kernel's addresses.
-    fn fingerprint(&self) -> u64;
 }
 
 /// Rank-generic fused-middle geometry (`[batch, k, outer modes..., n]`
@@ -159,32 +113,27 @@ impl GeomNd {
     fn modes_total(&self) -> usize {
         self.outer_modes * self.m_inner
     }
-}
 
-impl FusedGeometry for GeomNd {
-    fn outer_blocks(&self) -> usize {
+    /// Blocks along the non-tiled axes: `batch * outer_modes`.
+    pub fn outer_blocks(&self) -> usize {
         self.batch * self.outer_modes
     }
-    fn outer_batch(&self, outer: usize) -> usize {
+
+    /// Batch index of an `outer` block — the axis stacked weight slices
+    /// are grouped along.
+    pub fn outer_batch(&self, outer: usize) -> usize {
         self.split(outer).0
     }
-    fn k_in(&self) -> usize {
-        self.k_in
-    }
-    fn k_out(&self) -> usize {
-        self.k_out
-    }
-    fn fft_len(&self) -> usize {
-        self.n_inner
-    }
-    fn modes(&self) -> usize {
-        self.m_inner
-    }
-    fn x_addr(&self, outer: usize, k: usize, idx: usize) -> usize {
+
+    /// Element address of FFT input `(outer, hidden k, spatial idx)`.
+    pub fn x_addr(&self, outer: usize, k: usize, idx: usize) -> usize {
         let (b, f) = self.split(outer);
         ((b * self.k_in + k) * self.outer_modes + f) * self.n_inner + idx
     }
-    fn a_view(&self, outer: usize) -> MatView {
+
+    /// `A` view when the forward FFT is *not* fused (reads pre-truncated
+    /// modes): `view.at(m, k_global)`.
+    pub fn a_view(&self, outer: usize) -> MatView {
         let (b, f) = self.split(outer);
         MatView {
             base: (b * self.k_in * self.outer_modes + f) * self.m_inner,
@@ -192,7 +141,10 @@ impl FusedGeometry for GeomNd {
             col_stride: self.modes_total(),
         }
     }
-    fn c_view(&self, outer: usize, n0: usize) -> MatView {
+
+    /// `C` view when the inverse FFT is *not* fused (stores truncated
+    /// modes): `view.at(m, n_local)`, already offset to channel `n0`.
+    pub fn c_view(&self, outer: usize, n0: usize) -> MatView {
         let (b, f) = self.split(outer);
         MatView {
             base: ((b * self.k_out + n0) * self.outer_modes + f) * self.m_inner,
@@ -200,17 +152,20 @@ impl FusedGeometry for GeomNd {
             col_stride: self.modes_total(),
         }
     }
-    fn y_addr(&self, outer: usize, ch: usize, idx: usize) -> usize {
+
+    /// Element address of iFFT output `(outer, channel, spatial idx)`.
+    pub fn y_addr(&self, outer: usize, ch: usize, idx: usize) -> usize {
         let (b, f) = self.split(outer);
         ((b * self.k_out + ch) * self.outer_modes + f) * self.n_inner + idx
     }
 
-    fn serialization(&self) -> (f64, f64) {
-        // Higher ranks overlap worse: the per-outer working set (one outer
-        // mode slice) shrinks as the outer-mode product grows, so the
-        // k-loop's FFT/MAC dependency chain leaves less independent work in
-        // flight — consistent with the paper's near-zero 2D fusion gains
-        // (§5.2 B.2); rank 3 extrapolates that trend.
+    /// Phase-serialization factors `(fully_fused, single_fusion)` for the
+    /// cost model. Higher ranks overlap worse: the per-outer working set
+    /// (one outer mode slice) shrinks as the outer-mode product grows, so
+    /// the k-loop's FFT/MAC dependency chain leaves less independent work
+    /// in flight — consistent with the paper's near-zero 2D fusion gains
+    /// (§5.2 B.2); rank 3 extrapolates that trend.
+    pub fn serialization(&self) -> (f64, f64) {
         match self.rank {
             1 => (0.40, 0.30),
             2 => (0.85, 0.65),
@@ -218,7 +173,9 @@ impl FusedGeometry for GeomNd {
         }
     }
 
-    fn fingerprint(&self) -> u64 {
+    /// Structural hash of the geometry for the analytical launch memo:
+    /// covers every field that shapes the kernel's addresses.
+    pub fn fingerprint(&self) -> u64 {
         structural_fingerprint("fused.geomnd", |h| {
             self.batch.hash(h);
             self.k_in.hash(h);
@@ -230,7 +187,10 @@ impl FusedGeometry for GeomNd {
         })
     }
 
-    fn outer_classes(&self) -> Vec<(usize, u64)> {
+    /// Equivalence classes of `outer` indices whose blocks issue identical
+    /// access *patterns* (same sector/bank counts): outers whose base
+    /// addresses sit at different sector phases get different classes.
+    pub fn outer_classes(&self) -> Vec<(usize, u64)> {
         // Every base address is a multiple of m_inner / n_inner elements;
         // with m_inner % 4 == 0 all outers share one sector-alignment
         // phase (rank 1 always does: its only outer-mode index is 0).
@@ -254,9 +214,9 @@ impl FusedGeometry for GeomNd {
 }
 
 /// The fused kernel (variants B, C and D of the evaluation).
-pub struct FusedKernel<G: FusedGeometry> {
+pub struct FusedKernel {
     pub name: String,
-    pub geom: G,
+    pub geom: GeomNd,
     pub fuse_fft: bool,
     pub fuse_ifft: bool,
     pub tile: TileConfig,
@@ -287,11 +247,11 @@ pub struct FusedKernel<G: FusedGeometry> {
     epilogue: [OnceLock<(usize, BankStats)>; 2],
 }
 
-impl<G: FusedGeometry> FusedKernel<G> {
+impl FusedKernel {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
-        geom: G,
+        geom: GeomNd,
         fuse_fft: bool,
         fuse_ifft: bool,
         n_tb: usize,
@@ -301,14 +261,14 @@ impl<G: FusedGeometry> FusedKernel<G> {
         l1_hit_rate: f64,
     ) -> Self {
         assert!(fuse_fft || fuse_ifft, "use BatchedCgemmKernel when nothing is fused");
-        let modes = geom.modes();
+        let modes = geom.m_inner;
         assert!(
             modes.is_multiple_of(FUSED_MODES_MULTIPLE),
             "fused kernels need the retained mode count ({modes}) to be a multiple of the warp M-tile"
         );
         let tile = TileConfig::for_fused(modes, n_tb);
         tile.validate();
-        let n = geom.fft_len();
+        let n = geom.n_inner;
         let fwd_plan = FftPlan::shared(n, tfno_fft::FftDirection::Forward, n, modes);
         let inv_plan = FftPlan::shared(n, tfno_fft::FftDirection::Inverse, modes, n);
         FusedKernel {
@@ -354,11 +314,11 @@ impl<G: FusedGeometry> FusedKernel<G> {
     /// channel tile `n0`.
     fn w_view(&self, outer: usize, n0: usize) -> MatView {
         let base = self.weights.slice_base(self.geom.outer_batch(outer));
-        MatView::row_major(base, self.geom.k_out()).tile(0, n0)
+        MatView::row_major(base, self.geom.k_out).tile(0, n0)
     }
 
     fn n_tiles(&self) -> usize {
-        self.geom.k_out().div_ceil(self.tile.n_tb)
+        self.geom.k_out.div_ceil(self.tile.n_tb)
     }
 
     fn grid(&self) -> usize {
@@ -412,7 +372,7 @@ impl<G: FusedGeometry> FusedKernel<G> {
     fn shared_layout(&self) -> (usize, usize, usize) {
         shared_layout(
             self.tile,
-            self.geom.fft_len(),
+            self.geom.n_inner,
             self.fuse_fft,
             self.fuse_ifft,
             self.epilogue_swizzle,
@@ -455,7 +415,7 @@ pub(crate) fn shared_layout(
     (fft_base, staging_base, staging_base + staging)
 }
 
-impl<G: FusedGeometry> Kernel for FusedKernel<G> {
+impl Kernel for FusedKernel {
     fn name(&self) -> String {
         self.name.clone()
     }
@@ -467,11 +427,11 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
         // same [k_in, n_tb] tiles; only the first read misses L2).
         let g = &self.geom;
         let bulk_bytes = if self.fuse_fft {
-            self.grid() * FUSED_FFT_BS * g.fft_len() * C32_BYTES * g.k_in().div_ceil(FUSED_FFT_BS)
+            self.grid() * FUSED_FFT_BS * g.n_inner * C32_BYTES * g.k_in.div_ceil(FUSED_FFT_BS)
         } else {
-            self.grid() * g.modes() * g.k_in() * C32_BYTES
+            self.grid() * g.m_inner * g.k_in * C32_BYTES
         } as f64;
-        let w_bytes = (self.grid() * g.k_in() * self.tile.n_tb * C32_BYTES) as f64;
+        let w_bytes = (self.grid() * g.k_in * self.tile.n_tb * C32_BYTES) as f64;
         let blended = (bulk_bytes * self.l1_hit_rate + w_bytes * 0.95) / (bulk_bytes + w_bytes);
         // Fusion serializes its sync-separated FFT / MAC / epilogue phases
         // against each other far more than a homogeneous streaming kernel.
@@ -495,13 +455,13 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
         let outer = block_id / self.n_tiles();
         let ntile = block_id % self.n_tiles();
         let n0 = ntile * tile.n_tb;
-        let active_n = tile.n_tb.min(geom.k_out() - n0);
+        let active_n = tile.n_tb.min(geom.k_out - n0);
         let ms = tile.m_tb;
-        let n_len = geom.fft_len();
+        let n_len = geom.n_inner;
 
         let engine = CgemmBlockEngine {
             tile,
-            k_total: geom.k_in(),
+            k_total: geom.k_in,
         };
 
         // ---- main loop with either a fused-FFT A provider or global A ----
@@ -517,7 +477,7 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
                 ForwardLayout::VkFftStrided => InstanceOrder::PencilFastest,
             };
             let input = self.input;
-            let k_in = geom.k_in();
+            let k_in = geom.k_in;
             let fwd_traces = &self.fwd_traces;
             let mut provider_fn = |ctx: &mut BlockCtx<'_>, k0: usize, as_buf: usize| {
                 let active_p = FUSED_FFT_BS.min(k_in - k0);
@@ -612,51 +572,32 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
     fn access(&self) -> Option<KernelAccess> {
         let geom = &self.geom;
         let ms = self.tile.m_tb;
-        // Both geometries are contiguous along the fused axis, but probe
-        // the stride instead of assuming it so a future strided geometry
-        // cannot silently break the exactness contract.
-        let pencil = |buf: BufferId, base: usize, stride: usize, len: usize| {
-            if stride == 1 {
-                AccessSpan::contiguous(buf, base, len)
-            } else {
-                AccessSpan::strided(buf, base, 1, stride, len)
-            }
-        };
+        // Pencils are contiguous along the fused (innermost) axis.
         let mut acc = KernelAccess::new();
         for block_id in 0..self.grid() {
             let outer = block_id / self.n_tiles();
             let ntile = block_id % self.n_tiles();
             let n0 = ntile * self.tile.n_tb;
-            let active_n = self.tile.n_tb.min(geom.k_out() - n0);
+            let active_n = self.tile.n_tb.min(geom.k_out - n0);
             if self.fuse_fft {
                 let len = self.fwd_plan.n_in_valid;
-                for k in 0..geom.k_in() {
+                for k in 0..geom.k_in {
                     let base = geom.x_addr(outer, k, 0);
-                    let stride = if len > 1 {
-                        geom.x_addr(outer, k, 1) - base
-                    } else {
-                        1
-                    };
-                    acc.read(pencil(self.input, base, stride, len));
+                    acc.read(AccessSpan::contiguous(self.input, base, len));
                 }
             } else {
-                for s in view_spans(self.input, &geom.a_view(outer), ms, geom.k_in()) {
+                for s in view_spans(self.input, &geom.a_view(outer), ms, geom.k_in) {
                     acc.read(s);
                 }
             }
-            for s in view_spans(self.w, &self.w_view(outer, n0), geom.k_in(), active_n) {
+            for s in view_spans(self.w, &self.w_view(outer, n0), geom.k_in, active_n) {
                 acc.read(s);
             }
             if self.fuse_ifft {
                 let len = self.inv_plan.n_out_keep;
                 for ch in 0..active_n {
                     let base = geom.y_addr(outer, n0 + ch, 0);
-                    let stride = if len > 1 {
-                        geom.y_addr(outer, n0 + ch, 1) - base
-                    } else {
-                        1
-                    };
-                    acc.write(block_id, pencil(self.output, base, stride, len));
+                    acc.write(block_id, AccessSpan::contiguous(self.output, base, len));
                 }
             } else {
                 for s in view_spans(self.output, &geom.c_view(outer, n0), ms, active_n) {
@@ -688,7 +629,7 @@ impl<G: FusedGeometry> Kernel for FusedKernel<G> {
     fn block_classes(&self) -> Vec<(usize, u64)> {
         let nt = self.n_tiles();
         let ntile_classes: Vec<(usize, u64)> =
-            if self.geom.k_out().is_multiple_of(self.tile.n_tb) || nt == 1 {
+            if self.geom.k_out.is_multiple_of(self.tile.n_tb) || nt == 1 {
                 vec![(0, nt as u64)]
             } else {
                 vec![(0, nt as u64 - 1), (nt - 1, 1)]

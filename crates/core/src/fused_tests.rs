@@ -1,7 +1,7 @@
 //! Unit tests for the fused kernel's geometry layer and direct kernel
 //! launches (the pipeline-level tests live in `lib.rs` and `tests/`).
 
-use crate::fused::{FusedGeometry, FusedKernel, GeomNd};
+use crate::fused::{FusedKernel, GeomNd};
 use crate::swizzle::ForwardLayout;
 use tfno_culib::SpectralShape;
 use tfno_gpu_sim::{ExecMode, GpuDevice, Kernel};
@@ -50,8 +50,6 @@ fn geom_rank2_addressing_keeps_rows_contiguous() {
         outer_modes: 8,
     };
     assert_eq!(g.outer_blocks(), 2 * 8);
-    assert_eq!(g.fft_len(), 32);
-    assert_eq!(g.modes(), 16);
     // outer = b * nfx + fx
     let outer = 8 + 5; // b=1, fx=5
     // input t1[b, k, fx, y]: consecutive idx must be consecutive addresses

@@ -11,8 +11,8 @@
 //!   description) and [`Session::run_many`] batched serving;
 //! * [`swizzle`] — the address-level swizzle patterns with pinned
 //!   utilization numbers;
-//! * [`fused`] — the generic fused kernel (variants B/C/D) over
-//!   rank-generic layer geometries ([`GeomNd`]);
+//! * [`fused`] — the generic fused kernel (variants B/C/D) over the
+//!   rank-generic layer geometry ([`GeomNd`]);
 //! * [`pipeline`] — executors for every evaluated variant (Table 2),
 //!   including the PyTorch baseline via `tfno-culib` and the best-of
 //!   selection the paper calls "TurboFNO";
@@ -44,7 +44,7 @@ pub use backend::{
     parse_backend_kind, AnyBackend, Backend, BackendCaps, BackendKind, NativeBackend, SimBackend,
 };
 pub use error::{RecoveryStats, RetryPolicy, TfnoError};
-pub use fused::{FusedGeometry, FusedKernel, GeomNd, FUSED_FFT_BS};
+pub use fused::{FusedKernel, GeomNd, FUSED_FFT_BS};
 pub use pipeline::{TurboOptions, Variant, TURBO_FFT_L1_HIT};
 pub use planner::{Planner, PlannerStats, TURBO_CANDIDATES};
 pub use pool::{BufferPool, PoolStats};

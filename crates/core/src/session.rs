@@ -370,7 +370,7 @@ impl Session<AnyBackend> {
     /// selection; bypasses the `TFNO_BACKEND` environment variable):
     ///
     /// ```
-    /// use turbofno::{NativeBackend, Session};
+    /// use turbofno::{Backend, NativeBackend, Session};
     ///
     /// let sess = Session::with_backend(NativeBackend::a100());
     /// assert!(!sess.device().caps().fault_injection);

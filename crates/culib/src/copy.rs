@@ -8,12 +8,10 @@
 //! the overhead TurboFNO's built-in truncation removes.
 
 use crate::problem::{SpectralShape, MAX_RANK};
-use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
 use tfno_gpu_sim::{
-    lock_unpoisoned, structural_fingerprint, AccessSpan, BlockCtx, BufferId, Kernel, KernelAccess,
-    LaunchDims, WarpIdx, WARP_SIZE,
+    structural_fingerprint, AccessSpan, BlockCtx, BufferId, Kernel, KernelAccess, LaunchDims,
+    WarpIdx, WARP_SIZE,
 };
 use tfno_num::C32;
 
@@ -189,26 +187,30 @@ impl<A: CopyAddressing> Kernel for StridedCopyKernel<A> {
     }
 
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
+        let a = &self.addressing;
         let r0 = block_id * COPY_ROWS_PER_BLOCK;
-        let rows = COPY_ROWS_PER_BLOCK.min(self.addressing.rows() - r0);
+        let rows = COPY_ROWS_PER_BLOCK.min(a.rows() - r0);
+        let src = ctx.global(self.input);
         for r in r0..r0 + rows {
-            let n_in = self.addressing.in_len(r);
-            let n_out = self.addressing.out_len(r);
-            let mut i = 0;
-            while i < n_out {
-                let read_idx = WarpIdx::from_fn(|l| {
-                    (i + l < n_in).then(|| self.addressing.in_addr(r, i + l))
-                });
-                let vals = if read_idx.active_lanes() > 0 {
-                    ctx.global_read(self.input, &read_idx)
-                } else {
-                    [C32::ZERO; WARP_SIZE]
-                };
-                let write_idx = WarpIdx::from_fn(|l| {
-                    (i + l < n_out).then(|| self.addressing.out_addr(r, i + l))
-                });
-                ctx.global_write(self.output, &write_idx, &vals);
-                i += WARP_SIZE;
+            let (n_in, n_out) = (a.in_len(r), a.out_len(r));
+            if ctx.is_metered() {
+                // One warp per 32 output positions: lanes past the row's
+                // input read nothing and store zero.
+                for i in (0..n_out).step_by(WARP_SIZE) {
+                    let read_idx =
+                        WarpIdx::from_fn(|l| (i + l < n_in).then(|| a.in_addr(r, i + l)));
+                    if read_idx.active_lanes() > 0 {
+                        ctx.charge_global_load(self.input, &read_idx);
+                    }
+                    let write_idx =
+                        WarpIdx::from_fn(|l| (i + l < n_out).then(|| a.out_addr(r, i + l)));
+                    ctx.charge_global_store(self.output, &write_idx);
+                }
+            }
+            let (in0, out0) = (a.in_addr(r, 0), a.out_addr(r, 0));
+            for i in 0..n_out {
+                let v = if i < n_in { src.get(in0 + i) } else { C32::ZERO };
+                ctx.global_store(self.output, out0 + i, v);
             }
         }
     }
@@ -250,35 +252,6 @@ impl<A: CopyAddressing> Kernel for StridedCopyKernel<A> {
         // conservatively by running each block (they are O(rows) cheap).
         (0..self.grid()).map(|b| (b, 1)).collect()
     }
-}
-
-/// Affine per-block address template for the segmented copy: the warp
-/// schedule of a chunk depends only on its element count, so the relative
-/// pattern — `(element offset, active lanes)` per warp transaction — is
-/// built once per distinct chunk length and shared process-wide, then
-/// offset by each block's segment bases at run time. This is the
-/// transfer-phase analogue of the FFT butterfly trace cache: a warm
-/// serving loop's gather/scatter launches replay templates instead of
-/// re-deriving per-lane addresses.
-#[derive(Debug)]
-struct CopyTemplate {
-    /// `(relative element offset, active lanes)` per warp transaction.
-    iters: Vec<(usize, usize)>,
-}
-
-fn copy_template(chunk_len: usize) -> Arc<CopyTemplate> {
-    static TEMPLATES: OnceLock<Mutex<HashMap<usize, Arc<CopyTemplate>>>> = OnceLock::new();
-    let table = TEMPLATES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut table = lock_unpoisoned(table);
-    Arc::clone(table.entry(chunk_len).or_insert_with(|| {
-        let mut iters = Vec::with_capacity(chunk_len.div_ceil(WARP_SIZE));
-        let mut i = 0;
-        while i < chunk_len {
-            iters.push((i, WARP_SIZE.min(chunk_len - i)));
-            i += WARP_SIZE;
-        }
-        Arc::new(CopyTemplate { iters })
-    }))
 }
 
 /// One contiguous span moved by a [`SegmentedCopyKernel`].
@@ -342,13 +315,18 @@ impl Kernel for SegmentedCopyKernel {
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
         let (s, off) = self.blocks[block_id];
         let seg = &self.segments[s];
-        let end = seg.len.min(off + SEGMENT_COPY_BLOCK_ELEMS);
-        let template = copy_template(end - off);
-        for &(rel, active) in &template.iters {
-            let read_idx = WarpIdx::contiguous_partial(seg.src_base + off + rel, active);
-            let vals = ctx.global_read(seg.src, &read_idx);
-            let write_idx = WarpIdx::contiguous_partial(seg.dst_base + off + rel, active);
-            ctx.global_write(seg.dst, &write_idx, &vals);
+        let len = SEGMENT_COPY_BLOCK_ELEMS.min(seg.len - off);
+        let (src0, dst0) = (seg.src_base + off, seg.dst_base + off);
+        if ctx.is_metered() {
+            for rel in (0..len).step_by(WARP_SIZE) {
+                let active = WARP_SIZE.min(len - rel);
+                ctx.charge_global_load(seg.src, &WarpIdx::contiguous_partial(src0 + rel, active));
+                ctx.charge_global_store(seg.dst, &WarpIdx::contiguous_partial(dst0 + rel, active));
+            }
+        }
+        let src = ctx.global(seg.src);
+        for i in 0..len {
+            ctx.global_store(seg.dst, dst0 + i, src.get(src0 + i));
         }
     }
 
@@ -656,11 +634,11 @@ mod tests {
         assert_eq!(dev.download(dst), seq(len));
     }
 
-    /// The affine address templates move every element exactly once, to
-    /// its offset in the destination, and charge exactly its bytes: `8 *
-    /// len` loaded and `8 * len` stored, over a full chunk plus an odd
-    /// tail landing at an unaligned destination base. (The name predates
-    /// the per-lane path it used to compare against.)
+    /// The segmented copy moves every element exactly once, to its offset
+    /// in the destination, and charges exactly its bytes: `8 * len` loaded
+    /// and `8 * len` stored, over a full chunk plus an odd tail landing at
+    /// an unaligned destination base. (The name predates the element path;
+    /// it once compared address templates against per-lane reads.)
     #[test]
     fn templated_copy_matches_legacy_path_bitwise() {
         let (len, dst_base) = (SEGMENT_COPY_BLOCK_ELEMS + 77, 13);
@@ -677,7 +655,7 @@ mod tests {
         assert_eq!((stats.global_load_bytes, stats.global_store_bytes), (bytes, bytes));
         let out = dev.download(dst);
         assert!(out[..dst_base].iter().all(|&v| v == C32::ZERO), "wrote before the offset");
-        assert_eq!(out[dst_base..], seq(len)[..], "templates changed data movement");
+        assert_eq!(out[dst_base..], seq(len)[..], "the copy changed data movement");
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! kernel's structure. A functional launch therefore runs its blocks
 //! unmetered — they move exactly the same data but count only the
 //! structural events (blocks, warps, flops, barriers) — and attaches the
-//! counts of its analytical launch ([`run_analytical_stats`], memoized per
-//! structure by the [launch memo](crate::memo)), so a functional and an
+//! counts of its analytical launch (memoized per structure by the
+//! [launch memo](crate::memo)), so a functional and an
 //! analytical launch of one kernel carry the same [`LaunchRecord`]. Two
 //! checks tie the attached counts to the blocks that ran:
 //!
@@ -48,9 +48,6 @@
 //! * with [`GpuDevice::validate_writes`] on (the debug-build default) the
 //!   blocks run metered instead, and every counter must match (a mismatch
 //!   also catches an access pattern that depends on the data it moves).
-//!
-//! [`run_functional_eager`], the host backend's data path, reports the
-//! structural counts only.
 //!
 //! ## Launch history
 //!
@@ -306,28 +303,6 @@ impl<'a> BlockCtx<'a> {
         self.metered
     }
 
-    /// Warp-level global load. Observes pre-launch buffer contents.
-    pub fn global_read(&mut self, buf: BufferId, idx: &WarpIdx) -> [C32; WARP_SIZE] {
-        if self.metered {
-            let cost = self.gmem.access_cost(buf, idx);
-            self.stats.global_load_bytes += cost.bytes;
-            self.stats.global_load_sectors += cost.sectors;
-        }
-        self.gmem.read_warp(buf, idx)
-    }
-
-    /// Warp-level global store. Becomes visible after the launch.
-    pub fn global_write(&mut self, buf: BufferId, idx: &WarpIdx, vals: &[C32; WARP_SIZE]) {
-        if self.metered {
-            let cost = self.gmem.access_cost(buf, idx);
-            self.stats.global_store_bytes += cost.bytes;
-            self.stats.global_store_sectors += cost.sectors;
-        }
-        for (lane, elem) in idx.iter_active() {
-            self.journal.push(buf, elem, vals[lane]);
-        }
-    }
-
     /// Read view of a global buffer as it was before the launch (a
     /// virtual buffer reads zero). Element reads are not metered; charge
     /// them per warp with [`BlockCtx::charge_global_load`].
@@ -397,7 +372,9 @@ impl<'a> BlockCtx<'a> {
         self.stats.flops += n;
     }
 
-    fn finish(mut self) -> WorkerResult {
+    /// The summed event stats of the blocks this context ran and the
+    /// journal of global writes to apply when the launch completes.
+    fn finish(mut self) -> (KernelStats, WriteJournal) {
         self.stats.shared_ideal_cycles =
             self.shared.load_stats.ideal_cycles + self.shared.store_stats.ideal_cycles;
         self.stats.shared_actual_cycles =
@@ -405,10 +382,6 @@ impl<'a> BlockCtx<'a> {
         (self.stats, self.journal)
     }
 }
-
-/// What one worker's blocks produce: their summed event stats and the
-/// journal of global writes to apply when the launch completes.
-type WorkerResult = (KernelStats, WriteJournal);
 
 /// The simulated device: global memory + config + launch history.
 pub struct GpuDevice {
@@ -735,12 +708,7 @@ impl GpuDevice {
 /// block per equivalence class, counts scaled by class size, memoized
 /// through the process-wide [launch memo](crate::memo) when `use_memo`
 /// is set.
-///
-/// This is the device-independent core of the analytical launch path,
-/// shared by [`GpuDevice`] and the `tfno-backend` host backend so both
-/// produce bit-identical stats (and share the same memo entries) for the
-/// same kernel and device geometry.
-pub fn run_analytical_stats(
+fn run_analytical_stats(
     memory: &GlobalMemory,
     kernel: &dyn Kernel,
     use_memo: bool,
@@ -780,80 +748,28 @@ pub fn run_analytical_stats(
     total
 }
 
-/// Execute a kernel's functional body eagerly against `memory`: every
-/// block runs with traffic accounting switched off (no sector math, no
-/// bank-conflict cycles), writes are applied immediately at return with no
-/// conflict validation, and nothing is journaled past the call.
-///
-/// This is the `tfno-backend` host backend's data path. It is functionally
-/// exact — the same `run_block` bodies execute, reads observe pre-launch
-/// memory (writes buffer per worker until the blocks finish, preserving
-/// CUDA read visibility), and block writes are disjoint by the kernel
-/// contract — but it pays none of the simulator's modeling costs. The
-/// returned stats carry only the structural counters (blocks, warps,
-/// flops, syncthreads); all traffic fields are zero.
-///
-/// Blocks are statically chunked across `workers` host threads (capped at
-/// the grid size), so the execution — and therefore the journal
-/// application order — is deterministic for a fixed worker count.
-pub fn run_functional_eager(
-    memory: &mut GlobalMemory,
-    kernel: &dyn Kernel,
-    workers: usize,
-) -> KernelStats {
-    let dims = kernel.dims();
-    let n_blocks = dims.grid_blocks;
-    assert!(n_blocks > 0, "empty grid for kernel {}", kernel.name());
-    let workers = workers.clamp(1, n_blocks);
-
-    let results: Vec<WorkerResult> = if workers <= 1 {
-        let mut ctx = BlockCtx::new_unmetered(dims, memory);
-        for b in 0..n_blocks {
-            ctx.begin_block(b);
-            kernel.run_block(b, &mut ctx);
-        }
-        vec![ctx.finish()]
-    } else {
-        let gmem = &*memory;
-        let chunk = n_blocks.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut ctx = BlockCtx::new_unmetered(dims, gmem);
-                        let lo = w * chunk;
-                        let hi = ((w + 1) * chunk).min(n_blocks);
-                        for b in lo..hi {
-                            ctx.begin_block(b);
-                            kernel.run_block(b, &mut ctx);
-                        }
-                        ctx.finish()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("eager block worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut total = KernelStats::ZERO;
-    let journals: Vec<WriteJournal> = results
-        .into_iter()
-        .map(|(stats, journal)| {
-            total += stats;
-            journal
-        })
-        .collect();
-    journal::apply_journals(memory, &journals, false, workers, &kernel.name());
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
+
+    /// One coalesced warp: charge a 32-lane load of `src` and store of
+    /// `dst` at `base`, then store `f(src[e])` to `dst[e]` for its elements.
+    fn map_warp(
+        ctx: &mut BlockCtx<'_>,
+        src: BufferId,
+        dst: BufferId,
+        base: usize,
+        f: impl Fn(C32) -> C32,
+    ) {
+        let idx = WarpIdx::contiguous(base);
+        ctx.charge_global_load(src, &idx);
+        ctx.charge_global_store(dst, &idx);
+        let view = ctx.global(src);
+        for e in base..base + WARP_SIZE {
+            ctx.global_store(dst, e, f(view.get(e)));
+        }
+    }
 
     /// A toy kernel: each block scales 32 contiguous elements by 2.
     struct ScaleKernel {
@@ -870,15 +786,9 @@ mod tests {
             LaunchDims::new(self.blocks, 32).with_shared(1024)
         }
         fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
-            let idx = WarpIdx::contiguous(block_id * 32);
-            let vals = ctx.global_read(self.src, &idx);
-            let mut out = [C32::ZERO; 32];
-            for (o, v) in out.iter_mut().zip(vals.iter()) {
-                *o = v.scale(2.0);
-            }
+            map_warp(ctx, self.src, self.dst, block_id * 32, |v| v.scale(2.0));
             ctx.add_flops(64);
             ctx.syncthreads();
-            ctx.global_write(self.dst, &idx, &out);
         }
         fn fingerprint(&self) -> Option<u64> {
             Some(memo::structural_fingerprint("test.scale2", |h| {
@@ -1055,8 +965,11 @@ mod tests {
             LaunchDims::new(2, 32)
         }
         fn run_block(&self, _block: usize, ctx: &mut BlockCtx<'_>) {
-            let idx = WarpIdx::contiguous(0); // same elements from both blocks
-            ctx.global_write(self.dst, &idx, &[C32::ONE; 32]);
+            // the same elements from both blocks
+            ctx.charge_global_store(self.dst, &WarpIdx::contiguous(0));
+            for e in 0..WARP_SIZE {
+                ctx.global_store(self.dst, e, C32::ONE);
+            }
         }
     }
 
@@ -1171,31 +1084,6 @@ mod tests {
         let _ = dev.launch(&k, ExecMode::Functional);
     }
 
-    /// The eager executor moves exactly the data a simulated launch moves
-    /// (serial and chunked), with only structural counters recorded.
-    #[test]
-    fn eager_execution_matches_simulated_launch() {
-        let (mut dev, src, dst) = setup(64);
-        let k = ScaleKernel { src, dst, blocks: 64 };
-        dev.launch(&k, ExecMode::Functional);
-        let want = dev.download(dst);
-
-        for workers in [1usize, 4] {
-            let (mut eager, src2, dst2) = setup(64);
-            let k2 = ScaleKernel { src: src2, dst: dst2, blocks: 64 };
-            let stats = run_functional_eager(&mut eager.memory, &k2, workers);
-            assert_eq!(eager.download(dst2), want, "workers={workers}");
-            assert_eq!(stats.blocks, 64);
-            assert_eq!(stats.flops, 64 * 64);
-            assert_eq!(stats.syncthreads, 64);
-            assert_eq!(
-                (stats.global_load_sectors, stats.global_store_sectors),
-                (0, 0),
-                "eager execution must skip traffic accounting"
-            );
-        }
-    }
-
     /// With `validate_writes` off (the release default) the blocks run
     /// unmetered, yet the record carries the full analytical counts.
     #[test]
@@ -1225,10 +1113,8 @@ mod tests {
             LaunchDims::new(4, 32)
         }
         fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
-            let idx = WarpIdx::contiguous(block_id * 32);
-            let vals = ctx.global_read(self.src, &idx);
+            map_warp(ctx, self.src, self.dst, block_id * 32, |v| v);
             ctx.add_flops(self.flops);
-            ctx.global_write(self.dst, &idx, &vals);
         }
         fn fingerprint(&self) -> Option<u64> {
             Some(memo::structural_fingerprint(self.tag, |_| {}))
@@ -1276,11 +1162,15 @@ mod tests {
             LaunchDims::new(self.blocks, 32)
         }
         fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
-            let ctrl = ctx.global_read(self.ctrl, &WarpIdx::contiguous(0))[0];
-            let stride = if ctrl.re > 0.0 { 1 } else { 8 };
+            ctx.charge_global_load(self.ctrl, &WarpIdx::contiguous(0));
+            let stride = if ctx.global(self.ctrl).get(0).re > 0.0 { 1 } else { 8 };
             let gather = WarpIdx::from_fn(|l| Some(block_id * 256 + l * stride));
-            let vals = ctx.global_read(self.src, &gather);
-            ctx.global_write(self.dst, &WarpIdx::contiguous(block_id * 32), &vals);
+            ctx.charge_global_load(self.src, &gather);
+            ctx.charge_global_store(self.dst, &WarpIdx::contiguous(block_id * 32));
+            let src = ctx.global(self.src);
+            for (lane, e) in gather.iter_active() {
+                ctx.global_store(self.dst, block_id * 32 + lane, src.get(e));
+            }
         }
         fn fingerprint(&self) -> Option<u64> {
             Some(memo::structural_fingerprint("test.data_dependent", |h| {

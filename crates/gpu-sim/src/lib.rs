@@ -42,27 +42,20 @@ pub mod memo;
 pub mod memory;
 pub mod shared;
 pub mod stats;
-pub mod timeline;
 pub mod warp;
 
 pub use access::{merge_runs, runs_overlap, AccessSpan, KernelAccess};
 pub use cost::CostModel;
 pub use device::{DeviceConfig, Occupancy};
-pub use exec::{
-    configured_workers, lock_unpoisoned, wait_unpoisoned, workers_for, PAR_BLOCK_THRESHOLD,
-};
+pub use exec::{configured_workers, lock_unpoisoned, wait_unpoisoned, PAR_BLOCK_THRESHOLD};
 pub use fault::{FaultKind, FaultPlan, FaultStats, LaunchError};
 pub use journal::WriteJournal;
-pub use kernel::{
-    run_analytical_stats, run_functional_eager, BlockCtx, ExecMode, GpuDevice, Kernel, LaunchDims,
-    LaunchHistory, LaunchRecord,
-};
+pub use kernel::{BlockCtx, ExecMode, GpuDevice, Kernel, LaunchDims, LaunchHistory, LaunchRecord};
 pub use memo::{
-    launch_memo_clear, launch_memo_stats, seq_insert, seq_lookup, seq_memo_clear,
-    seq_memo_stats, structural_fingerprint, MemoStats, SeqMemoStats,
+    launch_memo_stats, seq_insert, seq_lookup, seq_memo_stats, structural_fingerprint, MemoStats,
+    SeqMemoStats,
 };
 pub use memory::{BufferId, GlobalMemory, GlobalView};
 pub use shared::{warp_bank_cycles, warp_bank_cycles_wide, BankStats};
 pub use stats::KernelStats;
-pub use timeline::{achieved_bandwidth_gbps, binding_resource, render_table, BindingResource};
 pub use warp::{WarpIdx, WARP_SIZE};

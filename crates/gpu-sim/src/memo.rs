@@ -53,11 +53,6 @@ pub fn launch_memo_stats() -> MemoStats {
     }
 }
 
-/// Drop all cached entries (counters keep accumulating).
-pub fn launch_memo_clear() {
-    lock_unpoisoned(table()).clear();
-}
-
 /// Build the launch signature; `None` when the kernel opted out.
 pub(crate) fn signature(
     fingerprint: Option<u64>,
@@ -163,11 +158,6 @@ pub fn seq_memo_stats() -> SeqMemoStats {
         misses: SEQ_MISSES.load(Ordering::Relaxed),
         entries: lock_unpoisoned(seq_table()).len() as u64,
     }
-}
-
-/// Drop all cached sequences (counters keep accumulating).
-pub fn seq_memo_clear() {
-    lock_unpoisoned(seq_table()).clear();
 }
 
 /// Helper for `Kernel::fingerprint` implementations: hash a type tag (so

@@ -264,18 +264,6 @@ impl GlobalMemory {
         }
     }
 
-    /// Warp read: returns per-lane values (inactive lanes read zero;
-    /// virtual buffers read zero everywhere).
-    pub fn read_warp(&self, id: BufferId, idx: &WarpIdx) -> [C32; WARP_SIZE] {
-        let mut out = [C32::ZERO; WARP_SIZE];
-        if let BufferData::Real(v) = &self.buffers[id.0].data {
-            for (lane, elem) in idx.iter_active() {
-                out[lane] = v[elem];
-            }
-        }
-        out
-    }
-
     /// Number of allocated buffers (journal sharding).
     pub(crate) fn buffer_count(&self) -> usize {
         self.buffers.len()
@@ -346,17 +334,6 @@ mod tests {
         let cost = gm.access_cost(b, &WarpIdx::contiguous_partial(0, 4));
         assert_eq!(cost.bytes, 32);
         assert_eq!(cost.sectors, 1);
-    }
-
-    #[test]
-    fn read_warp_returns_values() {
-        let mut gm = GlobalMemory::new();
-        let b = gm.alloc("x", 64);
-        let data: Vec<C32> = (0..64).map(|i| C32::real(i as f32)).collect();
-        gm.upload(b, &data);
-        let vals = gm.read_warp(b, &WarpIdx::contiguous(8));
-        assert_eq!(vals[0], C32::real(8.0));
-        assert_eq!(vals[31], C32::real(39.0));
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub use turbofno::{
 };
 
 // The backend surface: `Session` is generic over `Backend`; `AnyBackend`
-// switches between the simulator and the eager native host executor
+// switches between the simulator's two configurations, checked (`sim`)
+// and release (`native`), which record the same launches
 // (`TFNO_BACKEND`, or `Session::with_backend`).
 pub use turbofno::{AnyBackend, Backend, BackendCaps, BackendKind, NativeBackend, SimBackend};
 

@@ -1,22 +1,24 @@
 //! Cross-backend equivalence: the same `LayerSpec` run through the
-//! simulated device and the eager native host executor must produce the
-//! same numbers (within float tolerance — the backends share kernel
-//! bodies but are only held to the functional contract, not bitwise
-//! equality), across every variant, every rank (1D/2D/3D), stacked
-//! mixed-weight queues, and submit storms. Capabilities a backend
-//! does not advertise must surface as typed `TfnoError::Validation`
-//! errors, never panics. Kernels of one structure share their FFT plan
-//! and butterfly traces across backends.
+//! simulator (`SimBackend`) and its release configuration
+//! (`NativeBackend`) must produce bitwise-equal outputs and equal launch
+//! records — name, grid, every `KernelStats` field and the modeled time —
+//! across every variant, every rank (1D/2D/3D), stacked mixed-weight
+//! queues, and submit storms. Both run the simulator's one block
+//! executor: in debug builds the simulator meters its blocks and checks
+//! every count, while native runs them unmetered and attaches the
+//! memoized counts of each launch's structure, so the records must match
+//! exactly. Capabilities a backend does not advertise must surface as
+//! typed `TfnoError::Validation` errors, never panics. Kernels of one
+//! structure share their FFT plan and butterfly traces across backends.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tfno_num::error::rel_l2_error;
 use tfno_num::C32;
 use turbofno_suite::fft::{
     BatchedFftKernel, ButterflyTrace, FftBlockConfig, FftBlockEngine, FftDirection, FftKernelConfig, FftPlan,
     RowPencils,
 };
-use turbofno_suite::gpu_sim::{BufferId, ExecMode};
+use turbofno_suite::gpu_sim::{BufferId, ExecMode, LaunchRecord};
 use turbofno_suite::{
     Backend, FaultPlan, LayerSpec, NativeBackend, Request, Session, SimBackend, TfnoError, Variant,
 };
@@ -30,29 +32,49 @@ fn data(len: usize, seed: f32) -> Vec<C32> {
         .collect()
 }
 
+/// What a session's work leaves behind: the downloaded outputs and the
+/// device's launch records.
+type Outcome = (Vec<Vec<C32>>, Vec<LaunchRecord>);
+
+fn outcome<B: Backend>(sess: &Session<B>, ys: &[BufferId]) -> Outcome {
+    let outs = ys.iter().map(|&y| sess.download(y)).collect();
+    (outs, sess.device().launches().to_vec())
+}
+
+/// Bitwise-equal outputs and launch records equal field by field (the
+/// modeled time compared by its bits).
+fn assert_same(what: &str, sim: &Outcome, native: &Outcome) {
+    let bits = |v: &[C32]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>();
+    assert_eq!(sim.0.len(), native.0.len(), "{what}: output count");
+    for (i, (s, n)) in sim.0.iter().zip(&native.0).enumerate() {
+        assert!(bits(s) == bits(n), "{what}: output {i} differs between backends");
+    }
+    assert_eq!(sim.1.len(), native.1.len(), "{what}: launch count");
+    for (s, n) in sim.1.iter().zip(&native.1) {
+        assert_eq!((&s.name, s.dims_grid), (&n.name, n.dims_grid), "{what}");
+        assert_eq!(s.stats, n.stats, "{what}: stats of '{}'", s.name);
+        assert_eq!(s.time_us.to_bits(), n.time_us.to_bits(), "{what}: time of '{}'", s.name);
+    }
+}
+
 /// Upload operands for `spec` (derived deterministically from `seed`),
-/// run it, and download the result. Works on any backend.
-fn run_on<B: Backend>(sess: &mut Session<B>, spec: &LayerSpec, seed: f32) -> Vec<C32> {
+/// run it, and collect its outcome. Works on any backend.
+fn run_on<B: Backend>(sess: &mut Session<B>, spec: &LayerSpec, seed: f32) -> Outcome {
     let x = sess.alloc("x", spec.input_len());
     let w = sess.alloc("w", spec.weight_len());
     let y = sess.alloc("y", spec.output_len());
     sess.upload(x, &data(spec.input_len(), seed));
     sess.upload(w, &data(spec.weight_len(), seed + 0.5));
     sess.run(spec, x, w, y);
-    sess.download(y)
+    outcome(sess, &[y])
 }
 
-/// The same spec on a fresh session per backend; asserts agreement within
-/// the documented 1e-5 relative tolerance.
+/// The same spec on a fresh session per backend: bitwise outputs, equal
+/// launch records.
 fn assert_backends_agree(spec: &LayerSpec, seed: f32) {
     let sim = run_on(&mut Session::new(SimBackend::a100()), spec, seed);
     let native = run_on(&mut Session::with_backend(NativeBackend::a100()), spec, seed);
-    let err = rel_l2_error(&sim, &native);
-    assert!(
-        err < 1e-5,
-        "{:?}: sim and native diverge, rel l2 {err}",
-        spec.variant
-    );
+    assert_same(&format!("{:?} {:?}", spec.variant, spec.shape()), &sim, &native);
 }
 
 /// Build and launch, against `sess`'s buffers, a 12-row truncated FFT:
@@ -126,9 +148,8 @@ fn all_variants_agree_3d() {
 fn stacked_mixed_weight_queue_agrees() {
     // K same-shape requests with K distinct weight buffers: the engine
     // packs them into one stacked launch sequence (strided weights,
-    // device-side gather/scatter) on backends that support it and runs
-    // them sequentially otherwise — either way the numbers must match.
-    fn queue_on<B: Backend>(sess: &mut Session<B>, spec: &LayerSpec, k: usize) -> Vec<Vec<C32>> {
+    // device-side gather/scatter) on both backends.
+    fn queue_on<B: Backend>(sess: &mut Session<B>, spec: &LayerSpec, k: usize) -> Outcome {
         let reqs: Vec<Request> = (0..k)
             .map(|i| {
                 let x = sess.alloc("qx", spec.input_len());
@@ -140,16 +161,14 @@ fn stacked_mixed_weight_queue_agrees() {
             })
             .collect();
         sess.run_many(&reqs);
-        reqs.iter().map(|r| sess.download(r.y)).collect()
+        let ys: Vec<BufferId> = reqs.iter().map(|r| r.y).collect();
+        outcome(sess, &ys)
     }
 
     let spec = LayerSpec::d1(1, 8, 8, 128).modes(32).variant(Variant::TurboBest);
     let sim = queue_on(&mut Session::new(SimBackend::a100()), &spec, 6);
     let native = queue_on(&mut Session::with_backend(NativeBackend::a100()), &spec, 6);
-    for (i, (s, n)) in sim.iter().zip(&native).enumerate() {
-        let err = rel_l2_error(s, n);
-        assert!(err < 1e-5, "stacked request {i} diverged: rel l2 {err}");
-    }
+    assert_same("stacked queue", &sim, &native);
 }
 
 #[test]
@@ -157,7 +176,7 @@ fn async_submit_storm_agrees() {
     // Submit everything before waiting on anything, then wait in an order
     // that differs from submission; every handle must hand back the
     // results of its own submit, on both backends.
-    fn storm_on<B: Backend>(sess: &mut Session<B>, specs: &[LayerSpec]) -> Vec<Vec<C32>> {
+    fn storm_on<B: Backend>(sess: &mut Session<B>, specs: &[LayerSpec]) -> Outcome {
         let slots: Vec<(BufferId, BufferId, BufferId)> = specs
             .iter()
             .enumerate()
@@ -179,7 +198,8 @@ fn async_submit_storm_agrees() {
         for h in handles.into_iter().rev() {
             sess.wait(h);
         }
-        slots.iter().map(|&(_, _, y)| sess.download(y)).collect()
+        let ys: Vec<BufferId> = slots.iter().map(|&(_, _, y)| y).collect();
+        outcome(sess, &ys)
     }
 
     // A mixed storm: different shapes and variants interleaved.
@@ -195,10 +215,7 @@ fn async_submit_storm_agrees() {
         .collect();
     let sim = storm_on(&mut Session::new(SimBackend::a100()), &specs);
     let native = storm_on(&mut Session::with_backend(NativeBackend::a100()), &specs);
-    for (i, (s, n)) in sim.iter().zip(&native).enumerate() {
-        let err = rel_l2_error(s, n);
-        assert!(err < 1e-5, "storm submit {i} diverged: rel l2 {err}");
-    }
+    assert_same("submit storm", &sim, &native);
 }
 
 #[test]
@@ -227,14 +244,14 @@ fn native_session_still_serves_faultless_runs_after_rejection() {
     let mut sess = Session::with_backend(NativeBackend::a100());
     let spec = LayerSpec::d1(1, 4, 4, 128).modes(32).variant(Variant::FullyFused);
     assert!(sess.try_set_fault_plan(Some(FaultPlan::seeded(1))).is_err());
-    let y = run_on(&mut sess, &spec, 0.4);
-    assert!(y.iter().all(|c| c.re.is_finite() && c.im.is_finite()));
+    let (outs, _) = run_on(&mut sess, &spec, 0.4);
+    assert!(outs[0].iter().all(|c| c.re.is_finite() && c.im.is_finite()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random shapes, every variant, 1D: sim and native agree.
+    /// Random shapes, every variant, 1D: sim and native agree bitwise.
     #[test]
     fn prop_backends_agree_1d(
         batch in 1usize..3,
@@ -246,13 +263,10 @@ proptest! {
         let spec = LayerSpec::d1(batch, k, k, 128)
             .modes(nf)
             .variant(Variant::CONCRETE[variant_sel]);
-        let sim = run_on(&mut Session::new(SimBackend::a100()), &spec, 0.3);
-        let native = run_on(&mut Session::with_backend(NativeBackend::a100()), &spec, 0.3);
-        let err = rel_l2_error(&sim, &native);
-        prop_assert!(err < 1e-5, "{:?}: rel l2 {err}", spec.variant);
+        assert_backends_agree(&spec, 0.3);
     }
 
-    /// Random shapes, every variant, 2D: sim and native agree.
+    /// Random shapes, every variant, 2D: sim and native agree bitwise.
     #[test]
     fn prop_backends_agree_2d(
         batch in 1usize..3,
@@ -264,9 +278,6 @@ proptest! {
         let spec = LayerSpec::d2(batch, k, k, 32, ny)
             .modes_xy(8, 32)
             .variant(Variant::CONCRETE[variant_sel]);
-        let sim = run_on(&mut Session::new(SimBackend::a100()), &spec, 0.6);
-        let native = run_on(&mut Session::with_backend(NativeBackend::a100()), &spec, 0.6);
-        let err = rel_l2_error(&sim, &native);
-        prop_assert!(err < 1e-5, "{:?}: rel l2 {err}", spec.variant);
+        assert_backends_agree(&spec, 0.6);
     }
 }

@@ -162,7 +162,8 @@ fn rank3_matches_host_reference_on_sim() {
     }
 }
 
-/// The same rank-3 specs on the eager native host backend.
+/// The same rank-3 specs on the native backend (the simulator's release
+/// configuration: unmetered blocks with attached counts).
 #[test]
 fn rank3_matches_host_reference_on_native() {
     for v in Variant::CONCRETE {

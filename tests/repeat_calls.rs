@@ -375,7 +375,7 @@ fn warm_replay_records_equal_cold_records() {
 }
 
 /// The same pin over a serving queue: a mixed-weight stack (gather,
-/// stacked pipeline, deferred scatter) followed by a second shape group.
+/// stacked pipeline, scatter) followed by a second shape group.
 #[test]
 fn warm_replay_records_equal_cold_records_stacked_queue() {
     let a = LayerSpec::d1(1, 6, 6, 64).modes(32).variant(Variant::FullyFused);
