@@ -9,8 +9,8 @@
 //! measurement hooks.
 //!
 //! Every backend is a configuration of one simulated [`GpuDevice`]: an
-//! implementor names its [`BackendKind`] and hands out its device, and
-//! every other method of the trait is provided from that device. So there
+//! implementor hands out its device, and every other method of the trait,
+//! its [`BackendKind`] included, is provided from that device. So there
 //! is one block executor, and a launch records the same [`LaunchRecord`]
 //! (counts and modeled time) on every backend.
 //!
@@ -19,13 +19,15 @@
 //!   metered and cross-checks every attached count, cross-block write
 //!   conflicts are rejected, and fault injection is supported.
 //! * [`NativeBackend`] — the simulator's release configuration in every
-//!   build: functional blocks run unmetered and carry their memoized
-//!   analytical counts (checked structurally), with no write-conflict
-//!   validation and no fault injection.
+//!   build ([`GpuDevice::release`]): functional blocks run unmetered and
+//!   carry their memoized analytical counts (checked structurally), with
+//!   no write-conflict validation and no fault injection.
 //!
 //! Backends differ in capability, not by panicking: [`Backend::caps`]
-//! reports what each supports ([`BackendCaps`]), and unsupported
-//! operations return [`LaunchError::Unsupported`] typed errors.
+//! reports what each device supports ([`BackendCaps`]), and unsupported
+//! operations return [`LaunchError::Unsupported`] typed errors. The
+//! device itself enforces the answer, so the release device refuses a
+//! fault plan on every path, its own setters included.
 //!
 //! [`AnyBackend`] picks between the two at runtime and is what
 //! `Session::a100()` constructs, honoring the `TFNO_BACKEND` environment
@@ -102,7 +104,7 @@ pub fn env_backend_kind() -> BackendKind {
 /// An execution backend: the device surface the backend-generic stack
 /// (`Session`, planner, pool, verifier) runs against.
 ///
-/// An implementor defines only [`Backend::kind`], [`Backend::device`] and
+/// An implementor defines only [`Backend::device`] and
 /// [`Backend::device_mut`]; every other method is provided from the
 /// device. The contract is [`GpuDevice`]'s: `try_launch` executes a
 /// kernel's functional body (or its analytical cost model) with reads
@@ -111,8 +113,15 @@ pub fn env_backend_kind() -> BackendKind {
 /// operations return [`LaunchError::Unsupported`] — consult
 /// [`Backend::caps`] first.
 pub trait Backend {
-    /// Which implementation this is.
-    fn kind(&self) -> BackendKind;
+    /// Which configuration this is: `Native` for a [`GpuDevice::release`]
+    /// device, `Sim` otherwise.
+    fn kind(&self) -> BackendKind {
+        if self.device().supports_fault_injection() {
+            BackendKind::Sim
+        } else {
+            BackendKind::Native
+        }
+    }
 
     /// The simulated device every operation runs on.
     fn device(&self) -> &GpuDevice;
@@ -120,10 +129,11 @@ pub trait Backend {
     /// The simulated device, mutably.
     fn device_mut(&mut self) -> &mut GpuDevice;
 
-    /// What this backend supports: fault injection on the simulator only.
+    /// What this backend supports, as its device answers it: fault
+    /// injection everywhere but on a release device.
     fn caps(&self) -> BackendCaps {
         BackendCaps {
-            fault_injection: self.kind() == BackendKind::Sim,
+            fault_injection: self.device().supports_fault_injection(),
         }
     }
 
@@ -161,11 +171,6 @@ pub trait Backend {
     /// Set or clear the explicit worker-count override.
     fn set_workers(&mut self, workers: Option<usize>) {
         self.device_mut().set_workers(workers);
-    }
-
-    /// Whether analytical launches go through the process-wide memo.
-    fn analytical_memo(&self) -> bool {
-        self.device().analytical_memo
     }
 
     /// Install or clear a fault-injection schedule. Backends without
@@ -237,10 +242,6 @@ pub trait Backend {
 }
 
 impl Backend for GpuDevice {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
     fn device(&self) -> &GpuDevice {
         self
     }
@@ -268,9 +269,9 @@ pub struct NativeBackend {
 
 impl NativeBackend {
     pub fn new(config: DeviceConfig) -> Self {
-        let mut dev = GpuDevice::new(config);
-        dev.validate_writes = false;
-        NativeBackend { dev }
+        NativeBackend {
+            dev: GpuDevice::release(config),
+        }
     }
 
     pub fn a100() -> Self {
@@ -286,10 +287,6 @@ impl NativeBackend {
 }
 
 impl Backend for NativeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Native
-    }
-
     fn device(&self) -> &GpuDevice {
         &self.dev
     }
@@ -301,9 +298,9 @@ impl Backend for NativeBackend {
 
 /// Runtime-selected backend: what `Session::a100()` owns, so one binary
 /// serves both configurations and the `TFNO_BACKEND` environment variable
-/// (or an explicit constructor) picks at startup.
+/// (or an explicit constructor) picks at startup. Its kind is its
+/// device's profile.
 pub struct AnyBackend {
-    kind: BackendKind,
     dev: GpuDevice,
 }
 
@@ -324,27 +321,17 @@ impl AnyBackend {
 
 impl From<SimBackend> for AnyBackend {
     fn from(dev: SimBackend) -> Self {
-        AnyBackend {
-            kind: BackendKind::Sim,
-            dev,
-        }
+        AnyBackend { dev }
     }
 }
 
 impl From<NativeBackend> for AnyBackend {
     fn from(b: NativeBackend) -> Self {
-        AnyBackend {
-            kind: BackendKind::Native,
-            dev: b.dev,
-        }
+        AnyBackend { dev: b.dev }
     }
 }
 
 impl Backend for AnyBackend {
-    fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     fn device(&self) -> &GpuDevice {
         &self.dev
     }
@@ -506,6 +493,33 @@ mod tests {
         // default), so generic teardown code never special-cases.
         native.try_set_fault_plan(None).expect("clearing a plan is supported");
         assert_eq!(native.fault_stats(), FaultStats::default());
+    }
+
+    /// The release device refuses a fault plan on every path, not only
+    /// through `try_set_fault_plan`: arming it through the device's own
+    /// setters panics and installs nothing, so the next functional launch
+    /// runs clean.
+    #[test]
+    fn native_device_refuses_fault_plans_on_every_path() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let plan = || FaultPlan::seeded(1).transient(1.0);
+        let mut native = NativeBackend::a100();
+        let (src, dst) = seed_backend(&mut native, 4);
+
+        let armed = catch_unwind(AssertUnwindSafe(|| {
+            native.device_mut().set_fault_plan(Some(plan()))
+        }));
+        let msg = armed.expect_err("set_fault_plan must refuse a plan");
+        let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("'native' does not support fault injection"), "{msg}");
+        let built = catch_unwind(|| GpuDevice::release(DeviceConfig::a100()).with_faults(plan()));
+        assert!(built.is_err(), "with_faults must refuse a plan");
+
+        assert!(native.device().fault_plan().is_none());
+        let rec = native.try_launch(&ScaleKernel { src, dst, blocks: 4 }, ExecMode::Functional);
+        assert!(rec.is_ok(), "no plan may be armed: {rec:?}");
+        assert_eq!(native.fault_stats(), FaultStats::default());
+        native.device_mut().set_fault_plan(None); // clearing is always fine
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub use tfno_backend::{
     NativeBackend, SimBackend,
 };
 pub use tfno_gpu_sim::{
-    configured_workers, lock_unpoisoned, merge_runs, runs_overlap, seq_insert, seq_lookup,
-    wait_unpoisoned, BufferId, DeviceConfig, ExecMode, FaultKind, FaultPlan, FaultStats, Kernel,
-    KernelAccess, LaunchError, LaunchRecord,
+    configured_workers, lock_unpoisoned, merge_runs, runs_overlap, BufferId, DeviceConfig,
+    ExecMode, FaultKind, FaultPlan, FaultStats, Kernel, KernelAccess, LaunchError, LaunchRecord,
 };

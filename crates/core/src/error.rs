@@ -15,13 +15,11 @@
 //! Every panicking `Session` entry point is its `try_*` twin plus
 //! `panic!("{e}")`, so its panic message is this error's `Display` text.
 //!
-//! A panic is a bug, not one of these errors. When submitted work panics,
-//! the submit catches it and heals the session (leaked leases released),
-//! and the panic payload is kept in the returned handle.
-//! `wait`/`wait_many` and their `try_*` twins re-raise it with
-//! `resume_unwind`, so a `try_` wait on that handle panics rather than
-//! returning `Err`; a handle dropped without a wait re-raises it from its
-//! `Drop`. Other handles and the session stay usable.
+//! A panic is a bug, not one of these errors. When the engine panics, the
+//! call that ran the work heals the session (the leases the unwind leaked
+//! are released) and then resumes the panic with `resume_unwind`, so a
+//! `try_` call panics rather than returning `Err`. Handles hold only
+//! results, never a panic, and the session stays usable.
 
 use std::fmt;
 use std::time::Duration;

@@ -282,13 +282,12 @@ impl LayerBufs {
 }
 
 /// Everything a pipeline execution needs from its surrounding
-/// [`Session`](crate::Session): the backend, the scratch pool, and the
-/// planner consulted for `TurboBest` requests. Every executing `Session`
-/// call builds one over its own state (see `session.rs`).
+/// [`Session`](crate::Session): the backend and the scratch pool. Every
+/// executing `Session` call builds one over its own state (see
+/// `session.rs`), after its planner has resolved `TurboBest`.
 pub(crate) struct ExecCtx<'a> {
     pub dev: &'a mut dyn Backend,
     pub pool: &'a mut BufferPool,
-    pub planner: &'a crate::Planner,
     /// Static launch-plan verifier (`verify.rs`). When present, every
     /// launch routed through `try_step` is proven
     /// hazard-free before it issues, and lease traffic is balanced; `None`
@@ -520,18 +519,10 @@ impl ExecCtx<'_> {
             Variant::Pytorch => {
                 return try_run_pytorch_stacked(self.dev, s, b.x, b.w, b.ws, b.y, mode);
             }
-            Variant::TurboBest => {
-                // Admission rejects a shape no candidate fits before any
-                // call gets here; the planner still reports it typed.
-                let best = self
-                    .planner
-                    .try_plan_shape(self.dev.config(), s, opts)
-                    .map_err(|e| LaunchError::PlanRejected {
-                        kernel: "TurboBest".to_string(),
-                        reason: e.to_string(),
-                    })?;
-                return self.try_run_spectral(s, best, b, opts, mode);
-            }
+            // INVARIANT: `Session` resolves `TurboBest` through its planner
+            // before the engine runs, and planner probes run concrete
+            // candidates, so no call reaches here with it.
+            Variant::TurboBest => unreachable!("TurboBest reached the engine unresolved"),
             _ => {}
         }
         let mut leases = Vec::new();

@@ -48,18 +48,21 @@
 //! the [`BufferPool`] hands back the scratch the first call released, the
 //! process-wide FFT plan/trace cache (`tfno_fft::cache`) shares every
 //! pruned plan and butterfly trace, and a functional sim launch attaches
-//! its memoized analytical counts instead of metering every access.
+//! its memoized analytical counts instead of metering every access. A warm
+//! [`Session::measure`] issues the same launches as a cold one; each is
+//! answered from the analytical launch memo.
 //!
 //! ## Submit and wait
 //!
 //! [`Session::submit`]/[`Session::submit_many`] take the same admission
 //! check and run the same engine as `run`/`run_many`, on the caller's
 //! thread, before they return; `run` is `submit` followed by
-//! [`Session::wait`]. The returned [`LaunchHandle`] owns the outcome —
-//! the [`PipelineRun`]s, the typed error, or a caught panic — until
-//! `wait`/[`Session::wait_many`] (or a `try_*` twin) takes it. The output
-//! buffers hold their results as soon as `submit` returns, and nothing is
-//! ever in flight, so every inspector ([`Session::download`],
+//! [`Session::wait`]. The returned [`LaunchHandle`] holds only the
+//! result — the [`PipelineRun`]s or the typed error — until
+//! `wait`/[`Session::wait_many`] (or a `try_*` twin) takes it. Any session
+//! may take it, and dropping the handle discards it. The output buffers
+//! hold their results as soon as `submit` returns, and nothing is ever in
+//! flight, so every inspector ([`Session::download`],
 //! [`Session::device`], [`Session::pool_stats`]) is safe at any time.
 //!
 //! No work runs beside the caller: the simulator's block executor and the
@@ -87,28 +90,23 @@
 //! to a fault-free run of the same variant.
 //!
 //! A panic in the engine is a bug, not a [`TfnoError`], but it does not
-//! wedge the session: the submit catches it, releases the scratch leases
-//! the unwind leaked, and keeps the payload in the handle. The payload
-//! re-raises at that handle's wait ([`Session::wait`] and
-//! [`Session::try_wait`] alike) or, for a handle dropped without a wait,
-//! from the handle's drop, so a panic never vanishes. Later calls proceed
-//! unaffected, and [`Session::recovery_stats`] counts all of it.
+//! wedge the session: the call that ran the work releases the scratch
+//! leases the unwind leaked, then resumes the panic, so it surfaces at
+//! that `run`/`submit` call (or its `_many` or `try_` form). Later calls
+//! proceed unaffected, and [`Session::recovery_stats`] counts all of it.
 
 use crate::error::{RecoveryStats, RetryPolicy, TfnoError};
 use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
-use crate::planner::{hash_device_config, Planner, PlannerStats};
+use crate::planner::{Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
 use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVerifier, QueueAccess};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tfno_cgemm::WeightStacking;
 use tfno_culib::{CopySegment, PipelineRun, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
-    seq_insert, seq_lookup, AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan,
-    FaultStats, LaunchError, SimBackend,
+    AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, LaunchError,
+    SimBackend,
 };
 use tfno_num::C32;
 
@@ -275,43 +273,16 @@ pub struct Request {
     pub y: BufferId,
 }
 
-/// The outcome of work issued with [`Session::submit`] or
+/// The result of work issued with [`Session::submit`] or
 /// [`Session::submit_many`]. The work has already run; the handle holds
-/// its [`PipelineRun`]s, its typed error or its caught panic until
-/// [`Session::wait`] / [`Session::wait_many`] (or a `try_*` twin) on the
-/// issuing session takes them. Handles are session-bound and single-use
-/// (consumed by the wait).
-///
-/// Dropping a handle without a wait discards its runs or its error (the
-/// outputs stay written). A caught panic re-raises from the drop instead,
-/// unless the thread is already unwinding, so it never vanishes.
+/// only its [`PipelineRun`]s or its typed error until [`Session::wait`] /
+/// [`Session::wait_many`] (or a `try_*` twin) takes them. Any session may
+/// take them, and a wait consumes the handle. Dropping a handle without a
+/// wait discards its result (the outputs stay written).
 #[derive(Debug)]
 #[must_use = "the work already ran, but its PipelineRun is lost unless the handle is waited on"]
 pub struct LaunchHandle {
-    session: u64,
-    /// `None` once a wait has taken it.
-    outcome: Option<Outcome>,
-}
-
-impl Drop for LaunchHandle {
-    fn drop(&mut self) {
-        if let Some(Outcome::Panicked(payload)) = self.outcome.take() {
-            if !std::thread::panicking() {
-                resume_unwind(payload);
-            }
-        }
-    }
-}
-
-/// What one submit produced, held by its handle.
-#[derive(Debug)]
-enum Outcome {
-    Done(Vec<PipelineRun>),
-    /// The resilient engine exhausted retries/degradation, or the plan
-    /// verifier rejected a launch.
-    Failed(TfnoError),
-    /// The work panicked; the submit released the leases it leaked.
-    Panicked(Box<dyn std::any::Any + Send>),
+    outcome: Result<Vec<PipelineRun>, TfnoError>,
 }
 
 /// Always zero: submits run on the caller's thread, so nothing is
@@ -333,8 +304,6 @@ pub struct ReplayStats {
     pub misses: u64,
 }
 
-static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
-
 /// An owning execution handle: simulated device + memoizing planner +
 /// scratch buffer pool. The single way to execute Fourier layers (and,
 /// via `tfno-model`, whole FNO forwards).
@@ -351,8 +320,6 @@ pub struct Session<B: Backend = SimBackend> {
     dev: B,
     pool: BufferPool,
     planner: Planner,
-    /// Binds the handles this session issues to it.
-    id: u64,
     /// Bounded retry budget for transient faults (see [`RetryPolicy`]).
     retry: RetryPolicy,
     recovery: RecoveryStats,
@@ -387,7 +354,6 @@ impl<B: Backend> Session<B> {
             dev,
             pool: BufferPool::new(),
             planner: Planner::new(),
-            id: SESSION_IDS.fetch_add(1, Ordering::Relaxed),
             retry: RetryPolicy::default(),
             recovery: RecoveryStats::default(),
         }
@@ -402,8 +368,8 @@ impl<B: Backend> Session<B> {
     }
 
     /// The session-local `TurboBest` planner.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
+    pub fn planner(&mut self) -> &mut Planner {
+        &mut self.planner
     }
 
     /// Planning counters: a warm same-shape request must add zero
@@ -565,7 +531,7 @@ impl<B: Backend> Session<B> {
     }
 
     /// The one request path: admit, then run the resilient engine through
-    /// [`Session::submit_work`].
+    /// [`Session::run_work`].
     fn try_submit_requests(
         &mut self,
         reqs: &[Request],
@@ -573,31 +539,35 @@ impl<B: Backend> Session<B> {
     ) -> Result<LaunchHandle, TfnoError> {
         self.try_admit(reqs, parallel)?;
         let (policy, reqs) = (self.retry, reqs.to_vec());
-        Ok(self.submit_work(move |ctx, recovery| run_queue_resilient(ctx, recovery, policy, reqs)))
+        let outcome = self.run_work(move |ctx, planner, recovery| {
+            run_queue_resilient(ctx, planner, recovery, policy, reqs)
+        });
+        Ok(LaunchHandle { outcome })
     }
 
-    /// Run `work` against the session state and hand back its outcome.
+    /// Run `work` against the session state and return its result.
     ///
     /// Self-healing: a snapshot of the pool's lease ledger is taken first,
     /// so when `work` unwinds, every lease it acquired and leaked
-    /// (pipeline scratch, staging buffers) is released here and the payload
-    /// is kept in the handle instead of unwinding through the caller.
-    fn submit_work(
+    /// (pipeline scratch, staging buffers) is released before the panic
+    /// resumes here, at the call that ran the work.
+    fn run_work(
         &mut self,
-        work: impl FnOnce(&mut ExecCtx<'_>, &mut RecoveryStats) -> Result<Vec<PipelineRun>, TfnoError>,
-    ) -> LaunchHandle {
+        work: impl FnOnce(
+            &mut ExecCtx<'_>,
+            &mut Planner,
+            &mut RecoveryStats,
+        ) -> Result<Vec<PipelineRun>, TfnoError>,
+    ) -> Result<Vec<PipelineRun>, TfnoError> {
         let before = self.pool.leased_snapshot();
         let mut ctx = ExecCtx {
             dev: &mut self.dev,
             pool: &mut self.pool,
-            planner: &self.planner,
             verify: verifier_enabled().then(PlanVerifier::new),
         };
-        let recovery = &mut self.recovery;
-        let outcome = match catch_unwind(AssertUnwindSafe(|| work(&mut ctx, recovery))) {
-            Ok(Ok(runs)) => Outcome::Done(runs),
-            Ok(Err(e)) => Outcome::Failed(e),
-            Err(payload) => {
+        let (planner, recovery) = (&mut self.planner, &mut self.recovery);
+        catch_unwind(AssertUnwindSafe(|| work(&mut ctx, planner, recovery))).unwrap_or_else(
+            |payload| {
                 let leaked: Vec<BufferId> = self
                     .pool
                     .leased_snapshot()
@@ -609,13 +579,9 @@ impl<B: Backend> Session<B> {
                 for id in leaked {
                     self.pool.release(&self.dev, id);
                 }
-                Outcome::Panicked(payload)
-            }
-        };
-        LaunchHandle {
-            session: self.id,
-            outcome: Some(outcome),
-        }
+                resume_unwind(payload)
+            },
+        )
     }
 
     /// Execute one layer spec. `TurboBest` consults the session planner
@@ -706,7 +672,8 @@ impl<B: Backend> Session<B> {
     /// Typed twin of [`Session::submit`]: validation failures come back as
     /// [`TfnoError::Validation`] instead of panics. An engine failure is
     /// not an error here: it is kept in the handle and surfaces at
-    /// [`Session::try_wait`].
+    /// [`Session::try_wait`]. A panic in the engine resumes here, after
+    /// the leases it leaked are released.
     pub fn try_submit(
         &mut self,
         spec: &LayerSpec,
@@ -736,8 +703,7 @@ impl<B: Backend> Session<B> {
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_wait`] returns
-    /// `Err`; a panic from the submitted work re-raises here. Also panics
-    /// if the handle came from another session or from a multi-request
+    /// `Err`. Also panics if the handle came from a multi-request
     /// [`Session::submit_many`] (use [`Session::wait_many`]).
     pub fn wait(&mut self, handle: LaunchHandle) -> PipelineRun {
         self.try_wait(handle).unwrap_or_else(|e| panic!("{e}"))
@@ -749,7 +715,7 @@ impl<B: Backend> Session<B> {
     ///
     /// # Panics
     /// With the [`TfnoError`] text wherever [`Session::try_wait_many`]
-    /// returns `Err`; a panic from the submitted work re-raises here.
+    /// returns `Err`.
     pub fn wait_many(&mut self, handle: LaunchHandle) -> Vec<PipelineRun> {
         self.try_wait_many(handle).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -768,24 +734,17 @@ impl<B: Backend> Session<B> {
 
     /// Typed twin of [`Session::wait_many`]: work that exhausted the
     /// retry/degradation ladder reports its [`TfnoError`] here instead of
-    /// panicking; work that *panicked* still re-raises its payload (a
-    /// panic is a bug, not a recoverable condition).
-    pub fn try_wait_many(&mut self, mut handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
-        assert_eq!(
-            handle.session, self.id,
-            "LaunchHandle was issued by a different Session"
-        );
-        // INVARIANT: only a wait takes the outcome, and it consumes the handle.
-        match handle.outcome.take().expect("an unredeemed handle holds its outcome") {
-            Outcome::Done(runs) => Ok(runs),
-            Outcome::Failed(e) => Err(e),
-            Outcome::Panicked(payload) => resume_unwind(payload),
-        }
+    /// panicking.
+    pub fn try_wait_many(&mut self, handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
+        handle.outcome
     }
 
     /// Model one spec analytically on pooled virtual buffers (no values
     /// move; addresses and event counts only). The spec's `exec` mode is
     /// ignored — measurement is always [`ExecMode::Analytical`].
+    /// `TurboBest` is resolved through the session planner first, like
+    /// every other call; each launch goes through the analytical launch
+    /// memo.
     ///
     /// # Panics
     /// With the [`TfnoError::Validation`] text when the spec fails the
@@ -795,30 +754,35 @@ impl<B: Backend> Session<B> {
         if let Err(e) = spec.check_shape(self.dev.config()) {
             panic!("{e}");
         }
-        ExecCtx {
+        let variant = resolve(&mut self.planner, self.dev.config(), spec);
+        let spec = spec.exec(ExecMode::Analytical);
+        let mut ctx = ExecCtx {
             dev: &mut self.dev,
             pool: &mut self.pool,
-            planner: &self.planner,
             verify: verifier_enabled().then(PlanVerifier::new),
+        };
+        let [x, w, y] = [spec.input_len(), spec.weight_len(), spec.output_len()]
+            .map(|len| ctx.pool.acquire_virtual(ctx.dev, len));
+        // INVARIANT: analytical launches on virtual buffers are exempt
+        // from fault injection (a contract every backend upholds), so
+        // this cannot fail even with a FaultPlan installed.
+        let run = ctx
+            .try_run_spec(&spec, variant, LayerBufs::shared(x, w, y))
+            .expect("analytical launches are never faulted");
+        for id in [x, w, y] {
+            ctx.pool.release(ctx.dev, id);
         }
-        .measure_spec(spec)
+        run
     }
 }
 
-/// Hash the spec fields that shape a launch sequence: geometry, variant,
-/// the options that steer kernel assembly, and the functional/analytical
-/// split (the `measure` sequence memo's key).
-fn hash_spec(spec: &LayerSpec, h: &mut DefaultHasher) {
-    let s = &spec.shape;
-    (s.rank as u8).hash(h);
-    [s.batch, s.k_in, s.k_out].hash(h);
-    s.dims.hash(h);
-    s.modes.hash(h);
-    spec.variant.hash(h);
-    spec.opts.forward_layout.hash(h);
-    spec.opts.epilogue_swizzle.hash(h);
-    spec.opts.fft_l1_hit.to_bits().hash(h);
-    (spec.exec == ExecMode::Analytical).hash(h);
+/// Resolve `TurboBest` to a concrete variant (one planner consult; a
+/// cache hit for every shape the session has planned before).
+fn resolve(planner: &mut Planner, cfg: &DeviceConfig, spec: &LayerSpec) -> Variant {
+    if spec.variant != Variant::TurboBest {
+        return spec.variant;
+    }
+    planner.plan_shape(cfg, &spec.shape, &spec.opts)
 }
 
 /// The execution engine behind every entry point: everything here runs
@@ -837,21 +801,17 @@ impl ExecCtx<'_> {
         self.try_run_spectral(&spec.shape, variant, bufs, &opts, exec)
     }
 
-    /// Resolve `TurboBest` to a concrete variant (one planner consult; a
-    /// cache hit for every shape the session has planned before).
-    fn resolve(&self, spec: &LayerSpec) -> Variant {
-        if spec.variant != Variant::TurboBest {
-            return spec.variant;
-        }
-        self.planner.plan_shape(self.dev.config(), &spec.shape, &spec.opts)
-    }
-
-    /// The body of every request entry point (queue already admitted).
+    /// The body of every request entry point (queue already admitted);
+    /// `planner` resolves each shape group's `TurboBest`.
     ///
     /// A coalesced group reports its launches on the group's first
     /// request; the other members report empty runs (their outputs are
     /// still written).
-    pub(crate) fn try_run_queue(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, LaunchError> {
+    pub(crate) fn try_run_queue(
+        &mut self,
+        planner: &mut Planner,
+        reqs: &[Request],
+    ) -> Result<Vec<PipelineRun>, LaunchError> {
         let mut out: Vec<PipelineRun> = (0..reqs.len()).map(|_| PipelineRun::default()).collect();
         let mut claimed = vec![false; reqs.len()];
         for i in 0..reqs.len() {
@@ -865,7 +825,7 @@ impl ExecCtx<'_> {
             for &j in &group {
                 claimed[j] = true;
             }
-            let concrete = self.resolve(&reqs[i].spec);
+            let concrete = resolve(planner, self.dev.config(), &reqs[i].spec);
 
             // One stack for the whole shape group, mixed weights included;
             // non-stackable members (virtual buffers, analytical mode) run
@@ -995,47 +955,6 @@ impl ExecCtx<'_> {
         out[owner].push(self.try_step(scatter, ExecMode::Functional)?);
         Ok(())
     }
-
-    /// The [`Session::measure`] body: analytical run on pooled virtual
-    /// operands.
-    ///
-    /// Warm measurements are answered from the process-wide sequence memo
-    /// ([`seq_lookup`](crate::backend::seq_lookup)) without issuing a
-    /// single launch: the key covers device config, spec geometry, variant
-    /// and options — never buffer identities or worker configuration,
-    /// since analytical records are independent of both.
-    /// [`Backend::analytical_memo`] opts a backend out.
-    pub(crate) fn measure_spec(&mut self, spec: &LayerSpec) -> PipelineRun {
-        let spec = spec.exec(ExecMode::Analytical);
-        let key = {
-            let mut h = DefaultHasher::new();
-            0xF2u8.hash(&mut h);
-            hash_device_config(self.dev.config(), &mut h);
-            hash_spec(&spec, &mut h);
-            h.finish()
-        };
-        if self.dev.analytical_memo() {
-            if let Some(launches) = seq_lookup(key) {
-                return PipelineRun { launches };
-            }
-        }
-        let x = self.pool.acquire_virtual(self.dev, spec.input_len());
-        let w = self.pool.acquire_virtual(self.dev, spec.weight_len());
-        let y = self.pool.acquire_virtual(self.dev, spec.output_len());
-        // INVARIANT: analytical launches on virtual buffers are exempt
-        // from fault injection (a contract every backend upholds), so
-        // this cannot fail even with a FaultPlan installed.
-        let run = self
-            .try_run_spec(&spec, spec.variant, LayerBufs::shared(x, w, y))
-            .expect("analytical launches are never faulted");
-        self.pool.release(self.dev, x);
-        self.pool.release(self.dev, w);
-        self.pool.release(self.dev, y);
-        if self.dev.analytical_memo() {
-            seq_insert(key, run.launches.clone());
-        }
-        run
-    }
 }
 
 /// The resilient engine behind every request entry point (a single call
@@ -1052,6 +971,7 @@ impl ExecCtx<'_> {
 ///    one more retry rung before the error is surfaced.
 fn run_queue_resilient(
     ctx: &mut ExecCtx<'_>,
+    planner: &mut Planner,
     recovery: &mut RecoveryStats,
     policy: RetryPolicy,
     mut reqs: Vec<Request>,
@@ -1060,7 +980,7 @@ fn run_queue_resilient(
     loop {
         let mut last: Option<TfnoError> = None;
         for attempt in 1..=policy.attempts() {
-            let out = ctx.try_run_queue(&reqs).map_err(TfnoError::from);
+            let out = ctx.try_run_queue(planner, &reqs).map_err(TfnoError::from);
             total_attempts += 1;
             match out {
                 Ok(runs) => {
@@ -1085,7 +1005,7 @@ fn run_queue_resilient(
         // FftOpt is unfused, so the rung can only be taken once.
         let mut degraded = false;
         for r in &mut reqs {
-            if ctx.resolve(&r.spec).is_fused() {
+            if resolve(planner, ctx.dev.config(), &r.spec).is_fused() {
                 r.spec = r.spec.variant(Variant::FftOpt);
                 degraded = true;
             }
@@ -1190,6 +1110,8 @@ mod tests {
         sess.run(&spec, x, w, y);
     }
 
+    /// A warm measure issues the cold one's launches again (each a
+    /// launch-memo hit) and records the same sequence.
     #[test]
     fn measure_is_analytical_and_memoizes_the_sequence() {
         let mut sess = Session::new(SimBackend::a100());
@@ -1197,14 +1119,8 @@ mod tests {
         let a = sess.measure(&spec);
         assert_eq!(a.kernel_count(), 3);
         assert!(a.total_us() > 0.0);
-        let launched_cold = sess.device().launches().len();
         let b = sess.measure(&spec);
         assert_eq!(a.total_stats(), b.total_stats());
-        assert_eq!(
-            sess.device().launches().len(),
-            launched_cold,
-            "a warm measure is answered from the sequence memo, zero launches"
-        );
         assert_eq!(
             sess.pool_stats().leased,
             0,
@@ -1247,16 +1163,6 @@ mod tests {
         assert_eq!(agsync.download(y2), want);
         assert_eq!(run_async.kernel_count(), run_sync.kernel_count());
         assert_eq!(run_async.total_stats(), run_sync.total_stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "different Session")]
-    fn foreign_handles_are_rejected() {
-        let mut a = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut a);
-        let handle = a.submit(&spec, x, w, y);
-        let mut b = Session::new(SimBackend::a100());
-        let _ = b.wait(handle);
     }
 
     /// Shape panics surface at the submit, exactly like the run path —
@@ -1367,6 +1273,9 @@ mod tests {
         );
     }
 
+    /// Work that leaks a lease and panics panics at the call that ran
+    /// it, with the lease already released, and fails nothing else: the
+    /// session keeps serving.
     #[test]
     fn job_panic_heals_leases_and_only_fails_its_handle() {
         let mut sess = Session::new(SimBackend::a100());
@@ -1374,30 +1283,26 @@ mod tests {
         // Work that leaks a lease and panics (only constructible from
         // inside the crate — the public surface never panics mid-lease
         // without the lease hygiene the pipelines provide).
-        let bad = sess.submit_work(|ctx, _| {
-            let _leak = ctx
-                .pool
-                .try_acquire(ctx.dev, 64)
-                .expect("unfaulted acquire");
-            panic!("chaos: job panic")
-        });
-        // The submit healed: the leaked lease is back before any wait.
-        assert_eq!(sess.pool_stats().leased, 0);
-        let good = sess.submit(&spec, x, w, y);
-
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = sess.try_wait(bad);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            sess.run_work(|ctx, _, _| {
+                let _leak = ctx
+                    .pool
+                    .try_acquire(ctx.dev, 64)
+                    .expect("unfaulted acquire");
+                panic!("chaos: job panic")
+            })
         }));
-        assert!(err.is_err(), "the panicked job re-raises at its wait");
-
-        // The later submit is unaffected.
-        let run = sess.wait(good);
-        assert!(run.kernel_count() > 0);
+        let payload = err.expect_err("the panic resumes at the call that ran the work");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chaos: job panic"));
+        // The leaked lease was released before the panic resumed.
+        assert_eq!(sess.pool_stats().leased, 0);
         let stats = sess.recovery_stats();
         assert_eq!(stats.jobs_healed, 1);
         assert_eq!(stats.leases_recovered, 1);
+
+        let run = sess.run(&spec, x, w, y); // still serviceable
+        assert!(run.kernel_count() > 0);
         assert_eq!(sess.pool_stats().leased, 0);
-        sess.run(&spec, x, w, y); // still serviceable
     }
 
     /// A handle dropped without a wait leaves no lease behind, and its
@@ -1413,16 +1318,6 @@ mod tests {
         reference.run(&spec2, x2, w2, y2);
         assert_eq!(sess.download(y), reference.download(y2));
         sess.run(&spec, x, w, y); // still serviceable
-    }
-
-    /// A panicked handle dropped without a wait re-raises from its drop
-    /// instead of disappearing.
-    #[test]
-    #[should_panic(expected = "chaos: abandoned panic")]
-    fn abandoned_panicked_handle_reraises_on_drop() {
-        let mut sess = Session::new(SimBackend::a100());
-        let handle = sess.submit_work(|_, _| panic!("chaos: abandoned panic"));
-        drop(handle);
     }
 
     #[test]

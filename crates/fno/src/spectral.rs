@@ -25,10 +25,10 @@ use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
 use turbofno::{Backend, LaunchHandle, LayerSpec, Session, TfnoError, TurboOptions, Variant};
 
-/// A spectral convolution issued by [`SpectralConvNd::submit_device`]:
-/// the layer has run, and its output waits in a leased device buffer.
-/// [`PendingSpectral::finish`] downloads the result and returns the leased
-/// operand buffers to the session pool.
+/// A spectral convolution issued by [`SpectralConvNd::submit_device`]: the
+/// layer has run, its [`LaunchHandle`] holds only the run or typed error (a
+/// panic resumed at the submit), and its output waits in a leased buffer
+/// until [`PendingSpectral::finish`] downloads it and releases the leases.
 #[must_use = "a submitted spectral conv leaks its pooled operand leases unless finished"]
 pub struct PendingSpectral {
     handle: LaunchHandle,

@@ -14,7 +14,7 @@
 /// let occ = a100.occupancy(128, 16 * 1024, 40);
 /// assert!(occ.blocks_per_sm >= 8);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceConfig {
     pub name: &'static str,
     /// Number of streaming multiprocessors (A100: 108).

@@ -15,23 +15,19 @@
 //! execution, write application, planner evaluation, the model's pointwise
 //! path), so one knob tunes the whole engine.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Lock a mutex, recovering the guard when a previous holder panicked.
 ///
-/// Process-wide state (the analytical launch memo, the planner caches)
-/// must survive *caught* panics: the documented aliasing/conflict panics
-/// unwind through these locks, and `.lock().unwrap()` would turn one
-/// caught panic into a cascade of unrelated `PoisonError` failures. The
-/// guarded data is always left consistent by its critical sections (plain
-/// inserts/lookups/counter bumps), so recovering the guard is sound.
+/// Process-wide state (the launch memo, the FFT plan/trace cache, the
+/// verifier's disjointness memo) must survive *caught* panics: the
+/// documented aliasing/conflict panics unwind through these locks, and
+/// `.lock().unwrap()` would turn one caught panic into a cascade of
+/// unrelated `PoisonError` failures. The guarded data is always left
+/// consistent by its critical sections (plain inserts/lookups/counter
+/// bumps), so recovering the guard is sound.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// [`Condvar::wait`] with the same poison recovery as [`lock_unpoisoned`].
-pub fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Grids below this size stay serial under the *default* policy (thread
@@ -95,7 +91,7 @@ mod tests {
     }
 
     /// A panic while the lock is held must not wedge later lockers: the
-    /// recovery helpers hand back the guard instead of propagating
+    /// recovery helper hands back the guard instead of propagating
     /// `PoisonError`.
     #[test]
     fn poisoned_locks_recover() {

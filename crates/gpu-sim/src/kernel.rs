@@ -403,6 +403,8 @@ pub struct GpuDevice {
     /// Installed fault-injection schedule (see [`crate::fault`]); `None`
     /// keeps every launch/alloc on the infallible fast path.
     faults: Option<FaultState>,
+    /// Built by [`GpuDevice::release`]: fault plans are refused.
+    release: bool,
 }
 
 impl GpuDevice {
@@ -418,11 +420,30 @@ impl GpuDevice {
             analytical_memo: true,
             workers: None,
             faults: None,
+            release: false,
         }
     }
 
     pub fn a100() -> Self {
         Self::new(DeviceConfig::a100())
+    }
+
+    /// The simulator's release configuration, in every build: functional
+    /// blocks run unmetered with no write-conflict validation
+    /// (`validate_writes` off), and the device refuses fault plans, so no
+    /// path can arm fault injection on it.
+    pub fn release(config: DeviceConfig) -> Self {
+        GpuDevice {
+            validate_writes: false,
+            release: true,
+            ..Self::new(config)
+        }
+    }
+
+    /// Whether this device accepts a fault plan: every device except a
+    /// [`GpuDevice::release`] one.
+    pub fn supports_fault_injection(&self) -> bool {
+        !self.release
     }
 
     /// Pin the functional executor to exactly `n` workers (capped at the
@@ -451,6 +472,9 @@ impl GpuDevice {
     }
 
     /// Install a fault-injection schedule (see [`crate::fault`]).
+    ///
+    /// # Panics
+    /// On a [`GpuDevice::release`] device, as [`GpuDevice::set_fault_plan`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.set_fault_plan(Some(plan));
         self
@@ -458,7 +482,17 @@ impl GpuDevice {
 
     /// Install or clear the fault-injection schedule. Installing a plan
     /// resets its event cursors and [`FaultStats`].
+    ///
+    /// # Panics
+    /// When installing a plan on a [`GpuDevice::release`] device, with the
+    /// [`LaunchError::Unsupported`] text; nothing is installed. Clearing
+    /// (`None`) succeeds on every device.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        let refusal = LaunchError::Unsupported {
+            backend: "native",
+            op: "fault injection",
+        };
+        assert!(plan.is_none() || !self.release, "{refusal}");
         self.faults = plan.map(FaultState::new);
     }
 

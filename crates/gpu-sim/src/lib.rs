@@ -47,14 +47,11 @@ pub mod warp;
 pub use access::{merge_runs, runs_overlap, AccessSpan, KernelAccess};
 pub use cost::CostModel;
 pub use device::{DeviceConfig, Occupancy};
-pub use exec::{configured_workers, lock_unpoisoned, wait_unpoisoned, PAR_BLOCK_THRESHOLD};
+pub use exec::{configured_workers, lock_unpoisoned, PAR_BLOCK_THRESHOLD};
 pub use fault::{FaultKind, FaultPlan, FaultStats, LaunchError};
 pub use journal::WriteJournal;
 pub use kernel::{BlockCtx, ExecMode, GpuDevice, Kernel, LaunchDims, LaunchHistory, LaunchRecord};
-pub use memo::{
-    launch_memo_stats, seq_insert, seq_lookup, seq_memo_stats, structural_fingerprint, MemoStats,
-    SeqMemoStats,
-};
+pub use memo::{launch_memo_stats, structural_fingerprint, MemoStats};
 pub use memory::{BufferId, GlobalMemory, GlobalView};
 pub use shared::{warp_bank_cycles, warp_bank_cycles_wide, BankStats};
 pub use stats::KernelStats;

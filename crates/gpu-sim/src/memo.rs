@@ -18,8 +18,12 @@
 //! against them, and debug builds check every counter. Modeled *time* is
 //! still computed per launch from the dims, so the memo never changes any
 //! figure.
+//!
+//! This is the only memo of analytical results: nothing caches a whole
+//! launch sequence, so a warm `turbofno::Session::measure` issues its
+//! launches again and each one is answered here.
 
-use crate::kernel::{LaunchDims, LaunchRecord};
+use crate::kernel::LaunchDims;
 use crate::stats::KernelStats;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -94,72 +98,6 @@ pub(crate) fn insert(key: u64, stats: KernelStats) {
     table.insert(key, stats);
 }
 
-// ---------------------------------------------------------------------------
-// Sequence memo
-// ---------------------------------------------------------------------------
-//
-// The per-kernel memo above caches the *stats of one launch*. Warm serving
-// loops repeat whole launch **sequences** (an L-layer forward is the same
-// FFT→CGEMM→iFFT chain every call), so the next level up caches the full
-// `Vec<LaunchRecord>` of a sequence under a caller-provided structural key
-// (hash of problem shape + variant + options + device config — never buffer
-// identities). `turbofno::Session::measure` uses it to answer a warm
-// analytical sweep without issuing a single launch.
-
-/// Hit/miss counters of the process-wide sequence memo.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SeqMemoStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: u64,
-}
-
-static SEQ_TABLE: OnceLock<Mutex<HashMap<u64, Vec<LaunchRecord>>>> = OnceLock::new();
-static SEQ_HITS: AtomicU64 = AtomicU64::new(0);
-static SEQ_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn seq_table() -> &'static Mutex<HashMap<u64, Vec<LaunchRecord>>> {
-    SEQ_TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Entry cap for the sequence memo. Sequences are heavier than single
-/// `KernelStats`, so the cap is smaller; eviction is the same wholesale
-/// epoch reset as the per-kernel table.
-const SEQ_MEMO_CAP: usize = 1 << 12;
-
-/// Look up a cached launch sequence.
-pub fn seq_lookup(key: u64) -> Option<Vec<LaunchRecord>> {
-    let got = lock_unpoisoned(seq_table()).get(&key).cloned();
-    match got {
-        Some(_) => SEQ_HITS.fetch_add(1, Ordering::Relaxed),
-        None => SEQ_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    got
-}
-
-/// Cache the launch sequence of a completed run under `key`.
-///
-/// Contract mirrors the per-kernel memo: two runs with equal keys must
-/// produce identical records, so the key has to cover everything that
-/// shapes the sequence (problem shape, variant, options, device config)
-/// while buffer identities stay out.
-pub fn seq_insert(key: u64, records: Vec<LaunchRecord>) {
-    let mut table = lock_unpoisoned(seq_table());
-    if table.len() >= SEQ_MEMO_CAP {
-        table.clear();
-    }
-    table.insert(key, records);
-}
-
-/// Counters plus current entry count of the sequence memo.
-pub fn seq_memo_stats() -> SeqMemoStats {
-    SeqMemoStats {
-        hits: SEQ_HITS.load(Ordering::Relaxed),
-        misses: SEQ_MISSES.load(Ordering::Relaxed),
-        entries: lock_unpoisoned(seq_table()).len() as u64,
-    }
-}
-
 /// Helper for `Kernel::fingerprint` implementations: hash a type tag (so
 /// kernels of different families never share a signature) plus every
 /// structural field the closure feeds in. Buffer *identities* must stay
@@ -220,59 +158,6 @@ mod tests {
         assert_eq!(lookup(key), Some(KernelStats::ZERO));
         let stats = launch_memo_stats();
         assert!(stats.entries >= 1);
-    }
-
-    /// Same regression as above for the PR 6 sequence memo: a caught
-    /// panic that poisons `SEQ_TABLE` must not wedge `seq_lookup` /
-    /// `seq_insert` / `seq_memo_stats`.
-    #[test]
-    fn caught_panic_while_holding_the_seq_table_lock_does_not_wedge_the_memo() {
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = seq_table().lock().unwrap_or_else(|e| e.into_inner());
-                panic!("unwind while holding the seq table lock");
-            })
-            .join()
-        });
-        let key = structural_fingerprint("seq-memo-poison-key", |h| 4usize.hash(h));
-        assert!(seq_lookup(key).is_none());
-        let rec = vec![LaunchRecord {
-            name: "post-poison".into(),
-            dims_grid: 1,
-            stats: KernelStats::ZERO,
-            time_us: 0.5,
-        }];
-        seq_insert(key, rec);
-        let got = seq_lookup(key).expect("seq memo must keep serving after a caught panic");
-        assert_eq!(got[0].name, "post-poison");
-        assert!(seq_memo_stats().entries >= 1);
-    }
-
-    #[test]
-    fn seq_memo_round_trips_sequences() {
-        let key = structural_fingerprint("seq-memo-test", |h| 3usize.hash(h));
-        assert!(seq_lookup(key).is_none());
-        let records = vec![
-            LaunchRecord {
-                name: "fft".into(),
-                dims_grid: 4,
-                stats: KernelStats::ZERO,
-                time_us: 1.5,
-            },
-            LaunchRecord {
-                name: "gemm".into(),
-                dims_grid: 2,
-                stats: KernelStats::ZERO,
-                time_us: 2.5,
-            },
-        ];
-        seq_insert(key, records.clone());
-        let got = seq_lookup(key).expect("warm lookup must hit");
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].name, "fft");
-        assert_eq!(got[1].time_us, 2.5);
-        let stats = seq_memo_stats();
-        assert!(stats.hits >= 1 && stats.misses >= 1 && stats.entries >= 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! executor determinism, analytical launch memoization, and the cached
 //! `TurboBest` planner — all through the `Session` execution surface.
 
-use tfno_gpu_sim::{seq_memo_stats, ExecMode, GpuDevice};
+use tfno_gpu_sim::{launch_memo_stats, ExecMode, GpuDevice};
 use tfno_num::C32;
 use turbofno::{
     LayerSpec, Planner, Session, SpectralShape, TurboOptions, Variant,
@@ -81,22 +81,23 @@ fn memoized_analytical_equals_fresh_all_variants() {
 }
 
 /// A warm repeat of an identical analytical measurement must be served
-/// from the process-wide *sequence* memo — one lookup answers the whole
-/// pipeline, zero launches issued (the per-kernel launch memo underneath
-/// is pinned by the gpu-sim crate's own tests).
+/// from the process-wide launch memo: every launch of the repeat is a
+/// memo hit (the memo's own behaviour is pinned by the gpu-sim crate's
+/// tests). The counters are process-wide and only grow, so concurrent
+/// tests can only add hits.
 #[test]
 fn repeated_analytical_launch_hits_memo() {
     let p = SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]);
     let spec = LayerSpec::from_shape(p).variant(Variant::FullyFused);
-    let launch = || Session::a100().measure(&spec).total_stats();
+    let launch = || Session::a100().measure(&spec);
     let first = launch();
-    let before = seq_memo_stats();
+    let before = launch_memo_stats();
     let second = launch();
-    let after = seq_memo_stats();
-    assert_eq!(first, second);
+    let after = launch_memo_stats();
+    assert_eq!(first.total_stats(), second.total_stats());
     assert!(
-        after.hits > before.hits,
-        "pipeline repeat must hit the sequence memo: {before:?} -> {after:?}"
+        after.hits - before.hits >= second.kernel_count() as u64,
+        "each launch of the repeat must hit the launch memo: {before:?} -> {after:?}"
     );
 }
 
@@ -110,7 +111,7 @@ fn second_turbo_best_plan_simulates_nothing() {
     let p1 = SpectralShape::d1(2, 16, 16, 256).with_modes(&[64]);
     let p2 = SpectralShape::d2(1, 8, 8, 32, 64).with_modes(&[8, 32]);
 
-    let planner = Planner::new();
+    let mut planner = Planner::new();
     let first_1d = planner.plan_shape(&cfg, &p1, &opts);
     let first_2d = planner.plan_shape(&cfg, &p2, &opts);
     let after_cold = planner.stats();

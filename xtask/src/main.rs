@@ -6,9 +6,9 @@
 //! on. Six rules:
 //!
 //! - **lock-discipline**: no `.lock().unwrap()` / `.lock().expect(` outside
-//!   the poison-recovery helpers in `crates/gpu-sim/src/exec.rs`
-//!   (`lock_unpoisoned` / `wait_unpoisoned`). A caught panic in one launch
-//!   thread must never wedge every later lock acquisition.
+//!   the poison-recovery helper in `crates/gpu-sim/src/exec.rs`
+//!   (`lock_unpoisoned`). A caught panic in one launch thread must never
+//!   wedge every later lock acquisition.
 //! - **invariant-comment**: inside `fn try_*` bodies of the hot-path files
 //!   (`session.rs`, `device.rs`, `exec.rs`), every `.unwrap()` / `.expect(`
 //!   must carry an `// INVARIANT:` comment within the 3 lines above it,
@@ -353,8 +353,8 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                     file: file.to_path_buf(),
                     line: lineno,
                     rule: "lock-discipline",
-                    message: "use lock_unpoisoned()/wait_unpoisoned() instead of \
-                              .lock().unwrap(): poisoned locks must recover, not cascade"
+                    message: "use lock_unpoisoned() instead of .lock().unwrap(): \
+                              poisoned locks must recover, not cascade"
                         .into(),
                 });
             }
