@@ -21,6 +21,7 @@ pub use tfno_backend::{
     NativeBackend, SimBackend,
 };
 pub use tfno_gpu_sim::{
-    configured_workers, lock_unpoisoned, merge_runs, runs_overlap, BufferId, DeviceConfig,
-    ExecMode, FaultKind, FaultPlan, FaultStats, Kernel, KernelAccess, LaunchError, LaunchRecord,
+    configured_workers, for_each_mut, lock_unpoisoned, merge_runs, runs_overlap, BufferId,
+    DeviceConfig, ExecMode, FaultKind, FaultPlan, FaultStats, Kernel, KernelAccess, LaunchError,
+    LaunchRecord,
 };

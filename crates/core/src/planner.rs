@@ -24,7 +24,7 @@ use crate::pool::BufferPool;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use tfno_culib::SpectralShape;
-use crate::backend::{configured_workers, DeviceConfig, ExecMode, SimBackend};
+use crate::backend::{configured_workers, for_each_mut, DeviceConfig, ExecMode, SimBackend};
 
 /// The candidates `TurboBest` chooses among (paper Table 2, A–D).
 pub const TURBO_CANDIDATES: [Variant; 4] = [
@@ -201,7 +201,7 @@ impl Planner {
 }
 
 /// Cold evaluation: simulate the four candidates analytically on virtual
-/// buffers (in parallel host threads when available) and return the
+/// buffers (in parallel on the worker pool when available) and return the
 /// fastest plus the number of simulated launches. Ties break toward the
 /// earlier candidate, matching the sequential pre-PR scan. The analytical
 /// launch memo is disabled on the scratch devices so "cold" stays true —
@@ -241,43 +241,14 @@ pub(crate) fn evaluate_shape(
 }
 
 /// Run the per-candidate closure for all four variants across at most
-/// `configured_workers()` host threads (the `TFNO_THREADS` knob governs
-/// planner fan-out like every other host-parallel loop).
+/// `configured_workers()` shares of the worker pool (the `TFNO_THREADS`
+/// knob governs planner fan-out like every other host-parallel loop).
 fn evaluate_candidates(
     eval: impl Fn(Variant) -> (f64, u64) + Sync,
 ) -> [(Variant, f64, u64); 4] {
-    let mut out = [(Variant::FftOpt, f64::INFINITY, 0u64); 4];
+    let mut out = TURBO_CANDIDATES.map(|v| (v, f64::INFINITY, 0u64));
     let workers = configured_workers().min(TURBO_CANDIDATES.len());
-    if workers > 1 {
-        let eval = &eval;
-        std::thread::scope(|scope| {
-            // Round-robin candidates over the worker threads; each worker
-            // returns (candidate index, result) pairs.
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        TURBO_CANDIDATES
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, &v)| (i, v, eval(v)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, v, (t, launches)) in h.join().expect("planner evaluation panicked") {
-                    out[i] = (v, t, launches);
-                }
-            }
-        });
-    } else {
-        for (slot, &v) in out.iter_mut().zip(TURBO_CANDIDATES.iter()) {
-            let (t, launches) = eval(v);
-            *slot = (v, t, launches);
-        }
-    }
+    for_each_mut(&mut out, workers, |(v, t, launches)| (*t, *launches) = eval(*v));
     out
 }
 

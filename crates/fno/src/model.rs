@@ -31,6 +31,7 @@
 use crate::spectral::SpectralConvNd;
 use rand::Rng;
 use tfno_culib::PipelineRun;
+use tfno_gpu_sim::{configured_workers, for_each_mut};
 use tfno_num::{C32, CTensor};
 use turbofno::{Backend, LayerSpec, Request, Session, TfnoError, TurboOptions, Variant};
 
@@ -53,12 +54,17 @@ const PW_KO_BLOCK: usize = 8;
 /// Spatial lanes per micro-tile (sized to keep the tile plus the
 /// accumulator rows L1-resident).
 const PW_S_BLOCK: usize = 512;
-/// Complex MACs of work per spawned `pointwise` worker thread: sized so a
-/// worker's share (~0.5 ms of arithmetic) dwarfs the OS thread-spawn cost
-/// (there is no pool in the stack).
-const PW_PAR_TASK_WORK: usize = 1 << 16;
-/// Elements of elementwise work per spawned `add_gelu` task.
-const EW_MIN_CHUNK: usize = 4096;
+/// Complex MACs of work per `pointwise` pool share. A share of 2^13 MACs
+/// is about 6 µs of serial arithmetic (0.75 ns per MAC on a 2-vCPU host),
+/// six times the 1-µs hand-off to a spinning pool thread and about one
+/// hand-off to a thread parked for under 100 µs (7–8 µs); `pointwise`
+/// runs right after the spectral launches, so its hand-offs land there.
+const PW_PAR_TASK_WORK: usize = 1 << 13;
+/// Elements of `add_gelu` work per pool share: 1024 elements are about
+/// 70 µs of serial work (two `tanhf` calls, 68 ns per element on a 2-vCPU
+/// host), more than even a hand-off to a thread parked for milliseconds
+/// (about 55 µs, the cost of waking an idle CPU).
+const EW_MIN_CHUNK: usize = 1024;
 
 /// Scalar reference pointwise convolution, kept as the ground truth the
 /// blocked kernel is checked against (bitwise: both accumulate over
@@ -124,7 +130,7 @@ fn pointwise_seg(
 /// `x: [batch, k_in, ...spatial] -> [batch, k_out, ...spatial]`.
 ///
 /// Blocked over `batch x spatial` with a k-inner micro-kernel and fanned
-/// out across host threads under the engine's worker policy
+/// out across the worker pool under the engine's worker policy
 /// (`TFNO_THREADS`); numerically identical to [`pointwise_naive`] — every
 /// output element accumulates over `k_in` in the same order.
 pub fn pointwise(x: &CTensor, w: &CTensor) -> CTensor {
@@ -147,7 +153,7 @@ pub fn pointwise(x: &CTensor, w: &CTensor) -> CTensor {
     // contiguous, disjoint slice of the output. Prefer PW_KO_BLOCK-wide
     // segments (x-tile reuse), but shrink them when the host has more
     // workers than segments so the fan-out actually engages.
-    let par_workers = tfno_gpu_sim::configured_workers();
+    let par_workers = configured_workers();
     let seg_ko = if batch * k_out.div_ceil(PW_KO_BLOCK) >= par_workers {
         PW_KO_BLOCK
     } else {
@@ -171,61 +177,38 @@ pub fn pointwise(x: &CTensor, w: &CTensor) -> CTensor {
     }
 
     let (xd, wd) = (x.data(), w.data());
-    // Fan out only as many workers as the arithmetic keeps busy: each
-    // spawned thread must amortize its creation against PW_PAR_TASK_WORK
-    // MACs of useful work (total work below that floor runs serial).
+    // Fan out only as many shares as the arithmetic keeps busy: each pool
+    // share must amortize its hand-off against PW_PAR_TASK_WORK MACs of
+    // useful work (total work below that floor runs on the caller alone).
     let total_macs = batch * k_out * spatial * k_in;
     let workers = par_workers
         .min(tasks.len())
         .min(total_macs / PW_PAR_TASK_WORK)
         .max(1);
-    if workers <= 1 {
-        for (seg, out) in tasks.iter_mut() {
-            pointwise_seg(xd, wd, k_in, k_out, spatial, *seg, out);
-        }
-    } else {
-        let per = tasks.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for chunk in tasks.chunks_mut(per) {
-                scope.spawn(move || {
-                    for (seg, out) in chunk.iter_mut() {
-                        pointwise_seg(xd, wd, k_in, k_out, spatial, *seg, out);
-                    }
-                });
-            }
-        });
-    }
+    for_each_mut(&mut tasks, workers, |(seg, out)| {
+        pointwise_seg(xd, wd, k_in, k_out, spatial, *seg, out);
+    });
     CTensor::from_vec(y, &out_shape)
 }
 
-/// `gelu(a + b)` elementwise, fanned out across host threads for large
+/// `gelu(a + b)` elementwise, fanned out across the worker pool for large
 /// tensors (deterministic: each element is computed exactly once, in
 /// isolation).
 pub fn add_gelu(a: &CTensor, b: &CTensor) -> CTensor {
     assert_eq!(a.shape(), b.shape());
     let len = a.data().len();
     let mut out = vec![C32::ZERO; len];
-    let workers = tfno_gpu_sim::configured_workers().min(len / EW_MIN_CHUNK).max(1);
-    if workers <= 1 {
-        for (o, (x, y)) in out.iter_mut().zip(a.data().iter().zip(b.data())) {
+    let workers = configured_workers().min(len / EW_MIN_CHUNK).max(1);
+    let per = len.div_ceil(workers).max(1);
+    let mut chunks: Vec<_> = out
+        .chunks_mut(per)
+        .zip(a.data().chunks(per).zip(b.data().chunks(per)))
+        .collect();
+    for_each_mut(&mut chunks, workers, |(oc, (ac, bc))| {
+        for (o, (x, y)) in oc.iter_mut().zip(ac.iter().zip(bc.iter())) {
             *o = gelu_c(*x + *y);
         }
-    } else {
-        let per = len.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for ((oc, ac), bc) in out
-                .chunks_mut(per)
-                .zip(a.data().chunks(per))
-                .zip(b.data().chunks(per))
-            {
-                scope.spawn(move || {
-                    for (o, (x, y)) in oc.iter_mut().zip(ac.iter().zip(bc)) {
-                        *o = gelu_c(*x + *y);
-                    }
-                });
-            }
-        });
-    }
+    });
     CTensor::from_vec(out, a.shape())
 }
 

@@ -90,7 +90,7 @@ struct BufferTask<'a> {
 /// contract the pre-PR per-element hash set enforced, now as an
 /// interval-overlap scan over the sorted runs of each buffer. Both
 /// validation and application shard naturally per buffer and run on up to
-/// `workers` host threads.
+/// `workers` shares of the [worker pool](crate::exec).
 pub(crate) fn apply_journals(
     gmem: &mut GlobalMemory,
     journals: &[WriteJournal],
@@ -141,16 +141,7 @@ pub(crate) fn apply_journals(
         }
     };
 
-    if workers <= 1 || tasks.len() <= 1 {
-        tasks.iter_mut().for_each(run_task);
-    } else {
-        let per_worker = tasks.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for chunk in tasks.chunks_mut(per_worker) {
-                scope.spawn(|| chunk.iter_mut().for_each(&run_task));
-            }
-        });
-    }
+    crate::exec::for_each_mut(&mut tasks, workers, run_task);
 }
 
 /// Panic if any element of this buffer is covered by two runs.

@@ -1,9 +1,10 @@
 //! Kernel trait, block execution context, and the launch machinery.
 //!
 //! Kernels are written warp-synchronously against [`BlockCtx`]; the device
-//! executes blocks (in parallel across host threads via a work-stealing
-//! cursor — blocks are independent by construction, exactly as on
-//! hardware) and merges their event counts into a [`LaunchRecord`].
+//! executes blocks (in parallel on the host [worker pool](crate::exec) via
+//! a work-stealing cursor — blocks are independent by construction,
+//! exactly as on hardware) and merges their event counts into a
+//! [`LaunchRecord`].
 //!
 //! Global-memory semantics are CUDA's: reads observe pre-launch state,
 //! writes become visible after the launch. Cross-block write conflicts are
@@ -11,14 +12,19 @@
 //!
 //! ## The functional executor
 //!
-//! Each worker owns one reusable [`BlockCtx`] (shared-memory scratch and
-//! stats allocated once per launch, not per block) and one
-//! [`WriteJournal`] that run-length-compresses contiguous stores. Workers
-//! claim blocks from an atomic cursor — work stealing, so a slow remainder
-//! block never idles the other workers the way static chunking would.
-//! When the launch completes, the journals are validated (interval
-//! overlap per buffer) and applied (`memcpy` per run), both sharded per
-//! buffer across workers.
+//! A launch with `n` workers is one [`exec::broadcast`] of `n` shares:
+//! share 0 runs on the launching thread and the others on the process-wide
+//! pool's persistent threads, so a launch costs a pool hand-off, not an OS
+//! thread spawn and join. Each share owns one reusable [`BlockCtx`]
+//! (shared-memory scratch and stats allocated once per launch, not per
+//! block) and one [`WriteJournal`] that run-length-compresses contiguous
+//! stores, and leaves both in its own slot, which the launch collects in
+//! share order. Shares claim blocks from an atomic cursor — work stealing,
+//! so a slow remainder block never idles the other workers the way static
+//! chunking would. When the launch completes, the journals are validated
+//! (interval overlap per buffer) and applied (`memcpy` per run), both
+//! sharded per buffer across the pool. Blocks write disjoint elements, so
+//! how blocks fall to shares never shows in the output.
 //!
 //! ## Metering
 //!
@@ -690,50 +696,39 @@ impl GpuDevice {
         let workers = self.effective_workers(n_blocks);
         let new_ctx = if metered { BlockCtx::new } else { BlockCtx::new_unmetered };
 
-        let (total, journals) = if workers <= 1 {
+        // One slot per worker, filled by its share and collected in share
+        // order.
+        let mut slots: Vec<Option<(KernelStats, WriteJournal)>> =
+            (0..workers).map(|_| None).collect();
+        let cursor = AtomicUsize::new(0);
+        // Invariant: a share runs user kernels, whose documented failure
+        // modes (validation asserts) fire on the host side of the launch,
+        // not inside `run_block`; a panic here is a kernel bug, and
+        // `exec::broadcast` resumes it on this thread with its own message
+        // once every other share has finished. Injected worker-panic
+        // faults never get here: they abort the launch at issue (see
+        // `crate::fault`).
+        exec::for_each_mut(&mut slots, workers, |slot| {
             let mut ctx = new_ctx(dims, &self.memory);
-            for b in 0..n_blocks {
+            loop {
+                let b = cursor.fetch_add(1, Ordering::Relaxed);
+                if b >= n_blocks {
+                    break;
+                }
                 ctx.begin_block(b);
                 kernel.run_block(b, &mut ctx);
             }
-            let (stats, journal) = ctx.finish();
-            (stats, vec![journal])
-        } else {
-            let gmem = &self.memory;
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut ctx = new_ctx(dims, gmem);
-                            loop {
-                                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_blocks {
-                                    break;
-                                }
-                                ctx.begin_block(b);
-                                kernel.run_block(b, &mut ctx);
-                            }
-                            ctx.finish()
-                        })
-                    })
-                    .collect();
-                let mut total = KernelStats::ZERO;
-                let mut journals = Vec::with_capacity(workers);
-                for h in handles {
-                    // Invariant: workers run user kernels, whose documented
-                    // failure modes (validation asserts) fire on the host
-                    // side of the launch, not inside `run_block`; a worker
-                    // panic here is a kernel bug, so re-raising is correct.
-                    // Injected worker-panic faults never reach this point —
-                    // they abort the launch at issue (see `crate::fault`).
-                    let (stats, journal) = h.join().expect("block worker panicked");
-                    total += stats;
-                    journals.push(journal);
-                }
-                (total, journals)
+            *slot = Some(ctx.finish());
+        });
+        let mut total = KernelStats::ZERO;
+        let journals = slots
+            .into_iter()
+            .map(|slot| {
+                let (stats, journal) = slot.expect("every executor share fills its slot");
+                total += stats;
+                journal
             })
-        };
+            .collect();
         (total, journals, workers)
     }
 }

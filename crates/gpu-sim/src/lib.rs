@@ -47,7 +47,7 @@ pub mod warp;
 pub use access::{merge_runs, runs_overlap, AccessSpan, KernelAccess};
 pub use cost::CostModel;
 pub use device::{DeviceConfig, Occupancy};
-pub use exec::{configured_workers, lock_unpoisoned, PAR_BLOCK_THRESHOLD};
+pub use exec::{configured_workers, for_each_mut, lock_unpoisoned, PAR_BLOCK_THRESHOLD};
 pub use fault::{FaultKind, FaultPlan, FaultStats, LaunchError};
 pub use journal::WriteJournal;
 pub use kernel::{BlockCtx, ExecMode, GpuDevice, Kernel, LaunchDims, LaunchHistory, LaunchRecord};

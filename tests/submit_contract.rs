@@ -47,9 +47,10 @@ fn submit_runs_on_the_callers_thread() {
     assert_eq!(sess.download(y_submit), want, "the output is written before the wait");
     let waited = sess.wait(handle);
 
-    // Scoped executor workers are joined before a launch returns, but an
-    // exited thread can stay listed for a moment; only a thread that is
-    // still alive keeps the count up past the deadline.
+    // Pool threads start on first use (here during the `run` above, so
+    // `before` counts them) and never exit; a submit of the same spec
+    // starts none. An exited thread can stay listed for a moment, so only
+    // a thread that is still alive keeps the count up past the deadline.
     let deadline = Instant::now() + Duration::from_secs(5);
     while live_threads() > before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));

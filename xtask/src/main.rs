@@ -3,7 +3,7 @@
 //! `cargo xtask lint` is the repo-invariant half of the static-analysis story:
 //! the launch-plan verifier (`turbofno::verify`) proves runtime plans safe,
 //! and this pass proves the *source* keeps the conventions those proofs rely
-//! on. Six rules:
+//! on. Seven rules:
 //!
 //! - **lock-discipline**: no `.lock().unwrap()` / `.lock().expect(` outside
 //!   the poison-recovery helper in `crates/gpu-sim/src/exec.rs`
@@ -33,9 +33,13 @@
 //!   crates keep rank-specific code where the rank is the point (the 1D/2D
 //!   field generators in `crates/fno/src/pde.rs`, the per-rank figure
 //!   drivers).
+//! - **unsafe-confinement**: `unsafe` appears only in
+//!   `crates/gpu-sim/src/exec.rs`, the worker pool's job handoff, and each
+//!   use carries a `// SAFETY:` comment within the 3 lines above it. This
+//!   rule holds test code too.
 //!
-//! Test code (`#[cfg(test)] mod` regions) is exempt from the source rules:
-//! tests assert invariants by panicking on purpose.
+//! Test code (`#[cfg(test)] mod` regions) is exempt from the other source
+//! rules: tests assert invariants by panicking on purpose.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,6 +86,7 @@ fn lint() -> ExitCode {
         };
         lint_source(&root, &file, &text, &mut findings);
         lint_backend_isolation(&root, &file, &text, &mut findings);
+        lint_unsafe(&root, &file, &text, &mut findings);
     }
     lint_bench_coverage(&root, &mut findings);
 
@@ -293,10 +298,14 @@ fn sanitize(text: &str) -> String {
 /// True when `raw_lines[line]` or any of the 3 lines above it carries an
 /// `// INVARIANT:` comment justifying the flagged construct.
 fn has_invariant_comment(raw_lines: &[&str], line: usize) -> bool {
+    has_marker_comment(raw_lines, line, "// INVARIANT:")
+}
+
+/// True when `raw_lines[line]` or any of the 3 lines above it contains
+/// `marker`.
+fn has_marker_comment(raw_lines: &[&str], line: usize, marker: &str) -> bool {
     let lo = line.saturating_sub(3);
-    raw_lines[lo..=line]
-        .iter()
-        .any(|l| l.contains("// INVARIANT:"))
+    raw_lines[lo..=line].iter().any(|l| l.contains(marker))
 }
 
 /// Files whose `fn try_*` bodies are held to the invariant-comment rule for
@@ -309,9 +318,11 @@ fn is_hot_path_file(file: &Path) -> bool {
     )
 }
 
-/// The one file allowed to spell `.lock().unwrap()`: it defines the
-/// poison-recovery wrappers everything else must use.
-fn is_lock_helper_file(root: &Path, file: &Path) -> bool {
+/// The executor's host module: the one file allowed to spell
+/// `.lock().unwrap()` (it defines the poison-recovery wrappers everything
+/// else must use) and the one allowed `unsafe` (the worker pool's job
+/// handoff).
+fn is_exec_module(root: &Path, file: &Path) -> bool {
     file.strip_prefix(root)
         .map(|p| p == Path::new("crates/gpu-sim/src/exec.rs"))
         .unwrap_or(false)
@@ -323,7 +334,7 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     let raw_lines: Vec<&str> = text.lines().collect();
 
     let hot_path = is_hot_path_file(file);
-    let lock_exempt = is_lock_helper_file(root, file);
+    let lock_exempt = is_exec_module(root, file);
     let rank_scope = rank_isolation_scope(root, file);
 
     let mut depth: i64 = 0;
@@ -535,6 +546,47 @@ fn lint_backend_isolation(root: &Path, file: &Path, text: &str, findings: &mut V
             });
         }
     }
+}
+
+/// Rule 7: `unsafe` only in the exec module, each use under a
+/// `// SAFETY:` comment. Test regions are not exempt: an unsafe test is
+/// as unsound as unsafe library code.
+fn lint_unsafe(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) {
+    let sanitized = sanitize(text);
+    let raw_lines: Vec<&str> = text.lines().collect();
+    let home = is_exec_module(root, file);
+    for (idx, line) in sanitized.lines().enumerate() {
+        if !contains_word(line, "unsafe") {
+            continue;
+        }
+        let message = if !home {
+            "`unsafe` outside crates/gpu-sim/src/exec.rs: the worker pool's job \
+             handoff is the only unsafe code; use safe code or route through it"
+        } else if !has_marker_comment(&raw_lines, idx, "// SAFETY:") {
+            "`unsafe` needs a `// SAFETY:` comment within 3 lines above it \
+             stating why its requirements hold"
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            file: file.to_path_buf(),
+            line: idx + 1,
+            rule: "unsafe-confinement",
+            message: message.into(),
+        });
+    }
+}
+
+/// Whether `word` occurs in `line` as a whole identifier.
+fn contains_word(line: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(pos, _)| {
+        !line[..pos].chars().next_back().is_some_and(is_ident)
+            && !line[pos + word.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
 }
 
 /// Rule 4: every `harness = false` bench target must be compiled by CI.
@@ -890,6 +942,57 @@ pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
             lint_backend_isolation(root, &root.join(rel), src, &mut findings);
             assert!(findings.is_empty(), "{rel}: {findings:?}");
         }
+    }
+
+    fn unsafe_findings(rel: &str, src: &str) -> Vec<Finding> {
+        let root = Path::new("/repo");
+        let mut findings = Vec::new();
+        lint_unsafe(root, &root.join(rel), src, &mut findings);
+        findings
+    }
+
+    #[test]
+    fn unsafe_outside_the_exec_module_or_without_safety_is_flagged() {
+        let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+        let findings = unsafe_findings("crates/core/src/session.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "unsafe-confinement");
+        assert_eq!(findings[0].line, 2);
+
+        // Test code is held to the rule too.
+        let test_src = "#[cfg(test)]\nmod tests {\n    unsafe impl Send for X {}\n}\n";
+        let findings = unsafe_findings("crates/fno/src/model.rs", test_src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+
+        // In the exec module, a use needs its SAFETY comment within 3 lines.
+        let far = "// SAFETY: too far above.\n\n\n\nunsafe impl Send for Job {}\n";
+        let findings = unsafe_findings("crates/gpu-sim/src/exec.rs", far);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 5);
+    }
+
+    #[test]
+    fn justified_unsafe_in_the_exec_module_and_mentions_elsewhere_are_clean() {
+        let exec = "\
+// SAFETY: the pool waits for every share before `broadcast` returns.
+unsafe impl Send for Job {}
+fn call(job: Job) {
+    // SAFETY: the share has not finished, so the closure is alive.
+    unsafe { (*job.f)(1) }
+}
+";
+        let findings = unsafe_findings("crates/gpu-sim/src/exec.rs", exec);
+        assert!(findings.is_empty(), "{findings:?}");
+
+        // Comments, strings and longer identifiers are not uses.
+        let other = "\
+#![forbid(unsafe_code)]
+// No unsafe here.
+const MSG: &str = \"unsafe\";
+fn not_unsafe_fn() {}
+";
+        let findings = unsafe_findings("crates/core/src/session.rs", other);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
