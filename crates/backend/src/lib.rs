@@ -1,18 +1,14 @@
 //! # tfno-backend
 //!
-//! The execution-backend abstraction of the TurboFNO stack.
+//! The backends the TurboFNO stack runs on, all of them one simulated
+//! [`GpuDevice`].
 //!
-//! Everything above the device — `turbofno::Session`, the planner, the
-//! buffer pool, verification — talks to an execution backend through the
-//! [`Backend`] trait: buffer allocation/upload/download, synchronous
-//! launches, worker policy, fault-plan arming, and the analytical
-//! measurement hooks.
-//!
-//! Every backend is a configuration of one simulated [`GpuDevice`]: an
-//! implementor hands out its device, and every other method of the trait,
-//! its [`BackendKind`] included, is provided from that device. So there
-//! is one block executor, and a launch records the same [`LaunchRecord`]
-//! (counts and modeled time) on every backend.
+//! `turbofno::Session` owns a backend and runs its engine (the planner,
+//! the buffer pool, the plan verifier) on the device the backend hands
+//! out through the [`Backend`] trait. Every backend is a configuration
+//! of that device, so there is one block executor, and a launch records
+//! the same [`LaunchRecord`](tfno_gpu_sim::LaunchRecord) (counts and
+//! modeled time) on every backend.
 //!
 //! * [`SimBackend`] (= [`GpuDevice`]) — the simulator as configured by
 //!   default: in debug builds every functional launch runs its blocks
@@ -23,11 +19,11 @@
 //!   carry their memoized analytical counts (checked structurally), with
 //!   no write-conflict validation and no fault injection.
 //!
-//! Backends differ in capability, not by panicking: [`Backend::caps`]
-//! reports what each device supports ([`BackendCaps`]), and unsupported
-//! operations return [`LaunchError::Unsupported`] typed errors. The
-//! device itself enforces the answer, so the release device refuses a
-//! fault plan on every path, its own setters included.
+//! The device answers the capability question itself
+//! ([`GpuDevice::supports_fault_injection`]) and enforces it: the release
+//! device refuses a fault plan on every path, with a typed
+//! [`LaunchError::Unsupported`](tfno_gpu_sim::LaunchError) from
+//! [`GpuDevice::try_set_fault_plan`].
 //!
 //! [`AnyBackend`] picks between the two at runtime and is what
 //! `Session::a100()` constructs, honoring the `TFNO_BACKEND` environment
@@ -35,44 +31,19 @@
 
 use std::sync::OnceLock;
 
-use tfno_gpu_sim::{
-    BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, GlobalMemory, GpuDevice, Kernel,
-    LaunchError, LaunchRecord,
-};
-use tfno_num::C32;
+use tfno_gpu_sim::{DeviceConfig, GpuDevice};
 
 /// The simulated device is the reference backend; the alias names its role
 /// in the backend-generic stack (`Session<B: Backend = SimBackend>`).
 pub type SimBackend = GpuDevice;
 
-/// What a [`Backend`] implementation supports. Callers consult this
-/// instead of probing with operations that would fail: every `false` here
-/// corresponds to a typed [`LaunchError::Unsupported`] (never a panic) on
-/// the operation's `try_` path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackendCaps {
-    /// [`Backend::try_set_fault_plan`] accepts a plan and the launch/alloc
-    /// paths consult it.
-    pub fault_injection: bool,
-}
-
-/// Which backend implementation is running.
+/// Which backend `TFNO_BACKEND` selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The simulator with its default checks ([`SimBackend`]).
     Sim,
     /// The simulator's release configuration ([`NativeBackend`]).
     Native,
-}
-
-impl BackendKind {
-    /// The name `TFNO_BACKEND` selects this kind by.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-            BackendKind::Native => "native",
-        }
-    }
 }
 
 /// Parse a `TFNO_BACKEND`-style value (case-insensitive, trimmed).
@@ -101,144 +72,15 @@ pub fn env_backend_kind() -> BackendKind {
     })
 }
 
-/// An execution backend: the device surface the backend-generic stack
-/// (`Session`, planner, pool, verifier) runs against.
-///
-/// An implementor defines only [`Backend::device`] and
-/// [`Backend::device_mut`]; every other method is provided from the
-/// device. The contract is [`GpuDevice`]'s: `try_launch` executes a
-/// kernel's functional body (or its analytical cost model) with reads
-/// observing pre-launch memory and writes visible at return; failed
-/// operations are clean (nothing written, nothing recorded). Unsupported
-/// operations return [`LaunchError::Unsupported`] — consult
-/// [`Backend::caps`] first.
+/// An execution backend: the owner of the one simulated [`GpuDevice`]
+/// the engine runs on. Every operation — allocation, launches, fault
+/// plans, launch history — is the device's own method.
 pub trait Backend {
-    /// Which configuration this is: `Native` for a [`GpuDevice::release`]
-    /// device, `Sim` otherwise.
-    fn kind(&self) -> BackendKind {
-        if self.device().supports_fault_injection() {
-            BackendKind::Sim
-        } else {
-            BackendKind::Native
-        }
-    }
-
     /// The simulated device every operation runs on.
     fn device(&self) -> &GpuDevice;
 
     /// The simulated device, mutably.
     fn device_mut(&mut self) -> &mut GpuDevice;
-
-    /// What this backend supports, as its device answers it: fault
-    /// injection everywhere but on a release device.
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            fault_injection: self.device().supports_fault_injection(),
-        }
-    }
-
-    /// Device geometry/bandwidth configuration (also the planner's key).
-    fn config(&self) -> &DeviceConfig {
-        &self.device().config
-    }
-
-    /// The backend's global memory.
-    fn memory(&self) -> &GlobalMemory {
-        &self.device().memory
-    }
-
-    /// Mutable global memory (virtual allocation, host-side clears).
-    fn memory_mut(&mut self) -> &mut GlobalMemory {
-        &mut self.device_mut().memory
-    }
-
-    /// Allocate a zeroed device buffer; a fault-injecting backend may fail
-    /// it with [`LaunchError::Oom`].
-    fn try_alloc(&mut self, name: &str, len: usize) -> Result<BufferId, LaunchError> {
-        self.device_mut().try_alloc(name, len)
-    }
-
-    /// Execute a kernel synchronously: writes are visible and the launch
-    /// is in [`Backend::launches`] when this returns `Ok`.
-    fn try_launch(
-        &mut self,
-        kernel: &dyn Kernel,
-        mode: ExecMode,
-    ) -> Result<LaunchRecord, LaunchError> {
-        self.device_mut().try_launch(kernel, mode)
-    }
-
-    /// Set or clear the explicit worker-count override.
-    fn set_workers(&mut self, workers: Option<usize>) {
-        self.device_mut().set_workers(workers);
-    }
-
-    /// Install or clear a fault-injection schedule. Backends without
-    /// [`BackendCaps::fault_injection`] reject a `Some` plan with
-    /// [`LaunchError::Unsupported`]; clearing (`None`) always succeeds.
-    fn try_set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<(), LaunchError> {
-        if plan.is_some() && !self.caps().fault_injection {
-            return Err(LaunchError::Unsupported {
-                backend: self.kind().name(),
-                op: "fault injection",
-            });
-        }
-        self.device_mut().set_fault_plan(plan);
-        Ok(())
-    }
-
-    /// Injection counters (all-zero when no plan is installed or fault
-    /// injection is unsupported).
-    fn fault_stats(&self) -> FaultStats {
-        self.device().fault_stats()
-    }
-
-    /// Completed-launch history: the newest records, a bounded window
-    /// (see [`tfno_gpu_sim::LaunchHistory`]).
-    fn launches(&self) -> &[LaunchRecord] {
-        self.device().launches()
-    }
-
-    /// Drop the launch history.
-    fn clear_launches(&mut self) {
-        self.device_mut().clear_launches();
-    }
-
-    // --- sugar over the methods above ---
-
-    /// Panicking twin of [`Backend::try_alloc`].
-    fn alloc(&mut self, name: &str, len: usize) -> BufferId {
-        self.try_alloc(name, len).unwrap_or_else(|e| {
-            panic!("injected device fault unhandled by this call path: {e}; use try_alloc")
-        })
-    }
-
-    /// Panicking twin of [`Backend::try_launch`].
-    fn launch(&mut self, kernel: &dyn Kernel, mode: ExecMode) -> LaunchRecord {
-        self.try_launch(kernel, mode).unwrap_or_else(|e| {
-            panic!("injected device fault unhandled by this call path: {e}; use try_launch")
-        })
-    }
-
-    /// Host-side upload (outside the modeled/timed region).
-    fn upload(&mut self, id: BufferId, data: &[C32]) {
-        self.memory_mut().upload(id, data);
-    }
-
-    /// Host-side download.
-    fn download(&self, id: BufferId) -> Vec<C32> {
-        self.memory().download(id)
-    }
-
-    /// Host-side zero of a buffer.
-    fn clear(&mut self, id: BufferId) {
-        self.memory_mut().clear(id);
-    }
-
-    /// Total modeled time of all recorded launches.
-    fn total_time_us(&self) -> f64 {
-        self.launches().iter().map(|l| l.time_us).sum()
-    }
 }
 
 impl Backend for GpuDevice {
@@ -262,7 +104,7 @@ impl Backend for GpuDevice {
 /// blocks, attached counts, the structural check — while the default
 /// [`SimBackend`] covers the metered one.
 ///
-/// Unsupported (typed, per [`BackendCaps`]): fault injection.
+/// Unsupported: fault injection (the device refuses a plan).
 pub struct NativeBackend {
     dev: GpuDevice,
 }
@@ -298,8 +140,8 @@ impl Backend for NativeBackend {
 
 /// Runtime-selected backend: what `Session::a100()` owns, so one binary
 /// serves both configurations and the `TFNO_BACKEND` environment variable
-/// (or an explicit constructor) picks at startup. Its kind is its
-/// device's profile.
+/// (or an explicit constructor) picks at startup. Its configuration is its
+/// device's.
 pub struct AnyBackend {
     dev: GpuDevice,
 }
@@ -344,7 +186,11 @@ impl Backend for AnyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfno_gpu_sim::{BlockCtx, LaunchDims, LaunchHistory, WarpIdx};
+    use tfno_gpu_sim::{
+        BlockCtx, BufferId, ExecMode, FaultPlan, FaultStats, Kernel, LaunchDims, LaunchError,
+        LaunchHistory, WarpIdx,
+    };
+    use tfno_num::C32;
 
     /// Each block scales 32 contiguous elements by 2 (the gpu-sim test
     /// kernel, reproduced here for cross-backend checks).
@@ -374,7 +220,7 @@ mod tests {
         }
     }
 
-    fn seed_backend<B: Backend>(dev: &mut B, blocks: usize) -> (BufferId, BufferId) {
+    fn seed_backend(dev: &mut GpuDevice, blocks: usize) -> (BufferId, BufferId) {
         let n = blocks * 32;
         let src = dev.alloc("src", n);
         let dst = dev.alloc("dst", n);
@@ -396,11 +242,8 @@ mod tests {
 
     #[test]
     fn caps_reflect_backend_abilities() {
-        let sim = SimBackend::a100();
-        assert_eq!(Backend::caps(&sim), BackendCaps { fault_injection: true });
-
-        let native = NativeBackend::a100();
-        assert!(!native.caps().fault_injection);
+        assert!(SimBackend::a100().device().supports_fault_injection());
+        assert!(!NativeBackend::a100().device().supports_fault_injection());
     }
 
     /// Launch history is a bounded window on both backends: after more
@@ -408,7 +251,7 @@ mod tests {
     /// and they are the newest ones, the last launch last.
     #[test]
     fn launch_history_stays_bounded() {
-        fn check<B: Backend>(dev: &mut B) {
+        fn check(dev: &mut GpuDevice) {
             let (src, dst) = seed_backend(dev, 4);
             let launches = 2 * LaunchHistory::WINDOW + 5;
             let grid = |i: usize| 1 + i % 4;
@@ -440,7 +283,7 @@ mod tests {
             assert_eq!(got.time_us.to_bits(), want.time_us.to_bits());
         }
         check(&mut SimBackend::a100());
-        check(&mut NativeBackend::a100());
+        check(NativeBackend::a100().device_mut());
     }
 
     /// Native runs the simulator's executor unmetered and attaches the same
@@ -450,12 +293,13 @@ mod tests {
     fn native_launch_is_bitwise_equal_to_sim() {
         let mut sim = SimBackend::a100();
         let (src, dst) = seed_backend(&mut sim, 16);
-        let rec_sim = Backend::launch(&mut sim, &ScaleKernel { src, dst, blocks: 16 }, ExecMode::Functional);
-        let want = Backend::download(&sim, dst);
+        let rec_sim = sim.launch(&ScaleKernel { src, dst, blocks: 16 }, ExecMode::Functional);
+        let want = sim.download(dst);
 
         for workers in [1usize, 4] {
-            let mut native = NativeBackend::a100().with_workers(workers);
-            let (src2, dst2) = seed_backend(&mut native, 16);
+            let mut backend = NativeBackend::a100().with_workers(workers);
+            let native = backend.device_mut();
+            let (src2, dst2) = seed_backend(native, 16);
             let rec = native
                 .try_launch(&ScaleKernel { src: src2, dst: dst2, blocks: 16 }, ExecMode::Functional)
                 .expect("native launch");
@@ -471,10 +315,11 @@ mod tests {
         let mut sim = SimBackend::a100();
         let (src, dst) = seed_backend(&mut sim, 9);
         let k = ScaleKernel { src, dst, blocks: 9 };
-        let rec_sim = Backend::launch(&mut sim, &k, ExecMode::Analytical);
+        let rec_sim = sim.launch(&k, ExecMode::Analytical);
 
-        let mut native = NativeBackend::a100();
-        let (src2, dst2) = seed_backend(&mut native, 9);
+        let mut backend = NativeBackend::a100();
+        let native = backend.device_mut();
+        let (src2, dst2) = seed_backend(native, 9);
         let k2 = ScaleKernel { src: src2, dst: dst2, blocks: 9 };
         let rec_native = native.try_launch(&k2, ExecMode::Analytical).expect("analytical");
         assert_eq!(rec_sim.stats, rec_native.stats, "shared analytical path");
@@ -485,7 +330,8 @@ mod tests {
 
     #[test]
     fn native_unsupported_operations_are_typed() {
-        let mut native = NativeBackend::a100();
+        let mut backend = NativeBackend::a100();
+        let native = backend.device_mut();
         let err = native.try_set_fault_plan(Some(FaultPlan::seeded(1))).unwrap_err();
         assert!(matches!(err, LaunchError::Unsupported { backend: "native", .. }), "{err}");
         assert!(err.to_string().contains("does not support"));
@@ -503,30 +349,29 @@ mod tests {
     fn native_device_refuses_fault_plans_on_every_path() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let plan = || FaultPlan::seeded(1).transient(1.0);
-        let mut native = NativeBackend::a100();
-        let (src, dst) = seed_backend(&mut native, 4);
+        let mut backend = NativeBackend::a100();
+        let native = backend.device_mut();
+        let (src, dst) = seed_backend(native, 4);
 
-        let armed = catch_unwind(AssertUnwindSafe(|| {
-            native.device_mut().set_fault_plan(Some(plan()))
-        }));
+        let armed = catch_unwind(AssertUnwindSafe(|| native.set_fault_plan(Some(plan()))));
         let msg = armed.expect_err("set_fault_plan must refuse a plan");
         let msg = msg.downcast_ref::<String>().expect("a formatted panic");
         assert!(msg.contains("'native' does not support fault injection"), "{msg}");
         let built = catch_unwind(|| GpuDevice::release(DeviceConfig::a100()).with_faults(plan()));
         assert!(built.is_err(), "with_faults must refuse a plan");
 
-        assert!(native.device().fault_plan().is_none());
+        assert!(native.fault_plan().is_none());
         let rec = native.try_launch(&ScaleKernel { src, dst, blocks: 4 }, ExecMode::Functional);
         assert!(rec.is_ok(), "no plan may be armed: {rec:?}");
         assert_eq!(native.fault_stats(), FaultStats::default());
-        native.device_mut().set_fault_plan(None); // clearing is always fine
+        native.set_fault_plan(None); // clearing is always fine
     }
 
     #[test]
     fn any_backend_dispatches_by_kind() {
         let sim = AnyBackend::from(SimBackend::a100());
         let native = AnyBackend::from(NativeBackend::a100());
-        assert_eq!(sim.kind(), BackendKind::Sim);
-        assert_eq!(native.kind(), BackendKind::Native);
+        assert!(sim.device().supports_fault_injection());
+        assert!(!native.device().supports_fault_injection());
     }
 }

@@ -67,9 +67,9 @@ impl From<LaunchError> for TfnoError {
             LaunchError::PlanRejected { kernel, reason } => TfnoError::Validation(format!(
                 "plan verifier rejected kernel '{kernel}': {reason}"
             )),
-            // Asking a backend for a capability it does not advertise is a
-            // property of the request too (check `Backend::caps` first):
-            // retrying re-fails identically on the same backend.
+            // Asking a device for a capability it lacks is a property of
+            // the request too (check `GpuDevice::supports_fault_injection`
+            // first): retrying re-fails identically on the same device.
             fault @ LaunchError::Unsupported { .. } => TfnoError::Validation(fault.to_string()),
             // Every other LaunchError is clean by contract (no writes, no
             // history), so it maps to the retryable class.

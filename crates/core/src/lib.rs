@@ -13,9 +13,10 @@
 //!   utilization numbers;
 //! * [`fused`] — the generic fused kernel (variants B/C/D) over the
 //!   rank-generic layer geometry ([`GeomNd`]);
-//! * [`pipeline`] — executors for every evaluated variant (Table 2),
-//!   including the PyTorch baseline via `tfno-culib` and the best-of
-//!   selection the paper calls "TurboFNO";
+//! * [`pipeline`] — executors for every evaluated variant (Table 2) and
+//!   the best-of selection the paper calls "TurboFNO";
+//! * `pytorch` — the PyTorch baseline's 5/7/9-kernel chain over the
+//!   `tfno-culib` kernels, run by the same engine;
 //! * [`pool`] — the size-class scratch [`BufferPool`] sessions allocate
 //!   pipeline intermediates from;
 //! * [`planner`] — the memoizing `TurboBest` [`Planner`].
@@ -36,16 +37,17 @@ mod fused_tests;
 pub mod pipeline;
 pub mod planner;
 pub mod pool;
+mod pytorch;
 pub mod session;
 pub mod swizzle;
 pub mod verify;
 
 pub use backend::{
-    parse_backend_kind, AnyBackend, Backend, BackendCaps, BackendKind, NativeBackend, SimBackend,
+    parse_backend_kind, AnyBackend, Backend, BackendKind, NativeBackend, SimBackend,
 };
 pub use error::{RecoveryStats, RetryPolicy, TfnoError};
 pub use fused::{FusedKernel, GeomNd, FUSED_FFT_BS};
-pub use pipeline::{TurboOptions, Variant, TURBO_FFT_L1_HIT};
+pub use pipeline::{PipelineRun, TurboOptions, Variant, TURBO_FFT_L1_HIT};
 pub use planner::{Planner, PlannerStats, TURBO_CANDIDATES};
 pub use pool::{BufferPool, PoolStats};
 pub use session::{DispatchStats, LaunchHandle, LayerSpec, ReplayStats, Request, Session};
@@ -61,7 +63,7 @@ pub use swizzle::{
 };
 
 // Re-export the layer shape so users of the core crate see one API.
-pub use tfno_culib::{PipelineRun, SpectralShape, MAX_RANK};
+pub use tfno_culib::{SpectralShape, MAX_RANK};
 
 #[cfg(test)]
 mod tests {

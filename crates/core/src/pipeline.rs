@@ -19,12 +19,17 @@
 //! the fused middle, so 1D, 2D and 3D layers all run through the same
 //! code path (the pre-refactor `try_run_{1d,2d}` twins are gone).
 //!
+//! The PyTorch baseline's chain walk lives in the `pytorch` module; both
+//! bodies run inside the one frame of `ExecCtx::try_run_spectral`, which
+//! leases their scratch from the session pool and issues every launch
+//! through `ExecCtx::try_step` — the only launch call below `Session`.
+//!
 //! The public execution surface is [`crate::Session`]: it owns the device,
 //! the memoizing [`crate::Planner`] and a scratch [`crate::BufferPool`],
 //! and dispatches [`crate::LayerSpec`]s through the executors here.
 
 use crate::backend::{
-    Backend, BufferId, DeviceConfig, ExecMode, Kernel, LaunchError, LaunchRecord,
+    BufferId, DeviceConfig, ExecMode, GpuDevice, Kernel, KernelStats, LaunchError, LaunchRecord,
 };
 use crate::fused::{fused_supported, FusedKernel, GeomNd};
 use crate::planner::TURBO_CANDIDATES;
@@ -33,7 +38,7 @@ use crate::swizzle::ForwardLayout;
 use tfno_cgemm::{
     BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, TileConfig, WeightStacking,
 };
-use tfno_culib::{try_run_pytorch_stacked, CuBlas, PipelineRun, SpectralShape, CUFFT_L1_HIT};
+use tfno_culib::{CuBlas, SpectralShape, CUFFT_L1_HIT};
 use tfno_fft::{
     BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils,
     StridedPencils,
@@ -45,6 +50,30 @@ use tfno_num::{C32, C32_BYTES};
 /// §5.1 A.1 — the reason the A-variant speedup settles near 50% at large K
 /// instead of staying at 100%).
 pub const TURBO_FFT_L1_HIT: f64 = 0.10;
+
+/// The launches of one pipeline execution.
+#[derive(Clone, Debug, Default)]
+pub struct PipelineRun {
+    pub launches: Vec<LaunchRecord>,
+}
+
+impl PipelineRun {
+    pub fn total_us(&self) -> f64 {
+        self.launches.iter().map(|l| l.time_us).sum()
+    }
+
+    pub fn kernel_count(&self) -> usize {
+        self.launches.len()
+    }
+
+    pub fn total_stats(&self) -> KernelStats {
+        self.launches.iter().map(|l| l.stats).sum()
+    }
+
+    pub fn push(&mut self, rec: LaunchRecord) {
+        self.launches.push(rec);
+    }
+}
 
 /// The evaluated pipeline variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -282,11 +311,11 @@ impl LayerBufs {
 }
 
 /// Everything a pipeline execution needs from its surrounding
-/// [`Session`](crate::Session): the backend and the scratch pool. Every
+/// [`Session`](crate::Session): the device and the scratch pool. Every
 /// executing `Session` call builds one over its own state (see
 /// `session.rs`), after its planner has resolved `TurboBest`.
 pub(crate) struct ExecCtx<'a> {
-    pub dev: &'a mut dyn Backend,
+    pub dev: &'a mut GpuDevice,
     pub pool: &'a mut BufferPool,
     /// Static launch-plan verifier (`verify.rs`). When present, every
     /// launch routed through `try_step` is proven
@@ -376,8 +405,10 @@ fn turbo_ifft_inner(
     BatchedFftKernel::new(stage_names(s.rank).inv_inner, cfg, plan, addr, src, dst)
 }
 
-/// Standalone CGEMM over the retained modes of every axis (variant A).
-fn turbo_gemm(
+/// Standalone hidden-dim CGEMM over the retained modes of every axis
+/// (variant A, and the PyTorch baseline's cuBLAS call).
+pub(crate) fn spectral_gemm(
+    name: &str,
     s: &SpectralShape,
     xf_t: BufferId,
     w: BufferId,
@@ -386,7 +417,7 @@ fn turbo_gemm(
 ) -> BatchedCgemmKernel {
     let m = s.modes_total();
     CuBlas::kernel(
-        stage_names(s.rank).gemm,
+        name,
         GemmShape {
             batch: s.batch,
             m,
@@ -420,7 +451,7 @@ fn turbo_gemm(
 impl ExecCtx<'_> {
     /// Lease pipeline scratch matching the virtualness of the layer input.
     /// A faulted lease leaves the pool untouched and nothing to release.
-    fn try_scratch(
+    pub(crate) fn try_scratch(
         &mut self,
         like: BufferId,
         len: usize,
@@ -485,7 +516,8 @@ impl ExecCtx<'_> {
         Ok(())
     }
 
-    /// Check a kernel against the plan verifier, then launch it.
+    /// Check a kernel against the plan verifier, then launch it: the one
+    /// launch call below `Session` (`cargo xtask lint` keeps it so).
     pub(crate) fn try_step(
         &mut self,
         kernel: impl Kernel,
@@ -512,21 +544,15 @@ impl ExecCtx<'_> {
         opts: &TurboOptions,
         mode: ExecMode,
     ) -> Result<PipelineRun, LaunchError> {
-        match variant {
-            // The baseline allocates its copy temporaries per call on
-            // purpose: that churn is part of the library stack it emulates
-            // (only Turbo scratch goes through the pool).
-            Variant::Pytorch => {
-                return try_run_pytorch_stacked(self.dev, s, b.x, b.w, b.ws, b.y, mode);
-            }
+        let mut leases = Vec::new();
+        let out = match variant {
+            Variant::Pytorch => self.pytorch_spectral(s, b, mode, &mut leases),
             // INVARIANT: `Session` resolves `TurboBest` through its planner
             // before the engine runs, and planner probes run concrete
             // candidates, so no call reaches here with it.
             Variant::TurboBest => unreachable!("TurboBest reached the engine unresolved"),
-            _ => {}
-        }
-        let mut leases = Vec::new();
-        let out = self.turbo_spectral(s, variant, b, opts, mode, &mut leases);
+            _ => self.turbo_spectral(s, variant, b, opts, mode, &mut leases),
+        };
         self.release(leases);
         out
     }
@@ -588,7 +614,7 @@ impl ExecCtx<'_> {
                 let xf_t = self.try_scratch(x, s.batch * s.k_in * s.modes_total(), leases)?;
                 let yf_t = self.try_scratch(x, s.batch * s.k_out * s.modes_total(), leases)?;
                 run.push(self.try_step(turbo_fft_inner(s, mid_in, xf_t, opts), mode)?);
-                run.push(self.try_step(turbo_gemm(s, xf_t, w, ws, yf_t), mode)?);
+                run.push(self.try_step(spectral_gemm(names.gemm, s, xf_t, w, ws, yf_t), mode)?);
                 run.push(self.try_step(turbo_ifft_inner(s, yf_t, mid_out, opts), mode)?);
             }
             Variant::FusedFftGemm => {

@@ -24,7 +24,7 @@ use crate::pool::BufferPool;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use tfno_culib::SpectralShape;
-use crate::backend::{configured_workers, for_each_mut, DeviceConfig, ExecMode, SimBackend};
+use crate::backend::{configured_workers, for_each_mut, DeviceConfig, ExecMode, GpuDevice};
 
 /// The candidates `TurboBest` chooses among (paper Table 2, A–D).
 pub const TURBO_CANDIDATES: [Variant; 4] = [
@@ -218,12 +218,11 @@ pub(crate) fn evaluate_shape(
         if unfit_reason(cfg, s, v, opts).is_some() {
             return (f64::INFINITY, 0);
         }
-        let mut dev = SimBackend::new(cfg.clone());
+        let mut dev = GpuDevice::new(cfg.clone());
         dev.analytical_memo = false;
         let mut pool = BufferPool::new();
-        let x = dev.memory.alloc_virtual("x", s.input_len());
-        let w = dev.memory.alloc_virtual("w", s.weight_len());
-        let y = dev.memory.alloc_virtual("y", s.output_len());
+        let [x, w, y] = [s.input_len(), s.weight_len(), s.output_len()]
+            .map(|len| pool.acquire_virtual(&mut dev, len));
         let run = ExecCtx {
             dev: &mut dev,
             pool: &mut pool,

@@ -1,11 +1,11 @@
 //! Size-class buffer pooling for pipeline scratch.
 //!
-//! Every Turbo pipeline variant needs intermediate device buffers (the
-//! truncated spectra `xf_t`/`yf_t`, the 2D stage tensors `t1`/`t3`).
-//! Pre-Session, each `run_variant_*` call allocated them fresh via
-//! `alloc_like` and never reused them — in a serving loop that is an
-//! allocation per stage per layer per forward, and the simulated global
-//! memory never frees, so the buffer table grew without bound.
+//! Every pipeline variant, the PyTorch baseline included, needs
+//! intermediate device buffers (the truncated spectra `xf_t`/`yf_t`, the
+//! outer-axis stage tensors, the baseline's full-size FFT temporaries).
+//! Allocated fresh per call, that is an allocation per stage per layer per
+//! forward, and the simulated global memory never frees, so the buffer
+//! table would grow without bound in a serving loop.
 //!
 //! [`BufferPool`] recycles them: buffers are keyed by `(length,
 //! virtualness)` size class, leased for the duration of one pipeline run
@@ -16,7 +16,7 @@
 //! pin bitwise equality between pooled and fresh-buffer runs.
 
 use std::collections::{HashMap, HashSet};
-use crate::backend::{Backend, BufferId, LaunchError};
+use crate::backend::{BufferId, GpuDevice, LaunchError};
 
 /// Counters of one [`BufferPool`] (see [`BufferPool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,10 +34,10 @@ pub struct PoolStats {
 /// A size-class pool of simulated device buffers.
 ///
 /// Owned by a [`Session`](crate::Session); not tied to a specific
-/// backend — the backend is passed per call so the pool can live next
+/// device — the device is passed per call so the pool can live next
 /// to it in one struct without borrow cycles. Handing buffers from one
-/// backend to a pool used with another is a logic error (buffer ids are
-/// per-backend indices).
+/// device to a pool used with another is a logic error (buffer ids are
+/// per-device indices).
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: HashMap<(usize, bool), Vec<BufferId>>,
@@ -69,7 +69,7 @@ impl BufferPool {
     }
 
     /// Lease a real (value-carrying) buffer of `len` complex elements.
-    pub fn acquire(&mut self, dev: &mut dyn Backend, len: usize) -> BufferId {
+    pub fn acquire(&mut self, dev: &mut GpuDevice, len: usize) -> BufferId {
         self.try_acquire(dev, len)
             .unwrap_or_else(|e| panic!("pool allocation failed: {e}; use try_acquire"))
     }
@@ -77,21 +77,21 @@ impl BufferPool {
     /// [`BufferPool::acquire`] through the device's typed fault path:
     /// pooled hits never fault, a fresh allocation can report a simulated
     /// OOM. A failed lease changes no pool state.
-    pub fn try_acquire(&mut self, dev: &mut dyn Backend, len: usize) -> Result<BufferId, LaunchError> {
+    pub fn try_acquire(&mut self, dev: &mut GpuDevice, len: usize) -> Result<BufferId, LaunchError> {
         self.try_acquire_class(dev, len, false)
     }
 
     /// Lease a storage-free virtual buffer (analytical sweeps).
-    pub fn acquire_virtual(&mut self, dev: &mut dyn Backend, len: usize) -> BufferId {
+    pub fn acquire_virtual(&mut self, dev: &mut GpuDevice, len: usize) -> BufferId {
         self.try_acquire_class(dev, len, true)
             .expect("virtual allocations are never faulted")
     }
 
-    /// Lease a buffer matching the virtualness of `reference` — the pooled
-    /// replacement for `tfno_culib::alloc_like`.
+    /// Lease a buffer matching the virtualness of `reference` (analytical
+    /// sweeps run entirely on virtual buffers).
     pub fn acquire_like(
         &mut self,
-        dev: &mut dyn Backend,
+        dev: &mut GpuDevice,
         reference: BufferId,
         len: usize,
     ) -> BufferId {
@@ -102,17 +102,17 @@ impl BufferPool {
     /// [`BufferPool::acquire_like`] through the device's typed fault path.
     pub fn try_acquire_like(
         &mut self,
-        dev: &mut dyn Backend,
+        dev: &mut GpuDevice,
         reference: BufferId,
         len: usize,
     ) -> Result<BufferId, LaunchError> {
-        let virt = dev.memory().is_virtual(reference);
+        let virt = dev.memory.is_virtual(reference);
         self.try_acquire_class(dev, len, virt)
     }
 
     fn try_acquire_class(
         &mut self,
-        dev: &mut dyn Backend,
+        dev: &mut GpuDevice,
         len: usize,
         virt: bool,
     ) -> Result<BufferId, LaunchError> {
@@ -133,7 +133,7 @@ impl BufferPool {
         self.seq += 1;
         let name = format!("pool.{}{}", if virt { "v" } else { "b" }, self.seq);
         let id = if virt {
-            dev.memory_mut().alloc_virtual(&name, len)
+            dev.memory.alloc_virtual(&name, len)
         } else {
             // A faulted allocation must leave the pool untouched (the
             // caller may retry), so the device call precedes every
@@ -165,11 +165,11 @@ impl BufferPool {
     ///   skew the `leased`/`pooled` counters (the decrement saturated
     ///   against leases that never happened). Foreign buffers must enter
     ///   through the explicit [`BufferPool::adopt`].
-    pub fn release(&mut self, dev: &dyn Backend, id: BufferId) {
+    pub fn release(&mut self, dev: &GpuDevice, id: BufferId) {
         assert!(
             !self.free_ids.contains(&id),
             "double release of pooled buffer {id:?} ({} elements)",
-            dev.memory().len(id)
+            dev.memory.len(id)
         );
         assert!(
             self.leased_ids.remove(&id),
@@ -187,7 +187,7 @@ impl BufferPool {
     ///
     /// # Panics
     /// If the buffer is already pooled or currently leased.
-    pub fn adopt(&mut self, dev: &dyn Backend, id: BufferId) {
+    pub fn adopt(&mut self, dev: &GpuDevice, id: BufferId) {
         assert!(
             !self.free_ids.contains(&id),
             "adopting buffer {id:?} twice would alias later leases"
@@ -199,8 +199,8 @@ impl BufferPool {
         self.park(dev, id);
     }
 
-    fn park(&mut self, dev: &dyn Backend, id: BufferId) {
-        let key = (dev.memory().len(id), dev.memory().is_virtual(id));
+    fn park(&mut self, dev: &GpuDevice, id: BufferId) {
+        let key = (dev.memory.len(id), dev.memory.is_virtual(id));
         self.free.entry(key).or_default().push(id);
         self.free_ids.insert(id);
         self.stats.pooled += 1;
@@ -239,8 +239,8 @@ mod tests {
         pool.release(&dev, v);
         let r = pool.acquire(&mut dev, 32);
         assert_ne!(v, r, "a virtual buffer must not satisfy a real lease");
-        assert!(dev.memory().is_virtual(v));
-        assert!(!dev.memory().is_virtual(r));
+        assert!(dev.memory.is_virtual(v));
+        assert!(!dev.memory.is_virtual(r));
     }
 
     #[test]
@@ -251,8 +251,8 @@ mod tests {
         let virt = dev.memory.alloc_virtual("xv", 16);
         let like_real = pool.acquire_like(&mut dev, real, 8);
         let like_virt = pool.acquire_like(&mut dev, virt, 8);
-        assert!(!dev.memory().is_virtual(like_real));
-        assert!(dev.memory().is_virtual(like_virt));
+        assert!(!dev.memory.is_virtual(like_real));
+        assert!(dev.memory.is_virtual(like_virt));
     }
 
     #[test]

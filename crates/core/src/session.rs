@@ -103,10 +103,11 @@ use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVeri
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use tfno_cgemm::WeightStacking;
-use tfno_culib::{CopySegment, PipelineRun, SegmentedCopyKernel, SpectralShape, MAX_RANK};
+use crate::pipeline::PipelineRun;
+use tfno_culib::{CopySegment, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
-    AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, LaunchError,
-    SimBackend,
+    AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, GpuDevice,
+    LaunchError, SimBackend,
 };
 use tfno_num::C32;
 
@@ -337,10 +338,10 @@ impl Session<AnyBackend> {
     /// selection; bypasses the `TFNO_BACKEND` environment variable):
     ///
     /// ```
-    /// use turbofno::{Backend, NativeBackend, Session};
+    /// use turbofno::{NativeBackend, Session};
     ///
     /// let sess = Session::with_backend(NativeBackend::a100());
-    /// assert!(!sess.device().caps().fault_injection);
+    /// assert!(!sess.device().supports_fault_injection());
     /// ```
     pub fn with_backend(backend: impl Into<AnyBackend>) -> Self {
         Session::new(backend.into())
@@ -359,12 +360,13 @@ impl<B: Backend> Session<B> {
         }
     }
 
-    pub fn device(&self) -> &B {
-        &self.dev
+    /// The simulated device the session's backend wraps.
+    pub fn device(&self) -> &GpuDevice {
+        self.dev.device()
     }
 
-    pub fn device_mut(&mut self) -> &mut B {
-        &mut self.dev
+    pub fn device_mut(&mut self) -> &mut GpuDevice {
+        self.dev.device_mut()
     }
 
     /// The session-local `TurboBest` planner.
@@ -388,27 +390,28 @@ impl<B: Backend> Session<B> {
     /// plan on the session's device.
     ///
     /// # Panics
-    /// If the backend does not advertise fault injection (see
-    /// [`BackendCaps::fault_injection`](crate::backend::BackendCaps)) —
-    /// use [`Session::try_set_fault_plan`] for the typed twin. Clearing
-    /// with `None` succeeds on every backend.
+    /// If the device does not support fault injection (see
+    /// [`GpuDevice::supports_fault_injection`]) — use
+    /// [`Session::try_set_fault_plan`] for the typed twin. Clearing with
+    /// `None` succeeds on every backend.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.try_set_fault_plan(plan)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Typed twin of [`Session::set_fault_plan`]: a backend that does not
-    /// advertise fault injection reports [`TfnoError::Validation`]
-    /// instead of panicking (asking for an unadvertised capability is a
-    /// request error — check [`Backend::caps`] first).
+    /// Typed twin of [`Session::set_fault_plan`]: a device that does not
+    /// support fault injection (a release device) reports
+    /// [`TfnoError::Validation`] instead of panicking (asking for a missing
+    /// capability is a request error — check
+    /// [`GpuDevice::supports_fault_injection`] first).
     pub fn try_set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<(), TfnoError> {
-        self.dev.try_set_fault_plan(plan).map_err(TfnoError::from)
+        self.device_mut().try_set_fault_plan(plan).map_err(TfnoError::from)
     }
 
     /// Fault-injection counters of the session's device (all zero when no
     /// plan is installed).
     pub fn fault_stats(&self) -> FaultStats {
-        self.dev.fault_stats()
+        self.device().fault_stats()
     }
 
     /// Bounded retry budget applied by every executing entry point
@@ -450,36 +453,36 @@ impl<B: Backend> Session<B> {
 
     /// Allocate a named long-lived buffer (weights, persistent activations).
     pub fn alloc(&mut self, name: &str, len: usize) -> BufferId {
-        self.dev.alloc(name, len)
+        self.device_mut().alloc(name, len)
     }
 
     /// Lease a real buffer from the pool (return it with [`Session::release`]).
     pub fn acquire(&mut self, len: usize) -> BufferId {
-        self.pool.acquire(&mut self.dev, len)
+        self.pool.acquire(self.dev.device_mut(), len)
     }
 
     /// Lease a storage-free virtual buffer from the pool.
     pub fn acquire_virtual(&mut self, len: usize) -> BufferId {
-        self.pool.acquire_virtual(&mut self.dev, len)
+        self.pool.acquire_virtual(self.dev.device_mut(), len)
     }
 
     /// Return a leased buffer to the pool.
     pub fn release(&mut self, id: BufferId) {
-        self.pool.release(&self.dev, id);
+        self.pool.release(self.dev.device(), id);
     }
 
     /// Donate a buffer the pool never leased (e.g. one created with
     /// [`Session::alloc`] that is no longer needed) to the free lists.
     pub fn adopt(&mut self, id: BufferId) {
-        self.pool.adopt(&self.dev, id);
+        self.pool.adopt(self.dev.device(), id);
     }
 
     pub fn upload(&mut self, id: BufferId, data: &[C32]) {
-        self.dev.upload(id, data);
+        self.device_mut().upload(id, data);
     }
 
     pub fn download(&self, id: BufferId) -> Vec<C32> {
-        self.dev.download(id)
+        self.device().download(id)
     }
 
     /// The one admission check, run by every entry point before anything
@@ -489,7 +492,7 @@ impl<B: Backend> Session<B> {
     /// A single `run`/`submit` is never reordered against other work, so
     /// it may update in place (`y == x`).
     fn try_admit(&self, reqs: &[Request], parallel: bool) -> Result<(), TfnoError> {
-        let len = |id: BufferId| self.dev.memory().len(id);
+        let len = |id: BufferId| self.device().memory.len(id);
         for r in reqs {
             for (got, want, msg) in [
                 (len(r.x), r.spec.input_len(), "x length != spec input_len"),
@@ -500,7 +503,7 @@ impl<B: Backend> Session<B> {
                     return Err(TfnoError::Validation(format!("{msg} ({got} != {want})")));
                 }
             }
-            r.spec.check_shape(self.dev.config())?;
+            r.spec.check_shape(&self.device().config)?;
         }
         if !parallel {
             return Ok(());
@@ -561,7 +564,7 @@ impl<B: Backend> Session<B> {
     ) -> Result<Vec<PipelineRun>, TfnoError> {
         let before = self.pool.leased_snapshot();
         let mut ctx = ExecCtx {
-            dev: &mut self.dev,
+            dev: self.dev.device_mut(),
             pool: &mut self.pool,
             verify: verifier_enabled().then(PlanVerifier::new),
         };
@@ -577,7 +580,7 @@ impl<B: Backend> Session<B> {
                 self.recovery.jobs_healed += 1;
                 self.recovery.leases_recovered += leaked.len() as u64;
                 for id in leaked {
-                    self.pool.release(&self.dev, id);
+                    self.pool.release(self.dev.device(), id);
                 }
                 resume_unwind(payload)
             },
@@ -751,13 +754,13 @@ impl<B: Backend> Session<B> {
     /// shape half of admission — an invalid shape, or a variant whose
     /// kernels cannot be built for it on this device.
     pub fn measure(&mut self, spec: &LayerSpec) -> PipelineRun {
-        if let Err(e) = spec.check_shape(self.dev.config()) {
+        if let Err(e) = spec.check_shape(&self.device().config) {
             panic!("{e}");
         }
-        let variant = resolve(&mut self.planner, self.dev.config(), spec);
+        let variant = resolve(&mut self.planner, &self.dev.device().config, spec);
         let spec = spec.exec(ExecMode::Analytical);
         let mut ctx = ExecCtx {
-            dev: &mut self.dev,
+            dev: self.dev.device_mut(),
             pool: &mut self.pool,
             verify: verifier_enabled().then(PlanVerifier::new),
         };
@@ -825,7 +828,7 @@ impl ExecCtx<'_> {
             for &j in &group {
                 claimed[j] = true;
             }
-            let concrete = resolve(planner, self.dev.config(), &reqs[i].spec);
+            let concrete = resolve(planner, &self.dev.config, &reqs[i].spec);
 
             // One stack for the whole shape group, mixed weights included;
             // non-stackable members (virtual buffers, analytical mode) run
@@ -855,9 +858,9 @@ impl ExecCtx<'_> {
     /// it requires functional execution on real buffers.
     fn stackable(&self, r: &Request) -> bool {
         r.spec.exec == ExecMode::Functional
-            && !self.dev.memory().is_virtual(r.x)
-            && !self.dev.memory().is_virtual(r.y)
-            && !self.dev.memory().is_virtual(r.w)
+            && !self.dev.memory.is_virtual(r.x)
+            && !self.dev.memory.is_virtual(r.y)
+            && !self.dev.memory.is_virtual(r.w)
     }
 
     /// Execute a same-spec stack of requests as one batched launch
@@ -1005,7 +1008,7 @@ fn run_queue_resilient(
         // FftOpt is unfused, so the rung can only be taken once.
         let mut degraded = false;
         for r in &mut reqs {
-            if resolve(planner, ctx.dev.config(), &r.spec).is_fused() {
+            if resolve(planner, &ctx.dev.config, &r.spec).is_fused() {
                 r.spec = r.spec.variant(Variant::FftOpt);
                 degraded = true;
             }

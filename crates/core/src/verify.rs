@@ -33,7 +33,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::error::TfnoError;
 use crate::backend::{
-    lock_unpoisoned, merge_runs, runs_overlap, Backend, BufferId, Kernel, KernelAccess,
+    lock_unpoisoned, merge_runs, runs_overlap, BufferId, GpuDevice, Kernel, KernelAccess,
     LaunchError,
 };
 
@@ -249,30 +249,30 @@ impl PlanVerifier {
     /// Prove a launch safe before it issues: bounds, use after release,
     /// and cross-block write disjointness. A kernel that declares no
     /// access set is opaque and passes.
-    pub fn check_launch(&mut self, dev: &dyn Backend, kernel: &dyn Kernel) -> Result<(), PlanHazard> {
+    pub fn check_launch(&mut self, dev: &GpuDevice, kernel: &dyn Kernel) -> Result<(), PlanHazard> {
         let Some(access) = kernel.access() else {
             return Ok(());
         };
-        let name = |buf: BufferId| format!("'{}'", dev.memory().name(buf));
+        let name = |buf: BufferId| format!("'{}'", dev.memory.name(buf));
 
         // Bounds: cheap (O(spans)) and a precondition for everything else.
         for span in &access.reads {
-            if span.end() > dev.memory().len(span.buf) {
+            if span.end() > dev.memory.len(span.buf) {
                 return Err(PlanHazard::ReadOutOfBounds {
                     kernel: kernel.name(),
                     buf: name(span.buf),
                     end: span.end(),
-                    len: dev.memory().len(span.buf),
+                    len: dev.memory.len(span.buf),
                 });
             }
         }
         for span in access.write_spans() {
-            if span.end() > dev.memory().len(span.buf) {
+            if span.end() > dev.memory.len(span.buf) {
                 return Err(PlanHazard::WriteOutOfBounds {
                     kernel: kernel.name(),
                     buf: name(span.buf),
                     end: span.end(),
-                    len: dev.memory().len(span.buf),
+                    len: dev.memory.len(span.buf),
                 });
             }
         }

@@ -1,13 +1,12 @@
 //! cuBLAS-like CGEMM facade.
 //!
-//! `cgemm_strided_batched` mirrors `cublasCgemmStridedBatched`: strided
-//! operands, any alpha/beta, internally tuned tile selection. Like the real
-//! library it is a black box — callers cannot fuse anything into it, which
-//! is precisely the restriction TurboFNO removes.
+//! [`CuBlas::kernel`] builds what `cublasCgemmStridedBatched` would
+//! launch: strided operands, any alpha/beta, internally tuned tile
+//! selection. Like the real library it is a black box — callers cannot
+//! fuse anything into it, which is precisely the restriction TurboFNO
+//! removes.
 
 use tfno_cgemm::{BatchedCgemmKernel, BatchedOperand, GemmShape, TileConfig};
-use tfno_backend::Backend;
-use tfno_gpu_sim::{ExecMode, LaunchError, LaunchRecord};
 use tfno_num::C32;
 
 /// Stateless cuBLAS-like entry point.
@@ -25,8 +24,8 @@ impl CuBlas {
         }
     }
 
-    /// Build the kernel `cgemm_strided_batched` would launch, without
-    /// launching it — for callers that route each launch through their own
+    /// Build the kernel `C = alpha * A B + beta * C`, batched with strides,
+    /// without launching it: callers route each launch through their own
     /// checks first (the session pipelines prove it against the launch-plan
     /// verifier).
     #[allow(clippy::too_many_arguments)]
@@ -42,47 +41,12 @@ impl CuBlas {
         let tile = Self::select_tile(&shape);
         BatchedCgemmKernel::new(name, tile, shape, a, b, c, alpha, beta)
     }
-
-    /// `C = alpha * A B + beta * C`, batched with strides.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cgemm_strided_batched(
-        dev: &mut dyn Backend,
-        name: &str,
-        shape: GemmShape,
-        a: BatchedOperand,
-        b: BatchedOperand,
-        c: BatchedOperand,
-        alpha: C32,
-        beta: C32,
-        mode: ExecMode,
-    ) -> LaunchRecord {
-        let k = Self::kernel(name, shape, a, b, c, alpha, beta);
-        dev.launch(&k, mode)
-    }
-
-    /// [`CuBlas::cgemm_strided_batched`] through the device's typed fault
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_cgemm_strided_batched(
-        dev: &mut dyn Backend,
-        name: &str,
-        shape: GemmShape,
-        a: BatchedOperand,
-        b: BatchedOperand,
-        c: BatchedOperand,
-        alpha: C32,
-        beta: C32,
-        mode: ExecMode,
-    ) -> Result<LaunchRecord, LaunchError> {
-        let k = Self::kernel(name, shape, a, b, c, alpha, beta);
-        dev.try_launch(&k, mode)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfno_gpu_sim::GpuDevice;
+    use tfno_gpu_sim::{ExecMode, GpuDevice};
     use tfno_cgemm::MatView;
     use tfno_num::error::{assert_close, gemm_tolerance};
     use tfno_num::reference;
@@ -120,8 +84,7 @@ mod tests {
             .collect();
         dev.upload(a_buf, &a);
         dev.upload(b_buf, &b);
-        CuBlas::cgemm_strided_batched(
-            &mut dev,
+        let gemm = CuBlas::kernel(
             "gemm",
             GemmShape { batch, m, n, k },
             BatchedOperand::strided(a_buf, MatView::row_major(0, k), m * k),
@@ -129,8 +92,8 @@ mod tests {
             BatchedOperand::strided(c_buf, MatView::row_major(0, n), m * n),
             C32::ONE,
             C32::ZERO,
-            ExecMode::Functional,
         );
+        dev.launch(&gemm, ExecMode::Functional);
         let out = dev.download(c_buf);
         for bi in 0..batch {
             let mut want = vec![C32::ZERO; m * n];

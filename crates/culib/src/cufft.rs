@@ -1,4 +1,4 @@
-//! cuFFT-like planner facade.
+//! cuFFT-like kernel builders.
 //!
 //! Models the closed-source library's two decisive properties (paper §2.2):
 //! it is *fast* (same Stockham kernel as ours, good spatial cache
@@ -10,8 +10,7 @@ use tfno_fft::{
     BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils,
     StridedPencils,
 };
-use tfno_backend::Backend;
-use tfno_gpu_sim::{BufferId, ExecMode, LaunchError, LaunchRecord};
+use tfno_gpu_sim::BufferId;
 
 /// L1/L2 hit rate of the library's spatial-order batched FFTs: consecutive
 /// thread blocks walk adjacent rows, so tile boundaries and twiddle tables
@@ -19,98 +18,54 @@ use tfno_gpu_sim::{BufferId, ExecMode, LaunchError, LaunchRecord};
 /// `turbofno::pipeline` uses a lower rate there.)
 pub const CUFFT_L1_HIT: f64 = 0.45;
 
-/// Stateless cuFFT-like entry points (plan creation folded into the call;
-/// plan reuse is free in the simulator).
+/// Stateless cuFFT-like kernel builders (plan creation folded into the
+/// call; plan reuse is free in the simulator). They only build kernels:
+/// the caller launches them, so every launch goes through its own checks.
 pub struct CuFft;
 
 impl CuFft {
     /// Batched C2C over `rows` contiguous rows of length `n` — always the
     /// full transform (no truncation support in the library).
-    pub fn exec_rows(
-        dev: &mut dyn Backend,
+    pub fn rows_kernel(
         name: &str,
         n: usize,
         rows: usize,
         dir: FftDirection,
         input: BufferId,
         output: BufferId,
-        mode: ExecMode,
-    ) -> LaunchRecord {
-        let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::shared(n, dir, n, n);
+    ) -> BatchedFftKernel<RowPencils> {
         let addr = RowPencils {
             count: rows,
             in_row_len: n,
             out_row_len: n,
         };
-        let k = BatchedFftKernel::new(name, cfg, plan, addr, input, output);
-        dev.launch(&k, mode)
-    }
-
-    /// [`CuFft::exec_rows`] through the device's typed fault path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_exec_rows(
-        dev: &mut dyn Backend,
-        name: &str,
-        n: usize,
-        rows: usize,
-        dir: FftDirection,
-        input: BufferId,
-        output: BufferId,
-        mode: ExecMode,
-    ) -> Result<LaunchRecord, LaunchError> {
-        let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
         let plan = FftPlan::shared(n, dir, n, n);
-        let addr = RowPencils {
-            count: rows,
-            in_row_len: n,
-            out_row_len: n,
-        };
-        let k = BatchedFftKernel::new(name, cfg, plan, addr, input, output);
-        dev.try_launch(&k, mode)
+        BatchedFftKernel::new(name, full_config(n), plan, addr, input, output)
     }
 
     /// Strided batched C2C (`cufftPlanMany`-style), full transform.
-    #[allow(clippy::too_many_arguments)]
-    pub fn exec_strided(
-        dev: &mut dyn Backend,
+    pub fn strided_kernel(
         name: &str,
         n: usize,
         addressing: StridedPencils,
         dir: FftDirection,
         input: BufferId,
         output: BufferId,
-        mode: ExecMode,
-    ) -> LaunchRecord {
-        let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
+    ) -> BatchedFftKernel<StridedPencils> {
         let plan = FftPlan::shared(n, dir, n, n);
-        let k = BatchedFftKernel::new(name, cfg, plan, addressing, input, output);
-        dev.launch(&k, mode)
+        BatchedFftKernel::new(name, full_config(n), plan, addressing, input, output)
     }
+}
 
-    /// [`CuFft::exec_strided`] through the device's typed fault path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_exec_strided(
-        dev: &mut dyn Backend,
-        name: &str,
-        n: usize,
-        addressing: StridedPencils,
-        dir: FftDirection,
-        input: BufferId,
-        output: BufferId,
-        mode: ExecMode,
-    ) -> Result<LaunchRecord, LaunchError> {
-        let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT);
-        let plan = FftPlan::shared(n, dir, n, n);
-        let k = BatchedFftKernel::new(name, cfg, plan, addressing, input, output);
-        dev.try_launch(&k, mode)
-    }
+/// The library's block configuration for a full `n`-point transform.
+fn full_config(n: usize) -> FftKernelConfig {
+    FftKernelConfig::new(FftBlockConfig::for_len(n)).with_l1_hit_rate(CUFFT_L1_HIT)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfno_gpu_sim::GpuDevice;
+    use tfno_gpu_sim::{ExecMode, GpuDevice};
     use tfno_num::error::{assert_close, fft_tolerance};
     use tfno_num::{reference, C32};
 
@@ -125,8 +80,10 @@ mod tests {
             .map(|i| C32::new((i as f32 * 0.11).sin(), (i as f32 * 0.07).cos()))
             .collect();
         dev.upload(x, &data);
-        CuFft::exec_rows(&mut dev, "fwd", n, rows, FftDirection::Forward, x, f, ExecMode::Functional);
-        CuFft::exec_rows(&mut dev, "inv", n, rows, FftDirection::Inverse, f, y, ExecMode::Functional);
+        let fwd = CuFft::rows_kernel("fwd", n, rows, FftDirection::Forward, x, f);
+        dev.launch(&fwd, ExecMode::Functional);
+        let inv = CuFft::rows_kernel("inv", n, rows, FftDirection::Inverse, f, y);
+        dev.launch(&inv, ExecMode::Functional);
         let out = dev.download(y);
         assert_close(&out, &data, fft_tolerance(n, 2.0), "roundtrip");
     }
@@ -137,16 +94,8 @@ mod tests {
         let mut dev = GpuDevice::a100();
         let x = dev.alloc("x", rows * n);
         let f = dev.alloc("f", rows * n);
-        let rec = CuFft::exec_rows(
-            &mut dev,
-            "fwd",
-            n,
-            rows,
-            FftDirection::Forward,
-            x,
-            f,
-            ExecMode::Functional,
-        );
+        let fwd = CuFft::rows_kernel("fwd", n, rows, FftDirection::Forward, x, f);
+        let rec = dev.launch(&fwd, ExecMode::Functional);
         assert_eq!(rec.stats.global_store_bytes, (rows * n * 8) as u64);
     }
 
@@ -171,16 +120,8 @@ mod tests {
             out_pencil_stride: 1,
             out_idx_stride: ny,
         };
-        CuFft::exec_strided(
-            &mut dev,
-            "fftx",
-            nx,
-            addr,
-            FftDirection::Forward,
-            x,
-            f,
-            ExecMode::Functional,
-        );
+        let fftx = CuFft::strided_kernel("fftx", nx, addr, FftDirection::Forward, x, f);
+        dev.launch(&fftx, ExecMode::Functional);
         let out = dev.download(f);
         for y in 0..ny {
             let col: Vec<C32> = (0..nx).map(|i| data[i * ny + y]).collect();

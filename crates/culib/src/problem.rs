@@ -1,5 +1,5 @@
-//! The Fourier-layer shape shared by every executor (PyTorch baseline
-//! here, TurboFNO variants in the `turbofno` crate). Rank is a field of
+//! The Fourier-layer shape shared by every executor (the PyTorch baseline
+//! and the TurboFNO variants, both in the `turbofno` crate). Rank is a field of
 //! [`SpectralShape`], not a type: one struct describes a layer over a 1D,
 //! 2D or 3D grid, and every executor walks its axes.
 

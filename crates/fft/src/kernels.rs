@@ -358,24 +358,36 @@ impl<A: PencilAddressing> Kernel for BatchedFftKernel<A> {
                 if group >= groups {
                     break;
                 }
-                let p0 = group * bs;
-                let active = bs.min(count - p0);
-                for p in p0..p0 + active {
+                let (p0, end) = (group * bs, (group * bs + bs).min(count));
+                for p in p0..end {
                     acc.read(pencil_span(
                         self.input,
                         self.addressing.in_addr(p, 0),
                         si,
                         self.plan.n_in_valid,
                     ));
+                }
+                // `k` pencils whose outputs start side by side (the
+                // stride-1 pencils of a strided axis) write one span of
+                // `k`-element runs, so the verifier walks a run per kept
+                // index instead of an element per pencil and index.
+                let mut p = p0;
+                while p < end {
+                    let start = self.addressing.out_addr(p, 0);
+                    let mut k = 1;
+                    while k < so && p + k < end && self.addressing.out_addr(p + k, 0) == start + k {
+                        k += 1;
+                    }
+                    let keep = self.plan.n_out_keep;
                     acc.write(
                         block,
-                        pencil_span(
-                            self.output,
-                            self.addressing.out_addr(p, 0),
-                            so,
-                            self.plan.n_out_keep,
-                        ),
+                        if k == 1 {
+                            pencil_span(self.output, start, so, keep)
+                        } else {
+                            AccessSpan::strided(self.output, start, k, so, keep)
+                        },
                     );
+                    p += k;
                 }
             }
         }
@@ -530,23 +542,12 @@ mod tests {
     /// The declared access sets must cover exactly the elements the
     /// kernel touches: `count * n_in_valid` distinct reads and
     /// `count * n_out_keep` distinct writes, with write partitions
-    /// disjoint across blocks.
+    /// disjoint across blocks — for contiguous rows and for the strided
+    /// pencils whose adjacent outputs share one declared span.
     #[test]
     fn declared_access_matches_footprint() {
-        for (pencils, n, nf) in [(8usize, 64usize, 64usize), (11, 64, 16), (19, 128, 32)] {
-            let mut dev = GpuDevice::a100();
-            let input = dev.alloc("in", pencils * n);
-            let output = dev.alloc("out", pencils * nf);
-            let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_k_iters(2);
-            let plan = FftPlan::new(n, FftDirection::Forward, n, nf);
-            let addr = RowPencils {
-                count: pencils,
-                in_row_len: n,
-                out_row_len: nf,
-            };
-            let k = BatchedFftKernel::new("fft", cfg, plan, addr, input, output);
+        fn check(k: &dyn Kernel, input: BufferId, output: BufferId, reads_want: usize, writes_want: usize) {
             let acc = k.access().expect("FFT kernels declare access sets");
-
             let mut reads = std::collections::HashSet::new();
             for s in &acc.reads {
                 assert_eq!(s.buf, input);
@@ -554,7 +555,7 @@ mod tests {
                     reads.extend(lo..hi);
                 }
             }
-            assert_eq!(reads.len(), pencils * n, "pencils={pencils}");
+            assert_eq!(reads.len(), reads_want, "{}", k.name());
 
             let mut writes = std::collections::HashSet::new();
             for (_, spans) in &acc.block_writes {
@@ -567,7 +568,34 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(writes.len(), pencils * nf, "pencils={pencils}");
+            assert_eq!(writes.len(), writes_want, "{}", k.name());
+        }
+        for (pencils, n, nf) in [(8usize, 64usize, 64usize), (11, 64, 16), (19, 128, 32)] {
+            let mut dev = GpuDevice::a100();
+            let input = dev.alloc("in", pencils * n);
+            let output = dev.alloc("out", pencils * nf);
+            let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n)).with_k_iters(2);
+            let plan = FftPlan::new(n, FftDirection::Forward, n, nf);
+            let addr = RowPencils {
+                count: pencils,
+                in_row_len: n,
+                out_row_len: nf,
+            };
+            let k = BatchedFftKernel::new("rows", cfg, plan, addr, input, output);
+            check(&k, input, output, pencils * n, pencils * nf);
+        }
+        // Pencils along the outer axis of `slabs` grids of `n x inner`,
+        // truncated to `nf`: groups of `inner` adjacent pencils, some
+        // split across blocks.
+        for (slabs, n, nf, inner) in [(3usize, 16usize, 16usize, 8usize), (2, 32, 8, 12), (5, 16, 4, 3)] {
+            let mut dev = GpuDevice::a100();
+            let input = dev.alloc("in", slabs * n * inner);
+            let output = dev.alloc("out", slabs * nf * inner);
+            let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n));
+            let plan = FftPlan::new(n, FftDirection::Forward, n, nf);
+            let addr = StridedPencils::along_axis(slabs, n, nf, inner);
+            let k = BatchedFftKernel::new("strided", cfg, plan, addr, input, output);
+            check(&k, input, output, slabs * n * inner, slabs * nf * inner);
         }
     }
 

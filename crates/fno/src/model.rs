@@ -30,10 +30,11 @@
 
 use crate::spectral::SpectralConvNd;
 use rand::Rng;
-use tfno_culib::PipelineRun;
 use tfno_gpu_sim::{configured_workers, for_each_mut};
 use tfno_num::{C32, CTensor};
-use turbofno::{Backend, LayerSpec, Request, Session, TfnoError, TurboOptions, Variant};
+use turbofno::{
+    Backend, LayerSpec, PipelineRun, Request, Session, TfnoError, TurboOptions, Variant,
+};
 
 /// GELU (tanh approximation), applied to both complex lanes.
 pub fn gelu(v: f32) -> f32 {

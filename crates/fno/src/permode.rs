@@ -11,11 +11,11 @@
 
 use rand::Rng;
 use tfno_cgemm::{BatchedOperand, GemmShape, MatView};
-use tfno_culib::{CuBlas, PipelineRun};
+use tfno_culib::CuBlas;
 use tfno_fft::host;
 use tfno_gpu_sim::ExecMode;
 use tfno_num::{C32, CTensor};
-use turbofno::{Backend, Session};
+use turbofno::{Backend, PipelineRun, Session};
 
 /// 1D spectral convolution with per-mode weights
 /// (`weight[f, ki, ko]`, `f < nf`).
@@ -146,8 +146,7 @@ impl PerModeSpectralConv1d {
         run.push(dev.launch(&fft, ExecMode::Functional));
 
         // Mode-batched CGEMM: batch index = mode f.
-        run.push(CuBlas::cgemm_strided_batched(
-            dev,
+        let gemm = CuBlas::kernel(
             "pm.cgemm",
             GemmShape {
                 batch: nf,
@@ -176,8 +175,8 @@ impl PerModeSpectralConv1d {
             ),
             C32::ONE,
             C32::ZERO,
-            ExecMode::Functional,
-        ));
+        );
+        run.push(dev.launch(&gemm, ExecMode::Functional));
 
         let plan_inv = FftPlan::shared(n, FftDirection::Inverse, nf, n);
         let ifft = BatchedFftKernel::new(

@@ -19,11 +19,13 @@
 //!   (bitwise-equal to `forward_device`).
 
 use rand::Rng;
-use tfno_culib::{PipelineRun, SpectralShape, MAX_RANK};
+use tfno_culib::{SpectralShape, MAX_RANK};
 use tfno_fft::host;
 use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
-use turbofno::{Backend, LaunchHandle, LayerSpec, Session, TfnoError, TurboOptions, Variant};
+use turbofno::{
+    Backend, LaunchHandle, LayerSpec, PipelineRun, Session, TfnoError, TurboOptions, Variant,
+};
 
 /// A spectral convolution issued by [`SpectralConvNd::submit_device`]: the
 /// layer has run, its [`LaunchHandle`] holds only the run or typed error (a

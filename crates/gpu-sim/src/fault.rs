@@ -27,8 +27,9 @@
 //! [`GlobalMemory::alloc_virtual`](crate::memory::GlobalMemory) directly.
 //!
 //! With no plan installed the hook is a single `Option` check per launch
-//! and per allocation — the `fault-overhead` bench scenario pins this at
-//! under 1%.
+//! and per allocation. No timing floor pins its cost; `tests/chaos.rs`
+//! (`fault_hooks_unarmed_consult_nothing_and_armed_zero_injects_nothing`)
+//! pins the hooks instead.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -73,10 +74,11 @@ pub enum LaunchError {
     /// fault-injected variants this is *not* retryable — the plan itself
     /// is wrong, and retrying the identical plan can only fail again.
     PlanRejected { kernel: String, reason: String },
-    /// The execution backend does not implement the requested operation
-    /// (see the `tfno-backend` capability flags). Not retryable: the same
-    /// backend will decline the same operation every time — callers should
-    /// consult `Backend::caps` and take the supported path instead.
+    /// The device does not implement the requested operation (fault
+    /// injection on a release device). Not retryable: the same device will
+    /// decline the same operation every time — callers should consult
+    /// `GpuDevice::supports_fault_injection` and take the supported path
+    /// instead.
     Unsupported {
         backend: &'static str,
         op: &'static str,
@@ -117,7 +119,7 @@ impl fmt::Display for LaunchError {
             LaunchError::Unsupported { backend, op } => write!(
                 f,
                 "backend '{backend}' does not support {op} \
-                 (check Backend::caps before requesting it)"
+                 (check GpuDevice::supports_fault_injection before requesting it)"
             ),
         }
     }

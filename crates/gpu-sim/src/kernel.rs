@@ -399,8 +399,6 @@ pub struct GpuDevice {
     /// functional blocks metered to cross-check every attached count (see
     /// the module docs on metering).
     pub validate_writes: bool,
-    /// Execute blocks on multiple host threads when the grid is large.
-    pub parallel: bool,
     /// Use the memoized-analytical launch path (see [`crate::memo`]).
     pub analytical_memo: bool,
     /// Explicit worker-count override; `None` follows the
@@ -422,7 +420,6 @@ impl GpuDevice {
             cost,
             launches: LaunchHistory::default(),
             validate_writes: cfg!(debug_assertions),
-            parallel: true,
             analytical_memo: true,
             workers: None,
             faults: None,
@@ -468,7 +465,7 @@ impl GpuDevice {
     /// Worker count the functional executor will use for a grid of
     /// `n_blocks` under the current policy.
     pub fn effective_workers(&self, n_blocks: usize) -> usize {
-        if !self.parallel || n_blocks == 0 {
+        if n_blocks == 0 {
             return 1;
         }
         match self.workers {
@@ -490,16 +487,25 @@ impl GpuDevice {
     /// resets its event cursors and [`FaultStats`].
     ///
     /// # Panics
-    /// When installing a plan on a [`GpuDevice::release`] device, with the
-    /// [`LaunchError::Unsupported`] text; nothing is installed. Clearing
-    /// (`None`) succeeds on every device.
+    /// Where [`GpuDevice::try_set_fault_plan`] returns `Err`, with its
+    /// text; nothing is installed.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        let refusal = LaunchError::Unsupported {
-            backend: "native",
-            op: "fault injection",
-        };
-        assert!(plan.is_none() || !self.release, "{refusal}");
+        self.try_set_fault_plan(plan).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Typed twin of [`GpuDevice::set_fault_plan`]: installing a plan on a
+    /// device that does not [support](GpuDevice::supports_fault_injection)
+    /// fault injection returns [`LaunchError::Unsupported`] and installs
+    /// nothing. Clearing (`None`) succeeds on every device.
+    pub fn try_set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Result<(), LaunchError> {
+        if plan.is_some() && !self.supports_fault_injection() {
+            return Err(LaunchError::Unsupported {
+                backend: "native",
+                op: "fault injection",
+            });
+        }
         self.faults = plan.map(FaultState::new);
+        Ok(())
     }
 
     /// The installed fault plan, if any.
@@ -874,8 +880,8 @@ mod tests {
 
     #[test]
     fn parallel_execution_matches_sequential() {
-        let (mut dev_seq, src, dst) = setup(64);
-        dev_seq.parallel = false;
+        let (dev_seq, src, dst) = setup(64);
+        let mut dev_seq = dev_seq.with_workers(1);
         let k = ScaleKernel { src, dst, blocks: 64 };
         let rec_seq = dev_seq.launch(&k, ExecMode::Functional);
         let out_seq = dev_seq.download(dst);
@@ -901,9 +907,6 @@ mod tests {
         let dev2 = GpuDevice::new(DeviceConfig::a100()).with_workers(8);
         assert_eq!(dev2.effective_workers(4), 4, "capped at grid");
         assert_eq!(dev2.effective_workers(100), 8);
-        let mut dev3 = GpuDevice::new(DeviceConfig::a100()).with_workers(8);
-        dev3.parallel = false;
-        assert_eq!(dev3.effective_workers(100), 1, "parallel=false wins");
         if std::env::var_os("TFNO_THREADS").is_none() {
             let dev = GpuDevice::new(DeviceConfig::a100());
             assert_eq!(dev.effective_workers(4), 1, "default: small grids stay serial");
@@ -1008,7 +1011,7 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceConfig::a100());
         let dst = dev.alloc("dst", 64);
         dev.validate_writes = true;
-        dev.parallel = false;
+        dev.set_workers(Some(1));
         let k = ConflictKernel { dst };
         dev.launch(&k, ExecMode::Functional);
     }

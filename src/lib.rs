@@ -19,7 +19,7 @@ pub use turbofno::{
 // switches between the simulator's two configurations, checked (`sim`)
 // and release (`native`), which record the same launches
 // (`TFNO_BACKEND`, or `Session::with_backend`).
-pub use turbofno::{AnyBackend, Backend, BackendCaps, BackendKind, NativeBackend, SimBackend};
+pub use turbofno::{AnyBackend, Backend, BackendKind, NativeBackend, SimBackend};
 
 // The fault-injection surface (see `tfno_gpu_sim::fault`): install a
 // seeded `FaultPlan` with `Session::set_fault_plan` to chaos-test against

@@ -221,7 +221,7 @@ fn async_submit_storm_agrees() {
 #[test]
 fn unsupported_capability_is_typed_not_a_panic() {
     let mut native = Session::with_backend(NativeBackend::a100());
-    assert!(!native.device().caps().fault_injection);
+    assert!(!native.device().supports_fault_injection());
     // Arming a fault plan on a backend without fault injection reports
     // Validation (a request error — check caps first), never panics.
     let err = native
@@ -233,7 +233,7 @@ fn unsupported_capability_is_typed_not_a_panic() {
     native.try_set_fault_plan(None).unwrap();
     // The simulator advertises and accepts the same call.
     let mut sim = Session::new(SimBackend::a100());
-    assert!(sim.device().caps().fault_injection);
+    assert!(sim.device().supports_fault_injection());
     sim.try_set_fault_plan(Some(FaultPlan::seeded(0xD15C0))).unwrap();
     sim.try_set_fault_plan(None).unwrap();
 }

@@ -1,11 +1,11 @@
-//! Integration tests of the baseline executor's structural properties —
+//! Integration tests of the PyTorch baseline's structural properties —
 //! the cost structure the paper attributes to PyTorch must actually hold
-//! in the emulation.
+//! in the emulation. The baseline runs through `Session` like every other
+//! variant.
 
-use tfno_cgemm::WeightStacking;
-use tfno_culib::{try_run_pytorch_stacked, PipelineRun, SpectralShape};
-use tfno_gpu_sim::{ExecMode, GpuDevice};
-use tfno_num::C32;
+use turbofno_suite::core::{PipelineRun, SpectralShape};
+use turbofno_suite::num::C32;
+use turbofno_suite::{LayerSpec, Session, SimBackend, Variant};
 
 fn data(n: usize) -> Vec<C32> {
     (0..n)
@@ -14,24 +14,16 @@ fn data(n: usize) -> Vec<C32> {
 }
 
 /// Run the baseline functionally on fresh operands for `s`.
-fn run_baseline(s: &SpectralShape) -> (GpuDevice, PipelineRun) {
-    let mut dev = GpuDevice::a100();
-    let x = dev.alloc("x", s.input_len());
-    let w = dev.alloc("w", s.weight_len());
-    let y = dev.alloc("y", s.output_len());
-    dev.upload(x, &data(s.input_len()));
-    dev.upload(w, &data(s.weight_len()));
-    let run = try_run_pytorch_stacked(
-        &mut dev,
-        s,
-        x,
-        w,
-        WeightStacking::SHARED,
-        y,
-        ExecMode::Functional,
-    )
-    .expect("fault-free baseline run");
-    (dev, run)
+fn run_baseline(s: &SpectralShape) -> (Session<SimBackend>, PipelineRun) {
+    let mut sess = Session::new(SimBackend::a100());
+    let x = sess.alloc("x", s.input_len());
+    let w = sess.alloc("w", s.weight_len());
+    let y = sess.alloc("y", s.output_len());
+    sess.upload(x, &data(s.input_len()));
+    sess.upload(w, &data(s.weight_len()));
+    let spec = LayerSpec::from_shape(*s).variant(Variant::Pytorch);
+    let run = sess.try_run(&spec, x, w, y).expect("fault-free baseline run");
+    (sess, run)
 }
 
 /// One small shape per rank, with the baseline's launch names in order:
@@ -121,10 +113,10 @@ fn baseline_copies_move_exactly_the_filter_tensors() {
 #[test]
 fn baseline_2d_has_seven_stages() {
     let s = SpectralShape::d2(1, 4, 4, 16, 16).with_modes(&[4, 4]);
-    let (dev, run) = run_baseline(&s);
+    let (sess, run) = run_baseline(&s);
     assert_eq!(run.kernel_count(), 7);
     // every stage pays a launch
-    let overhead = dev.config.kernel_launch_overhead_us;
+    let overhead = sess.device().config.kernel_launch_overhead_us;
     assert!(run.total_us() >= 7.0 * overhead);
 }
 

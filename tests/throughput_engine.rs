@@ -44,7 +44,7 @@ fn run_functional_1d(
 fn parallel_executor_is_bitwise_deterministic() {
     let p = SpectralShape::d1(2, 12, 16, 128).with_modes(&[32]);
     for v in Variant::CONCRETE {
-        let (serial, stats_serial) = run_functional_1d(&p, v, |d| d.parallel = false);
+        let (serial, stats_serial) = run_functional_1d(&p, v, |d| d.set_workers(Some(1)));
         let (par_a, stats_a) = run_functional_1d(&p, v, |d| d.set_workers(Some(4)));
         let (par_b, stats_b) = run_functional_1d(&p, v, |d| d.set_workers(Some(4)));
         assert_eq!(serial, par_a, "{v:?}: parallel != serial");

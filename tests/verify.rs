@@ -67,7 +67,8 @@ fn run_once_1d(p: &SpectralShape, v: Variant) -> Vec<C32> {
     sess.download(y)
 }
 
-fn run_once_2d(p: &SpectralShape, v: Variant) -> Vec<C32> {
+/// [`run_once_1d`] with the seeds the multi-axis shapes use.
+fn run_once_nd(p: &SpectralShape, v: Variant) -> Vec<C32> {
     let mut sess = Session::a100();
     let x = sess.alloc("x", p.input_len());
     let w = sess.alloc("w", p.weight_len());
@@ -88,20 +89,25 @@ fn override_controls_gating() {
     with_override(Some(false), || assert!(!verifier_enabled()));
 }
 
-/// Every concrete variant, 1D and 2D: the verified run completes (no false
+/// Every concrete variant, ranks 1-3: the verified run completes (no false
 /// positive) and is bitwise-identical to the unverified run — proving the
-/// verifier observes without perturbing.
+/// verifier observes without perturbing. The PyTorch baseline's launches
+/// (full FFTs along every axis, the corner copies) go through the same
+/// verifier as the Turbo stages.
 #[test]
 fn all_variants_verified_match_unverified_bitwise() {
     let p1 = SpectralShape::d1(2, 9, 12, 128).with_modes(&[32]);
     let p2 = SpectralShape::d2(2, 10, 12, 32, 32).with_modes(&[16, 32]);
+    let p3 = SpectralShape::d3(1, 4, 6, 8, 16, 64).with_modes(&[4, 8, 32]);
     for v in Variant::CONCRETE {
         let on_1d = with_override(Some(true), || run_once_1d(&p1, v));
         let off_1d = with_override(Some(false), || run_once_1d(&p1, v));
         assert_eq!(on_1d, off_1d, "{v:?} 1D: verifier changed the output");
-        let on_2d = with_override(Some(true), || run_once_2d(&p2, v));
-        let off_2d = with_override(Some(false), || run_once_2d(&p2, v));
-        assert_eq!(on_2d, off_2d, "{v:?} 2D: verifier changed the output");
+        for (rank, p) in [(2, &p2), (3, &p3)] {
+            let on = with_override(Some(true), || run_once_nd(p, v));
+            let off = with_override(Some(false), || run_once_nd(p, v));
+            assert_eq!(on, off, "{v:?} {rank}D: verifier changed the output");
+        }
     }
 }
 

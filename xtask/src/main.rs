@@ -19,12 +19,14 @@
 //! - **bench-ci-coverage**: every `harness = false` `[[bench]]` target in
 //!   `crates/*/Cargo.toml` must be compiled by CI, either via a blanket
 //!   `cargo bench --no-run` step or by naming the target in the workflow.
-//! - **backend-isolation**: `crates/core` sees the execution device only
-//!   through the `Backend` trait. Outside the adapter module
-//!   (`backend.rs`) and the sim-specific kernel builders (`fused.rs`,
-//!   `swizzle.rs`, `fused_tests.rs`), core source must not name
-//!   `tfno_gpu_sim` or `GpuDevice` — new code goes through the trait so
-//!   every backend benefits.
+//! - **backend-isolation**: engine modules reach the simulator only
+//!   through `crate::backend`: no `tfno_gpu_sim` path in `crates/core/src`
+//!   outside that gateway (`backend.rs`) and the kernel builders
+//!   (`fused.rs`, `swizzle.rs`, `fused_tests.rs`). And below `Session`
+//!   there is one launch path: non-test code in `crates/core/src` and
+//!   `crates/culib/src` calls `.launch(` / `.try_launch(` only inside
+//!   `ExecCtx::try_step` (`crates/core/src/pipeline.rs`), which proves each
+//!   launch against the plan verifier before it issues.
 //! - **rank-isolation**: the engine and the baseline are rank-generic
 //!   (`SpectralShape`); rank-suffixed twin entry points (`fn *_1d` /
 //!   `fn *_2d` / `fn *_3d`) in `crates/core/src` and `crates/culib/src`
@@ -336,6 +338,7 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     let hot_path = is_hot_path_file(file);
     let lock_exempt = is_exec_module(root, file);
     let rank_scope = rank_isolation_scope(root, file);
+    let step_home = is_step_module(root, file);
 
     let mut depth: i64 = 0;
     // Depth at which a `#[cfg(test)]` item's body opened; everything inside
@@ -345,6 +348,9 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     // Depths at which `fn try_*` bodies opened (supports nested items).
     let mut try_stack: Vec<i64> = Vec::new();
     let mut pending_try = false;
+    // Depth at which the body of `ExecCtx::try_step` opened.
+    let mut step_open: Option<i64> = None;
+    let mut pending_step = false;
 
     for (idx, line) in code_lines.iter().enumerate() {
         let in_test = test_open.is_some();
@@ -352,8 +358,12 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
             if line.contains("#[cfg(test)]") {
                 pending_test = true;
             }
-            if contains_try_fn_decl(line) {
+            let decls = fn_decl_names(line);
+            if decls.iter().any(|n| n.starts_with("try_")) {
                 pending_try = true;
+            }
+            if step_home && decls.contains(&"try_step") {
+                pending_step = true;
             }
 
             let lineno = idx + 1;
@@ -398,8 +408,23 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                         .into(),
                 });
             }
+            // The rank-isolation scope is also the launch rule's scope.
+            if rank_scope
+                && step_open.is_none()
+                && (line.contains(".launch(") || line.contains(".try_launch("))
+            {
+                findings.push(Finding {
+                    file: file.to_path_buf(),
+                    line: lineno,
+                    rule: "backend-isolation",
+                    message: "a launch outside `ExecCtx::try_step`: below `Session` every \
+                              kernel launches through `try_step`, which proves it against \
+                              the plan verifier first"
+                        .into(),
+                });
+            }
             if rank_scope {
-                if let Some(name) = rank_suffixed_fn_decl(line) {
+                if let Some(name) = decls.iter().find(|n| is_rank_suffixed(n)) {
                     findings.push(Finding {
                         file: file.to_path_buf(),
                         line: lineno,
@@ -424,11 +449,18 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                     } else if pending_try && test_open.is_none() {
                         try_stack.push(depth);
                         pending_try = false;
+                        if pending_step {
+                            step_open = Some(depth);
+                            pending_step = false;
+                        }
                     }
                 }
                 '}' => {
                     if test_open == Some(depth) {
                         test_open = None;
+                    }
+                    if step_open == Some(depth) {
+                        step_open = None;
                     }
                     if try_stack.last() == Some(&depth) {
                         try_stack.pop();
@@ -440,6 +472,7 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                 // the next brace belongs to some other item, not to it.
                 ';' => {
                     pending_try = false;
+                    pending_step = false;
                     pending_test = false;
                 }
                 _ => {}
@@ -448,13 +481,14 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     }
 }
 
-/// Detects a `fn try_*` declaration on a (sanitized) line, including
-/// `pub fn try_x`, `pub(crate) fn try_x`, and generic variants. Avoids
-/// matching calls like `self.try_x(` by requiring the `fn` keyword.
-fn contains_try_fn_decl(line: &str) -> bool {
+/// The names of the functions declared on a (sanitized) line, including
+/// `pub fn f`, `pub(crate) fn f` and generic `fn f<T>`. Calls such as
+/// `self.try_x(` are not declarations: the `fn` keyword must stand on a
+/// word boundary (not, e.g., as the tail of an identifier).
+fn fn_decl_names(line: &str) -> Vec<&str> {
+    let mut names = Vec::new();
     let mut rest = line;
     while let Some(pos) = rest.find("fn ") {
-        // `fn` must be a word boundary (not e.g. the tail of an identifier).
         let boundary = pos == 0
             || !rest[..pos]
                 .chars()
@@ -462,12 +496,20 @@ fn contains_try_fn_decl(line: &str) -> bool {
                 .map(|c| c.is_alphanumeric() || c == '_')
                 .unwrap_or(false);
         let after = rest[pos + 3..].trim_start();
-        if boundary && after.starts_with("try_") {
-            return true;
+        if boundary {
+            let end = after
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(after.len());
+            names.push(&after[..end]);
         }
         rest = &rest[pos + 3..];
     }
-    false
+    names
+}
+
+/// Whether a function name ends in a rank suffix (`_1d` / `_2d` / `_3d`).
+fn is_rank_suffixed(name: &str) -> bool {
+    name.ends_with("_1d") || name.ends_with("_2d") || name.ends_with("_3d")
 }
 
 /// Whether `file` is engine or baseline source held to the rank-isolation
@@ -482,36 +524,17 @@ fn rank_isolation_scope(root: &Path, file: &Path) -> bool {
         && file.file_name().and_then(|n| n.to_str()) != Some("fused_tests.rs")
 }
 
-/// Returns the name of a `fn` declared on the (sanitized) line when it
-/// ends in a rank suffix (`_1d` / `_2d` / `_3d`), using the same
-/// `fn`-keyword boundary logic as [`contains_try_fn_decl`].
-fn rank_suffixed_fn_decl(line: &str) -> Option<&str> {
-    let mut rest = line;
-    while let Some(pos) = rest.find("fn ") {
-        let boundary = pos == 0
-            || !rest[..pos]
-                .chars()
-                .next_back()
-                .map(|c| c.is_alphanumeric() || c == '_')
-                .unwrap_or(false);
-        let after = rest[pos + 3..].trim_start();
-        if boundary {
-            let end = after
-                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .unwrap_or(after.len());
-            let name = &after[..end];
-            if name.ends_with("_1d") || name.ends_with("_2d") || name.ends_with("_3d") {
-                return Some(name);
-            }
-        }
-        rest = &rest[pos + 3..];
-    }
-    None
+/// The module holding `ExecCtx::try_step`, the one function below
+/// `Session` allowed to launch a kernel.
+fn is_step_module(root: &Path, file: &Path) -> bool {
+    file.strip_prefix(root)
+        .map(|p| p == Path::new("crates/core/src/pipeline.rs"))
+        .unwrap_or(false)
 }
 
-/// Whether `file` is core source held to the backend-isolation rule:
-/// everything under `crates/core/src` except the backend adapter module
-/// and the sim-specific kernel builders it wraps.
+/// Whether `file` is core source held to the backend-isolation token
+/// rule: everything under `crates/core/src` except the gateway module and
+/// the sim-specific kernel builders.
 fn backend_isolation_scope(root: &Path, file: &Path) -> bool {
     let Ok(rel) = file.strip_prefix(root) else {
         return false;
@@ -525,23 +548,24 @@ fn backend_isolation_scope(root: &Path, file: &Path) -> bool {
     )
 }
 
-/// Rule 5: `crates/core` talks to the device only through the `Backend`
-/// trait. Direct references to the simulator crate or its concrete device
-/// type belong in the adapter module, not in engine code.
+/// Rule 5, token half: engine modules reach the simulator only through
+/// `crate::backend`. A `tfno_gpu_sim` path belongs in the gateway module
+/// (or a kernel builder), not in engine code. The launch half runs in
+/// [`lint_source`], which tracks function bodies and test regions.
 fn lint_backend_isolation(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) {
     if !backend_isolation_scope(root, file) {
         return;
     }
     let sanitized = sanitize(text);
     for (idx, line) in sanitized.lines().enumerate() {
-        if line.contains("tfno_gpu_sim") || line.contains("GpuDevice") {
+        if line.contains("tfno_gpu_sim") {
             findings.push(Finding {
                 file: file.to_path_buf(),
                 line: idx + 1,
                 rule: "backend-isolation",
-                message: "core engine code must not reference tfno_gpu_sim/GpuDevice \
-                          directly: go through the `Backend` trait (or the adapter \
-                          re-exports in crates/core/src/backend.rs)"
+                message: "core engine code must not name tfno_gpu_sim: import device \
+                          types through the gateway re-exports in \
+                          crates/core/src/backend.rs"
                     .into(),
             });
         }
@@ -700,10 +724,10 @@ mod tests {
 
     #[test]
     fn try_fn_decl_detection() {
-        assert!(contains_try_fn_decl("pub fn try_run(&self) {"));
-        assert!(contains_try_fn_decl("    pub(crate) fn try_submit<T>("));
-        assert!(!contains_try_fn_decl("self.try_run()?;"));
-        assert!(!contains_try_fn_decl("fn run_try_harder() {"));
+        assert_eq!(fn_decl_names("pub fn try_run(&self) {"), ["try_run"]);
+        assert_eq!(fn_decl_names("    pub(crate) fn try_submit<T>("), ["try_submit"]);
+        assert!(fn_decl_names("self.try_run()?;").is_empty());
+        assert_eq!(fn_decl_names("fn run_try_harder() {"), ["run_try_harder"]);
     }
 
     #[test]
@@ -905,17 +929,18 @@ pub fn problem_2d(&self) -> Option<FnoProblem2d> { None }
 
     #[test]
     fn rank_suffixed_decl_detection() {
-        assert_eq!(rank_suffixed_fn_decl("pub fn run_1d(p: &P) {"), Some("run_1d"));
-        assert_eq!(rank_suffixed_fn_decl("    fn stage_2d<T>("), Some("stage_2d"));
-        assert_eq!(rank_suffixed_fn_decl("self.run_1d();"), None);
-        assert_eq!(rank_suffixed_fn_decl("pub fn run_3d() {"), Some("run_3d"));
-        assert_eq!(rank_suffixed_fn_decl("pub fn rank() {"), None);
+        let suffixed = |line| fn_decl_names(line).into_iter().find(|n| is_rank_suffixed(n));
+        assert_eq!(suffixed("pub fn run_1d(p: &P) {"), Some("run_1d"));
+        assert_eq!(suffixed("    fn stage_2d<T>("), Some("stage_2d"));
+        assert_eq!(suffixed("self.run_1d();"), None);
+        assert_eq!(suffixed("pub fn run_3d() {"), Some("run_3d"));
+        assert_eq!(suffixed("pub fn rank() {"), None);
     }
 
     #[test]
     fn backend_isolation_flags_core_device_refs() {
         let root = Path::new("/repo");
-        let src = "use crate::backend::ExecMode;\nuse tfno_gpu_sim::GpuDevice;\n";
+        let src = "use crate::backend::GpuDevice;\nuse tfno_gpu_sim::ExecMode;\n";
         let mut findings = Vec::new();
         lint_backend_isolation(
             root,
@@ -1006,6 +1031,54 @@ fn not_unsafe_fn() {}
             src,
             &mut findings,
         );
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn launches_outside_try_step_are_flagged() {
+        let root = Path::new("/repo");
+        let mut findings = Vec::new();
+        // A baseline executor in the kernel crate launching on its own.
+        let culib = "pub fn run(dev: &mut GpuDevice, k: &K) {\n    dev.launch(k, mode);\n}\n";
+        lint_source(root, &root.join("crates/culib/src/cufft.rs"), culib, &mut findings);
+        // A second launch path in the engine module itself.
+        let core = "\
+impl ExecCtx<'_> {
+    fn try_other(&mut self, k: &K) -> R {
+        self.dev.try_launch(k, mode)
+    }
+}
+";
+        lint_source(root, &root.join("crates/core/src/pipeline.rs"), core, &mut findings);
+        let lines: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [("backend-isolation", 2), ("backend-isolation", 3)], "{findings:?}");
+    }
+
+    #[test]
+    fn launches_in_try_step_tests_and_other_crates_are_clean() {
+        let root = Path::new("/repo");
+        let step = "\
+impl ExecCtx<'_> {
+    pub(crate) fn try_step(
+        &mut self,
+        kernel: impl Kernel,
+        mode: ExecMode,
+    ) -> Result<LaunchRecord, LaunchError> {
+        self.check_plan(&kernel)?;
+        self.dev.try_launch(&kernel, mode)
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn run(dev: &mut GpuDevice) { dev.launch(&k, mode); }
+}
+";
+        let mut findings = Vec::new();
+        lint_source(root, &root.join("crates/core/src/pipeline.rs"), step, &mut findings);
+        // Model code and root tests launch through a session's device.
+        let model = "fn f(dev: &mut GpuDevice) { dev.launch(&k, mode); }\n";
+        lint_source(root, &root.join("crates/fno/src/permode.rs"), model, &mut findings);
+        lint_source(root, &root.join("tests/verify.rs"), model, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 }
