@@ -21,7 +21,6 @@ pub use tfno_backend::{
     SimBackend,
 };
 pub use tfno_gpu_sim::{
-    configured_workers, for_each_mut, lock_unpoisoned, merge_runs, runs_overlap, BufferId,
-    DeviceConfig, ExecMode, FaultKind, FaultPlan, FaultStats, GpuDevice, Kernel, KernelAccess,
-    KernelStats, LaunchError, LaunchRecord,
+    configured_workers, for_each_mut, merge_runs, runs_overlap, BufferId, DeviceConfig, ExecMode,
+    FaultKind, FaultPlan, FaultStats, GpuDevice, Kernel, KernelStats, LaunchError, LaunchRecord,
 };

@@ -127,7 +127,10 @@ pub struct RecoveryStats {
     /// Requests whose panic was caught and healed (leaked leases
     /// released, later calls unaffected).
     pub jobs_healed: u64,
-    /// Leases a panicked request leaked that the session released.
+    /// Leases a unit of work took and left behind, on any exit path
+    /// (success, error or panic), that the session released afterwards.
+    /// With verification on, such a leak on a success also fails the call
+    /// with `Validation`.
     pub leases_recovered: u64,
 }
 
@@ -154,6 +157,24 @@ mod tests {
         };
         assert_eq!(p.attempts(), 1);
         assert_eq!(RetryPolicy::default().attempts(), 3);
+    }
+
+    /// A plan rejection is a property of the request: it maps to
+    /// `Validation`, never to the retryable class.
+    #[test]
+    fn plan_rejection_maps_to_validation() {
+        let e: TfnoError = LaunchError::PlanRejected {
+            kernel: "k".into(),
+            reason: "blocks overlap".into(),
+        }
+        .into();
+        assert!(!e.is_transient());
+        match e {
+            TfnoError::Validation(msg) => {
+                assert!(msg.contains("plan verifier rejected kernel"), "{msg}")
+            }
+            other => panic!("expected Validation, got {other:?}"),
+        }
     }
 
     #[test]

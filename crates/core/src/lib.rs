@@ -51,10 +51,7 @@ pub use pipeline::{PipelineRun, TurboOptions, Variant, TURBO_FFT_L1_HIT};
 pub use planner::{Planner, PlannerStats, TURBO_CANDIDATES};
 pub use pool::{BufferPool, PoolStats};
 pub use session::{DispatchStats, LaunchHandle, LayerSpec, ReplayStats, Request, Session};
-pub use verify::{
-    check_queue_aliasing, set_verify_override, verifier_enabled, PlanHazard, PlanVerifier,
-    QueueAccess,
-};
+pub use verify::{check_launch, set_verify_override, verifier_enabled, PlanHazard};
 // The strided-batched weight layout mixed-weight serving stacks ride on.
 pub use tfno_cgemm::WeightStacking;
 pub use swizzle::{

@@ -35,6 +35,7 @@ use crate::fused::{fused_supported, FusedKernel, GeomNd};
 use crate::planner::TURBO_CANDIDATES;
 use crate::pool::BufferPool;
 use crate::swizzle::ForwardLayout;
+use crate::verify::check_launch;
 use tfno_cgemm::{
     BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, TileConfig, WeightStacking,
 };
@@ -311,18 +312,16 @@ impl LayerBufs {
 }
 
 /// Everything a pipeline execution needs from its surrounding
-/// [`Session`](crate::Session): the device and the scratch pool. Every
-/// executing `Session` call builds one over its own state (see
-/// `session.rs`), after its planner has resolved `TurboBest`.
+/// [`Session`](crate::Session): the device and the scratch pool. Only
+/// `Session::run_work` builds one (`cargo xtask lint` keeps it so), over
+/// the session's own state, and reconciles the pool's leases afterwards.
 pub(crate) struct ExecCtx<'a> {
     pub dev: &'a mut GpuDevice,
     pub pool: &'a mut BufferPool,
-    /// Static launch-plan verifier (`verify.rs`). When present, every
-    /// launch routed through `try_step` is proven
-    /// hazard-free before it issues, and lease traffic is balanced; `None`
-    /// when verification is disabled (see `verify::verifier_enabled`) and
-    /// on planner cost probes, which re-run proven plans analytically.
-    pub verify: Option<crate::verify::PlanVerifier>,
+    /// Prove every launch routed through `try_step` hazard-free before it
+    /// issues (`verify::check_launch`); off when verification is disabled
+    /// (see `verify::verifier_enabled`).
+    pub verify: bool,
 }
 
 // -------------------------------------------------- stage builders ----
@@ -449,8 +448,9 @@ pub(crate) fn spectral_gemm(
 }
 
 impl ExecCtx<'_> {
-    /// Lease pipeline scratch matching the virtualness of the layer input.
-    /// A faulted lease leaves the pool untouched and nothing to release.
+    /// Lease scratch matching the virtualness of `like` (the layer input,
+    /// or a stacked request's real input for serving-queue staging). A
+    /// faulted lease leaves the pool untouched and nothing to release.
     pub(crate) fn try_scratch(
         &mut self,
         like: BufferId,
@@ -458,24 +458,6 @@ impl ExecCtx<'_> {
         leases: &mut Vec<BufferId>,
     ) -> Result<BufferId, LaunchError> {
         let id = self.pool.try_acquire_like(self.dev, like, len)?;
-        if let Some(v) = &mut self.verify {
-            v.acquire(id);
-        }
-        leases.push(id);
-        Ok(id)
-    }
-
-    /// Lease a real staging buffer (serving-queue gather/scatter scratch),
-    /// keeping the verifier's lease ledger in step with the pool's.
-    pub(crate) fn try_stage(
-        &mut self,
-        len: usize,
-        leases: &mut Vec<BufferId>,
-    ) -> Result<BufferId, LaunchError> {
-        let id = self.pool.try_acquire(self.dev, len)?;
-        if let Some(v) = &mut self.verify {
-            v.acquire(id);
-        }
         leases.push(id);
         Ok(id)
     }
@@ -483,47 +465,27 @@ impl ExecCtx<'_> {
     pub(crate) fn release(&mut self, leases: Vec<BufferId>) {
         for id in leases {
             self.pool.release(self.dev, id);
-            if let Some(v) = &mut self.verify {
-                // The pool's own panics fire first on a bad release, so
-                // the ledgers cannot disagree here.
-                let balanced = v.release(id);
-                debug_assert!(balanced.is_ok(), "verifier and pool lease ledgers diverged");
-            }
         }
     }
 
-    /// Prove a launch hazard-free before it issues (no-op when the
-    /// verifier is off). A rejection surfaces as
-    /// [`LaunchError::PlanRejected`], which the session's error layer maps
-    /// to non-retryable `TfnoError::Validation`.
-    fn check_plan(&mut self, kernel: &dyn Kernel) -> Result<(), LaunchError> {
-        let Some(v) = &mut self.verify else {
-            return Ok(());
-        };
-        v.check_launch(self.dev, kernel)
-            .map_err(|hazard| LaunchError::PlanRejected {
-                kernel: kernel.name(),
-                reason: hazard.to_string(),
-            })
-    }
-
-    /// End-of-sequence verifier check: every lease this sequence took must
-    /// have been released.
-    pub(crate) fn verify_finish(&mut self) -> Result<(), crate::error::TfnoError> {
-        if let Some(v) = &mut self.verify {
-            v.finish()?;
-        }
-        Ok(())
-    }
-
-    /// Check a kernel against the plan verifier, then launch it: the one
-    /// launch call below `Session` (`cargo xtask lint` keeps it so).
+    /// Prove a kernel hazard-free when verification is on, then launch
+    /// it: the one launch call below `Session` (`cargo xtask lint` keeps
+    /// it so). A rejection surfaces as [`LaunchError::PlanRejected`],
+    /// which the session's error layer maps to non-retryable
+    /// `TfnoError::Validation`.
     pub(crate) fn try_step(
         &mut self,
         kernel: impl Kernel,
         mode: ExecMode,
     ) -> Result<LaunchRecord, LaunchError> {
-        self.check_plan(&kernel)?;
+        if self.verify {
+            check_launch(self.dev, self.pool, &kernel).map_err(|hazard| {
+                LaunchError::PlanRejected {
+                    kernel: kernel.name(),
+                    reason: hazard.to_string(),
+                }
+            })?;
+        }
         self.dev.try_launch(&kernel, mode)
     }
 

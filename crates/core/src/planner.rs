@@ -7,11 +7,12 @@
 //! function of `(device, problem shape, options)`.
 //!
 //! [`Planner`] memoizes the decision: the first plan of a key evaluates
-//! the four candidates (on parallel host threads when available) and every
-//! later plan of the same key is a cache hit — zero simulated launches.
+//! the four candidates (on parallel host threads when available), each a
+//! [`Session::measure`] on a scratch session, and every later plan of the
+//! same key is a cache hit — zero simulated launches.
 //! The key is the full `(DeviceConfig, SpectralShape, TurboOptions)`
 //! triple, compared field by field on every hit, so two devices or option
-//! sets never share an entry. Each [`Session`](crate::Session) owns one
+//! sets never share an entry. Each [`Session`] owns one
 //! planner and calls it through `&mut self`, so its models, benches and
 //! serving loops share one warm cache with no lock, and its stats are
 //! observable per session. Cold, uncached best-of evaluation is exposed as
@@ -19,12 +20,12 @@
 //! a full wipe).
 
 use crate::error::TfnoError;
-use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
-use crate::pool::BufferPool;
+use crate::pipeline::{unfit_reason, TurboOptions, Variant};
+use crate::session::{LayerSpec, Session};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use tfno_culib::SpectralShape;
-use crate::backend::{configured_workers, for_each_mut, DeviceConfig, ExecMode, GpuDevice};
+use crate::backend::{configured_workers, for_each_mut, DeviceConfig, GpuDevice};
 
 /// The candidates `TurboBest` chooses among (paper Table 2, A–D).
 pub const TURBO_CANDIDATES: [Variant; 4] = [
@@ -66,7 +67,7 @@ impl Hash for PlanKey {
     }
 }
 
-/// Memoizing `TurboBest` planner, owned by one [`Session`](crate::Session).
+/// Memoizing `TurboBest` planner, owned by one [`Session`].
 ///
 /// The plan cache has two generations: inserts and promotions land in
 /// `hot`; when `hot` fills half the cap, it rotates into `cold` and the
@@ -200,12 +201,14 @@ impl Planner {
     }
 }
 
-/// Cold evaluation: simulate the four candidates analytically on virtual
-/// buffers (in parallel on the worker pool when available) and return the
-/// fastest plus the number of simulated launches. Ties break toward the
-/// earlier candidate, matching the sequential pre-PR scan. The analytical
-/// launch memo is disabled on the scratch devices so "cold" stays true —
-/// every counted launch really simulates its representative blocks.
+/// Cold evaluation: measure the four candidates with [`Session::measure`]
+/// (in parallel on the worker pool when available) and return the fastest
+/// plus the number of simulated launches. Ties break toward the earlier
+/// candidate, as a sequential scan would. Each candidate runs on
+/// its own scratch session, whose device keeps the analytical launch memo
+/// off so "cold" stays true — every counted launch really simulates its
+/// representative blocks — and whose launches go through the same
+/// request path, plan check and lease reconciliation as every other call.
 /// Candidates the shape cannot be built for on `cfg` ([`unfit_reason`]:
 /// unaligned fused modes, or a block over the device's shared memory) are
 /// not simulated and never win.
@@ -220,21 +223,7 @@ pub(crate) fn evaluate_shape(
         }
         let mut dev = GpuDevice::new(cfg.clone());
         dev.analytical_memo = false;
-        let mut pool = BufferPool::new();
-        let [x, w, y] = [s.input_len(), s.weight_len(), s.output_len()]
-            .map(|len| pool.acquire_virtual(&mut dev, len));
-        let run = ExecCtx {
-            dev: &mut dev,
-            pool: &mut pool,
-            // Cost probes re-run already-proven plans analytically; the
-            // verifier would only re-prove the same fingerprints.
-            verify: None,
-        }
-        .try_run_spectral(s, v, LayerBufs::shared(x, w, y), opts, ExecMode::Analytical)
-        // Invariant, not a fault path: probes run analytically and fault
-        // injection applies only to functional launches and real
-        // allocations (the operands here are virtual).
-        .expect("analytical planner probes are never faulted");
+        let run = Session::new(dev).measure(&LayerSpec::from_shape(*s).variant(v).options(*opts));
         (run.total_us(), run.kernel_count() as u64)
     }))
 }

@@ -14,6 +14,14 @@
 //! reads it (the kernels write whole pencils/tiles, never read-modify),
 //! so stale contents are unobservable; the tests in `tests/session_api.rs`
 //! pin bitwise equality between pooled and fresh-buffer runs.
+//!
+//! The pool's lease ledger is the engine's only one. A buffer sitting in
+//! a free list has no lessee, so the plan check (`verify.rs`) rejects a
+//! launch that names it. `Session` diffs the leased set around each unit
+//! of work: it releases every lease the work left behind and, with
+//! verification on, fails a successful run that left any. Buffers enter
+//! the pool only through a lease: [`BufferPool::release`] refuses an id
+//! it never handed out.
 
 use std::collections::{HashMap, HashSet};
 use crate::backend::{BufferId, GpuDevice, LaunchError};
@@ -43,8 +51,7 @@ pub struct BufferPool {
     free: HashMap<(usize, bool), Vec<BufferId>>,
     /// Ids currently sitting in `free` — O(1) double-release detection.
     free_ids: HashSet<BufferId>,
-    /// Ids currently leased out. `release` only accepts members; foreign
-    /// buffers enter via the explicit [`BufferPool::adopt`].
+    /// Ids currently leased out. `release` only accepts members.
     leased_ids: HashSet<BufferId>,
     stats: PoolStats,
     seq: u64,
@@ -88,18 +95,8 @@ impl BufferPool {
     }
 
     /// Lease a buffer matching the virtualness of `reference` (analytical
-    /// sweeps run entirely on virtual buffers).
-    pub fn acquire_like(
-        &mut self,
-        dev: &mut GpuDevice,
-        reference: BufferId,
-        len: usize,
-    ) -> BufferId {
-        self.try_acquire_like(dev, reference, len)
-            .unwrap_or_else(|e| panic!("pool allocation failed: {e}; use try_acquire_like"))
-    }
-
-    /// [`BufferPool::acquire_like`] through the device's typed fault path.
+    /// sweeps run entirely on virtual buffers), through the device's typed
+    /// fault path.
     pub fn try_acquire_like(
         &mut self,
         dev: &mut GpuDevice,
@@ -147,11 +144,16 @@ impl BufferPool {
         Ok(id)
     }
 
-    /// Snapshot of the ids currently leased out — a submit's basis for
-    /// releasing leases leaked by panicked work (diff the snapshots taken
-    /// before and after the work).
+    /// Snapshot of the ids currently leased out: `Session`'s basis for
+    /// releasing the leases a unit of work leaked (diff the snapshots
+    /// taken before and after the work).
     pub(crate) fn leased_snapshot(&self) -> HashSet<BufferId> {
         self.leased_ids.clone()
+    }
+
+    /// Whether `id` sits in a free list: released, and not leased again.
+    pub(crate) fn is_pooled(&self, id: BufferId) -> bool {
+        self.free_ids.contains(&id)
     }
 
     /// Return a leased buffer to its size class. Contents are left as-is —
@@ -161,10 +163,10 @@ impl BufferPool {
     /// # Panics
     /// * On a double release: handing the same id back twice would let two
     ///   later leases alias one buffer and silently corrupt results.
-    /// * On an id this pool never leased: silently accepting it used to
+    /// * On an id this pool never leased (a caller-allocated buffer, or
+    ///   one leased from another pool): silently accepting it used to
     ///   skew the `leased`/`pooled` counters (the decrement saturated
-    ///   against leases that never happened). Foreign buffers must enter
-    ///   through the explicit [`BufferPool::adopt`].
+    ///   against leases that never happened).
     pub fn release(&mut self, dev: &GpuDevice, id: BufferId) {
         assert!(
             !self.free_ids.contains(&id),
@@ -173,37 +175,13 @@ impl BufferPool {
         );
         assert!(
             self.leased_ids.remove(&id),
-            "released buffer {id:?} was never leased from this pool; \
-             use `adopt` to donate a foreign buffer"
+            "released buffer {id:?} was never leased from this pool"
         );
-        self.park(dev, id);
-        self.stats.leased -= 1;
-    }
-
-    /// Donate a buffer this pool never leased (e.g. a caller-allocated
-    /// operand that is no longer needed) to the free lists. Unlike
-    /// [`BufferPool::release`] this does not touch the `leased` counter —
-    /// the buffer was never leased, so there is nothing to decrement.
-    ///
-    /// # Panics
-    /// If the buffer is already pooled or currently leased.
-    pub fn adopt(&mut self, dev: &GpuDevice, id: BufferId) {
-        assert!(
-            !self.free_ids.contains(&id),
-            "adopting buffer {id:?} twice would alias later leases"
-        );
-        assert!(
-            !self.leased_ids.contains(&id),
-            "buffer {id:?} is currently leased from this pool; release it instead"
-        );
-        self.park(dev, id);
-    }
-
-    fn park(&mut self, dev: &GpuDevice, id: BufferId) {
         let key = (dev.memory.len(id), dev.memory.is_virtual(id));
         self.free.entry(key).or_default().push(id);
         self.free_ids.insert(id);
         self.stats.pooled += 1;
+        self.stats.leased -= 1;
     }
 }
 
@@ -249,8 +227,8 @@ mod tests {
         let mut pool = BufferPool::new();
         let real = dev.alloc("x", 16);
         let virt = dev.memory.alloc_virtual("xv", 16);
-        let like_real = pool.acquire_like(&mut dev, real, 8);
-        let like_virt = pool.acquire_like(&mut dev, virt, 8);
+        let like_real = pool.try_acquire_like(&mut dev, real, 8).expect("no fault plan");
+        let like_virt = pool.try_acquire_like(&mut dev, virt, 8).expect("no fault plan");
         assert!(!dev.memory.is_virtual(like_real));
         assert!(dev.memory.is_virtual(like_virt));
     }
@@ -285,45 +263,6 @@ mod tests {
         let mut pool = BufferPool::new();
         let foreign = dev.alloc("foreign", 32);
         pool.release(&dev, foreign);
-    }
-
-    /// Regression companion: the counters stay exact when foreign buffers
-    /// enter through the explicit adoption path.
-    #[test]
-    fn adoption_is_explicit_and_keeps_stats_exact() {
-        let mut dev = SimBackend::a100();
-        let mut pool = BufferPool::new();
-        let leased = pool.acquire(&mut dev, 32);
-        let foreign = dev.alloc("foreign", 32);
-        pool.adopt(&dev, foreign);
-        // one lease out, one adopted buffer pooled — not 0/2 or 2/0
-        assert_eq!((pool.stats().leased, pool.stats().pooled), (1, 1));
-        // the adopted buffer satisfies the next same-class lease
-        let next = pool.acquire(&mut dev, 32);
-        assert_eq!(next, foreign);
-        assert_eq!(pool.stats().hits, 1);
-        pool.release(&dev, leased);
-        pool.release(&dev, next);
-        assert_eq!((pool.stats().leased, pool.stats().pooled), (0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "adopting buffer")]
-    fn double_adoption_is_rejected() {
-        let mut dev = SimBackend::a100();
-        let mut pool = BufferPool::new();
-        let foreign = dev.alloc("foreign", 8);
-        pool.adopt(&dev, foreign);
-        pool.adopt(&dev, foreign);
-    }
-
-    #[test]
-    #[should_panic(expected = "currently leased")]
-    fn adopting_a_leased_buffer_is_rejected() {
-        let mut dev = SimBackend::a100();
-        let mut pool = BufferPool::new();
-        let a = pool.acquire(&mut dev, 8);
-        pool.adopt(&dev, a);
     }
 
     /// Regression: a shape-diverse serving loop must not grow the free map

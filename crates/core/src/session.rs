@@ -48,9 +48,11 @@
 //! the [`BufferPool`] hands back the scratch the first call released, the
 //! process-wide FFT plan/trace cache (`tfno_fft::cache`) shares every
 //! pruned plan and butterfly trace, and a functional sim launch attaches
-//! its memoized analytical counts instead of metering every access. A warm
-//! [`Session::measure`] issues the same launches as a cold one; each is
-//! answered from the analytical launch memo.
+//! its memoized analytical counts instead of metering every access.
+//! [`Session::measure`] is a `try_run` in analytical mode on leased
+//! virtual operands, so a warm one issues the same launches as a cold one,
+//! each answered from the analytical launch memo. The planner's cold
+//! probes are such measurements too, each on a scratch session.
 //!
 //! ## Submit and wait
 //!
@@ -89,17 +91,22 @@
 //! nothing, so every retry — and the final success — is bitwise-identical
 //! to a fault-free run of the same variant.
 //!
-//! A panic in the engine is a bug, not a [`TfnoError`], but it does not
-//! wedge the session: the call that ran the work releases the scratch
-//! leases the unwind leaked, then resumes the panic, so it surfaces at
-//! that `run`/`submit` call (or its `_many` or `try_` form). Later calls
-//! proceed unaffected, and [`Session::recovery_stats`] counts all of it.
+//! Every call's work runs through one function, which reconciles the
+//! pool's lease ledger when the work ends: a lease the work took and left
+//! behind is released on every exit path. A panic in the engine is a
+//! bug, not a [`TfnoError`], but it does not wedge the session: the
+//! leases the unwind leaked are released, then the panic resumes, so it
+//! surfaces at that `run`/`submit` call (or its `_many` or `try_` form).
+//! A leak on a successful call is a defect of the plan: with verification
+//! on (see [`crate::verify`]) the call returns [`TfnoError::Validation`].
+//! Later calls proceed unaffected, and [`Session::recovery_stats`] counts
+//! all of it.
 
 use crate::error::{RecoveryStats, RetryPolicy, TfnoError};
 use crate::pipeline::{unfit_reason, ExecCtx, LayerBufs, TurboOptions, Variant};
 use crate::planner::{Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
-use crate::verify::{check_queue_aliasing, verifier_enabled, PlanHazard, PlanVerifier, QueueAccess};
+use crate::verify::{verifier_enabled, PlanHazard};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use tfno_cgemm::WeightStacking;
@@ -414,13 +421,9 @@ impl<B: Backend> Session<B> {
         self.device().fault_stats()
     }
 
-    /// Bounded retry budget applied by every executing entry point
-    /// (`try_run`, `try_submit`, their queue forms and panicking wrappers)
-    /// to transient device faults.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
+    /// Set the bounded retry budget every executing entry point (`try_run`,
+    /// `try_submit`, their queue forms and panicking wrappers) applies to
+    /// transient device faults.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -471,12 +474,6 @@ impl<B: Backend> Session<B> {
         self.pool.release(self.dev.device(), id);
     }
 
-    /// Donate a buffer the pool never leased (e.g. one created with
-    /// [`Session::alloc`] that is no longer needed) to the free lists.
-    pub fn adopt(&mut self, id: BufferId) {
-        self.pool.adopt(self.dev.device(), id);
-    }
-
     pub fn upload(&mut self, id: BufferId, data: &[C32]) {
         self.device_mut().upload(id, data);
     }
@@ -486,13 +483,28 @@ impl<B: Backend> Session<B> {
     }
 
     /// The one admission check, run by every entry point before anything
-    /// launches, so a bad request fails at its call site: operand lengths,
-    /// shape and fusability for every request, plus — for a
-    /// `run_many`/`submit_many` queue (`parallel`) — the aliasing rules.
-    /// A single `run`/`submit` is never reordered against other work, so
-    /// it may update in place (`y == x`).
+    /// launches, so a bad request fails at its call site: operand ids
+    /// this session's device allocated, operand lengths, shape and
+    /// fusability for every request, plus — for a `run_many`/`submit_many`
+    /// queue (`parallel`) — the aliasing rules. A single `run`/`submit` is
+    /// never reordered against other work, so it may update in place
+    /// (`y == x`).
+    ///
+    /// Buffer ids are per-device indices: an id from another session's
+    /// device that is out of range here is rejected, but an in-range one
+    /// names one of this device's buffers and cannot be detected.
     fn try_admit(&self, reqs: &[Request], parallel: bool) -> Result<(), TfnoError> {
-        let len = |id: BufferId| self.device().memory.len(id);
+        let memory = &self.device().memory;
+        for r in reqs {
+            for (operand, id) in [("x", r.x), ("w", r.w), ("y", r.y)] {
+                if !memory.contains(id) {
+                    return Err(TfnoError::Validation(format!(
+                        "{operand} is buffer {id:?}, which this session's device never allocated"
+                    )));
+                }
+            }
+        }
+        let len = |id: BufferId| memory.len(id);
         for r in reqs {
             for (got, want, msg) in [
                 (len(r.x), r.spec.input_len(), "x length != spec input_len"),
@@ -508,29 +520,34 @@ impl<B: Backend> Session<B> {
         if !parallel {
             return Ok(());
         }
-        // The aliasing rules are one `PlanVerifier` code path; only the
-        // message text — pinned by the API tests — is rendered here.
-        let access: Vec<QueueAccess> = reqs
-            .iter()
-            .map(|r| QueueAccess {
-                reads: vec![("x", r.x), ("w", r.w)],
-                writes: vec![r.y],
-            })
-            .collect();
-        match check_queue_aliasing(&access) {
-            Ok(()) => Ok(()),
-            Err(PlanHazard::SelfAlias { index, operand }) => Err(TfnoError::Validation(format!(
-                "run_many request {index} is self-aliased (y == {operand}): group-reordered \
-                 execution would run it in-place; use a distinct output buffer or a \
-                 sequential `run` call"
-            ))),
-            Err(PlanHazard::CrossAlias { writer, reader }) => Err(TfnoError::Validation(format!(
-                "run_many requests must not alias outputs: request {writer}'s y is an \
-                 operand of request {reader}; chain dependent layers through \
-                 sequential `run` calls instead"
-            ))),
-            Err(other) => Err(other.into()),
+        // Queues run group-reordered, so no request's output may be its
+        // own operand or any other request's operand or output. The scan
+        // order is pinned by the API tests' messages: writer-major, and a
+        // request's self-alias before any cross-alias it takes part in.
+        for (i, a) in reqs.iter().enumerate() {
+            let own = [("x", a.x), ("w", a.w)]
+                .into_iter()
+                .find(|&(_, b)| b == a.y);
+            if let Some((operand, _)) = own {
+                return Err(TfnoError::Validation(format!(
+                    "run_many request {i} is self-aliased (y == {operand}): group-reordered \
+                     execution would run it in-place; use a distinct output buffer or a \
+                     sequential `run` call"
+                )));
+            }
+            let reader = reqs
+                .iter()
+                .enumerate()
+                .position(|(j, b)| j != i && [b.x, b.w, b.y].contains(&a.y));
+            if let Some(j) = reader {
+                return Err(TfnoError::Validation(format!(
+                    "run_many requests must not alias outputs: request {i}'s y is an \
+                     operand of request {j}; chain dependent layers through \
+                     sequential `run` calls instead"
+                )));
+            }
         }
+        Ok(())
     }
 
     /// The one request path: admit, then run the resilient engine through
@@ -548,12 +565,17 @@ impl<B: Backend> Session<B> {
         Ok(LaunchHandle { outcome })
     }
 
-    /// Run `work` against the session state and return its result.
+    /// Run `work` against the session state and return its result: the
+    /// one place an [`ExecCtx`] is built (`cargo xtask lint` keeps it so)
+    /// and the one place the pool's lease ledger is reconciled.
     ///
-    /// Self-healing: a snapshot of the pool's lease ledger is taken first,
-    /// so when `work` unwinds, every lease it acquired and leaked
-    /// (pipeline scratch, staging buffers) is released before the panic
-    /// resumes here, at the call that ran the work.
+    /// A snapshot of the pool's leases is taken first, and on every exit
+    /// path each lease `work` took and left behind (pipeline scratch,
+    /// staging buffers) is released and counted in
+    /// [`RecoveryStats::leases_recovered`]. When `work` unwinds, the panic
+    /// then resumes here, at the call that ran the work. When it succeeds
+    /// with verification on, a leak is a defect of the plan and returns
+    /// [`PlanHazard::UnreleasedLease`] as [`TfnoError::Validation`].
     fn run_work(
         &mut self,
         work: impl FnOnce(
@@ -563,28 +585,38 @@ impl<B: Backend> Session<B> {
         ) -> Result<Vec<PipelineRun>, TfnoError>,
     ) -> Result<Vec<PipelineRun>, TfnoError> {
         let before = self.pool.leased_snapshot();
+        let verify = verifier_enabled();
         let mut ctx = ExecCtx {
             dev: self.dev.device_mut(),
             pool: &mut self.pool,
-            verify: verifier_enabled().then(PlanVerifier::new),
+            verify,
         };
         let (planner, recovery) = (&mut self.planner, &mut self.recovery);
-        catch_unwind(AssertUnwindSafe(|| work(&mut ctx, planner, recovery))).unwrap_or_else(
-            |payload| {
-                let leaked: Vec<BufferId> = self
-                    .pool
-                    .leased_snapshot()
-                    .difference(&before)
-                    .copied()
-                    .collect();
+        let out = catch_unwind(AssertUnwindSafe(|| work(&mut ctx, planner, recovery)));
+        let mut leaked: Vec<BufferId> = self
+            .pool
+            .leased_snapshot()
+            .difference(&before)
+            .copied()
+            .collect();
+        // Release in id order, so the free lists do not depend on the
+        // set's iteration order.
+        leaked.sort_unstable();
+        self.recovery.leases_recovered += leaked.len() as u64;
+        for &id in &leaked {
+            self.pool.release(self.dev.device(), id);
+        }
+        match out {
+            Err(payload) => {
                 self.recovery.jobs_healed += 1;
-                self.recovery.leases_recovered += leaked.len() as u64;
-                for id in leaked {
-                    self.pool.release(self.dev.device(), id);
-                }
                 resume_unwind(payload)
-            },
-        )
+            }
+            Ok(Ok(_)) if verify && !leaked.is_empty() => {
+                let count = leaked.len();
+                Err(PlanHazard::UnreleasedLease { count }.into())
+            }
+            Ok(out) => out,
+        }
     }
 
     /// Execute one layer spec. `TurboBest` consults the session planner
@@ -743,39 +775,27 @@ impl<B: Backend> Session<B> {
     }
 
     /// Model one spec analytically on pooled virtual buffers (no values
-    /// move; addresses and event counts only). The spec's `exec` mode is
-    /// ignored — measurement is always [`ExecMode::Analytical`].
-    /// `TurboBest` is resolved through the session planner first, like
-    /// every other call; each launch goes through the analytical launch
-    /// memo.
+    /// move; addresses and event counts only): a [`Session::try_run`] of
+    /// the spec in [`ExecMode::Analytical`] (its own `exec` mode is
+    /// ignored) on three leased virtual operands, released afterwards.
+    /// `TurboBest` is resolved through the session planner, like every
+    /// other call; each launch goes through the analytical launch memo
+    /// and, with verification on, the plan check. Analytical launches on
+    /// virtual buffers are exempt from fault injection, so an installed
+    /// [`FaultPlan`] never fails a measurement.
     ///
     /// # Panics
-    /// With the [`TfnoError::Validation`] text when the spec fails the
-    /// shape half of admission — an invalid shape, or a variant whose
+    /// With the [`TfnoError`] text wherever that `try_run` returns `Err`:
+    /// the shape half of admission — an invalid shape, or a variant whose
     /// kernels cannot be built for it on this device.
     pub fn measure(&mut self, spec: &LayerSpec) -> PipelineRun {
-        if let Err(e) = spec.check_shape(&self.device().config) {
-            panic!("{e}");
-        }
-        let variant = resolve(&mut self.planner, &self.dev.device().config, spec);
-        let spec = spec.exec(ExecMode::Analytical);
-        let mut ctx = ExecCtx {
-            dev: self.dev.device_mut(),
-            pool: &mut self.pool,
-            verify: verifier_enabled().then(PlanVerifier::new),
-        };
         let [x, w, y] = [spec.input_len(), spec.weight_len(), spec.output_len()]
-            .map(|len| ctx.pool.acquire_virtual(ctx.dev, len));
-        // INVARIANT: analytical launches on virtual buffers are exempt
-        // from fault injection (a contract every backend upholds), so
-        // this cannot fail even with a FaultPlan installed.
-        let run = ctx
-            .try_run_spec(&spec, variant, LayerBufs::shared(x, w, y))
-            .expect("analytical launches are never faulted");
+            .map(|len| self.acquire_virtual(len));
+        let run = self.try_run(&spec.exec(ExecMode::Analytical), x, w, y);
         for id in [x, w, y] {
-            ctx.pool.release(ctx.dev, id);
+            self.release(id);
         }
-        run
+        run.unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -906,8 +926,10 @@ impl ExecCtx<'_> {
         let spec = base.stacked(stack.len());
         let (in_len, out_len, w_len) = (base.input_len(), base.output_len(), base.weight_len());
 
-        let sx = self.try_stage(spec.input_len(), leases)?;
-        let sy = self.try_stage(spec.output_len(), leases)?;
+        // Stacked requests carry real buffers, so their staging is real.
+        let like = reqs[owner].x;
+        let sx = self.try_scratch(like, spec.input_len(), leases)?;
+        let sy = self.try_scratch(like, spec.output_len(), leases)?;
 
         // Gather inputs (and, for mixed weights, the packed weight stack)
         // in one launch.
@@ -924,7 +946,7 @@ impl ExecCtx<'_> {
             .collect();
         let mixed = stack.iter().any(|&j| reqs[j].w != reqs[stack[0]].w);
         let (w, ws) = if mixed {
-            let sw = self.try_stage(stack.len() * w_len, leases)?;
+            let sw = self.try_scratch(like, stack.len() * w_len, leases)?;
             gather.extend(stack.iter().enumerate().map(|(pos, &j)| CopySegment {
                 src: reqs[j].w,
                 src_base: 0,
@@ -986,13 +1008,7 @@ fn run_queue_resilient(
             let out = ctx.try_run_queue(planner, &reqs).map_err(TfnoError::from);
             total_attempts += 1;
             match out {
-                Ok(runs) => {
-                    // Lease balance is part of the proof: a sequence that
-                    // finished with outstanding verifier leases mis-declared
-                    // its scratch traffic.
-                    ctx.verify_finish()?;
-                    return Ok(runs);
-                }
+                Ok(runs) => return Ok(runs),
                 Err(e) if e.is_transient() => {
                     if attempt < policy.attempts() {
                         recovery.transient_retries += 1;
@@ -1306,6 +1322,60 @@ mod tests {
         let run = sess.run(&spec, x, w, y); // still serviceable
         assert!(run.kernel_count() > 0);
         assert_eq!(sess.pool_stats().leased, 0);
+    }
+
+    /// Work that leaks a lease and returns `Ok` has the lease released
+    /// and counted by `run_work`, and with verification on the call
+    /// returns `Validation` instead of its runs.
+    #[test]
+    fn leaked_lease_on_success_is_released_counted_and_rejected_when_verified() {
+        let mut sess = Session::new(SimBackend::a100());
+        let out = sess.run_work(|ctx, _, _| {
+            let _leak = ctx.pool.try_acquire(ctx.dev, 64).expect("unfaulted acquire");
+            Ok(Vec::new())
+        });
+        assert_eq!(sess.pool_stats().leased, 0, "the leaked lease was released");
+        let stats = sess.recovery_stats();
+        assert_eq!((stats.leases_recovered, stats.jobs_healed), (1, 0));
+        match (verifier_enabled(), out) {
+            (true, Err(TfnoError::Validation(msg))) => {
+                assert!(msg.contains("1 unreleased pool lease"), "{msg}")
+            }
+            (false, Ok(runs)) => assert!(runs.is_empty()),
+            (verified, other) => panic!("verification {verified}: unexpected {other:?}"),
+        }
+    }
+
+    /// Queue aliasing is an admission rule with a pinned scan order:
+    /// shared operands and single in-place calls pass, a request's
+    /// self-alias is reported before a cross-alias it takes part in, and
+    /// cross-aliases are found writer-major, outputs included.
+    #[test]
+    fn queue_aliasing_scan_order_is_pinned() {
+        let mut sess = Session::new(SimBackend::a100());
+        let spec = LayerSpec::d1(1, 8, 8, 64).modes(32).variant(Variant::FftOpt);
+        let b: Vec<BufferId> =
+            (0..3).map(|i| sess.alloc(&format!("b{i}"), spec.input_len())).collect();
+        let w = sess.alloc("w", spec.weight_len());
+        let req = |x, y| Request { spec, x, w, y };
+        let err = |reqs: &[Request]| sess.try_admit(reqs, true).unwrap_err().to_string();
+
+        sess.try_admit(&[req(b[0], b[1]), req(b[0], b[2])], true).expect("shared operands");
+        sess.try_admit(&[req(b[0], b[0])], false).expect("a single call may update in place");
+        let earlier_writer = err(&[req(b[0], b[1]), req(b[1], b[1])]);
+        assert!(
+            earlier_writer.contains("request 0's y is an operand of request 1"),
+            "{earlier_writer}"
+        );
+        let self_first = err(&[req(b[1], b[1]), req(b[0], b[1])]);
+        assert!(self_first.contains("request 0 is self-aliased (y == x)"), "{self_first}");
+        let writer_major = err(&[req(b[0], b[1]), req(b[1], b[0])]);
+        assert!(
+            writer_major.contains("request 0's y is an operand of request 1"),
+            "{writer_major}"
+        );
+        let outputs = err(&[req(b[0], b[2]), req(b[1], b[2])]);
+        assert!(outputs.contains("request 0's y is an operand of request 1"), "{outputs}");
     }
 
     /// A handle dropped without a wait leaves no lease behind, and its

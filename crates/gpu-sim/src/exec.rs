@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 /// Lock a mutex, recovering the guard when a previous holder panicked.
 ///
 /// Process-wide state (the launch memo, the FFT plan/trace cache, the
-/// verifier's disjointness memo) must survive *caught* panics: the
+/// worker pool) must survive *caught* panics: the
 /// documented aliasing/conflict panics unwind through these locks, and
 /// `.lock().unwrap()` would turn one caught panic into a cascade of
 /// unrelated `PoisonError` failures. The guarded data is always left
@@ -362,22 +362,31 @@ mod tests {
         assert_eq!(*lock_unpoisoned(&first), Some(caller));
     }
 
-    /// A broadcast from inside a share finds the pool busy and runs all
-    /// its shares inline on the share's own thread.
+    /// A broadcast from inside a share that runs on a pool thread finds
+    /// the pool busy with the outer job and runs all its shares inline on
+    /// that thread. When another test holds the pool, the outer call runs
+    /// inline on the caller and an inner call may find the pool free, so
+    /// only pool-thread shares are held to inline execution; every inner
+    /// and outer share runs exactly once either way.
     #[test]
     fn nested_broadcast_completes_inline() {
         let outer = counters(2);
+        let inner: Vec<Vec<AtomicUsize>> = (0..2).map(|_| counters(3)).collect();
         broadcast(2, |i| {
-            let me = std::thread::current().id();
-            let inner: Vec<Mutex<Option<std::thread::ThreadId>>> =
+            let me = std::thread::current();
+            let ran_on: Vec<Mutex<Option<std::thread::ThreadId>>> =
                 (0..3).map(|_| Mutex::new(None)).collect();
             broadcast(3, |j| {
-                *lock_unpoisoned(&inner[j]) = Some(std::thread::current().id())
+                inner[i][j].fetch_add(1, Ordering::SeqCst);
+                *lock_unpoisoned(&ran_on[j]) = Some(std::thread::current().id())
             });
-            assert!(inner.iter().all(|t| *lock_unpoisoned(t) == Some(me)));
+            if me.name().is_some_and(|n| n.starts_with("tfno-pool-")) {
+                assert!(ran_on.iter().all(|t| *lock_unpoisoned(t) == Some(me.id())));
+            }
             outer[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(all_once(&outer));
+        assert!(inner.iter().all(|shares| all_once(shares)));
     }
 
     /// Share 2 finishes only after share 1 has started to panic, so the

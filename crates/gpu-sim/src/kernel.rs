@@ -549,10 +549,6 @@ impl GpuDevice {
         self.memory.download(id)
     }
 
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The newest launch records (a bounded window, see
     /// [`LaunchHistory`]).
     pub fn launches(&self) -> &[LaunchRecord] {

@@ -117,6 +117,12 @@ impl GlobalMemory {
         id
     }
 
+    /// Whether `id` indexes a buffer of this memory. Ids are per-device
+    /// indices, so an in-range id from another device passes too.
+    pub fn contains(&self, id: BufferId) -> bool {
+        id.0 < self.buffers.len()
+    }
+
     pub fn len(&self, id: BufferId) -> usize {
         self.buffers[id.0].len()
     }

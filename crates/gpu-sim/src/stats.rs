@@ -64,13 +64,6 @@ impl KernelStats {
         self.global_load_bytes + self.global_store_bytes
     }
 
-    /// Total 32-byte sectors moved through global memory. This — not raw
-    /// bytes — is what the DRAM actually transfers once coalescing is
-    /// accounted for.
-    pub fn global_sector_bytes(&self) -> u64 {
-        (self.global_load_sectors + self.global_store_sectors) * 32
-    }
-
     /// Shared-memory bank utilization in `[0, 1]`
     /// (1.0 = conflict-free, 0.25 = the paper's 4-way-conflicted layouts).
     pub fn bank_utilization(&self) -> f64 {

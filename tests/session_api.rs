@@ -633,8 +633,8 @@ proptest! {
     }
 }
 
-/// A standalone `BufferPool` is usable outside a session (the planner's
-/// cold evaluations and custom executors drive it directly).
+/// A standalone `BufferPool` is usable outside a session (custom
+/// executors drive it directly).
 #[test]
 fn standalone_pool_round_trip() {
     let mut dev = GpuDevice::a100();
@@ -644,6 +644,30 @@ fn standalone_pool_round_trip() {
     let b = pool.acquire(&mut dev, 256);
     assert_eq!(a, b, "size-class match must recycle the same buffer");
     assert_eq!(pool.stats().hits, 1);
+}
+
+/// Buffer ids are per-device indices: an id from another session's
+/// device that this device never allocated is a `Validation` error from
+/// every entry point, before anything indexes the buffer table (it used to
+/// panic with an index out of bounds). An in-range foreign id names one of
+/// this device's own buffers and cannot be told apart.
+#[test]
+fn foreign_buffer_ids_out_of_range_are_validation_errors() {
+    let spec = LayerSpec::d1(1, 4, 4, 64).variant(Variant::FftOpt);
+    let mut sess = Session::a100();
+    let (x, w, y) = operands(&mut sess, &spec, 0.2);
+    let mut other = Session::a100();
+    let (_, _, _) = operands(&mut other, &spec, 0.2);
+    let foreign = other.alloc("foreign", spec.output_len());
+    let never_allocated = |r: Result<Vec<PipelineRun>, TfnoError>| match r {
+        Err(TfnoError::Validation(msg)) => msg.contains("never allocated"),
+        _ => false,
+    };
+    assert!(never_allocated(sess.try_run(&spec, x, w, foreign).map(|r| vec![r])), "try_run");
+    assert!(never_allocated(sess.try_run(&spec, foreign, w, y).map(|r| vec![r])), "try_run x");
+    let reqs = [Request { spec, x, w, y }, Request { spec, x, w: foreign, y: foreign }];
+    assert!(never_allocated(sess.try_run_many(&reqs)), "try_run_many");
+    assert!(sess.device().launches().is_empty(), "nothing may launch");
 }
 
 /// One shape per rank whose innermost retained modes (16) do not fill a

@@ -1,14 +1,16 @@
-//! Static launch-plan verifier: acceptance and mutation suites.
+//! Static launch-plan check: acceptance and mutation suites.
 //!
 //! **Acceptance** (zero false positives): with verification forced on, every
-//! pipeline variant in 1D and 2D, stacked same-weight and mixed-weight
+//! pipeline variant at ranks 1-3, stacked same-weight and mixed-weight
 //! queues, warm calls, and property-sampled shapes must all run clean —
 //! and produce output bitwise-identical to a verifier-off session. The
-//! verifier is a proof pass, not a transformation.
+//! check is a proof pass, not a transformation.
 //!
 //! **Mutation** (no false negatives): a seeded defect from every hazard
-//! class the verifier knows must be rejected, surfacing as
-//! [`TfnoError::Validation`] before anything launches.
+//! class `check_launch` knows must be rejected, and through a `Session`
+//! it surfaces as [`TfnoError::Validation`] before anything launches.
+//! The queue aliasing rules are admission checks; their end-to-end
+//! messages are pinned here too.
 //!
 //! The verify override is process-global, so every test that toggles it
 //! runs under one mutex and restores the environment policy on exit
@@ -18,13 +20,12 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use turbofno_suite::core::{
-    check_queue_aliasing, set_verify_override, verifier_enabled, PlanHazard, PlanVerifier,
-    QueueAccess, SpectralShape,
+    check_launch, set_verify_override, verifier_enabled, PlanHazard, SpectralShape,
 };
 use turbofno_suite::culib::copy::{CopySegment, SegmentedCopyKernel};
-use turbofno_suite::gpu_sim::{GpuDevice, Kernel};
+use turbofno_suite::gpu_sim::GpuDevice;
 use turbofno_suite::num::C32;
-use turbofno_suite::{LayerSpec, Request, Session, TfnoError, Variant};
+use turbofno_suite::{BufferPool, LayerSpec, Request, Session, TfnoError, Variant};
 
 static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
 
@@ -199,7 +200,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation suite: every hazard class must be rejected as Validation
+// Mutation suite: every hazard class must be rejected
 // ---------------------------------------------------------------------------
 
 fn dev_with(lens: &[usize]) -> (GpuDevice, Vec<turbofno_suite::gpu_sim::BufferId>) {
@@ -219,21 +220,6 @@ fn copy_kernel(
     SegmentedCopyKernel::new(tag, segs)
 }
 
-/// Assert the hazard surfaces as `TfnoError::Validation` through the
-/// kernel-rejection path (the same conversion every run choke point uses).
-fn assert_validation(hazard: PlanHazard, kernel: &dyn Kernel) {
-    let err = hazard.rejecting(kernel);
-    match err {
-        TfnoError::Validation(msg) => {
-            assert!(
-                msg.contains("plan verifier rejected kernel"),
-                "unexpected message: {msg}"
-            );
-        }
-        other => panic!("hazard must surface as Validation, got {other:?}"),
-    }
-}
-
 /// Hazard class 1: two blocks of one launch write overlapping elements.
 #[test]
 fn mutation_block_write_overlap() {
@@ -246,9 +232,8 @@ fn mutation_block_write_overlap() {
             CopySegment { src, src_base: 8, dst, dst_base: 24, len: 40 },
         ],
     );
-    let err = PlanVerifier::new().check_launch(&dev, &bad).unwrap_err();
+    let err = check_launch(&dev, &BufferPool::new(), &bad).unwrap_err();
     assert!(matches!(err, PlanHazard::BlockWriteOverlap { .. }), "{err}");
-    assert_validation(err, &bad);
 }
 
 /// Hazard class 2: a write span past the end of its buffer.
@@ -260,9 +245,8 @@ fn mutation_write_out_of_bounds() {
         "oob-write",
         vec![CopySegment { src, src_base: 0, dst, dst_base: 16, len: 32 }],
     );
-    let err = PlanVerifier::new().check_launch(&dev, &bad).unwrap_err();
+    let err = check_launch(&dev, &BufferPool::new(), &bad).unwrap_err();
     assert!(matches!(err, PlanHazard::WriteOutOfBounds { .. }), "{err}");
-    assert_validation(err, &bad);
 }
 
 /// Hazard class 3: a read span past the end of its buffer.
@@ -274,75 +258,62 @@ fn mutation_read_out_of_bounds() {
         "oob-read",
         vec![CopySegment { src, src_base: 16, dst, dst_base: 0, len: 32 }],
     );
-    let err = PlanVerifier::new().check_launch(&dev, &bad).unwrap_err();
+    let err = check_launch(&dev, &BufferPool::new(), &bad).unwrap_err();
     assert!(matches!(err, PlanHazard::ReadOutOfBounds { .. }), "{err}");
-    assert_validation(err, &bad);
 }
 
-/// Hazard class 4: touching a buffer after its pool lease was released.
+/// Hazard class 4: a launch naming a buffer whose pool lease was
+/// released (it sits in the pool's free list).
 #[test]
 fn mutation_use_after_release() {
-    let (dev, ids) = dev_with(&[64, 64]);
-    let (src, dst) = (ids[0], ids[1]);
-    let mut v = PlanVerifier::new();
-    v.acquire(dst);
-    v.release(dst).expect("balanced release");
+    let mut dev = GpuDevice::a100();
+    let mut pool = BufferPool::new();
+    let src = dev.alloc("src", 64);
+    let dst = pool.acquire(&mut dev, 64);
+    pool.release(&dev, dst);
     let bad = copy_kernel(
         "use-after-release",
         vec![CopySegment { src, src_base: 0, dst, dst_base: 0, len: 16 }],
     );
-    let err = v.check_launch(&dev, &bad).unwrap_err();
+    let err = check_launch(&dev, &pool, &bad).unwrap_err();
     assert!(matches!(err, PlanHazard::UseAfterRelease { .. }), "{err}");
-    assert_validation(err, &bad);
 
-    // Re-acquiring (pool recycling) revives the buffer.
-    v.acquire(dst);
-    v.check_launch(&dev, &bad).expect("recycled lease is live again");
+    // Re-leasing (pool recycling) revives the buffer.
+    assert_eq!(pool.acquire(&mut dev, 64), dst);
+    check_launch(&dev, &pool, &bad).expect("recycled lease is live again");
 }
 
-/// Hazard classes 5–7: lease-ledger defects (double release, unleased
-/// release, leaked lease at finish).
+/// Hazard class 4 end to end: a `run` that names a lease the caller
+/// already released is rejected as `Validation` before anything launches.
+/// `FftOpt` at rank 1 with fewer modes than points leases scratch of other
+/// lengths, so no scratch class recycles the released buffer.
 #[test]
-fn mutation_lease_ledger_defects() {
-    let (_, ids) = dev_with(&[64]);
-    let b = ids[0];
-
-    let mut v = PlanVerifier::new();
-    v.acquire(b);
-    v.release(b).expect("first release balanced");
-    let err = v.release(b).unwrap_err();
-    assert!(matches!(err, PlanHazard::DoubleRelease { .. }), "{err}");
-    assert!(matches!(TfnoError::from(err), TfnoError::Validation(_)));
-
-    let mut v = PlanVerifier::new();
-    let err = v.release(b).unwrap_err();
-    assert!(matches!(err, PlanHazard::ReleaseUnleased { .. }), "{err}");
-
-    let mut v = PlanVerifier::new();
-    v.acquire(b);
-    let err = v.finish().unwrap_err();
-    assert!(matches!(err, PlanHazard::UnreleasedLease { count: 1 }), "{err}");
-    v.release(b).expect("balanced");
-    v.finish().expect("balanced sequence finishes clean");
+fn run_on_a_released_lease_is_rejected_before_launch() {
+    with_override(Some(true), || {
+        let shape = SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]);
+        let spec = LayerSpec::from_shape(shape).variant(Variant::FftOpt);
+        let mut sess = Session::a100();
+        let x = sess.acquire(spec.input_len());
+        let w = sess.alloc("w", spec.weight_len());
+        let y = sess.alloc("y", spec.output_len());
+        sess.release(x);
+        match sess.try_run(&spec, x, w, y) {
+            Err(TfnoError::Validation(msg)) => assert!(
+                msg.contains("plan verifier rejected kernel")
+                    && msg.contains("after its pool lease was released"),
+                "unexpected message: {msg}"
+            ),
+            other => panic!("expected Validation, got {other:?}"),
+        }
+        assert!(sess.device().launches().is_empty(), "nothing may launch");
+        assert_eq!(sess.pool_stats().leased, 0, "the rejected run leaked a lease");
+    });
 }
 
-/// Hazard class 8: a queued request whose output aliases its own operand —
-/// both directly and end-to-end through `try_run_many`, where the pinned
-/// message must survive the delegation to the verifier.
+/// Admission rule: a queued request whose output aliases its own operand
+/// is rejected end-to-end through `try_run_many` with the pinned message.
 #[test]
 fn mutation_self_alias() {
-    let (_, ids) = dev_with(&[64, 64]);
-    let (x, w) = (ids[0], ids[1]);
-    let err = check_queue_aliasing(&[QueueAccess {
-        reads: vec![("x", x), ("w", w)],
-        writes: vec![x],
-    }])
-    .unwrap_err();
-    assert!(
-        matches!(err, PlanHazard::SelfAlias { index: 0, ref operand } if operand == "x"),
-        "{err}"
-    );
-
     let mut sess = Session::a100();
     let shape = SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]);
     let spec = LayerSpec::from_shape(shape).variant(Variant::FftOpt);
@@ -360,26 +331,11 @@ fn mutation_self_alias() {
     }
 }
 
-/// Hazard class 9: chained queue requests (one request's output is another
-/// request's operand), rejected end-to-end with the pinned message.
+/// Admission rule: chained queue requests (one request's output is
+/// another request's operand), rejected end-to-end with the pinned
+/// message.
 #[test]
 fn mutation_cross_alias() {
-    let err = check_queue_aliasing(&[
-        QueueAccess {
-            reads: vec![],
-            writes: vec![dev_buf(0)],
-        },
-        QueueAccess {
-            reads: vec![("x", dev_buf(0))],
-            writes: vec![dev_buf(1)],
-        },
-    ])
-    .unwrap_err();
-    assert!(
-        matches!(err, PlanHazard::CrossAlias { writer: 0, reader: 1 }),
-        "{err}"
-    );
-
     let mut sess = Session::a100();
     let shape = SpectralShape::d1(1, 8, 8, 64).with_modes(&[32]);
     let spec = LayerSpec::from_shape(shape).variant(Variant::FftOpt);
@@ -401,16 +357,4 @@ fn mutation_cross_alias() {
         ),
         other => panic!("expected Validation, got {other:?}"),
     }
-}
-
-/// A stable fake BufferId for pure `check_queue_aliasing` calls (no device
-/// needed — the check is purely structural).
-fn dev_buf(i: usize) -> turbofno_suite::gpu_sim::BufferId {
-    static IDS: Mutex<Option<Vec<turbofno_suite::gpu_sim::BufferId>>> = Mutex::new(None);
-    let mut slot = IDS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let ids = slot.get_or_insert_with(|| {
-        let mut dev = GpuDevice::a100();
-        (0..4).map(|k| dev.alloc(&format!("q{k}"), 8)).collect()
-    });
-    ids[i]
 }

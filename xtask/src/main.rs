@@ -26,7 +26,10 @@
 //!   there is one launch path: non-test code in `crates/core/src` and
 //!   `crates/culib/src` calls `.launch(` / `.try_launch(` only inside
 //!   `ExecCtx::try_step` (`crates/core/src/pipeline.rs`), which proves each
-//!   launch against the plan verifier before it issues.
+//!   launch against the plan check before it issues; and non-test code in
+//!   `crates/core/src` builds an `ExecCtx { .. }` only inside
+//!   `Session::run_work` (`crates/core/src/session.rs`), which reconciles
+//!   the pool's leases after every unit of work.
 //! - **rank-isolation**: the engine and the baseline are rank-generic
 //!   (`SpectralShape`); rank-suffixed twin entry points (`fn *_1d` /
 //!   `fn *_2d` / `fn *_3d`) in `crates/core/src` and `crates/culib/src`
@@ -338,7 +341,10 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     let hot_path = is_hot_path_file(file);
     let lock_exempt = is_exec_module(root, file);
     let rank_scope = rank_isolation_scope(root, file);
-    let step_home = is_step_module(root, file);
+    let core_scope = rank_scope && file.starts_with(root.join("crates/core/src"));
+    // The one function of this file allowed to launch (`try_step`) or to
+    // build an `ExecCtx` (`run_work`), if any.
+    let home = home_fn(root, file);
 
     let mut depth: i64 = 0;
     // Depth at which a `#[cfg(test)]` item's body opened; everything inside
@@ -348,9 +354,9 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
     // Depths at which `fn try_*` bodies opened (supports nested items).
     let mut try_stack: Vec<i64> = Vec::new();
     let mut pending_try = false;
-    // Depth at which the body of `ExecCtx::try_step` opened.
-    let mut step_open: Option<i64> = None;
-    let mut pending_step = false;
+    // Depth at which the body of the file's `home` function opened.
+    let mut home_open: Option<i64> = None;
+    let mut pending_home = false;
 
     for (idx, line) in code_lines.iter().enumerate() {
         let in_test = test_open.is_some();
@@ -362,9 +368,10 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
             if decls.iter().any(|n| n.starts_with("try_")) {
                 pending_try = true;
             }
-            if step_home && decls.contains(&"try_step") {
-                pending_step = true;
+            if home.is_some_and(|h| decls.contains(&h)) {
+                pending_home = true;
             }
+            let in_home = |name: &str| home == Some(name) && home_open.is_some();
 
             let lineno = idx + 1;
             if !lock_exempt
@@ -410,7 +417,7 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
             }
             // The rank-isolation scope is also the launch rule's scope.
             if rank_scope
-                && step_open.is_none()
+                && !in_home("try_step")
                 && (line.contains(".launch(") || line.contains(".try_launch("))
             {
                 findings.push(Finding {
@@ -419,7 +426,18 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                     rule: "backend-isolation",
                     message: "a launch outside `ExecCtx::try_step`: below `Session` every \
                               kernel launches through `try_step`, which proves it against \
-                              the plan verifier first"
+                              the plan check first"
+                        .into(),
+                });
+            }
+            if core_scope && !in_home("run_work") && builds_exec_ctx(line) {
+                findings.push(Finding {
+                    file: file.to_path_buf(),
+                    line: lineno,
+                    rule: "backend-isolation",
+                    message: "an `ExecCtx { .. }` outside `Session::run_work`: every unit of \
+                              work runs through `run_work`, the one place that builds the \
+                              context and reconciles the pool's leases after it"
                         .into(),
                 });
             }
@@ -446,12 +464,14 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                     if pending_test && test_open.is_none() {
                         test_open = Some(depth);
                         pending_test = false;
-                    } else if pending_try && test_open.is_none() {
-                        try_stack.push(depth);
-                        pending_try = false;
-                        if pending_step {
-                            step_open = Some(depth);
-                            pending_step = false;
+                    } else if test_open.is_none() {
+                        if pending_try {
+                            try_stack.push(depth);
+                            pending_try = false;
+                        }
+                        if pending_home {
+                            home_open = Some(depth);
+                            pending_home = false;
                         }
                     }
                 }
@@ -459,8 +479,8 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                     if test_open == Some(depth) {
                         test_open = None;
                     }
-                    if step_open == Some(depth) {
-                        step_open = None;
+                    if home_open == Some(depth) {
+                        home_open = None;
                     }
                     if try_stack.last() == Some(&depth) {
                         try_stack.pop();
@@ -472,7 +492,7 @@ fn lint_source(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>
                 // the next brace belongs to some other item, not to it.
                 ';' => {
                     pending_try = false;
-                    pending_step = false;
+                    pending_home = false;
                     pending_test = false;
                 }
                 _ => {}
@@ -524,12 +544,28 @@ fn rank_isolation_scope(root: &Path, file: &Path) -> bool {
         && file.file_name().and_then(|n| n.to_str()) != Some("fused_tests.rs")
 }
 
-/// The module holding `ExecCtx::try_step`, the one function below
-/// `Session` allowed to launch a kernel.
-fn is_step_module(root: &Path, file: &Path) -> bool {
-    file.strip_prefix(root)
-        .map(|p| p == Path::new("crates/core/src/pipeline.rs"))
-        .unwrap_or(false)
+/// The one function of `file` exempt from a backend-isolation half:
+/// `ExecCtx::try_step`, the only launch call below `Session`, and
+/// `Session::run_work`, the only place that builds an `ExecCtx`.
+fn home_fn(root: &Path, file: &Path) -> Option<&'static str> {
+    match file.strip_prefix(root).ok()?.to_str()? {
+        "crates/core/src/pipeline.rs" => Some("try_step"),
+        "crates/core/src/session.rs" => Some("run_work"),
+        _ => None,
+    }
+}
+
+/// Whether a (sanitized) line builds an `ExecCtx` with a struct literal:
+/// the name followed by `{`, and not as the item a `struct` or `impl`
+/// declares.
+fn builds_exec_ctx(line: &str) -> bool {
+    line.match_indices("ExecCtx").any(|(pos, name)| {
+        let (before, after) = (&line[..pos], &line[pos + name.len()..]);
+        let word_start = !before.ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        let keyword = before.trim_end();
+        let declared = keyword.ends_with("struct") || keyword.ends_with("impl");
+        word_start && !declared && after.trim_start().starts_with('{')
+    })
 }
 
 /// Whether `file` is core source held to the backend-isolation token
@@ -1052,6 +1088,63 @@ impl ExecCtx<'_> {
         lint_source(root, &root.join("crates/core/src/pipeline.rs"), core, &mut findings);
         let lines: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(lines, [("backend-isolation", 2), ("backend-isolation", 3)], "{findings:?}");
+    }
+
+    #[test]
+    fn exec_ctx_built_outside_run_work_is_flagged() {
+        let root = Path::new("/repo");
+        let mut findings = Vec::new();
+        // A second context builder in the session module.
+        let session = "\
+impl Session {
+    pub fn measure(&mut self) {
+        let ctx = ExecCtx { dev, pool, verify: true };
+    }
+}
+";
+        lint_source(root, &root.join("crates/core/src/session.rs"), session, &mut findings);
+        // A probe building its own context in another engine module.
+        let planner = "fn probe() {\n    let run = ExecCtx {\n        dev,\n    };\n}\n";
+        lint_source(root, &root.join("crates/core/src/planner.rs"), planner, &mut findings);
+        let lines: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [("backend-isolation", 3), ("backend-isolation", 2)], "{findings:?}");
+    }
+
+    #[test]
+    fn exec_ctx_in_run_work_tests_and_declarations_is_clean() {
+        let root = Path::new("/repo");
+        let session = "\
+impl Session {
+    fn run_work(
+        &mut self,
+        work: impl FnOnce(&mut ExecCtx<'_>) -> R,
+    ) -> R {
+        let mut ctx = ExecCtx {
+            dev: self.dev.device_mut(),
+            verify,
+        };
+        work(&mut ctx)
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn probe() { let ctx = ExecCtx { dev, pool, verify: false }; }
+}
+";
+        let mut findings = Vec::new();
+        lint_source(root, &root.join("crates/core/src/session.rs"), session, &mut findings);
+        let pipeline = "\
+pub(crate) struct ExecCtx<'a> {
+    pub verify: bool,
+}
+impl ExecCtx<'_> {
+}
+";
+        lint_source(root, &root.join("crates/core/src/pipeline.rs"), pipeline, &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(builds_exec_ctx("    let c = ExecCtx {"));
+        assert!(!builds_exec_ctx("struct ExecCtx {"));
+        assert!(!builds_exec_ctx("let c = MyExecCtx {"));
     }
 
     #[test]
