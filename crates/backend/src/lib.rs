@@ -4,7 +4,7 @@
 //! [`GpuDevice`].
 //!
 //! `turbofno::Session` owns a backend and runs its engine (the planner,
-//! the buffer pool, the plan verifier) on the device the backend hands
+//! the buffer pool, the plan check) on the device the backend hands
 //! out through the [`Backend`] trait. Every backend is a configuration
 //! of that device, so there is one block executor, and a launch records
 //! the same [`LaunchRecord`](tfno_gpu_sim::LaunchRecord) (counts and
@@ -23,54 +23,21 @@
 //! ([`GpuDevice::supports_fault_injection`]) and enforces it: the release
 //! device refuses a fault plan on every path, with a typed
 //! [`LaunchError::Unsupported`](tfno_gpu_sim::LaunchError) from
-//! [`GpuDevice::try_set_fault_plan`].
+//! [`GpuDevice::try_set_fault_plan`]. The `TFNO_BACKEND` environment
+//! variable picks between the two profiles through
+//! [`GpuDevice::from_env`], which is what `Session::a100()` builds on.
 //!
-//! [`AnyBackend`] picks between the two at runtime and is what
-//! `Session::a100()` constructs, honoring the `TFNO_BACKEND` environment
-//! variable (`sim` | `native`, default `sim`).
-
-use std::sync::OnceLock;
+//! A `Session` needs neither wrapper: `Session::new(GpuDevice::release(cfg))`
+//! is a release session. The trait, [`SimBackend`] and [`NativeBackend`]
+//! remain because the repo benchmark (`fnobench/`) builds its sessions
+//! from them; they go with the `Session` type parameter when that
+//! benchmark next changes.
 
 use tfno_gpu_sim::{DeviceConfig, GpuDevice};
 
 /// The simulated device is the reference backend; the alias names its role
 /// in the backend-generic stack (`Session<B: Backend = SimBackend>`).
 pub type SimBackend = GpuDevice;
-
-/// Which backend `TFNO_BACKEND` selects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The simulator with its default checks ([`SimBackend`]).
-    Sim,
-    /// The simulator's release configuration ([`NativeBackend`]).
-    Native,
-}
-
-/// Parse a `TFNO_BACKEND`-style value (case-insensitive, trimmed).
-pub fn parse_backend_kind(v: &str) -> Option<BackendKind> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "sim" | "simulator" => Some(BackendKind::Sim),
-        "native" | "host" => Some(BackendKind::Native),
-        _ => None,
-    }
-}
-
-/// The backend kind selected for this process: `TFNO_BACKEND` when set,
-/// otherwise [`BackendKind::Sim`]. Read once and cached — a CI matrix sets
-/// the variable before the process starts.
-///
-/// # Panics
-/// On an unrecognized `TFNO_BACKEND` value, so a typo in a CI matrix can
-/// never silently fall back to the simulator.
-pub fn env_backend_kind() -> BackendKind {
-    static KIND: OnceLock<BackendKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("TFNO_BACKEND") {
-        Err(_) => BackendKind::Sim,
-        Ok(v) => parse_backend_kind(&v).unwrap_or_else(|| {
-            panic!("TFNO_BACKEND must be 'sim' or 'native', got '{v}'")
-        }),
-    })
-}
 
 /// An execution backend: the owner of the one simulated [`GpuDevice`]
 /// the engine runs on. Every operation — allocation, launches, fault
@@ -138,51 +105,6 @@ impl Backend for NativeBackend {
     }
 }
 
-/// Runtime-selected backend: what `Session::a100()` owns, so one binary
-/// serves both configurations and the `TFNO_BACKEND` environment variable
-/// (or an explicit constructor) picks at startup. Its configuration is its
-/// device's.
-pub struct AnyBackend {
-    dev: GpuDevice,
-}
-
-impl AnyBackend {
-    /// The backend `TFNO_BACKEND` selects, on the given config.
-    pub fn from_env(config: DeviceConfig) -> Self {
-        match env_backend_kind() {
-            BackendKind::Sim => SimBackend::new(config).into(),
-            BackendKind::Native => NativeBackend::new(config).into(),
-        }
-    }
-
-    /// The backend `TFNO_BACKEND` selects, on the A100 config.
-    pub fn a100() -> Self {
-        Self::from_env(DeviceConfig::a100())
-    }
-}
-
-impl From<SimBackend> for AnyBackend {
-    fn from(dev: SimBackend) -> Self {
-        AnyBackend { dev }
-    }
-}
-
-impl From<NativeBackend> for AnyBackend {
-    fn from(b: NativeBackend) -> Self {
-        AnyBackend { dev: b.dev }
-    }
-}
-
-impl Backend for AnyBackend {
-    fn device(&self) -> &GpuDevice {
-        &self.dev
-    }
-
-    fn device_mut(&mut self) -> &mut GpuDevice {
-        &mut self.dev
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +149,6 @@ mod tests {
         let data: Vec<C32> = (0..n).map(|i| C32::real(i as f32)).collect();
         dev.upload(src, &data);
         (src, dst)
-    }
-
-    #[test]
-    fn parse_backend_kind_accepts_both_flavors() {
-        assert_eq!(parse_backend_kind("sim"), Some(BackendKind::Sim));
-        assert_eq!(parse_backend_kind(" Native "), Some(BackendKind::Native));
-        assert_eq!(parse_backend_kind("NATIVE"), Some(BackendKind::Native));
-        assert_eq!(parse_backend_kind("host"), Some(BackendKind::Native));
-        assert_eq!(parse_backend_kind("simulator"), Some(BackendKind::Sim));
-        assert_eq!(parse_backend_kind("wgpu"), None);
-        assert_eq!(parse_backend_kind(""), None);
     }
 
     #[test]
@@ -365,13 +276,5 @@ mod tests {
         assert!(rec.is_ok(), "no plan may be armed: {rec:?}");
         assert_eq!(native.fault_stats(), FaultStats::default());
         native.set_fault_plan(None); // clearing is always fine
-    }
-
-    #[test]
-    fn any_backend_dispatches_by_kind() {
-        let sim = AnyBackend::from(SimBackend::a100());
-        let native = AnyBackend::from(NativeBackend::a100());
-        assert!(sim.device().supports_fault_injection());
-        assert!(!native.device().supports_fault_injection());
     }
 }

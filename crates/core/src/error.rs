@@ -18,11 +18,10 @@
 //! A panic is a bug, not one of these errors. When the engine panics, the
 //! call that ran the work heals the session (the leases the unwind leaked
 //! are released) and then resumes the panic with `resume_unwind`, so a
-//! `try_` call panics rather than returning `Err`. Handles hold only
-//! results, never a panic, and the session stays usable.
+//! `try_` call panics rather than returning `Err`, and the session stays
+//! usable.
 
 use std::fmt;
-use std::time::Duration;
 
 use crate::backend::LaunchError;
 
@@ -79,32 +78,24 @@ impl From<LaunchError> for TfnoError {
 }
 
 /// Bounded retry policy for transient faults in `Session::try_run` /
-/// `try_run_many` / `try_submit` / `try_submit_many`.
+/// `try_run_many`. Retries follow each other at once: a simulated fault
+/// does not decay with time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per plan rung (first try included). Clamped to ≥ 1.
     pub max_attempts: u32,
-    /// Sleep between attempts (linear, not exponential — simulated faults
-    /// don't decay, so the knob only models the cost of backing off).
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
 impl RetryPolicy {
     /// No retries: every transient fault surfaces immediately.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     pub(crate) fn attempts(&self) -> u32 {
@@ -151,10 +142,7 @@ mod tests {
 
     #[test]
     fn retry_policy_clamps_attempts() {
-        let p = RetryPolicy {
-            max_attempts: 0,
-            backoff: Duration::ZERO,
-        };
+        let p = RetryPolicy { max_attempts: 0 };
         assert_eq!(p.attempts(), 1);
         assert_eq!(RetryPolicy::default().attempts(), 3);
     }

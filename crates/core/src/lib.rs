@@ -42,15 +42,13 @@ pub mod session;
 pub mod swizzle;
 pub mod verify;
 
-pub use backend::{
-    parse_backend_kind, AnyBackend, Backend, BackendKind, NativeBackend, SimBackend,
-};
+pub use backend::{Backend, NativeBackend, SimBackend};
 pub use error::{RecoveryStats, RetryPolicy, TfnoError};
 pub use fused::{FusedKernel, GeomNd, FUSED_FFT_BS};
 pub use pipeline::{PipelineRun, TurboOptions, Variant, TURBO_FFT_L1_HIT};
 pub use planner::{Planner, PlannerStats, TURBO_CANDIDATES};
 pub use pool::{BufferPool, PoolStats};
-pub use session::{DispatchStats, LaunchHandle, LayerSpec, ReplayStats, Request, Session};
+pub use session::{DispatchStats, LayerSpec, ReplayStats, Request, Session};
 pub use verify::{check_launch, set_verify_override, verifier_enabled, PlanHazard};
 // The strided-batched weight layout mixed-weight serving stacks ride on.
 pub use tfno_cgemm::WeightStacking;
@@ -65,7 +63,7 @@ pub use tfno_culib::{SpectralShape, MAX_RANK};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AnyBackend, Backend, BufferId, ExecMode, SimBackend};
+    use crate::backend::{Backend, BufferId, ExecMode, SimBackend};
     use tfno_num::error::rel_l2_error;
     use tfno_num::{C32, CTensor};
 
@@ -110,12 +108,7 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn session_for_1d(
         p: &SpectralShape,
-    ) -> (
-        Session<AnyBackend>,
-        LayerSpec,
-        [BufferId; 3],
-        (Vec<C32>, Vec<C32>),
-    ) {
+    ) -> (Session, LayerSpec, [BufferId; 3], (Vec<C32>, Vec<C32>)) {
         session_for_1d_in(Session::a100(), p)
     }
 

@@ -5,9 +5,8 @@
 //! every `run_variant_*` call took eight positional arguments, allocated
 //! its scratch fresh, and callers threaded device, planner, options and
 //! mode through every layer by hand. A [`Session`] owns that state once —
-//! an execution [`Backend`] (the simulated
-//! device by default), the memoizing [`Planner`], and a size-class
-//! [`BufferPool`] — and executes [`LayerSpec`]s against it:
+//! the simulated [`GpuDevice`], the memoizing [`Planner`], and a
+//! size-class [`BufferPool`] — and executes [`LayerSpec`]s against it:
 //!
 //! ```
 //! use turbofno::{LayerSpec, Session, Variant};
@@ -33,12 +32,20 @@
 //! the same pooled scratch, and — when they also share a weight buffer —
 //! coalesce into a single stacked-batch launch sequence.
 //!
-//! There is one request path. A single [`Session::run`] is a queue of one
-//! through the same admission check and the same engine as `run_many`
-//! (a lone request runs unstacked, so its launch sequence is unchanged);
-//! the only difference is the aliasing rule: a queue is a parallel batch,
-//! so no request's `y` may be any request's operand, while a single call
-//! may update in place (`y == x`).
+//! There is one request path and one call shape: [`Session::run`],
+//! [`Session::run_many`], their `try_` twins and [`Session::measure`]
+//! return their runs once the work has finished. A single `run` is a
+//! queue of one through the same admission check and the same engine as
+//! `run_many` (a lone request runs unstacked, so its launch sequence is
+//! unchanged); the only difference is the aliasing rule: a queue is a
+//! parallel batch, so no request's `y` may be any request's operand,
+//! while a single call may update in place (`y == x`).
+//!
+//! Every call runs on the caller's thread. No work runs beside it: the
+//! simulator's block executor and the host `pointwise` each already fan
+//! out to every core, so a second thread would have nothing to overlap.
+//! The repo benchmark still calls two older names, which now delegate to
+//! `try_run_many` (see [`Session::try_submit_many`]).
 //!
 //! ## Warm calls
 //!
@@ -54,35 +61,15 @@
 //! each answered from the analytical launch memo. The planner's cold
 //! probes are such measurements too, each on a scratch session.
 //!
-//! ## Submit and wait
-//!
-//! [`Session::submit`]/[`Session::submit_many`] take the same admission
-//! check and run the same engine as `run`/`run_many`, on the caller's
-//! thread, before they return; `run` is `submit` followed by
-//! [`Session::wait`]. The returned [`LaunchHandle`] holds only the
-//! result — the [`PipelineRun`]s or the typed error — until
-//! `wait`/[`Session::wait_many`] (or a `try_*` twin) takes it. Any session
-//! may take it, and dropping the handle discards it. The output buffers
-//! hold their results as soon as `submit` returns, and nothing is ever in
-//! flight, so every inspector ([`Session::download`],
-//! [`Session::device`], [`Session::pool_stats`]) is safe at any time.
-//!
-//! No work runs beside the caller: the simulator's block executor and the
-//! host `pointwise` each already fan out to every core, so a second
-//! thread would have nothing to overlap.
-//!
 //! ## Failure semantics
 //!
-//! Every entry point has a typed twin — [`Session::try_run`],
-//! [`Session::try_run_many`], [`Session::try_submit`],
-//! [`Session::try_submit_many`], [`Session::try_wait`] /
-//! [`Session::try_wait_many`] — returning `Result<_, `[`TfnoError`]`>`.
+//! Both request entry points have a typed twin — [`Session::try_run`]
+//! and [`Session::try_run_many`] — returning `Result<_, `[`TfnoError`]`>`.
 //! Each panicking entry point *is* its twin plus `panic!("{e}")`, so the
 //! success path is the same code and the panic message is the
 //! [`TfnoError`] text. Validation is typed at its source
 //! ([`SpectralShape::try_validate`]); nothing on a validation path
-//! catches a panic. A `try_submit` only validates: an engine error is
-//! kept in the handle and surfaces at the `try_wait`.
+//! catches a panic.
 //!
 //! Transient device faults (see [`FaultPlan`]) are retried
 //! under the session's [`RetryPolicy`]; a fused variant that keeps
@@ -96,7 +83,7 @@
 //! behind is released on every exit path. A panic in the engine is a
 //! bug, not a [`TfnoError`], but it does not wedge the session: the
 //! leases the unwind leaked are released, then the panic resumes, so it
-//! surfaces at that `run`/`submit` call (or its `_many` or `try_` form).
+//! surfaces at that `run` call (or its `_many` or `try_` form).
 //! A leak on a successful call is a defect of the plan: with verification
 //! on (see [`crate::verify`]) the call returns [`TfnoError::Validation`].
 //! Later calls proceed unaffected, and [`Session::recovery_stats`] counts
@@ -108,13 +95,12 @@ use crate::planner::{Planner, PlannerStats};
 use crate::pool::{BufferPool, PoolStats};
 use crate::verify::{verifier_enabled, PlanHazard};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::Duration;
 use tfno_cgemm::WeightStacking;
 use crate::pipeline::PipelineRun;
 use tfno_culib::{CopySegment, SegmentedCopyKernel, SpectralShape, MAX_RANK};
 use crate::backend::{
-    AnyBackend, Backend, BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, GpuDevice,
-    LaunchError, SimBackend,
+    Backend, BufferId, DeviceConfig, ExecMode, FaultPlan, FaultStats, GpuDevice, LaunchError,
+    SimBackend,
 };
 use tfno_num::C32;
 
@@ -281,19 +267,7 @@ pub struct Request {
     pub y: BufferId,
 }
 
-/// The result of work issued with [`Session::submit`] or
-/// [`Session::submit_many`]. The work has already run; the handle holds
-/// only its [`PipelineRun`]s or its typed error until [`Session::wait`] /
-/// [`Session::wait_many`] (or a `try_*` twin) takes them. Any session may
-/// take them, and a wait consumes the handle. Dropping a handle without a
-/// wait discards its result (the outputs stay written).
-#[derive(Debug)]
-#[must_use = "the work already ran, but its PipelineRun is lost unless the handle is waited on"]
-pub struct LaunchHandle {
-    outcome: Result<Vec<PipelineRun>, TfnoError>,
-}
-
-/// Always zero: submits run on the caller's thread, so nothing is
+/// Always zero: every call runs on the caller's thread, so nothing is
 /// dispatched and nothing is ever in flight. Kept only because the repo
 /// benchmark's counter adapter (`fnobench/src/counters.rs`) reads both
 /// fields; it goes together with that benchmark's `session.dispatch_jobs`
@@ -320,10 +294,8 @@ pub struct ReplayStats {
 /// pool state warm up over the first request of each shape and every later
 /// same-shape request skips planning and scratch allocation entirely.
 ///
-/// Every call runs on the caller's thread: [`Session::run`] and
-/// [`Session::run_many`] return their runs, while [`Session::submit`] and
-/// [`Session::submit_many`] return them in a [`LaunchHandle`] (see the
-/// [module docs](self)).
+/// Every call runs on the caller's thread and returns once its work has
+/// finished (see the [module docs](self)).
 pub struct Session<B: Backend = SimBackend> {
     dev: B,
     pool: BufferPool,
@@ -333,25 +305,14 @@ pub struct Session<B: Backend = SimBackend> {
     recovery: RecoveryStats,
 }
 
-impl Session<AnyBackend> {
-    /// A session over the paper's evaluation device, on the backend
-    /// selected by the `TFNO_BACKEND` environment variable (`sim` — the
-    /// default — or `native`).
+impl Session {
+    /// A session over the paper's evaluation device, in the profile the
+    /// `TFNO_BACKEND` environment variable selects
+    /// ([`GpuDevice::from_env`]): the default one when it is unset or
+    /// `sim`, the release one ([`GpuDevice::release`]) when it is
+    /// `native`.
     pub fn a100() -> Self {
-        Session::new(AnyBackend::a100())
-    }
-
-    /// A session over an explicitly chosen backend (builder-style
-    /// selection; bypasses the `TFNO_BACKEND` environment variable):
-    ///
-    /// ```
-    /// use turbofno::{NativeBackend, Session};
-    ///
-    /// let sess = Session::with_backend(NativeBackend::a100());
-    /// assert!(!sess.device().supports_fault_injection());
-    /// ```
-    pub fn with_backend(backend: impl Into<AnyBackend>) -> Self {
-        Session::new(backend.into())
+        Session::new(GpuDevice::from_env(DeviceConfig::a100()))
     }
 }
 
@@ -422,8 +383,8 @@ impl<B: Backend> Session<B> {
     }
 
     /// Set the bounded retry budget every executing entry point (`try_run`,
-    /// `try_submit`, their queue forms and panicking wrappers) applies to
-    /// transient device faults.
+    /// `try_run_many` and their panicking forms) applies to transient
+    /// device faults.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -434,25 +395,6 @@ impl<B: Backend> Session<B> {
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
     }
-
-    /// Always zero. Kept only because the repo benchmark's counter
-    /// adapter (`fnobench/src/counters.rs`) reads `hits` and `misses`; it
-    /// goes together with that benchmark's `session.replay_hit_ratio`
-    /// metric.
-    pub fn replay_stats(&self) -> ReplayStats {
-        ReplayStats::default()
-    }
-
-    /// Always zero (see [`DispatchStats`]); kept for the repo benchmark's
-    /// counter adapter and goes together with its dispatch metrics.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        DispatchStats::default()
-    }
-
-    /// A no-op: nothing is ever in flight. Kept only because the repo
-    /// benchmark's counter adapter calls it; it goes together with that
-    /// benchmark's dispatch metrics.
-    pub fn synchronize(&mut self) {}
 
     /// Allocate a named long-lived buffer (weights, persistent activations).
     pub fn alloc(&mut self, name: &str, len: usize) -> BufferId {
@@ -483,12 +425,15 @@ impl<B: Backend> Session<B> {
     }
 
     /// The one admission check, run by every entry point before anything
-    /// launches, so a bad request fails at its call site: operand ids
-    /// this session's device allocated, operand lengths, shape and
-    /// fusability for every request, plus — for a `run_many`/`submit_many`
-    /// queue (`parallel`) — the aliasing rules. A single `run`/`submit` is
-    /// never reordered against other work, so it may update in place
-    /// (`y == x`).
+    /// launches or is leased, so a bad request fails at its call site:
+    /// operand ids this session's device allocated and that are not pool
+    /// leases already released, operand lengths, shape and fusability for
+    /// every request, plus — for a `run_many` queue (`parallel`) — the
+    /// aliasing rules. A single `run` is never reordered against other
+    /// work, so it may update in place (`y == x`).
+    ///
+    /// A released lease sits in the pool's free list, where the engine
+    /// could lease it again as scratch and overwrite the operand mid-run.
     ///
     /// Buffer ids are per-device indices: an id from another session's
     /// device that is out of range here is rejected, but an in-range one
@@ -500,6 +445,11 @@ impl<B: Backend> Session<B> {
                 if !memory.contains(id) {
                     return Err(TfnoError::Validation(format!(
                         "{operand} is buffer {id:?}, which this session's device never allocated"
+                    )));
+                }
+                if self.pool.is_pooled(id) {
+                    return Err(TfnoError::Validation(format!(
+                        "{operand} is buffer {id:?}, a pool lease this session already released"
                     )));
                 }
             }
@@ -552,17 +502,16 @@ impl<B: Backend> Session<B> {
 
     /// The one request path: admit, then run the resilient engine through
     /// [`Session::run_work`].
-    fn try_submit_requests(
+    fn try_run_requests(
         &mut self,
         reqs: &[Request],
         parallel: bool,
-    ) -> Result<LaunchHandle, TfnoError> {
+    ) -> Result<Vec<PipelineRun>, TfnoError> {
         self.try_admit(reqs, parallel)?;
         let (policy, reqs) = (self.retry, reqs.to_vec());
-        let outcome = self.run_work(move |ctx, planner, recovery| {
+        self.run_work(move |ctx, planner, recovery| {
             run_queue_resilient(ctx, planner, recovery, policy, reqs)
-        });
-        Ok(LaunchHandle { outcome })
+        })
     }
 
     /// Run `work` against the session state and return its result: the
@@ -647,8 +596,9 @@ impl<B: Backend> Session<B> {
         w: BufferId,
         y: BufferId,
     ) -> Result<PipelineRun, TfnoError> {
-        let handle = self.try_submit(spec, x, w, y)?;
-        self.try_wait(handle)
+        let runs = self.try_run_requests(&[Request { spec: *spec, x, w, y }], false)?;
+        // INVARIANT: the engine returns one run per request.
+        Ok(runs.into_iter().next().expect("one run per request"))
     }
 
     /// Execute a queue of layer requests, coalescing where possible.
@@ -688,90 +638,7 @@ impl<B: Backend> Session<B> {
     /// Typed twin of [`Session::run_many`] (same coalescing, same
     /// aliasing contract, typed errors instead of panics).
     pub fn try_run_many(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, TfnoError> {
-        let handle = self.try_submit_many(reqs)?;
-        self.try_wait_many(handle)
-    }
-
-    /// [`Session::run`], with the [`PipelineRun`] handed over later by
-    /// [`Session::wait`]: the launch sequence has run, and the output
-    /// buffer holds its result, when this returns.
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever [`Session::try_submit`]
-    /// returns `Err`.
-    pub fn submit(&mut self, spec: &LayerSpec, x: BufferId, w: BufferId, y: BufferId) -> LaunchHandle {
-        self.try_submit(spec, x, w, y)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed twin of [`Session::submit`]: validation failures come back as
-    /// [`TfnoError::Validation`] instead of panics. An engine failure is
-    /// not an error here: it is kept in the handle and surfaces at
-    /// [`Session::try_wait`]. A panic in the engine resumes here, after
-    /// the leases it leaked are released.
-    pub fn try_submit(
-        &mut self,
-        spec: &LayerSpec,
-        x: BufferId,
-        w: BufferId,
-        y: BufferId,
-    ) -> Result<LaunchHandle, TfnoError> {
-        self.try_submit_requests(&[Request { spec: *spec, x, w, y }], false)
-    }
-
-    /// [`Session::run_many`] with its runs handed over later by
-    /// [`Session::wait_many`] (same coalescing, same aliasing contract).
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever [`Session::try_submit_many`]
-    /// returns `Err`.
-    pub fn submit_many(&mut self, reqs: &[Request]) -> LaunchHandle {
-        self.try_submit_many(reqs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed twin of [`Session::submit_many`].
-    pub fn try_submit_many(&mut self, reqs: &[Request]) -> Result<LaunchHandle, TfnoError> {
-        self.try_submit_requests(reqs, true)
-    }
-
-    /// Take a [`Session::submit`] handle's [`PipelineRun`].
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever [`Session::try_wait`] returns
-    /// `Err`. Also panics if the handle came from a multi-request
-    /// [`Session::submit_many`] (use [`Session::wait_many`]).
-    pub fn wait(&mut self, handle: LaunchHandle) -> PipelineRun {
-        self.try_wait(handle).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Take a [`Session::submit_many`] handle's runs: one [`PipelineRun`]
-    /// per submitted request, in order, exactly as [`Session::run_many`]
-    /// would have returned them.
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever [`Session::try_wait_many`]
-    /// returns `Err`.
-    pub fn wait_many(&mut self, handle: LaunchHandle) -> Vec<PipelineRun> {
-        self.try_wait_many(handle).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed twin of [`Session::wait`].
-    pub fn try_wait(&mut self, handle: LaunchHandle) -> Result<PipelineRun, TfnoError> {
-        let mut runs = self.try_wait_many(handle)?;
-        assert_eq!(
-            runs.len(),
-            1,
-            "wait() on a multi-request submit_many handle; use wait_many()"
-        );
-        // INVARIANT: the assert above just proved runs.len() == 1.
-        Ok(runs.pop().expect("one run"))
-    }
-
-    /// Typed twin of [`Session::wait_many`]: work that exhausted the
-    /// retry/degradation ladder reports its [`TfnoError`] here instead of
-    /// panicking.
-    pub fn try_wait_many(&mut self, handle: LaunchHandle) -> Result<Vec<PipelineRun>, TfnoError> {
-        handle.outcome
+        self.try_run_requests(reqs, true)
     }
 
     /// Model one spec analytically on pooled virtual buffers (no values
@@ -797,6 +664,36 @@ impl<B: Backend> Session<B> {
         }
         run.unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+/// Calls kept only for the repo benchmark (`fnobench/`), their one
+/// caller outside tests. That benchmark changes only on its own, so these
+/// keep the names and signatures it was written against and add no
+/// behaviour; the next change to the benchmark deletes all five.
+impl<B: Backend> Session<B> {
+    /// [`Session::try_run_many`], under the benchmark's name for it: the
+    /// work has run, and the outputs are written, when this returns.
+    pub fn try_submit_many(&mut self, reqs: &[Request]) -> Result<Vec<PipelineRun>, TfnoError> {
+        self.try_run_many(reqs)
+    }
+
+    /// Hands back the runs of a [`Session::try_submit_many`].
+    pub fn try_wait_many(&mut self, runs: Vec<PipelineRun>) -> Result<Vec<PipelineRun>, TfnoError> {
+        Ok(runs)
+    }
+
+    /// Always zero: no call records or replays a launch sequence.
+    pub fn replay_stats(&self) -> ReplayStats {
+        ReplayStats::default()
+    }
+
+    /// Always zero (see [`DispatchStats`]).
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        DispatchStats::default()
+    }
+
+    /// A no-op: nothing is ever in flight.
+    pub fn synchronize(&mut self) {}
 }
 
 /// Resolve `TurboBest` to a concrete variant (one planner consult; a
@@ -1012,9 +909,6 @@ fn run_queue_resilient(
                 Err(e) if e.is_transient() => {
                     if attempt < policy.attempts() {
                         recovery.transient_retries += 1;
-                        if policy.backoff > Duration::ZERO {
-                            std::thread::sleep(policy.backoff);
-                        }
                     }
                     last = Some(e);
                 }
@@ -1168,27 +1062,11 @@ mod tests {
         (spec, x, w, y)
     }
 
-    #[test]
-    fn submit_wait_is_bitwise_equal_to_run() {
-        let mut sync = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sync);
-        let run_sync = sync.run(&spec, x, w, y);
-        let want = sync.download(y);
-
-        let mut agsync = Session::new(SimBackend::a100());
-        let (spec2, x2, w2, y2) = spec_with_operands(&mut agsync);
-        let handle = agsync.submit(&spec2, x2, w2, y2);
-        let run_async = agsync.wait(handle);
-        assert_eq!(agsync.download(y2), want);
-        assert_eq!(run_async.kernel_count(), run_sync.kernel_count());
-        assert_eq!(run_async.total_stats(), run_sync.total_stats());
-    }
-
-    /// Shape panics surface at the submit, exactly like the run path —
-    /// not at the wait.
+    /// An invalid shape panics at the call, with the validation text,
+    /// before anything launches.
     #[test]
     #[should_panic(expected = "mode count out of range")]
-    fn submit_validates_shapes_synchronously() {
+    fn run_rejects_invalid_shapes() {
         let mut sess = Session::new(SimBackend::a100());
         // Bypass the modes() clamp to build an invalid spec directly.
         let spec = LayerSpec {
@@ -1207,7 +1085,7 @@ mod tests {
         let x = sess.alloc("x", spec.input_len());
         let w = sess.alloc("w", spec.weight_len());
         let y = sess.alloc("y", spec.output_len());
-        let _ = sess.submit(&spec, x, w, y);
+        sess.run(&spec, x, w, y);
     }
 
     #[test]
@@ -1246,10 +1124,7 @@ mod tests {
     fn exhausted_retries_surface_attempt_count() {
         let mut sess = Session::new(SimBackend::a100());
         let (spec, x, w, y) = spec_with_operands(&mut sess);
-        sess.set_retry_policy(RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::ZERO,
-        });
+        sess.set_retry_policy(RetryPolicy { max_attempts: 2 });
         // Every functional launch fails: no rung can succeed.
         sess.set_fault_plan(Some(FaultPlan::seeded(5).transient(1.0)));
         let err = sess.try_run(&spec, x, w, y).unwrap_err();
@@ -1376,35 +1251,5 @@ mod tests {
         );
         let outputs = err(&[req(b[0], b[2]), req(b[1], b[2])]);
         assert!(outputs.contains("request 0's y is an operand of request 1"), "{outputs}");
-    }
-
-    /// A handle dropped without a wait leaves no lease behind, and its
-    /// output was written at the submit.
-    #[test]
-    fn abandoned_handle_leaves_no_lease_and_a_written_output() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        drop(sess.submit(&spec, x, w, y));
-        assert_eq!(sess.pool_stats().leased, 0);
-        let mut reference = Session::new(SimBackend::a100());
-        let (spec2, x2, w2, y2) = spec_with_operands(&mut reference);
-        reference.run(&spec2, x2, w2, y2);
-        assert_eq!(sess.download(y), reference.download(y2));
-        sess.run(&spec, x, w, y); // still serviceable
-    }
-
-    #[test]
-    fn typed_submit_waits_report_dispatch_failures() {
-        let mut sess = Session::new(SimBackend::a100());
-        let (spec, x, w, y) = spec_with_operands(&mut sess);
-        sess.set_retry_policy(RetryPolicy::none());
-        sess.set_fault_plan(Some(FaultPlan::seeded(23).transient(1.0)));
-        let handle = sess.try_submit(&spec, x, w, y).expect("admission is clean");
-        let err = sess.try_wait(handle).unwrap_err();
-        assert!(err.is_transient(), "submitted fault surfaces typed at the wait: {err}");
-        // Session heals: lift the plan, run clean.
-        sess.set_fault_plan(None);
-        sess.run(&spec, x, w, y);
-        assert_eq!(sess.pool_stats().leased, 0);
     }
 }

@@ -6,94 +6,38 @@
 //! FNO keeps one matrix per mode ([`crate::permode`]). [`SpectralConvNd`]
 //! is the one layer type; its rank is the length of its `dims`, so a 1D,
 //! 2D or 3D layer is `SpectralConvNd::random(rng, k_in, k_out, &dims,
-//! &modes)` with one, two or three axes. Three execution paths:
+//! &modes)` with one, two or three axes. Two execution paths:
 //!
 //! * `forward_host` — O(N log N) host Stockham FFTs applied separably per
 //!   axis, used for training-free validation and as the reference for the
 //!   device path;
 //! * `forward_device` — any pipeline [`Variant`] through a
-//!   [`Session`], returning both the output and the modeled timing record;
-//! * `submit_device` — `forward_device` split in two: the layer runs
-//!   through [`Session::submit`] and a [`PendingSpectral`] holds its
-//!   operand leases until [`PendingSpectral::finish`] downloads the output
-//!   (bitwise-equal to `forward_device`).
+//!   [`Session`], returning both the output and the modeled timing record.
+//!
+//! [`SpectralConvNd::submit_device`] and [`PendingSpectral::try_finish`]
+//! are `try_forward_device` under the names the repo benchmark
+//! (`fnobench/`) calls; they go when that benchmark next changes.
 
 use rand::Rng;
 use tfno_culib::{SpectralShape, MAX_RANK};
 use tfno_fft::host;
-use tfno_gpu_sim::BufferId;
 use tfno_num::{C32, CTensor};
-use turbofno::{
-    Backend, LaunchHandle, LayerSpec, PipelineRun, Session, TfnoError, TurboOptions, Variant,
-};
+use turbofno::{Backend, LayerSpec, PipelineRun, Session, TfnoError, TurboOptions, Variant};
 
-/// A spectral convolution issued by [`SpectralConvNd::submit_device`]: the
-/// layer has run, its [`LaunchHandle`] holds only the run or typed error (a
-/// panic resumed at the submit), and its output waits in a leased buffer
-/// until [`PendingSpectral::finish`] downloads it and releases the leases.
-#[must_use = "a submitted spectral conv leaks its pooled operand leases unless finished"]
-pub struct PendingSpectral {
-    handle: LaunchHandle,
-    x: BufferId,
-    w: BufferId,
-    y: BufferId,
-    out_shape: Vec<usize>,
-}
+/// The finished result of a [`SpectralConvNd::submit_device`]: the
+/// output and run of [`SpectralConvNd::try_forward_device`], or its error.
+/// It holds no lease.
+#[must_use = "a submitted spectral conv's output is lost unless finished"]
+pub struct PendingSpectral(Result<(CTensor, PipelineRun), TfnoError>);
 
 impl PendingSpectral {
-    /// Lease and upload the operands, then submit. A rejected submit
-    /// releases the three leases before reporting its error.
-    fn try_issue(
-        sess: &mut Session<impl Backend>,
-        spec: &LayerSpec,
-        x_data: &[C32],
-        w_data: &[C32],
-        out_shape: Vec<usize>,
-    ) -> Result<Self, TfnoError> {
-        let x = sess.acquire(spec.input_len());
-        let w = sess.acquire(spec.weight_len());
-        let y = sess.acquire(spec.output_len());
-        sess.upload(x, x_data);
-        sess.upload(w, w_data);
-        match sess.try_submit(spec, x, w, y) {
-            Ok(handle) => Ok(PendingSpectral {
-                handle,
-                x,
-                w,
-                y,
-                out_shape,
-            }),
-            Err(e) => {
-                for id in [x, w, y] {
-                    sess.release(id);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Output tensor + the layer's timing record, bitwise-identical to
-    /// what `forward_device` returns.
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever [`PendingSpectral::try_finish`]
-    /// returns `Err` (the operand leases are released first).
-    pub fn finish(self, sess: &mut Session<impl Backend>) -> (CTensor, PipelineRun) {
-        self.try_finish(sess).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed twin of [`PendingSpectral::finish`]: an engine failure
-    /// comes back as a [`TfnoError`] with the operand leases released
-    /// either way — a faulted layer leaks nothing.
-    pub fn try_finish(self, sess: &mut Session<impl Backend>) -> Result<(CTensor, PipelineRun), TfnoError> {
-        let out = sess.try_wait(self.handle).map(|run| {
-            let y = CTensor::from_vec(sess.download(self.y), &self.out_shape);
-            (y, run)
-        });
-        sess.release(self.x);
-        sess.release(self.w);
-        sess.release(self.y);
-        out
+    /// The output tensor and the layer's run, as
+    /// [`SpectralConvNd::try_forward_device`] returned them.
+    pub fn try_finish(
+        self,
+        _sess: &mut Session<impl Backend>,
+    ) -> Result<(CTensor, PipelineRun), TfnoError> {
+        self.0
     }
 }
 
@@ -354,14 +298,9 @@ impl SpectralConvNd {
         out
     }
 
-    /// [`SpectralConvNd::forward_device`] split in two: uploads the
-    /// operands and runs the layer through [`Session::submit`]; the
-    /// output stays on the device until [`PendingSpectral::finish`]
-    /// downloads it, bitwise-identical to `forward_device`.
-    ///
-    /// # Panics
-    /// With the [`TfnoError`] text wherever
-    /// [`SpectralConvNd::try_submit_device`] returns `Err`.
+    /// [`SpectralConvNd::try_forward_device`], under the repo benchmark's
+    /// name for it: the layer has run when this returns, and
+    /// [`PendingSpectral::try_finish`] hands back its result.
     pub fn submit_device(
         &self,
         sess: &mut Session<impl Backend>,
@@ -369,29 +308,7 @@ impl SpectralConvNd {
         opts: &TurboOptions,
         x: &CTensor,
     ) -> PendingSpectral {
-        self.try_submit_device(sess, variant, opts, x)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed twin of [`SpectralConvNd::submit_device`]: a request the
-    /// session rejects comes back as [`TfnoError::Validation`] with the
-    /// three operand leases already released.
-    pub fn try_submit_device(
-        &self,
-        sess: &mut Session<impl Backend>,
-        variant: Variant,
-        opts: &TurboOptions,
-        x: &CTensor,
-    ) -> Result<PendingSpectral, TfnoError> {
-        let batch = self.batch_of(x)?;
-        let spec = self.try_spec(batch, variant, opts)?;
-        PendingSpectral::try_issue(
-            sess,
-            &spec,
-            x.data(),
-            self.weight.data(),
-            self.out_shape(batch),
-        )
+        PendingSpectral(self.try_forward_device(sess, variant, opts, x))
     }
 }
 
@@ -431,8 +348,8 @@ mod tests {
         assert!(sess.pool_stats().hits >= 3);
     }
 
-    /// The submit/finish split must be bitwise-equal to `forward_device` —
-    /// both run the identical engine code.
+    /// The benchmark's `submit_device`/`try_finish` pair is
+    /// `forward_device`: bitwise-equal output, the same launches.
     #[test]
     fn submit_device_matches_forward_device_bitwise() {
         let mut rng = StdRng::seed_from_u64(61);
@@ -442,19 +359,19 @@ mod tests {
         let (want, run_sync) =
             layer.forward_device(&mut sess, Variant::FftOpt, &TurboOptions::default(), &x);
         let pending = layer.submit_device(&mut sess, Variant::FftOpt, &TurboOptions::default(), &x);
-        let (got, run_async) = pending.finish(&mut sess);
+        let (got, run_async) = pending.try_finish(&mut sess).expect("FftOpt runs");
         assert_eq!(got.data(), want.data(), "submitted forward diverged bitwise");
         assert_eq!(run_async.kernel_count(), run_sync.kernel_count());
         assert_eq!(
             sess.pool_stats().leased,
             0,
-            "finish must return every operand lease"
+            "a forward must return every operand lease"
         );
     }
 
-    /// A submit the session rejects is a typed error that leaves no
-    /// operand lease behind; so is an input of the wrong rank, and so is a
-    /// layer of a rank above `MAX_RANK`.
+    /// A request the session rejects is a typed error at `try_finish`
+    /// that leaves no operand lease behind; so is an input of the wrong
+    /// rank, and so is a layer of a rank above `MAX_RANK`.
     #[test]
     fn rejected_submit_releases_its_leases() {
         let mut rng = StdRng::seed_from_u64(62);
@@ -463,7 +380,9 @@ mod tests {
         let opts = TurboOptions::default();
         let mut sess = Session::a100();
         let x = CTensor::random(&mut rng, &[1, 4, 64]);
-        let rejected = layer.try_submit_device(&mut sess, Variant::FullyFused, &opts, &x);
+        let rejected = layer
+            .submit_device(&mut sess, Variant::FullyFused, &opts, &x)
+            .try_finish(&mut sess);
         assert!(matches!(rejected, Err(TfnoError::Validation(_))));
         assert_eq!(
             sess.pool_stats().leased,
@@ -471,22 +390,26 @@ mod tests {
             "a rejected submit leaked leases"
         );
         let flat = CTensor::random(&mut rng, &[4, 64]);
-        let rejected = layer.try_submit_device(&mut sess, Variant::FftOpt, &opts, &flat);
+        let rejected = layer
+            .submit_device(&mut sess, Variant::FftOpt, &opts, &flat)
+            .try_finish(&mut sess);
         assert!(matches!(rejected, Err(TfnoError::Validation(_))));
 
         // A rank the device engine does not run is rejected before any
         // lease is taken, on both device paths; the host path still runs.
         let deep = SpectralConvNd::random(&mut rng, 2, 2, &[2, 2, 2, 4], &[1, 2, 2, 2]);
         let x4 = CTensor::random(&mut rng, &[1, 2, 2, 2, 2, 4]);
-        let rejected = deep.try_submit_device(&mut sess, Variant::FftOpt, &opts, &x4);
+        let rejected = deep
+            .submit_device(&mut sess, Variant::FftOpt, &opts, &x4)
+            .try_finish(&mut sess);
         assert!(matches!(rejected, Err(TfnoError::Validation(ref m)) if m.contains("ranks 1..=3")));
         let rejected = deep.try_forward_device(&mut sess, Variant::Pytorch, &opts, &x4);
         assert!(matches!(rejected, Err(TfnoError::Validation(_))));
         assert_eq!(sess.pool_stats().leased, 0, "rank-4 request leaked leases");
         assert_eq!(deep.forward_host(&x4).shape(), &[1, 2, 2, 2, 2, 4]);
 
-        let pending = layer.try_submit_device(&mut sess, Variant::TurboBest, &opts, &x);
-        let (got, _) = pending.expect("TurboBest submit").finish(&mut sess);
+        let pending = layer.submit_device(&mut sess, Variant::TurboBest, &opts, &x);
+        let (got, _) = pending.try_finish(&mut sess).expect("TurboBest runs");
         assert!(rel_l2_error(got.data(), layer.forward_host(&x).data()) < 1e-4);
         assert_eq!(sess.pool_stats().leased, 0);
     }

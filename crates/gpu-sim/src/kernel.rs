@@ -443,6 +443,22 @@ impl GpuDevice {
         }
     }
 
+    /// The device the `TFNO_BACKEND` environment variable selects on
+    /// `config`: [`GpuDevice::release`] for `native` (or `host`), and
+    /// [`GpuDevice::new`] for `sim` (or `simulator`) or when it is unset.
+    /// Values are trimmed and case-insensitive.
+    ///
+    /// # Panics
+    /// On any other value, so a typo in a CI matrix never silently falls
+    /// back to the default profile.
+    pub fn from_env(config: DeviceConfig) -> Self {
+        if parse_backend(std::env::var("TFNO_BACKEND").ok().as_deref()) {
+            Self::release(config)
+        } else {
+            Self::new(config)
+        }
+    }
+
     /// Whether this device accepts a fault plan: every device except a
     /// [`GpuDevice::release`] one.
     pub fn supports_fault_injection(&self) -> bool {
@@ -735,6 +751,17 @@ impl GpuDevice {
     }
 }
 
+/// Whether a `TFNO_BACKEND` value selects the release profile (see
+/// [`GpuDevice::from_env`]); unset selects the default one.
+fn parse_backend(v: Option<&str>) -> bool {
+    let Some(v) = v else { return false };
+    match v.trim().to_ascii_lowercase().as_str() {
+        "sim" | "simulator" => false,
+        "native" | "host" => true,
+        _ => panic!("TFNO_BACKEND must be 'sim' or 'native', got '{v}'"),
+    }
+}
+
 /// Analytical stats of one launch against `memory` — one representative
 /// block per equivalence class, counts scaled by class size, memoized
 /// through the process-wide [launch memo](crate::memo) when `use_memo`
@@ -783,6 +810,25 @@ fn run_analytical_stats(
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
+
+    /// `TFNO_BACKEND` accepts both spellings of each profile, trimmed and
+    /// in any case; unset is the default profile and a typo panics.
+    #[test]
+    fn backend_env_values_select_the_profile() {
+        for v in ["sim", "simulator", " Sim ", "SIMULATOR"] {
+            assert!(!parse_backend(Some(v)), "{v:?}");
+        }
+        for v in ["native", "host", " Native ", "NATIVE", "Host"] {
+            assert!(parse_backend(Some(v)), "{v:?}");
+        }
+        assert!(!parse_backend(None));
+        for typo in ["natve", "wgpu", ""] {
+            let err = std::panic::catch_unwind(|| parse_backend(Some(typo)))
+                .expect_err("an unknown value must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("TFNO_BACKEND must be 'sim' or 'native'"), "{msg}");
+        }
+    }
 
     /// One coalesced warp: charge a 32-lane load of `src` and store of
     /// `dst` at `base`, then store `f(src[e])` to `dst[e]` for its elements.

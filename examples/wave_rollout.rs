@@ -1,6 +1,6 @@
 //! Wave rollout: autoregressive inference on the rank-3 spectral path —
 //! a 3D spectral surrogate stepped in time, each step's output fed back
-//! as the next step's input through the `submit_device`/`finish` API.
+//! as the next step's input through `forward_device`.
 //!
 //! ```text
 //! cargo run --release --example wave_rollout
@@ -49,11 +49,10 @@ fn main() {
     // (pool misses, simulated planning launches) after the cold step.
     let mut cold = (0, 0);
     for step in 0..steps {
-        // Run the device step, then the host-reference step, then finish
-        // and swap the device output in as the next input.
-        let pending = op.submit_device(&mut sess, Variant::TurboBest, &opts, &dev);
+        // Run the device step and the host-reference step, then swap the
+        // device output in as the next input.
+        let (y, run) = op.forward_device(&mut sess, Variant::TurboBest, &opts, &dev);
         host = op.forward_host(&host);
-        let (y, run) = pending.finish(&mut sess);
         dev = y;
 
         let err = rel_l2_error(dev.data(), host.data());

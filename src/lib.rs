@@ -15,11 +15,11 @@ pub use turbofno::{
     RetryPolicy, Session, TfnoError, TurboOptions, Variant,
 };
 
-// The backend surface: `Session` is generic over `Backend`; `AnyBackend`
-// switches between the simulator's two configurations, checked (`sim`)
-// and release (`native`), which record the same launches
-// (`TFNO_BACKEND`, or `Session::with_backend`).
-pub use turbofno::{AnyBackend, Backend, BackendKind, NativeBackend, SimBackend};
+// The backend surface: a `Session` runs on one `GpuDevice`, in its
+// checked (`sim`) or release (`native`, `GpuDevice::release`) profile,
+// which record the same launches; `Session::a100()` picks the profile
+// from `TFNO_BACKEND` (`GpuDevice::from_env`).
+pub use turbofno::{Backend, NativeBackend, SimBackend};
 
 // The fault-injection surface (see `tfno_gpu_sim::fault`): install a
 // seeded `FaultPlan` with `Session::set_fault_plan` to chaos-test against

@@ -3,7 +3,7 @@
 //! (`NativeBackend`) must produce bitwise-equal outputs and equal launch
 //! records — name, grid, every `KernelStats` field and the modeled time —
 //! across every variant, every rank (1D/2D/3D), stacked mixed-weight
-//! queues, and submit storms. Both run the simulator's one block
+//! queues, and storms of runs. Both run the simulator's one block
 //! executor: in debug builds the simulator meters its blocks and checks
 //! every count, while native runs them unmetered and attaches the
 //! memoized counts of each launch's structure, so the records must match
@@ -73,7 +73,7 @@ fn run_on<B: Backend>(sess: &mut Session<B>, spec: &LayerSpec, seed: f32) -> Out
 /// launch records.
 fn assert_backends_agree(spec: &LayerSpec, seed: f32) {
     let sim = run_on(&mut Session::new(SimBackend::a100()), spec, seed);
-    let native = run_on(&mut Session::with_backend(NativeBackend::a100()), spec, seed);
+    let native = run_on(&mut Session::new(NativeBackend::a100()), spec, seed);
     assert_same(&format!("{:?} {:?}", spec.variant, spec.shape()), &sim, &native);
 }
 
@@ -101,7 +101,7 @@ fn fft_kernel_on<B: Backend>(sess: &mut Session<B>) -> BatchedFftKernel<RowPenci
 #[test]
 fn kernels_of_one_structure_share_plans_and_traces_across_backends() {
     let on_sim = fft_kernel_on(&mut Session::new(SimBackend::a100()));
-    let on_native = fft_kernel_on(&mut Session::with_backend(NativeBackend::a100()));
+    let on_native = fft_kernel_on(&mut Session::new(NativeBackend::a100()));
     assert!(Arc::ptr_eq(&on_sim.plan, &on_native.plan), "one plan");
     // The engine layout `run_block` uses for a block of `active` pencils.
     fn trace(k: &BatchedFftKernel<RowPencils>, active: usize) -> Arc<ButterflyTrace> {
@@ -167,15 +167,14 @@ fn stacked_mixed_weight_queue_agrees() {
 
     let spec = LayerSpec::d1(1, 8, 8, 128).modes(32).variant(Variant::TurboBest);
     let sim = queue_on(&mut Session::new(SimBackend::a100()), &spec, 6);
-    let native = queue_on(&mut Session::with_backend(NativeBackend::a100()), &spec, 6);
+    let native = queue_on(&mut Session::new(NativeBackend::a100()), &spec, 6);
     assert_same("stacked queue", &sim, &native);
 }
 
 #[test]
-fn async_submit_storm_agrees() {
-    // Submit everything before waiting on anything, then wait in an order
-    // that differs from submission; every handle must hand back the
-    // results of its own submit, on both backends.
+fn run_storm_agrees() {
+    // Back-to-back runs of mixed shapes and variants on one session, on
+    // both backends.
     fn storm_on<B: Backend>(sess: &mut Session<B>, specs: &[LayerSpec]) -> Outcome {
         let slots: Vec<(BufferId, BufferId, BufferId)> = specs
             .iter()
@@ -189,14 +188,8 @@ fn async_submit_storm_agrees() {
                 (x, w, y)
             })
             .collect();
-        let handles: Vec<_> = specs
-            .iter()
-            .zip(&slots)
-            .map(|(spec, &(x, w, y))| sess.submit(spec, x, w, y))
-            .collect();
-        // Wait newest-first: completion order must not matter.
-        for h in handles.into_iter().rev() {
-            sess.wait(h);
+        for (spec, &(x, w, y)) in specs.iter().zip(&slots) {
+            sess.run(spec, x, w, y);
         }
         let ys: Vec<BufferId> = slots.iter().map(|&(_, _, y)| y).collect();
         outcome(sess, &ys)
@@ -214,13 +207,24 @@ fn async_submit_storm_agrees() {
         })
         .collect();
     let sim = storm_on(&mut Session::new(SimBackend::a100()), &specs);
-    let native = storm_on(&mut Session::with_backend(NativeBackend::a100()), &specs);
-    assert_same("submit storm", &sim, &native);
+    let native = storm_on(&mut Session::new(NativeBackend::a100()), &specs);
+    assert_same("run storm", &sim, &native);
+}
+
+/// `Session::a100()` takes its profile from `TFNO_BACKEND`: it runs the
+/// release profile, which refuses fault plans, exactly when the variable
+/// selects `native`, so the native CI leg really runs that profile.
+#[test]
+fn a100_session_runs_the_profile_tfno_backend_selects() {
+    let native = std::env::var("TFNO_BACKEND")
+        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "native" | "host"));
+    let sess = Session::a100();
+    assert_eq!(sess.device().supports_fault_injection(), !native);
 }
 
 #[test]
 fn unsupported_capability_is_typed_not_a_panic() {
-    let mut native = Session::with_backend(NativeBackend::a100());
+    let mut native = Session::new(NativeBackend::a100());
     assert!(!native.device().supports_fault_injection());
     // Arming a fault plan on a backend without fault injection reports
     // Validation (a request error — check caps first), never panics.
@@ -241,7 +245,7 @@ fn unsupported_capability_is_typed_not_a_panic() {
 #[test]
 fn native_session_still_serves_faultless_runs_after_rejection() {
     // A rejected capability request must leave the session fully usable.
-    let mut sess = Session::with_backend(NativeBackend::a100());
+    let mut sess = Session::new(NativeBackend::a100());
     let spec = LayerSpec::d1(1, 4, 4, 128).modes(32).variant(Variant::FullyFused);
     assert!(sess.try_set_fault_plan(Some(FaultPlan::seeded(1))).is_err());
     let (outs, _) = run_on(&mut sess, &spec, 0.4);

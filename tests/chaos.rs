@@ -22,8 +22,6 @@
 //! reproducible. `TFNO_FAULT_SEED` offsets all of them: CI pins one value,
 //! a local run can sweep others.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use tfno_num::C32;
 use turbofno_suite::{
@@ -109,10 +107,7 @@ fn soak_single_runs(case_seed: u64) {
         refs.push(ref_row);
     }
 
-    sess.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        backoff: Duration::ZERO,
-    });
+    sess.set_retry_policy(RetryPolicy { max_attempts: 3 });
     sess.set_fault_plan(Some(chaos_plan(fault_seed(case_seed))));
 
     for _round in 0..3 {
@@ -218,10 +213,7 @@ fn soak_queue(case_seed: u64) {
     let refs_degraded: Vec<Vec<C32>> = reqs_deg.iter().map(|r| sess.download(r.y)).collect();
 
     let reqs = reqs_with(&mut sess, "chaos");
-    sess.set_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        backoff: Duration::ZERO,
-    });
+    sess.set_retry_policy(RetryPolicy { max_attempts: 2 });
     sess.set_fault_plan(Some(chaos_plan(fault_seed(case_seed) ^ 0x9E3779)));
 
     for _round in 0..3 {
@@ -255,9 +247,9 @@ fn soak_queue(case_seed: u64) {
     assert_eq!(sess.pool_stats().leased, 0);
 }
 
-/// The submit soak: a storm of `try_submit`s redeemed with `try_wait`,
-/// including a handle deliberately dropped without waiting.
-fn soak_submits(case_seed: u64) {
+/// The run storm: back-to-back `try_run`s of two interleaved specs, one
+/// fresh output buffer each, then a clean `run` of each spec.
+fn soak_run_storm(case_seed: u64) {
     let mut sess = Session::new(SimBackend::a100());
     let fused = LayerSpec::d1(1, 4, 4, 64).modes(32).variant(Variant::FullyFused);
     let plain = LayerSpec::d2(1, 4, 4, 32, 64).modes_xy(8, 32).variant(Variant::FftOpt);
@@ -294,24 +286,13 @@ fn soak_submits(case_seed: u64) {
 
     sess.set_fault_plan(Some(chaos_plan(fault_seed(case_seed) ^ 0x5AB317)));
 
-    let mut jobs = Vec::new();
     for (si, y) in slots {
-        let handle = sess
-            .try_submit(&specs[si], x[si], w[si], y)
-            .expect("admission is validation-only, never faulted");
-        jobs.push((si, y, handle));
-    }
-    // Drop one handle unredeemed: its outcome is discarded with it.
-    let (_, _, dropped) = jobs.remove(3);
-    drop(dropped);
-
-    for (si, y, handle) in jobs {
-        match sess.try_wait(handle) {
+        match sess.try_run(&specs[si], x[si], w[si], y) {
             Ok(_) => {
                 let got = sess.download(y);
                 assert!(
                     got == refs[si] || (si == 0 && got == ref_degraded),
-                    "case {case_seed}: successful submit output diverged"
+                    "case {case_seed}: successful run output diverged"
                 );
             }
             Err(e) => assert!(e.is_transient(), "case {case_seed}: {e}"),
@@ -321,8 +302,7 @@ fn soak_submits(case_seed: u64) {
     sess.set_fault_plan(None);
     for (i, spec) in specs.iter().enumerate() {
         let y = sess.alloc(&format!("yclean{i}"), spec.output_len());
-        let h = sess.submit(spec, x[i], w[i], y);
-        sess.wait(h);
+        sess.run(spec, x[i], w[i], y);
         assert_eq!(&sess.download(y), &refs[i]);
     }
     assert_eq!(sess.pool_stats().leased, 0);
@@ -342,8 +322,8 @@ proptest! {
     }
 
     #[test]
-    fn chaos_submits(seed in 0u64..1000) {
-        soak_submits(seed);
+    fn chaos_run_storms(seed in 0u64..1000) {
+        soak_run_storm(seed);
     }
 }
 

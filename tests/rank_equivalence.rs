@@ -167,7 +167,7 @@ fn rank3_matches_host_reference_on_sim() {
 #[test]
 fn rank3_matches_host_reference_on_native() {
     for v in Variant::CONCRETE {
-        let mut sess = Session::with_backend(NativeBackend::a100());
+        let mut sess = Session::new(NativeBackend::a100());
         let (got, want) = run_3d_against_reference(&mut sess, &spec_3d_fusable(v));
         let err = rel_l2_error(&got, want.data());
         assert!(err < 1e-5, "{v:?}: rel l2 error {err}");

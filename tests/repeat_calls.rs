@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use tfno_gpu_sim::{BufferId, LaunchRecord};
 use tfno_num::C32;
-use turbofno::{AnyBackend, LayerSpec, Request, Session, SimBackend, Variant};
+use turbofno::{LayerSpec, Request, Session, SimBackend, Variant};
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
     (0..len)
@@ -28,7 +28,7 @@ fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
 /// Run `spec` cold and warm in one session (same operands), proving the
 /// warm call allocated nothing, planned nothing and rewrote the output;
 /// returns the agreed output bits.
-fn cold_then_warm(sess: &mut Session<AnyBackend>, spec: &LayerSpec, x_seed: f32, w_seed: f32) -> Vec<C32> {
+fn cold_then_warm(sess: &mut Session, spec: &LayerSpec, x_seed: f32, w_seed: f32) -> Vec<C32> {
     let x = sess.alloc("x", spec.input_len());
     let w = sess.alloc("w", spec.weight_len());
     let y = sess.alloc("y", spec.output_len());
@@ -155,7 +155,7 @@ fn planner_clear_invalidates_turbo_best_artifacts() {
 /// Per-iteration operand slots for the queue property: reused across
 /// iterations so identical queue layouts recycle the same pooled scratch.
 struct Slots {
-    sess: Session<AnyBackend>,
+    sess: Session,
     x: Vec<BufferId>,
     w: Vec<BufferId>,
     y: Vec<BufferId>,

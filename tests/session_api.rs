@@ -1,14 +1,16 @@
 //! Integration tests of the `Session` execution surface: batched
 //! `run_many` semantics, planner/pool reuse guarantees, coalesced stacked
-//! launches (same-weight *and* mixed-weight), and the aliasing rules.
+//! launches (same-weight *and* mixed-weight), the admission rules, and
+//! the repo benchmark's delegating calls.
 
 use proptest::prelude::*;
-use tfno_num::C32;
+use tfno_num::{CTensor, C32};
 use turbofno::{
     Backend, BufferPool, LayerSpec, NativeBackend, PipelineRun, Request, Session, SimBackend,
-    SpectralShape, TfnoError, Variant,
+    SpectralShape, TfnoError, TurboOptions, Variant,
 };
 use turbofno_suite::gpu_sim::{BufferId, ExecMode, GpuDevice, KernelStats, LaunchRecord};
+use turbofno_suite::model::SpectralConvNd;
 
 fn rand_vec(len: usize, seed: f32) -> Vec<C32> {
     (0..len)
@@ -448,13 +450,11 @@ fn run_many_rejects_self_aliased_input() {
     sess.run_many(&[Request { spec, x, w, y: x }]);
 }
 
-/// The four ways to issue one request.
+/// The two ways to issue one request.
 #[derive(Clone, Copy, Debug)]
 enum Entry {
     Run,
     RunMany,
-    Submit,
-    SubmitMany,
 }
 
 /// One launch record as a comparable tuple (`time_us` by bits).
@@ -486,14 +486,6 @@ fn cold_and_warm(entry: Entry, spec: &LayerSpec) -> Vec<(Vec<RecordKey>, Vec<C32
             let run = match entry {
                 Entry::Run => sess.run(spec, x, w, y),
                 Entry::RunMany => sess.run_many(&[req]).remove(0),
-                Entry::Submit => {
-                    let h = sess.submit(spec, x, w, y);
-                    sess.wait(h)
-                }
-                Entry::SubmitMany => {
-                    let h = sess.submit_many(&[req]);
-                    sess.wait_many(h).remove(0)
-                }
             };
             (record_keys(&run), sess.download(y))
         })
@@ -501,9 +493,8 @@ fn cold_and_warm(entry: Entry, spec: &LayerSpec) -> Vec<(Vec<RecordKey>, Vec<C32
 }
 
 /// A single call is a queue of one: for every concrete variant plus
-/// `TurboBest` at ranks 1-3, `run`, `run_many(&[req])`, `submit`/`wait`
-/// and `submit_many`/`wait_many` produce bitwise-equal outputs and equal
-/// launch records, cold and warm.
+/// `TurboBest` at ranks 1-3, `run` and `run_many(&[req])` produce
+/// bitwise-equal outputs and equal launch records, cold and warm.
 #[test]
 fn single_calls_match_queues_of_one() {
     let shapes = [
@@ -518,21 +509,19 @@ fn single_calls_match_queues_of_one() {
             let spec = base.variant(v);
             let want = cold_and_warm(Entry::Run, &spec);
             assert!(!want[0].0.is_empty(), "{v:?}: the call launched nothing");
-            for entry in [Entry::RunMany, Entry::Submit, Entry::SubmitMany] {
-                let got = cold_and_warm(entry, &spec);
-                for (call, (g, w)) in ["cold", "warm"].iter().zip(got.iter().zip(&want)) {
-                    let what = format!("{v:?} rank {} {entry:?} {call}", spec.shape().rank);
-                    assert_eq!(g.0, w.0, "{what}: launch records");
-                    assert_eq!(g.1, w.1, "{what}: output");
-                }
+            let got = cold_and_warm(Entry::RunMany, &spec);
+            for (call, (g, w)) in ["cold", "warm"].iter().zip(got.iter().zip(&want)) {
+                let what = format!("{v:?} rank {} run_many {call}", spec.shape().rank);
+                assert_eq!(g.0, w.0, "{what}: launch records");
+                assert_eq!(g.1, w.1, "{what}: output");
             }
         }
     }
 }
 
-/// A single `run`/`submit` may update in place (`y == x`): the result is
-/// bitwise the out-of-place output. (`run_many` rejects the same request,
-/// see `run_many_rejects_self_aliased_input`.)
+/// A single `run` may update in place (`y == x`): the result is bitwise
+/// the out-of-place output. (`run_many` rejects the same request, see
+/// `run_many_rejects_self_aliased_input`.)
 #[test]
 fn single_calls_allow_in_place_updates() {
     let shapes = [
@@ -543,17 +532,10 @@ fn single_calls_allow_in_place_updates() {
     for base in shapes {
         let spec = base.variant(Variant::FftOpt);
         let want = solo_output(&spec, 0.4, 0.9);
-        for submit in [false, true] {
-            let mut sess = Session::a100();
-            let (x, w, _) = operands(&mut sess, &spec, 0.4);
-            if submit {
-                let h = sess.submit(&spec, x, w, x);
-                sess.wait(h);
-            } else {
-                sess.run(&spec, x, w, x);
-            }
-            assert_eq!(sess.download(x), want, "{:?} submit={submit}", spec.shape());
-        }
+        let mut sess = Session::a100();
+        let (x, w, _) = operands(&mut sess, &spec, 0.4);
+        sess.run(&spec, x, w, x);
+        assert_eq!(sess.download(x), want, "{:?}", spec.shape());
     }
 }
 
@@ -670,6 +652,110 @@ fn foreign_buffer_ids_out_of_range_are_validation_errors() {
     assert!(sess.device().launches().is_empty(), "nothing may launch");
 }
 
+/// An operand that is a pool lease the caller already released is a
+/// `Validation` error from `try_run` and `try_run_many`, before anything
+/// is leased or launched. Accepted, it could come back from the pool as
+/// the run's own scratch and be overwritten mid-run: this `FftOpt`
+/// layer's 256-element weight has the length of its truncated-spectrum
+/// scratch. A clean request queued ahead of the bad one does not run
+/// either.
+#[test]
+fn released_operands_are_validation_errors() {
+    let spec = LayerSpec::d1(1, 8, 32, 64).modes(32).variant(Variant::FftOpt);
+    let lens = [spec.input_len(), spec.weight_len(), spec.output_len()];
+    for (released, name) in ["x", "w", "y"].into_iter().enumerate() {
+        for queue in [false, true] {
+            let what = format!("released {name}, queue {queue}");
+            let mut sess = Session::a100();
+            let ops: Vec<BufferId> = (0..3)
+                .map(|i| {
+                    let id = if i == released {
+                        sess.acquire(lens[i])
+                    } else {
+                        sess.alloc("operand", lens[i])
+                    };
+                    sess.upload(id, &rand_vec(lens[i], 0.3 + i as f32));
+                    id
+                })
+                .collect();
+            sess.release(ops[released]);
+            let (x, w, y) = (ops[0], ops[1], ops[2]);
+            let y_before = sess.download(y);
+            let got = if queue {
+                let (x0, w0, y0) = operands(&mut sess, &spec, 0.9);
+                let reqs = [Request { spec, x: x0, w: w0, y: y0 }, Request { spec, x, w, y }];
+                sess.try_run_many(&reqs).map(drop)
+            } else {
+                sess.try_run(&spec, x, w, y).map(drop)
+            };
+            match got {
+                Err(TfnoError::Validation(msg)) => {
+                    assert!(msg.contains(&format!("{name} is buffer")), "{what}: {msg}");
+                    assert!(msg.contains("already released"), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected Validation, got {other:?}"),
+            }
+            assert!(sess.device().launches().is_empty(), "{what}: nothing may launch");
+            assert_eq!(sess.download(y), y_before, "{what}: y must be untouched");
+            assert_eq!(sess.pool_stats().leased, 0, "{what}: no lease may be held");
+        }
+    }
+}
+
+/// The four calls the repo benchmark makes are delegations:
+/// `try_submit_many` + `try_wait_many` give `try_run_many`'s outputs and
+/// launch records, and `submit_device` + `try_finish` give
+/// `try_forward_device`'s, bitwise, with no lease held afterwards.
+#[test]
+fn benchmark_delegations_match_the_run_calls() {
+    let a = LayerSpec::d1(1, 4, 4, 64).modes(32);
+    let b = LayerSpec::d2(1, 4, 4, 8, 32).modes_xy(4, 32);
+    // Two same-shape requests stack into one launch sequence.
+    let queue = |sess: &mut Session| -> Vec<Request> {
+        [a, a, b]
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let (x, w, y) = operands(sess, &spec, 0.2 + i as f32);
+                Request { spec, x, w, y }
+            })
+            .collect()
+    };
+    let mut direct = Session::new(SimBackend::a100());
+    let reqs = queue(&mut direct);
+    let want = direct.try_run_many(&reqs).expect("the queue runs");
+    let mut delegated = Session::new(SimBackend::a100());
+    let reqs2 = queue(&mut delegated);
+    let got = delegated
+        .try_submit_many(&reqs2)
+        .and_then(|runs| delegated.try_wait_many(runs))
+        .expect("the queue runs");
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(record_keys(g), record_keys(w), "request {i}: launch records");
+        assert_eq!(delegated.download(reqs2[i].y), direct.download(reqs[i].y), "request {i}");
+    }
+    assert_eq!(delegated.pool_stats().leased, 0, "try_submit_many left a lease");
+
+    let (k, dims, modes) = (4, [8, 32], [4, 32]);
+    let weight = CTensor::from_vec(rand_vec(k * k, 0.7), &[k, k]);
+    let layer = SpectralConvNd::new(k, k, dims.to_vec(), modes.to_vec(), weight);
+    let x = CTensor::from_vec(rand_vec(k * 8 * 32, 0.1), &[1, k, 8, 32]);
+    let opts = TurboOptions::default();
+    let mut direct = Session::new(SimBackend::a100());
+    let (want_y, want_run) = layer
+        .try_forward_device(&mut direct, Variant::TurboBest, &opts, &x)
+        .expect("the layer runs");
+    let mut delegated = Session::new(SimBackend::a100());
+    let (got_y, got_run) = layer
+        .submit_device(&mut delegated, Variant::TurboBest, &opts, &x)
+        .try_finish(&mut delegated)
+        .expect("the layer runs");
+    assert_eq!(got_y.data(), want_y.data(), "submit_device output");
+    assert_eq!(record_keys(&got_run), record_keys(&want_run), "submit_device records");
+    assert_eq!(delegated.pool_stats().leased, 0, "submit_device left a lease");
+}
+
 /// One shape per rank whose innermost retained modes (16) do not fill a
 /// 32-row warp tile, so no fused kernel can be built for it.
 fn unfusable_specs() -> [LayerSpec; 3] {
@@ -691,11 +777,6 @@ fn turbo_best_plans_unfusable_shapes_onto_fft_opt() {
         let (x, w, y) = operands(&mut sess, &spec, 0.4);
         sess.try_run(&spec, x, w, y).expect("TurboBest must run");
         assert_eq!(sess.download(y), want, "{:?}: try_run", spec.shape());
-
-        sess.upload(y, &vec![C32::ZERO; spec.output_len()]);
-        let h = sess.try_submit(&spec, x, w, y).expect("TurboBest must submit");
-        sess.try_wait(h).expect("TurboBest must finish");
-        assert_eq!(sess.download(y), want, "{:?}: try_submit", spec.shape());
 
         let (x2, w2, y2) = operands(&mut sess, &spec, 0.4);
         let reqs = [Request { spec, x, w, y }, Request { spec, x: x2, w: w2, y: y2 }];
@@ -729,10 +810,6 @@ fn explicit_fused_variant_on_unfusable_shape_is_a_validation_error() {
             };
             let shape = spec.shape();
             assert!(is_validation(sess.try_run(&spec, x, w, y).map(drop)), "{v:?} {shape:?}: try_run");
-            assert!(
-                is_validation(sess.try_submit(&spec, x, w, y).map(drop)),
-                "{v:?} {shape:?}: try_submit"
-            );
             let reqs = [Request { spec, x, w, y }];
             assert!(is_validation(sess.try_run_many(&reqs).map(drop)), "{v:?} {shape:?}: try_run_many");
             assert!(sess.device().launches().is_empty(), "{v:?} {shape:?}: nothing may launch");
@@ -787,5 +864,5 @@ fn oversized_shapes_are_admitted_or_rejected_never_panic() {
         }
     }
     check(Session::new(SimBackend::a100()), "sim");
-    check(Session::with_backend(NativeBackend::a100()), "native");
+    check(Session::new(NativeBackend::a100()), "native");
 }

@@ -285,8 +285,10 @@ fn mutation_use_after_release() {
 
 /// Hazard class 4 end to end: a `run` that names a lease the caller
 /// already released is rejected as `Validation` before anything launches.
-/// `FftOpt` at rank 1 with fewer modes than points leases scratch of other
-/// lengths, so no scratch class recycles the released buffer.
+/// Admission rejects it before the plan check sees a launch (the check's
+/// own `UseAfterRelease` is pinned above). `FftOpt` at rank 1 with fewer
+/// modes than points leases scratch of other lengths, so no scratch class
+/// recycles the released buffer.
 #[test]
 fn run_on_a_released_lease_is_rejected_before_launch() {
     with_override(Some(true), || {
@@ -299,8 +301,8 @@ fn run_on_a_released_lease_is_rejected_before_launch() {
         sess.release(x);
         match sess.try_run(&spec, x, w, y) {
             Err(TfnoError::Validation(msg)) => assert!(
-                msg.contains("plan verifier rejected kernel")
-                    && msg.contains("after its pool lease was released"),
+                msg.contains("x is buffer")
+                    && msg.contains("a pool lease this session already released"),
                 "unexpected message: {msg}"
             ),
             other => panic!("expected Validation, got {other:?}"),
