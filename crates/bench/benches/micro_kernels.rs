@@ -8,7 +8,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfno_cgemm::{BatchedCgemmKernel, BatchedOperand, GemmShape, MatView, TileConfig};
-use tfno_fft::{host, BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils};
+use tfno_fft::{
+    host, BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, RowPencils,
+    StridedPencils,
+};
 use tfno_gpu_sim::{ExecMode, GpuDevice};
 use tfno_num::{reference, C32};
 use turbofno::{LayerSpec, Session, SpectralShape, Variant};
@@ -49,6 +52,24 @@ fn bench_sim_fft_kernel(c: &mut Criterion) {
     });
     c.bench_function("sim_fft_64x128pt_analytical", |b| {
         b.iter(|| dev.launch(black_box(&k), ExecMode::Analytical))
+    });
+}
+
+/// The 8-point strided outer-axis stage of a rank-3 layer (`turbo.fft3_x`
+/// of a `[4, 8, 8, 8, 8]` input truncated to 4 modes): 2048 pencils in
+/// blocks of 8 adjacent ones, each `idx` 512 elements apart.
+fn bench_sim_strided_fft_kernel(c: &mut Criterion) {
+    let (slabs, n, keep, inner) = (4usize, 8usize, 4usize, 512usize);
+    let mut dev = GpuDevice::a100();
+    let input = dev.alloc("in", slabs * n * inner);
+    let output = dev.alloc("out", slabs * keep * inner);
+    dev.upload(input, &signals(slabs * n * inner));
+    let cfg = FftKernelConfig::new(FftBlockConfig::for_len(n));
+    let plan = FftPlan::new(n, FftDirection::Forward, n, keep);
+    let addr = StridedPencils::along_axis(slabs, n, keep, inner);
+    let k = BatchedFftKernel::new("bench.fft3_x", cfg, plan, addr, input, output);
+    c.bench_function("sim_fft3_x_2048x8pt_strided", |b| {
+        b.iter(|| dev.launch(black_box(&k), ExecMode::Functional))
     });
 }
 
@@ -94,9 +115,27 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 }
 
+/// One warm `FullyFused` rank-2 layer (outer FFT, fused kernel, outer
+/// iFFT: three launches) on a session that persists across iterations.
+fn bench_fused_layer_2d(c: &mut Criterion) {
+    let spec = LayerSpec::d2(8, 8, 8, 16, 32)
+        .modes_xy(8, 32)
+        .variant(Variant::FullyFused);
+    let mut sess = Session::a100();
+    let x = sess.alloc("x", spec.input_len());
+    let w = sess.alloc("w", spec.weight_len());
+    let y = sess.alloc("y", spec.output_len());
+    sess.upload(x, &signals(spec.input_len()));
+    sess.upload(w, &signals(spec.weight_len()));
+    c.bench_function("layer_2d_fully_fused_warm", |b| {
+        b.iter(|| sess.run(black_box(&spec), x, w, y))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_host_fft, bench_sim_fft_kernel, bench_sim_cgemm_kernel, bench_pipeline
+    targets = bench_host_fft, bench_sim_fft_kernel, bench_sim_strided_fft_kernel,
+        bench_sim_cgemm_kernel, bench_pipeline, bench_fused_layer_2d
 }
 criterion_main!(benches);

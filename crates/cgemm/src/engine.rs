@@ -3,16 +3,21 @@
 //!
 //! One call to [`CgemmBlockEngine::run_mainloop`] executes a thread block's
 //! whole `k`-loop: stage the `A`/`B` tiles into double-buffered shared
-//! memory, then per `k_tb`-chunk run the warp/thread-tiled multiply-
-//! accumulate with fragments read straight from the block's shared slice.
-//! The `A` tile can come from global memory (standalone GEMM) or from a
-//! custom provider — the hook the fused FFT→CGEMM kernel uses to write FFT
-//! output straight into `As` (paper §4.1).
+//! memory, then per `k_tb`-chunk multiply-accumulate into the block's C
+//! tile. The functional model moves whole rows: staging copies one run per
+//! `k` row of each operand tile, and the MACs walk `kt → n → m` over the
+//! contiguous rows of the shared tiles into a dense column-major C tile,
+//! so every C element accumulates over ascending `k` exactly as the
+//! thread-tiled kernel's registers do. The `A` tile can come from global
+//! memory (standalone GEMM) or from a custom provider — the hook the fused
+//! FFT→CGEMM kernel uses to write FFT output straight into `As` (paper
+//! §4.1).
 //!
 //! The loop's shared-memory traffic (staging stores, fragment loads) and
 //! flops depend only on the block shape, so a [`MainloopTrace`] counts
-//! them once per shape and a metered block charges the counts; global
-//! staging loads are charged per warp from the lane addresses.
+//! them once per shape, from the lane patterns of the warp/thread tiling,
+//! and a metered block charges the counts; global staging loads are
+//! charged per warp from the lane addresses.
 //!
 //! The accumulators are returned as [`CFragments`] so the caller chooses an
 //! epilogue: [`store_c_global`] (standalone, `alpha/beta` supported) or the
@@ -20,7 +25,7 @@
 
 use crate::tile::TileConfig;
 use crate::view::MatView;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tfno_gpu_sim::{
     warp_bank_cycles, warp_bank_cycles_wide, BankStats, BlockCtx, BufferId, WarpIdx, WARP_SIZE,
 };
@@ -46,28 +51,27 @@ pub struct BOperand {
     pub view: MatView,
 }
 
-/// Per-thread register accumulators of one block.
+/// The C accumulators of one block: the dense column-major
+/// `m_tb x n_tb` tile, element `(m, n)` at `acc[n * m_tb + m]`. Elements
+/// outside the block's active extent stay zero.
 pub struct CFragments {
     pub tile: TileConfig,
-    /// `acc[tid * m_t * n_t + i * n_t + j]`
     pub acc: Vec<C32>,
 }
 
 impl CFragments {
-    pub fn get(&self, tid: usize, i: usize, j: usize) -> C32 {
-        self.acc[tid * self.tile.m_t * self.tile.n_t + i * self.tile.n_t + j]
-    }
-
-    /// The accumulator of tile-local element `(m, n)`, whichever thread
-    /// holds it (the inverse of [`CFragments::thread_origin`]).
+    /// The accumulator of tile-local element `(m, n)`.
     pub fn at(&self, m: usize, n: usize) -> C32 {
-        let t = &self.tile;
-        let warp = (n / t.n_w) * (t.m_tb / t.m_w) + m / t.m_w;
-        let lane = ((n % t.n_w) / t.n_t) * t.lanes_m() + (m % t.m_w) / t.m_t;
-        self.get(warp * WARP_SIZE + lane, m % t.m_t, n % t.n_t)
+        self.acc[n * self.tile.m_tb + m]
     }
 
-    /// Tile-local `(m, n)` origin of a thread's register tile.
+    /// Column `n` of the tile: the accumulators of `(0..m_tb, n)`.
+    pub fn col(&self, n: usize) -> &[C32] {
+        &self.acc[n * self.tile.m_tb..][..self.tile.m_tb]
+    }
+
+    /// Tile-local `(m, n)` origin of a thread's register tile in the
+    /// warp/thread tiling of Fig. 9 (the lane patterns metering charges).
     pub fn thread_origin(tile: &TileConfig, tid: usize) -> (usize, usize) {
         let warp = tid / WARP_SIZE;
         let lane = tid % WARP_SIZE;
@@ -89,18 +93,6 @@ pub struct CgemmBlockEngine {
     pub k_total: usize,
 }
 
-/// One thread's share of the MACs: its accumulator base, register-tile
-/// origin, and how many of its `m_t x n_t` elements lie inside the
-/// block's active extent (the edge predicates are prefixes).
-#[derive(Clone, Copy)]
-struct ThreadMac {
-    acc_base: usize,
-    m0: usize,
-    n0: usize,
-    ni: usize,
-    nj: usize,
-}
-
 /// What one block shape of the main loop charges, plus its staging
 /// layout.
 ///
@@ -110,8 +102,7 @@ struct ThreadMac {
 /// and the MAC count per `kt` step, depend only on the tile config,
 /// `k_total`, the `A` source and the block's `(active_m, active_n)`.
 /// The trace counts them once, from the lane patterns the real kernel
-/// issues; the MACs themselves read their fragments straight from the
-/// shared slice at every block.
+/// issues.
 pub struct MainloopTrace {
     active_m: usize,
     active_n: usize,
@@ -121,7 +112,6 @@ pub struct MainloopTrace {
     bs_base: usize,
     loads: BankStats,
     stores: BankStats,
-    macs: Vec<ThreadMac>,
     /// Flops of one `kt` step over the whole block.
     kt_flops: u64,
 }
@@ -203,25 +193,6 @@ impl CgemmBlockEngine {
             }
         }
 
-        let mut macs = Vec::new();
-        let mut kt_flops = 0u64;
-        for tid in 0..tile.threads() {
-            let (m0, n0) = CFragments::thread_origin(&tile, tid);
-            let ni = tile.m_t.min(active_m.saturating_sub(m0));
-            let nj = tile.n_t.min(active_n.saturating_sub(n0));
-            if ni == 0 || nj == 0 {
-                continue;
-            }
-            macs.push(ThreadMac {
-                acc_base: tid * tile.m_t * tile.n_t,
-                m0,
-                n0,
-                ni,
-                nj,
-            });
-            kt_flops += (ni * nj) as u64 * tfno_num::FLOPS_PER_CMAC;
-        }
-
         MainloopTrace {
             active_m,
             active_n,
@@ -230,8 +201,7 @@ impl CgemmBlockEngine {
             bs_base,
             loads,
             stores,
-            macs,
-            kt_flops,
+            kt_flops: (active_m * active_n) as u64 * tfno_num::FLOPS_PER_CMAC,
         }
     }
 
@@ -247,7 +217,8 @@ impl CgemmBlockEngine {
     ) -> CFragments {
         let tile = self.tile;
         let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
-        let mut acc = vec![C32::ZERO; tile.threads() * tile.m_t * tile.n_t];
+        let (active_m, active_n) = (trace.active_m, trace.active_n);
+        let mut acc = vec![C32::ZERO; ms * ns];
 
         for chunk in 0..self.k_total.div_ceil(ks) {
             let k0 = chunk * ks;
@@ -255,40 +226,36 @@ impl CgemmBlockEngine {
             let as_buf = trace.as_base + (chunk % 2) * trace.as_stride;
             let bs_buf = trace.bs_base + (chunk % 2) * ks * ns;
 
-            // ---- stage A and B tiles ----
+            // ---- stage A and B tiles, one row per kt ----
             match a {
-                AProvider::Global { buf, view } => stage_tile(
-                    ctx,
-                    *buf,
-                    active_k,
-                    trace.active_m,
-                    |kt, m| view.at(m, k0 + kt),
-                    |kt, m| as_buf + kt * ms + m,
-                ),
+                AProvider::Global { buf, view } => {
+                    let rows = TileRows {
+                        start: view.at(0, k0),
+                        row_step: view.col_stride,
+                        step: view.row_stride,
+                        len: active_m,
+                    };
+                    stage_tile(ctx, *buf, active_k, rows, as_buf, ms)
+                }
                 AProvider::Custom(f) => f(ctx, k0, as_buf),
             }
-            stage_tile(
-                ctx,
-                b.buf,
-                active_k,
-                trace.active_n,
-                |kt, n| b.view.at(k0 + kt, n),
-                |kt, n| bs_buf + kt * ns + n,
-            );
+            let rows = TileRows {
+                start: b.view.at(k0, 0),
+                row_step: b.view.row_stride,
+                step: b.view.col_stride,
+                len: active_n,
+            };
+            stage_tile(ctx, b.buf, active_k, rows, bs_buf, ns);
             ctx.syncthreads();
 
-            // ---- compute: MACs on fragments read from the shared tiles ----
+            // ---- compute: kt -> n -> m over contiguous tile rows ----
             let sh = ctx.shared();
-            for mac in &trace.macs {
-                for kt in 0..active_k {
-                    let a0 = as_buf + kt * ms + mac.m0;
-                    let b0 = bs_buf + kt * ns + mac.n0;
-                    for i in 0..mac.ni {
-                        let av = sh[a0 + i];
-                        for j in 0..mac.nj {
-                            let idx = mac.acc_base + i * tile.n_t + j;
-                            acc[idx] = acc[idx].mac(av, sh[b0 + j]);
-                        }
+            for kt in 0..active_k {
+                let a_row = &sh[as_buf + kt * ms..][..active_m];
+                let b_row = &sh[bs_buf + kt * ns..][..active_n];
+                for (col, &bv) in acc.chunks_exact_mut(ms).zip(b_row) {
+                    for (c, &av) in col.iter_mut().zip(a_row) {
+                        *c = c.mac(av, bv);
                     }
                 }
             }
@@ -301,22 +268,39 @@ impl CgemmBlockEngine {
     }
 }
 
-/// Copy an `active_k x extent` operand slice from global memory into the
-/// shared staging tile: element `(kt, e)` moves from `src(kt, e)` to
-/// `dst(kt, e)`. A metered block charges each warp of 32 consecutive `e`
-/// from its lane addresses.
+/// The global side of an operand tile: row `kt` holds `len` elements
+/// starting at `start + kt * row_step`, `step` apart.
+#[derive(Clone, Copy)]
+struct TileRows {
+    start: usize,
+    row_step: usize,
+    step: usize,
+    len: usize,
+}
+
+/// Copy `active_k` rows of an operand tile from global memory into the
+/// shared staging tile, row `kt` to `dst + kt * ld`: one run per row when
+/// the row is contiguous in global memory. A metered block charges each
+/// warp of 32 consecutive row elements from its lane addresses.
 fn stage_tile(
     ctx: &mut BlockCtx<'_>,
     buf: BufferId,
     active_k: usize,
-    extent: usize,
-    src: impl Fn(usize, usize) -> usize,
-    dst: impl Fn(usize, usize) -> usize,
+    rows: TileRows,
+    dst: usize,
+    ld: usize,
 ) {
+    let TileRows {
+        start,
+        row_step,
+        step,
+        len,
+    } = rows;
     if ctx.is_metered() {
         for kt in 0..active_k {
-            for e0 in (0..extent).step_by(WARP_SIZE) {
-                let idx = WarpIdx::from_fn(|l| (e0 + l < extent).then(|| src(kt, e0 + l)));
+            let row = start + kt * row_step;
+            for e0 in (0..len).step_by(WARP_SIZE) {
+                let idx = WarpIdx::from_fn(|l| (e0 + l < len).then(|| row + (e0 + l) * step));
                 ctx.charge_global_load(buf, &idx);
             }
         }
@@ -324,35 +308,38 @@ fn stage_tile(
     let g = ctx.global(buf);
     let sh = ctx.shared_mut();
     for kt in 0..active_k {
-        for e in 0..extent {
-            sh[dst(kt, e)] = g.get(src(kt, e));
+        let row = start + kt * row_step;
+        let out = &mut sh[dst + kt * ld..][..len];
+        if step == 1 {
+            g.read_into(row, out);
+        } else {
+            for (e, v) in out.iter_mut().enumerate() {
+                *v = g.get(row + e * step);
+            }
         }
     }
 }
 
-/// Per-kernel cache of [`MainloopTrace`]s, keyed by `(active_m, active_n)`.
-/// The owning kernel must use one cache per distinct (tile, `k_total`,
-/// `A` source, `shared_base`) configuration — everything except the
-/// active extents must be constant across the cache's users.
+/// Per-kernel cache of [`MainloopTrace`]s, one slot per block-extent
+/// class: interior blocks, the m-edge, the n-edge and the corner. The
+/// owning kernel must use one cache per distinct (tile, `k_total`, `A`
+/// source, `shared_base`, problem extent) configuration — so each class
+/// has one `(active_m, active_n)`, which the slot checks.
 ///
-/// A launch sees at most four distinct extents (interior blocks plus the
-/// m-edge, n-edge, and corner), so the cache is four lock-free `OnceLock`
-/// slots, each claimed by the first extent that reaches it; an extent
-/// beyond them (no kernel launches one) is counted on the spot.
+/// The warm path is a lock-free `OnceLock` read that lends the slot's
+/// trace.
 #[derive(Default)]
 pub struct MainloopTraceCache {
-    slots: [TraceSlot; 4],
+    slots: [OnceLock<((usize, usize), MainloopTrace)>; 4],
 }
-
-/// One slot: the `(active_m, active_n)` key plus its trace.
-type TraceSlot = OnceLock<((usize, usize), Arc<MainloopTrace>)>;
 
 impl MainloopTraceCache {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fetch (or build) the trace for one block-extent class.
+    /// Lend (building it on first use) the trace for one block-extent
+    /// class.
     pub fn get(
         &self,
         engine: &CgemmBlockEngine,
@@ -360,21 +347,22 @@ impl MainloopTraceCache {
         active_m: usize,
         active_n: usize,
         shared_base: usize,
-    ) -> Arc<MainloopTrace> {
+    ) -> &MainloopTrace {
         let key = (active_m, active_n);
-        let build = || Arc::new(engine.build_trace(custom_a, active_m, active_n, shared_base));
-        for slot in &self.slots {
-            let (k, trace) = slot.get_or_init(|| (key, build()));
-            if *k == key {
-                return Arc::clone(trace);
-            }
-        }
-        build()
+        let class = usize::from(active_m != engine.tile.m_tb)
+            + 2 * usize::from(active_n != engine.tile.n_tb);
+        let (k, trace) = self.slots[class].get_or_init(|| {
+            let trace = engine.build_trace(custom_a, active_m, active_n, shared_base);
+            (key, trace)
+        });
+        assert_eq!(*k, key, "one MainloopTraceCache serves one problem extent");
+        trace
     }
 }
 
-/// Standard epilogue: `C = alpha * acc + beta * C` written to global memory.
-/// `c_view.at(m_local, n_local)`.
+/// Standard epilogue: `C = alpha * acc + beta * C` written to global
+/// memory, `c_view.at(m_local, n_local)`: one run per tile column (or
+/// row) that is contiguous in global memory.
 #[allow(clippy::too_many_arguments)]
 pub fn store_c_global(
     ctx: &mut BlockCtx<'_>,
@@ -410,10 +398,8 @@ pub fn store_c_global(
         ctx.add_flops(12 * (active_m * active_n) as u64);
     }
     let old = ctx.global(buf);
-    let mut put = |m: usize, n: usize| {
-        let addr = c_view.at(m, n);
-        let a = frags.at(m, n);
-        let v = if plain {
+    let value = |a: C32, addr: usize| {
+        if plain {
             a
         } else {
             let c = if beta != C32::ZERO {
@@ -422,20 +408,28 @@ pub fn store_c_global(
                 C32::ZERO
             };
             alpha * a + beta * c
-        };
-        ctx.global_store(buf, addr, v);
+        }
     };
-    // Walk C contiguously so the write journal keeps long runs.
     if c_view.row_stride == 1 {
         for n in 0..active_n {
-            for m in 0..active_m {
-                put(m, n);
-            }
+            let start = c_view.at(0, n);
+            let col = &frags.col(n)[..active_m];
+            ctx.global_store_run(buf, start, |_| {
+                col.iter().enumerate().map(|(m, &a)| value(a, start + m))
+            });
+        }
+    } else if c_view.col_stride == 1 {
+        for m in 0..active_m {
+            let start = c_view.at(m, 0);
+            ctx.global_store_run(buf, start, |_| {
+                (0..active_n).map(|n| value(frags.at(m, n), start + n))
+            });
         }
     } else {
         for m in 0..active_m {
             for n in 0..active_n {
-                put(m, n);
+                let addr = c_view.at(m, n);
+                ctx.global_store(buf, addr, value(frags.at(m, n), addr));
             }
         }
     }

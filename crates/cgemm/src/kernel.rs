@@ -198,7 +198,7 @@ impl Kernel for BatchedCgemmKernel {
             buf: self.b.buf,
             view: b_view,
         };
-        let frags = engine.run_mainloop(ctx, &mut a, &b, &trace);
+        let frags = engine.run_mainloop(ctx, &mut a, &b, trace);
         store_c_global(
             ctx,
             &frags,

@@ -245,6 +245,9 @@ pub struct FusedKernel {
     /// Bank phases of the epilogue's C-fragment staging stores, keyed by
     /// the block's active channel count (full n-tiles and the last one).
     epilogue: [OnceLock<(usize, BankStats)>; 2],
+    /// Shared addresses of the epilogue staging (see
+    /// [`FusedKernel::staging_table`]).
+    staging_addrs: OnceLock<Vec<u32>>,
 }
 
 impl FusedKernel {
@@ -286,10 +289,11 @@ impl FusedKernel {
             forward_layout: ForwardLayout::TurboContiguous,
             epilogue_swizzle: true,
             l1_hit_rate,
-            fwd_traces: TraceCache::new(),
-            inv_traces: TraceCache::new(),
+            fwd_traces: TraceCache::new(FUSED_FFT_BS),
+            inv_traces: TraceCache::new(FUSED_FFT_BS),
             mainloop: MainloopTraceCache::new(),
             epilogue: Default::default(),
+            staging_addrs: OnceLock::new(),
         }
     }
 
@@ -366,6 +370,20 @@ impl FusedKernel {
             }
         }
         count()
+    }
+
+    /// The shared address of staged C element `(m, ch0 + p)` of every
+    /// channel group at `p * m_tb + m`: the Fig. 8 staging map resolved
+    /// once per kernel, read by the staging stores and, as the inverse
+    /// FFT's input table, by its loads.
+    fn staging_table(&self, staging_base: usize) -> &[u32] {
+        self.staging_addrs.get_or_init(|| {
+            let (ms, staging) = (self.tile.m_tb, self.staging());
+            (0..FUSED_FFT_BS)
+                .flat_map(|p| (0..ms).map(move |m| staging_base + staging.addr(m, p)))
+                .map(|a| u32::try_from(a).expect("shared addresses fit in u32"))
+                .collect()
+        })
     }
 
     /// Shared-memory layout: [GEMM tiles][FFT ping/pong][epilogue staging].
@@ -470,7 +488,7 @@ impl Kernel for FusedKernel {
             buf: self.w,
             view: self.w_view(outer, n0),
         };
-        let frags: CFragments = if self.fuse_fft {
+        let frags = if self.fuse_fft {
             let fwd_plan = &self.fwd_plan;
             let order = match self.forward_layout {
                 ForwardLayout::TurboContiguous => InstanceOrder::IdxFastest,
@@ -489,44 +507,48 @@ impl Kernel for FusedKernel {
                     pong_base: fft_base + n_len * FUSED_FFT_BS,
                     reg_group_bits: reg_bits_for(n_len),
                 };
-                let in_addr = |p: usize, idx: usize| geom.x_addr(outer, k0 + p, idx);
-                let out_addr = |p: usize, m: usize| as_buf + p * ms + m;
+                let in_bases: [usize; FUSED_FFT_BS] =
+                    std::array::from_fn(|p| geom.x_addr(outer, k0 + p, 0));
+                let as_bases: [usize; FUSED_FFT_BS] = std::array::from_fn(|p| as_buf + p * ms);
                 let io = FftIo::new(
                     PencilTarget::Global {
                         buf: input,
-                        addr: &in_addr,
+                        bases: &in_bases[..active_p],
+                        stride: 1,
                     },
-                    PencilTarget::Shared { addr: &out_addr },
+                    PencilTarget::Shared {
+                        bases: &as_bases[..active_p],
+                        stride: 1,
+                    },
                 )
                 .with_output_order(order);
-                let trace = fwd_traces.get(&fft);
-                fft.run_traced(ctx, &io, &trace);
+                fft.run_traced(ctx, &io, fwd_traces.get(&fft));
                 ctx.syncthreads();
             };
             let mut a = AProvider::Custom(&mut provider_fn);
-            engine.run_mainloop(ctx, &mut a, &b, &trace)
+            engine.run_mainloop(ctx, &mut a, &b, trace)
         } else {
             let mut a = AProvider::Global {
                 buf: self.input,
                 view: geom.a_view(outer),
             };
-            engine.run_mainloop(ctx, &mut a, &b, &trace)
+            engine.run_mainloop(ctx, &mut a, &b, trace)
         };
 
         // ---- epilogue ----
         if self.fuse_ifft {
-            let staging = self.staging();
+            let table = self.staging_table(staging_base);
             let stores = self.epilogue_stores(staging_base, active_n);
             ctx.charge_shared(BankStats::default(), stores);
             for ch0 in (0..active_n).step_by(FUSED_FFT_BS) {
                 let chs = FUSED_FFT_BS.min(active_n - ch0);
 
-                // Stage the group's C fragments into shared memory with the
+                // Stage the group's C columns into shared memory with the
                 // Fig. 8 access pattern.
                 let sh = ctx.shared_mut();
-                for n in ch0..ch0 + chs {
-                    for m in 0..ms {
-                        sh[staging_base + staging.addr(m, n - ch0)] = frags.at(m, n);
+                for p in 0..chs {
+                    for (&a, &v) in table[p * ms..][..ms].iter().zip(frags.col(ch0 + p)) {
+                        sh[a as usize] = v;
                     }
                 }
                 ctx.syncthreads();
@@ -540,18 +562,18 @@ impl Kernel for FusedKernel {
                     pong_base: fft_base + n_len * FUSED_FFT_BS,
                     reg_group_bits: reg_bits_for(n_len),
                 };
-                let in_addr = |p: usize, m: usize| staging_base + staging.addr(m, p);
-                let out_addr = |p: usize, t: usize| geom.y_addr(outer, n0 + ch0 + p, t);
+                let y_bases: [usize; FUSED_FFT_BS] =
+                    std::array::from_fn(|p| geom.y_addr(outer, n0 + ch0 + p, 0));
                 let io = FftIo::new(
-                    PencilTarget::Shared { addr: &in_addr },
+                    PencilTarget::SharedTable { table, row: ms },
                     PencilTarget::Global {
                         buf: self.output,
-                        addr: &out_addr,
+                        bases: &y_bases[..chs],
+                        stride: 1,
                     },
                 )
                 .with_input_order(InstanceOrder::IdxFastest);
-                let trace = self.inv_traces.get(&ifft);
-                ifft.run_traced(ctx, &io, &trace);
+                ifft.run_traced(ctx, &io, self.inv_traces.get(&ifft));
                 ctx.syncthreads();
             }
         } else {

@@ -8,17 +8,29 @@
 //! lists on the block's shared slice, and a `__syncthreads()` separates
 //! the stages that exchange data through shared memory.
 //!
+//! Data moves in runs and slices, with every index map resolved once per
+//! pencil or once per kernel. A [`PencilTarget`] names each pencil's base
+//! address plus one `idx` stride (the affine contract of
+//! [`crate::PencilAddressing`]), or a per-kernel index table for layouts
+//! that are not affine (the Fig. 8 swizzled epilogue staging). A global
+//! transfer is a handful of runs: one per pencil when its `idx` stride is
+//! 1, otherwise one per `idx` across each group of pencils whose bases
+//! are adjacent. Each run is one
+//! [`GlobalView::read_into`](tfno_gpu_sim::GlobalView::read_into) or
+//! [`BlockCtx::global_store_run`]. A butterfly op runs over the active
+//! pencils of split ping/pong slices, with one dispatch per op on which
+//! operands survived pruning, its kind and its twiddle.
+//!
 //! Metering is split by what an access depends on. The butterfly stages'
 //! bank phases and flops depend only on the block shape, so a
 //! [`ButterflyTrace`] counts them once per shape and a metered block
 //! charges the counts. The transfers in and out depend on the caller's
 //! addressing, so a metered block charges them per warp from the lane
-//! addresses (sectors for global memory, bank phases for shared targets);
-//! an unmetered block builds no lane patterns at all.
+//! addresses of the same targets (sectors for global memory, bank phases
+//! for shared targets); an unmetered block builds no lane patterns at all.
 //!
-//! Input and output are pluggable ([`PencilTarget`]): global memory for the
-//! standalone kernels, shared memory for the fused FFT→CGEMM forwarding and
-//! the CGEMM→iFFT epilogue (where the bank-conflict story of the paper's
+//! The shared-memory targets serve the fused FFT→CGEMM forwarding and the
+//! CGEMM→iFFT epilogue (where the bank-conflict story of the paper's
 //! Figs. 7–8 plays out — the fused kernel in `turbofno` drives those
 //! patterns through this same engine).
 
@@ -28,18 +40,85 @@ use std::sync::{Arc, OnceLock};
 use tfno_gpu_sim::{warp_bank_cycles, BankStats, BlockCtx, BufferId, WarpIdx, WARP_SIZE};
 use tfno_num::C32;
 
-/// Where a block's pencils come from / go to.
+/// Where a block's pencils come from / go to. Pencils are block-local
+/// (`0..active_pencils`).
+#[derive(Clone, Copy, Debug)]
 pub enum PencilTarget<'a> {
-    /// Global buffer; `addr(pencil, idx)` maps to an element index.
-    /// `pencil` is block-local (0..bs).
+    /// Global buffer: element `idx` of pencil `p` at
+    /// `bases[p] + idx * stride`.
     Global {
         buf: BufferId,
-        addr: &'a (dyn Fn(usize, usize) -> usize + Sync),
+        bases: &'a [usize],
+        stride: usize,
     },
-    /// Block shared memory; `addr(pencil, idx)` maps to a shared element.
-    Shared {
-        addr: &'a (dyn Fn(usize, usize) -> usize + Sync),
-    },
+    /// Block shared memory, addressed like [`PencilTarget::Global`].
+    Shared { bases: &'a [usize], stride: usize },
+    /// Block shared memory through an index table: element `idx` of
+    /// pencil `p` at `table[p * row + idx]`.
+    SharedTable { table: &'a [u32], row: usize },
+}
+
+impl PencilTarget<'_> {
+    /// Element address of `(pencil, idx)`.
+    fn addr(&self, p: usize, idx: usize) -> usize {
+        match *self {
+            PencilTarget::Global { bases, stride, .. } | PencilTarget::Shared { bases, stride } => {
+                bases[p] + idx * stride
+            }
+            PencilTarget::SharedTable { table, row } => table[p * row + idx] as usize,
+        }
+    }
+
+    /// Call `f(idx, addr)` for the first `n` elements of pencil `p`.
+    #[inline(always)]
+    fn for_each_elem(&self, p: usize, n: usize, mut f: impl FnMut(usize, usize)) {
+        match *self {
+            PencilTarget::Global { bases, stride, .. } | PencilTarget::Shared { bases, stride } => {
+                let base = bases[p];
+                for i in 0..n {
+                    f(i, base + i * stride);
+                }
+            }
+            PencilTarget::SharedTable { table, row } => {
+                for (i, &a) in table[p * row..][..n].iter().enumerate() {
+                    f(i, a as usize);
+                }
+            }
+        }
+    }
+}
+
+/// Visit the runs of a global transfer of the first `n` elements of each
+/// pencil in `bases` (stride `stride` along `idx`) as `f(start, off, len,
+/// step)`: global elements `start..start + len` pair with staging
+/// elements `off + j * step` of the interleaved `bs`-pencil layout. A
+/// pencil with `stride == 1` is one run; otherwise each `idx` of a group
+/// of pencils whose bases are adjacent is one run.
+fn global_runs(
+    bases: &[usize],
+    stride: usize,
+    n: usize,
+    bs: usize,
+    mut f: impl FnMut(usize, usize, usize, usize),
+) {
+    if stride == 1 {
+        for (p, &base) in bases.iter().enumerate() {
+            f(base, p, n, bs);
+        }
+        return;
+    }
+    let mut p0 = 0;
+    while p0 < bases.len() {
+        let k = 1 + bases[p0 + 1..]
+            .iter()
+            .zip(1..)
+            .take_while(|&(&b, j)| b == bases[p0] + j)
+            .count();
+        for i in 0..n {
+            f(bases[p0] + i * stride, i * bs + p0, k, 1);
+        }
+        p0 += k;
+    }
 }
 
 /// How the (pencil, idx) instances of a transfer phase map onto lanes.
@@ -126,36 +205,30 @@ impl ButterflyTrace {
 }
 
 /// Per-kernel front of the process-wide trace cache ([`crate::cache`]),
-/// keyed by the active-pencil count (full blocks vs. the remainder block).
-/// The owning kernel must use one cache per distinct (plan, layout,
-/// staging-bases, grouping) engine configuration — all fields except
-/// `active_pencils` must be constant across the cache's users.
+/// with one slot per active-pencil count (full blocks vs. the remainder
+/// block). The owning kernel must use one cache per distinct (plan,
+/// layout, staging-bases, grouping) engine configuration — all fields
+/// except `active_pencils` must be constant across the cache's users.
 ///
-/// A launch sees at most two distinct shapes (full and remainder), so the
-/// warm path is two lock-free `OnceLock` slots — the work-stealing
-/// workers' per-block lookups never contend. An empty slot is filled from
-/// the shared cache, so every kernel of one structure holds the same
-/// trace; a shape beyond the two slots reads the shared cache directly.
-#[derive(Default)]
+/// The warm path is a lock-free `OnceLock` read that lends the slot's
+/// trace, so the work-stealing workers' per-block lookups never contend
+/// or touch a shared reference count. An empty slot is filled from the
+/// shared cache, so every kernel of one structure holds the same trace.
 pub struct TraceCache {
-    slots: [OnceLock<(usize, Arc<ButterflyTrace>)>; 2],
+    slots: Box<[OnceLock<Arc<ButterflyTrace>>]>,
 }
 
 impl TraceCache {
-    pub fn new() -> Self {
-        Self::default()
+    /// A cache for engines staging `bs_layout` pencils per block.
+    pub fn new(bs_layout: usize) -> Self {
+        TraceCache {
+            slots: (0..bs_layout).map(|_| OnceLock::new()).collect(),
+        }
     }
 
-    /// Fetch the trace for this engine configuration.
-    pub fn get(&self, engine: &FftBlockEngine<'_>) -> Arc<ButterflyTrace> {
-        let key = engine.active_pencils;
-        for slot in &self.slots {
-            let (k, trace) = slot.get_or_init(|| (key, shared_trace(engine)));
-            if *k == key {
-                return Arc::clone(trace);
-            }
-        }
-        shared_trace(engine)
+    /// Lend the trace for this engine configuration.
+    pub fn get(&self, engine: &FftBlockEngine<'_>) -> &ButterflyTrace {
+        self.slots[engine.active_pencils - 1].get_or_init(|| shared_trace(engine))
     }
 }
 
@@ -264,11 +337,13 @@ impl<'p> FftBlockEngine<'p> {
         let plan = self.plan;
         let bs = self.bs_layout;
         let active = self.active_pencils;
+        let region = plan.n * bs;
         debug_assert!(active <= bs);
         debug_assert!(
-            ctx.shared().len() >= self.pong_base + plan.n * bs,
+            ctx.shared().len() >= self.pong_base.max(self.ping_base) + region,
             "shared staging region out of bounds"
         );
+        debug_assert!(self.ping_base.abs_diff(self.pong_base) >= region);
         debug_assert_eq!(trace.stages.len(), plan.stages.len());
 
         // ---- load: input -> ping region ----
@@ -279,23 +354,15 @@ impl<'p> FftBlockEngine<'p> {
         // ---- butterfly stages, ping-pong, straight from the plan ----
         for (stage, counts) in plan.stages.iter().zip(&trace.stages) {
             let sh = ctx.shared_mut();
+            let (src, dst) = if counts.src_base < counts.dst_base {
+                let (lo, hi) = sh.split_at_mut(counts.dst_base);
+                (&lo[counts.src_base..][..region], &mut hi[..region])
+            } else {
+                let (lo, hi) = sh.split_at_mut(counts.src_base);
+                (&hi[..region], &mut lo[counts.dst_base..][..region])
+            };
             for op in &stage.ops {
-                let a = op.a.map(|i| counts.src_base + i as usize * bs);
-                let b = op.b.map(|i| counts.src_base + i as usize * bs);
-                let dst = counts.dst_base + op.dst as usize * bs;
-                for p in 0..active {
-                    // A pruned operand is structurally zero (FftOp::eval).
-                    let va = a.map_or(C32::ZERO, |o| sh[o + p]);
-                    let vb = b.map_or(C32::ZERO, |o| sh[o + p]);
-                    let v = match op.kind {
-                        FftOpKind::Sum => va + vb,
-                        FftOpKind::Diff => va - vb,
-                    };
-                    sh[dst + p] = match op.w {
-                        Some(w) => v * w,
-                        None => v,
-                    };
-                }
+                butterfly(op, src, dst, bs, active);
             }
             ctx.add_flops(counts.flops);
             ctx.charge_shared(counts.loads, counts.stores);
@@ -317,14 +384,14 @@ impl<'p> FftBlockEngine<'p> {
     }
 
     /// Call `f` with the lane pattern of every warp of a transfer phase
-    /// moving `n` elements per pencil in `order`: each active lane's
-    /// element address, `None` past the end or on an inactive pencil.
-    /// Metering only — the data moves in [`Self::for_each_instance`].
+    /// moving `n` elements per pencil of `target` in `order`: each active
+    /// lane's element address, `None` past the end or on an inactive
+    /// pencil. Metering only — the data moves in runs.
     fn for_each_transfer_warp(
         &self,
         n: usize,
         order: InstanceOrder,
-        addr: &(dyn Fn(usize, usize) -> usize + Sync),
+        target: &PencilTarget<'_>,
         mut f: impl FnMut(&WarpIdx),
     ) {
         let bs = self.bs_layout;
@@ -335,32 +402,8 @@ impl<'p> FftBlockEngine<'p> {
                 (i < instances)
                     .then(|| Self::split(i, bs, n, order))
                     .filter(|&(p, _)| p < self.active_pencils)
-                    .map(|(p, idx)| addr(p, idx))
+                    .map(|(p, idx)| target.addr(p, idx))
             }));
-        }
-    }
-
-    /// Visit every active `(pencil, idx)` instance with `idx < n`, in the
-    /// order that walks `addr` (the side of the transfer outside the
-    /// staging regions) contiguously when its `idx` stride is 1.
-    fn for_each_instance(
-        &self,
-        n: usize,
-        addr: &(dyn Fn(usize, usize) -> usize + Sync),
-        mut f: impl FnMut(usize, usize),
-    ) {
-        if n > 1 && addr(0, 1) == addr(0, 0) + 1 {
-            for p in 0..self.active_pencils {
-                for i in 0..n {
-                    f(p, i);
-                }
-            }
-        } else {
-            for i in 0..n {
-                for p in 0..self.active_pencils {
-                    f(p, i);
-                }
-            }
         }
     }
 
@@ -371,27 +414,27 @@ impl<'p> FftBlockEngine<'p> {
         let bs = self.bs_layout;
         let n_in = self.plan.n_in_valid;
         let ping = self.ping_base;
-        match &io.input {
-            PencilTarget::Global { buf, addr } => {
-                if ctx.is_metered() {
-                    self.for_each_transfer_warp(n_in, io.input_order, *addr, |idx| {
-                        ctx.charge_global_load(*buf, idx)
-                    });
-                }
-                let src = ctx.global(*buf);
-                let sh = ctx.shared_mut();
-                self.for_each_instance(n_in, *addr, |p, i| {
-                    sh[ping + i * bs + p] = src.get(addr(p, i))
+        let target = &io.input;
+        if ctx.is_metered() {
+            self.for_each_transfer_warp(n_in, io.input_order, target, |idx| match target {
+                PencilTarget::Global { buf, .. } => ctx.charge_global_load(*buf, idx),
+                _ => ctx.charge_shared(warp_bank_cycles(idx), BankStats::default()),
+            });
+        }
+        match *target {
+            PencilTarget::Global { buf, bases, stride } => {
+                let src = ctx.global(buf);
+                let staging = &mut ctx.shared_mut()[ping..][..n_in * bs];
+                let bases = &bases[..self.active_pencils];
+                global_runs(bases, stride, n_in, bs, |start, off, len, step| {
+                    src.read_into(start, staging[off..].iter_mut().step_by(step).take(len))
                 });
             }
-            PencilTarget::Shared { addr } => {
-                if ctx.is_metered() {
-                    self.for_each_transfer_warp(n_in, io.input_order, *addr, |idx| {
-                        ctx.charge_shared(warp_bank_cycles(idx), BankStats::default())
-                    });
-                }
+            _ => {
                 let sh = ctx.shared_mut();
-                self.for_each_instance(n_in, *addr, |p, i| sh[ping + i * bs + p] = sh[addr(p, i)]);
+                for p in 0..self.active_pencils {
+                    target.for_each_elem(p, n_in, |i, a| sh[ping + i * bs + p] = sh[a]);
+                }
             }
         }
     }
@@ -403,37 +446,82 @@ impl<'p> FftBlockEngine<'p> {
         let scale = self.plan.scale;
         // The final values live in registers; reading the staging region
         // is free.
-        let value = |sh: &[C32], p: usize, i: usize| {
-            let v = sh[final_base + i * bs + p];
-            if scale != 1.0 {
-                v.scale(scale)
-            } else {
-                v
-            }
-        };
+        let scaled = move |v: &C32| if scale != 1.0 { v.scale(scale) } else { *v };
         if scale != 1.0 {
             ctx.add_flops(2 * (n_out * self.active_pencils) as u64);
         }
-        match &io.output {
-            PencilTarget::Global { buf, addr } => {
-                if ctx.is_metered() {
-                    self.for_each_transfer_warp(n_out, io.output_order, *addr, |idx| {
-                        ctx.charge_global_store(*buf, idx)
-                    });
-                }
-                self.for_each_instance(n_out, *addr, |p, i| {
-                    let v = value(ctx.shared(), p, i);
-                    ctx.global_store(*buf, addr(p, i), v);
+        let target = &io.output;
+        if ctx.is_metered() {
+            self.for_each_transfer_warp(n_out, io.output_order, target, |idx| match target {
+                PencilTarget::Global { buf, .. } => ctx.charge_global_store(*buf, idx),
+                _ => ctx.charge_shared(BankStats::default(), warp_bank_cycles(idx)),
+            });
+        }
+        match *target {
+            PencilTarget::Global { buf, bases, stride } => {
+                let bases = &bases[..self.active_pencils];
+                global_runs(bases, stride, n_out, bs, |start, off, len, step| {
+                    ctx.global_store_run(buf, start, |sh| {
+                        sh[final_base + off..]
+                            .iter()
+                            .step_by(step)
+                            .take(len)
+                            .map(scaled)
+                    })
                 });
             }
-            PencilTarget::Shared { addr } => {
-                if ctx.is_metered() {
-                    self.for_each_transfer_warp(n_out, io.output_order, *addr, |idx| {
-                        ctx.charge_shared(BankStats::default(), warp_bank_cycles(idx))
+            _ => {
+                let sh = ctx.shared_mut();
+                for p in 0..self.active_pencils {
+                    target.for_each_elem(p, n_out, |i, a| {
+                        sh[a] = scaled(&sh[final_base + i * bs + p]);
                     });
                 }
-                let sh = ctx.shared_mut();
-                self.for_each_instance(n_out, *addr, |p, i| sh[addr(p, i)] = value(sh, p, i));
+            }
+        }
+    }
+}
+
+/// One butterfly op over the `active` pencils: `dst = (a ± b) * w` with
+/// a pruned operand read as `C32::ZERO` (exactly [`FftOp::eval`], signed
+/// zeros included), dispatched once per op so the pencil loop carries no
+/// branch.
+#[inline(always)]
+fn butterfly(op: &FftOp, src: &[C32], dst: &mut [C32], bs: usize, active: usize) {
+    let d = &mut dst[op.dst as usize * bs..][..active];
+    let operand = |i: Option<u32>| i.map(|i| &src[i as usize * bs..][..active]);
+    let zero = |_: usize| C32::ZERO;
+    match (operand(op.a), operand(op.b)) {
+        (Some(a), Some(b)) => lanes(d, op, |p| a[p], |p| b[p]),
+        (Some(a), None) => lanes(d, op, |p| a[p], zero),
+        (None, Some(b)) => lanes(d, op, zero, |p| b[p]),
+        (None, None) => lanes(d, op, zero, zero),
+    }
+}
+
+/// `d[p] = (a(p) ± b(p)) [* w]` for every pencil `p`, one loop per
+/// `(kind, w)`.
+#[inline(always)]
+fn lanes(d: &mut [C32], op: &FftOp, a: impl Fn(usize) -> C32, b: impl Fn(usize) -> C32) {
+    match (op.kind, op.w) {
+        (FftOpKind::Sum, None) => {
+            for (p, v) in d.iter_mut().enumerate() {
+                *v = a(p) + b(p);
+            }
+        }
+        (FftOpKind::Diff, None) => {
+            for (p, v) in d.iter_mut().enumerate() {
+                *v = a(p) - b(p);
+            }
+        }
+        (FftOpKind::Sum, Some(w)) => {
+            for (p, v) in d.iter_mut().enumerate() {
+                *v = (a(p) + b(p)) * w;
+            }
+        }
+        (FftOpKind::Diff, Some(w)) => {
+            for (p, v) in d.iter_mut().enumerate() {
+                *v = (a(p) - b(p)) * w;
             }
         }
     }

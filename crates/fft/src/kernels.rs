@@ -17,6 +17,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 use tfno_gpu_sim::{
     structural_fingerprint, AccessSpan, BlockCtx, BufferId, Kernel, KernelAccess, LaunchDims,
+    WARP_SIZE,
 };
 use tfno_num::C32_BYTES;
 
@@ -208,6 +209,11 @@ impl FftKernelConfig {
     }
 }
 
+/// Pencils one block of a [`BatchedFftKernel`] may stage
+/// ([`FftBlockConfig::bs`]): a warp's worth, so a block's pencil bases
+/// live on its stack.
+pub const MAX_BLOCK_PENCILS: usize = WARP_SIZE;
+
 /// Batched 1D FFT kernel: `ceil(count / bs)` blocks of `bs` pencils each.
 pub struct BatchedFftKernel<A: PencilAddressing> {
     pub name: String,
@@ -234,14 +240,19 @@ impl<A: PencilAddressing> BatchedFftKernel<A> {
     ) -> Self {
         let plan = plan.into();
         assert_eq!(plan.n, cfg.block.n, "plan length must match block config");
+        assert!(
+            cfg.block.bs <= MAX_BLOCK_PENCILS,
+            "a block stages at most {MAX_BLOCK_PENCILS} pencils, got {}",
+            cfg.block.bs
+        );
         BatchedFftKernel {
             name: name.into(),
+            traces: TraceCache::new(cfg.block.bs),
             cfg,
             plan,
             addressing,
             input,
             output,
-            traces: TraceCache::new(),
         }
     }
 
@@ -275,6 +286,7 @@ impl<A: PencilAddressing> Kernel for BatchedFftKernel<A> {
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
         let bs = self.cfg.block.bs;
         let groups = self.groups();
+        let (mut in_bases, mut out_bases) = ([0; MAX_BLOCK_PENCILS], [0; MAX_BLOCK_PENCILS]);
         for g in 0..self.cfg.k_iters {
             let group = block_id * self.cfg.k_iters + g;
             if group >= groups {
@@ -290,20 +302,23 @@ impl<A: PencilAddressing> Kernel for BatchedFftKernel<A> {
                 pong_base: self.plan.n * bs,
                 reg_group_bits: self.cfg.block.n_thread.max(1).trailing_zeros() as usize,
             };
-            let in_addr = |p: usize, i: usize| self.addressing.in_addr(p0 + p, i);
-            let out_addr = |p: usize, i: usize| self.addressing.out_addr(p0 + p, i);
+            for (j, p) in (p0..p0 + active).enumerate() {
+                in_bases[j] = self.addressing.in_addr(p, 0);
+                out_bases[j] = self.addressing.out_addr(p, 0);
+            }
             let io = FftIo::new(
                 PencilTarget::Global {
                     buf: self.input,
-                    addr: &in_addr,
+                    bases: &in_bases[..active],
+                    stride: self.addressing.in_idx_stride(),
                 },
                 PencilTarget::Global {
                     buf: self.output,
-                    addr: &out_addr,
+                    bases: &out_bases[..active],
+                    stride: self.addressing.out_idx_stride(),
                 },
             );
-            let trace = self.traces.get(&engine);
-            engine.run_traced(ctx, &io, &trace);
+            engine.run_traced(ctx, &io, self.traces.get(&engine));
             if self.cfg.k_iters > 1 {
                 ctx.syncthreads();
             }

@@ -5,10 +5,11 @@
 //! * [`plan`] — pruned radix-2 Stockham butterfly plans with built-in
 //!   frequency **truncation**, input **zero-padding** and butterfly
 //!   **pruning** (Figs. 4 and 5 of the paper);
-//! * [`engine`] — executes a plan inside a simulated thread block, issuing
-//!   every butterfly through warp-level shared-memory transactions so bank
-//!   behaviour and flops are counted; reused verbatim by the fused kernels
-//!   in the `turbofno` crate;
+//! * [`engine`] — executes a plan inside a simulated thread block: the
+//!   transfers move runs, each butterfly op runs over all staged pencils,
+//!   and bank behaviour and flops are charged from counts taken once per
+//!   block shape; reused verbatim by the fused kernels in the `turbofno`
+//!   crate;
 //! * [`kernels`] — standalone batched 1D FFT kernels (the paper's
 //!   non-fused "TurboFNO FFT" stage, and the building block the culib
 //!   baseline wraps);

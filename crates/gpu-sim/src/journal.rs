@@ -1,17 +1,15 @@
-//! Per-worker write journals with run-length compression, plus the
+//! Per-worker write journals of contiguous runs, plus the
 //! launch-completion machinery that validates and applies them.
 //!
 //! The functional executor buffers every global store until the launch
-//! completes (CUDA visibility semantics). Buffering each lane as an
-//! individual `(buffer, element, value)` tuple — the pre-PR representation —
-//! costs 24 bytes and one `Vec` push per element, and applying them costs a
-//! bounds-checked scalar store each. Almost all kernel stores are warp
-//! transactions over *contiguous* elements, so the journal compresses them
-//! into runs: one header per maximal contiguous span plus a flat value pool.
-//! Application then becomes `copy_from_slice` per run, conflict validation
-//! becomes interval-overlap scanning per buffer (instead of a per-element
-//! hash set), and both parallelize across buffers — the "shards" — because
-//! buffers are disjoint address ranges.
+//! completes (CUDA visibility semantics). Kernel bodies store whole runs
+//! ([`BlockCtx::global_store_run`](crate::BlockCtx::global_store_run)):
+//! one header per maximal contiguous span plus a flat value pool, where a
+//! run that starts at the end of the previous one on the same buffer
+//! extends it instead of opening a new header. Application is one
+//! `copy_from_slice` per run, conflict validation is an interval-overlap
+//! scan per buffer, and both parallelize across buffers — the "shards" —
+//! because buffers are disjoint address ranges.
 
 use crate::memory::{BufferData, BufferId, GlobalMemory};
 use tfno_num::C32;
@@ -54,23 +52,29 @@ impl WriteJournal {
         self.vals.len()
     }
 
-    /// Append one element write, extending the last run when contiguous.
+    /// Append the writes of elements `start..start + vals.len()`,
+    /// extending the last run when this one starts where it ends.
     #[inline]
-    pub fn push(&mut self, buf: BufferId, elem: usize, v: C32) {
-        if let Some(last) = self.runs.last_mut() {
-            if last.buf == buf && last.start + last.len == elem {
-                last.len += 1;
-                self.vals.push(v);
-                return;
-            }
+    pub fn push_run(
+        &mut self,
+        buf: BufferId,
+        start: usize,
+        vals: impl ExactSizeIterator<Item = C32>,
+    ) {
+        let len = vals.len();
+        if len == 0 {
+            return;
         }
-        self.runs.push(WriteRun {
-            buf,
-            start: elem,
-            len: 1,
-            val_off: self.vals.len(),
-        });
-        self.vals.push(v);
+        match self.runs.last_mut() {
+            Some(last) if last.buf == buf && last.start + last.len == start => last.len += len,
+            _ => self.runs.push(WriteRun {
+                buf,
+                start,
+                len,
+                val_off: self.vals.len(),
+            }),
+        }
+        self.vals.extend(vals);
     }
 }
 
@@ -86,8 +90,7 @@ struct BufferTask<'a> {
 
 /// Validate (optionally) and apply all journals of a completed launch.
 ///
-/// Validation rejects any element written twice in the launch — the same
-/// contract the pre-PR per-element hash set enforced, now as an
+/// Validation rejects any element written twice in the launch, as an
 /// interval-overlap scan over the sorted runs of each buffer. Both
 /// validation and application shard naturally per buffer and run on up to
 /// `workers` shares of the [worker pool](crate::exec).
@@ -172,6 +175,7 @@ fn validate_no_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::iter::once;
 
     fn buf(i: usize) -> BufferId {
         BufferId(i)
@@ -181,7 +185,7 @@ mod tests {
     fn contiguous_writes_compress_into_one_run() {
         let mut j = WriteJournal::new();
         for i in 0..64 {
-            j.push(buf(0), i, C32::real(i as f32));
+            j.push_run(buf(0), i, once(C32::real(i as f32)));
         }
         assert_eq!(j.run_count(), 1);
         assert_eq!(j.element_count(), 64);
@@ -191,17 +195,31 @@ mod tests {
     fn strided_writes_stay_separate_runs() {
         let mut j = WriteJournal::new();
         for i in 0..8 {
-            j.push(buf(0), i * 5, C32::ONE);
+            j.push_run(buf(0), i * 5, once(C32::ONE));
         }
         assert_eq!(j.run_count(), 8);
+    }
+
+    /// A run that starts where the last one ends extends it; any other
+    /// start opens a new run, and an empty run leaves the journal alone.
+    #[test]
+    fn contiguous_push_runs_extend_the_last_run() {
+        let mut j = WriteJournal::new();
+        j.push_run(buf(0), 0, [C32::ONE; 4].into_iter());
+        j.push_run(buf(0), 4, [C32::ONE; 4].into_iter());
+        j.push_run(buf(0), 8, std::iter::empty());
+        assert_eq!((j.run_count(), j.element_count()), (1, 8));
+        j.push_run(buf(0), 16, [C32::ONE; 2].into_iter());
+        j.push_run(buf(1), 18, [C32::ONE; 2].into_iter());
+        assert_eq!((j.run_count(), j.element_count()), (3, 12));
     }
 
     #[test]
     fn buffer_switch_breaks_runs() {
         let mut j = WriteJournal::new();
-        j.push(buf(0), 0, C32::ONE);
-        j.push(buf(1), 1, C32::ONE);
-        j.push(buf(0), 1, C32::ONE);
+        j.push_run(buf(0), 0, once(C32::ONE));
+        j.push_run(buf(1), 1, once(C32::ONE));
+        j.push_run(buf(0), 1, once(C32::ONE));
         assert_eq!(j.run_count(), 3);
     }
 
@@ -212,8 +230,8 @@ mod tests {
         let v = gm.alloc_virtual("v", 32);
         let mut j = WriteJournal::new();
         for i in 0..8 {
-            j.push(a, i, C32::real(1.0 + i as f32));
-            j.push(v, i, C32::ONE);
+            j.push_run(a, i, once(C32::real(1.0 + i as f32)));
+            j.push_run(v, i, once(C32::ONE));
         }
         apply_journals(&mut gm, &[j], true, 1, "t");
         let out = gm.download(a);
@@ -229,8 +247,8 @@ mod tests {
         let mut j0 = WriteJournal::new();
         let mut j1 = WriteJournal::new();
         for i in 0..4 {
-            j0.push(a, i, C32::ONE);
-            j1.push(a, 3 + i, C32::ONE);
+            j0.push_run(a, i, once(C32::ONE));
+            j1.push_run(a, 3 + i, once(C32::ONE));
         }
         apply_journals(&mut gm, &[j0, j1], true, 1, "t");
     }
@@ -246,7 +264,11 @@ mod tests {
             let mut j = WriteJournal::new();
             for (bi, _) in ids_s.iter().enumerate() {
                 for i in 0..32 {
-                    j.push(buf(bi), w * 32 + i, C32::real((w * 100 + bi * 10 + i) as f32));
+                    j.push_run(
+                        buf(bi),
+                        w * 32 + i,
+                        once(C32::real((w * 100 + bi * 10 + i) as f32)),
+                    );
                 }
             }
             journals.push(j);

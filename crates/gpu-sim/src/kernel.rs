@@ -28,9 +28,12 @@
 //!
 //! ## Metering
 //!
-//! Kernel bodies move data directly: element reads from a pre-launch
-//! [`GlobalView`], element stores into the worker's journal, and plain
-//! indexing into the block's shared slice. A metered [`BlockCtx`]
+//! Kernel bodies move data in runs, with every index map computed once
+//! per pencil, row or kernel rather than per element:
+//! [`GlobalView::read_into`] copies a run of consecutive elements out of
+//! the pre-launch state, [`BlockCtx::global_store_run`] appends a run to
+//! the worker's journal under one bounds check, and shared memory is
+//! plain slices of the block's scratch. A metered [`BlockCtx`]
 //! ([`BlockCtx::is_metered`]) additionally charges traffic: global
 //! accesses (and transfers whose shared-memory side is data-layout
 //! dependent) are charged per warp from the lane addresses — 32-byte
@@ -320,13 +323,32 @@ impl<'a> BlockCtx<'a> {
     /// metered; charge it per warp with [`BlockCtx::charge_global_store`].
     #[inline]
     pub fn global_store(&mut self, buf: BufferId, elem: usize, v: C32) {
-        let len = self.gmem.len(buf);
+        self.global_store_run(buf, elem, |_| std::iter::once(v));
+    }
+
+    /// Store a run of consecutive elements starting at `start`; visible
+    /// after the launch. `vals` gets the block's shared memory, so a run
+    /// can be read straight out of it, and yields the run's values. One
+    /// bounds check covers the run. Not metered; charge it per warp with
+    /// [`BlockCtx::charge_global_store`].
+    #[inline]
+    pub fn global_store_run<'s, I>(
+        &'s mut self,
+        buf: BufferId,
+        start: usize,
+        vals: impl FnOnce(&'s [C32]) -> I,
+    ) where
+        I: ExactSizeIterator<Item = C32>,
+    {
+        let vals = vals(self.shared.raw());
+        let (len, end) = (self.gmem.len(buf), start + vals.len());
         assert!(
-            elem < len,
-            "global store out of bounds: elem {elem} >= {len} in buffer {}",
+            end <= len,
+            "global store out of bounds: elem {} >= {len} in buffer {}",
+            end - 1,
             self.gmem.name(buf)
         );
-        self.journal.push(buf, elem, v);
+        self.journal.push_run(buf, start, vals);
     }
 
     /// Charge one warp's global load at the lane addresses of `idx` (no-op

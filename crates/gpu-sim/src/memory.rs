@@ -70,6 +70,35 @@ impl GlobalView<'_> {
             }
         }
     }
+
+    /// Copy the run of consecutive elements starting at `start` into
+    /// `dst`, one element per destination slot (contiguous or strided):
+    /// one bounds check for the whole run.
+    #[inline]
+    pub fn read_into<'d, I>(&self, start: usize, dst: I)
+    where
+        I: IntoIterator<Item = &'d mut C32>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let dst = dst.into_iter();
+        let end = start + dst.len();
+        match self.data {
+            Some(d) => {
+                for (o, &v) in dst.zip(&d[start..end]) {
+                    *o = v;
+                }
+            }
+            None => {
+                assert!(
+                    end <= self.len,
+                    "global read out of bounds: elem {} >= {}",
+                    end - 1,
+                    self.len
+                );
+                dst.for_each(|o| *o = C32::ZERO);
+            }
+        }
+    }
 }
 
 /// All global memory of the simulated device.
@@ -348,6 +377,28 @@ mod tests {
         let mut gm = GlobalMemory::new();
         let b = gm.alloc("x", 8);
         gm.access_cost(b, &WarpIdx::contiguous(0));
+    }
+
+    /// `read_into` copies one run into any destination pattern, reads
+    /// zeros from a virtual buffer, and bounds-checks the run's end on
+    /// either kind.
+    #[test]
+    fn read_into_copies_a_run() {
+        let mut gm = GlobalMemory::new();
+        let b = gm.alloc("x", 8);
+        let v = gm.alloc_virtual("v", 8);
+        let data: Vec<C32> = (0..8).map(|i| C32::real(i as f32)).collect();
+        gm.upload(b, &data);
+        let mut out = [C32::ONE; 6];
+        gm.view(b).read_into(5, out.iter_mut().step_by(2));
+        let re: Vec<f32> = out.iter().map(|c| c.re).collect();
+        assert_eq!(re, [5.0, 1.0, 6.0, 1.0, 7.0, 1.0]);
+        gm.view(v).read_into(2, &mut out);
+        assert_eq!(out, [C32::ZERO; 6]);
+        for id in [b, v] {
+            let oob = std::panic::catch_unwind(|| gm.view(id).read_into(3, &mut [C32::ZERO; 6]));
+            assert!(oob.is_err(), "a run past the end must panic");
+        }
     }
 
     /// An unaligned element can straddle two sectors; the model counts both.

@@ -70,7 +70,9 @@ fn check_fft<A: PencilAddressing + Copy>(what: &str, plan: FftPlan, addr: A, k_i
     let xs = data(in_len, 0.3);
     let mut want = vec![C32::ZERO; out_len];
     for q in 0..p {
-        let pencil: Vec<C32> = (0..plan.n_in_valid).map(|i| xs[addr.in_addr(q, i)]).collect();
+        let pencil: Vec<C32> = (0..plan.n_in_valid)
+            .map(|i| xs[addr.in_addr(q, i)])
+            .collect();
         for (i, v) in plan.execute_host(&pencil).into_iter().enumerate() {
             want[addr.out_addr(q, i)] = v;
         }
@@ -132,7 +134,12 @@ fn batched_fft_launches_equal_execute_host_per_pencil() {
                 out_pencil_stride: 1,
                 out_idx_stride: count,
             };
-            check_fft(&format!("columns n={n} count={count}"), plan.clone(), addr, 1);
+            check_fft(
+                &format!("columns n={n} count={count}"),
+                plan.clone(),
+                addr,
+                1,
+            );
         }
     }
 }
