@@ -229,23 +229,16 @@ impl CgemmBlockEngine {
             // ---- stage A and B tiles, one row per kt ----
             match a {
                 AProvider::Global { buf, view } => {
-                    let rows = TileRows {
-                        start: view.at(0, k0),
-                        row_step: view.col_stride,
-                        step: view.row_stride,
-                        len: active_m,
-                    };
-                    stage_tile(ctx, *buf, active_k, rows, as_buf, ms)
+                    stage_tile(ctx, *buf, active_k, active_m, view.tile(0, k0), as_buf, ms)
                 }
                 AProvider::Custom(f) => f(ctx, k0, as_buf),
             }
-            let rows = TileRows {
-                start: b.view.at(k0, 0),
-                row_step: b.view.row_stride,
-                step: b.view.col_stride,
-                len: active_n,
+            let b_rows = MatView {
+                base: b.view.at(k0, 0),
+                row_stride: b.view.col_stride,
+                col_stride: b.view.row_stride,
             };
-            stage_tile(ctx, b.buf, active_k, rows, bs_buf, ns);
+            stage_tile(ctx, b.buf, active_k, active_n, b_rows, bs_buf, ns);
             ctx.syncthreads();
 
             // ---- compute: kt -> n -> m over contiguous tile rows ----
@@ -268,39 +261,24 @@ impl CgemmBlockEngine {
     }
 }
 
-/// The global side of an operand tile: row `kt` holds `len` elements
-/// starting at `start + kt * row_step`, `step` apart.
-#[derive(Clone, Copy)]
-struct TileRows {
-    start: usize,
-    row_step: usize,
-    step: usize,
-    len: usize,
-}
-
-/// Copy `active_k` rows of an operand tile from global memory into the
-/// shared staging tile, row `kt` to `dst + kt * ld`: one run per row when
-/// the row is contiguous in global memory. A metered block charges each
-/// warp of 32 consecutive row elements from its lane addresses.
+/// Copy `active_k` rows of `len` elements of an operand tile from global
+/// memory into the shared staging tile: element `e` of row `kt` moves
+/// from `src.at(e, kt)` to `dst + kt * ld + e`, one run per row when the
+/// row is contiguous in global memory. A metered block charges each warp
+/// of 32 consecutive row elements from its lane addresses.
 fn stage_tile(
     ctx: &mut BlockCtx<'_>,
     buf: BufferId,
     active_k: usize,
-    rows: TileRows,
+    len: usize,
+    src: MatView,
     dst: usize,
     ld: usize,
 ) {
-    let TileRows {
-        start,
-        row_step,
-        step,
-        len,
-    } = rows;
     if ctx.is_metered() {
         for kt in 0..active_k {
-            let row = start + kt * row_step;
             for e0 in (0..len).step_by(WARP_SIZE) {
-                let idx = WarpIdx::from_fn(|l| (e0 + l < len).then(|| row + (e0 + l) * step));
+                let idx = WarpIdx::from_fn(|l| (e0 + l < len).then(|| src.at(e0 + l, kt)));
                 ctx.charge_global_load(buf, &idx);
             }
         }
@@ -308,13 +286,12 @@ fn stage_tile(
     let g = ctx.global(buf);
     let sh = ctx.shared_mut();
     for kt in 0..active_k {
-        let row = start + kt * row_step;
-        let out = &mut sh[dst + kt * ld..][..len];
-        if step == 1 {
-            g.read_into(row, out);
+        let row = &mut sh[dst + kt * ld..][..len];
+        if src.row_stride == 1 {
+            g.read_into(src.at(0, kt), row);
         } else {
-            for (e, v) in out.iter_mut().enumerate() {
-                *v = g.get(row + e * step);
+            for (e, v) in row.iter_mut().enumerate() {
+                *v = g.get(src.at(e, kt));
             }
         }
     }

@@ -503,26 +503,14 @@ fn butterfly(op: &FftOp, src: &[C32], dst: &mut [C32], bs: usize, active: usize)
 /// `(kind, w)`.
 #[inline(always)]
 fn lanes(d: &mut [C32], op: &FftOp, a: impl Fn(usize) -> C32, b: impl Fn(usize) -> C32) {
+    #[inline(always)]
+    fn fill(d: &mut [C32], f: impl Fn(usize) -> C32) {
+        d.iter_mut().enumerate().for_each(|(p, v)| *v = f(p));
+    }
     match (op.kind, op.w) {
-        (FftOpKind::Sum, None) => {
-            for (p, v) in d.iter_mut().enumerate() {
-                *v = a(p) + b(p);
-            }
-        }
-        (FftOpKind::Diff, None) => {
-            for (p, v) in d.iter_mut().enumerate() {
-                *v = a(p) - b(p);
-            }
-        }
-        (FftOpKind::Sum, Some(w)) => {
-            for (p, v) in d.iter_mut().enumerate() {
-                *v = (a(p) + b(p)) * w;
-            }
-        }
-        (FftOpKind::Diff, Some(w)) => {
-            for (p, v) in d.iter_mut().enumerate() {
-                *v = (a(p) - b(p)) * w;
-            }
-        }
+        (FftOpKind::Sum, None) => fill(d, |p| a(p) + b(p)),
+        (FftOpKind::Diff, None) => fill(d, |p| a(p) - b(p)),
+        (FftOpKind::Sum, Some(w)) => fill(d, |p| (a(p) + b(p)) * w),
+        (FftOpKind::Diff, Some(w)) => fill(d, |p| (a(p) - b(p)) * w),
     }
 }

@@ -82,21 +82,15 @@ impl GlobalView<'_> {
     {
         let dst = dst.into_iter();
         let end = start + dst.len();
+        assert!(
+            end <= self.len,
+            "global read out of bounds: elem {} >= {}",
+            end - 1,
+            self.len
+        );
         match self.data {
-            Some(d) => {
-                for (o, &v) in dst.zip(&d[start..end]) {
-                    *o = v;
-                }
-            }
-            None => {
-                assert!(
-                    end <= self.len,
-                    "global read out of bounds: elem {} >= {}",
-                    end - 1,
-                    self.len
-                );
-                dst.for_each(|o| *o = C32::ZERO);
-            }
+            Some(d) => dst.zip(&d[start..end]).for_each(|(o, &v)| *o = v),
+            None => dst.for_each(|o| *o = C32::ZERO),
         }
     }
 }

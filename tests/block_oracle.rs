@@ -11,9 +11,10 @@
 //!
 //! Both run on the default device profile (metered blocks with every
 //! count cross-checked in debug builds) and on the release profile
-//! (unmetered blocks). The inputs carry signed zeros, so a block body that
-//! skips the `ZERO ± v` of a pruned operand, or scales by 1, shows up as
-//! a flipped sign bit.
+//! (unmetered blocks). Each launch has an all-negative-zero pencil (and
+//! each layer an all-negative-zero weight column), whose outputs are
+//! signed zeros, so a block body that skips the `ZERO ± v` of a pruned
+//! operand shows up as a flipped sign bit.
 
 use tfno_num::C32;
 use turbofno::{LayerSpec, Session, SpectralShape, Variant};
@@ -23,12 +24,14 @@ use turbofno_suite::fft::{
 };
 use turbofno_suite::gpu_sim::{DeviceConfig, ExecMode, GpuDevice};
 
+const NEG_ZERO: C32 = C32 { re: -0.0, im: -0.0 };
+
 /// Deterministic data with a negative zero in every fifth element.
 fn data(len: usize, seed: f32) -> Vec<C32> {
     (0..len)
         .map(|i| {
             if i % 5 == 3 {
-                C32::new(-0.0, -0.0)
+                NEG_ZERO
             } else {
                 let t = i as f32;
                 C32::new((t * 0.37 + seed).sin(), (t * 0.11 - seed).cos())
@@ -67,7 +70,10 @@ fn check_fft<A: PencilAddressing + Copy>(what: &str, plan: FftPlan, addr: A, k_i
         .map(|q| addr.out_addr(q, plan.n_out_keep - 1) + 1)
         .max()
         .unwrap();
-    let xs = data(in_len, 0.3);
+    let mut xs = data(in_len, 0.3);
+    for i in 0..plan.n_in_valid {
+        xs[addr.in_addr(1, i)] = NEG_ZERO;
+    }
     let mut want = vec![C32::ZERO; out_len];
     for q in 0..p {
         let pencil: Vec<C32> = (0..plan.n_in_valid)
@@ -218,7 +224,10 @@ fn turbo_variants_equal_the_host_composition_at_every_rank() {
     for spec in specs {
         let s = spec.shape();
         let xs = data(s.input_len(), 0.4);
-        let ws = data(s.weight_len(), 0.9);
+        let mut ws = data(s.weight_len(), 0.9);
+        for k in 0..s.k_in {
+            ws[k * s.k_out + 1] = NEG_ZERO;
+        }
         let want = host_layer(&s, &xs, &ws);
         for v in variants {
             for (profile, dev) in profiles() {
