@@ -11,10 +11,11 @@
 //!
 //! Both run on the default device profile (metered blocks with every
 //! count cross-checked in debug builds) and on the release profile
-//! (unmetered blocks). Each launch has an all-negative-zero pencil (and
-//! each layer an all-negative-zero weight column), whose outputs are
-//! signed zeros, so a block body that skips the `ZERO ± v` of a pruned
-//! operand shows up as a flipped sign bit.
+//! (unmetered blocks). Each FFT launch has an all-negative-zero pencil,
+//! whose outputs are signed zeros, so a block body that skips the
+//! `ZERO ± v` of a pruned operand shows up as a flipped sign bit; each
+//! layer has an all-negative-zero weight column, so one output channel
+//! is built from signed zeros alone.
 
 use tfno_num::C32;
 use turbofno::{LayerSpec, Session, SpectralShape, Variant};
