@@ -144,6 +144,40 @@ fn all_variants_agree_3d() {
     }
 }
 
+/// With the launch memo off, a functional launch on the release device
+/// runs every block unmetered and then the metered representative blocks
+/// of the same kernel object. The kernels' bank-phase caches must come
+/// out of that exactly as from metered blocks alone: every record equals
+/// the analytical one of a fresh simulator, whose kernels only ever run
+/// metered blocks. The rank-1 shape's `k_out` of 20 adds an n-edge tile.
+#[test]
+fn unmetered_blocks_leave_metered_counts_unchanged() {
+    let shapes = [
+        LayerSpec::d1(2, 6, 20, 128).modes(32),
+        LayerSpec::d2(1, 5, 4, 32, 64).modes_xy(8, 32),
+        LayerSpec::d3(1, 4, 4, 8, 16, 32).modes_xyz(4, 8, 32),
+    ];
+    for shape in shapes {
+        for v in Variant::CONCRETE {
+            let spec = shape.variant(v);
+            let mut native = NativeBackend::a100();
+            native.device_mut().analytical_memo = false;
+            let (_, records) = run_on(&mut Session::new(native), &spec, 0.4);
+            let mut sim = SimBackend::a100();
+            sim.analytical_memo = false;
+            let measured = Session::new(sim).measure(&spec).launches;
+            let what = format!("{v:?} {:?}", spec.shape());
+            assert_eq!(records.len(), measured.len(), "{what}: launch count");
+            for (r, m) in records.iter().zip(&measured) {
+                let at = format!("{what}: '{}'", r.name);
+                assert_eq!(r.name, m.name, "{at}");
+                assert_eq!(r.stats, m.stats, "{at}: stats");
+                assert_eq!(r.time_us.to_bits(), m.time_us.to_bits(), "{at}: time");
+            }
+        }
+    }
+}
+
 #[test]
 fn stacked_mixed_weight_queue_agrees() {
     // K same-shape requests with K distinct weight buffers: the engine
