@@ -115,27 +115,32 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 }
 
-/// One warm `FullyFused` rank-2 layer (outer FFT, fused kernel, outer
-/// iFFT: three launches) on a session that persists across iterations.
-fn bench_fused_layer_2d(c: &mut Criterion) {
-    let spec = LayerSpec::d2(8, 8, 8, 16, 32)
-        .modes_xy(8, 32)
-        .variant(Variant::FullyFused);
+/// Time `spec` on one session that persists across iterations.
+fn bench_warm_layer(c: &mut Criterion, name: &str, spec: LayerSpec) {
     let mut sess = Session::a100();
     let x = sess.alloc("x", spec.input_len());
     let w = sess.alloc("w", spec.weight_len());
     let y = sess.alloc("y", spec.output_len());
     sess.upload(x, &signals(spec.input_len()));
     sess.upload(w, &signals(spec.weight_len()));
-    c.bench_function("layer_2d_fully_fused_warm", |b| {
-        b.iter(|| sess.run(black_box(&spec), x, w, y))
-    });
+    c.bench_function(name, |b| b.iter(|| sess.run(black_box(&spec), x, w, y)));
+}
+
+/// Warm `FullyFused` layers: batch-2d's rank-2 layer (outer FFT, fused
+/// kernel, outer iFFT: three launches) and serve-varied's `(k 32, n 128,
+/// nf 32)` rank-1 layer (one fused launch).
+fn bench_fused_layers(c: &mut Criterion) {
+    let fused = Variant::FullyFused;
+    let layer_2d = LayerSpec::d2(8, 8, 8, 16, 32).modes_xy(8, 32).variant(fused);
+    bench_warm_layer(c, "layer_2d_fully_fused_warm", layer_2d);
+    let layer_1d = LayerSpec::d1(1, 32, 32, 128).modes(32).variant(fused);
+    bench_warm_layer(c, "layer_1d_fully_fused_k32_warm", layer_1d);
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_host_fft, bench_sim_fft_kernel, bench_sim_strided_fft_kernel,
-        bench_sim_cgemm_kernel, bench_pipeline, bench_fused_layer_2d
+        bench_sim_cgemm_kernel, bench_pipeline, bench_fused_layers
 }
 criterion_main!(benches);

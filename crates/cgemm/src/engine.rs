@@ -13,11 +13,15 @@
 //! FFT→CGEMM kernel uses to write FFT output straight into `As` (paper
 //! §4.1).
 //!
-//! The loop's shared-memory traffic (staging stores, fragment loads) and
-//! flops depend only on the block shape, so a [`MainloopTrace`] counts
-//! them once per shape, from the lane patterns of the warp/thread tiling,
-//! and a metered block charges the counts; global staging loads are
-//! charged per warp from the lane addresses.
+//! The staging layout and the flops of each `kt` step are O(1) arithmetic
+//! on the tile, `k_total`, the `A` source and the block's active extent.
+//! The loop's shared-memory bank phases (staging stores, fragment loads)
+//! depend on the same inputs, but counting them walks every lane pattern
+//! of the warp/thread tiling, so only a metered block does it: the first
+//! metered block of each block-extent class counts them into its kernel's
+//! [`MainloopBankCache`], and every metered block charges them from there.
+//! An unmetered block neither counts nor charges them. Global staging
+//! loads are charged per warp from the lane addresses.
 //!
 //! The accumulators are returned as [`CFragments`] so the caller chooses an
 //! epilogue: [`store_c_global`] (standalone, `alpha/beta` supported) or the
@@ -93,29 +97,6 @@ pub struct CgemmBlockEngine {
     pub k_total: usize,
 }
 
-/// What one block shape of the main loop charges, plus its staging
-/// layout.
-///
-/// Every block of a launch executes the same loop over different data:
-/// the shared-memory bank phases of the staging stores and of the
-/// fragment loads (summed over every `(warp, kt)` step of every chunk),
-/// and the MAC count per `kt` step, depend only on the tile config,
-/// `k_total`, the `A` source and the block's `(active_m, active_n)`.
-/// The trace counts them once, from the lane patterns the real kernel
-/// issues.
-pub struct MainloopTrace {
-    active_m: usize,
-    active_n: usize,
-    as_base: usize,
-    /// Elements between the two `As` buffers (0 when single-buffered).
-    as_stride: usize,
-    bs_base: usize,
-    loads: BankStats,
-    stores: BankStats,
-    /// Flops of one `kt` step over the whole block.
-    kt_flops: u64,
-}
-
 impl CgemmBlockEngine {
     /// Shared elements the double-buffered tiles need.
     pub fn shared_elems(&self) -> usize {
@@ -129,28 +110,29 @@ impl CgemmBlockEngine {
         self.tile.m_tb * self.tile.k_tb + 2 * self.tile.k_tb * self.tile.n_tb
     }
 
-    /// Count the main loop of one block shape. `custom_a` selects the
-    /// single-buffered `As` layout of [`AProvider::Custom`], whose staging
-    /// the provider charges itself; `shared_base` is where this engine's
-    /// staging starts.
-    pub fn build_trace(
-        &self,
-        custom_a: bool,
-        active_m: usize,
-        active_n: usize,
-        shared_base: usize,
-    ) -> MainloopTrace {
+    /// Shared offsets of the `As` and `Bs` tiles of `k`-chunk `chunk`.
+    /// The tiles start at element 0 and `B` is double-buffered; `A` is
+    /// double-buffered only when loaded from global memory, since a custom
+    /// provider (the fused FFT) synchronizes anyway (paper §3.1).
+    fn staging_bufs(&self, custom_a: bool, chunk: usize) -> (usize, usize) {
+        let (ms, ns, ks) = (self.tile.m_tb, self.tile.n_tb, self.tile.k_tb);
+        let parity = chunk % 2;
+        if custom_a {
+            (0, ms * ks + parity * ks * ns)
+        } else {
+            (parity * ms * ks, 2 * ms * ks + parity * ks * ns)
+        }
+    }
+
+    /// Count the shared-memory bank phases, `(loads, stores)`, of one
+    /// block's main loop over an `active_m x active_n` C tile, from the
+    /// lane patterns the real kernel issues: the staging stores (of `B`
+    /// only when `custom_a`, whose provider charges its own) and the
+    /// fragment loads, over every `(warp, kt)` step of every chunk.
+    fn count_banks(&self, custom_a: bool, active_m: usize, active_n: usize) -> LoopBanks {
         let tile = self.tile;
         tile.validate();
         let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
-        // A is double-buffered only when loaded from global memory; a custom
-        // provider (the fused FFT) synchronizes anyway, so As is single-
-        // buffered (paper §3.1).
-        let (as_base, as_stride, bs_base) = if custom_a {
-            (shared_base, 0, shared_base + ms * ks)
-        } else {
-            (shared_base, ms * ks, shared_base + 2 * ms * ks)
-        };
         let contiguous = |base: usize, extent: usize| {
             (0..extent)
                 .step_by(WARP_SIZE)
@@ -161,8 +143,7 @@ impl CgemmBlockEngine {
         let mut stores = BankStats::default();
         for chunk in 0..self.k_total.div_ceil(ks) {
             let active_k = ks.min(self.k_total - chunk * ks);
-            let as_buf = as_base + (chunk % 2) * as_stride;
-            let bs_buf = bs_base + (chunk % 2) * ks * ns;
+            let (as_buf, bs_buf) = self.staging_bufs(custom_a, chunk);
             for kt in 0..active_k {
                 if !custom_a {
                     for idx in contiguous(as_buf + kt * ms, active_m) {
@@ -192,39 +173,31 @@ impl CgemmBlockEngine {
                 }
             }
         }
-
-        MainloopTrace {
-            active_m,
-            active_n,
-            as_base,
-            as_stride,
-            bs_base,
-            loads,
-            stores,
-            kt_flops: (active_m * active_n) as u64 * tfno_num::FLOPS_PER_CMAC,
-        }
+        (loads, stores)
     }
 
-    /// Execute the main loop of a block shaped like `trace` (built by
-    /// [`Self::build_trace`] for this engine and `a`'s source); returns
-    /// the C accumulators.
+    /// Execute the main loop of a block whose C tile is `active_m x
+    /// active_n`; returns the C accumulators. A metered block charges the
+    /// loop's bank phases from `banks`, its kernel's cache.
     pub fn run_mainloop(
         &self,
         ctx: &mut BlockCtx<'_>,
         a: &mut AProvider<'_>,
         b: &BOperand,
-        trace: &MainloopTrace,
+        active_m: usize,
+        active_n: usize,
+        banks: &MainloopBankCache,
     ) -> CFragments {
         let tile = self.tile;
         let (ms, ns, ks) = (tile.m_tb, tile.n_tb, tile.k_tb);
-        let (active_m, active_n) = (trace.active_m, trace.active_n);
+        let custom_a = matches!(a, AProvider::Custom(_));
+        let kt_flops = (active_m * active_n) as u64 * tfno_num::FLOPS_PER_CMAC;
         let mut acc = vec![C32::ZERO; ms * ns];
 
         for chunk in 0..self.k_total.div_ceil(ks) {
             let k0 = chunk * ks;
             let active_k = ks.min(self.k_total - k0);
-            let as_buf = trace.as_base + (chunk % 2) * trace.as_stride;
-            let bs_buf = trace.bs_base + (chunk % 2) * ks * ns;
+            let (as_buf, bs_buf) = self.staging_bufs(custom_a, chunk);
 
             // ---- stage A and B tiles, one row per kt ----
             match a {
@@ -252,10 +225,13 @@ impl CgemmBlockEngine {
                     }
                 }
             }
-            ctx.add_flops(trace.kt_flops * active_k as u64);
+            ctx.add_flops(kt_flops * active_k as u64);
             ctx.syncthreads();
         }
-        ctx.charge_shared(trace.loads, trace.stores);
+        if ctx.is_metered() {
+            let (loads, stores) = banks.get(self, custom_a, active_m, active_n);
+            ctx.charge_shared(loads, stores);
+        }
 
         CFragments { tile, acc }
     }
@@ -297,43 +273,44 @@ fn stage_tile(
     }
 }
 
-/// Per-kernel cache of [`MainloopTrace`]s, one slot per block-extent
-/// class: interior blocks, the m-edge, the n-edge and the corner. The
-/// owning kernel must use one cache per distinct (tile, `k_total`, `A`
-/// source, `shared_base`, problem extent) configuration — so each class
-/// has one `(active_m, active_n)`, which the slot checks.
+/// The `(loads, stores)` bank phases of one block's main loop.
+type LoopBanks = (BankStats, BankStats);
+
+/// Per-kernel cache of the main loop's bank phases, one `(loads, stores)`
+/// slot per block-extent class: interior blocks, the m-edge, the n-edge
+/// and the corner. The owning kernel must use one cache per distinct
+/// (tile, `k_total`, `A` source, problem extent) configuration — so each
+/// class has one `(active_m, active_n)`, which the slot checks.
 ///
-/// The warm path is a lock-free `OnceLock` read that lends the slot's
-/// trace.
+/// Only metered blocks read it, so a slot is counted by the first metered
+/// block of its class and an unmetered launch leaves the cache empty. The
+/// warm path is a lock-free `OnceLock` read.
 #[derive(Default)]
-pub struct MainloopTraceCache {
-    slots: [OnceLock<((usize, usize), MainloopTrace)>; 4],
+pub struct MainloopBankCache {
+    slots: [OnceLock<((usize, usize), LoopBanks)>; 4],
 }
 
-impl MainloopTraceCache {
+impl MainloopBankCache {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Lend (building it on first use) the trace for one block-extent
-    /// class.
-    pub fn get(
+    /// The `(loads, stores)` of one block-extent class, counted on first
+    /// use.
+    fn get(
         &self,
         engine: &CgemmBlockEngine,
         custom_a: bool,
         active_m: usize,
         active_n: usize,
-        shared_base: usize,
-    ) -> &MainloopTrace {
+    ) -> LoopBanks {
         let key = (active_m, active_n);
         let class = usize::from(active_m != engine.tile.m_tb)
             + 2 * usize::from(active_n != engine.tile.n_tb);
-        let (k, trace) = self.slots[class].get_or_init(|| {
-            let trace = engine.build_trace(custom_a, active_m, active_n, shared_base);
-            (key, trace)
-        });
-        assert_eq!(*k, key, "one MainloopTraceCache serves one problem extent");
-        trace
+        let (k, banks) = self.slots[class]
+            .get_or_init(|| (key, engine.count_banks(custom_a, active_m, active_n)));
+        assert_eq!(*k, key, "one MainloopBankCache serves one problem extent");
+        *banks
     }
 }
 

@@ -6,7 +6,7 @@
 //! channel-major tensors need no packing copies. The grid is
 //! `batch x ceil(m / m_tb) x ceil(n / n_tb)` blocks.
 
-use crate::engine::{store_c_global, AProvider, BOperand, CgemmBlockEngine, MainloopTraceCache};
+use crate::engine::{store_c_global, AProvider, BOperand, CgemmBlockEngine, MainloopBankCache};
 use crate::tile::TileConfig;
 use crate::view::{view_spans, MatView};
 use std::hash::Hash;
@@ -92,9 +92,10 @@ pub struct BatchedCgemmKernel {
     pub c: BatchedOperand,
     pub alpha: C32,
     pub beta: C32,
-    /// Main-loop counts keyed by block extent class, built lazily on
-    /// first execution and kept for the kernel object's lifetime.
-    traces: MainloopTraceCache,
+    /// Main-loop bank phases per block-extent class, counted by the
+    /// first metered block of each class and kept for the kernel object's
+    /// lifetime.
+    banks: MainloopBankCache,
 }
 
 impl BatchedCgemmKernel {
@@ -119,7 +120,7 @@ impl BatchedCgemmKernel {
             c,
             alpha,
             beta,
-            traces: MainloopTraceCache::new(),
+            banks: MainloopBankCache::new(),
         }
     }
 
@@ -189,7 +190,6 @@ impl Kernel for BatchedCgemmKernel {
             tile: self.tile,
             k_total: self.shape.k,
         };
-        let trace = self.traces.get(&engine, false, active_m, active_n, 0);
         let mut a = AProvider::Global {
             buf: self.a.buf,
             view: a_view,
@@ -198,7 +198,7 @@ impl Kernel for BatchedCgemmKernel {
             buf: self.b.buf,
             view: b_view,
         };
-        let frags = engine.run_mainloop(ctx, &mut a, &b, trace);
+        let frags = engine.run_mainloop(ctx, &mut a, &b, active_m, active_n, &self.banks);
         store_c_global(
             ctx,
             &frags,
@@ -586,8 +586,10 @@ mod tests {
     /// that loads the same global elements and charges them itself, warp
     /// by warp. It forwards `block_classes`, so its analytical launch
     /// scales edge tiles correctly, and has no fingerprint, so it never
-    /// shares launch-memo entries with the kernel it wraps.
-    struct CustomA<'k>(&'k BatchedCgemmKernel);
+    /// shares launch-memo entries with the kernel it wraps. It keeps its
+    /// own main-loop bank cache: the single-buffered `As` layout counts
+    /// differently.
+    struct CustomA<'k>(&'k BatchedCgemmKernel, MainloopBankCache);
 
     impl Kernel for CustomA<'_> {
         fn name(&self) -> String {
@@ -641,8 +643,7 @@ mod tests {
                 buf: k.b.buf,
                 view: k.b.at_batch(b).tile(0, n0),
             };
-            let trace = engine.build_trace(true, active_m, active_n, 0);
-            let frags = engine.run_mainloop(ctx, &mut a, &bop, &trace);
+            let frags = engine.run_mainloop(ctx, &mut a, &bop, active_m, active_n, &self.1);
             store_c_global(ctx, &frags, k.c.buf, &c_view, active_m, active_n, k.alpha, k.beta);
         }
     }
@@ -677,7 +678,8 @@ mod tests {
                     C32::new(-1.0, 0.5),
                 );
                 let rec = if custom {
-                    dev.launch(&CustomA(&kernel), ExecMode::Functional)
+                    let custom_a = CustomA(&kernel, MainloopBankCache::new());
+                    dev.launch(&custom_a, ExecMode::Functional)
                 } else {
                     dev.launch(&kernel, ExecMode::Functional)
                 };

@@ -22,8 +22,7 @@ pub mod tile;
 pub mod view;
 
 pub use engine::{
-    store_c_global, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopTrace,
-    MainloopTraceCache,
+    store_c_global, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopBankCache,
 };
 pub use kernel::{BatchedCgemmKernel, BatchedOperand, GemmShape};
 pub use tile::TileConfig;

@@ -23,7 +23,7 @@ use crate::swizzle::{EpilogueStaging, ForwardLayout};
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 use tfno_cgemm::{
-    view_spans, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopTraceCache, MatView,
+    view_spans, AProvider, BOperand, CFragments, CgemmBlockEngine, MainloopBankCache, MatView,
     TileConfig, WeightStacking,
 };
 use tfno_fft::{FftBlockEngine, FftIo, FftPlan, InstanceOrder, PencilTarget, TraceCache};
@@ -240,10 +240,12 @@ pub struct FusedKernel {
     /// shared across blocks and k-iterations of a launch.
     fwd_traces: TraceCache,
     inv_traces: TraceCache,
-    /// Main-loop counts per block extent class.
-    mainloop: MainloopTraceCache,
+    /// Main-loop bank phases per block-extent class, counted by the
+    /// first metered block of each class.
+    mainloop: MainloopBankCache,
     /// Bank phases of the epilogue's C-fragment staging stores, keyed by
-    /// the block's active channel count (full n-tiles and the last one).
+    /// the block's active channel count (full n-tiles and the last one),
+    /// counted by the first metered block of each.
     epilogue: [OnceLock<(usize, BankStats)>; 2],
     /// Shared addresses of the epilogue staging (see
     /// [`FusedKernel::staging_table`]).
@@ -291,7 +293,7 @@ impl FusedKernel {
             l1_hit_rate,
             fwd_traces: TraceCache::new(FUSED_FFT_BS),
             inv_traces: TraceCache::new(FUSED_FFT_BS),
-            mainloop: MainloopTraceCache::new(),
+            mainloop: MainloopBankCache::new(),
             epilogue: Default::default(),
             staging_addrs: OnceLock::new(),
         }
@@ -339,7 +341,7 @@ impl FusedKernel {
     /// Bank phases of staging a block's C fragments, `active_n` channels,
     /// into the Fig. 8 staging region: per group of `FUSED_FFT_BS`
     /// channels, every thread stores register `(i, j)` of its tile in one
-    /// warp access when its channel falls in the group.
+    /// warp access when its channel falls in the group. Metering only.
     fn epilogue_stores(&self, staging_base: usize, active_n: usize) -> BankStats {
         let count = || {
             let tile = self.tile;
@@ -483,7 +485,6 @@ impl Kernel for FusedKernel {
         };
 
         // ---- main loop with either a fused-FFT A provider or global A ----
-        let trace = self.mainloop.get(&engine, self.fuse_fft, ms, active_n, 0);
         let b = BOperand {
             buf: self.w,
             view: self.w_view(outer, n0),
@@ -526,20 +527,22 @@ impl Kernel for FusedKernel {
                 ctx.syncthreads();
             };
             let mut a = AProvider::Custom(&mut provider_fn);
-            engine.run_mainloop(ctx, &mut a, &b, trace)
+            engine.run_mainloop(ctx, &mut a, &b, ms, active_n, &self.mainloop)
         } else {
             let mut a = AProvider::Global {
                 buf: self.input,
                 view: geom.a_view(outer),
             };
-            engine.run_mainloop(ctx, &mut a, &b, trace)
+            engine.run_mainloop(ctx, &mut a, &b, ms, active_n, &self.mainloop)
         };
 
         // ---- epilogue ----
         if self.fuse_ifft {
             let table = self.staging_table(staging_base);
-            let stores = self.epilogue_stores(staging_base, active_n);
-            ctx.charge_shared(BankStats::default(), stores);
+            if ctx.is_metered() {
+                let stores = self.epilogue_stores(staging_base, active_n);
+                ctx.charge_shared(BankStats::default(), stores);
+            }
             for ch0 in (0..active_n).step_by(FUSED_FFT_BS) {
                 let chs = FUSED_FFT_BS.min(active_n - ch0);
 

@@ -23,11 +23,13 @@
 //!
 //! Metering is split by what an access depends on. The butterfly stages'
 //! bank phases and flops depend only on the block shape, so a
-//! [`ButterflyTrace`] counts them once per shape and a metered block
-//! charges the counts. The transfers in and out depend on the caller's
-//! addressing, so a metered block charges them per warp from the lane
-//! addresses of the same targets (sectors for global memory, bank phases
-//! for shared targets); an unmetered block builds no lane patterns at all.
+//! [`ButterflyTrace`] counts them once per structure in the process (the
+//! process-wide cache), whichever block first needs it, and a metered
+//! block charges the counts. The transfers in and out depend on the
+//! caller's addressing, so a metered block charges them per warp from the
+//! lane addresses of the same targets (sectors for global memory, bank
+//! phases for shared targets); an unmetered block builds no transfer lane
+//! patterns.
 //!
 //! The shared-memory targets serve the fused FFT→CGEMM forwarding and the
 //! CGEMM→iFFT epilogue (where the bank-conflict story of the paper's

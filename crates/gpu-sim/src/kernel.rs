@@ -39,11 +39,16 @@
 //! dependent) are charged per warp from the lane addresses — 32-byte
 //! sectors per global access, bank-conflict phases per shared access —
 //! while block-invariant shared traffic (butterfly stages, GEMM staging
-//! and fragment loads) is charged as [`BankStats`] precomputed once per
-//! block shape. Unmetered contexts skip both and build no lane patterns.
-//! A kernel body has one data path either way and never branches on the
-//! data it moves, so the charged counts are a pure function of the
-//! kernel's structure. A functional launch therefore runs its blocks
+//! and fragment loads, fused-epilogue staging stores) is charged as
+//! [`BankStats`] counted from the lane patterns once and then reused: per
+//! kernel object and block-extent class, by the first metered block of
+//! that class, and per FFT structure in a process-wide cache. Unmetered
+//! contexts charge neither and build no lane patterns, with one
+//! exception: the first launch of an FFT structure in a process counts
+//! its butterfly trace for that cache, because the trace also holds the
+//! stage bases and flops the data path reads. A kernel body has one data
+//! path either way and never branches on the data it moves, so the
+//! charged counts are a pure function of the kernel's structure. A functional launch therefore runs its blocks
 //! unmetered — they move exactly the same data but count only the
 //! structural events (blocks, warps, flops, barriers) — and attaches the
 //! counts of its analytical launch (memoized per structure by the
