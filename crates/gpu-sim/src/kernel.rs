@@ -48,9 +48,10 @@
 //! its butterfly trace for that cache, because the trace also holds the
 //! stage bases and flops the data path reads. A kernel body has one data
 //! path either way and never branches on the data it moves, so the
-//! charged counts are a pure function of the kernel's structure. A functional launch therefore runs its blocks
-//! unmetered — they move exactly the same data but count only the
-//! structural events (blocks, warps, flops, barriers) — and attaches the
+//! charged counts are a pure function of the kernel's structure. A
+//! functional launch therefore runs its blocks unmetered — they move
+//! exactly the same data but count only the structural events (blocks,
+//! warps, flops, barriers) — and attaches the
 //! counts of its analytical launch (memoized per structure by the
 //! [launch memo](crate::memo)), so a functional and an
 //! analytical launch of one kernel carry the same [`LaunchRecord`]. Two
