@@ -448,6 +448,107 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of `out`, as `tests/rank_equivalence.rs`
+    /// hashes launch outputs.
+    fn bits_hash(out: &[C32]) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for bits in out.iter().flat_map(|v| [v.re.to_bits(), v.im.to_bits()]) {
+            for b in bits.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        h
+    }
+
+    /// The branch `tanhf` takes for `tanh(u)`: 0 for ±0, 1 for `|u| <
+    /// 2^-55`, then `expm1f`'s `k` (`-3..=0` for `|u| < 1`, `3..=63` up to
+    /// 22) offset by 10, and 100, 101, 102 for `|u| >= 22`, ±inf and NaN.
+    fn tanhf_branch(u: f32) -> i32 {
+        let a = u.abs();
+        let x = 2.0 * a;
+        if u.is_nan() {
+            102
+        } else if a == f32::INFINITY {
+            101
+        } else if a >= 22.0 {
+            100
+        } else if a == 0.0 {
+            0
+        } else if a < f32::from_bits(0x2400_0000) {
+            1
+        } else if a >= 1.0 {
+            10 + (std::f32::consts::LOG2_E * x + 0.5) as i32
+        } else if x.to_bits() <= 0x3eb1_7218 {
+            10
+        } else if x.to_bits() < 0x3f85_1592 {
+            9
+        } else {
+            10 + (std::f32::consts::LOG2_E * -x - 0.5) as i32
+        }
+    }
+
+    /// Activations that reach every `tanhf`/`expm1f` branch: signed zeros,
+    /// infinities, NaN and saturating cubes, a sweep over every exponent
+    /// from the subnormals up, and a fine linear sweep that steps through
+    /// each `k` of `|u| < 22`.
+    fn activation_grid() -> Vec<f32> {
+        let mut v = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        v.extend([0x7f80_0001, 0xffc0_1234].map(f32::from_bits));
+        v.extend([f32::MAX, -f32::MAX, 1e13, -1e13, 30.0, -30.0]);
+        for e in 0u32..=131 {
+            for m in 0u32..8 {
+                let x = f32::from_bits(e << 23 | m << 20);
+                v.extend([x, -x]);
+            }
+        }
+        for i in 1..=640 {
+            let x = i as f32 / 64.0;
+            v.extend([x, -x]);
+        }
+        v
+    }
+
+    /// Pins the bits of `add_gelu` over `activation_grid`, in tensors
+    /// whose lengths leave remainder chunks and whose chunks mix small and
+    /// large lanes (each element pairs two grid points far apart).
+    #[test]
+    fn add_gelu_bits_are_pinned_over_every_tanhf_branch() {
+        let grid = activation_grid();
+        let n = grid.len();
+        let us: Vec<f32> = grid
+            .iter()
+            .map(|&v| (2.0 / std::f32::consts::PI).sqrt() * (v + 0.044715 * v * v * v))
+            .collect();
+        let mut want: Vec<i32> = vec![0, 1, 100, 101, 102];
+        want.extend(7..=10);
+        want.extend(13..=73);
+        for b in want {
+            assert!(
+                us.iter().any(|&u| tanhf_branch(u) == b),
+                "no lane reaches branch {b}"
+            );
+        }
+        let pins: [(usize, u64); 8] = [
+            (1, 0xbb4bf184b1caea17),
+            (15, 0x648848ec0bebffe7),
+            (16, 0xc5cd4da14409653e),
+            (17, 0x3b1ba9ea1a4a1186),
+            (33, 0xf50ba4cb178726c0),
+            (1000, 0x6db0f013c306c310),
+            (3405, 0x9c808db0571bac1d),
+            (6815, 0x1ef958fc57f86529),
+        ];
+        for (len, want) in pins {
+            let a: Vec<C32> = (0..len)
+                .map(|i| C32::new(grid[i % n], grid[(i * 7 + n / 2) % n]))
+                .collect();
+            let b = vec![C32::new(-0.0, -0.0); len];
+            let out = add_gelu(&CTensor::from_vec(a, &[len]), &CTensor::from_vec(b, &[len]));
+            assert_eq!(bits_hash(out.data()), want, "length {len}");
+        }
+    }
+
     #[test]
     fn add_gelu_matches_scalar_map() {
         let mut rng = StdRng::seed_from_u64(22);

@@ -9,7 +9,11 @@
 //! per-axis `execute_host` transforms around a hidden-dimension product
 //! that accumulates `C32::mac` over ascending `k` from `C32::ZERO`.
 //!
-//! Both run on the default device profile (metered blocks with every
+//! (c) Both copy kernels must equal a host copy: the corner truncation
+//! and zero-padding scatters at ranks 1-3, and a segmented copy across
+//! buffers at unaligned bases.
+//!
+//! All run on the default device profile (metered blocks with every
 //! count cross-checked in debug builds) and on the release profile
 //! (unmetered blocks). Each FFT launch has an all-negative-zero pencil,
 //! whose outputs are signed zeros, so a block body that skips the
@@ -19,6 +23,9 @@
 
 use tfno_num::C32;
 use turbofno::{LayerSpec, Session, SpectralShape, Variant};
+use turbofno_suite::culib::{
+    CopySegment, Corner, CornerPad, CornerTruncate, SegmentedCopyKernel, StridedCopyKernel,
+};
 use turbofno_suite::fft::{
     BatchedFftKernel, FftBlockConfig, FftDirection, FftKernelConfig, FftPlan, PencilAddressing,
     RowPencils, StridedPencils,
@@ -242,6 +249,116 @@ fn turbo_variants_equal_the_host_composition_at_every_rank() {
                 let what = format!("rank {} {v:?} on {profile}", s.rank);
                 assert_bits(&sess.download(y), &want, &what);
             }
+        }
+    }
+}
+
+/// Dense index in `[grids, dims]` of each element of the packed
+/// `[grids, modes]` low-frequency corner, in packed order.
+fn corner_positions(grids: usize, dims: &[usize], modes: &[usize]) -> Vec<usize> {
+    let grid_len: usize = dims.iter().product();
+    let mut out = Vec::new();
+    for g in 0..grids {
+        for p in 0..modes.iter().product() {
+            let (mut rest, mut idx, mut stride) = (p, 0, 1);
+            for a in (0..dims.len()).rev() {
+                idx += rest % modes[a] * stride;
+                rest /= modes[a];
+                stride *= dims[a];
+            }
+            out.push(g * grid_len + idx);
+        }
+    }
+    out
+}
+
+/// The truncation gather and the zero-padding scatter at ranks 1-3, with
+/// odd modes and row counts that leave a remainder block (the pad's rows
+/// outside the corner are pure zero-fill), and a segmented copy that
+/// gathers from two buffers into two at unaligned bases, with a segment
+/// longer than one block. Destinations start poisoned, so an element a
+/// kernel skips shows up too.
+#[test]
+fn copy_kernels_equal_a_host_copy() {
+    let poison = C32::new(9.0, -9.0);
+    let shapes = [
+        SpectralShape::d1(1, 3, 3, 20).with_modes(&[7]),
+        SpectralShape::d2(1, 2, 2, 6, 10).with_modes(&[3, 5]),
+        SpectralShape::d3(1, 1, 1, 4, 6, 9).with_modes(&[3, 2, 5]),
+    ];
+    for s in shapes {
+        let grids = 3;
+        let corner = Corner::new(grids, &s);
+        let dims = &s.dims[..s.rank];
+        let pos = corner_positions(grids, dims, &s.modes[..s.rank]);
+        let dense_len = grids * dims.iter().product::<usize>();
+        let dense = data(dense_len, 0.5);
+        let packed = data(pos.len(), 0.8);
+        let want_trunc: Vec<C32> = pos.iter().map(|&i| dense[i]).collect();
+        let mut want_pad = vec![C32::ZERO; dense_len];
+        for (&i, &v) in pos.iter().zip(&packed) {
+            want_pad[i] = v;
+        }
+        for (profile, mut dev) in profiles() {
+            let (xd, xp) = (
+                dev.alloc("dense", dense_len),
+                dev.alloc("packed", pos.len()),
+            );
+            let (yd, yp) = (dev.alloc("pad", dense_len), dev.alloc("trunc", pos.len()));
+            dev.upload(xd, &dense);
+            dev.upload(xp, &packed);
+            dev.upload(yd, &vec![poison; dense_len]);
+            dev.upload(yp, &vec![poison; pos.len()]);
+            let trunc = StridedCopyKernel::new("trunc", CornerTruncate(corner), xd, yp);
+            dev.launch(&trunc, ExecMode::Functional);
+            let pad = StridedCopyKernel::new("pad", CornerPad(corner), xp, yd);
+            dev.launch(&pad, ExecMode::Functional);
+            let what = format!("rank {} on {profile}", s.rank);
+            assert_bits(&dev.download(yp), &want_trunc, &format!("truncate {what}"));
+            assert_bits(&dev.download(yd), &want_pad, &format!("pad {what}"));
+        }
+    }
+
+    let srcs = [data(5000, 0.2), data(300, 0.6)];
+    // (source, source base, destination, destination base, length)
+    let segs = [
+        (0, 3, 0, 1, 2100),
+        (1, 17, 0, 2105, 45),
+        (0, 2500, 0, 2200, 1),
+        (1, 0, 1, 5, 33),
+        (0, 4001, 1, 40, 999),
+    ];
+    let mut want = [vec![poison; 2300], vec![poison; 1100]];
+    for &(s, sb, d, db, len) in &segs {
+        want[d][db..db + len].copy_from_slice(&srcs[s][sb..sb + len]);
+    }
+    for (profile, mut dev) in profiles() {
+        let src = [dev.alloc("src0", 5000), dev.alloc("src1", 300)];
+        let dst = [dev.alloc("dst0", 2300), dev.alloc("dst1", 1100)];
+        for i in 0..2 {
+            dev.upload(src[i], &srcs[i]);
+            dev.upload(dst[i], &vec![poison; want[i].len()]);
+        }
+        let segments = segs
+            .iter()
+            .map(|&(s, src_base, d, dst_base, len)| CopySegment {
+                src: src[s],
+                src_base,
+                dst: dst[d],
+                dst_base,
+                len,
+            })
+            .collect();
+        dev.launch(
+            &SegmentedCopyKernel::new("segments", segments),
+            ExecMode::Functional,
+        );
+        for i in 0..2 {
+            assert_bits(
+                &dev.download(dst[i]),
+                &want[i],
+                &format!("segmented dst{i} on {profile}"),
+            );
         }
     }
 }

@@ -221,3 +221,76 @@ fn spectral_layer_is_linear() {
     let err = rel_l2_error(yc.data(), &want);
     assert!(err < 1e-4, "linearity violated: {err}");
 }
+
+/// FNV-1a over the bit patterns of `out`, as `tests/rank_equivalence.rs`
+/// hashes launch outputs.
+fn bits_hash(out: &[tfno_num::C32]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for bits in out.iter().flat_map(|v| [v.re.to_bits(), v.im.to_bits()]) {
+        for b in bits.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Output bits of `forward_device` (`TurboBest`) and `forward_host` at
+/// each fnobench geometry: rollout-3d's rank-3 model, batch-2d's rank-2
+/// model at batch 8, a rank-1 `(n 128, nf 32)` serving model, and the
+/// rank-2 model again on inputs scaled by 40, so that large activations
+/// reach GELU. Any change to a host stage (lift, bypass, `add_gelu`,
+/// projection) or a launch that moves a bit fails here.
+#[test]
+fn model_output_bits_are_pinned_at_the_benchmark_geometries() {
+    #[allow(clippy::type_complexity)]
+    let cases: [(&[usize], &[usize], [usize; 5], f32, (u64, u64)); 4] = [
+        // dims, modes, [in_ch, width, out_ch, layers, batch], input scale
+        (
+            &[8, 16, 32],
+            &[4, 8, 32],
+            [2, 4, 2, 4, 1],
+            1.0,
+            (0xcba362a4ca4b1d6d, 0x80cbd5575771c736),
+        ),
+        (
+            &[16, 32],
+            &[8, 32],
+            [3, 8, 1, 4, 8],
+            1.0,
+            (0xedd4f37f32a5a966, 0xa3791340ed5f350f),
+        ),
+        (
+            &[128],
+            &[32],
+            [1, 16, 1, 1, 1],
+            1.0,
+            (0x276c9fc596a480f1, 0x276c9fc596a480f1),
+        ),
+        (
+            &[16, 32],
+            &[8, 32],
+            [3, 8, 1, 4, 8],
+            40.0,
+            (0xe8c7c1736a59b0e4, 0xe20b3c560e5839e7),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (dims, modes, [in_ch, width, out_ch, layers, batch], scale, _) in cases {
+        let mut rng = StdRng::seed_from_u64(38);
+        let model = FnoNd::random(&mut rng, in_ch, width, out_ch, layers, dims, modes);
+        let mut shape = vec![batch, in_ch];
+        shape.extend_from_slice(dims);
+        let x = CTensor::random(&mut rng, &shape);
+        let x = CTensor::from_vec(x.data().iter().map(|v| v.scale(scale)).collect(), &shape);
+        let mut sess = Session::a100();
+        let (dev, _) =
+            model.forward_device(&mut sess, Variant::TurboBest, &TurboOptions::default(), &x);
+        got.push((
+            bits_hash(dev.data()),
+            bits_hash(model.forward_host(&x).data()),
+        ));
+    }
+    let want: Vec<(u64, u64)> = cases.iter().map(|c| c.4).collect();
+    assert_eq!(got, want);
+}
