@@ -13,7 +13,8 @@ use tfno_fft::{
     StridedPencils,
 };
 use tfno_gpu_sim::{ExecMode, GpuDevice};
-use tfno_num::{reference, C32};
+use tfno_model::add_gelu;
+use tfno_num::{reference, CTensor, C32};
 use turbofno::{LayerSpec, Session, SpectralShape, Variant};
 
 fn signals(n: usize) -> Vec<C32> {
@@ -137,10 +138,30 @@ fn bench_fused_layers(c: &mut Criterion) {
     bench_warm_layer(c, "layer_1d_fully_fused_k32_warm", layer_1d);
 }
 
+/// Host `add_gelu` on rollout-3d's `[1, 4, 8, 16, 32]` layer activations:
+/// sums in the workloads' `|u| <= 0.17` range, so every chunk takes the
+/// lane kernel; and on sums of magnitude 1.5 to 2.5, so every lane takes
+/// the scalar `tanhf` with `|u| > 1`.
+fn bench_add_gelu(c: &mut Criterion) {
+    let shape = [1, 4, 8, 16, 32];
+    let len = shape.iter().product();
+    let tensor = |f: &dyn Fn(C32) -> C32| {
+        CTensor::from_vec(signals(len).into_iter().map(f).collect(), &shape)
+    };
+    let small = tensor(&|v| v.scale(0.1));
+    c.bench_function("add_gelu_rollout_layer", |b| {
+        b.iter(|| add_gelu(black_box(&small), black_box(&small)))
+    });
+    let large = tensor(&|v| C32::new(1.0 + 0.25 * v.re, -1.0 + 0.25 * v.im));
+    c.bench_function("add_gelu_large_args", |b| {
+        b.iter(|| add_gelu(black_box(&large), black_box(&large)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_host_fft, bench_sim_fft_kernel, bench_sim_strided_fft_kernel,
-        bench_sim_cgemm_kernel, bench_pipeline, bench_fused_layers
+        bench_sim_cgemm_kernel, bench_pipeline, bench_fused_layers, bench_add_gelu
 }
 criterion_main!(benches);

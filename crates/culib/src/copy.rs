@@ -208,10 +208,15 @@ impl<A: CopyAddressing> Kernel for StridedCopyKernel<A> {
                 }
             }
             let (in0, out0) = (a.in_addr(r, 0), a.out_addr(r, 0));
-            for i in 0..n_out {
-                let v = if i < n_in { src.get(in0 + i) } else { C32::ZERO };
-                ctx.global_store(self.output, out0 + i, v);
-            }
+            ctx.global_store_run(self.output, out0, |_| {
+                (0..n_out).map(move |i| {
+                    if i < n_in {
+                        src.get(in0 + i)
+                    } else {
+                        C32::ZERO
+                    }
+                })
+            });
         }
     }
 
@@ -325,9 +330,9 @@ impl Kernel for SegmentedCopyKernel {
             }
         }
         let src = ctx.global(seg.src);
-        for i in 0..len {
-            ctx.global_store(seg.dst, dst0 + i, src.get(src0 + i));
-        }
+        ctx.global_store_run(seg.dst, dst0, |_| {
+            (src0..src0 + len).map(move |i| src.get(i))
+        });
     }
 
     fn access(&self) -> Option<KernelAccess> {

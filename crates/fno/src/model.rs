@@ -36,15 +36,204 @@ use turbofno::{
     Backend, LayerSpec, PipelineRun, Request, Session, TfnoError, TurboOptions, Variant,
 };
 
-/// GELU (tanh approximation), applied to both complex lanes.
+/// GELU (tanh approximation), applied to both complex lanes:
+/// `0.5·v·(1 + tanh(u))` with `u = sqrt(2/π)·(v + 0.044715·v³)`.
+///
+/// `tanh` is an in-tree transliteration of fdlibm's `tanhf` and `expm1f`,
+/// the code glibc's libm runs, so no output depends on the host libm. An
+/// ignored test checks it against `f32::tanh` on every `f32` bit pattern
+/// (`cargo test --release -p tfno-model -- --ignored`).
 pub fn gelu(v: f32) -> f32 {
-    0.5 * v
-        * (1.0
-            + ((2.0 / std::f32::consts::PI).sqrt() * (v + 0.044715 * v * v * v)).tanh())
+    0.5 * v * (1.0 + tanhf(gelu_arg(v)))
+}
+
+/// GELU's `tanh` argument `u`, in [`gelu`]'s operation order.
+#[inline]
+fn gelu_arg(v: f32) -> f32 {
+    (2.0 / std::f32::consts::PI).sqrt() * (v + 0.044715 * v * v * v)
 }
 
 fn gelu_c(v: C32) -> C32 {
     C32::new(gelu(v.re), gelu(v.im))
+}
+
+// fdlibm's `expm1f` constants (glibc `s_expm1f.c`), by bit pattern.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+/// `0.5·ln2`, where `expm1f` starts to reduce its argument.
+const HALF_LN2: f32 = f32::from_bits(0x3eb1_7218);
+
+/// fdlibm's `tanhf` (glibc `s_tanhf.c`), step for step.
+fn tanhf(x: f32) -> f32 {
+    let jx = x.to_bits() as i32;
+    let ix = jx & 0x7fff_ffff;
+    if ix >= 0x7f80_0000 {
+        // tanh(±inf) = ±1, tanh(NaN) = NaN
+        return if jx >= 0 {
+            1.0 / x + 1.0
+        } else {
+            1.0 / x - 1.0
+        };
+    }
+    let z = if ix < 0x41b0_0000 {
+        // |x| < 22
+        if ix == 0 {
+            return x;
+        }
+        if ix < 0x2400_0000 {
+            // |x| < 2^-55
+            return x * (1.0 + x);
+        }
+        if ix >= 0x3f80_0000 {
+            1.0 - 2.0 / (expm1f(2.0 * x.abs()) + 2.0)
+        } else {
+            let t = expm1f(-2.0 * x.abs());
+            -t / (t + 2.0)
+        }
+    } else {
+        // |x| >= 22: ±1
+        1.0 - 1.0e-30
+    };
+    if jx >= 0 {
+        z
+    } else {
+        -z
+    }
+}
+
+/// fdlibm's `expm1f` (glibc `s_expm1f.c`, with the five-term Q1–Q5
+/// polynomial), step for step, on the arguments [`tanhf`] passes: `-2|x|`
+/// for `2^-55 <= |x| < 1` and `2|x|` for `1 <= |x| < 22`. Its overflow,
+/// non-finite and `x < -27·ln2` filters and its `k = 1` and `k = 128`
+/// cases see no such argument and are left out.
+fn expm1f(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let (k, x, c) = if hx > 0x3eb1_7218 {
+        // |x| > 0.5·ln2: x = k·ln2 + (hi - lo)
+        let (k, hi, lo) = if hx < 0x3f85_1592 {
+            // |x| < 1.5·ln2, negative here
+            (-1, x + LN2_HI, -LN2_LO)
+        } else {
+            let k = (INVLN2 * x + if x.is_sign_negative() { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (k, x - t * LN2_HI, t * LN2_LO)
+        };
+        let r = hi - lo;
+        (k, r, (hi - r) - lo)
+    } else if hx < 0x3300_0000 {
+        // |x| < 2^-25
+        return x;
+    } else {
+        (0, x, 0.0)
+    };
+    let (hxs, e) = expm1_poly(x);
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = x * (e - c) - c - hxs;
+    if k == -1 {
+        return 0.5 * (x - e) - 0.5;
+    }
+    if k <= -2 || k > 56 {
+        return add_exponent(1.0 - (e - x), k) - 1.0;
+    }
+    if k < 23 {
+        // t = 1 - 2^-k
+        let t = f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k));
+        add_exponent(t - (e - x), k)
+    } else {
+        // t = 2^-k
+        let t = f32::from_bits(((0x7f - k) as u32) << 23);
+        add_exponent(x - (e + t) + 1.0, k)
+    }
+}
+
+/// `expm1f`'s rational approximation on its reduced argument `x`: `hxs =
+/// x²/2` and the correction `e`.
+#[inline]
+fn expm1_poly(x: f32) -> (f32, f32) {
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    (hxs, hxs * ((r1 - t) / (6.0 - x * t)))
+}
+
+/// `y·2^k` by adding `k` to the exponent bits, as fdlibm does.
+fn add_exponent(y: f32, k: i32) -> f32 {
+    f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32))
+}
+
+/// `f32` lanes per `add_gelu` chunk: the re and im lanes of
+/// `GELU_CHUNK` elements.
+const GELU_LANES: usize = 32;
+const GELU_CHUNK: usize = GELU_LANES / 2;
+
+/// [`tanhf`] on lanes that all have `|u| < 1`, without branches, so that
+/// it vectorizes. There `tanhf(u)` is `-t / (t + 2)` with `t =
+/// expm1f(-2|u|)`, whose reduction takes `k` in `{0, -1, -2, -3}`; each
+/// lane runs the steps of every `k` and selects its own. With `k` as a
+/// float the general reduction is exact at `k = 0` (`x - 0·ln2_hi = x`,
+/// `c = 0`) and at `k = -1` (`x - (-1)·ln2_hi = x + ln2_hi`), and scaling
+/// by `2^k` is the exponent add on these normal values. `expm1f`'s `|x| <
+/// 2^-25` and `tanhf`'s `|u| < 2^-55` cut-offs return their argument, as
+/// the `k = 0` polynomial does there.
+fn tanh_small_lanes(us: &mut [f32; GELU_LANES]) {
+    let step = |c: bool| if c { -1.0 } else { 0.0 };
+    for u in us.iter_mut() {
+        let x = -2.0 * u.abs();
+        // fdlibm's k: 0 up to 0.5·ln2, -1 below 1.5·ln2, then INVLN2·x -
+        // 0.5 truncated, which lies in (-3.4, -1.99]. Below 1.5·ln2 that
+        // sum is above -2, so the -1 case needs no test of its own.
+        let v = INVLN2 * x - 0.5;
+        let k1 = -x > HALF_LN2;
+        let k2 = v <= -2.0;
+        let k3 = v <= -3.0;
+        let k = step(k1) + step(k2) + step(k3);
+        let hi = x - k * LN2_HI;
+        let lo = k * LN2_LO;
+        let r = hi - lo;
+        let c = (hi - r) - lo;
+        let (hxs, e) = expm1_poly(r);
+        let ek = r * (e - c) - c - hxs;
+        let expm1 = if !k1 {
+            r - (r * e - hxs)
+        } else if !k2 {
+            0.5 * (r - ek) - 0.5
+        } else {
+            (1.0 - (ek - r)) * if k3 { 0.125 } else { 0.25 } - 1.0
+        };
+        // -expm1 / (expm1 + 2) >= +0, so this is tanhf's final sign flip
+        *u = (-expm1 / (expm1 + 2.0)).copysign(*u);
+    }
+}
+
+/// `gelu(a + b)` on one chunk. When every lane has `|u| < 1`, as nearly
+/// every chunk of the benchmark workloads does, `tanh` runs as
+/// [`tanh_small_lanes`]; otherwise lane by lane as [`tanhf`]. Either way
+/// each output has [`gelu`]'s bits.
+fn add_gelu_chunk(out: &mut [C32; GELU_CHUNK], a: &[C32; GELU_CHUNK], b: &[C32; GELU_CHUNK]) {
+    let mut v = [0.0; GELU_LANES];
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let s = *x + *y;
+        (v[2 * i], v[2 * i + 1]) = (s.re, s.im);
+    }
+    let mut t = v.map(gelu_arg);
+    if t.iter().fold(true, |small, u| small & (u.abs() < 1.0)) {
+        tanh_small_lanes(&mut t);
+    } else {
+        t = t.map(tanhf);
+    }
+    for (i, o) in out.iter_mut().enumerate() {
+        let g = |j: usize| 0.5 * v[j] * (1.0 + t[j]);
+        *o = C32::new(g(2 * i), g(2 * i + 1));
+    }
 }
 
 /// Output channels per micro-tile of the blocked pointwise kernel: each
@@ -61,10 +250,14 @@ const PW_S_BLOCK: usize = 512;
 /// hand-off to a thread parked for under 100 µs (7–8 µs); `pointwise`
 /// runs right after the spectral launches, so its hand-offs land there.
 const PW_PAR_TASK_WORK: usize = 1 << 13;
-/// Elements of `add_gelu` work per pool share: 1024 elements are about
-/// 70 µs of serial work (two `tanhf` calls, 68 ns per element on a 2-vCPU
-/// host), more than even a hand-off to a thread parked for milliseconds
-/// (about 55 µs, the cost of waking an idle CPU).
+/// Elements of `add_gelu` work per pool share. Serial `add_gelu` takes
+/// about 7 ns per element on chunks that run the lane kernel and 21 ns
+/// when every lane runs the scalar `tanhf` (`micro_kernels` `add_gelu_*`
+/// under `TFNO_THREADS=1`, 2-vCPU host), so a share is 7–21 µs: several
+/// hand-offs to a spinning pool thread (1 µs), which is what `add_gelu`
+/// meets right after the spectral launches, though less than a wake-up
+/// after a long park (about 55 µs). On serve-varied, 8192 lost all 5
+/// alternating pairs to 1024, and 512 was within noise of it.
 const EW_MIN_CHUNK: usize = 1024;
 
 /// Scalar reference pointwise convolution, kept as the ground truth the
@@ -193,20 +386,33 @@ pub fn pointwise(x: &CTensor, w: &CTensor) -> CTensor {
 }
 
 /// `gelu(a + b)` elementwise, fanned out across the worker pool for large
-/// tensors (deterministic: each element is computed exactly once, in
-/// isolation).
+/// tensors, in chunks of 16 elements: a chunk whose lanes all have `|u| <
+/// 1` runs `tanh` as one branch-free lane kernel, any other chunk lane by
+/// lane. Each output has [`gelu`]'s bits whatever chunk or share it falls
+/// in.
 pub fn add_gelu(a: &CTensor, b: &CTensor) -> CTensor {
     assert_eq!(a.shape(), b.shape());
     let len = a.data().len();
     let mut out = vec![C32::ZERO; len];
     let workers = configured_workers().min(len / EW_MIN_CHUNK).max(1);
-    let per = len.div_ceil(workers).max(1);
-    let mut chunks: Vec<_> = out
+    let per = len.div_ceil(workers).max(1).next_multiple_of(GELU_CHUNK);
+    let mut shares: Vec<_> = out
         .chunks_mut(per)
         .zip(a.data().chunks(per).zip(b.data().chunks(per)))
         .collect();
-    for_each_mut(&mut chunks, workers, |(oc, (ac, bc))| {
-        for (o, (x, y)) in oc.iter_mut().zip(ac.iter().zip(bc.iter())) {
+    for_each_mut(&mut shares, workers, |(os, (xs, ys))| {
+        let (xs, ys) = (xs.chunks_exact(GELU_CHUNK), ys.chunks_exact(GELU_CHUNK));
+        let tail = xs.remainder().iter().zip(ys.remainder());
+        let mut os = os.chunks_exact_mut(GELU_CHUNK);
+        for (o, (x, y)) in os.by_ref().zip(xs.zip(ys)) {
+            add_gelu_chunk(
+                o.try_into().unwrap(),
+                x.try_into().unwrap(),
+                y.try_into().unwrap(),
+            );
+        }
+        // The last share's tail, shorter than a chunk.
+        for (o, (x, y)) in os.into_remainder().iter_mut().zip(tail) {
             *o = gelu_c(*x + *y);
         }
     });
@@ -414,7 +620,109 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tfno_gpu_sim::exec::broadcast;
     use tfno_num::error::rel_l2_error;
+
+    /// `tanhf(x)` must have the bits of the host libm's `f32::tanh`.
+    fn check_tanhf(x: f32) {
+        let (got, want) = (tanhf(x), x.tanh());
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "tanhf({x:e} = {:#010x}): {got:e} vs libm {want:e}",
+            x.to_bits()
+        );
+    }
+
+    /// `tanh_small_lanes` over the `|u| < 1` values of `xs`, 32 lanes at
+    /// a time, must have the bits of `tanhf`.
+    fn check_small_lanes(xs: impl Iterator<Item = f32>) {
+        let mut lanes = [0.0; GELU_LANES];
+        let mut n = 0;
+        let flush = |lanes: &[f32; GELU_LANES], n: usize| {
+            let mut got = *lanes;
+            tanh_small_lanes(&mut got);
+            for (x, g) in lanes[..n].iter().zip(got) {
+                let want = tanhf(*x);
+                assert_eq!(
+                    g.to_bits(),
+                    want.to_bits(),
+                    "lane kernel at {x:e} = {:#010x}: {g:e} vs tanhf {want:e}",
+                    x.to_bits()
+                );
+            }
+        };
+        for x in xs.filter(|x| x.abs() < 1.0) {
+            lanes[n] = x;
+            n += 1;
+            if n == GELU_LANES {
+                flush(&lanes, n);
+                n = 0;
+            }
+        }
+        flush(&lanes, n);
+    }
+
+    /// Bit patterns of the positive branch thresholds of `tanhf` and of
+    /// the `expm1f` calls it makes, as `tanhf` arguments: `2^-55`, 1, 22,
+    /// infinity, `expm1f`'s `2^-25`, `0.5·ln2` and `1.5·ln2` cut-offs
+    /// (halved), and every point where its `k` steps.
+    fn tanhf_thresholds() -> Vec<u32> {
+        let mut t = vec![0, 0x2400_0000, 0x3f80_0000, 0x41b0_0000, 0x7f80_0000];
+        t.extend([0x3300_0000u32, 0x3eb1_7218, 0x3f85_1592].map(|b| b - (1 << 23)));
+        let ln2 = std::f64::consts::LN_2;
+        t.push(((2.5 * ln2 / 2.0) as f32).to_bits());
+        t.extend((4..=63).map(|k| (((k as f64 - 0.5) * ln2 / 2.0) as f32).to_bits()));
+        t
+    }
+
+    /// Tier-1 share of the exhaustive checks below: a strided sweep of
+    /// every bit pattern, and ±64 ulps of both signs around every branch
+    /// threshold.
+    #[test]
+    fn tanhf_and_the_lane_kernel_match_libm_on_a_sweep_and_at_every_threshold() {
+        let near: Vec<f32> = tanhf_thresholds()
+            .into_iter()
+            .flat_map(|b| (-64..=64).map(move |d| b.wrapping_add_signed(d)))
+            .flat_map(|b| [b, b | 0x8000_0000])
+            .map(f32::from_bits)
+            .collect();
+        let swept = (0..=u32::MAX).step_by(4099).map(f32::from_bits);
+        for x in near.iter().copied().chain(swept.clone()) {
+            check_tanhf(x);
+        }
+        check_small_lanes(near.into_iter().chain(swept));
+    }
+
+    /// Every `f32` bit pattern, NaN payloads included: `tanhf` has the
+    /// bits of the host libm's `f32::tanh`. About 2^32 pairs of calls,
+    /// so run it in release.
+    #[test]
+    #[ignore = "exhaustive; cargo test --release -p tfno-model -- --ignored"]
+    fn tanhf_matches_libm_on_every_f32() {
+        let n = configured_workers();
+        broadcast(n, |w| {
+            for hi in (w as u32..=0xffff).step_by(n) {
+                for lo in 0..=0xffff {
+                    check_tanhf(f32::from_bits(hi << 16 | lo));
+                }
+            }
+        });
+    }
+
+    /// Every `|u| < 1` of both signs: the lane kernel has `tanhf`'s bits.
+    #[test]
+    #[ignore = "exhaustive; cargo test --release -p tfno-model -- --ignored"]
+    fn small_lane_kernel_matches_tanhf_on_every_small_argument() {
+        let n = configured_workers();
+        broadcast(n, |w| {
+            for hi in (w as u32..0x3f80).step_by(n) {
+                for sign in [0, 0x8000_0000] {
+                    check_small_lanes((0..=0xffff).map(|lo| f32::from_bits(sign | hi << 16 | lo)));
+                }
+            }
+        });
+    }
 
     #[test]
     fn gelu_reference_points() {
@@ -549,14 +857,30 @@ mod tests {
         }
     }
 
+    /// Chunks on the lane kernel and chunks on `tanhf` both give `gelu`'s
+    /// bits: scaled by 1/4 every lane has `|u| < 1`, unscaled some chunks
+    /// hold a larger lane, scaled by 4 most do. An empty tensor maps to
+    /// an empty one.
     #[test]
     fn add_gelu_matches_scalar_map() {
+        let empty = CTensor::zeros(&[2, 0, 3]);
+        assert!(add_gelu(&empty, &empty).data().is_empty());
         let mut rng = StdRng::seed_from_u64(22);
         let a = CTensor::random(&mut rng, &[3, 4, 100]);
         let b = CTensor::random(&mut rng, &[3, 4, 100]);
-        let got = add_gelu(&a, &b);
-        for ((g, x), y) in got.data().iter().zip(a.data()).zip(b.data()) {
-            assert_eq!(*g, gelu_c(*x + *y));
+        for s in [0.25, 1.0, 4.0] {
+            let scaled = |t: &CTensor| {
+                CTensor::from_vec(t.data().iter().map(|v| v.scale(s)).collect(), t.shape())
+            };
+            let (a, b) = (scaled(&a), scaled(&b));
+            let got = add_gelu(&a, &b);
+            for ((g, x), y) in got.data().iter().zip(a.data()).zip(b.data()) {
+                let want = gelu_c(*x + *y);
+                assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits())
+                );
+            }
         }
     }
 
